@@ -12,7 +12,6 @@ numerical non-convergence).
 """
 
 import argparse
-import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from .cone import (
     symplectic_pairing_residual,
     zero_stratum_degeneracy,
 )
-from .config import build_config
+from .config import build_config, read_config
 from .cr import cr_decomposition, final_identity, oneill_plane_residual, relation_residuals
 from .errors import (
     ConfigError,
@@ -99,13 +98,7 @@ def _resolve_config(args):
         lam = [float(x) for x in args.lam.split(",")] if args.lam else None
         raw.update(preset_config(args.preset, n=args.n, lam=lam))
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw.update(json.load(fh))
-            except json.JSONDecodeError as exc:
-                from .errors import ParseError
-
-                raise ParseError([f"config: invalid JSON: {exc}"]) from exc
+        raw.update(read_config(args.config))
     if not args.preset and not args.config:
         raise ValidationError(["give --preset and/or --config"])
     for name in ("samples", "seed", "workers", "flow_steps", "directions"):

@@ -62,7 +62,7 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0):
     random cone tangent vector; it vanishing for J_s = r^2 J is what
     certifies the homogeneous extension.
     """
-    from .jets import Dual, enter_level, exit_level, imag
+    from .jets import along
     from .manifolds import Sphere
     from .structures import _eta0
 
@@ -95,23 +95,13 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0):
     xm_p = vvalue(xm_field(p))
 
     # curve along the lifted X_M = (X_M, 0)
-    lvl = enter_level()
-    try:
-        zr = [Dual(lvl, a, b) for a, b in zip(p + [r], xm_p + [0.0])]
-        t1 = imag(lam_on(w_field)(zr), lvl)
-        d_xm_w = [imag(c, lvl) for c in w_field(zr[:-1])]
-    finally:
-        exit_level()
+    t1, d_xm_w = along(lambda zr: (lam_on(w_field)(zr), w_field(zr[:-1])),
+                       p + [r], xm_p + [0.0])
 
     # curve along the test vector (w_base projected, w_r)
-    lvl = enter_level()
-    try:
-        zr = [Dual(lvl, a, b) for a, b in zip(p + [r], w_base + [w_r])]
-        t2 = imag(lam_on(xm_field)(zr), lvl)
-        d_w_xm = [imag(c, lvl) for c in xm_field(zr[:-1])]
-        dH = imag(hamiltonian(zr), lvl)
-    finally:
-        exit_level()
+    t2, d_w_xm, dH = along(
+        lambda zr: (lam_on(xm_field)(zr), xm_field(zr[:-1]), hamiltonian(zr)),
+        p + [r], w_base + [w_r])
 
     bracket = [a - b for a, b in zip(d_xm_w, d_w_xm)]
     lam_bracket = r * r * value(_eta0(p, bracket))

@@ -50,18 +50,24 @@ class RunConfig:
         }
 
 
-def load_config(path):
-    """Parse and validate a JSON config file."""
+def read_config(path):
+    """The raw JSON object of a config file; ParseError when the file is
+    unreadable, not JSON, or not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError([f"config: cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError([f"config: invalid JSON in {path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ParseError(["config: top level must be a JSON object"])
-    return build_config(raw)
+    return raw
+
+
+def load_config(path):
+    """Parse and validate a JSON config file."""
+    return build_config(read_config(path))
 
 
 def build_config(raw, command=None):

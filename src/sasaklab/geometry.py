@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import SingularMetric
-from .jets import Dual, enter_level, exit_level, imag, value
+from .jets import along, value
 from .vecops import solve_linear, vdot, vsub, vvalue
 
 
@@ -90,20 +90,11 @@ class Geometry:
         hats = np.eye(m)
         return [self.manifold.project(q, list(hats[a])) for a in range(m)]
 
-    def d_field(self, q, w, field):
-        """D_w field at q: componentwise derivative along q + s w."""
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a, b) for a, b in zip(q, w)]
-            return [imag(c, lvl) for c in field(rs)]
-        finally:
-            exit_level()
-
     def bracket(self, q, Xf, Yf, project=False):
         """[X, Y](q) = D_X Y - D_Y X for the extended fields."""
         Xq, Yq = Xf(q), Yf(q)
-        dxy = self.d_field(q, Xq, Yf)
-        dyx = self.d_field(q, Yq, Xf)
+        dxy = along(Yf, q, Xq)
+        dyx = along(Xf, q, Yq)
         out = vsub(dxy, dyx)
         if project:
             out = self.manifold.project(q, out)
@@ -123,7 +114,7 @@ class Geometry:
         metrics go through the explicit formula.
         """
         if self.metric.euclidean:
-            w = self.d_field(q, dir_field(q), field)
+            w = along(field, q, dir_field(q))
             return self.manifold.project(q, w)
         return self.covariant_koszul(q, dir_field, field)
 
@@ -151,52 +142,34 @@ class Geometry:
             hats = [list(r) for r in self.tangent_frame(q)]
         E_fields = [lambda r, h=h: man.project(r, h) for h in hats]
         Eq = [Ef(q) for Ef in E_fields]
-        na = len(hats)
 
-        # shared curve along X: derivatives of Y, every E_a and g(Y, E_a)
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a, b) for a, b in zip(q, Xq)]
-            Y_rs = Yf(rs)
-            E_rs = [Ef(rs) for Ef in E_fields]
-            t1 = [imag(met.g(rs, Y_rs, E_rs[a]), lvl) for a in range(na)]
-            dXY = [imag(c, lvl) for c in Y_rs]
-            dXE = [[imag(c, lvl) for c in E_rs[a]] for a in range(na)]
-        finally:
-            exit_level()
+        def against_tests(F):
+            # g(F, E_a) for every test field, F itself and every E_a
+            def fn(rs):
+                F_rs = F(rs)
+                E_rs = [Ef(rs) for Ef in E_fields]
+                return [met.g(rs, F_rs, E) for E in E_rs], F_rs, E_rs
 
-        # shared curve along the value of Y
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a, b) for a, b in zip(q, Yf_q)]
-            X_rs = Xf(rs)
-            E_rs = [Ef(rs) for Ef in E_fields]
-            t2 = [imag(met.g(rs, X_rs, E_rs[a]), lvl) for a in range(na)]
-            dYX = [imag(c, lvl) for c in X_rs]
-            dYE = [[imag(c, lvl) for c in E_rs[a]] for a in range(na)]
-        finally:
-            exit_level()
+            return fn
 
+        # shared curves along X and along the value of Y
+        t1, dXY, dXE = along(against_tests(Yf), q, Xq)
+        t2, dYX, dYE = along(against_tests(Xf), q, Yf_q)
         bXY = vsub(dXY, dYX)
 
+        # curve along E_a: t3 and the E_a-derivatives of X and Y
+        def g_xy(rs):
+            X_rs, Y_rs = Xf(rs), Yf(rs)
+            return met.g(rs, X_rs, Y_rs), X_rs, Y_rs
+
         kap2 = []
-        for a in range(na):
-            # curve along E_a: t3 and the E_a-derivatives of X and Y
-            lvl = enter_level()
-            try:
-                rs = [Dual(lvl, u, w) for u, w in zip(q, Eq[a])]
-                X_rs = Xf(rs)
-                Y_rs = Yf(rs)
-                t3 = imag(met.g(rs, X_rs, Y_rs), lvl)
-                dEX = [imag(c, lvl) for c in X_rs]
-                dEY = [imag(c, lvl) for c in Y_rs]
-            finally:
-                exit_level()
+        for a, Ea in enumerate(Eq):
+            t3, dEX, dEY = along(g_xy, q, Ea)
             bXE = vsub(dXE[a], dEX)
             bYE = vsub(dYE[a], dEY)
             kap2.append(
                 t1[a] + t2[a] - t3
-                + met.g(q, bXY, Eq[a])
+                + met.g(q, bXY, Ea)
                 - met.g(q, bXE, Yf_q)
                 - met.g(q, bYE, Xq)
             )

@@ -29,99 +29,6 @@ def exit_level():
     _tls.level = getattr(_tls, "level", 0) - 1
 
 
-cdef class Jet2:
-    """Univariate second-order jet (value, d1, d2)."""
-
-    cdef public double value
-    cdef public double d1
-    cdef public double d2
-
-    def __cinit__(self, double value, double d1=0.0, double d2=0.0):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-
-    def __repr__(self):
-        return f"Jet2({self.value}, {self.d1}, {self.d2})"
-
-    def __add__(self, o):
-        cdef Jet2 a, b
-        if isinstance(self, Jet2):
-            a = <Jet2>self
-            if isinstance(o, Jet2):
-                b = <Jet2>o
-                return Jet2(a.value + b.value, a.d1 + b.d1, a.d2 + b.d2)
-            return Jet2(a.value + <double>o, a.d1, a.d2)
-        return Jet2(<double>self + (<Jet2>o).value, (<Jet2>o).d1, (<Jet2>o).d2)
-
-    def __radd__(self, o):
-        return Jet2(self.value + <double>o, self.d1, self.d2)
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-    def __sub__(self, o):
-        cdef Jet2 a, b
-        if isinstance(self, Jet2):
-            a = <Jet2>self
-            if isinstance(o, Jet2):
-                b = <Jet2>o
-                return Jet2(a.value - b.value, a.d1 - b.d1, a.d2 - b.d2)
-            return Jet2(a.value - <double>o, a.d1, a.d2)
-        return Jet2(<double>self - (<Jet2>o).value, -(<Jet2>o).d1, -(<Jet2>o).d2)
-
-    def __rsub__(self, o):
-        return Jet2(<double>o - self.value, -self.d1, -self.d2)
-
-    def __mul__(self, o):
-        cdef Jet2 a, b
-        if isinstance(self, Jet2):
-            a = <Jet2>self
-            if isinstance(o, Jet2):
-                b = <Jet2>o
-                return Jet2(a.value * b.value,
-                            a.d1 * b.value + a.value * b.d1,
-                            a.d2 * b.value + 2.0 * a.d1 * b.d1 + a.value * b.d2)
-            return Jet2(a.value * <double>o, a.d1 * <double>o, a.d2 * <double>o)
-        b = <Jet2>o
-        return Jet2(b.value * <double>self, b.d1 * <double>self, b.d2 * <double>self)
-
-    def __rmul__(self, o):
-        return Jet2(self.value * <double>o, self.d1 * <double>o, self.d2 * <double>o)
-
-    def __truediv__(self, o):
-        cdef Jet2 a, b
-        cdef double q0, q1, q2, c
-        if isinstance(self, Jet2):
-            a = <Jet2>self
-            if isinstance(o, Jet2):
-                b = <Jet2>o
-                q0 = a.value / b.value
-                q1 = (a.d1 - q0 * b.d1) / b.value
-                q2 = (a.d2 - 2.0 * q1 * b.d1 - q0 * b.d2) / b.value
-                return Jet2(q0, q1, q2)
-            c = <double>o
-            return Jet2(a.value / c, a.d1 / c, a.d2 / c)
-        return Jet2(<double>self, 0.0, 0.0) / o
-
-    def __rtruediv__(self, o):
-        return Jet2(<double>o, 0.0, 0.0) / self
-
-    def __pow__(self, k, mod):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("Jet2 only supports non-negative integer powers")
-        out = Jet2(1.0, 0.0, 0.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def sqrt(self):
-        cdef double s0 = math.sqrt(self.value)
-        cdef double s1 = self.d1 / (2.0 * s0)
-        cdef double s2 = (self.d2 - 2.0 * s1 * s1) / (2.0 * s0)
-        return Jet2(s0, s1, s2)
-
-
 cdef class Dual
 
 
@@ -456,43 +363,11 @@ def value(x):
     """Strip all jet structure down to the underlying float."""
     if isinstance(x, Dual):
         return (<Dual>x).c[0]
-    if isinstance(x, Jet2):
-        return (<Jet2>x).value
     return x
 
 
 def jsqrt(x):
-    """Square root generic over floats, Jet2 and Dual."""
+    """Square root generic over floats and Dual."""
     if isinstance(x, Dual):
         return _sqrt(<Dual>x)
-    if isinstance(x, Jet2):
-        return (<Jet2>x).sqrt()
     return math.sqrt(x)
-
-
-def d_scalar(fn, point, direction):
-    """d/ds fn(point + s*direction) at s = 0 for a scalar-valued fn."""
-    lvl = enter_level()
-    try:
-        xs = [Dual(lvl, p, v) for p, v in zip(point, direction)]
-        return imag(fn(xs), lvl)
-    finally:
-        exit_level()
-
-
-def d_vector(field, point, direction):
-    """Componentwise derivative of a vector field along a straight line."""
-    lvl = enter_level()
-    try:
-        xs = [Dual(lvl, p, v) for p, v in zip(point, direction)]
-        return [imag(c, lvl) for c in field(xs)]
-    finally:
-        exit_level()
-
-
-def curve_jet2(field, point, direction, retract):
-    """Jet2 of t -> field(retract(point, direction, t)) at t = 0."""
-    t = Jet2(0.0, 1.0, 0.0)
-    xs = retract(point, direction, t)
-    out = field(xs)
-    return [c if isinstance(c, Jet2) else Jet2(c, 0.0, 0.0) for c in out]

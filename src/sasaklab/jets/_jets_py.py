@@ -1,16 +1,11 @@
 """Pure-Python jet arithmetic.
 
-Two scalar types drive every derivative in the package:
-
-``Jet2``
-    a univariate second-order jet (value, d1, d2) used for explicit
-    one-direction first/second derivatives along a retraction curve.
-
-``Dual``
-    a first-order dual number whose components may themselves be duals,
-    giving nested mixed derivatives to any depth.  Each nesting level
-    carries an integer tag so that simultaneous perturbations cannot be
-    confused; tags are handed out by :func:`enter_level` per thread.
+One scalar type drives every derivative in the package: ``Dual``, a
+first-order dual number whose components may themselves be duals,
+giving nested mixed derivatives to any depth.  Each nesting level
+carries an integer tag so that simultaneous perturbations cannot be
+confused; tags are handed out by :func:`enter_level` per thread.  The
+derivative primitive built on it is ``sasaklab.jets.along``.
 
 Arithmetic is exact in the coefficients (no truncation beyond floating
 point), which is what lets curvature residuals reach 1e-7.
@@ -36,74 +31,6 @@ def enter_level():
 
 def exit_level():
     _tls.level = _current_level() - 1
-
-
-class Jet2:
-    """Truncated Taylor data (f, f', f'') of a scalar curve."""
-
-    __slots__ = ("value", "d1", "d2")
-
-    def __init__(self, value, d1=0.0, d2=0.0):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-
-    def __repr__(self):
-        return f"Jet2({self.value}, {self.d1}, {self.d2})"
-
-    def __add__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
-        return Jet2(self.value + o, self.d1, self.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-    def __sub__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2)
-        return Jet2(self.value - o, self.d1, self.d2)
-
-    def __rsub__(self, o):
-        return Jet2(o - self.value, -self.d1, -self.d2)
-
-    def __mul__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(
-                self.value * o.value,
-                self.d1 * o.value + self.value * o.d1,
-                self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2,
-            )
-        return Jet2(self.value * o, self.d1 * o, self.d2 * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet2):
-            q0 = self.value / o.value
-            q1 = (self.d1 - q0 * o.d1) / o.value
-            q2 = (self.d2 - 2.0 * q1 * o.d1 - q0 * o.d2) / o.value
-            return Jet2(q0, q1, q2)
-        return Jet2(self.value / o, self.d1 / o, self.d2 / o)
-
-    def __rtruediv__(self, o):
-        return Jet2(o, 0.0, 0.0) / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("Jet2 only supports non-negative integer powers")
-        out = Jet2(1.0, 0.0, 0.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def sqrt(self):
-        s0 = math.sqrt(self.value)
-        s1 = self.d1 / (2.0 * s0)
-        s2 = (self.d2 - 2.0 * s1 * s1) / (2.0 * s0)
-        return Jet2(s0, s1, s2)
 
 
 class Dual:
@@ -195,16 +122,16 @@ def _inv(x):
 
 
 def jsqrt(x):
-    """Square root generic over floats, Jet2 and Dual."""
-    if isinstance(x, (Dual, Jet2)):
+    """Square root generic over floats and Dual."""
+    if isinstance(x, Dual):
         return x.sqrt()
     return math.sqrt(x)
 
 
 def value(x):
     """Strip all jet structure down to the underlying float."""
-    while isinstance(x, (Dual, Jet2)):
-        x = x.re if isinstance(x, Dual) else x.value
+    while isinstance(x, Dual):
+        x = x.re
     return x
 
 
@@ -213,38 +140,3 @@ def imag(x, lvl):
     if isinstance(x, Dual) and x.lvl == lvl:
         return x.im
     return 0.0
-
-
-def d_scalar(fn, point, direction):
-    """d/ds fn(point + s*direction) at s = 0 for a scalar-valued fn.
-
-    ``point`` and ``direction`` entries may already be jets from an
-    enclosing differentiation; nesting is handled by the level tags.
-    """
-    lvl = enter_level()
-    try:
-        xs = [Dual(lvl, p, v) for p, v in zip(point, direction)]
-        return imag(fn(xs), lvl)
-    finally:
-        exit_level()
-
-
-def d_vector(field, point, direction):
-    """Componentwise derivative of a vector field along a straight line."""
-    lvl = enter_level()
-    try:
-        xs = [Dual(lvl, p, v) for p, v in zip(point, direction)]
-        return [imag(c, lvl) for c in field(xs)]
-    finally:
-        exit_level()
-
-
-def curve_jet2(field, point, direction, retract):
-    """Jet2 of t -> field(retract(point, direction, t)) at t = 0.
-
-    Returns a list of Jet2 entries (one per output component).
-    """
-    t = Jet2(0.0, 1.0, 0.0)
-    xs = retract(point, direction, t)
-    out = field(xs)
-    return [c if isinstance(c, Jet2) else Jet2(c, 0.0, 0.0) for c in out]

@@ -455,10 +455,10 @@ def build_frame(setup, sample, strict=True):
         labels=[f"vert{i}" for i in range(k_eff)] + ["reeb"]
         + [f"d{i}" for i in range(len(tangent))],
     )
-    d_vectors = [list(v) for v, lab in zip(combined.vectors, combined.labels)
-                 if lab.startswith("d")]
-    contact_d = Frame(tuple(p), tuple(tuple(v) for v in d_vectors),
-                      tuple(f"D{i}" for i in range(len(d_vectors))))
+    contact_vecs = [list(v) for v, lab in zip(combined.vectors, combined.labels)
+                    if lab.startswith("d")]
+    contact_d = Frame(tuple(p), tuple(tuple(v) for v in contact_vecs),
+                      tuple(f"D{i}" for i in range(len(contact_vecs))))
 
     normal_inputs = [vvalue(S.phi(p, list(v))) for v in vertical.vectors]
     if normal_inputs:

@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances
 from .errors import DegenerateContact
 from .geometry import Geometry, InducedMetric
-from .jets import Dual, enter_level, exit_level, imag, value
+from .jets import along, value
 from .manifolds import Sphere
 from .tensor_kernel import gram_schmidt
 from .vecops import as_list, cmult, vdot, vscale, vsub, vvalue
@@ -40,16 +40,15 @@ class WeightedContactMetric:
     Reeb field as +i p; with the opposite orientation the slots swap.
     Under either choice a = (1,...,1) reproduces the round metric
     exactly, which is the anchoring test.  The exterior derivative is
-    evaluated through the jet engine by default; the closed-form
-    expansion of d(eta_A) is kept for oracles.
+    the closed-form expansion of d(eta_A); the jet evaluation
+    ``SphereStructure.d_eta`` is kept as its oracle.
     """
 
     euclidean = False
 
-    def __init__(self, a, sphere, deta_mode="jet"):
+    def __init__(self, a, sphere):
         self.a = [float(x) for x in a]
         self.sphere = sphere
-        self.deta_mode = deta_mode
 
     # -- weighted contact data, all jet-generic -------------------------
 
@@ -71,36 +70,6 @@ class WeightedContactMetric:
         return out
 
     def d_eta(self, q, u, v):
-        if self.deta_mode == "closed":
-            return self.d_eta_closed(q, u, v)
-        return self.d_eta_jet(q, u, v)
-
-    def d_eta_jet(self, q, u, v):
-        """d(eta_A)(U, V) = U eta(V) - V eta(U) - eta([U, V]) with the
-        projection-extended fields of the pointwise values."""
-        proj = self.sphere.project
-        Uf = lambda r: proj(r, u)
-        Vf = lambda r: proj(r, v)
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a_, b_) for a_, b_ in zip(q, u)]
-            V_rs = Vf(rs)
-            t1 = imag(self.eta(rs, V_rs), lvl)
-            dUV = [imag(c, lvl) for c in V_rs]
-        finally:
-            exit_level()
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a_, b_) for a_, b_ in zip(q, v)]
-            U_rs = Uf(rs)
-            t2 = imag(self.eta(rs, U_rs), lvl)
-            dVU = [imag(c, lvl) for c in U_rs]
-        finally:
-            exit_level()
-        t3 = self.eta(q, vsub(dUV, dVU))
-        return t1 - t2 - t3
-
-    def d_eta_closed(self, q, u, v):
         """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded."""
         f = self.conformal_factor(q)
         iu = cmult(u)
@@ -162,24 +131,28 @@ class SphereStructure:
         """d(eta)(U, V) through the jet engine, extension convention."""
         p, u, v = as_list(p), as_list(u), as_list(v)
         proj = self.sphere.project
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a, b) for a, b in zip(p, u)]
-            V_rs = proj(rs, v)
-            t1 = imag(self.eta(rs, V_rs), lvl)
-            dUV = [imag(c, lvl) for c in V_rs]
-        finally:
-            exit_level()
-        lvl = enter_level()
-        try:
-            rs = [Dual(lvl, a, b) for a, b in zip(p, v)]
-            U_rs = proj(rs, u)
-            t2 = imag(self.eta(rs, U_rs), lvl)
-            dVU = [imag(c, lvl) for c in U_rs]
-        finally:
-            exit_level()
+
+        def eta_on(w):
+            # eta of the extended field of w, and the field itself
+            def fn(rs):
+                W_rs = proj(rs, w)
+                return self.eta(rs, W_rs), W_rs
+
+            return fn
+
+        t1, dUV = along(eta_on(v), p, u)
+        t2, dVU = along(eta_on(u), p, v)
         t3 = self.eta(p, vsub(dUV, dVU))
         return t1 - t2 - t3
+
+    def contact_frame(self, p):
+        """Euclidean-orthonormal basis of Ker(eta) inside T_p S: the
+        complement of span(p, i p), since every eta here is a multiple
+        of the round form."""
+        p = as_list(p)
+        rows = np.vstack([np.asarray(p), np.asarray(vvalue(cmult(p)))])
+        _, _, vt = np.linalg.svd(rows)
+        return [list(r) for r in vt[2:]]
 
     def phi(self, p, X):
         """phi(X) = (nabla_X xi)(p) with the structure's own metric."""
@@ -262,7 +235,7 @@ class WeightedSphereStructure(SphereStructure):
 
     PROBE_POINTS = 32
 
-    def __init__(self, n, a, deta_mode="jet"):
+    def __init__(self, n, a):
         if n < 2:
             raise ValueError("need complex dimension n >= 2")
         a = [float(x) for x in a]
@@ -271,7 +244,7 @@ class WeightedSphereStructure(SphereStructure):
         if any(x <= 0 for x in a) or any(x > y for x, y in zip(a, a[1:])):
             raise ValueError("weights must be positive and nondecreasing")
         sphere = Sphere(2 * n)
-        super().__init__(n, WeightedContactMetric(a, sphere, deta_mode))
+        super().__init__(n, WeightedContactMetric(a, sphere))
         self.a = a
         self._probe_positivity()
 
@@ -290,7 +263,7 @@ class WeightedSphereStructure(SphereStructure):
             frame = self.contact_frame(p)
             H = np.asarray(
                 [
-                    [0.5 * value(self.metric.d_eta_closed(p, u, cmult(v))) for v in frame]
+                    [0.5 * value(self.metric.d_eta(p, u, cmult(v))) for v in frame]
                     for u in frame
                 ],
                 dtype=float,
@@ -302,25 +275,11 @@ class WeightedSphereStructure(SphereStructure):
                     f"contact Gram eigenvalue {lo:.3e} below {floor:.1e} at probe point"
                 )
 
-    def contact_frame(self, p):
-        """Euclidean-orthonormal basis of Ker(eta) inside T_p S."""
-        p = as_list(p)
-        xi0 = vvalue(cmult(p))
-        rows = np.vstack([np.asarray(p), np.asarray(xi0)])
-        _, _, vt = np.linalg.svd(rows)
-        return [list(r) for r in vt[2:]]
-
 
 def contact_nondegeneracy(structure, p):
     """|pf|-style determinant of d(eta) on an orthonormal contact frame."""
     p = as_list(p)
-    if isinstance(structure, WeightedSphereStructure):
-        frame = structure.contact_frame(p)
-    else:
-        xi = vvalue(structure.reeb(p))
-        rows = np.vstack([np.asarray(p), np.asarray(xi)])
-        _, _, vt = np.linalg.svd(rows)
-        frame = [list(r) for r in vt[2:]]
+    frame = structure.contact_frame(p)
     M = np.asarray(
         [[value(structure.d_eta(p, u, v)) for v in frame] for u in frame], dtype=float
     )

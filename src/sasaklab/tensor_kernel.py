@@ -14,7 +14,7 @@ import numpy as np
 from . import tolerances
 from .errors import EmptyFrame, NotDifferentiable
 from .geometry import Geometry, InducedMetric
-from .jets import Jet2, value
+from .jets import along, jsqrt, value
 from .manifolds import Sphere
 from .vecops import as_list, cmult, vdot, vscale, vsub, vvalue
 
@@ -134,24 +134,26 @@ def gram_schmidt(metric, p, vectors, labels=None, drop_tol=None):
 def directional_derivative(field, p, direction, order=1):
     """Derivatives of t -> field(normalize(p + t direction)) at t = 0.
 
-    Exact through second-order jets (never finite differences).  Returns
+    Exact through nested duals (never finite differences).  Returns
     the first-derivative vector, or a (d1, d2) pair for order=2.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     p, direction = as_list(p), as_list(direction)
-    q = [Jet2(pi, vi, 0.0) for pi, vi in zip(p, direction)]
-    n2 = vdot(q, q)
-    q = vscale(q, 1.0 / n2.sqrt())
+
+    def on_curve(q):
+        return field(vscale(q, 1.0 / jsqrt(vdot(q, q))))
+
+    def first(q):
+        return along(on_curve, q, direction)
+
     try:
-        out = field(q)
+        d1 = first(p)
+        if order == 1:
+            return d1
+        return d1, along(first, p, direction)
     except (TypeError, AttributeError) as exc:
         raise NotDifferentiable(f"field evaluator rejected jet input: {exc}") from exc
-    jets = [c if isinstance(c, Jet2) else Jet2(float(c)) for c in out]
-    d1 = [c.d1 for c in jets]
-    if order == 1:
-        return d1
-    return d1, [c.d2 for c in jets]
 
 
 def koszul_connection(metric, p, X, Y_field, manifold=None):

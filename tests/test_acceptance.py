@@ -16,12 +16,10 @@ from sasaklab.cli import main as cli_main
 from sasaklab.cone import ConePoint, iota_transpose_residual, sample_phi_zero, stratify
 from sasaklab.cr import cr_decomposition, final_identity, relation_residuals
 from sasaklab.flows import reduced_flow_comparison, reeb_flow
-from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext, hopf_context
 from sasaklab.reduction import ReductionSetup, build_frame, reduced_tensors, sample_level_set
 from sasaklab.structures import (
     RoundSphereStructure,
-    WeightedContactMetric,
     WeightedSphereStructure,
 )
 from sasaklab.jets import value
@@ -81,24 +79,26 @@ def test_criterion_02_weighted_structures():
     rng = np.random.default_rng(102)
     a = [1.0, 2.0, 3.0]
     W = WeightedSphereStructure(3, a)
-    closed = WeightedContactMetric(a, Sphere(6), deta_mode="closed")
-    worst_kill, worst_sas = 0.0, 0.0
+    worst_kill, worst_sas, worst_deta = 0.0, 0.0, 0.0
     for _ in range(100):
         p = _rand_point(rng, 6)
         x, y = _rand_tangent(rng, p), _rand_tangent(rng, p)
         worst_kill = max(worst_kill, W.killing_residual(p, x, y))
         worst_sas = max(worst_sas, W.sasakian_residual(p, x, y))
+        # jet d(eta) oracle against the closed form the metric uses
+        worst_deta = max(worst_deta, abs(value(W.d_eta(p, x, y)) - value(W.metric.d_eta(p, x, y))))
     worst_fd = 0.0
     for _ in range(5):
         p = _rand_point(rng, 6)
         x, y = _rand_tangent(rng, p), _rand_tangent(rng, p)
         xi = vvalue(W.reeb(p))
         jet = np.asarray(vvalue(W.geometry.curvature(p, x, xi, y)))
-        fd = fd_curvature(closed.g, p, x, xi, y, step=1e-4)
+        fd = fd_curvature(W.metric.g, p, x, xi, y, step=1e-4)
         worst_fd = max(worst_fd, float(np.max(np.abs(jet - fd))))
-    ok = worst_kill < 1e-5 and worst_sas < 1e-4 and worst_fd < 1e-3
+    ok = worst_kill < 1e-5 and worst_sas < 1e-4 and worst_fd < 1e-3 and worst_deta < 1e-12
     _verdict(2, ok, f"killing max {worst_kill:.2e} (tol 1e-5), sasakian max "
-                    f"{worst_sas:.2e} (tol 1e-4), fd agreement {worst_fd:.2e} (tol 1e-3)")
+                    f"{worst_sas:.2e} (tol 1e-4), fd agreement {worst_fd:.2e} (tol 1e-3), "
+                    f"jet d_eta agreement {worst_deta:.2e} (tol 1e-12)")
 
 
 def test_criterion_03_pairs_diagonal_reduction():

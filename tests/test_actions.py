@@ -82,7 +82,7 @@ class TestMomentum:
         # strong contactomorphisms: the Lie derivative of eta along every
         # fundamental field vanishes
         S = RoundSphereStructure(4)
-        from sasaklab.jets import Dual, enter_level, exit_level, imag
+        from sasaklab.jets import along
 
         worst = 0.0
         for _ in range(20):
@@ -95,20 +95,12 @@ class TestMomentum:
             y_field = S.sphere.project
             xm = vvalue(xm_field(p))
             # (L_X eta)(Y) = X eta(Y~) - eta([X, Y~])
-            lvl = enter_level()
-            try:
-                q = [Dual(lvl, a, b) for a, b in zip(p, xm)]
+            def eta_and_y(q):
                 yq = y_field(q, y)
-                t1 = imag(S.eta(q, yq), lvl)
-                d_x_y = [imag(c, lvl) for c in yq]
-            finally:
-                exit_level()
-            lvl = enter_level()
-            try:
-                q = [Dual(lvl, a, b) for a, b in zip(p, y)]
-                t2 = [imag(c, lvl) for c in xm_field(q)]
-            finally:
-                exit_level()
+                return S.eta(q, yq), yq
+
+            t1, d_x_y = along(eta_and_y, p, xm)
+            t2 = along(xm_field, p, y)
             bracket = [a - b for a, b in zip(d_x_y, t2)]
             resid = abs(value(t1) - value(S.eta(p, bracket)))
             worst = max(worst, resid)

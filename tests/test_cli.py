@@ -115,6 +115,21 @@ class TestCommands:
         status = run_cli(["reduce", "--preset", "ex1", "--samples", "-3"], tmp_path)
         assert status == 2
 
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff\xfe{}"],
+                             ids=["missing", "invalid-json", "array", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "run.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        status = run_cli(["reduce", "--config", str(path)], out)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "config error:" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     def test_verify_structure_round(self, tmp_path):
         status = run_cli(
             ["verify-structure", "--preset", "ex1", "--samples", "5", "--seed", "2"],

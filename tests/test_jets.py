@@ -6,50 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasaklab import jets
-from sasaklab.jets import Dual, Jet2, d_scalar, d_vector, enter_level, exit_level, imag, jsqrt, value
+from sasaklab.jets import Dual, along, d_scalar, enter_level, exit_level, imag, jsqrt, value
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = st.floats(min_value=0.1, max_value=10).map(lambda x: x)
 
 
-def poly(c0, c1, c2):
-    return lambda t: c0 + c1 * t + c2 * t * t
+class TestAlong:
+    def test_nested_output_keeps_shape(self):
+        # constants and untouched entries come back as 0.0
+        fn = lambda q: (q[0] * q[0], [q[1], (7.0, [q[0] * q[1]])], [])
+        got = along(fn, [2.0, 3.0], [1.0, 0.0])
+        assert got == (4.0, [0.0, (0.0, [3.0])], [])
+        assert isinstance(got, tuple) and isinstance(got[1], list)
+        assert isinstance(got[1][1], tuple)
 
+    def test_three_level_nesting_of_vector_output(self):
+        # f = (x y z, x^2 y): d3/dxdydz = (1, 0) exactly
+        f = lambda v: [v[0] * v[1] * v[2], v[0] * v[0] * v[1]]
+        g = lambda q: along(f, q, [0.0, 0.0, 1.0])
+        h = lambda q: along(g, q, [0.0, 1.0, 0.0])
+        got = along(h, [1.1, 2.2, 3.3], [1.0, 0.0, 0.0])
+        assert got[0] == pytest.approx(1.0, rel=1e-13)
+        assert got[1] == 0.0
 
-class TestJet2:
-    def test_degree_two_taylor_is_exact(self):
-        f = poly(3.0, -2.0, 5.0)
-        j = f(Jet2(1.5, 1.0, 0.0))
-        assert j.value == 3.0 - 2.0 * 1.5 + 5.0 * 1.5**2
-        assert j.d1 == -2.0 + 10.0 * 1.5
-        assert j.d2 == 10.0
+    def test_level_restored_when_fn_raises(self):
+        def boom(q):
+            raise ZeroDivisionError("inside the jet")
 
-    @given(a=finite, b=finite, c=finite, d=finite, e=finite, f=finite, t=finite)
-    @settings(max_examples=50, deadline=None)
-    def test_leibniz_rule_exact(self, a, b, c, d, e, f, t):
-        p, q = poly(a, b, c), poly(d, e, f)
-        x = Jet2(t, 1.0, 0.0)
-        prod = p(x) * q(x)
-        # (pq)' and (pq)'' of polynomials are exactly representable
-        full = poly(a, b, c)(x) * poly(d, e, f)(x)
-        pq1 = (b + 2 * c * t) * (d + e * t + f * t * t) + (a + b * t + c * t * t) * (e + 2 * f * t)
-        assert prod.d1 == pytest.approx(pq1, abs=1e-9, rel=1e-12)
-        assert full.d2 == prod.d2
-
-    def test_division_roundtrip(self):
-        x = Jet2(2.0, 1.0, 0.0)
-        num = x * x + 1.0
-        back = (num / x) * x
-        assert back.value == pytest.approx(num.value, rel=1e-15)
-        assert back.d1 == pytest.approx(num.d1, rel=1e-14)
-        assert back.d2 == pytest.approx(num.d2, rel=1e-14)
-
-    def test_sqrt_second_derivative(self):
-        # d^2/dt^2 sqrt(4 + 2t + t^2)|_0 against the hand expansion
-        j = (Jet2(0.0, 1.0, 0.0) * Jet2(0.0, 1.0, 0.0) + 2.0 * Jet2(0.0, 1.0, 0.0) + 4.0).sqrt()
-        assert j.value == 2.0
-        assert j.d1 == pytest.approx(0.5)
-        assert j.d2 == pytest.approx((2.0 - 2.0 * 0.25) / 4.0)
+        before = enter_level()
+        exit_level()
+        with pytest.raises(ZeroDivisionError):
+            along(lambda q: along(boom, q, [1.0]), [1.0], [1.0])
+        after = enter_level()
+        exit_level()
+        assert after == before
 
 
 class TestDualTower:
@@ -85,7 +76,7 @@ class TestDualTower:
 
     def test_vector_field_derivative(self):
         field = lambda q: [q[0] * q[1], q[1] * q[1]]
-        d = d_vector(field, [2.0, 3.0], [1.0, 1.0])
+        d = along(field, [2.0, 3.0], [1.0, 1.0])
         assert d[0] == pytest.approx(5.0)
         assert d[1] == pytest.approx(6.0)
 

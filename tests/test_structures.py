@@ -95,14 +95,14 @@ class TestWeightedMetric:
         for _ in range(10):
             p = rand_point(6)
             u, v = rand_tangent(p), rand_tangent(p)
-            dj = value(W.metric.d_eta_jet(p, u, v))
-            dc = value(W.metric.d_eta_closed(p, u, v))
+            dj = value(W.d_eta(p, u, v))
+            dc = value(W.metric.d_eta(p, u, v))
             assert dj == pytest.approx(dc, abs=1e-12)
 
     def test_positivity_gate_trips_on_sign_flipped_form(self):
         class Backwards(WeightedContactMetric):
-            def d_eta_closed(self, q, u, v):
-                return -super().d_eta_closed(q, u, v)
+            def d_eta(self, q, u, v):
+                return -super().d_eta(q, u, v)
 
         class Broken(WeightedSphereStructure):
             def __init__(self):
