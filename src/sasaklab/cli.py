@@ -28,7 +28,7 @@ from .cone import (
     symplectic_pairing_residual,
     zero_stratum_degeneracy,
 )
-from .config import build_config, read_config
+from .config import build_config, parse_numbers, read_config
 from .cr import cr_decomposition, final_identity, oneill_plane_residual, relation_residuals
 from .errors import (
     ConfigError,
@@ -48,7 +48,7 @@ from .reduction import (
     build_frame,
     printed_remark_dimension,
     quotient_dimension,
-    reduced_tensors,
+    reduced_tensors_batch,
 )
 from .reports import (
     EXIT_HYPOTHESIS,
@@ -62,8 +62,8 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import vvalue
-from .jets import value
+from .vecops import lane, stack_lanes, vvalue
+from .jets import BACKEND as JET_BACKEND, value
 
 COMMANDS = (
     "verify-structure",
@@ -95,7 +95,7 @@ def _parser():
 def _resolve_config(args):
     raw = {}
     if args.preset:
-        lam = [float(x) for x in args.lam.split(",")] if args.lam else None
+        lam = parse_numbers("lam", args.lam) if args.lam else None
         raw.update(preset_config(args.preset, n=args.n, lam=lam))
     if args.config:
         raw.update(read_config(args.config))
@@ -106,7 +106,7 @@ def _resolve_config(args):
         if v is not None:
             raw[name] = v
     if args.mu:
-        raw["mu"] = [float(x) for x in args.mu.split(",")]
+        raw["mu"] = parse_numbers("mu", args.mu)
     if args.n is not None and not args.preset:
         raw["n"] = args.n
     return build_config(raw, command=args.command)
@@ -252,33 +252,62 @@ def run_check_hypotheses(cfg):
     return report, header, rows, status
 
 
+def _lane_batches(keys):
+    """Sample indices grouped by equal key, in order of first appearance.
+    The compiled jets take floats only, so there every sample is its own
+    batch."""
+    if JET_BACKEND != "python":
+        return [[i] for i in range(len(keys))]
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def run_reduce(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
     t_frame = cfg.tol["frame_orthogonality"]
 
-    def one(arg):
+    def prepare(arg):
+        # float-level work of one sample: hypotheses, frames, directions
         i, samp = arg
         hyp = setup.hypothesis_report(samp)
         frame = build_frame(setup, samp, strict=False)
-        red = reduced_tensors(setup, frame)
         ctx = SubmersionContext.from_reduction(setup, frame)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202, i]))
         d_vecs = [list(v) for v in frame.contact_d.vectors]
-        worst_q = 0.0
-        for _ in range(cfg.directions):
-            x = _frame_direction(rng, d_vecs)
-            y = _frame_direction(rng, d_vecs)
-            worst_q = max(worst_q, ctx.quotient_sasakian_residual(x, y))
-        return i, samp, hyp, frame, red, worst_q
+        dirs = [(_frame_direction(rng, d_vecs), _frame_direction(rng, d_vecs))
+                for _ in range(cfg.directions)]
+        key = (frame.vertical_rows.tobytes(), ctx.frame_sizes())
+        return hyp, frame, ctx, dirs, key
 
-    results = _map_ordered(one, list(enumerate(samples)), cfg.workers)
+    hyps, frames, ctxs, dirs, keys = zip(
+        *_map_ordered(prepare, list(enumerate(samples)), cfg.workers))
+
+    def certify(batch):
+        # jet stage of samples sharing their float-level decisions, as lanes
+        reds = reduced_tensors_batch(setup, [frames[i] for i in batch])
+        ctx = SubmersionContext.stacked([ctxs[i] for i in batch])
+        worst_q = 0.0
+        for k in range(cfg.directions):
+            x = stack_lanes([dirs[i][k][0] for i in batch])
+            y = stack_lanes([dirs[i][k][1] for i in batch])
+            worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
+        return [(red, lane(worst_q, j)) for j, red in enumerate(reds)]
+
+    batches = _lane_batches(keys)
+    certified = [None] * len(samples)
+    for batch, out in zip(batches, _map_ordered(certify, batches, cfg.workers)):
+        for i, res in zip(batch, out):
+            certified[i] = res
     n_trans = n_free = 0
     det_min = math.inf
     dims0 = None
     rows = []
-    for i, samp, hyp, frame, red, worst_q in results:
+    for i, samp in enumerate(samples):
+        hyp, frame, (red, worst_q) = hyps[i], frames[i], certified[i]
         n_trans += int(hyp["transversal"])
         n_free += int(not hyp["freeness_degenerate"])
         for name, val in frame.checks.items():

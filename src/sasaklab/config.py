@@ -1,6 +1,7 @@
 """Run configuration: one JSON object per run, validated exhaustively."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,15 @@ def read_config(path):
     return raw
 
 
+def parse_numbers(name, text):
+    """The comma-separated numbers of a command-line option such as --mu;
+    ValidationError when an entry is not a number."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError([f"{name}: expected comma-separated numbers, got {text!r}"]) from None
+
+
 def load_config(path):
     """Parse and validate a JSON config file."""
     return build_config(read_config(path))
@@ -83,6 +93,18 @@ def build_config(raw, command=None):
             errors.append(f"{name}: must be >= {minimum}, got {v}")
         return int(v)
 
+    def get_floats(name, v):
+        # v as a list of finite floats, or None once the violation is recorded
+        try:
+            out = [float(x) for x in v]
+        except (TypeError, ValueError):
+            errors.append(f"{name}: expected numbers, got {v!r}")
+            return None
+        if not all(math.isfinite(x) for x in out):
+            errors.append(f"{name}: entries must be finite, got {v!r}")
+            return None
+        return out
+
     n = get_int("n", 4, 2)
     samples = get_int("samples", 100, 1)
     seed = get_int("seed", 0, 0)
@@ -90,11 +112,8 @@ def build_config(raw, command=None):
     directions = get_int("directions", 2, 1)
     workers = get_int("workers", 1, 1)
 
-    sw = raw.get("sphere_weights", [1.0] * n)
-    try:
-        sw = [float(x) for x in sw]
-    except (TypeError, ValueError):
-        errors.append(f"sphere_weights: expected numbers, got {sw!r}")
+    sw = get_floats("sphere_weights", raw.get("sphere_weights", [1.0] * n))
+    if sw is None:
         sw = [1.0] * n
     if len(sw) != n:
         errors.append(f"sphere_weights: expected {n} entries, got {len(sw)}")
@@ -117,30 +136,24 @@ def build_config(raw, command=None):
             errors.append("action_weights: need at least one row (d >= 1)")
         if any(len(row) != n for row in aw):
             errors.append(f"action_weights: every row must have n = {n} entries")
+        if not all(math.isfinite(x) for row in aw for x in row):
+            errors.append("action_weights: entries must be finite")
 
     mu = raw.get("mu")
     if mu is not None:
-        try:
-            mu = [float(x) for x in mu]
-        except (TypeError, ValueError):
-            errors.append(f"mu: expected numbers, got {mu!r}")
-            mu = None
+        mu = get_floats("mu", mu)
     needs_mu = command in ("check-hypotheses", "reduce", "curvature-scan", "cone-check")
     if needs_mu:
-        if mu is None:
+        if raw.get("mu") is None:
             errors.append(f"mu: required for command {command!r}")
-        elif all(x == 0.0 for x in mu):
+        elif mu is not None and all(x == 0.0 for x in mu):
             errors.append("mu: must not be all zero for ray reduction")
     if mu is not None and len(aw) and len(mu) != len(aw):
         errors.append(f"mu: expected {len(aw)} entries to match d, got {len(mu)}")
 
     lam = raw.get("lam")
     if lam is not None:
-        try:
-            lam = [float(x) for x in lam]
-        except (TypeError, ValueError):
-            errors.append(f"lam: expected numbers, got {lam!r}")
-            lam = None
+        lam = get_floats("lam", lam)
 
     tol = dict(tolerances.DEFAULTS)
     overrides = raw.get("tolerances", {})
@@ -150,6 +163,9 @@ def build_config(raw, command=None):
         for k, v in overrides.items():
             if k not in tol:
                 errors.append(f"tolerances.{k}: unknown tolerance name")
+            elif (not isinstance(v, (int, float)) or isinstance(v, bool)
+                  or not math.isfinite(v) or v < 0):
+                errors.append(f"tolerances.{k}: expected a finite number >= 0, got {v!r}")
             else:
                 tol[k] = float(v)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import tolerances
 from .errors import SingularMetric
 from .jets import along, value
-from .vecops import solve_linear, vdot, vsub, vvalue
+from .vecops import solve_linear, split_lanes, stack_frames, vdot, vsub, vvalue
 
 
 class InducedMetric:
@@ -48,20 +48,25 @@ class Geometry:
 
     def tangent_frame(self, p):
         """Euclidean-orthonormal tangent basis at the float point under
-        the jet value of p; deterministic and cached."""
+        the jet value of p; deterministic and cached.  At a lane point
+        each sample gets its own basis, stacked into lane vectors."""
         base = vvalue(p)
         key = np.asarray(base, dtype=float).tobytes()
         hit = self._frames.get(key)
         if hit is None:
             if len(self._frames) > 8192:
                 self._frames.clear()
-            hit = self.manifold.tangent_basis(base)
+            points = split_lanes(base)
+            if points is None:
+                hit = self.manifold.tangent_basis(base)
+            else:
+                hit = stack_frames([self.manifold.tangent_basis(q) for q in points])
             self._frames[key] = hit
         return hit
 
     def check_metric(self, p):
-        """Raise SingularMetric when the tangent Gram matrix at p is
-        numerically singular."""
+        """Raise SingularMetric when the tangent Gram matrix at p (at
+        any sample of a lane point) is numerically singular."""
         if self.metric.euclidean:
             return 1.0
         frame = self.tangent_frame(p)
@@ -69,7 +74,9 @@ class Geometry:
         gram = np.asarray(
             [[value(self.metric.g(p, u, v)) for v in rows] for u in rows], dtype=float
         )
-        cond = float(np.linalg.cond(gram))
+        if gram.ndim == 3:  # lanes last: the worst sample decides
+            gram = np.moveaxis(gram, -1, 0)
+        cond = float(np.max(np.linalg.cond(gram)))
         if not np.isfinite(cond) or cond > tolerances.DEFAULTS["metric_condition"]:
             raise SingularMetric(f"tangent Gram condition number {cond:.3e}")
         return cond

@@ -9,6 +9,11 @@ package is taken by :func:`along`: the eps-coefficient of
 pure-Python reference (``_jets_py``).  The compiled backend is selected
 at import when available; set ``SASAKLAB_JETS=python`` to force the
 fallback or ``SASAKLAB_JETS=compiled`` to require the extension.
+
+The pure-Python ``Dual`` also takes 1-D numpy arrays as leaves, one
+entry per sample, so one evaluation serves a whole batch of samples
+(vector forward mode).  The compiled ``Dual`` is float-only; under it
+every batch holds one sample.
 """
 
 import os

@@ -9,10 +9,17 @@ derivative primitive built on it is ``sasaklab.jets.along``.
 
 Arithmetic is exact in the coefficients (no truncation beyond floating
 point), which is what lets curvature residuals reach 1e-7.
+
+The leaves under the nesting may be floats or 1-D numpy arrays, one
+entry per sample (lanes).  Every operation is element-wise, and numpy
+rounds each element exactly as Python rounds a float, so a lane holds
+the bits the float evaluation of its sample would give.
 """
 
 import math
 import threading
+
+import numpy as np
 
 BACKEND = "python"
 
@@ -42,6 +49,8 @@ class Dual:
     """
 
     __slots__ = ("lvl", "re", "im")
+    # ndarray (op) Dual defers to Dual instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, lvl, re, im):
         self.lvl = lvl
@@ -122,14 +131,16 @@ def _inv(x):
 
 
 def jsqrt(x):
-    """Square root generic over floats and Dual."""
+    """Square root generic over floats, lane arrays and Dual."""
     if isinstance(x, Dual):
         return x.sqrt()
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
     return math.sqrt(x)
 
 
 def value(x):
-    """Strip all jet structure down to the underlying float."""
+    """Strip all jet structure down to the underlying float or lane array."""
     while isinstance(x, Dual):
         x = x.re
     return x

@@ -20,12 +20,14 @@ before anything else trusts it.
 
 import math
 
+import numpy as np
+
 from .geometry import Geometry
 from .jets import jsqrt, value
 from .manifolds import Sphere
 from .structures import RoundSphereStructure
 from .tensor_kernel import gram_schmidt
-from .vecops import solve_linear, vscale, vsub, vvalue
+from .vecops import solve_linear, stack_frames, stack_lanes, vscale, vsub, vvalue
 
 
 class SubmersionContext:
@@ -63,6 +65,42 @@ class SubmersionContext:
             rframe.sample.coords(),
             horizontal_frame=rframe.horizontal,
             vertical_frame=[list(v) for v in rframe.vertical.vectors],
+        )
+
+    @classmethod
+    def stacked(cls, contexts):
+        """One context whose point and frames hold the given per-sample
+        contexts as lanes, so each evaluation on it serves them all.
+
+        The contexts must share structure, manifold and vertical fields
+        and have frames of equal sizes.  Their float-level frames
+        (including the tangent and normal frames of N) are computed per
+        sample first.
+        """
+        first = contexts[0]
+        frames = [c._tangent_frames() for c in contexts]
+        out = cls(
+            first.structure,
+            first.manifold,
+            first.vertical_fields,
+            stack_lanes([c.p for c in contexts]),
+            horizontal_frame=stack_frames([c.horizontal_frame for c in contexts]),
+            vertical_frame=stack_frames([c.vertical_frame for c in contexts]),
+        )
+        out._tangent_on = stack_frames([t for t, _ in frames])
+        out._normal_on = stack_frames([nu for _, nu in frames])
+        return out
+
+    def frame_sizes(self):
+        """Sizes of every frame the context evaluates with.  Contexts that
+        agree here and share their vertical fields can be stacked."""
+        tangent_on, normal_on = self._tangent_frames()
+        return (
+            len(self.vertical_frame),
+            len(self.horizontal_frame),
+            len(tangent_on),
+            len(normal_on),
+            len(self.manifold.tangent_basis(self.p)),
         )
 
     def _default_horizontal(self):
@@ -231,7 +269,8 @@ class SubmersionContext:
         return out
 
     def quotient_sasakian_residual(self, x, y):
-        """|R^P(X, zeta)Y - (eta(Y) X - g(X,Y) zeta)| on representatives."""
+        """|R^P(X, zeta)Y - (eta(Y) X - g(X,Y) zeta)| on representatives;
+        an array of one value per sample on a stacked context."""
         S = self.structure
         zeta = vvalue(S.reeb(self.p))
         r = self.quotient_curvature_vector(x, zeta, y)
@@ -241,7 +280,7 @@ class SubmersionContext:
             vscale(zeta, value(g(self.p, x, y))),
         )
         diff = vsub(r, expected)
-        return math.sqrt(max(value(g(self.p, diff, diff)), 0.0))
+        return np.sqrt(np.maximum(value(g(self.p, diff, diff)), 0.0))
 
     def phi_horizontal(self, x):
         """(phi_P X) on representatives: horizontal part of nab^N_X xi."""

@@ -28,7 +28,7 @@ from .geometry import Geometry
 from .manifolds import EmbeddedManifold, LinearConstraint, ModuliConstraint, SphereConstraint
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt
 from .jets import value
-from .vecops import as_list, vvalue
+from .vecops import as_list, lane, stack_frames, stack_lanes, vvalue
 
 
 @dataclass(frozen=True)
@@ -556,36 +556,52 @@ class ReducedPointData:
 def reduced_tensors(setup, rframe):
     """eta, g and d(eta) on {contactD, reeb}: the reduced tensors under
     the Riemannian-submersion identification."""
-    S = setup.structure
-    p = list(rframe.sample.coords())
-    horiz = rframe.horizontal
-    eta_vals = np.asarray([value(S.eta(p, v)) for v in horiz])
-    gram = np.asarray(
-        [[value(S.metric.g(p, u, v)) for v in horiz] for u in horiz], dtype=float
-    )
-    dvecs = [list(v) for v in rframe.contact_d.vectors]
-    m = len(dvecs)
-    deta = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                deta[i, j] = value(S.d_eta(p, dvecs[i], dvecs[j]))
-    antisym = float(np.max(np.abs(deta + deta.T))) if m else 0.0
-    det = abs(float(np.linalg.det(deta))) if m else 0.0
+    return reduced_tensors_batch(setup, [rframe])[0]
 
-    tangent = [list(r) for r in setup.manifold.tangent_basis(p)]
+
+def reduced_tensors_batch(setup, rframes):
+    """``reduced_tensors`` of several samples, with every d(eta) jet
+    evaluated once over the samples stacked as lanes.
+
+    The frames must agree in their float-level decisions: the same
+    vertical rows, and contact blocks and tangent bases of equal size.
+    """
+    S = setup.structure
+    points = [list(f.sample.coords()) for f in rframes]
+    p = stack_lanes(points)
+    dvecs = stack_frames([f.contact_d.vectors for f in rframes])
+    m = len(dvecs)
+    deta_lanes = {
+        (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
+        for i in range(m) for j in range(m) if i != j
+    }
+
+    tangent = stack_frames([setup.manifold.tangent_basis(q) for q in points])
     worst_basic = 0.0
-    for vrow in rframe.vertical_rows:
+    for vrow in rframes[0].vertical_rows:
         vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
         for t in tangent:
-            worst_basic = max(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
+            worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
 
-    checks = {
-        "reduced_eta_profile": float(
-            np.max(np.abs(eta_vals - np.eye(len(horiz))[-1]))
-        ),
-        "reduced_gram_identity": float(np.max(np.abs(gram - np.eye(len(horiz))))),
-        "d_eta_antisymmetry": antisym,
-        "basic_d_eta": worst_basic,
-    }
-    return ReducedPointData(rframe, eta_vals, gram, deta, det, checks)
+    out = []
+    for k, (rframe, q) in enumerate(zip(rframes, points)):
+        horiz = rframe.horizontal
+        eta_vals = np.asarray([value(S.eta(q, v)) for v in horiz])
+        gram = np.asarray(
+            [[value(S.metric.g(q, u, v)) for v in horiz] for u in horiz], dtype=float
+        )
+        deta = np.zeros((m, m))
+        for (i, j), val in deta_lanes.items():
+            deta[i, j] = lane(val, k)
+        antisym = float(np.max(np.abs(deta + deta.T))) if m else 0.0
+        det = abs(float(np.linalg.det(deta))) if m else 0.0
+        checks = {
+            "reduced_eta_profile": float(
+                np.max(np.abs(eta_vals - np.eye(len(horiz))[-1]))
+            ),
+            "reduced_gram_identity": float(np.max(np.abs(gram - np.eye(len(horiz))))),
+            "d_eta_antisymmetry": antisym,
+            "basic_d_eta": float(lane(worst_basic, k)),
+        }
+        out.append(ReducedPointData(rframe, eta_vals, gram, deta, det, checks))
+    return out

@@ -1,8 +1,9 @@
 """Machine-readable run reports: one JSON document and one CSV per run.
 
 Reports are deterministic functions of (config, seed): keys are sorted,
-floats are serialized by repr (shortest round-trip), and CSV rows are
-written in sample order regardless of worker count.
+floats are serialized by repr (shortest round-trip; numpy floats as the
+plain number), and CSV rows are written in sample order regardless of
+worker count.
 """
 
 import csv
@@ -10,6 +11,8 @@ import io
 import json
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -110,7 +113,8 @@ def csv_bytes(header, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
+                         for x in row])
     return buf.getvalue().encode()
 
 

@@ -1,7 +1,10 @@
 """Small-vector helpers generic over jet scalars.
 
-Ambient vectors are plain Python lists whose entries are floats or jet
-scalars; numpy only enters at the float level (frames, rank decisions).
+Ambient vectors are plain Python lists whose entries are floats, jet
+scalars, or lanes: 1-D numpy arrays holding one entry per sample of a
+batch.  ``stack_lanes`` builds lane vectors from per-sample float
+vectors and ``lane`` reads one sample back.  Rank decisions and frames
+stay per sample, at the float level.
 """
 
 import numpy as np
@@ -70,27 +73,55 @@ def as_array(u):
     return np.asarray(vvalue(u), dtype=float)
 
 
-def solve_linear(A, b):
-    """Gaussian elimination with partial pivoting, generic over scalars.
+def stack_lanes(vectors):
+    """One lane vector from equal-length float vectors, one per sample:
+    entry k holds every sample's entry k.  A single vector comes back as
+    a plain list, so a batch of one runs on floats."""
+    if len(vectors) == 1:
+        return list(vectors[0])
+    return list(np.array(vectors, dtype=float).T.copy())
 
-    Pivots are chosen by the float value part, so the elimination order
-    is deterministic and identical across jet depths.
+
+def stack_frames(frames):
+    """``stack_lanes`` vector by vector over per-sample frames of equal size."""
+    if len({len(f) for f in frames}) > 1:
+        raise ValueError("frames of different sizes cannot share lanes")
+    return [stack_lanes(vs) for vs in zip(*frames)]
+
+
+def lane(x, i):
+    """Sample i of a lane scalar; a float, shared by every lane, passes through."""
+    return x[i] if isinstance(x, np.ndarray) else x
+
+
+def split_lanes(u):
+    """The per-sample float vectors of a lane vector, or None when u
+    holds no lanes."""
+    widths = {len(a) for a in u if isinstance(a, np.ndarray)}
+    if not widths:
+        return None
+    return [[float(lane(a, i)) for a in u] for i in range(widths.pop())]
+
+
+def solve_linear(A, b):
+    """Solve A x = b for symmetric positive-definite A, generic over scalars.
+
+    Gaussian elimination without pivoting, i.e. the LDL^T factorization.
+    Every caller solves a Gram system, so no pivot has to be chosen and
+    the same operations run on every lane of a batch.  A zero pivot
+    raises ZeroDivisionError.
     """
     n = len(b)
     M = [row[:] for row in A]
     rhs = list(b)
-    perm = list(range(n))
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value(M[r][col])))
-        if abs(value(M[piv][col])) == 0.0:
+        piv = M[col][col]
+        d = value(piv)
+        if not (d.all() if isinstance(d, np.ndarray) else d):
             raise ZeroDivisionError("singular system in solve_linear")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            perm[col], perm[piv] = perm[piv], perm[col]
         for r in range(col + 1, n):
-            f = M[r][col] / M[col][col]
-            M[r] = [a - f * b_ for a, b_ in zip(M[r], M[col])]
+            f = M[r][col] / piv
+            M[r][col + 1:] = [a - f * c for a, c in zip(M[r][col + 1:], M[col][col + 1:])]
             rhs[r] = rhs[r] - f * rhs[col]
     x = [0.0] * n
     for r in range(n - 1, -1, -1):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sasaklab.cli import main
+from sasaklab.cli import JET_BACKEND, _lane_batches, main
 from sasaklab.config import build_config, load_config
 from sasaklab.errors import ParseError, ValidationError
 from sasaklab.gallery import preset_config
@@ -66,6 +67,11 @@ class TestConfig:
             build_config(raw)
 
 
+def _ex1_json(**fields):
+    # json.dumps writes nan and inf as the NaN and Infinity literals json.load accepts
+    return json.dumps({**preset_config("ex1"), "samples": 2, **fields})
+
+
 def run_cli(args, out):
     return main(args + ["--out", str(out)])
 
@@ -115,20 +121,47 @@ class TestCommands:
         status = run_cli(["reduce", "--preset", "ex1", "--samples", "-3"], tmp_path)
         assert status == 2
 
-    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff\xfe{}"],
-                             ids=["missing", "invalid-json", "array", "not-utf8"])
-    def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, flags", [
+        (None, []),
+        ("{not json", []),
+        ("[1, 2]", []),
+        (b"\xff\xfe{}", []),
+        (_ex1_json(tolerances={"quotient_sasakian": "abc"}), []),
+        (_ex1_json(tolerances={"quotient_sasakian": -1e-3}), []),
+        (_ex1_json(mu=[math.nan, 1]), []),
+        (_ex1_json(mu=[math.inf, 1]), []),
+        (_ex1_json(), ["--mu", "a,b"]),
+        (_ex1_json(), ["--mu", "nan,1"]),
+        (_ex1_json(), ["--preset", "ex4", "--lam", "x,1"]),
+    ], ids=["missing", "invalid-json", "array", "not-utf8", "tolerance-text",
+            "tolerance-negative", "mu-nan", "mu-infinity", "mu-flag-text", "mu-flag-nan",
+            "lam-flag-text"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, content, flags):
+        """A config file or flag the run cannot use: exit 2, no report."""
         path = tmp_path / "run.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
         elif content is not None:
             path.write_text(content)
         out = tmp_path / "out"
-        status = run_cli(["reduce", "--config", str(path)], out)
+        status = run_cli(["reduce", "--config", str(path), *flags], out)
         err = capsys.readouterr().err
         assert status == 2
         assert "config error:" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["verify-structure", "--preset", "ex1", "--samples", "2"],
+        ["check-hypotheses", "--preset", "ex1", "--samples", "2"],
+        ["reduce", "--preset", "ex1", "--samples", "2"],
+        ["curvature-scan", "--preset", "ex1", "--samples", "1", "--directions", "1"],
+        ["reeb-flow", "--preset", "ex4", "--flow-steps", "256"],
+        ["cone-check", "--preset", "ex2", "--samples", "8"],
+    ], ids=lambda a: a[0])
+    def test_samples_csv_holds_plain_numbers(self, tmp_path, args):
+        assert run_cli([*args, "--seed", "1"], tmp_path) == 0
+        text = (tmp_path / "samples.csv").read_text()
+        assert len(text.splitlines()) > 1 and "np." not in text
 
     def test_verify_structure_round(self, tmp_path):
         status = run_cli(
@@ -199,6 +232,43 @@ class TestDeterminism:
         )
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
+
+
+class TestLaneBatches:
+    """reduce runs samples that share their frame decisions as one lane
+    batch; a sample's row must not depend on the batch it ran in."""
+
+    @staticmethod
+    def rows(tmp_path, name, args):
+        out = tmp_path / name
+        assert run_cli(["reduce", *args], out) == 0
+        return (out / "samples.csv").read_text().splitlines()[1:]
+
+    def test_rows_do_not_depend_on_batch_width(self, tmp_path):
+        args = ["--preset", "ex1", "--seed", "13"]
+        eight = self.rows(tmp_path, "eight", [*args, "--samples", "8"])
+        three = self.rows(tmp_path, "three", [*args, "--samples", "3"])
+        one = self.rows(tmp_path, "one", [*args, "--samples", "1"])
+        assert len(eight) == 8
+        assert three == eight[:3]
+        assert one == eight[:1]
+
+    def test_samples_group_by_key_in_first_appearance_order(self):
+        batches = _lane_batches(["a", "b", "a", "c", "b"])
+        if JET_BACKEND == "python":
+            assert batches == [[0, 2], [1, 4], [3]]
+        else:
+            assert batches == [[0], [1], [2], [3], [4]]
+
+    def test_weighted_lanes_match_float_path(self, tmp_path):
+        # lanes through the Koszul connection and the metric condition gate
+        args = ["--preset", "weighted", "--directions", "1", "--seed", "2"]
+        three = self.rows(tmp_path, "three", [*args, "--samples", "3"])
+        one = self.rows(tmp_path, "one", [*args, "--samples", "1"])
+        assert len(three) == 3
+        assert one == three[:1]
+        report = json.loads((tmp_path / "three" / "report.json").read_text())
+        assert all(r["within_tolerance"] for r in report["residuals"])
 
 
 def test_console_entry_point(tmp_path):

@@ -102,5 +102,46 @@ class TestDualTower:
         assert d == pytest.approx(-v / (x * x), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.skipif(jets.BACKEND != "python", reason="the compiled Dual is float-only")
+class TestLanes:
+    """Array leaves: one entry per sample, each rounded like a float."""
+
+    def test_array_operands_defer_to_dual(self):
+        a = np.array([1.0, 2.0, 3.0])
+        lvl = enter_level()
+        try:
+            d = Dual(lvl, np.array([0.5, -1.5, 2.5]), np.array([1.0, 0.0, -2.0]))
+            for got in (a * d, d * a, a + d, a - d, a / d, d / a):
+                assert isinstance(got, Dual)
+                assert isinstance(got.re, np.ndarray) and got.re.dtype == float
+                assert isinstance(got.im, np.ndarray) and got.im.dtype == float
+            assert np.array_equal((a * d).im, a * d.im)
+        finally:
+            exit_level()
+
+    def test_jsqrt_on_arrays(self):
+        x = np.array([0.0, 2.0, 9.0])
+        assert np.array_equal(jsqrt(x), [math.sqrt(v) for v in x])
+        d = along(lambda q: jsqrt(q[0] * q[0] + 1.0), [x], [np.ones(3)])
+        assert np.array_equal(d, [along(lambda q: jsqrt(q[0] * q[0] + 1.0), [v], [1.0])
+                                  for v in x])
+
+    def test_nested_along_matches_each_lane_bitwise(self):
+        r = np.random.default_rng(7)
+        point, direction = r.standard_normal((2, 4, 5))
+
+        def rational(v):
+            return (v[0] * v[1] + 1.0) / jsqrt(v[2] * v[2] + 2.0) + v[3] * v[0]
+
+        def mixed(p, u):
+            return along(lambda q: along(rational, q, u), p, u[::-1])
+
+        lanes = mixed(list(point), list(direction))
+        assert isinstance(lanes, np.ndarray) and lanes.shape == (5,)
+        for i in range(5):
+            scalar = mixed([float(c) for c in point[:, i]], [float(c) for c in direction[:, i]])
+            assert lanes[i] == scalar
+
+
 def test_backend_is_reported():
     assert jets.BACKEND in ("python", "compiled")

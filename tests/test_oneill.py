@@ -11,7 +11,7 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext, hopf_context
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure
-from sasaklab.vecops import vdot, vscale, vsub, vvalue
+from sasaklab.vecops import stack_lanes, vdot, vscale, vsub, vvalue
 
 rng = np.random.default_rng(31)
 
@@ -252,3 +252,25 @@ class TestPhiSectional:
         fin = final_identity(ctx, x, crd)
         reconstructed = fin["k_ambient"] + 4.0 * fin["h_bar_sq"] - 2.0 * fin["h_tilde_sq"]
         assert fin["k_quotient"] == pytest.approx(reconstructed, abs=1e-5)
+
+
+class TestStackedContext:
+    def test_lanes_equal_each_sample_bitwise(self):
+        setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
+        frames = [build_frame(setup, s) for s in setup.samples(5, seed=9)]
+        ctxs = [SubmersionContext.from_reduction(setup, f) for f in frames]
+        xs = [frame_mix(f.contact_d.vectors, 10 + i) for i, f in enumerate(frames)]
+        ys = [frame_mix(f.contact_d.vectors, 20 + i) for i, f in enumerate(frames)]
+        lanes = SubmersionContext.stacked(ctxs).quotient_sasakian_residual(
+            stack_lanes(xs), stack_lanes(ys))
+        assert lanes.shape == (5,)
+        for i, ctx in enumerate(ctxs):
+            assert lanes[i] == ctx.quotient_sasakian_residual(xs[i], ys[i])
+
+    def test_stacking_one_context_keeps_floats(self):
+        _, frame, ctx = pairs_context(seed=4)
+        x = frame_mix(frame.contact_d.vectors, 1)
+        y = frame_mix(frame.contact_d.vectors, 2)
+        one = SubmersionContext.stacked([ctx])
+        assert all(isinstance(c, float) for c in one.p)
+        assert one.quotient_sasakian_residual(x, y) == ctx.quotient_sasakian_residual(x, y)

@@ -12,12 +12,14 @@ from sasaklab.reduction import (
     printed_remark_dimension,
     quotient_dimension,
     reduced_tensors,
+    reduced_tensors_batch,
     sample_level_set,
     sample_zero_level,
     transversality_check,
 )
 from sasaklab.structures import RoundSphereStructure
-from sasaklab.vecops import vvalue
+from sasaklab.jets import along
+from sasaklab.vecops import solve_linear, vvalue
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])
@@ -213,3 +215,63 @@ class TestProjectability:
         d = PAIRS.d
         assert frame.dims["vertical"] == d - 1
         assert frame.dims["contact_d"] == 7 - 2 * d + 1
+
+
+def _spd(r, n):
+    B = r.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+class TestSolveLinear:
+    """The unpivoted LDL^T solve of the symmetric positive-definite Gram
+    systems in projections and the Koszul formula."""
+
+    def test_matches_numpy_on_spd_systems(self):
+        r = np.random.default_rng(5)
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(5):
+                A, b = _spd(r, n), r.standard_normal(n)
+                got = solve_linear([list(row) for row in A], list(b))
+                assert np.allclose(got, np.linalg.solve(A, b), rtol=1e-12, atol=1e-12)
+
+    def test_jet_derivative_matches_closed_form(self):
+        # x(s) = (A + s E)^-1 (b + s c)  =>  x'(0) = A^-1 (c - E x(0))
+        r = np.random.default_rng(6)
+        n = 4
+        A, E = _spd(r, n), _spd(r, n)
+        b, c = r.standard_normal(n), r.standard_normal(n)
+
+        def solve_at(q):
+            s = q[0]
+            M = [[A[i, j] + s * E[i, j] for j in range(n)] for i in range(n)]
+            return solve_linear(M, [b[i] + s * c[i] for i in range(n)])
+
+        got = along(solve_at, [0.0], [1.0])
+        x0 = np.linalg.solve(A, b)
+        assert np.allclose(got, np.linalg.solve(A, c - E @ x0), rtol=1e-10, atol=1e-12)
+
+    def test_lanes_match_each_system_bitwise(self):
+        r = np.random.default_rng(7)
+        systems = [(_spd(r, 3), r.standard_normal(3)) for _ in range(6)]
+        A = [[np.array([M[i, j] for M, _ in systems]) for j in range(3)] for i in range(3)]
+        b = [np.array([v[i] for _, v in systems]) for i in range(3)]
+        lanes = solve_linear(A, b)
+        for k, (M, v) in enumerate(systems):
+            assert [x[k] for x in lanes] == solve_linear([list(row) for row in M], list(v))
+
+    def test_zero_pivot_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            solve_linear([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
+
+
+class TestLaneBatches:
+    def test_batch_equals_batches_of_one_bitwise(self):
+        setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
+        frames = [build_frame(setup, s) for s in setup.samples(6, seed=3)]
+        for frame, got in zip(frames, reduced_tensors_batch(setup, frames)):
+            ref = reduced_tensors(setup, frame)
+            assert np.array_equal(got.d_eta_matrix, ref.d_eta_matrix)
+            assert np.array_equal(got.reduced_eta, ref.reduced_eta)
+            assert np.array_equal(got.reduced_gram, ref.reduced_gram)
+            assert got.d_eta_det == ref.d_eta_det
+            assert got.checks == ref.checks
