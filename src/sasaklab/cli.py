@@ -63,7 +63,7 @@ from .reports import (
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
 from .vecops import lane, stack_lanes, vvalue
-from .jets import BACKEND as JET_BACKEND, value
+from .jets import value
 
 COMMANDS = (
     "verify-structure",
@@ -94,8 +94,15 @@ def _parser():
 
 def _resolve_config(args):
     raw = {}
+    lam = parse_numbers("lam", args.lam) if args.lam is not None else None
     if args.preset:
-        lam = parse_numbers("lam", args.lam) if args.lam else None
+        misused = []
+        if args.n is not None and args.preset != "ex1gen":
+            misused.append(f"n: --n applies to the ex1gen preset only, not {args.preset!r}")
+        if lam is not None and args.preset != "ex4":
+            misused.append(f"lam: --lam applies to the ex4 preset only, not {args.preset!r}")
+        if misused:
+            raise ValidationError(misused)
         raw.update(preset_config(args.preset, n=args.n, lam=lam))
     if args.config:
         raw.update(read_config(args.config))
@@ -105,10 +112,13 @@ def _resolve_config(args):
         v = getattr(args, name)
         if v is not None:
             raw[name] = v
-    if args.mu:
+    if args.mu is not None:
         raw["mu"] = parse_numbers("mu", args.mu)
-    if args.n is not None and not args.preset:
-        raw["n"] = args.n
+    if not args.preset:
+        if args.n is not None:
+            raw["n"] = args.n
+        if lam is not None:
+            raw["lam"] = lam
     return build_config(raw, command=args.command)
 
 
@@ -253,11 +263,7 @@ def run_check_hypotheses(cfg):
 
 
 def _lane_batches(keys):
-    """Sample indices grouped by equal key, in order of first appearance.
-    The compiled jets take floats only, so there every sample is its own
-    batch."""
-    if JET_BACKEND != "python":
-        return [[i] for i in range(len(keys))]
+    """Sample indices grouped by equal key, in order of first appearance."""
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)

@@ -9,6 +9,16 @@ import numpy as np
 from . import tolerances
 from .errors import ParseError, ValidationError
 
+MAX_N = 1000  # largest ambient complex dimension; bounds every n-sized list
+
+
+def _float(x):
+    """float(x), with an integer beyond the float range as an infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
 
 @dataclass
 class RunConfig:
@@ -59,7 +69,7 @@ def read_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError([f"config: cannot read {path}: {exc}"]) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
         raise ParseError([f"config: invalid JSON in {path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ParseError(["config: top level must be a JSON object"])
@@ -84,19 +94,23 @@ def build_config(raw, command=None):
     """Validate a raw dict; every violation is reported, not just the first."""
     errors = []
 
-    def get_int(name, default, minimum):
+    def get_int(name, default, minimum, maximum=None):
         v = raw.get(name, default)
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             errors.append(f"{name}: expected integer, got {v!r}")
             return default
         if v < minimum:
             errors.append(f"{name}: must be >= {minimum}, got {v}")
+            return default
+        if maximum is not None and v > maximum:
+            errors.append(f"{name}: must be <= {maximum}, got {v}")
+            return default
         return int(v)
 
     def get_floats(name, v):
         # v as a list of finite floats, or None once the violation is recorded
         try:
-            out = [float(x) for x in v]
+            out = [_float(x) for x in v]
         except (TypeError, ValueError):
             errors.append(f"{name}: expected numbers, got {v!r}")
             return None
@@ -105,7 +119,7 @@ def build_config(raw, command=None):
             return None
         return out
 
-    n = get_int("n", 4, 2)
+    n = get_int("n", 4, 2, MAX_N)
     samples = get_int("samples", 100, 1)
     seed = get_int("seed", 0, 0)
     flow_steps = get_int("flow_steps", 512, 64)
@@ -128,7 +142,7 @@ def build_config(raw, command=None):
         aw = [[0.0] * n]
     else:
         try:
-            aw = [[float(x) for x in row] for row in aw]
+            aw = [[_float(x) for x in row] for row in aw]
         except (TypeError, ValueError):
             errors.append(f"action_weights: expected a matrix, got {aw!r}")
             aw = [[0.0] * n]
@@ -164,7 +178,7 @@ def build_config(raw, command=None):
             if k not in tol:
                 errors.append(f"tolerances.{k}: unknown tolerance name")
             elif (not isinstance(v, (int, float)) or isinstance(v, bool)
-                  or not math.isfinite(v) or v < 0):
+                  or not math.isfinite(_float(v)) or v < 0):
                 errors.append(f"tolerances.{k}: expected a finite number >= 0, got {v!r}")
             else:
                 tol[k] = float(v)

@@ -5,6 +5,7 @@ test suite.  `ex1gen` takes an `n`; `ex4` takes the two circle weights
 through `lam`.
 """
 
+from .config import MAX_N
 from .errors import ValidationError
 
 
@@ -25,7 +26,10 @@ def preset_config(name, n=None, lam=None):
         cfg = _ex1gen(4)
         cfg["description"] = "two pairs of circles on S^7"
     elif name == "ex1gen":
-        cfg = _ex1gen(5 if n is None else int(n))
+        n = 5 if n is None else int(n)
+        if not 2 <= n <= MAX_N:
+            raise ValidationError([f"n: must be in [2, {MAX_N}], got {n}"])
+        cfg = _ex1gen(n)
     elif name == "ex2":
         cfg = {
             "n": 4,

@@ -1,19 +1,20 @@
-"""Pure-Python jet arithmetic.
+"""Exact forward-mode derivatives: one jet type, one primitive.
 
-One scalar type drives every derivative in the package: ``Dual``, a
-first-order dual number whose components may themselves be duals,
-giving nested mixed derivatives to any depth.  Each nesting level
-carries an integer tag so that simultaneous perturbations cannot be
-confused; tags are handed out by :func:`enter_level` per thread.  The
-derivative primitive built on it is ``sasaklab.jets.along``.
+``Dual`` is a tagged dual number whose components may themselves be
+duals, so derivatives nest to any order.  Each nesting level carries an
+integer tag so that simultaneous perturbations cannot be confused; tags
+are handed out by :func:`enter_level` per thread.  Every derivative in
+the package is taken by :func:`along`: the eps-coefficient of
+``fn(point + eps * direction)``.
 
 Arithmetic is exact in the coefficients (no truncation beyond floating
 point), which is what lets curvature residuals reach 1e-7.
 
 The leaves under the nesting may be floats or 1-D numpy arrays, one
-entry per sample (lanes).  Every operation is element-wise, and numpy
-rounds each element exactly as Python rounds a float, so a lane holds
-the bits the float evaluation of its sample would give.
+entry per sample (lanes), so one evaluation serves a whole batch of
+samples (vector forward mode).  Every operation is element-wise, and
+numpy rounds each element exactly as Python rounds a float, so a lane
+holds the bits the float evaluation of its sample would give.
 """
 
 import math
@@ -21,7 +22,7 @@ import threading
 
 import numpy as np
 
-BACKEND = "python"
+BACKEND = "python"  # echoed as jet_backend in report.json
 
 _tls = threading.local()
 
@@ -151,3 +152,31 @@ def imag(x, lvl):
     if isinstance(x, Dual) and x.lvl == lvl:
         return x.im
     return 0.0
+
+
+def _coeff(x, lvl):
+    """eps(lvl)-coefficient of a scalar or of nested lists/tuples of them."""
+    if isinstance(x, (list, tuple)):
+        out = [_coeff(c, lvl) if isinstance(c, (list, tuple)) else imag(c, lvl) for c in x]
+        return out if isinstance(x, list) else tuple(out)
+    return imag(x, lvl)
+
+
+def along(fn, point, direction):
+    """d/ds fn(point + s*direction) at s = 0.
+
+    ``fn`` may return a scalar or nested lists and tuples of scalars;
+    the result has the same shape.  ``point`` and ``direction`` entries
+    may already be jets from an enclosing ``along``; the level tags keep
+    the perturbations apart.
+    """
+    # enter_level is looked up as a module global on every call, so a
+    # wrapper bound to sasaklab.jets.enter_level sees every level opened
+    lvl = enter_level()
+    try:
+        return _coeff(fn([Dual(lvl, p, v) for p, v in zip(point, direction)]), lvl)
+    finally:
+        exit_level()
+
+
+d_scalar = along  # the earlier name; perfbench/probes.py imports it

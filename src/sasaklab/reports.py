@@ -9,10 +9,13 @@ worker count.
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .jets import BACKEND
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,7 +38,8 @@ class ResidualStat:
     def add(self, value):
         value = abs(float(value))
         self.count += 1
-        self.max = max(self.max, value)
+        if value > self.max or math.isnan(value):  # NaN sticks: never within tolerance
+            self.max = value
         self.total += value
 
     @property
@@ -85,8 +89,6 @@ class ResidualLedger:
 def build_report(command, config, *, hypotheses=None, dimensions=None,
                  ledger=None, census=None, notes=None, extra=None,
                  samples_csv="samples.csv", exit_status=EXIT_OK):
-    from .jets import BACKEND
-
     report = {
         "command": command,
         "config": config.echo(),

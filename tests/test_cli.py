@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from sasaklab.cli import JET_BACKEND, _lane_batches, main
+from sasaklab.cli import _lane_batches, _parser, _resolve_config, main
 from sasaklab.config import build_config, load_config
 from sasaklab.errors import ParseError, ValidationError
 from sasaklab.gallery import preset_config
+from sasaklab.structures import RoundSphereStructure
 
 
 class TestConfig:
@@ -65,6 +66,15 @@ class TestConfig:
         raw["tolerances"] = {"nope": 1.0}
         with pytest.raises(ValidationError):
             build_config(raw)
+
+    def test_flags_set_n_and_lam_of_a_config_file(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(_ex1_json())
+        args = _parser().parse_args(["reeb-flow", "--config", str(path), "--lam", "5,9"])
+        assert _resolve_config(args).lam == [5.0, 9.0]
+        args = _parser().parse_args(["verify-structure", "--config", str(path), "--n", "3"])
+        with pytest.raises(ValidationError, match="every row must have n = 3"):
+            _resolve_config(args)
 
 
 def _ex1_json(**fields):
@@ -132,10 +142,21 @@ class TestCommands:
         (_ex1_json(mu=[math.inf, 1]), []),
         (_ex1_json(), ["--mu", "a,b"]),
         (_ex1_json(), ["--mu", "nan,1"]),
+        (_ex1_json(), ["--mu="]),
         (_ex1_json(), ["--preset", "ex4", "--lam", "x,1"]),
+        (_ex1_json(), ["--preset", "ex1", "--n", "7"]),
+        (_ex1_json(), ["--preset", "ex4", "--n", "7"]),
+        (_ex1_json(), ["--preset", "ex1", "--lam", "5,9"]),
+        (_ex1_json(), ["--preset", "ex1gen", "--lam", "5,9"]),
+        (_ex1_json(), ["--preset", "ex1gen", "--n", "2000"]),
+        (_ex1_json(), ["--preset", "ex1gen", "--n=-99999999999999999999"]),
+        (_ex1_json(mu=[10**400, 1]), []),
+        ('{"seed": ' + "1" * 5000 + "}", []),
     ], ids=["missing", "invalid-json", "array", "not-utf8", "tolerance-text",
             "tolerance-negative", "mu-nan", "mu-infinity", "mu-flag-text", "mu-flag-nan",
-            "lam-flag-text"])
+            "mu-flag-empty", "lam-flag-text", "n-flag-ex1", "n-flag-ex4", "lam-flag-ex1",
+            "lam-flag-ex1gen", "n-flag-too-large", "n-flag-too-small", "mu-beyond-float",
+            "integer-too-long"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, content, flags):
         """A config file or flag the run cannot use: exit 2, no report."""
         path = tmp_path / "run.json"
@@ -162,6 +183,15 @@ class TestCommands:
         assert run_cli([*args, "--seed", "1"], tmp_path) == 0
         text = (tmp_path / "samples.csv").read_text()
         assert len(text.splitlines()) > 1 and "np." not in text
+
+    def test_nan_residual_exits_5(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(RoundSphereStructure, "sasakian_residual",
+                            lambda self, p, x, y: math.nan)
+        status = run_cli(["verify-structure", "--preset", "ex1", "--samples", "2"], tmp_path)
+        assert status == 5
+        report = json.loads((tmp_path / "report.json").read_text())
+        worst = {r["name"]: r for r in report["residuals"]}["sasakian_curvature"]
+        assert not worst["within_tolerance"]
 
     def test_verify_structure_round(self, tmp_path):
         status = run_cli(
@@ -254,11 +284,7 @@ class TestLaneBatches:
         assert one == eight[:1]
 
     def test_samples_group_by_key_in_first_appearance_order(self):
-        batches = _lane_batches(["a", "b", "a", "c", "b"])
-        if JET_BACKEND == "python":
-            assert batches == [[0, 2], [1, 4], [3]]
-        else:
-            assert batches == [[0], [1], [2], [3], [4]]
+        assert _lane_batches(["a", "b", "a", "c", "b"]) == [[0, 2], [1, 4], [3]]
 
     def test_weighted_lanes_match_float_path(self, tmp_path):
         # lanes through the Koszul connection and the metric condition gate
