@@ -7,7 +7,7 @@ than a genuine torus; reports flag this but nothing downstream needs
 compactness).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class TorusAction:
             out.append(-s * q[2 * j + 1])
             out.append(s * q[2 * j])
         return out
-
-    def fundamental_basis_fields(self, rows):
-        """Field evaluators for each row of a coefficient matrix."""
-        return [lambda q, r=tuple(row): self.fundamental_field(r, q) for row in rows]
 
     def momentum(self, q):
         """Contact momentum J(q)_k = sum_j W_{kj} |z_j|^2 (jet-generic)."""

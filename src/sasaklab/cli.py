@@ -14,7 +14,6 @@ numerical non-convergence).
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -85,7 +84,6 @@ def _parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--n", type=int, help="ambient complex dimension (ex1gen)")
     p.add_argument("--lam", help="comma-separated circle weights (ex4)")
-    p.add_argument("--workers", type=int, help="thread count for sample loops")
     p.add_argument("--flow-steps", dest="flow_steps", type=int)
     p.add_argument("--directions", type=int, help="tangent directions per sample")
     p.add_argument("--out", default="sasaklab-out", help="output directory")
@@ -108,7 +106,7 @@ def _resolve_config(args):
         raw.update(read_config(args.config))
     if not args.preset and not args.config:
         raise ValidationError(["give --preset and/or --config"])
-    for name in ("samples", "seed", "workers", "flow_steps", "directions"):
+    for name in ("samples", "seed", "flow_steps", "directions"):
         v = getattr(args, name)
         if v is not None:
             raw[name] = v
@@ -126,13 +124,6 @@ def _structure(cfg):
     if cfg.is_round:
         return RoundSphereStructure(cfg.n)
     return WeightedSphereStructure(cfg.n, cfg.sphere_weights)
-
-
-def _map_ordered(fn, items, workers):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _unit_tangent(rng, p):
@@ -190,7 +181,7 @@ def run_verify_structure(cfg):
         return (p, r_phi_xi, r_phi_sq, r_isom, r_eta_xi, r_deta, r_kill, r_sas, det)
 
     rows = []
-    results = _map_ordered(one, range(cfg.samples), cfg.workers)
+    results = [one(i) for i in range(cfg.samples)]
     min_det = math.inf
     for i, (p, a, b, c, d, e, f, g_, det) in enumerate(results):
         led.add("phi_reeb", t_ident, a)
@@ -237,7 +228,7 @@ def _action_notes(cfg):
 def run_check_hypotheses(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
-    reports = _map_ordered(lambda s: setup.hypothesis_report(s), samples, cfg.workers)
+    reports = [setup.hypothesis_report(s) for s in samples]
     n_trans = sum(1 for r in reports if r["transversal"])
     n_free = sum(1 for r in reports if not r["freeness_degenerate"])
     slice_ok = reports[0]["slice_condition"]
@@ -289,8 +280,7 @@ def run_reduce(cfg):
         key = (frame.vertical_rows.tobytes(), ctx.frame_sizes())
         return hyp, frame, ctx, dirs, key
 
-    hyps, frames, ctxs, dirs, keys = zip(
-        *_map_ordered(prepare, list(enumerate(samples)), cfg.workers))
+    hyps, frames, ctxs, dirs, keys = zip(*[prepare(arg) for arg in enumerate(samples)])
 
     def certify(batch):
         # jet stage of samples sharing their float-level decisions, as lanes
@@ -303,10 +293,9 @@ def run_reduce(cfg):
             worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
         return [(red, lane(worst_q, j)) for j, red in enumerate(reds)]
 
-    batches = _lane_batches(keys)
     certified = [None] * len(samples)
-    for batch, out in zip(batches, _map_ordered(certify, batches, cfg.workers)):
-        for i, res in zip(batch, out):
+    for batch in _lane_batches(keys):
+        for i, res in zip(batch, certify(batch)):
             certified[i] = res
     n_trans = n_free = 0
     det_min = math.inf
@@ -381,7 +370,7 @@ def run_curvature_scan(cfg):
             out.append((fin, rels, onil))
         return i, samp, crd, out
 
-    results = _map_ordered(one, list(enumerate(samples)), cfg.workers)
+    results = [one(arg) for arg in enumerate(samples)]
     k_min, k_max = math.inf, -math.inf
     rows = []
     nu_dims = set()

@@ -18,7 +18,7 @@ from .actions import MomentumCovector, kernel_algebra, ray_membership
 from .errors import StratificationLeak
 from .jets import value
 from .reduction import sample_zero_level
-from .tensor_kernel import AmbientPoint, gram_schmidt
+from .tensor_kernel import AmbientPoint, orthogonal_tail
 from .vecops import as_list, vdot, vvalue
 
 
@@ -193,11 +193,7 @@ def zero_stratum_degeneracy(structure, action, mu, p):
     vert = [vvalue(action.fundamental_field(b, p)) for b in kern.matrix]
     vert = [v for v in vert if float(np.linalg.norm(v)) > 1e-10]
     xi = vvalue(S.reeb(p))
-    combined = gram_schmidt(
-        S.metric, p, vert + [xi] + tangent,
-        labels=["v"] * len(vert) + ["xi"] + ["h"] * len(tangent),
-    )
-    horiz = [list(v) for v, lab in zip(combined.vectors, combined.labels) if lab == "h"]
+    horiz = orthogonal_tail(S.metric, p, vert + [xi], tangent)
 
     m = len(horiz)
     D = np.zeros((m, m))

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class RunConfig:
     lam: list | None = None
     flow_steps: int = 512
     directions: int = 2
-    workers: int = 1
     preset: str | None = None
     description: str = ""
 
@@ -124,7 +123,6 @@ def build_config(raw, command=None):
     seed = get_int("seed", 0, 0)
     flow_steps = get_int("flow_steps", 512, 64)
     directions = get_int("directions", 2, 1)
-    workers = get_int("workers", 1, 1)
 
     sw = get_floats("sphere_weights", raw.get("sphere_weights", [1.0] * n))
     if sw is None:
@@ -185,8 +183,8 @@ def build_config(raw, command=None):
 
     known = {
         "n", "sphere_weights", "action_weights", "mu", "samples", "seed",
-        "tolerances", "lam", "flow_steps", "directions", "workers",
-        "preset", "description",
+        "tolerances", "lam", "flow_steps", "directions", "preset",
+        "description",
     }
     for k in raw:
         if k not in known:
@@ -197,6 +195,6 @@ def build_config(raw, command=None):
     return RunConfig(
         n=n, sphere_weights=sw, action_weights=aw, mu=mu, samples=samples,
         seed=seed, tol=tol, lam=lam, flow_steps=flow_steps,
-        directions=directions, workers=workers,
+        directions=directions,
         preset=raw.get("preset"), description=raw.get("description", ""),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AmbiguousSplit
 from .jets import value
-from .tensor_kernel import gram_schmidt
+from .tensor_kernel import gram_schmidt, orthogonal_tail
 from .vecops import vsub, vvalue
 
 
@@ -43,12 +43,7 @@ def cr_decomposition(ctx):
     tangent_on, normal_on = ctx._tangent_frames()
 
     xi = vvalue(S.reeb(p))
-    combined = gram_schmidt(
-        S.metric, p, [xi] + tangent_on,
-        labels=["xi"] + [f"c{i}" for i in range(len(tangent_on))],
-    )
-    contact = [list(v) for v, lab in zip(combined.vectors, combined.labels)
-               if lab != "xi"]
+    contact = orthogonal_tail(S.metric, p, [xi], tangent_on)
 
     phis = [vvalue(S.phi(p, c)) for c in contact]
     M = np.asarray(
@@ -75,12 +70,7 @@ def cr_decomposition(ctx):
     phi_dperp = [vvalue(S.phi(p, w)) for w in dperp]
     if phi_dperp:
         phi_dperp = [list(v) for v in gram_schmidt(S.metric, p, phi_dperp).vectors]
-    leftover = gram_schmidt(
-        S.metric, p, phi_dperp + normal_on,
-        labels=["pd"] * len(phi_dperp) + ["nu"] * len(normal_on),
-    )
-    nu_frame = [list(v) for v, lab in zip(leftover.vectors, leftover.labels)
-                if lab == "nu"]
+    nu_frame = orthogonal_tail(S.metric, p, phi_dperp, normal_on)
 
     residuals = _cr_residuals(ctx, d_block, dperp, phi_dperp, nu_frame, tangent_on)
     dims = {

@@ -92,11 +92,6 @@ class Geometry:
         man = self.manifold
         return lambda q: man.project(q, hat)
 
-    def _coordinate_fields(self, q):
-        m = self.manifold.ambient_dim
-        hats = np.eye(m)
-        return [self.manifold.project(q, list(hats[a])) for a in range(m)]
-
     def bracket(self, q, Xf, Yf, project=False):
         """[X, Y](q) = D_X Y - D_Y X for the extended fields."""
         Xq, Yq = Xf(q), Yf(q)

@@ -3,7 +3,7 @@
 ``Dual`` is a tagged dual number whose components may themselves be
 duals, so derivatives nest to any order.  Each nesting level carries an
 integer tag so that simultaneous perturbations cannot be confused; tags
-are handed out by :func:`enter_level` per thread.  Every derivative in
+are handed out by :func:`enter_level`.  Every derivative in
 the package is taken by :func:`along`: the eps-coefficient of
 ``fn(point + eps * direction)``.
 
@@ -18,27 +18,23 @@ holds the bits the float evaluation of its sample would give.
 """
 
 import math
-import threading
 
 import numpy as np
 
 BACKEND = "python"  # echoed as jet_backend in report.json
 
-_tls = threading.local()
-
-
-def _current_level():
-    return getattr(_tls, "level", 0)
+_level = 0  # nesting depth of the open along() calls
 
 
 def enter_level():
-    lvl = _current_level() + 1
-    _tls.level = lvl
-    return lvl
+    global _level
+    _level += 1
+    return _level
 
 
 def exit_level():
-    _tls.level = _current_level() - 1
+    global _level
+    _level -= 1
 
 
 class Dual:

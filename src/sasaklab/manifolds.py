@@ -135,10 +135,3 @@ class Sphere(EmbeddedManifold):
         # smooth off the sphere, where nested jet curves wander.
         f = vdot(v, q) / vdot(q, q)
         return vsub(v, vscale(q, f))
-
-    def retract(self, p, v, t):
-        """normalize(p + t v), generic over the scalar type of t."""
-        moved = [pi + t * vi for pi, vi in zip(p, v)]
-        n2 = vdot(moved, moved)
-        inv = 1.0 / n2.sqrt() if hasattr(n2, "sqrt") else n2 ** -0.5
-        return vscale(moved, inv)

@@ -26,7 +26,7 @@ from .geometry import Geometry
 from .jets import jsqrt, value
 from .manifolds import Sphere
 from .structures import RoundSphereStructure
-from .tensor_kernel import gram_schmidt
+from .tensor_kernel import gram_schmidt, orthogonal_tail
 from .vecops import solve_linear, stack_frames, stack_lanes, vscale, vsub, vvalue
 
 
@@ -114,14 +114,7 @@ class SubmersionContext:
         )
         tangent = [list(r) for r in self.manifold.tangent_basis(self.p)]
         head = self.vertical_frame if reeb_is_vertical else self.vertical_frame + [reeb]
-        combined = gram_schmidt(
-            S.metric, self.p,
-            head + tangent,
-            labels=[f"v{i}" for i in range(len(head))]
-            + [f"d{i}" for i in range(len(tangent))],
-        )
-        d_block = [list(v) for v, lab in zip(combined.vectors, combined.labels)
-                   if lab.startswith("d")]
+        d_block = orthogonal_tail(S.metric, self.p, head, tangent)
         return d_block if reeb_is_vertical else d_block + [reeb]
 
     # -- projections (jet-generic) --------------------------------------
@@ -172,18 +165,8 @@ class SubmersionContext:
             self._tangent_on = [list(v) for v in
                                 gram_schmidt(S.metric, self.p, rows).vectors]
             sph_rows = [list(r) for r in S.sphere.tangent_basis(self.p)]
-            combined = gram_schmidt(
-                S.metric, self.p, self._tangent_on + sph_rows,
-                labels=[f"t{i}" for i in range(len(self._tangent_on))]
-                + [f"c{i}" for i in range(len(sph_rows))],
-            )
-            self._normal_on = [list(v) for v, lab in
-                               zip(combined.vectors, combined.labels)
-                               if lab.startswith("c")]
+            self._normal_on = orthogonal_tail(S.metric, self.p, self._tangent_on, sph_rows)
         return self._tangent_on, self._normal_on
-
-    def normal_frame(self):
-        return self._tangent_frames()[1]
 
     def second_fundamental(self, x, y):
         """h(X,Y): normal (to N, inside TS) part of nab^S_X Y~ where Y~

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import Geometry
 from .manifolds import EmbeddedManifold, LinearConstraint, ModuliConstraint, SphereConstraint
-from .tensor_kernel import AmbientPoint, Frame, gram_schmidt
+from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
 from .vecops import as_list, lane, stack_frames, stack_lanes, vvalue
 
@@ -429,10 +429,9 @@ def build_frame(setup, sample, strict=True):
     rows = setup.acting_rows
     vert_vecs = [vvalue(setup.action.fundamental_field(r, p)) for r in rows]
     try:
-        vertical = gram_schmidt(S.metric, p, vert_vecs,
-                                labels=[f"vert{i}" for i in range(len(vert_vecs))])
+        vertical = gram_schmidt(S.metric, p, vert_vecs)
     except EmptyFrame:
-        vertical = Frame(tuple(p), (), ())
+        vertical = Frame(tuple(p), ())
     k_eff = len(vertical)
     if 0 < k_eff < len(rows) and strict:
         raise DegenerateAction(
@@ -448,24 +447,15 @@ def build_frame(setup, sample, strict=True):
 
     reeb = vvalue(S.reeb(p))
     tangent = [list(r) for r in man.tangent_basis(p)]
-    combined = gram_schmidt(
-        S.metric,
-        p,
-        [list(v) for v in vertical.vectors] + [reeb] + tangent,
-        labels=[f"vert{i}" for i in range(k_eff)] + ["reeb"]
-        + [f"d{i}" for i in range(len(tangent))],
-    )
-    contact_vecs = [list(v) for v, lab in zip(combined.vectors, combined.labels)
-                    if lab.startswith("d")]
-    contact_d = Frame(tuple(p), tuple(tuple(v) for v in contact_vecs),
-                      tuple(f"D{i}" for i in range(len(contact_vecs))))
+    contact_vecs = orthogonal_tail(
+        S.metric, p, [list(v) for v in vertical.vectors] + [reeb], tangent)
+    contact_d = Frame(tuple(p), tuple(tuple(v) for v in contact_vecs))
 
     normal_inputs = [vvalue(S.phi(p, list(v))) for v in vertical.vectors]
     if normal_inputs:
-        normal = gram_schmidt(S.metric, p, normal_inputs,
-                              labels=[f"nu{i}" for i in range(len(normal_inputs))])
+        normal = gram_schmidt(S.metric, p, normal_inputs)
     else:
-        normal = Frame(tuple(p), (), ())
+        normal = Frame(tuple(p), ())
 
     dim_n = man.dim
     dims = {

@@ -2,8 +2,9 @@
 
 Reports are deterministic functions of (config, seed): keys are sorted,
 floats are serialized by repr (shortest round-trip; numpy floats as the
-plain number), and CSV rows are written in sample order regardless of
-worker count.
+plain number), and CSV rows are written in sample order.  report.json is
+strict JSON: a non-finite float is written as the string "NaN",
+"Infinity" or "-Infinity".
 """
 
 import csv
@@ -106,8 +107,21 @@ def build_report(command, config, *, hypotheses=None, dimensions=None,
     return report
 
 
+def _json_safe(x):
+    """x with every non-finite float replaced by its JSON string name."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
 def report_bytes(report):
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    # allow_nan=False: a non-finite float that reaches dumps is an error
+    return (json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode()
 
 
 def csv_bytes(header, rows):

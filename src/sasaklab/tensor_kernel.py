@@ -7,7 +7,7 @@ on; the operations themselves accept and return plain lists.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import EmptyFrame, NotDifferentiable
 from .geometry import Geometry, InducedMetric
 from .jets import along, jsqrt, value
 from .manifolds import Sphere
-from .vecops import as_list, cmult, vdot, vscale, vsub, vvalue
+from .vecops import as_list, cmult, vdot, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Frame:
 
     base: tuple
     vectors: tuple
-    labels: tuple = field(default=())
+    inputs: tuple = ()  # gram_schmidt: input position of each kept vector
 
     def __len__(self):
         return len(self.vectors)
@@ -102,7 +102,7 @@ def _metric_callable(metric):
     return metric.g if hasattr(metric, "g") else metric
 
 
-def gram_schmidt(metric, p, vectors, labels=None, drop_tol=None):
+def gram_schmidt(metric, p, vectors, drop_tol=None):
     """Deterministic modified Gram-Schmidt in input order.
 
     Vectors whose residual norm falls below the drop tolerance are
@@ -112,9 +112,8 @@ def gram_schmidt(metric, p, vectors, labels=None, drop_tol=None):
     g = _metric_callable(metric)
     drop = tolerances.DEFAULTS["gram_schmidt_drop"] if drop_tol is None else drop_tol
     p = as_list(p)
-    kept, kept_labels = [], []
-    labels = list(labels) if labels is not None else [f"v{i}" for i in range(len(vectors))]
-    for lab, v in zip(labels, vectors):
+    kept, inputs = [], []
+    for i, v in enumerate(vectors):
         w = as_list(v)
         for u in kept:
             w = vsub(w, vscale(u, g(p, u, w)))
@@ -125,10 +124,17 @@ def gram_schmidt(metric, p, vectors, labels=None, drop_tol=None):
         if nrm < drop:
             continue
         kept.append(vscale(w, 1.0 / nrm))
-        kept_labels.append(lab)
+        inputs.append(i)
     if vectors and not kept:
         raise EmptyFrame("all input vectors dropped below tolerance")
-    return Frame(tuple(p), tuple(tuple(w) for w in kept), tuple(kept_labels))
+    return Frame(tuple(p), tuple(tuple(w) for w in kept), tuple(inputs))
+
+
+def orthogonal_tail(metric, p, head, tail):
+    """The vectors of ``tail`` that survive Gram-Schmidt on head + tail,
+    in order: an orthonormal frame of span(head + tail) orthogonal to head."""
+    frame = gram_schmidt(metric, p, [*head, *tail])
+    return [list(v) for v, i in zip(frame.vectors, frame.inputs) if i >= len(head)]
 
 
 def directional_derivative(field, p, direction, order=1):

@@ -9,11 +9,7 @@ stay per sample, at the float level.
 
 import numpy as np
 
-from .jets import jsqrt, value
-
-
-def vadd(u, v):
-    return [a + b for a, b in zip(u, v)]
+from .jets import value
 
 
 def vsub(u, v):
@@ -24,28 +20,11 @@ def vscale(u, c):
     return [a * c for a in u]
 
 
-def vaxpy(c, u, v):
-    """c*u + v."""
-    return [c * a + b for a, b in zip(u, v)]
-
-
 def vdot(u, v):
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
     return acc
-
-
-def vnorm(u):
-    return jsqrt(vdot(u, u))
-
-
-def vnormalize(u):
-    return vscale(u, 1.0 / vnorm(u))
-
-
-def vzero(m):
-    return [0.0] * m
 
 
 def cmult(v):
@@ -67,10 +46,6 @@ def as_list(u):
     if isinstance(u, np.ndarray):
         return [float(a) for a in u]
     return list(u)
-
-
-def as_array(u):
-    return np.asarray(vvalue(u), dtype=float)
 
 
 def stack_lanes(vectors):

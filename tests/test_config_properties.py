@@ -54,8 +54,8 @@ numeric_text = st.text(alphabet="0123456789,.-+eEinfa x", max_size=10)
 options = st.lists(st.one_of(
     st.tuples(st.just("--preset"), st.sampled_from(PRESET_NAMES)),
     st.tuples(st.sampled_from(["--mu", "--lam"]), numeric_text),
-    st.tuples(st.sampled_from(["--n", "--samples", "--seed", "--workers",
-                               "--flow-steps", "--directions"]),
+    st.tuples(st.sampled_from(["--n", "--samples", "--seed", "--flow-steps",
+                               "--directions"]),
               st.one_of(st.integers(-5, 2000), st.integers()).map(str)),
     st.tuples(st.just("--config"), st.sampled_from(["file", "missing"])),
 ), max_size=5)

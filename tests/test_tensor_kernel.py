@@ -15,6 +15,7 @@ from sasaklab.tensor_kernel import (
     gram_schmidt,
     koszul_connection,
     lie_bracket,
+    orthogonal_tail,
     tangential_project,
 )
 from sasaklab.vecops import cmult, vdot, vscale, vsub, vvalue
@@ -93,6 +94,12 @@ class TestGramSchmidt:
         a = gram_schmidt(None, p, [list(v) for v in vs])
         b = gram_schmidt(None, p, [list(v) for v in vs])
         assert a.vectors == b.vectors
+
+    def test_orthogonal_tail_skips_dropped_head_vectors(self):
+        p = [0.0, 0.0, 0.0, 1.0]
+        e1, e2, e3 = ([float(i == k) for i in range(4)] for k in range(3))
+        tail = orthogonal_tail(None, p, [e1, vscale(e1, 2.0)], [vscale(e1, 3.0), e2, e3])
+        assert tail == [e2, e3]
 
 
 class TestDirectionalDerivative:
