@@ -562,8 +562,11 @@ def main(argv=None):
             print(f"config error: {v}", file=sys.stderr)
         return EXIT_VALIDATION
     except EmptyLevelSet as exc:
-        print(f"infeasible level set: {exc} (certificate: {exc.certificate})",
-              file=sys.stderr)
+        msg = f"infeasible level set: {exc}"
+        if exc.certificate is not None:
+            y = [float(v) for v in exc.certificate["y"]]
+            msg += f" (Farkas certificate y with A^T y >= 0, b . y = -1: {y})"
+        print(msg, file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NoConvergence, SingularMetric, WrongRay) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

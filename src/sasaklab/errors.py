@@ -26,7 +26,11 @@ class ZeroMu(SasaklabError):
 
 
 class EmptyLevelSet(SasaklabError):
-    """The moduli polytope of the requested ray is infeasible."""
+    """The moduli polytope of the requested ray is infeasible.
+
+    ``certificate`` holds the system ``A x = b, x >= 0`` that was found
+    empty and a Farkas vector ``y`` with A^T y >= 0 and b . y = -1.
+    """
 
     def __init__(self, message, certificate=None):
         super().__init__(message)

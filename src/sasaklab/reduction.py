@@ -2,17 +2,23 @@
 
 Sampling is moduli-first: J depends only on t_j = |z_j|^2, so the level
 set is a polytope in t (a slice of the simplex) crossed with phases.
-Coordinates that vanish identically on the polytope are detected by
-linear programming and turned into linear constraints z_j = 0; this is
-what keeps level sets like {z_0 = 0} regular even though the defining
-quadratic |z_0|^2 is critical there.
+Coordinates that vanish identically on the polytope are turned into
+linear constraints z_j = 0; this is what keeps level sets like
+{z_0 = 0} regular even though the defining quadratic |z_0|^2 is
+critical there.
+
+The polytope is analysed by three small linear programs, solved by a
+dense two-phase simplex with Bland's rule (`_simplex`): phase 1 of the
+stated system, which returns a Farkas certificate when it is empty; one
+Freund-Roundy-Todd LP that finds every identically-zero coordinate at
+once; and a max-min-margin LP for the interior point.  Each has one row
+per equality (the sum, the kernel rows, the ray), not one per coordinate.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import tolerances
 from .actions import KernelAlgebra, MomentumCovector, kernel_algebra, local_freeness
@@ -59,37 +65,116 @@ class ModuliPolytope:
 _S_FLOOR = 1e-8
 
 
-def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                   bounds=bounds, method="highs")
+def _simplex(A, b, cost, upper=None):
+    """Minimise cost . x over {A x = b, 0 <= x <= upper}, upper = inf by default.
+
+    Dense two-phase simplex: phase 1 starts from one artificial variable
+    per row, phase 2 keeps the artificials fixed at zero.  Returns
+    ``(x, None)`` at an optimum, or ``(None, y)`` when the system is
+    empty, with A^T y >= 0 and b . y = -1 (a Farkas certificate; it
+    ignores ``upper``).  The objective must be bounded on the set.
+    Entries within the feasibility tolerance of zero are returned as 0.
+    """
+    m, n = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    A1 = np.hstack([A * sign[:, None], np.eye(m)])
+    b1 = b * sign
+    bound = np.full(n + m, np.inf)
+    if upper is not None:
+        bound[:n] = upper
+    basis = list(range(n, n + m))
+    at_upper = np.zeros(n + m, dtype=bool)
+    x, w = _bland(A1, b1, np.concatenate([np.zeros(n), np.ones(m)]), bound, basis, at_upper)
+    if x[n:].sum() > tolerances.LP_FEASIBILITY:
+        return None, -sign * w / (b1 @ w)
+    bound[n:] = 0.0
+    x, _ = _bland(A1, b1, np.concatenate([cost, np.zeros(m)]), bound, basis, at_upper)
+    x = x[:n]
+    x[np.abs(x) <= tolerances.LP_FEASIBILITY] = 0.0   # degenerate basics
+    return x, None
+
+
+def _bland(A, b, cost, upper, basis, at_upper):
+    """Bounded-variable simplex steps from the feasible basis ``basis``
+    (updated in place, as is ``at_upper``) to an optimum; returns the
+    point and the row duals.  Bland's rule: the lowest-index improving
+    variable enters and ties for leaving go to the lowest index, so the
+    method cannot cycle on degenerate vertices."""
+    pivot, feas = tolerances.LP_PIVOT, tolerances.LP_FEASIBILITY
+    m, N = A.shape
+    movable = upper > 0
+    for _ in range(50 * (N + 1)):
+        x = np.where(at_upper, upper, 0.0)
+        x[basis] = 0.0
+        B = A[:, basis]
+        x[basis] = np.linalg.solve(B, b - A @ x)
+        w = np.linalg.solve(B.T, cost[basis])
+        d = cost - A.T @ w
+        enter = movable & np.where(at_upper, d > pivot, d < -pivot)
+        enter[basis] = False
+        if not enter.any():
+            return x, w
+        j = int(np.argmax(enter))
+        # the basic values move by -col * theta as x_j moves by theta
+        col = np.linalg.solve(B, A[:, j]) * (-1.0 if at_upper[j] else 1.0)
+        xb, ub = x[basis], upper[basis]
+        room = np.full(m, np.inf)
+        down, up = col > pivot, col < -pivot
+        to_lower = np.where(xb > feas, xb, 0.0)
+        to_upper = np.where(ub - xb > feas, ub - xb, 0.0)
+        room[down] = to_lower[down] / col[down]
+        room[up] = to_upper[up] / -col[up]
+        theta = room.min(initial=np.inf)
+        if theta == np.inf and upper[j] == np.inf:
+            raise NoConvergence("unbounded linear program")
+        if upper[j] <= theta:
+            at_upper[j] = not at_upper[j]
+            continue
+        r = min(np.flatnonzero(room == theta), key=lambda i: basis[i])
+        at_upper[basis[r]] = bool(up[r])
+        at_upper[j] = False
+        basis[r] = j
+    raise NoConvergence("simplex iteration limit reached")
+
+
+def _with_surplus(A, b, row, rhs):
+    """Append the inequality row . x >= rhs as row . x - surplus = rhs."""
+    A = np.vstack([np.hstack([A, np.zeros((len(A), 1))]), np.append(row, -1.0)])
+    return A, np.append(b, rhs)
 
 
 def analyze_moduli(n, rows, ray_coeff=None):
     """Support detection and interior point of the moduli polytope."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float)) if len(rows) else np.zeros((0, n))
-    A_eq = np.vstack([np.ones((1, n)), rows])
-    b_eq = np.zeros(len(A_eq))
-    b_eq[0] = 1.0
-    A_ub = b_ub = None
-    if ray_coeff is not None:
-        A_ub = -np.asarray(ray_coeff, dtype=float).reshape(1, n)
-        b_ub = np.asarray([-_S_FLOOR])
+    ray = None if ray_coeff is None else np.asarray(ray_coeff, dtype=float)
 
-    probe = _lp(np.zeros(n), A_ub, b_ub, A_eq, b_eq, [(0, None)] * n)
-    if not probe.success:
-        raise EmptyLevelSet(
-            "moduli polytope infeasible", certificate={"status": probe.status, "message": probe.message}
-        )
+    # phase 1 of the stated system, over x = (t, ray surplus)
+    A = np.vstack([np.ones((1, n)), rows])
+    b = np.zeros(len(A))
+    b[0] = 1.0
+    if ray is not None:
+        A, b = _with_surplus(A, b, ray, _S_FLOOR)
+    _, farkas = _simplex(A, b, np.zeros(A.shape[1]))
+    if farkas is not None:
+        raise EmptyLevelSet("moduli polytope infeasible",
+                            certificate={"A": A, "b": b, "y": farkas})
 
-    support, fixed_zero = [], []
-    for j in range(n):
-        c = np.zeros(n)
-        c[j] = -1.0
-        res = _lp(c, A_ub, b_ub, A_eq, b_eq, [(0, None)] * n)
-        if res.success and -res.fun > 1e-9:
-            support.append(j)
-        else:
-            fixed_zero.append(j)
+    # Freund-Roundy-Todd: on the cone {t >= 0, rows . t = 0, c . t >= 0},
+    # maximise sum y with t = y + u, u >= 0, 0 <= y <= 1; y_j reaches 1
+    # exactly where t_j can be positive and stays 0 where t_j vanishes
+    # identically.  As the polytope is not empty, dropping the floor of
+    # c . t does not change which t_j can be positive.
+    A = np.hstack([rows, rows])
+    b = np.zeros(len(A))
+    if ray is not None:
+        A, b = _with_surplus(A, b, np.tile(ray, 2), 0.0)
+    cost = np.zeros(A.shape[1])
+    cost[:n] = -1.0
+    upper = np.full(A.shape[1], np.inf)
+    upper[:n] = 1.0
+    y, _ = _simplex(A, b, cost, upper)
+    support = [j for j in range(n) if y[j] > tolerances.LP_SUPPORT]
+    fixed_zero = [j for j in range(n) if j not in support]
 
     ns = len(support)
     rows_s = rows[:, support] if rows.size else np.zeros((0, ns))
@@ -105,35 +190,22 @@ def analyze_moduli(n, rows, ray_coeff=None):
             rank = new_rank
     kept = np.vstack(kept) if kept else np.zeros((0, ns))
 
-    # interior point: maximize the smallest margin delta
-    nv = ns + 1
-    A_eq_s = np.hstack([np.vstack([np.ones((1, ns)), kept]), np.zeros((1 + len(kept), 1))])
-    b_eq_s = np.zeros(len(A_eq_s))
-    b_eq_s[0] = 1.0
-    ineq, rhs = [], []
-    for j in range(ns):
-        row = np.zeros(nv)
-        row[j] = -1.0
-        row[-1] = 1.0
-        ineq.append(row)          # delta - t_j <= 0
-        rhs.append(0.0)
-    if ray_coeff is not None:
-        c_s = np.asarray(ray_coeff, dtype=float)[support]
-        row = np.zeros(nv)
-        row[:ns] = -c_s
-        row[-1] = 1.0
-        ineq.append(row)          # delta - c.t <= 0
-        rhs.append(0.0)
-    obj = np.zeros(nv)
-    obj[-1] = -1.0
-    res = _lp(obj, np.vstack(ineq), np.asarray(rhs), A_eq_s, b_eq_s,
-              [(0, None)] * ns + [(0, 1.0)])
-    if not res.success:
-        raise EmptyLevelSet(
-            "no interior point in the moduli polytope",
-            certificate={"status": res.status, "message": res.message},
-        )
-    x_s = res.x[:ns]
+    # interior point: maximise the smallest margin delta over t = delta + s,
+    # s >= 0 (and c . t >= delta), in variables (s, delta, ray surplus)
+    A = np.vstack([np.append(np.ones(ns), ns),
+                   np.hstack([kept, kept.sum(axis=1, keepdims=True)])])
+    b = np.zeros(len(A))
+    b[0] = 1.0
+    if ray is not None:
+        c_s = ray[support]
+        A, b = _with_surplus(A, b, np.append(c_s, c_s.sum() - 1.0), 0.0)
+    cost = np.zeros(A.shape[1])
+    cost[ns] = -1.0
+    x, farkas = _simplex(A, b, cost)
+    if farkas is not None:
+        raise EmptyLevelSet("no interior point in the moduli polytope",
+                            certificate={"A": A, "b": b, "y": farkas})
+    x_s = x[ns] + x[:ns]
 
     eqs = np.vstack([np.ones((1, ns)), kept])
     _, sv, vt = np.linalg.svd(eqs)
@@ -145,7 +217,7 @@ def analyze_moduli(n, rows, ray_coeff=None):
     return ModuliPolytope(
         n=n,
         rows=rows,
-        ray_coeff=None if ray_coeff is None else np.asarray(ray_coeff, dtype=float),
+        ray_coeff=ray,
         support=support,
         fixed_zero=fixed_zero,
         interior=interior,
@@ -155,45 +227,31 @@ def analyze_moduli(n, rows, ray_coeff=None):
 
 
 def _hit_and_run(poly, rng, steps=32):
-    """Interior-weighted walk on the support polytope (Beta(2,2) mix)."""
-    ns = len(poly.support)
+    """Interior-weighted walk on the support polytope (Beta(2,2) mix)
+    inside t_j >= 0 and, on a ray, c . t >= floor."""
     x = poly.interior[poly.support].copy()
     if poly.null_basis.shape[0] == 0:
         return x
-    c_s = None
-    if poly.ray_coeff is not None:
-        c_s = poly.ray_coeff[poly.support]
+    ray = None if poly.ray_coeff is None else -poly.ray_coeff[poly.support]
     for _ in range(steps):
         d = poly.null_basis.T @ rng.standard_normal(poly.null_basis.shape[0])
         nrm = np.linalg.norm(d)
         if nrm < 1e-14:
             continue
         d /= nrm
-        lo, hi = -np.inf, np.inf
-        for a, b in _segment_ineqs(ns, c_s):
-            ad = float(a @ d)
-            gap = float(b - a @ x)
-            if abs(ad) < 1e-14:
-                continue
-            lam = gap / ad
-            if ad > 0:
-                hi = min(hi, lam)
-            else:
-                lo = max(lo, lam)
+        # the chord x + lam d meets t_j = 0 at lam = x_j / -d_j
+        ahead, behind = d <= -1e-14, d >= 1e-14
+        hi = np.min(x[ahead] / -d[ahead], initial=np.inf)
+        lo = np.max(x[behind] / -d[behind], initial=-np.inf)
+        if ray is not None:
+            ad = float(ray @ d)
+            if abs(ad) >= 1e-14:
+                lam = float(-_S_FLOOR - ray @ x) / ad
+                hi, lo = (min(hi, lam), lo) if ad > 0 else (hi, max(lo, lam))
         if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
             continue
         x = x + (lo + (hi - lo) * rng.beta(2.0, 2.0)) * d
     return x
-
-
-def _segment_ineqs(ns, c_s):
-    # a . t <= b form: -t_j <= 0 and (ray) -c.t <= -floor
-    for j in range(ns):
-        a = np.zeros(ns)
-        a[j] = -1.0
-        yield a, 0.0
-    if c_s is not None:
-        yield -c_s, -_S_FLOOR
 
 
 def sample_moduli(poly, count, seed):
@@ -222,39 +280,42 @@ def _assemble_point(t, rng):
     return coords
 
 
-def sample_level_set(action, mu, count, seed, structure=None):
+def _level_set_samples(action, mu, poly, count, seed):
+    """Points over ``sample_moduli(poly, ...)`` with random phases; with a
+    ray ``mu`` each is checked against it, in zero mode s = 0."""
+    samples = []
+    tol = tolerances.DEFAULTS["level_set_residual"]
+    for t, rng in sample_moduli(poly, count, seed):
+        coords = _assemble_point(t, rng)
+        s = 0.0
+        if mu is not None:
+            j_val = np.asarray(action.momentum(list(coords)))
+            s = float(j_val @ np.asarray(mu.unit))
+            resid = float(np.linalg.norm(j_val - s * np.asarray(mu.unit)))
+            if resid > tol or s <= tolerances.DEFAULTS["newton_min_s"]:
+                raise FrameInconsistent(
+                    f"sampled point misses the ray: residual {resid:.3e}, s {s:.3e}"
+                )
+        samples.append(LevelSetSample(AmbientPoint.of(coords), s))
+    return samples
+
+
+def sample_level_set(action, mu, count, seed):
     """Samples of J^{-1}(R_+ mu), deterministic in (action, mu, count, seed)."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     kern = kernel_algebra(mu)
     rows = kern.matrix @ action.matrix if kern.k else np.zeros((0, action.n))
     ray_coeff = action.matrix.T @ np.asarray(mu.unit)
     poly = analyze_moduli(action.n, rows, ray_coeff)
-    samples = []
-    tol = tolerances.DEFAULTS["level_set_residual"]
-    for t, rng in sample_moduli(poly, count, seed):
-        coords = _assemble_point(t, rng)
-        j_val = np.asarray(action.momentum(list(coords)))
-        s = float(j_val @ np.asarray(mu.unit))
-        resid = float(np.linalg.norm(j_val - s * np.asarray(mu.unit)))
-        if resid > tol or s <= tolerances.DEFAULTS["newton_min_s"]:
-            raise FrameInconsistent(
-                f"sampled point misses the ray: residual {resid:.3e}, s {s:.3e}"
-            )
-        samples.append(LevelSetSample(AmbientPoint.of(coords), s))
-    return samples
+    return _level_set_samples(action, mu, poly, count, seed)
 
 
 def sample_zero_level(action, rows, count, seed):
     """Samples of the joint zero level of the momenta of the given
     subalgebra rows (used by zero reduction and the cone suite)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    mom_rows = rows @ action.matrix
-    poly = analyze_moduli(action.n, mom_rows, None)
-    out = []
-    for t, rng in sample_moduli(poly, count, seed):
-        coords = _assemble_point(t, rng)
-        out.append(AmbientPoint.of(coords))
-    return out
+    poly = analyze_moduli(action.n, rows @ action.matrix, None)
+    return [s.point for s in _level_set_samples(action, None, poly, count, seed)]
 
 
 def newton_project(action, mu, q, tol=None, max_iter=None):
@@ -353,10 +414,7 @@ class ReductionSetup:
     # -- sampling ------------------------------------------------------
 
     def samples(self, count, seed):
-        if self.mode == "ray":
-            return sample_level_set(self.action, self.mu, count, seed)
-        pts = sample_zero_level(self.action, self.acting_rows, count, seed)
-        return [LevelSetSample(p, 0.0) for p in pts]
+        return _level_set_samples(self.action, self.mu, self.polytope, count, seed)
 
     # -- per-sample hypothesis data -------------------------------------
 

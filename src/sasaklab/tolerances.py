@@ -44,6 +44,16 @@ DEFAULTS = {
     "reeb_flow_sup": 1e-6,
 }
 
+# Thresholds of the dense simplex behind reduction.analyze_moduli.  They are
+# internal to the solver rather than gates a run is judged against, so they
+# stay out of DEFAULTS: a config cannot override them and reports do not
+# list them.
+LP_PIVOT = 1e-9        # smallest |entry| of an entering column taken as a pivot,
+                       # and smallest |reduced cost| that lets a variable enter
+LP_FEASIBILITY = 1e-9  # phase-1 infeasibility above which the system is empty;
+                       # below the 1e-8 floor on the ray parameter s
+LP_SUPPORT = 1e-9      # support-LP value above which t_j is not identically 0
+
 
 def get(name, overrides=None):
     """Look up a tolerance, preferring per-run overrides."""

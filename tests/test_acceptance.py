@@ -8,7 +8,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from oracles import fd_curvature
 from sasaklab.actions import TorusAction
@@ -17,13 +16,13 @@ from sasaklab.cone import ConePoint, iota_transpose_residual, sample_phi_zero, s
 from sasaklab.cr import cr_decomposition, final_identity, relation_residuals
 from sasaklab.flows import reduced_flow_comparison, reeb_flow
 from sasaklab.oneill import SubmersionContext, hopf_context
-from sasaklab.reduction import ReductionSetup, build_frame, reduced_tensors, sample_level_set
+from sasaklab.reduction import ReductionSetup, build_frame, reduced_tensors
 from sasaklab.structures import (
     RoundSphereStructure,
     WeightedSphereStructure,
 )
 from sasaklab.jets import value
-from sasaklab.vecops import vdot, vscale, vsub, vvalue
+from sasaklab.vecops import vvalue
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])

@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from sasaklab.cli import _lane_batches, _parser, _resolve_config, main
@@ -307,3 +305,12 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "exit status 0" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sasaklab.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,14 +7,12 @@ from sasaklab.cr import (
     final_identity,
     oneill_plane_residual,
     relation_residuals,
-    split_normal,
 )
 from sasaklab.errors import AmbiguousSplit
 from sasaklab.manifolds import EmbeddedManifold, LinearConstraint, SphereConstraint
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure
-from sasaklab.vecops import vvalue
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])

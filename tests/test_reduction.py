@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sasaklab.actions import MomentumCovector, TorusAction
+from oracles import hit_and_run_loop, moduli_lp_oracle
+from sasaklab import reduction
+from sasaklab.actions import TorusAction
 from sasaklab.errors import EmptyLevelSet, NoConvergence, WrongRay
 from sasaklab.jets import value
 from sasaklab.reduction import (
-    LevelSetSample,
+    _S_FLOOR,
+    _hit_and_run,
+    _simplex,
     ReductionSetup,
+    analyze_moduli,
     build_frame,
     newton_project,
     printed_remark_dimension,
@@ -64,13 +71,92 @@ class TestSampling:
     def test_infeasible_ray_raises_with_certificate(self):
         with pytest.raises(EmptyLevelSet) as exc:
             sample_level_set(PAIRS, [1.0, -1.0], 4, seed=0)
-        assert exc.value.certificate is not None
+        cert = exc.value.certificate
+        # the stated system over (t, ray surplus): sum, kernel row, ray row
+        assert cert["A"].shape == (3, 5)
+        assert list(cert["b"]) == [1.0, 0.0, _S_FLOOR]
+        assert_farkas(cert)
+
+    def test_ray_touched_only_at_zero_is_empty(self):
+        # J_mu = t_0 - t_1 = -t_2 <= 0 on the kernel constraint: the best
+        # point has s = 0, below the floor, so there is no level set
+        with pytest.raises(EmptyLevelSet) as exc:
+            sample_level_set(TorusAction.of([[1, -1, 0], [1, -1, 1]]), [1.0, 0.0], 2, seed=0)
+        assert_farkas(exc.value.certificate)
+
+    def test_setup_samples_reuse_its_polytope(self, monkeypatch):
+        setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
+        monkeypatch.setattr(reduction, "analyze_moduli",
+                            lambda *a: pytest.fail("moduli polytope solved again"))
+        got = setup.samples(4, seed=3)
+        monkeypatch.undo()
+        ref = sample_level_set(PAIRS, [1.0, 1.0], 4, seed=3)
+        assert [(x.coords(), x.s) for x in got] == [(y.coords(), y.s) for y in ref]
 
     def test_zero_level_sampler(self):
         pts = sample_zero_level(FLIPPED, [[1.0, 0.0]], 10, seed=4)
         for p in pts:
             t = moduli(p.as_list())
             assert abs(t[1] - t[0]) < 1e-12
+
+
+def assert_farkas(cert):
+    """y proves {A x = b, x >= 0} empty: A^T y >= 0 and b . y < 0."""
+    A, b, y = cert["A"], cert["b"], cert["y"]
+    assert np.all(A.T @ y >= -1e-9 * max(1.0, np.max(np.abs(y))))
+    assert b @ y == pytest.approx(-1.0)
+
+
+small_rows = st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=2),
+    st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+))
+
+
+@given(data=small_rows)
+@settings(max_examples=80, deadline=None)
+def test_moduli_lps_agree_with_vertex_oracle(data):
+    n, rows, ray = data
+    feasible, support, delta = moduli_lp_oracle(n, rows, ray, _S_FLOOR)
+    try:
+        poly = analyze_moduli(n, rows, ray)
+    except EmptyLevelSet as exc:
+        assert not feasible
+        assert_farkas(exc.certificate)
+        return
+    assert feasible
+    assert poly.support == support
+    t = poly.interior
+    margins = [*t[support], *([] if ray is None else [np.dot(ray, t)])]
+    assert min(margins) == pytest.approx(delta, abs=1e-9)
+    assert sum(t) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(np.asarray(rows, dtype=float).reshape(-1, n) @ t) < 1e-12)
+
+
+
+def test_simplex_raises_on_unbounded_program():
+    # min -x0 over {x0 = x1 >= 0}: nothing stops x1, so x0 grows without end
+    with pytest.raises(NoConvergence, match="unbounded"):
+        _simplex(np.array([[1.0, -1.0]]), np.zeros(1), np.array([-1.0, 0.0]))
+
+
+def test_simplex_stops_at_a_finite_upper_bound():
+    x, farkas = _simplex(np.array([[1.0, -1.0]]), np.zeros(1), np.array([-1.0, 0.0]),
+                         upper=np.array([1.0, np.inf]))
+    assert farkas is None
+    assert x.tolist() == [1.0, 1.0]
+
+@pytest.mark.parametrize("action, mu", [
+    (PAIRS, [1.0, 1.0]), (FLIPPED, [1.0, 0.0]), (SPLIT, [0.0, 1.0]), (PAIRS, None),
+])
+def test_hit_and_run_matches_loop_reference_bitwise(action, mu):
+    setup = (ReductionSetup(S7, action, mu=mu) if mu else
+             ReductionSetup(S7, action, zero_rows=[[1.0, -1.0]]))
+    for seed in range(5):
+        got = _hit_and_run(setup.polytope, np.random.default_rng(seed))
+        ref = hit_and_run_loop(setup.polytope, np.random.default_rng(seed), _S_FLOOR)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestNewtonProject:
