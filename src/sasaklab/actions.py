@@ -159,7 +159,7 @@ def slice_condition(mu, d=None):
     d = len(mu.mu)
     ker = kernel_algebra(mu).matrix
     stack = np.vstack([ker, np.eye(d)]) if ker.size else np.eye(d)
-    rank = int(np.linalg.matrix_rank(stack, tol=tolerances.DEFAULTS["rank_singular_value"]))
+    rank = int(np.linalg.matrix_rank(stack, tol=tolerances.RANK_SINGULAR_VALUE))
     return rank == d, {"dim_sum": rank, "dim_g": d, "note": "abelian: g_mu = g"}
 
 
@@ -175,7 +175,7 @@ class RayClass:
 def ray_membership(j_val, mu, tol=None):
     """Least-squares ray parameter s = <J, mu>/|mu|^2 and classification
     of J against the line R mu."""
-    tol = tolerances.DEFAULTS["ray_membership"] if tol is None else tol
+    tol = tolerances.DEFAULTS["stratification"] if tol is None else tol
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     j = np.asarray(as_list(j_val), dtype=float)
     m = np.asarray(mu.mu, dtype=float)
@@ -199,6 +199,6 @@ def local_freeness(action, kernel, p):
         return 0, False, []
     M = np.asarray(rows, dtype=float)
     svals = np.linalg.svd(M, compute_uv=False)
-    tol = tolerances.DEFAULTS["rank_singular_value"] * max(1.0, float(svals[0]))
+    tol = tolerances.RANK_SINGULAR_VALUE * max(1.0, float(svals[0]))
     rank = int(np.sum(svals > tol))
     return rank, rank < k, [float(s) for s in svals]

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import tolerances
 from .actions import MomentumCovector, TorusAction
 from .cone import (
     ConePoint,
@@ -93,14 +94,14 @@ def _parser():
 def _resolve_config(args):
     raw = {}
     lam = parse_numbers("lam", args.lam) if args.lam is not None else None
+    misused = []
+    if args.n is not None and args.preset not in (None, "ex1gen"):
+        misused.append(f"n: --n applies to --preset ex1gen only, not {args.preset}")
+    if lam is not None and args.preset != "ex4":
+        misused.append("lam: --lam applies to --preset ex4 only")
+    if misused:
+        raise ValidationError(misused)
     if args.preset:
-        misused = []
-        if args.n is not None and args.preset != "ex1gen":
-            misused.append(f"n: --n applies to the ex1gen preset only, not {args.preset!r}")
-        if lam is not None and args.preset != "ex4":
-            misused.append(f"lam: --lam applies to the ex4 preset only, not {args.preset!r}")
-        if misused:
-            raise ValidationError(misused)
         raw.update(preset_config(args.preset, n=args.n, lam=lam))
     if args.config:
         raw.update(read_config(args.config))
@@ -112,12 +113,9 @@ def _resolve_config(args):
             raw[name] = v
     if args.mu is not None:
         raw["mu"] = parse_numbers("mu", args.mu)
-    if not args.preset:
-        if args.n is not None:
-            raw["n"] = args.n
-        if lam is not None:
-            raw["lam"] = lam
-    return build_config(raw, command=args.command)
+    if args.n is not None and not args.preset:
+        raw["n"] = args.n
+    return build_config(raw, command=args.command, preset=args.preset)
 
 
 def _structure(cfg):
@@ -378,7 +376,7 @@ def run_curvature_scan(cfg):
         nu_dims.add(crd.dims["nu"])
         for fin, rels, onil in per_dir:
             led.add("final_identity", cfg.tol["final_identity"], fin["residual"])
-            led.add("h_tilde_on_toric", 1e-8, fin["h_tilde_sq"])
+            led.add("h_tilde_on_toric", tolerances.H_TILDE_ON_TORIC, fin["h_tilde_sq"])
             for name, val in rels.items():
                 led.add(name, cfg.tol["cr_identities"], val)
             led.add("oneill_plane", cfg.tol["oneill_two_path"], onil)
@@ -445,8 +443,8 @@ def run_reeb_flow(cfg):
     extra = {"flow": {"t_max": t_max, "steps": cfg.flow_steps,
                       "sup_error_ambient": sup_err}}
     if _is_two_circle_action(cfg) and cfg.is_round:
-        lam = cfg.lam or [cfg.action_weights[0][0], cfg.action_weights[1][1]]
-        cmp = reduced_flow_comparison(times, traj, (lam[0], lam[1]))
+        lam = (cfg.action_weights[0][0], cfg.action_weights[1][1])
+        cmp = reduced_flow_comparison(times, traj, lam)
         led.add("flow_vs_reduced_closed_form", cfg.tol["reeb_flow_sup"],
                 cmp["sup_error"])
         extra["flow"]["reduced_comparison"] = {
@@ -479,11 +477,11 @@ def run_cone_check(cfg):
         js_1 = symplectic_momentum(A, ConePoint.of(p, 1.0))
         led.add("homogeneity", cfg.tol["iota_transpose"],
                 max(abs(a - r * r * b) for a, b in zip(js_r, js_1)))
-        led.add("restriction", 0.0,
+        led.add("restriction", tolerances.RESTRICTION,
                 max(abs(a - float(value(b))) for a, b in
                     zip(js_1, A.momentum(p))))
         if i < 8:
-            led.add("pairing_oracle", 1e-10,
+            led.add("pairing_oracle", tolerances.PAIRING_ORACLE,
                     symplectic_pairing_residual(A, cp, tuple(rng.standard_normal(A.d)),
                                                 seed=cfg.seed + i))
 
@@ -526,7 +524,8 @@ def run_cone_check(cfg):
     if zero_pts:
         deg = zero_stratum_degeneracy(S, A, mu, zero_pts[0][1:2 * cfg.n + 1])
         census["zero_stratum_kernel_dim"] = deg["kernel_dim"]
-        led.add("zero_stratum_antisymmetry", 1e-10, deg["antisymmetry"])
+        led.add("zero_stratum_antisymmetry", tolerances.ZERO_STRATUM_ANTISYMMETRY,
+                deg["antisymmetry"])
 
     status = EXIT_RESIDUAL if (leak or not led.all_ok()) else EXIT_OK
     header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",

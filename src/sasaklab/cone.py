@@ -187,7 +187,7 @@ def zero_stratum_degeneracy(structure, action, mu, p):
 
     G = np.vstack([2.0 * np.asarray(p, dtype=float), action.momentum_jacobian(p)])
     _, sv, vt = np.linalg.svd(G)
-    rank = int(np.sum(sv > tolerances.DEFAULTS["rank_singular_value"] * max(1.0, sv[0])))
+    rank = int(np.sum(sv > tolerances.RANK_SINGULAR_VALUE * max(1.0, sv[0])))
     tangent = [list(r) for r in vt[rank:]]
 
     vert = [vvalue(action.fundamental_field(b, p)) for b in kern.matrix]
@@ -204,7 +204,7 @@ def zero_stratum_degeneracy(structure, action, mu, p):
     antisym = float(np.max(np.abs(D + D.T))) if m else 0.0
     if m:
         sv = np.linalg.svd(D, compute_uv=False)
-        rk = int(np.sum(sv > tolerances.DEFAULTS["rank_singular_value"] * max(1.0, sv[0])))
+        rk = int(np.sum(sv > tolerances.RANK_SINGULAR_VALUE * max(1.0, sv[0])))
     else:
         rk = 0
     return {

@@ -10,6 +10,11 @@ from . import tolerances
 from .errors import ParseError, ValidationError
 
 MAX_N = 1000  # largest ambient complex dimension; bounds every n-sized list
+# bounds on the counts a run loops over, far above any run the tests or the
+# benchmark make, so an absurd count is a config error, not an exhausted host
+MAX_SAMPLES = 100_000
+MAX_FLOW_STEPS = 100_000
+MAX_DIRECTIONS = 100
 
 
 def _float(x):
@@ -29,7 +34,6 @@ class RunConfig:
     samples: int
     seed: int
     tol: dict
-    lam: list | None = None
     flow_steps: int = 512
     directions: int = 2
     preset: str | None = None
@@ -51,7 +55,6 @@ class RunConfig:
             "mu": None if self.mu is None else list(self.mu),
             "samples": self.samples,
             "seed": self.seed,
-            "lam": None if self.lam is None else list(self.lam),
             "flow_steps": self.flow_steps,
             "directions": self.directions,
             "preset": self.preset,
@@ -89,8 +92,9 @@ def load_config(path):
     return build_config(read_config(path))
 
 
-def build_config(raw, command=None):
-    """Validate a raw dict; every violation is reported, not just the first."""
+def build_config(raw, command=None, preset=None):
+    """Validate a raw dict; every violation is reported, not just the first.
+    ``preset`` names the gallery preset ``raw`` came from, for the echo."""
     errors = []
 
     def get_int(name, default, minimum, maximum=None):
@@ -119,10 +123,10 @@ def build_config(raw, command=None):
         return out
 
     n = get_int("n", 4, 2, MAX_N)
-    samples = get_int("samples", 100, 1)
+    samples = get_int("samples", 100, 1, MAX_SAMPLES)
     seed = get_int("seed", 0, 0)
-    flow_steps = get_int("flow_steps", 512, 64)
-    directions = get_int("directions", 2, 1)
+    flow_steps = get_int("flow_steps", 512, 64, MAX_FLOW_STEPS)
+    directions = get_int("directions", 2, 1, MAX_DIRECTIONS)
 
     sw = get_floats("sphere_weights", raw.get("sphere_weights", [1.0] * n))
     if sw is None:
@@ -163,10 +167,6 @@ def build_config(raw, command=None):
     if mu is not None and len(aw) and len(mu) != len(aw):
         errors.append(f"mu: expected {len(aw)} entries to match d, got {len(mu)}")
 
-    lam = raw.get("lam")
-    if lam is not None:
-        lam = get_floats("lam", lam)
-
     tol = dict(tolerances.DEFAULTS)
     overrides = raw.get("tolerances", {})
     if not isinstance(overrides, dict):
@@ -183,8 +183,7 @@ def build_config(raw, command=None):
 
     known = {
         "n", "sphere_weights", "action_weights", "mu", "samples", "seed",
-        "tolerances", "lam", "flow_steps", "directions", "preset",
-        "description",
+        "tolerances", "flow_steps", "directions", "description",
     }
     for k in raw:
         if k not in known:
@@ -194,7 +193,6 @@ def build_config(raw, command=None):
         raise ValidationError(errors)
     return RunConfig(
         n=n, sphere_weights=sw, action_weights=aw, mu=mu, samples=samples,
-        seed=seed, tol=tol, lam=lam, flow_steps=flow_steps,
-        directions=directions,
-        preset=raw.get("preset"), description=raw.get("description", ""),
+        seed=seed, tol=tol, flow_steps=flow_steps, directions=directions,
+        preset=preset, description=raw.get("description", ""),
     )

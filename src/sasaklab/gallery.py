@@ -52,7 +52,6 @@ def preset_config(name, n=None, lam=None):
             "n": 4,
             "action_weights": [[lam[0], 0, 0, 0], [0, lam[1], 0, 0]],
             "mu": [1, 1],
-            "lam": list(lam),
             "description": "two weighted circles on the first coordinates",
         }
     elif name == "weighted":
@@ -65,7 +64,6 @@ def preset_config(name, n=None, lam=None):
         }
     else:
         raise ValidationError([f"preset: unknown name {name!r}"])
-    cfg["preset"] = name
     return cfg
 
 

@@ -77,7 +77,7 @@ class Geometry:
         if gram.ndim == 3:  # lanes last: the worst sample decides
             gram = np.moveaxis(gram, -1, 0)
         cond = float(np.max(np.linalg.cond(gram)))
-        if not np.isfinite(cond) or cond > tolerances.DEFAULTS["metric_condition"]:
+        if not np.isfinite(cond) or cond > tolerances.METRIC_CONDITION:
             raise SingularMetric(f"tangent Gram condition number {cond:.3e}")
         return cond
 
@@ -197,10 +197,3 @@ class Geometry:
     def curvature_4(self, p, x, y, z, v):
         """R(X,Y,Z,V) = g(R(X,Y)Z, V)."""
         return self.metric.g(p, self.curvature(p, x, y, z), v)
-
-    def sectional(self, p, x, y):
-        """K(X,Y) = R(X,Y,Y,X) / (|X|^2 |Y|^2 - g(X,Y)^2)."""
-        g = self.metric.g
-        num = value(self.curvature_4(p, x, y, y, x))
-        den = value(g(p, x, x)) * value(g(p, y, y)) - value(g(p, x, y)) ** 2
-        return num / den

@@ -104,19 +104,19 @@ class EmbeddedManifold:
         if grads.size == 0:
             return np.eye(self.ambient_dim)
         _, s, vt = np.linalg.svd(grads)
-        tol = tolerances.DEFAULTS["rank_singular_value"] * max(1.0, s[0] if len(s) else 1.0)
+        tol = tolerances.RANK_SINGULAR_VALUE * max(1.0, s[0] if len(s) else 1.0)
         rank = int(np.sum(s > tol))
         return vt[rank:]
 
     def residual(self, p):
         return max(abs(v) for v in vvalue(self.constraint_values(p)))
 
-    def newton_refine(self, p, tol=1e-13, max_iter=20):
+    def newton_refine(self, p):
         """Gauss-Newton pullback onto the constraint set (float level)."""
         x = np.asarray(vvalue(p), dtype=float)
-        for _ in range(max_iter):
+        for _ in range(tolerances.REFINE_MAX_ITER):
             vals = np.asarray(vvalue(self.constraint_values(list(x))), dtype=float)
-            if np.max(np.abs(vals)) < tol:
+            if np.max(np.abs(vals)) < tolerances.REFINE_TOL:
                 break
             jac = np.asarray([vvalue(g) for g in self.constraint_grads(list(x))], dtype=float)
             step, *_ = np.linalg.lstsq(jac, vals, rcond=None)

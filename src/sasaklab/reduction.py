@@ -284,7 +284,6 @@ def _level_set_samples(action, mu, poly, count, seed):
     """Points over ``sample_moduli(poly, ...)`` with random phases; with a
     ray ``mu`` each is checked against it, in zero mode s = 0."""
     samples = []
-    tol = tolerances.DEFAULTS["level_set_residual"]
     for t, rng in sample_moduli(poly, count, seed):
         coords = _assemble_point(t, rng)
         s = 0.0
@@ -292,7 +291,7 @@ def _level_set_samples(action, mu, poly, count, seed):
             j_val = np.asarray(action.momentum(list(coords)))
             s = float(j_val @ np.asarray(mu.unit))
             resid = float(np.linalg.norm(j_val - s * np.asarray(mu.unit)))
-            if resid > tol or s <= tolerances.DEFAULTS["newton_min_s"]:
+            if resid > tolerances.LEVEL_SET_RESIDUAL or s <= tolerances.NEWTON_MIN_S:
                 raise FrameInconsistent(
                     f"sampled point misses the ray: residual {resid:.3e}, s {s:.3e}"
                 )
@@ -318,19 +317,17 @@ def sample_zero_level(action, rows, count, seed):
     return [s.point for s in _level_set_samples(action, None, poly, count, seed)]
 
 
-def newton_project(action, mu, q, tol=None, max_iter=None):
+def newton_project(action, mu, q):
     """Gauss-Newton projection onto {|z| = 1, J(z) = s mu_unit, s > 0}."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
-    tol = tolerances.DEFAULTS["newton_tol"] if tol is None else tol
-    max_iter = tolerances.DEFAULTS["newton_max_iter"] if max_iter is None else max_iter
     unit = np.asarray(mu.unit)
     z = np.asarray(as_list(q), dtype=float)
     s = float(np.asarray(action.momentum(list(z))) @ unit)
-    for _ in range(max_iter):
+    for _ in range(tolerances.NEWTON_MAX_ITER):
         j_val = np.asarray(action.momentum(list(z)))
         F = np.concatenate([[z @ z - 1.0], j_val - s * unit])
-        if float(np.max(np.abs(F))) < tol:
-            if s <= tolerances.DEFAULTS["newton_min_s"]:
+        if float(np.max(np.abs(F))) < tolerances.NEWTON_TOL:
+            if s <= tolerances.NEWTON_MIN_S:
                 raise WrongRay(f"converged with ray parameter s = {s:.3e}")
             return LevelSetSample(AmbientPoint.of(z), s)
         jac = np.zeros((1 + action.d, len(z) + 1))
@@ -340,7 +337,7 @@ def newton_project(action, mu, q, tol=None, max_iter=None):
         step, *_ = np.linalg.lstsq(jac, -F, rcond=None)
         z = z + step[:-1]
         s = s + float(step[-1])
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+    raise NoConvergence(f"no convergence after {tolerances.NEWTON_MAX_ITER} iterations")
 
 
 def transversality_check(action, mu, sample):
@@ -353,7 +350,7 @@ def transversality_check(action, mu, sample):
     dj = action.momentum_jacobian(p) @ frame.T
     M = np.hstack([dj, np.asarray(mu.unit).reshape(-1, 1)])
     svals = np.linalg.svd(M, compute_uv=False)
-    ok = bool(svals[-1] > tolerances.DEFAULTS["rank_singular_value"])
+    ok = bool(svals[-1] > tolerances.RANK_SINGULAR_VALUE)
     return ok, [float(s) for s in svals]
 
 

@@ -256,7 +256,7 @@ class WeightedSphereStructure(SphereStructure):
 
     def _probe_positivity(self):
         rng = np.random.default_rng(320032)
-        floor = tolerances.DEFAULTS["weighted_positivity"]
+        floor = tolerances.WEIGHTED_POSITIVITY
         for _ in range(self.PROBE_POINTS):
             p = rng.standard_normal(self.ambient_dim)
             p = list(p / np.linalg.norm(p))

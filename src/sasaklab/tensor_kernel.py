@@ -27,7 +27,7 @@ class AmbientPoint:
 
     def __post_init__(self):
         r = math.sqrt(sum(c * c for c in self.coords))
-        if abs(r - 1.0) > tolerances.DEFAULTS["on_sphere"]:
+        if abs(r - 1.0) > tolerances.ON_SPHERE:
             raise ValueError(f"point has |coords| = {r!r}, not 1")
 
     @classmethod
@@ -55,7 +55,7 @@ class TangentVector:
         vec = tuple(float(c) for c in as_list(vec))
         if tangent:
             pairing = abs(sum(a * b for a, b in zip(vec, base.coords)))
-            if pairing > tolerances.DEFAULTS["tangency"]:
+            if pairing > tolerances.TANGENCY:
                 raise ValueError(f"<vec, base> = {pairing:.3e}, not tangent")
         return cls(base, vec)
 
@@ -102,7 +102,7 @@ def _metric_callable(metric):
     return metric.g if hasattr(metric, "g") else metric
 
 
-def gram_schmidt(metric, p, vectors, drop_tol=None):
+def gram_schmidt(metric, p, vectors):
     """Deterministic modified Gram-Schmidt in input order.
 
     Vectors whose residual norm falls below the drop tolerance are
@@ -110,7 +110,6 @@ def gram_schmidt(metric, p, vectors, drop_tol=None):
     input.
     """
     g = _metric_callable(metric)
-    drop = tolerances.DEFAULTS["gram_schmidt_drop"] if drop_tol is None else drop_tol
     p = as_list(p)
     kept, inputs = [], []
     for i, v in enumerate(vectors):
@@ -121,7 +120,7 @@ def gram_schmidt(metric, p, vectors, drop_tol=None):
         for u in kept:
             w = vsub(w, vscale(u, g(p, u, w)))
         nrm = math.sqrt(max(value(g(p, w, w)), 0.0))
-        if nrm < drop:
+        if nrm < tolerances.GRAM_SCHMIDT_DROP:
             continue
         kept.append(vscale(w, 1.0 / nrm))
         inputs.append(i)

@@ -5,8 +5,15 @@ import sys
 
 import pytest
 
-from sasaklab.cli import _lane_batches, _parser, _resolve_config, main
-from sasaklab.config import build_config, load_config
+from sasaklab import tolerances
+from sasaklab.cli import RUNNERS, _lane_batches, _parser, _resolve_config, main
+from sasaklab.config import (
+    MAX_DIRECTIONS,
+    MAX_FLOW_STEPS,
+    MAX_SAMPLES,
+    build_config,
+    load_config,
+)
 from sasaklab.errors import ParseError, ValidationError
 from sasaklab.gallery import preset_config
 from sasaklab.structures import RoundSphereStructure
@@ -65,14 +72,43 @@ class TestConfig:
         with pytest.raises(ValidationError):
             build_config(raw)
 
-    def test_flags_set_n_and_lam_of_a_config_file(self, tmp_path):
+    def test_flags_n_and_lam_with_a_config_file(self, tmp_path):
+        # --n sets n of a config file; --lam is the ex4 preset's parameter only
         path = tmp_path / "run.json"
         path.write_text(_ex1_json())
         args = _parser().parse_args(["reeb-flow", "--config", str(path), "--lam", "5,9"])
-        assert _resolve_config(args).lam == [5.0, 9.0]
+        with pytest.raises(ValidationError, match="--lam applies to --preset ex4 only"):
+            _resolve_config(args)
         args = _parser().parse_args(["verify-structure", "--config", str(path), "--n", "3"])
         with pytest.raises(ValidationError, match="every row must have n = 3"):
             _resolve_config(args)
+
+    @pytest.mark.parametrize("name, maximum", [
+        ("samples", MAX_SAMPLES), ("flow_steps", MAX_FLOW_STEPS),
+        ("directions", MAX_DIRECTIONS)])
+    def test_counts_are_bounded(self, name, maximum):
+        raw = preset_config("ex1")
+        assert getattr(build_config({**raw, name: maximum}), name) == maximum
+        with pytest.raises(ValidationError, match=f"{name}: must be <= {maximum}"):
+            build_config({**raw, name: maximum + 1})
+        flag = "--" + name.replace("_", "-")
+        args = _parser().parse_args(["reeb-flow", "--preset", "ex4", f"{flag}={10**15}"])
+        with pytest.raises(ValidationError, match=f"{name}: must be <= {maximum}"):
+            _resolve_config(args)
+
+    def test_preset_echo_comes_from_the_flag(self):
+        args = _parser().parse_args(["reduce", "--preset", "ex3"])
+        assert _resolve_config(args).preset == "ex3"
+        assert build_config(preset_config("ex3")).preset is None
+
+
+# former tolerance names that runs never read from a config
+FIXED_TOLERANCES = (
+    "gram_schmidt_drop", "rank_singular_value", "metric_condition", "tangency",
+    "on_sphere", "level_set_residual", "ray_membership", "newton_tol",
+    "newton_max_iter", "newton_min_s", "weighted_positivity",
+    "oneill_bracket_oracle", "hopf_gate",
+)
 
 
 def _ex1_json(**fields):
@@ -96,6 +132,8 @@ class TestCommands:
         assert report["dimensions"]["level_set_realized"] == 6
         assert not report["dimensions"]["printed_remark_matches"]
         assert all(r["within_tolerance"] for r in report["residuals"])
+        assert report["config"]["preset"] == "ex1"
+        assert sorted(report["config"]["tolerances"]) == sorted(tolerances.DEFAULTS)
 
     def test_reduce_writes_csv_with_documented_columns(self, tmp_path):
         run_cli(
@@ -151,11 +189,19 @@ class TestCommands:
         (_ex1_json(mu=[10**400, 1]), []),
         ('{"seed": ' + "1" * 5000 + "}", []),
         (_ex1_json(workers=2), []),
+        (_ex1_json(lam=[5, 9]), []),
+        (_ex1_json(), ["--lam", "5,9"]),
+        (_ex1_json(preset="ex2"), []),
+        (_ex1_json(preset="ex2"), ["--preset", "ex3"]),
+        (_ex1_json(), ["--flow-steps", str(10**15)]),
+        *[(_ex1_json(tolerances={name: 0.5}), []) for name in FIXED_TOLERANCES],
     ], ids=["missing", "invalid-json", "array", "not-utf8", "tolerance-text",
             "tolerance-negative", "mu-nan", "mu-infinity", "mu-flag-text", "mu-flag-nan",
             "mu-flag-empty", "lam-flag-text", "n-flag-ex1", "n-flag-ex4", "lam-flag-ex1",
             "lam-flag-ex1gen", "n-flag-too-large", "n-flag-too-small", "mu-beyond-float",
-            "integer-too-long", "workers-field"])
+            "integer-too-long", "workers-field", "lam-field", "lam-flag-no-preset",
+            "preset-field", "preset-field-and-flag", "flow-steps-too-large",
+            *[f"tolerance-{name}" for name in FIXED_TOLERANCES]])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, content, flags):
         """A config file or flag the run cannot use: exit 2, no report."""
         path = tmp_path / "run.json"
@@ -248,6 +294,37 @@ class TestCommands:
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["census"]["nu_dims_seen"] == [0]
+
+
+class _RecordingTolerances(dict):
+    """A tolerance map that records the names a run reads."""
+
+    def __init__(self, tol, read):
+        super().__init__(tol)
+        self.read = read
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def test_every_settable_tolerance_is_read():
+    """Each gate a config may override is one some run judges against."""
+    read = set()
+    for argv in (
+        ["verify-structure", "--preset", "ex1", "--samples", "1"],
+        ["verify-structure", "--preset", "weighted", "--samples", "1"],
+        ["check-hypotheses", "--preset", "ex1", "--samples", "1"],
+        ["reduce", "--preset", "ex1", "--samples", "1", "--directions", "1"],
+        ["curvature-scan", "--preset", "ex1", "--samples", "1", "--directions", "1"],
+        ["cone-check", "--preset", "ex2", "--samples", "4"],
+        ["reeb-flow", "--preset", "ex4", "--flow-steps", "256"],
+    ):
+        cfg = _resolve_config(_parser().parse_args(argv))
+        cfg.tol = _RecordingTolerances(cfg.tol, read)
+        *_, status = RUNNERS[argv[0]](cfg)
+        assert status == 0, argv
+    assert read == set(tolerances.DEFAULTS)
 
 
 class TestDeterminism:
