@@ -77,18 +77,6 @@ class TorusAction:
             rows.append(row)
         return np.asarray(rows, dtype=float)
 
-    def act(self, t, q):
-        """Apply the group element exp(i W^T t) coordinatewise."""
-        q = as_list(q)
-        out = list(q)
-        for j in range(self.n):
-            ang = sum(tk * wk[j] for tk, wk in zip(t, self.weights))
-            c, s = np.cos(ang), np.sin(ang)
-            x, y = q[2 * j], q[2 * j + 1]
-            out[2 * j] = c * x - s * y
-            out[2 * j + 1] = s * x + c * y
-        return out
-
 
 @dataclass(frozen=True)
 class MomentumCovector:
@@ -148,14 +136,10 @@ def kernel_algebra(mu):
     return KernelAlgebra(mu, basis)
 
 
-def slice_condition(mu, d=None):
+def slice_condition(mu):
     """ker(mu) + g_mu = g.  For a torus g_mu = g, so the condition always
     holds; the rank is still computed and reported."""
-    if not isinstance(mu, MomentumCovector):
-        if mu is None or all(float(x) == 0.0 for x in as_list(mu)):
-            dim = d if d is not None else (len(as_list(mu)) if mu is not None else 0)
-            return True, {"dim_sum": dim, "dim_g": dim, "note": "mu = 0: ker mu = g"}
-        mu = MomentumCovector.of(mu)
+    mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     d = len(mu.mu)
     ker = kernel_algebra(mu).matrix
     stack = np.vstack([ker, np.eye(d)]) if ker.size else np.eye(d)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import tolerances
-from .actions import MomentumCovector, TorusAction
+from .actions import MomentumCovector, TorusAction, kernel_algebra
 from .cone import (
     ConePoint,
     iota_transpose_residual,
@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     WrongRay,
 )
-from .flows import reduced_flow_comparison, reeb_flow
+from .flows import reduced_flow_comparison, reeb_flow, rotation_flow
 from .gallery import PRESET_NAMES, preset_config
 from .oneill import SubmersionContext
 from .reduction import (
@@ -135,6 +135,22 @@ def _frame_direction(rng, frame_vectors):
     c = rng.standard_normal(len(frame_vectors))
     c /= np.linalg.norm(c)
     return list(np.asarray(frame_vectors).T @ c)
+
+
+def _draw_directions(rng, frame_vectors, count):
+    """``count`` pairs of unit directions in the span of the frame; none
+    for an empty frame, where the run counts a hypothesis failure."""
+    if not frame_vectors:
+        return []
+    return [(_frame_direction(rng, frame_vectors), _frame_direction(rng, frame_vectors))
+            for _ in range(count)]
+
+
+def _empty_frame_notes(count):
+    if not count:
+        return []
+    return [f"{count} sample(s) have an empty contact frame D: no directions "
+            "drawn, so no direction residual is evaluated for them"]
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +288,8 @@ def run_reduce(cfg):
         frame = build_frame(setup, samp, strict=False)
         ctx = SubmersionContext.from_reduction(setup, frame)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202, i]))
-        d_vecs = [list(v) for v in frame.contact_d.vectors]
-        dirs = [(_frame_direction(rng, d_vecs), _frame_direction(rng, d_vecs))
-                for _ in range(cfg.directions)]
+        dirs = _draw_directions(rng, [list(v) for v in frame.contact_d.vectors],
+                                cfg.directions)
         key = (frame.vertical_rows.tobytes(), ctx.frame_sizes())
         return hyp, frame, ctx, dirs, key
 
@@ -285,7 +300,7 @@ def run_reduce(cfg):
         reds = reduced_tensors_batch(setup, [frames[i] for i in batch])
         ctx = SubmersionContext.stacked([ctxs[i] for i in batch])
         worst_q = 0.0
-        for k in range(cfg.directions):
+        for k in range(len(dirs[batch[0]])):  # a batch shares its frame sizes
             x = stack_lanes([dirs[i][k][0] for i in batch])
             y = stack_lanes([dirs[i][k][1] for i in batch])
             worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
@@ -295,7 +310,7 @@ def run_reduce(cfg):
     for batch in _lane_batches(keys):
         for i, res in zip(batch, certify(batch)):
             certified[i] = res
-    n_trans = n_free = 0
+    n_trans = n_free = n_empty = 0
     det_min = math.inf
     dims0 = None
     rows = []
@@ -308,7 +323,11 @@ def run_reduce(cfg):
         led.add("reduced_eta_profile", cfg.tol["eta_on_frame"], red.checks["reduced_eta_profile"])
         led.add("reduced_gram_identity", cfg.tol["eta_on_frame"], red.checks["reduced_gram_identity"])
         led.add("basic_d_eta", cfg.tol["basic_d_eta"], red.checks["basic_d_eta"])
-        led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], worst_q)
+        if dirs[i]:
+            led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], worst_q)
+        else:
+            n_empty += 1
+            worst_q = math.nan
         det_min = min(det_min, red.d_eta_det)
         dims0 = frame.dims
         rows.append([i, *samp.coords(), samp.s, int(hyp["transversal"]),
@@ -325,7 +344,7 @@ def run_reduce(cfg):
         "printed_remark_matches": printed_remark_dimension(cfg.n, cfg.d, 0, k)
         == dims0["quotient"],
     }
-    hyp_ok = n_trans == len(samples) and n_free == len(samples)
+    hyp_ok = n_trans == len(samples) and n_free == len(samples) and not n_empty
     det_ok = det_min > cfg.tol["reduced_deta_det"]
     hyp = {
         "transversality": {"pass": n_trans, "fail": len(samples) - n_trans},
@@ -341,8 +360,9 @@ def run_reduce(cfg):
         status = EXIT_OK
     header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",
               "transversal", "freeness_degenerate", "d_eta_det", "quotient_sasakian"]
-    report = build_report("reduce", cfg, hypotheses=hyp, dimensions=dims,
-                          ledger=led, notes=_action_notes(cfg), exit_status=status)
+    report = build_report("reduce", cfg, hypotheses=hyp, dimensions=dims, ledger=led,
+                          notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
+                          exit_status=status)
     return report, header, rows, status
 
 
@@ -357,11 +377,8 @@ def run_curvature_scan(cfg):
         ctx = SubmersionContext.from_reduction(setup, frame)
         crd = cr_decomposition(ctx)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 303, i]))
-        d_vecs = crd.d_frame
         out = []
-        for _ in range(cfg.directions):
-            x = _frame_direction(rng, d_vecs)
-            y = _frame_direction(rng, d_vecs)
+        for x, y in _draw_directions(rng, crd.d_frame, cfg.directions):
             fin = final_identity(ctx, x, crd)
             rels = relation_residuals(ctx, crd, x, y)
             onil = oneill_plane_residual(ctx, x)
@@ -372,8 +389,13 @@ def run_curvature_scan(cfg):
     k_min, k_max = math.inf, -math.inf
     rows = []
     nu_dims = set()
+    n_empty = 0
     for i, samp, crd, per_dir in results:
         nu_dims.add(crd.dims["nu"])
+        if not per_dir:
+            n_empty += 1
+            rows.append([i, *samp.coords(), samp.s, *[math.nan] * 4])
+            continue
         for fin, rels, onil in per_dir:
             led.add("final_identity", cfg.tol["final_identity"], fin["residual"])
             led.add("h_tilde_on_toric", tolerances.H_TILDE_ON_TORIC, fin["h_tilde_sq"])
@@ -386,7 +408,10 @@ def run_curvature_scan(cfg):
         rows.append([i, *samp.coords(), samp.s, fin0["k_quotient"],
                      fin0["h_bar_sq"], fin0["h_tilde_sq"], fin0["residual"]])
 
-    status = EXIT_OK if led.all_ok() else EXIT_RESIDUAL
+    if n_empty:
+        status = EXIT_HYPOTHESIS
+    else:
+        status = EXIT_OK if led.all_ok() else EXIT_RESIDUAL
     census = {
         "phi_sectional_min": k_min,
         "phi_sectional_max": k_max,
@@ -395,7 +420,8 @@ def run_curvature_scan(cfg):
     header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",
               "k_quotient", "h_bar_sq", "h_tilde_sq", "final_identity_residual"]
     report = build_report("curvature-scan", cfg, ledger=led, census=census,
-                          notes=_action_notes(cfg), exit_status=status)
+                          notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
+                          exit_status=status)
     return report, header, rows, status
 
 
@@ -429,14 +455,7 @@ def run_reeb_flow(cfg):
 
     # closed-form oracle: each complex coordinate rotates with the
     # weighted speed of the Reeb field
-    speeds = cfg.sphere_weights
-    oracle = np.empty_like(traj)
-    for kk, t in enumerate(times):
-        for j in range(cfg.n):
-            c, s = math.cos(speeds[j] * t), math.sin(speeds[j] * t)
-            x, y = z0[2 * j], z0[2 * j + 1]
-            oracle[kk, 2 * j] = c * x - s * y
-            oracle[kk, 2 * j + 1] = s * x + c * y
+    oracle = rotation_flow(z0, times, cfg.sphere_weights)
     sup_err = float(np.max(np.abs(traj - oracle)))
     led.add("flow_vs_rotation_oracle", cfg.tol["reeb_flow_sup"], sup_err)
 
@@ -507,8 +526,10 @@ def run_cone_check(cfg):
         strata_sources.extend(zero)
     except EmptyLevelSet:
         notes.append("full zero level infeasible")
-    mixed = sample_phi_zero(A, mu, cfg.samples, cfg.seed + 4)
-    strata_sources.extend(mixed)
+    if kernel_algebra(mu).k == 0:
+        notes.append("mixed zero level skipped: the kernel group of mu is trivial")
+    else:
+        strata_sources.extend(sample_phi_zero(A, mu, cfg.samples, cfg.seed + 4))
 
     try:
         cens = stratify(A, mu, strata_sources, tol=cfg.tol["stratification"])

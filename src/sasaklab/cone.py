@@ -39,13 +39,6 @@ class ConePoint:
         return cls(base, float(r))
 
 
-def cone_metric(cp, xu, yv):
-    """r^2 g(X, Y) + rho sigma for tangent-with-radial pairs (X, rho)."""
-    x, rho = xu
-    y, sigma = yv
-    return cp.r * cp.r * vdot(as_list(x), as_list(y)) + rho * sigma
-
-
 def symplectic_momentum(action, cp):
     """J_s(z, r) = r^2 J(z)."""
     j = action.momentum(cp.base.as_list())
@@ -127,13 +120,6 @@ def iota_transpose_residual(action, mu, cp):
     if not path_a:
         return 0.0
     return max(abs(a - b) for a, b in zip(path_a, path_b))
-
-
-def kernel_momentum(action, mu, p):
-    """Phi(p) = iota^t(J(p)): the momentum of the kernel-group action."""
-    kern = kernel_algebra(mu)
-    j = np.asarray([float(value(c)) for c in action.momentum(as_list(p))])
-    return [float(np.dot(j, b)) for b in kern.matrix] if kern.k else []
 
 
 def sample_phi_zero(action, mu, count, seed):

@@ -87,11 +87,6 @@ def parse_numbers(name, text):
         raise ValidationError([f"{name}: expected comma-separated numbers, got {text!r}"]) from None
 
 
-def load_config(path):
-    """Parse and validate a JSON config file."""
-    return build_config(read_config(path))
-
-
 def build_config(raw, command=None, preset=None):
     """Validate a raw dict; every violation is reported, not just the first.
     ``preset`` names the gallery preset ``raw`` came from, for the echo."""
@@ -164,6 +159,11 @@ def build_config(raw, command=None, preset=None):
             errors.append(f"mu: required for command {command!r}")
         elif mu is not None and all(x == 0.0 for x in mu):
             errors.append("mu: must not be all zero for ray reduction")
+    if mu is not None and any(mu):
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(mu))
+        if not (math.isfinite(norm) and norm > 0.0):
+            errors.append(f"mu: its norm {norm!r} is not a positive finite float")
     if mu is not None and len(aw) and len(mu) != len(aw):
         errors.append(f"mu: expected {len(aw)} entries to match d, got {len(mu)}")
 

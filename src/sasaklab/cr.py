@@ -191,13 +191,12 @@ def oneill_plane_residual(ctx, x):
     return abs(k_n - k_p + 3.0 * _norm2(ctx, a_val) / den)
 
 
-def final_identity(ctx, x, crdec=None):
-    """Term ledger of K_P(X) = K_M(X^h) + 4|bar h(X,X)|^2 - 2|tilde h(X,X)|^2.
+def final_identity(ctx, x, crdec):
+    """Term ledger of K_P(X) = K_M(X^h) + 4|bar h(X,X)|^2 - 2|tilde h(X,X)|^2
+    on the splitting ``crdec`` of ``cr_decomposition(ctx)``.
 
     x must be unit, horizontal and orthogonal to the Reeb direction.
     """
-    if crdec is None:
-        crdec = cr_decomposition(ctx)
     S = ctx.structure
     p = ctx.p
     g = S.metric.g

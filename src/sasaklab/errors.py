@@ -9,10 +9,6 @@ class EmptyFrame(SasaklabError):
     """Gram-Schmidt dropped every input vector."""
 
 
-class NotDifferentiable(SasaklabError):
-    """A field evaluator rejected jet inputs."""
-
-
 class SingularMetric(SasaklabError):
     """Tangent Gram matrix is numerically singular (cond > 1e12)."""
 

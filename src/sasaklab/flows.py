@@ -42,16 +42,16 @@ def reeb_flow(structure, manifold, z0, t_max, steps):
     return times, out
 
 
-def rotation_flow(z0, times):
-    """Closed form of the round Reeb flow: z(t) = e^{it} z(0)."""
+def rotation_flow(z0, times, speeds):
+    """Closed form of a diagonal Reeb flow: z_j(t) = e^{i speeds[j] t} z_j(0)."""
     z0 = np.asarray(z0, dtype=float)
     out = np.empty((len(times), len(z0)))
     for k, t in enumerate(times):
-        c, s = math.cos(t), math.sin(t)
-        for j in range(0, len(z0), 2):
-            x, y = z0[j], z0[j + 1]
-            out[k, j] = c * x - s * y
-            out[k, j + 1] = s * x + c * y
+        for j, w in enumerate(speeds):
+            c, s = math.cos(w * t), math.sin(w * t)
+            x, y = z0[2 * j], z0[2 * j + 1]
+            out[k, 2 * j] = c * x - s * y
+            out[k, 2 * j + 1] = s * x + c * y
     return out
 
 
@@ -83,7 +83,7 @@ def reduced_flow_comparison(times, trajectory, lam):
         got = _factor_coordinate(point, lam)
         sup_factor = max(sup_factor, abs(expected - got))
 
-    rot = rotation_flow(list(start[4:]), times)
+    rot = rotation_flow(list(start[4:]), times, [1.0] * (len(start[4:]) // 2))
     sup_rot = float(np.max(np.abs(rot - trajectory[:, 4:]))) if trajectory.shape[1] > 4 else 0.0
     return {
         "sup_factor_error": sup_factor,

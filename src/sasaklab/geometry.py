@@ -37,9 +37,9 @@ class Geometry:
     is the only mutable state and is keyed by the raw coordinate bytes.
     """
 
-    def __init__(self, manifold, metric=None):
+    def __init__(self, manifold, metric):
         self.manifold = manifold
-        self.metric = metric if metric is not None else InducedMetric()
+        self.metric = metric
         self._frames = {}
 
     # ------------------------------------------------------------------
@@ -92,15 +92,12 @@ class Geometry:
         man = self.manifold
         return lambda q: man.project(q, hat)
 
-    def bracket(self, q, Xf, Yf, project=False):
+    def bracket(self, q, Xf, Yf):
         """[X, Y](q) = D_X Y - D_Y X for the extended fields."""
         Xq, Yq = Xf(q), Yf(q)
         dxy = along(Yf, q, Xq)
         dyx = along(Xf, q, Yq)
-        out = vsub(dxy, dyx)
-        if project:
-            out = self.manifold.project(q, out)
-        return out
+        return vsub(dxy, dyx)
 
     # ------------------------------------------------------------------
     # covariant derivative
@@ -193,7 +190,3 @@ class Geometry:
         bxy = self.manifold.project(p, self.bracket(p, Xf, Yf))
         term_c = self.covariant(p, self.extend(bxy), Zf)
         return vsub(vsub(term_a, term_b), term_c)
-
-    def curvature_4(self, p, x, y, z, v):
-        """R(X,Y,Z,V) = g(R(X,Y)Z, V)."""
-        return self.metric.g(p, self.curvature(p, x, y, z), v)

@@ -2,8 +2,11 @@
 
 A SubmersionContext holds, at one sample of a level set N: the ambient
 structure, the level-set manifold, vertical fields (jet-generic), and
-the horizontal frame.  Quotient tensors are never written in quotient
-coordinates; they are evaluated on horizontal representatives upstairs.
+the vertical and horizontal frames.  The frames are those of the
+sample's reduction frame (``from_reduction``); ``stacked`` joins such
+contexts into one whose point and frames are lanes.  Quotient tensors
+are never written in quotient coordinates; they are evaluated on
+horizontal representatives upstairs.
 
 Sign conventions, fixed once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z -
 nab_[X,Y] Z, slots R(X,Y,Z,V) = g(R(X,Y)Z, V), sectional K(X,Y) =
@@ -18,14 +21,10 @@ is pinned by the Hopf gate test (S^3 -> S^2: upstairs 1, downstairs 4)
 before anything else trusts it.
 """
 
-import math
-
 import numpy as np
 
 from .geometry import Geometry
-from .jets import jsqrt, value
-from .manifolds import Sphere
-from .structures import RoundSphereStructure
+from .jets import value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
 from .vecops import solve_linear, stack_frames, stack_lanes, vscale, vsub, vvalue
 
@@ -34,20 +33,14 @@ class SubmersionContext:
     """Per-sample bundle for O'Neill computations."""
 
     def __init__(self, structure, manifold, vertical_fields, p,
-                 horizontal_frame=None, vertical_frame=None):
+                 horizontal_frame, vertical_frame):
         self.structure = structure
         self.manifold = manifold
         self.vertical_fields = list(vertical_fields)
         self.p = list(p)
         self.geometry = Geometry(manifold, structure.metric)
         self.ambient_geometry = structure.geometry
-        if vertical_frame is None:
-            vecs = [vvalue(f(self.p)) for f in self.vertical_fields]
-            vertical_frame = [list(v) for v in
-                              gram_schmidt(structure.metric, self.p, vecs).vectors] if vecs else []
         self.vertical_frame = vertical_frame
-        if horizontal_frame is None:
-            horizontal_frame = self._default_horizontal()
         self.horizontal_frame = [list(v) for v in horizontal_frame]
         self._tangent_on = None
         self._normal_on = None
@@ -103,20 +96,6 @@ class SubmersionContext:
             len(self.manifold.tangent_basis(self.p)),
         )
 
-    def _default_horizontal(self):
-        S = self.structure
-        reeb = vvalue(S.reeb(self.p))
-        v_reeb = vvalue(self.vertical_project(self.p, reeb))
-        reeb_is_vertical = (
-            max(abs(a - b) for a, b in zip(reeb, v_reeb)) < 1e-8
-            if self.vertical_fields
-            else False
-        )
-        tangent = [list(r) for r in self.manifold.tangent_basis(self.p)]
-        head = self.vertical_frame if reeb_is_vertical else self.vertical_frame + [reeb]
-        d_block = orthogonal_tail(S.metric, self.p, head, tangent)
-        return d_block if reeb_is_vertical else d_block + [reeb]
-
     # -- projections (jet-generic) --------------------------------------
 
     def vertical_project(self, q, w):
@@ -148,13 +127,6 @@ class SubmersionContext:
         Yh = self.horizontal_extend(y)
         w = self.geometry.covariant(self.p, Xh, Yh)
         return self.vertical_project(self.p, w)
-
-    def a_tensor_bracket(self, x, y):
-        """Independent oracle: A(X,Y) = (1/2) v([X~, Y~])."""
-        Xh = self.horizontal_extend(x)
-        Yh = self.horizontal_extend(y)
-        b = self.geometry.bracket(self.p, Xh, Yh)
-        return vscale(self.vertical_project(self.p, b), 0.5)
 
     # -- second fundamental form of N in the ambient sphere --------------
 
@@ -282,49 +254,3 @@ class SubmersionContext:
             - value(g(self.p, x, px)) ** 2
         )
         return num / den
-
-    # -- Weingarten identity ----------------------------------------------
-
-    def weingarten_residual(self, row, y, z):
-        """Residual of the shape-operator identity for the unit normal
-        phi(X_M)/|X_M| attached to the fundamental field of `row`."""
-        S = self.structure
-        g = S.metric.g
-        p = self.p
-        act_field = self.vertical_fields[row] if isinstance(row, int) else row
-        geo_s = self.ambient_geometry
-
-        xm_p = vvalue(act_field(p))
-        nrm = math.sqrt(value(g(p, xm_p, xm_p)))
-
-        def nu_field(q):
-            xm = act_field(q)
-            w = geo_s.covariant(q, act_field, S.reeb_field)
-            scale = 1.0 / jsqrt(g(q, xm, xm))
-            return [scale * c for c in w]
-
-        Yf = lambda q: self.manifold.project(q, vvalue(y))
-        dn = geo_s.covariant(p, Yf, nu_field)
-        tangent_on, _ = self._tangent_frames()
-        a_nu_y = [0.0] * len(p)
-        for u in tangent_on:
-            c = value(g(p, u, dn))
-            a_nu_y = [a + (-c) * b for a, b in zip(a_nu_y, u)]
-        lhs = value(g(p, a_nu_y, z))
-
-        grad = geo_s.covariant(p, Yf, act_field)
-        phi_grad = geo_s.covariant(p, geo_s.extend(vvalue(grad)), S.reeb_field)
-        rhs = (
-            value(g(p, xm_p, y)) * value(S.eta(p, z))
-            - value(g(p, phi_grad, z))
-        ) / nrm
-        return abs(lhs - rhs)
-
-
-def hopf_context():
-    """S^3 -> S^2 with the Reeb circle vertical: the sign gate for the
-    O'Neill formula (upstairs curvature 1, downstairs 4)."""
-    S = RoundSphereStructure(2)
-    man = Sphere(4)
-    p = [1.0, 0.0, 0.0, 0.0]
-    return SubmersionContext(S, man, [S.reeb_field], p)

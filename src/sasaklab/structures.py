@@ -13,7 +13,6 @@ on every structure.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import DegenerateContact
 from .geometry import Geometry, InducedMetric
 from .jets import along, value
 from .manifolds import Sphere
-from .tensor_kernel import gram_schmidt
 from .vecops import as_list, cmult, vdot, vscale, vsub, vvalue
 
 
@@ -92,17 +90,6 @@ class WeightedContactMetric:
         return eu * ev + 0.5 * self.d_eta(q, uc, cmult(vc))
 
 
-@dataclass(frozen=True)
-class StructureTensors:
-    """Pointwise tensor data of a structure on an orthonormal frame."""
-
-    point: tuple
-    gram: np.ndarray
-    eta_covector: np.ndarray
-    reeb: tuple
-    phi_matrix: np.ndarray  # phi in frame coordinates
-
-
 class SphereStructure:
     """Common machinery: geometry context, phi = nabla(xi), residuals."""
 
@@ -123,9 +110,6 @@ class SphereStructure:
 
     def reeb(self, p):
         return self.reeb_field(as_list(p))
-
-    def g(self, p, u, v):
-        return self.metric.g(as_list(p), as_list(u), as_list(v))
 
     def d_eta(self, p, u, v):
         """d(eta)(U, V) through the jet engine, extension convention."""
@@ -160,13 +144,12 @@ class SphereStructure:
         geo = self.geometry
         return geo.covariant(p, geo.extend(as_list(X)), self.reeb_field)
 
-    def killing_residual(self, p, X, Y, field=None):
-        """|g(nabla_X V, Y) + g(nabla_Y V, X)| for V = xi by default."""
+    def killing_residual(self, p, X, Y):
+        """|g(nabla_X xi, Y) + g(nabla_Y xi, X)|."""
         p, X, Y = as_list(p), as_list(X), as_list(Y)
         geo = self.geometry
-        fld = field if field is not None else self.reeb_field
-        a = self.metric.g(p, geo.covariant(p, geo.extend(X), fld), Y)
-        b = self.metric.g(p, geo.covariant(p, geo.extend(Y), fld), X)
+        a = self.metric.g(p, geo.covariant(p, geo.extend(X), self.reeb_field), Y)
+        b = self.metric.g(p, geo.covariant(p, geo.extend(Y), self.reeb_field), X)
         return abs(value(a) + value(b))
 
     def ambient_curvature_4(self, p, x, y, z, v):
@@ -181,33 +164,14 @@ class SphereStructure:
         R = self.geometry.curvature(p, x, y, z)
         return value(g(p, R, v))
 
-    def sasakian_residual(self, p, X, Y, geometry=None):
+    def sasakian_residual(self, p, X, Y):
         """|R(X, xi)Y - eta(Y) X + g(X, Y) xi| in the structure metric."""
         p, X, Y = as_list(p), as_list(X), as_list(Y)
-        geo = geometry if geometry is not None else self.geometry
         xi = self.reeb_field(p)
-        R = geo.curvature(p, X, xi, Y)
+        R = self.geometry.curvature(p, X, xi, Y)
         expected = vsub(vscale(X, self.eta(p, Y)), vscale(xi, self.metric.g(p, X, Y)))
         diff = vsub(R, expected)
         return math.sqrt(max(value(self.metric.g(p, diff, diff)), 0.0))
-
-    def tensors_at(self, p, vectors=None):
-        """StructureTensors on a deterministic orthonormal tangent frame."""
-        p = as_list(p)
-        if vectors is None:
-            vectors = [list(r) for r in self.sphere.tangent_basis(p)]
-        frame = gram_schmidt(self.metric, p, vectors)
-        rows = [list(v) for v in frame.vectors]
-        gram = np.asarray(
-            [[value(self.metric.g(p, u, v)) for v in rows] for u in rows], dtype=float
-        )
-        eta_cov = np.asarray([value(self.eta(p, u)) for u in rows], dtype=float)
-        phi_cols = []
-        for u in rows:
-            pu = self.phi(p, u)
-            phi_cols.append([value(self.metric.g(p, pu, w)) for w in rows])
-        phi_mat = np.asarray(phi_cols, dtype=float).T
-        return StructureTensors(tuple(p), gram, eta_cov, tuple(self.reeb(p)), phi_mat)
 
 
 class RoundSphereStructure(SphereStructure):

@@ -1,10 +1,19 @@
-"""Single ledger of numerical tolerances.
+"""Ledger of the named numerical tolerances.
 
-Every rank decision, drop rule and residual gate in the package reads
-its threshold from here, so a report can always name the tolerance it
-was judged against.  DEFAULTS lists the gates a run configuration may
-override; every run reads them through its config, and report.json
-echoes them.  Everything else in this module is fixed.
+Every residual gate a report judges against reads its threshold from
+here, so a report can always name the tolerance it was judged against.
+DEFAULTS lists the gates a run configuration may override; every run
+reads them through its config, and report.json echoes them.  Everything
+else in this module is fixed.
+
+The solver thresholds below cover Gram-Schmidt drops, the shared rank
+rule, Newton projection and the LP.  Some rank and band decisions still
+carry inline cut-offs at their call sites:
+``reduction.analyze_moduli`` (1e-11, 1e-12),
+``reduction._independent_rows`` (1e-10), ``reduction._frame_checks``
+(1e-8), the 1e-6 singular-value bands of ``cr.cr_decomposition``,
+``cone.zero_stratum_degeneracy`` (1e-10) and the reprojection check of
+``flows.reeb_flow`` (1e-9).
 """
 
 DEFAULTS = {

@@ -1,16 +1,32 @@
 """Independent oracles used by the tests.
 
-Everything here deliberately avoids the jet engine: curvature comes
-from central-difference Christoffel symbols in an orthographic chart,
-and the weighted metric is evaluated through the closed-form expansion
-of its exterior derivative.  Step sizes are fixed, not tuned.  Linear
+The numerical oracles avoid the jet engine: curvature comes from
+central-difference Christoffel symbols in an orthographic chart, and
+the weighted metric is evaluated through the closed-form expansion of
+its exterior derivative.  Step sizes are fixed, not tuned.  Linear
 programs over the moduli polytope are solved by enumerating its vertices,
 and the hit-and-run chord is cut one inequality at a time.
+
+The geometric oracles reach the same quantities as the package by a
+second route on its own objects: the O'Neill tensor from a bracket, the
+shape operator through the Weingarten identity, the Hopf fibration as a
+submersion context with frames built from its Reeb circle, the group
+action itself, and the kernel-group momentum.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from sasaklab.actions import kernel_algebra
+from sasaklab.jets import jsqrt, value
+from sasaklab.manifolds import Sphere
+from sasaklab.oneill import SubmersionContext
+from sasaklab.structures import RoundSphereStructure
+from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
+from sasaklab.vecops import as_list, vscale, vvalue
 
 
 def chart_basis(p):
@@ -194,3 +210,145 @@ def hit_and_run_loop(poly, rng, floor, steps=32):
             continue
         x = x + (lo + (hi - lo) * rng.beta(2.0, 2.0)) * d
     return x
+
+
+# ----------------------------------------------------------------------
+# submersion contexts without a reduction frame
+# ----------------------------------------------------------------------
+
+
+def default_horizontal(ctx):
+    """The contact block of TN orthogonal to the vertical frame and the
+    Reeb field, followed by the Reeb field unless it is vertical."""
+    S = ctx.structure
+    reeb = vvalue(S.reeb(ctx.p))
+    v_reeb = vvalue(ctx.vertical_project(ctx.p, reeb))
+    reeb_is_vertical = (
+        max(abs(a - b) for a, b in zip(reeb, v_reeb)) < 1e-8
+        if ctx.vertical_fields
+        else False
+    )
+    tangent = [list(r) for r in ctx.manifold.tangent_basis(ctx.p)]
+    head = ctx.vertical_frame if reeb_is_vertical else ctx.vertical_frame + [reeb]
+    d_block = orthogonal_tail(S.metric, ctx.p, head, tangent)
+    return d_block if reeb_is_vertical else d_block + [reeb]
+
+
+def submersion_context(structure, manifold, vertical_fields, p):
+    """A SubmersionContext whose vertical frame is Gram-Schmidt on the
+    field values at p and whose horizontal frame is ``default_horizontal``."""
+    p = list(p)
+    vecs = [vvalue(f(p)) for f in vertical_fields]
+    vertical = [list(v) for v in
+                gram_schmidt(structure.metric, p, vecs).vectors] if vecs else []
+    ctx = SubmersionContext(structure, manifold, vertical_fields, p,
+                            horizontal_frame=[], vertical_frame=vertical)
+    ctx.horizontal_frame = default_horizontal(ctx)
+    return ctx
+
+
+def hopf_context(p=(1.0, 0.0, 0.0, 0.0)):
+    """S^3 -> S^2 with the Reeb circle vertical: the sign gate for the
+    O'Neill formula (upstairs curvature 1, downstairs 4)."""
+    S = RoundSphereStructure(2)
+    return submersion_context(S, Sphere(4), [S.reeb_field], p)
+
+
+def a_tensor_bracket(ctx, x, y):
+    """Independent oracle: A(X,Y) = (1/2) v([X~, Y~])."""
+    Xh = ctx.horizontal_extend(x)
+    Yh = ctx.horizontal_extend(y)
+    b = ctx.geometry.bracket(ctx.p, Xh, Yh)
+    return vscale(ctx.vertical_project(ctx.p, b), 0.5)
+
+
+def weingarten_residual(ctx, row, y, z):
+    """Residual of the shape-operator identity for the unit normal
+    phi(X_M)/|X_M| attached to the vertical field number ``row``."""
+    S = ctx.structure
+    g = S.metric.g
+    p = ctx.p
+    act_field = ctx.vertical_fields[row]
+    geo_s = ctx.ambient_geometry
+
+    xm_p = vvalue(act_field(p))
+    nrm = math.sqrt(value(g(p, xm_p, xm_p)))
+
+    def nu_field(q):
+        xm = act_field(q)
+        w = geo_s.covariant(q, act_field, S.reeb_field)
+        scale = 1.0 / jsqrt(g(q, xm, xm))
+        return [scale * c for c in w]
+
+    Yf = lambda q: ctx.manifold.project(q, vvalue(y))
+    dn = geo_s.covariant(p, Yf, nu_field)
+    tangent_on, _ = ctx._tangent_frames()
+    a_nu_y = [0.0] * len(p)
+    for u in tangent_on:
+        c = value(g(p, u, dn))
+        a_nu_y = [a + (-c) * b for a, b in zip(a_nu_y, u)]
+    lhs = value(g(p, a_nu_y, z))
+
+    grad = geo_s.covariant(p, Yf, act_field)
+    phi_grad = geo_s.covariant(p, geo_s.extend(vvalue(grad)), S.reeb_field)
+    rhs = (
+        value(g(p, xm_p, y)) * value(S.eta(p, z))
+        - value(g(p, phi_grad, z))
+    ) / nrm
+    return abs(lhs - rhs)
+
+
+# ----------------------------------------------------------------------
+# structure tensors, the group action and the kernel-group momentum
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StructureTensors:
+    """Pointwise tensor data of a structure on an orthonormal frame."""
+
+    point: tuple
+    gram: np.ndarray
+    eta_covector: np.ndarray
+    reeb: tuple
+    phi_matrix: np.ndarray  # phi in frame coordinates
+
+
+def tensors_at(structure, p, vectors=None):
+    """StructureTensors on a deterministic orthonormal tangent frame."""
+    S = structure
+    p = as_list(p)
+    if vectors is None:
+        vectors = [list(r) for r in S.sphere.tangent_basis(p)]
+    frame = gram_schmidt(S.metric, p, vectors)
+    rows = [list(v) for v in frame.vectors]
+    gram = np.asarray(
+        [[value(S.metric.g(p, u, v)) for v in rows] for u in rows], dtype=float
+    )
+    eta_cov = np.asarray([value(S.eta(p, u)) for u in rows], dtype=float)
+    phi_cols = []
+    for u in rows:
+        pu = S.phi(p, u)
+        phi_cols.append([value(S.metric.g(p, pu, w)) for w in rows])
+    phi_mat = np.asarray(phi_cols, dtype=float).T
+    return StructureTensors(tuple(p), gram, eta_cov, tuple(S.reeb(p)), phi_mat)
+
+
+def act(action, t, q):
+    """Apply the group element exp(i W^T t) coordinatewise."""
+    q = as_list(q)
+    out = list(q)
+    for j in range(action.n):
+        ang = sum(tk * wk[j] for tk, wk in zip(t, action.weights))
+        c, s = np.cos(ang), np.sin(ang)
+        x, y = q[2 * j], q[2 * j + 1]
+        out[2 * j] = c * x - s * y
+        out[2 * j + 1] = s * x + c * y
+    return out
+
+
+def kernel_momentum(action, mu, p):
+    """Phi(p) = iota^t(J(p)): the momentum of the kernel-group action."""
+    kern = kernel_algebra(mu)
+    j = np.asarray([float(value(c)) for c in action.momentum(as_list(p))])
+    return [float(np.dot(j, b)) for b in kern.matrix] if kern.k else []

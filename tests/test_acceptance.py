@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 
-from oracles import fd_curvature
+from oracles import fd_curvature, hopf_context
 from sasaklab.actions import TorusAction
 from sasaklab.cli import main as cli_main
 from sasaklab.cone import ConePoint, iota_transpose_residual, sample_phi_zero, stratify
 from sasaklab.cr import cr_decomposition, final_identity, relation_residuals
 from sasaklab.flows import reduced_flow_comparison, reeb_flow
-from sasaklab.oneill import SubmersionContext, hopf_context
+from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame, reduced_tensors
 from sasaklab.structures import (
     RoundSphereStructure,
@@ -66,7 +66,7 @@ def test_criterion_01_round_sphere_axioms():
         phphx = vvalue(S7.phi(p, phx))
         r = [a + b - value(S7.eta(p, x)) * c for a, b, c in zip(phphx, x, xi)]
         worst_ident = max(worst_ident, float(np.linalg.norm(r)))
-        r2 = abs(value(S7.g(p, phx, phy)) - value(S7.g(p, x, y))
+        r2 = abs(value(S7.metric.g(p, phx, phy)) - value(S7.metric.g(p, x, y))
                  + value(S7.eta(p, x)) * value(S7.eta(p, y)))
         worst_ident = max(worst_ident, r2)
     ok = worst_curv < 1e-7 and worst_ident < 1e-8

@@ -1,18 +1,22 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sasaklab import tolerances
-from sasaklab.cli import RUNNERS, _lane_batches, _parser, _resolve_config, main
+from sasaklab.cli import COMMANDS, RUNNERS, _lane_batches, _parser, _resolve_config, main
 from sasaklab.config import (
     MAX_DIRECTIONS,
     MAX_FLOW_STEPS,
     MAX_SAMPLES,
     build_config,
-    load_config,
+    read_config,
 )
 from sasaklab.errors import ParseError, ValidationError
 from sasaklab.gallery import preset_config
@@ -51,14 +55,14 @@ class TestConfig:
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(preset_config("ex1")))
-        cfg = load_config(path)
+        cfg = build_config(read_config(path))
         assert cfg.n == 4 and cfg.mu == [1.0, 1.0]
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
-            load_config(path)
+            read_config(path)
 
     def test_tolerance_override(self):
         raw = preset_config("ex1")
@@ -187,6 +191,8 @@ class TestCommands:
         (_ex1_json(), ["--preset", "ex1gen", "--n", "2000"]),
         (_ex1_json(), ["--preset", "ex1gen", "--n=-99999999999999999999"]),
         (_ex1_json(mu=[10**400, 1]), []),
+        (_ex1_json(), ["--mu", "1e-170,1e-170"]),
+        (_ex1_json(), ["--mu", "1e200,1e200"]),
         ('{"seed": ' + "1" * 5000 + "}", []),
         (_ex1_json(workers=2), []),
         (_ex1_json(lam=[5, 9]), []),
@@ -199,6 +205,7 @@ class TestCommands:
             "tolerance-negative", "mu-nan", "mu-infinity", "mu-flag-text", "mu-flag-nan",
             "mu-flag-empty", "lam-flag-text", "n-flag-ex1", "n-flag-ex4", "lam-flag-ex1",
             "lam-flag-ex1gen", "n-flag-too-large", "n-flag-too-small", "mu-beyond-float",
+            "mu-norm-underflow", "mu-norm-overflow",
             "integer-too-long", "workers-field", "lam-field", "lam-flag-no-preset",
             "preset-field", "preset-field-and-flag", "flow-steps-too-large",
             *[f"tolerance-{name}" for name in FIXED_TOLERANCES]])
@@ -325,6 +332,73 @@ def test_every_settable_tolerance_is_read():
         *_, status = RUNNERS[argv[0]](cfg)
         assert status == 0, argv
     assert read == set(tolerances.DEFAULTS)
+
+
+@st.composite
+def whole_run_configs(draw):
+    """Round-sphere configs over small weight matrices, with mu scaled
+    so that its norm may underflow or overflow."""
+    n = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    row = st.lists(st.sampled_from([-2, -1, 0, 0.5, 1, 2]), min_size=n, max_size=n)
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e200]))
+    mu = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    return {"n": n, "action_weights": draw(st.lists(row, min_size=d, max_size=d)),
+            "mu": [k * scale for k in mu]}
+
+
+# every sample of these two has an empty contact frame D
+EMPTY_D = {"n": 2, "action_weights": [[1, 0], [0, 1]], "mu": [1, 1]}
+EX1GEN_3 = {"n": 3, "action_weights": [[1, 1, 0], [0, 0, 1]], "mu": [0, 1]}
+EX1 = {"n": 4, "action_weights": [[1, 1, 0, 0], [0, 0, 1, 1]]}
+# d = 1: the kernel group of mu is trivial
+ONE_ROW = {"n": 3, "action_weights": [[1, 0, 1]], "mu": [2]}
+
+
+@settings(max_examples=40, deadline=None)
+@example(command="reduce", config=EMPTY_D, samples=2)
+@example(command="curvature-scan", config=EX1GEN_3, samples=2)
+@example(command="reduce", config={**EX1, "mu": [1e-170, 1e-170]}, samples=2)
+@example(command="reduce", config={**EX1, "mu": [1e200, 1e200]}, samples=2)
+@example(command="cone-check", config=ONE_ROW, samples=2)
+@given(command=st.sampled_from(COMMANDS), config=whole_run_configs(),
+       samples=st.integers(1, 2))
+def test_whole_runs_end_in_a_documented_exit(command, config, samples):
+    """Every command on every drawn config returns 0 or 2-6 without an
+    exception; exit 2 writes no report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out = os.path.join(tmp, "out")
+        status = main([command, "--config", path, "--samples", str(samples),
+                       "--directions", "1", "--flow-steps", "64", "--out", out])
+        assert status in {0, 2, 3, 4, 5, 6}
+        if status == 2:
+            assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+class TestFuzzedFamilies:
+    """The input families the whole-run fuzz found, with their exits."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("reduce", EMPTY_D), ("curvature-scan", EMPTY_D),
+        ("reduce", EX1GEN_3), ("curvature-scan", EX1GEN_3)],
+        ids=["reduce-n2", "curvature-scan-n2", "reduce-ex1gen-n3", "curvature-scan-ex1gen-n3"])
+    def test_empty_contact_frame_is_a_hypothesis_failure(self, tmp_path, command, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(path), "--samples", "2"], tmp_path) == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["notes"][-1].startswith("2 sample(s) have an empty contact frame D")
+
+    def test_cone_check_on_one_row_skips_the_mixed_zero_level(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(ONE_ROW))
+        assert run_cli(["cone-check", "--config", str(path), "--samples", "4"], tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "mixed zero level skipped: the kernel group of mu is trivial" in report["notes"]
+        assert all(r["within_tolerance"] for r in report["residuals"])
 
 
 class TestDeterminism:

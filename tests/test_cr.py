@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import submersion_context
 from sasaklab.actions import TorusAction
 from sasaklab.cr import (
     cr_decomposition,
@@ -75,7 +76,7 @@ class TestDecomposition:
         rng = np.random.default_rng(4)
         p = np.concatenate([rng.standard_normal(6), [0.0, 0.0]])
         p = list(p / np.linalg.norm(p))
-        ctx = SubmersionContext(S7, man, [], p)
+        ctx = submersion_context(S7, man, [], p)
         crd = cr_decomposition(ctx)
         assert crd.dims["D_perp"] == 0
         assert crd.dims["nu"] == 2
@@ -93,7 +94,7 @@ class TestDecomposition:
         man = EmbeddedManifold(8, cons)
         p = man.newton_refine(list(rng.standard_normal(8)))
         p = list(np.asarray(p) / np.linalg.norm(p))
-        ctx = SubmersionContext(S7, man, [], p)
+        ctx = submersion_context(S7, man, [], p)
         with pytest.raises(AmbiguousSplit):
             cr_decomposition(ctx)
 
