@@ -7,6 +7,7 @@ than a genuine torus; reports flag this but nothing downstream needs
 compactness).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +92,24 @@ class MomentumCovector:
             raise ZeroMu("momentum covector must be nonzero")
         return cls(mu)
 
+    def scaled(self):
+        """(mu 2^-e, e) with 2^e the power of two of max|mu|.  The scaling
+        is exact, and the squares of the scaled entries do not underflow
+        where those of mu would be subnormal; where they are normal,
+        every quantity below keeps the bits of the unscaled formula."""
+        e = math.frexp(max(abs(x) for x in self.mu))[1]
+        return np.asarray([math.ldexp(x, -e) for x in self.mu]), e
+
     @property
     def norm(self):
-        return float(np.linalg.norm(self.mu))
+        m, e = self.scaled()
+        return math.ldexp(float(np.linalg.norm(m)), e)
 
     @property
     def unit(self):
-        return tuple(x / self.norm for x in self.mu)
+        m, _ = self.scaled()
+        nrm = float(np.linalg.norm(m))
+        return tuple(float(x) / nrm for x in m)
 
 
 @dataclass(frozen=True)
@@ -162,9 +174,9 @@ def ray_membership(j_val, mu, tol=None):
     tol = tolerances.DEFAULTS["stratification"] if tol is None else tol
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     j = np.asarray(as_list(j_val), dtype=float)
-    m = np.asarray(mu.mu, dtype=float)
-    s = float(np.dot(j, m) / np.dot(m, m))
-    residual = float(np.linalg.norm(j - s * m))
+    m, e = mu.scaled()
+    s = math.ldexp(float(np.dot(j, m) / np.dot(m, m)), -e)
+    residual = float(np.linalg.norm(j - s * np.asarray(mu.mu, dtype=float)))
     if residual >= tol:
         return RayClass("outside", s, residual)
     if abs(s) * mu.norm < tol:

@@ -11,14 +11,21 @@ first derivatives are extracted per nesting level and all velocities are
 tangent at on-manifold base points, so the curve choice does not affect
 the extracted coefficients (any curve with the same velocity gives the
 same first derivative of an ambient formula).
+
+The induced (Euclidean) metric needs nothing beyond those derivatives.
+Every other metric is a metric g on the unit sphere, and its geometry
+comes from the cone dr^2 + r^2 g over it (``Cone``): the sphere is the
+umbilic link r = 1 of the cone, so its Levi-Civita connection is the
+projected cone connection (Gauss formula) and its curvature is the
+cone's plus a constant-curvature term (Gauss equation).
 """
 
 import numpy as np
 
 from . import tolerances
 from .errors import SingularMetric
-from .jets import along, value
-from .vecops import solve_linear, split_lanes, stack_frames, vdot, vsub, vvalue
+from .jets import Dual, along, jsqrt, value
+from .vecops import solve_linear, split_lanes, stack_frames, vdot, vscale, vsub, vvalue
 
 
 class InducedMetric:
@@ -30,11 +37,146 @@ class InducedMetric:
         return vdot(u, v)
 
 
+def _contract(t, vectors):
+    """Ordered sums of the nested tensor t against the vectors, innermost
+    index first: ``_contract(t, [x, y])[k] = sum_j y_j sum_i x_i t[k][j][i]``.
+    The same operations run on floats and on lanes, as in ``vdot``."""
+    if len(vectors) == 1:
+        return [vdot(row, vectors[0]) for row in t]
+    return [vdot(_contract(s, vectors[:-1]), vectors[-1]) for s in t]
+
+
+def _lane_lists(a):
+    """Nested lists of the last-axis lanes of an array."""
+    return list(a) if a.ndim == 2 else [_lane_lists(b) for b in a]
+
+
+class Cone:
+    """Christoffel symbols and Riemann tensor of the cone over a metric g
+    on the unit sphere S^{m-1}.
+
+    In the coordinates of R^m the cone metric dr^2 + r^2 g is the matrix
+    field
+
+        M(x)(u, v) = (x^ . u)(x^ . v) + g(x^; P u, P v),
+
+    with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S.  At a
+    float point, ``along`` with lanes over the m coordinate directions
+    gives dM, hence the Christoffel symbols Gamma.  One nested ``along``
+    whose direction entries are lanes over the m^2 ordered coordinate
+    pairs (a, b) gives d_b M and d_a d_b M, hence the Riemann tensor R^.
+    Both are exact, formed with numpy, and cached per point, keyed by its
+    bytes; a point that only meets connection queries never pays for the
+    second derivatives.  At a lane point each sample's tensors are formed
+    on their own and stacked, and every contraction is an ordered Python
+    sum, so a lane holds the bits of its sample's float evaluation.  Jet
+    points are refused: the tensors are formed at float and lane points
+    only.
+    """
+
+    CACHE_POINTS = 256
+
+    def __init__(self, gram):
+        self.gram = gram  # gram(q, vectors): g(q; u, v) for every pair
+        self._points = {}
+
+    def christoffel(self, p, x, y):
+        """Gamma(X, Y)^k = Gamma^k_ij X^i Y^j at p."""
+        return _contract(self._nested(p, 0), [x, y])
+
+    def riemann(self, p, x, y, z):
+        """R^(X, Y)Z = R^l_ijk X^i Y^j Z^k at p, with R(X,Y)Z =
+        nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
+        return _contract(self._nested(p, 1), [x, y, z])
+
+    def _nested(self, p, which):
+        if any(isinstance(c, Dual) for c in p):
+            raise TypeError("cone tensors are formed at float and lane points, not at jets")
+        points = split_lanes(p)
+        if points is None:
+            return self._at(p, which).tolist()
+        return _lane_lists(np.stack([self._at(q, which) for q in points], axis=-1))
+
+    def _at(self, p, which):
+        key = np.asarray(p, dtype=float).tobytes()
+        hit = self._points.get(key)
+        if hit is None:
+            if len(self._points) >= self.CACHE_POINTS:
+                self._points.clear()
+            hit = self._points[key] = [None, None]
+        if hit[which] is None:
+            build = self._christoffel if which == 0 else self._riemann
+            hit[which] = build([float(c) for c in p])
+        return hit[which]
+
+    def metric_field(self, x):
+        """M(x) as nested lists; jet-generic."""
+        r = jsqrt(vdot(x, x))
+        xh = [c / r for c in x]
+        m = len(x)
+        tangential = [[float(i == j) - xh[i] * xh[j] for j in range(m)] for i in range(m)]
+        G = self.gram(xh, tangential)
+        return [[xh[i] * xh[j] + G[i][j] for j in range(m)] for i in range(m)]
+
+    def _christoffel(self, p):
+        """Gamma[k, j, i] = Gamma^k_ij at the float point p, in the index
+        order of ``_contract``."""
+        m = len(p)
+        dM = np.moveaxis(_lane_array(along(self.metric_field, p, list(np.eye(m))), m), 2, 0)
+        _, gamma = _gamma(np.asarray(self.metric_field(p), dtype=float), dM)
+        return np.ascontiguousarray(gamma.transpose(0, 2, 1))
+
+    def _riemann(self, p):
+        """R^[l, k, j, i] = R^l_ijk at the float point p, in the index
+        order of ``_contract``."""
+        m = len(p)
+        pairs = np.arange(m * m)  # lane a * m + b differentiates along e_a, then e_b
+        outer = [(pairs // m == i).astype(float) for i in range(m)]
+        inner = [(pairs % m == i).astype(float) for i in range(m)]
+        first = []
+
+        def d_inner(q):
+            d = along(self.metric_field, q, inner)
+            first.append(d)
+            return d
+
+        second = _lane_array(along(d_inner, p, outer), m * m)
+        dM = np.moveaxis(_lane_array(first[0], m * m)[:, :, :m], 2, 0)
+        ddM = np.moveaxis(second.reshape(m, m, m, m), (2, 3), (0, 1))  # ddM[a, b, i, j]
+        Minv, gamma = _gamma(np.asarray(self.metric_field(p), dtype=float), dM)
+        d_first_kind = 0.5 * (ddM.transpose(0, 3, 1, 2) + ddM.transpose(0, 3, 2, 1) - ddM)
+        # d_c Gamma^k_ij = M^kl (d_c Gamma_lij - (d_c M)_lb Gamma^b_ij), stored [k, c, i, j]
+        d_gamma = np.einsum(
+            "kl,clij->kcij", Minv, d_first_kind - np.einsum("clb,bij->clij", dM, gamma))
+        quad = np.einsum("lim,mjk->lijk", gamma, gamma)
+        # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+        riem = d_gamma - d_gamma.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(riem.transpose(0, 3, 2, 1))
+
+
+def _lane_array(rows, width):
+    """Array of nested rows of derivative lanes, lanes last.  Jets are
+    stripped to their values, and a float entry (a derivative that does
+    not depend on the lane, such as 0.0) fills every lane."""
+    return np.asarray([[np.broadcast_to(value(e), (width,)) for e in row] for row in rows])
+
+
+def _gamma(M, dM):
+    """(M^-1, Gamma^k_ij) from M and dM[c, i, j] = d_c M_ij, through the
+    symbols of the first kind (d_i M_jl + d_j M_il - d_l M_ij) / 2."""
+    first_kind = 0.5 * (dM.transpose(2, 0, 1) + dM.transpose(2, 1, 0) - dM)
+    Minv = np.linalg.inv(M)
+    return Minv, np.einsum("kl,lij->kij", Minv, first_kind)
+
+
 class Geometry:
     """Bundles a manifold and a metric evaluator.
 
     Instances are immutable and safe to share; the per-point frame cache
     is the only mutable state and is keyed by the raw coordinate bytes.
+    A metric that is not Euclidean lives on its unit sphere
+    ``metric.sphere`` and carries the cone of that sphere as
+    ``metric.cone``; the manifold is the sphere or a submanifold of it.
     """
 
     def __init__(self, manifold, metric):
@@ -109,70 +251,34 @@ class Geometry:
         For the induced metric the Koszul formula collapses exactly to
         the tangential ambient derivative (every metric-derivative term
         expands by the product rule and cancels against the brackets),
-        so that cheaper algebraically-equal form is used; general
-        metrics go through the explicit formula.
+        so that cheaper algebraically-equal form is used.  Any other
+        metric takes the cone connection, nabla_X Y = P(D_X Y +
+        Gamma(X, Y)): P is the Euclidean projection onto TS, which is
+        orthogonal for the cone metric on the link r = 1, followed on a
+        submanifold of the sphere by the g-orthogonal projection onto its
+        tangent space.  q must be a float or lane point.
         """
         if self.metric.euclidean:
             w = along(field, q, dir_field(q))
             return self.manifold.project(q, w)
-        return self.covariant_koszul(q, dir_field, field)
+        X = dir_field(q)
+        gamma = self.metric.cone.christoffel(q, X, field(q))
+        w = along(field, q, X)
+        w = self.metric.sphere.project(q, [a + b for a, b in zip(w, gamma)])
+        if self.manifold is self.metric.sphere:
+            return w
+        return self._tangent_part(q, w)
 
-    def covariant_koszul(self, q, dir_field, field):
-        """Term-by-term Koszul formula, any metric."""
-        kap2, tests = self._koszul_rhs(q, dir_field, field)
-        if self.metric.euclidean:
-            # test fields are the projected coordinate vectors e_a, so
-            # sum_a kappa_a e_a reassembles the ambient representative.
-            return self.manifold.project(q, [k * 0.5 for k in kap2])
-        gram = [[self.metric.g(q, u, v) for v in tests] for u in tests]
-        coef = solve_linear(gram, [k * 0.5 for k in kap2])
-        out = [0.0] * self.manifold.ambient_dim
-        for c, t in zip(coef, tests):
+    def _tangent_part(self, q, w):
+        """g-orthogonal projection of w in TS onto the tangent space of
+        the manifold, through the Gram system of its tangent frame."""
+        frame = [list(r) for r in self.tangent_frame(q)]
+        gram = self.metric.gram(q, [*frame, w])
+        coef = solve_linear([row[:-1] for row in gram[:-1]], [row[-1] for row in gram[:-1]])
+        out = [0.0] * len(w)
+        for c, t in zip(coef, frame):
             out = [a + c * b for a, b in zip(out, t)]
         return out
-
-    def _koszul_rhs(self, q, Xf, Yf):
-        """2 g(nabla_X Y, E_a) for each test field E_a, plus the E_a(q)."""
-        man, met = self.manifold, self.metric
-        Xq, Yf_q = Xf(q), Yf(q)
-        if met.euclidean:
-            hats = [list(r) for r in np.eye(man.ambient_dim)]
-        else:
-            hats = [list(r) for r in self.tangent_frame(q)]
-        E_fields = [lambda r, h=h: man.project(r, h) for h in hats]
-        Eq = [Ef(q) for Ef in E_fields]
-
-        def against_tests(F):
-            # g(F, E_a) for every test field, F itself and every E_a
-            def fn(rs):
-                F_rs = F(rs)
-                E_rs = [Ef(rs) for Ef in E_fields]
-                return [met.g(rs, F_rs, E) for E in E_rs], F_rs, E_rs
-
-            return fn
-
-        # shared curves along X and along the value of Y
-        t1, dXY, dXE = along(against_tests(Yf), q, Xq)
-        t2, dYX, dYE = along(against_tests(Xf), q, Yf_q)
-        bXY = vsub(dXY, dYX)
-
-        # curve along E_a: t3 and the E_a-derivatives of X and Y
-        def g_xy(rs):
-            X_rs, Y_rs = Xf(rs), Yf(rs)
-            return met.g(rs, X_rs, Y_rs), X_rs, Y_rs
-
-        kap2 = []
-        for a, Ea in enumerate(Eq):
-            t3, dEX, dEY = along(g_xy, q, Ea)
-            bXE = vsub(dXE[a], dEX)
-            bYE = vsub(dYE[a], dEY)
-            kap2.append(
-                t1[a] + t2[a] - t3
-                + met.g(q, bXY, Ea)
-                - met.g(q, bXE, Yf_q)
-                - met.g(q, bYE, Xq)
-            )
-        return kap2, Eq
 
     # ------------------------------------------------------------------
     # curvature
@@ -180,8 +286,19 @@ class Geometry:
 
     def curvature(self, p, x, y, z):
         """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
-        at the float point p, inputs extended by the fixed convention."""
+        at the float or lane point p, inputs extended by the fixed
+        convention.
+
+        The induced metric evaluates that definition as it stands.  Any
+        other metric is defined on its unit sphere, the umbilic link of
+        its cone with second fundamental form -g(X, Y) d_r, so the Gauss
+        equation gives R(X,Y)Z = R^(X,Y)Z + g(Y,Z) X - g(X,Z) Y from the
+        cone's Riemann tensor R^.  That holds on the sphere only: any
+        other manifold raises ValueError.
+        """
         self.check_metric(p)
+        if not self.metric.euclidean:
+            return self._sphere_curvature(p, x, y, z)
         Xf, Yf, Zf = self.extend(x), self.extend(y), self.extend(z)
         Wyz = lambda r: self.covariant(r, Yf, Zf)
         Wxz = lambda r: self.covariant(r, Xf, Zf)
@@ -190,3 +307,15 @@ class Geometry:
         bxy = self.manifold.project(p, self.bracket(p, Xf, Yf))
         term_c = self.covariant(p, self.extend(bxy), Zf)
         return vsub(vsub(term_a, term_b), term_c)
+
+    def _sphere_curvature(self, p, x, y, z):
+        sphere = self.metric.sphere
+        if self.manifold is not sphere:
+            raise ValueError(
+                "curvature from the cone holds on the metric's own sphere, "
+                "not on a submanifold of it")
+        x, y, z = (sphere.project(p, vvalue(v)) for v in (x, y, z))
+        g = self.metric.g
+        cone = self.metric.cone.riemann(p, x, y, z)
+        gauss = vsub(vscale(x, g(p, y, z)), vscale(y, g(p, x, z)))
+        return sphere.project(p, [a + b for a, b in zip(cone, gauss)])

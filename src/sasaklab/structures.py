@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import DegenerateContact
-from .geometry import Geometry, InducedMetric
+from .geometry import Cone, Geometry, InducedMetric
 from .jets import along, value
 from .manifolds import Sphere
 from .vecops import as_list, cmult, vdot, vscale, vsub, vvalue
@@ -40,6 +40,10 @@ class WeightedContactMetric:
     exactly, which is the anchoring test.  The exterior derivative is
     the closed-form expansion of d(eta_A); the jet evaluation
     ``SphereStructure.d_eta`` is kept as its oracle.
+
+    The metric lives on ``sphere``; ``cone`` holds the Christoffel
+    symbols and Riemann tensor of its cone per point, shared by every
+    geometry built on this metric (the sphere and its level sets).
     """
 
     euclidean = False
@@ -47,6 +51,7 @@ class WeightedContactMetric:
     def __init__(self, a, sphere):
         self.a = [float(x) for x in a]
         self.sphere = sphere
+        self.cone = Cone(self.gram)
 
     # -- weighted contact data, all jet-generic -------------------------
 
@@ -89,6 +94,22 @@ class WeightedContactMetric:
         vc = vsub(v, vscale(xi, ev))
         return eu * ev + 0.5 * self.d_eta(q, uc, cmult(vc))
 
+    def gram(self, q, vectors):
+        """g(q; u, v) for every pair of the vectors, as a symmetric nested
+        list: ``g`` itself on the pairs u <= v, with eta, xi and the
+        contact parts formed once per vector."""
+        xi = self.reeb(q)
+        eta = [self.eta(q, u) for u in vectors]
+        contact = [vsub(u, vscale(xi, e)) for u, e in zip(vectors, eta)]
+        turned = [cmult(c) for c in contact]
+        m = len(vectors)
+        out = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                out[i][j] = out[j][i] = (
+                    eta[i] * eta[j] + 0.5 * self.d_eta(q, contact[i], turned[j]))
+        return out
+
 
 class SphereStructure:
     """Common machinery: geometry context, phi = nabla(xi), residuals."""
@@ -96,7 +117,8 @@ class SphereStructure:
     def __init__(self, n, metric):
         self.n = n
         self.ambient_dim = 2 * n
-        self.sphere = Sphere(self.ambient_dim)
+        # a metric other than the Euclidean one carries its own sphere
+        self.sphere = Sphere(self.ambient_dim) if metric.euclidean else metric.sphere
         self.geometry = Geometry(self.sphere, metric)
         self.metric = self.geometry.metric
 
@@ -154,7 +176,8 @@ class SphereStructure:
 
     def ambient_curvature_4(self, p, x, y, z, v):
         """R(X,Y,Z,V) of the structure; closed form on the round metric
-        (constant curvature one), jet engine otherwise."""
+        (constant curvature one), the cone's Riemann tensor through the
+        Gauss equation otherwise (``Geometry.curvature``)."""
         p = as_list(p)
         g = self.metric.g
         if self.metric.euclidean:

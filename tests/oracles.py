@@ -3,7 +3,10 @@
 The numerical oracles avoid the jet engine: curvature comes from
 central-difference Christoffel symbols in an orthographic chart, and
 the weighted metric is evaluated through the closed-form expansion of
-its exterior derivative.  Step sizes are fixed, not tuned.  Linear
+its exterior derivative.  Step sizes are fixed, not tuned.  The Koszul
+oracles reach the Levi-Civita connection and curvature of any metric
+through the term-by-term Koszul formula with nested jets, a second path
+to the package's cone tensors.  Linear
 programs over the moduli polytope are solved by enumerating its vertices,
 and the hit-and-run chord is cut one inequality at a time.
 
@@ -21,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from sasaklab.actions import kernel_algebra
-from sasaklab.jets import jsqrt, value
+from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import as_list, vscale, vvalue
+from sasaklab.vecops import as_list, solve_linear, vscale, vsub, vvalue
 
 
 def chart_basis(p):
@@ -117,6 +120,83 @@ def fd_curvature(metric_g, p, x, y, z, step=1e-4):
                     acc += xc[i] * yc[j] * zc[k] * term
         out[l] = acc
     return E.T @ out
+
+
+# ----------------------------------------------------------------------
+# Koszul formula: the Levi-Civita connection of any metric, term by term
+# ----------------------------------------------------------------------
+
+
+def _koszul_rhs(geo, q, Xf, Yf):
+    """2 g(nabla_X Y, E_a) for each test field E_a, plus the E_a(q)."""
+    man, met = geo.manifold, geo.metric
+    Xq, Yf_q = Xf(q), Yf(q)
+    if met.euclidean:
+        hats = [list(r) for r in np.eye(man.ambient_dim)]
+    else:
+        hats = [list(r) for r in geo.tangent_frame(q)]
+    E_fields = [lambda r, h=h: man.project(r, h) for h in hats]
+    Eq = [Ef(q) for Ef in E_fields]
+
+    def against_tests(F):
+        # g(F, E_a) for every test field, F itself and every E_a
+        def fn(rs):
+            F_rs = F(rs)
+            E_rs = [Ef(rs) for Ef in E_fields]
+            return [met.g(rs, F_rs, E) for E in E_rs], F_rs, E_rs
+
+        return fn
+
+    # shared curves along X and along the value of Y
+    t1, dXY, dXE = along(against_tests(Yf), q, Xq)
+    t2, dYX, dYE = along(against_tests(Xf), q, Yf_q)
+    bXY = vsub(dXY, dYX)
+
+    # curve along E_a: t3 and the E_a-derivatives of X and Y
+    def g_xy(rs):
+        X_rs, Y_rs = Xf(rs), Yf(rs)
+        return met.g(rs, X_rs, Y_rs), X_rs, Y_rs
+
+    kap2 = []
+    for a, Ea in enumerate(Eq):
+        t3, dEX, dEY = along(g_xy, q, Ea)
+        bXE = vsub(dXE[a], dEX)
+        bYE = vsub(dYE[a], dEY)
+        kap2.append(
+            t1[a] + t2[a] - t3
+            + met.g(q, bXY, Ea)
+            - met.g(q, bXE, Yf_q)
+            - met.g(q, bYE, Xq)
+        )
+    return kap2, Eq
+
+
+def covariant_koszul(geo, q, dir_field, field):
+    """(nabla_X Y)(q) on the manifold of ``geo`` by the Koszul formula;
+    q may be a jet point."""
+    kap2, tests = _koszul_rhs(geo, q, dir_field, field)
+    if geo.metric.euclidean:
+        # test fields are the projected coordinate vectors e_a, so
+        # sum_a kappa_a e_a reassembles the ambient representative.
+        return geo.manifold.project(q, [k * 0.5 for k in kap2])
+    gram = [[geo.metric.g(q, u, v) for v in tests] for u in tests]
+    coef = solve_linear(gram, [k * 0.5 for k in kap2])
+    out = [0.0] * geo.manifold.ambient_dim
+    for c, t in zip(coef, tests):
+        out = [a + c * b for a, b in zip(out, t)]
+    return out
+
+
+def koszul_curvature(geo, p, x, y, z):
+    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
+    at p with every connection from ``covariant_koszul``."""
+    nabla = lambda q, Af, Bf: covariant_koszul(geo, q, Af, Bf)
+    Xf, Yf, Zf = geo.extend(x), geo.extend(y), geo.extend(z)
+    term_a = nabla(p, Xf, lambda r: nabla(r, Yf, Zf))
+    term_b = nabla(p, Yf, lambda r: nabla(r, Xf, Zf))
+    bxy = geo.manifold.project(p, geo.bracket(p, Xf, Yf))
+    term_c = nabla(p, geo.extend(bxy), Zf)
+    return vsub(vsub(term_a, term_b), term_c)
 
 
 def product_sphere_h_norm(p, x, block):

@@ -138,6 +138,39 @@ class TestKernelAlgebra:
             assert abs(np.dot(row, [1.0, 2.0, 3.0])) < 1e-12
 
 
+class TestSubnormalSquares:
+    """Entries of mu whose squares are subnormal keep the direction of mu."""
+
+    def test_unit_of_a_tiny_mu_is_the_unit_of_its_ray(self):
+        for tiny, ordinary in (([1e-160, 1e-160], [1.0, 1.0]), ([1e-160, 3e-160], [1.0, 3.0])):
+            got = MomentumCovector.of(tiny).unit
+            want = MomentumCovector.of(ordinary).unit
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-15
+
+    def test_kernel_of_a_tiny_mu_has_one_orthogonal_row(self):
+        k = kernel_algebra([1e-160, 1e-160])
+        assert k.k == 1
+        assert abs(np.dot(k.basis[0], [1.0, 1.0])) < 1e-15
+
+    def test_norm_of_a_tiny_mu(self):
+        assert MomentumCovector.of([3e-160, 4e-160]).norm == pytest.approx(5e-160, rel=1e-15)
+
+    def test_ordinary_mu_keeps_its_bits(self):
+        for mu in ([1.0, 1.0], [1.0, 3.0], [0.3, -2.5, 7.0], [1e-150, 2e-150], [1e150, -3e149]):
+            cov = MomentumCovector.of(mu)
+            nrm = float(np.linalg.norm(mu))
+            assert cov.norm == nrm
+            assert cov.unit == tuple(x / nrm for x in mu)
+            j = [0.25 * x / max(abs(y) for y in mu) for x in mu]
+            m = np.asarray(mu)
+            assert ray_membership(j, mu).s == float(np.dot(j, m) / np.dot(m, m))
+
+    def test_ray_membership_of_a_tiny_mu(self):
+        out = ray_membership([0.5, 0.5], [1e-160, 1e-160])
+        assert out.kind == "on_positive_ray"
+        assert out.s * 1e-160 == pytest.approx(0.5, rel=1e-15)
+
+
 class TestSliceCondition:
     def test_nonzero_mu(self):
         ok, info = slice_condition([1.0, 1.0])

@@ -401,6 +401,26 @@ class TestFuzzedFamilies:
         assert all(r["within_tolerance"] for r in report["residuals"])
 
 
+class TestTinyMu:
+    """A mu whose squared entries are subnormal reduces like its ray."""
+
+    @staticmethod
+    def verdicts(tmp_path, name, mu):
+        out = tmp_path / name
+        status = run_cli(["reduce", "--preset", "ex1", "--mu", mu, "--samples", "3",
+                          "--seed", "5"], out)
+        report = json.loads((out / "report.json").read_text())
+        return status, {r["name"]: r["within_tolerance"] for r in report["residuals"]}
+
+    @pytest.mark.parametrize("tiny,ordinary", [("1e-160,1e-160", "1,1"),
+                                               ("1e-160,3e-160", "1,3")])
+    def test_same_exit_and_verdicts_as_the_ordinary_mu(self, tmp_path, tiny, ordinary):
+        got = self.verdicts(tmp_path, "tiny", tiny)
+        want = self.verdicts(tmp_path, "ordinary", ordinary)
+        assert got == want
+        assert want[0] == 0
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -437,7 +457,7 @@ class TestLaneBatches:
         assert _lane_batches(["a", "b", "a", "c", "b"]) == [[0, 2], [1, 4], [3]]
 
     def test_weighted_lanes_match_float_path(self, tmp_path):
-        # lanes through the Koszul connection and the metric condition gate
+        # lanes through the cone tensors and the metric condition gate
         args = ["--preset", "weighted", "--directions", "1", "--seed", "2"]
         three = self.rows(tmp_path, "three", [*args, "--samples", "3"])
         one = self.rows(tmp_path, "one", [*args, "--samples", "1"])

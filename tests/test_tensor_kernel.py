@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_curvature
+from oracles import covariant_koszul, fd_curvature, koszul_curvature
 from sasaklab.errors import EmptyFrame, SingularMetric
 from sasaklab.geometry import Geometry, InducedMetric
 from sasaklab.jets import along, jsqrt, value
@@ -152,7 +152,7 @@ class TestKoszul:
         S = RoundSphereStructure(4)
         p = rand_point(8)
         x = rand_tangent(p)
-        got = vvalue(S.geometry.covariant_koszul(p, S.geometry.extend(x), S.reeb_field))
+        got = vvalue(covariant_koszul(S.geometry, p, S.geometry.extend(x), S.reeb_field))
         # Gauss-formula oracle: tangential projection of the ambient
         # derivative of q -> i q along the curve through p
         oracle = project(p, cmult(x))
@@ -165,8 +165,8 @@ class TestKoszul:
         x, y, z = rand_tangent(p), rand_tangent(p), rand_tangent(p)
         Yf, Zf = geo.extend(y), geo.extend(z)
         lhs = float(along(lambda q: S.metric.g(q, Yf(q), Zf(q)), p, x))
-        gy = geo.covariant_koszul(p, geo.extend(x), Yf)
-        gz = geo.covariant_koszul(p, geo.extend(x), Zf)
+        gy = covariant_koszul(geo, p, geo.extend(x), Yf)
+        gz = covariant_koszul(geo, p, geo.extend(x), Zf)
         rhs = value(S.metric.g(p, gy, z)) + value(S.metric.g(p, y, gz))
         assert abs(lhs - rhs) < 1e-8
 
@@ -176,8 +176,8 @@ class TestKoszul:
         p = rand_point(4)
         x, y = rand_tangent(p), rand_tangent(p)
         Xf, Yf = geo.extend(x), geo.extend(y)
-        nxy = vvalue(geo.covariant_koszul(p, Xf, Yf))
-        nyx = vvalue(geo.covariant_koszul(p, Yf, Xf))
+        nxy = vvalue(covariant_koszul(geo, p, Xf, Yf))
+        nyx = vvalue(covariant_koszul(geo, p, Yf, Xf))
         br = vvalue(geo.bracket(p, Xf, Yf))
         resid = np.asarray(nxy) - np.asarray(nyx) - np.asarray(br)
         assert np.max(np.abs(resid)) < 1e-8
@@ -187,7 +187,7 @@ class TestKoszul:
         p = rand_point(8)
         x, y = rand_tangent(p), rand_tangent(p)
         a = vvalue(geo.covariant(p, geo.extend(x), geo.extend(y)))
-        b = vvalue(geo.covariant_koszul(p, geo.extend(x), geo.extend(y)))
+        b = vvalue(covariant_koszul(geo, p, geo.extend(x), geo.extend(y)))
         assert np.max(np.abs(np.asarray(a) - b)) < 1e-12
 
     def test_singular_metric_raises(self):
@@ -282,3 +282,99 @@ class TestEngineInvariants:
             want = np.asarray(vsub(vscale(x, vdot(y, z)), vscale(y, vdot(x, z))))
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-7
+
+
+def cone_point(n, seed):
+    r = np.random.default_rng(seed)
+    p = r.standard_normal(2 * n)
+    return list(p / np.linalg.norm(p)), r
+
+
+class TestConeTensor:
+    """The weighted sphere's curvature and connection from the Riemann
+    tensor and Christoffel symbols of its cone dr^2 + r^2 g."""
+
+    @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 3.0])])
+    def test_sphere_curvature_matches_koszul_oracle(self, n, a):
+        W = WeightedSphereStructure(n, a)
+        worst = 0.0
+        for k in range(5):
+            p, r = cone_point(n, 700 + k)
+            x, y, z = (vvalue(project(p, list(r.standard_normal(2 * n)))) for _ in range(3))
+            got = np.asarray(vvalue(W.geometry.curvature(p, x, y, z)))
+            want = np.asarray(vvalue(koszul_curvature(W.geometry, p, x, y, z)))
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        assert worst < 1e-12
+
+    def test_riemann_symmetries(self):
+        W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        cone = W.metric.cone
+        for k in range(3):
+            p, r = cone_point(3, 710 + k)
+            M = np.asarray(cone.metric_field(p))
+            x, y, z, w = (list(r.standard_normal(6)) for _ in range(4))
+            R = lambda a, b, c: np.asarray(cone.riemann(p, a, b, c))
+            scale = float(np.max(np.abs(R(x, y, z))))
+            # antisymmetry in the first pair
+            assert np.max(np.abs(R(x, y, z) + R(y, x, z))) < 1e-12 * scale
+            # pair symmetry R(X,Y,Z,W) = R(Z,W,X,Y), lowered with the cone metric
+            assert abs(R(x, y, z) @ M @ w - R(z, w, x) @ M @ y) < 1e-12 * scale
+            # antisymmetry in the second pair
+            assert abs(R(x, y, z) @ M @ w + R(x, y, w) @ M @ z) < 1e-12 * scale
+            # first Bianchi identity
+            bianchi = R(x, y, z) + R(y, z, x) + R(z, x, y)
+            assert np.max(np.abs(bianchi)) < 1e-12 * scale
+
+    def test_radial_direction_is_flat(self):
+        W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        for k in range(3):
+            p, r = cone_point(3, 720 + k)
+            x, y = list(r.standard_normal(6)), list(r.standard_normal(6))
+            scale = float(np.max(np.abs(W.metric.cone.riemann(p, x, y, list(r.standard_normal(6))))))
+            assert np.max(np.abs(W.metric.cone.riemann(p, x, y, p))) < 1e-13 * scale
+
+    def test_round_weights_give_the_flat_cone(self):
+        cone = WeightedSphereStructure(3, [1.0, 1.0, 1.0]).metric.cone
+        p, r = cone_point(3, 730)
+        basis = [list(e) for e in np.eye(6)]
+        worst = max(float(np.max(np.abs(cone.riemann(p, x, y, z))))
+                    for x in basis for y in basis for z in basis)
+        assert worst < 1e-13
+
+    def test_level_set_connection_matches_koszul_oracle(self):
+        from sasaklab.actions import TorusAction
+        from sasaklab.oneill import SubmersionContext
+        from sasaklab.reduction import ReductionSetup, build_frame
+
+        W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        setup = ReductionSetup(W, TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0])
+        frame = build_frame(setup, setup.samples(1, seed=740)[0])
+        ctx = SubmersionContext.from_reduction(setup, frame)
+        geo, p = ctx.geometry, ctx.p
+        fields = [ctx.horizontal_extend(v) for v in ctx.horizontal_frame] + [W.reeb_field]
+        worst = 0.0
+        for Xf in fields[:-1]:
+            for Yf in fields:
+                got = np.asarray(vvalue(geo.covariant(p, Xf, Yf)))
+                want = np.asarray(vvalue(covariant_koszul(geo, p, Xf, Yf)))
+                worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst < 1e-12
+
+    def test_curvature_off_the_metric_sphere_raises(self):
+        from sasaklab.actions import TorusAction
+        from sasaklab.reduction import ReductionSetup
+
+        W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        setup = ReductionSetup(W, TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0])
+        p = setup.samples(1, seed=750)[0].coords()
+        t = [list(v) for v in setup.manifold.tangent_basis(p)]
+        with pytest.raises(ValueError, match="metric's own sphere"):
+            setup.geometry.curvature(p, t[0], t[1], t[2])
+
+    def test_covariant_at_a_jet_point_raises(self):
+        W = WeightedSphereStructure(2, [1.0, 3.0])
+        geo = W.geometry
+        p = rand_point(4)
+        x = rand_tangent(p)
+        with pytest.raises(TypeError, match="float and lane points"):
+            along(lambda q: geo.covariant(q, geo.extend(x), W.reeb_field), p, x)
