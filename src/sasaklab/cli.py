@@ -8,7 +8,14 @@ reeb-flow, cone-check.  Each run writes report.json and samples.csv to
 the output directory and exits 0 only when every hypothesis holds and
 every residual is within its declared tolerance (2 validation, 3
 infeasible level set, 4 hypothesis failure, 5 residual breach, 6
-numerical non-convergence).
+numerical non-convergence).  A run flag the command does not read
+(``FLAG_READERS``) is a validation error.
+
+reduce, verify-structure and curvature-scan do each sample's float-level
+work (draws, frames, splittings, directions) on its own.  Samples whose
+float-level decisions agree then form one lane batch (``_lane_batches``),
+and the batch's jet work runs once with numpy-array leaves, one entry per
+sample; a batch of one runs on floats.
 """
 
 import argparse
@@ -29,7 +36,13 @@ from .cone import (
     zero_stratum_degeneracy,
 )
 from .config import build_config, parse_numbers, read_config
-from .cr import cr_decomposition, final_identity, oneill_plane_residual, relation_residuals
+from .cr import (
+    CRDecomposition,
+    cr_decomposition,
+    final_identity,
+    oneill_plane_residual,
+    relation_residuals,
+)
 from .errors import (
     ConfigError,
     EmptyLevelSet,
@@ -62,7 +75,7 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import lane, stack_lanes, vvalue
+from .vecops import clamped_sqrt, lane, stack_lanes, vvalue
 from .jets import value
 
 COMMANDS = (
@@ -73,6 +86,14 @@ COMMANDS = (
     "reeb-flow",
     "cone-check",
 )
+
+# run flags and the commands that read them; any other command rejects them
+FLAG_READERS = {
+    "mu": tuple(c for c in COMMANDS if c != "verify-structure"),
+    "samples": tuple(c for c in COMMANDS if c != "reeb-flow"),
+    "directions": ("reduce", "curvature-scan"),
+    "flow_steps": ("reeb-flow",),
+}
 
 
 def _parser():
@@ -101,6 +122,9 @@ def _resolve_config(args):
         misused.append("lam: --lam applies to --preset ex4 only")
     if misused:
         raise ValidationError(misused)
+    unread = [f"{name}: {args.command} does not read --{name.replace('_', '-')}"
+              for name, readers in FLAG_READERS.items()
+              if getattr(args, name) is not None and args.command not in readers]
     if args.preset:
         raw.update(preset_config(args.preset, n=args.n, lam=lam))
     if args.config:
@@ -115,7 +139,13 @@ def _resolve_config(args):
         raw["mu"] = parse_numbers("mu", args.mu)
     if args.n is not None and not args.preset:
         raw["n"] = args.n
-    return build_config(raw, command=args.command, preset=args.preset)
+    try:
+        cfg = build_config(raw, command=args.command, preset=args.preset)
+    except ValidationError as exc:
+        raise ValidationError(exc.violations + unread) from None
+    if unread:
+        raise ValidationError(unread)
+    return cfg
 
 
 def _structure(cfg):
@@ -166,38 +196,40 @@ def run_verify_structure(cfg):
     t_kill = cfg.tol["round_identity" if round_ else "weighted_killing"]
     t_sas = cfg.tol["round_curvature" if round_ else "weighted_sasakian"]
 
-    def one(i):
+    def draw(i):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101, i]))
         p = rng.standard_normal(2 * cfg.n)
         p = list(p / np.linalg.norm(p))
-        x = _unit_tangent(rng, p)
-        y = _unit_tangent(rng, p)
+        return p, _unit_tangent(rng, p), _unit_tangent(rng, p)
+
+    def certify(batch):
+        p, x, y = (stack_lanes(vs) for vs in zip(*batch))
         xi = vvalue(S.reeb(p))
         g = S.metric.g
+        eta_x, eta_y = value(S.eta(p, x)), value(S.eta(p, y))
 
         phi_xi = vvalue(S.phi(p, xi))
-        r_phi_xi = math.sqrt(max(value(g(p, phi_xi, phi_xi)), 0.0))
         phx = vvalue(S.phi(p, x))
         phphx = vvalue(S.phi(p, phx))
-        res_sq = [a + b - value(S.eta(p, x)) * c for a, b, c in zip(phphx, x, xi)]
-        r_phi_sq = math.sqrt(max(value(g(p, res_sq, res_sq)), 0.0))
+        res_sq = [a + b - eta_x * c for a, b, c in zip(phphx, x, xi)]
         phy = vvalue(S.phi(p, y))
-        r_isom = abs(
-            value(g(p, phx, phy))
-            - value(g(p, x, y))
-            + value(S.eta(p, x)) * value(S.eta(p, y))
+        return (
+            clamped_sqrt(g(p, phi_xi, phi_xi)),
+            clamped_sqrt(g(p, res_sq, res_sq)),
+            abs(value(g(p, phx, phy)) - value(g(p, x, y)) + eta_x * eta_y),
+            abs(value(S.eta(p, xi)) - 1.0),
+            abs(value(S.d_eta(p, xi, x))),
+            S.killing_residual(p, x, y),
+            S.sasakian_residual(p, x, y),
+            contact_nondegeneracy(S, p),
         )
-        r_eta_xi = abs(value(S.eta(p, xi)) - 1.0)
-        r_deta = abs(value(S.d_eta(p, xi, x)))
-        r_kill = S.killing_residual(p, x, y)
-        r_sas = S.sasakian_residual(p, x, y)
-        det = contact_nondegeneracy(S, p)
-        return (p, r_phi_xi, r_phi_sq, r_isom, r_eta_xi, r_deta, r_kill, r_sas, det)
 
+    draws = [draw(i) for i in range(cfg.samples)]
+    lanes = certify(draws)  # every sample has the same frame sizes: one lane batch
     rows = []
-    results = [one(i) for i in range(cfg.samples)]
     min_det = math.inf
-    for i, (p, a, b, c, d, e, f, g_, det) in enumerate(results):
+    for i, (p, _, _) in enumerate(draws):
+        a, b, c, d, e, f, g_, det = (float(lane(v, i)) for v in lanes)
         led.add("phi_reeb", t_ident, a)
         led.add("phi_squared_identity", t_ident, b)
         led.add("phi_isometry_identity", t_ident, c)
@@ -371,26 +403,45 @@ def run_curvature_scan(cfg):
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
 
-    def one(arg):
+    def prepare(arg):
+        # float-level work of one sample: frames, CR splitting, directions
         i, samp = arg
         frame = build_frame(setup, samp, strict=False)
         ctx = SubmersionContext.from_reduction(setup, frame)
         crd = cr_decomposition(ctx)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 303, i]))
-        out = []
-        for x, y in _draw_directions(rng, crd.d_frame, cfg.directions):
+        dirs = _draw_directions(rng, crd.d_frame, cfg.directions)
+        key = (frame.vertical_rows.tobytes(), ctx.frame_sizes(), tuple(crd.dims.items()))
+        return ctx, crd, dirs, key
+
+    ctxs, crds, dirs, keys = zip(*[prepare(arg) for arg in enumerate(samples)])
+
+    def certify(batch):
+        # identities of samples sharing their float-level decisions, as lanes
+        ctx = SubmersionContext.stacked([ctxs[i] for i in batch])
+        crd = CRDecomposition.stacked([crds[i] for i in batch])
+        out = [[] for _ in batch]
+        for k in range(len(dirs[batch[0]])):  # a batch shares its splitting
+            x = stack_lanes([dirs[i][k][0] for i in batch])
+            y = stack_lanes([dirs[i][k][1] for i in batch])
             fin = final_identity(ctx, x, crd)
             rels = relation_residuals(ctx, crd, x, y)
             onil = oneill_plane_residual(ctx, x)
-            out.append((fin, rels, onil))
-        return i, samp, crd, out
+            for j, per_dir in enumerate(out):
+                per_dir.append(({n: float(lane(v, j)) for n, v in fin.items()},
+                                {n: float(lane(v, j)) for n, v in rels.items()},
+                                float(lane(onil, j))))
+        return out
 
-    results = [one(arg) for arg in enumerate(samples)]
+    per_sample = [None] * len(samples)
+    for batch in _lane_batches(keys):
+        for i, res in zip(batch, certify(batch)):
+            per_sample[i] = res
     k_min, k_max = math.inf, -math.inf
     rows = []
     nu_dims = set()
     n_empty = 0
-    for i, samp, crd, per_dir in results:
+    for i, (samp, crd, per_dir) in enumerate(zip(samples, crds, per_sample)):
         nu_dims.add(crd.dims["nu"])
         if not per_dir:
             n_empty += 1

@@ -7,17 +7,29 @@ singular values of the "how normal is phi(.)" map on the contact part
 of TN.  On top of it sit the curvature identities tying the second
 fundamental form, the O'Neill tensor and the phi-sectional curvatures
 of N and of the submersion target.
+
+The splitting is decided per sample, at float points.  The identities
+that follow it are jet-generic: on a ``SubmersionContext.stacked``
+context with a ``CRDecomposition.stacked`` splitting, each returns one
+lane per sample, as the per-sample evaluation would round it.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmbiguousSplit
-from .jets import value
+from .jets import jsqrt, value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import vsub, vvalue
+from .vecops import (
+    clamped_sqrt,
+    lane_pow,
+    nonnegative,
+    stack_frames,
+    stack_lanes,
+    vsub,
+    vvalue,
+)
 
 
 @dataclass
@@ -33,6 +45,29 @@ class CRDecomposition:
     dims: dict
     residuals: dict
     singular_values: list
+
+    @classmethod
+    def stacked(cls, decs):
+        """One splitting whose point and frames hold the given per-sample
+        splittings as lanes; they must agree in ``dims``."""
+        first = decs[0]
+        if any(d.dims != first.dims for d in decs):
+            raise ValueError("splittings of different dimensions cannot share lanes")
+
+        def lanes(name):
+            return stack_frames([getattr(d, name) for d in decs])
+
+        return cls(
+            tuple(stack_lanes([d.point for d in decs])),
+            lanes("d_frame"),
+            lanes("dperp_frame"),
+            tuple(stack_lanes([d.xi for d in decs])),
+            lanes("phi_dperp_frame"),
+            lanes("nu_frame"),
+            first.dims,
+            dict(zip(first.residuals, stack_lanes([list(d.residuals.values()) for d in decs]))),
+            stack_lanes([d.singular_values for d in decs]),
+        )
 
 
 def cr_decomposition(ctx):
@@ -94,7 +129,7 @@ def _cr_residuals(ctx, d_block, dperp, phi_dperp, nu_frame, tangent_on):
         for u in frame:
             c = value(g(p, u, out))
             out = [a - c * b for a, b in zip(out, u)]
-        return math.sqrt(max(value(g(p, out, out)), 0.0))
+        return clamped_sqrt(g(p, out, out))
 
     phi_d_in_d = max(
         (span_defect(vvalue(S.phi(p, e)), d_block) for e in d_block), default=0.0
@@ -131,7 +166,7 @@ def split_normal(ctx, crdec, w):
 
 
 def _norm2(ctx, w):
-    return max(value(ctx.structure.metric.g(ctx.p, w, w)), 0.0)
+    return nonnegative(ctx.structure.metric.g(ctx.p, w, w))
 
 
 def relation_residuals(ctx, crdec, x, y):
@@ -152,11 +187,11 @@ def relation_residuals(ctx, crdec, x, y):
 
     # A(X, phi Y) = v phi h(X, Y)
     v_phi_h = vvalue(ctx.vertical_project(p, vvalue(S.phi(p, h_xy))))
-    rel1a = math.sqrt(_norm2(ctx, vsub(a_x_phiy, v_phi_h)))
+    rel1a = jsqrt(_norm2(ctx, vsub(a_x_phiy, v_phi_h)))
 
     # h(X, phi Y) = phi A(X, Y) + phi (nu component of h(X, Y))
     rhs = [a + b for a, b in zip(vvalue(S.phi(p, a_xy)), vvalue(S.phi(p, tilde_xy)))]
-    rel1b = math.sqrt(_norm2(ctx, vsub(h_x_phiy, rhs)))
+    rel1b = jsqrt(_norm2(ctx, vsub(h_x_phiy, rhs)))
 
     # g(h(phi X, phi Y), h(X, Y)) = |bar h|^2 - |tilde h|^2
     norm1 = abs(
@@ -184,7 +219,7 @@ def oneill_plane_residual(ctx, x):
     p = ctx.p
     g = S.metric.g
     phi_x = vvalue(S.phi(p, x))
-    den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - value(g(p, x, phi_x)) ** 2
+    den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - lane_pow(value(g(p, x, phi_x)), 2)
     k_n = ctx.gauss_curvature_n4(x, phi_x, phi_x, x) / den
     k_p = ctx.quotient_curvature_4(x, phi_x, phi_x, x) / den
     a_val = vvalue(ctx.a_tensor(x, phi_x))
@@ -203,7 +238,7 @@ def final_identity(ctx, x, crdec):
 
     k_p = ctx.phi_sectional_quotient(x)
     phi_x = vvalue(S.phi(p, x))
-    den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - value(g(p, x, phi_x)) ** 2
+    den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - lane_pow(value(g(p, x, phi_x)), 2)
     k_m = S.ambient_curvature_4(p, x, phi_x, phi_x, x) / den
 
     h_xx = vvalue(ctx.second_fundamental(x, x))

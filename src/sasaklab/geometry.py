@@ -92,18 +92,20 @@ class Cone:
     def _nested(self, p, which):
         if any(isinstance(c, Dual) for c in p):
             raise TypeError("cone tensors are formed at float and lane points, not at jets")
-        points = split_lanes(p)
-        if points is None:
-            return self._at(p, which).tolist()
-        return _lane_lists(np.stack([self._at(q, which) for q in points], axis=-1))
+        lanes = split_lanes(p)
+        points = lanes or [p]
+        keys = [np.asarray(q, dtype=float).tobytes() for q in points]
+        if len(self._points) + len(set(keys) - self._points.keys()) > self.CACHE_POINTS:
+            # make room, keeping this call's own points even when a lane
+            # point holds more samples than the cache bound
+            self._points = {k: self._points[k] for k in keys if k in self._points}
+        tensors = [self._at(key, q, which) for key, q in zip(keys, points)]
+        if lanes is None:
+            return tensors[0].tolist()
+        return _lane_lists(np.stack(tensors, axis=-1))
 
-    def _at(self, p, which):
-        key = np.asarray(p, dtype=float).tobytes()
-        hit = self._points.get(key)
-        if hit is None:
-            if len(self._points) >= self.CACHE_POINTS:
-                self._points.clear()
-            hit = self._points[key] = [None, None]
+    def _at(self, key, p, which):
+        hit = self._points.setdefault(key, [None, None])
         if hit[which] is None:
             build = self._christoffel if which == 0 else self._riemann
             hit[which] = build([float(c) for c in p])

@@ -21,19 +21,26 @@ is pinned by the Hopf gate test (S^3 -> S^2: upstairs 1, downstairs 4)
 before anything else trusts it.
 """
 
-import numpy as np
-
 from .geometry import Geometry
 from .jets import value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import solve_linear, stack_frames, stack_lanes, vscale, vsub, vvalue
+from .vecops import (
+    clamped_sqrt,
+    lane_pow,
+    solve_linear,
+    stack_frames,
+    stack_lanes,
+    vscale,
+    vsub,
+    vvalue,
+)
 
 
 class SubmersionContext:
     """Per-sample bundle for O'Neill computations."""
 
     def __init__(self, structure, manifold, vertical_fields, p,
-                 horizontal_frame, vertical_frame):
+                 horizontal_frame, vertical_frame, tangent_basis=None):
         self.structure = structure
         self.manifold = manifold
         self.vertical_fields = list(vertical_fields)
@@ -42,6 +49,9 @@ class SubmersionContext:
         self.ambient_geometry = structure.geometry
         self.vertical_frame = vertical_frame
         self.horizontal_frame = [list(v) for v in horizontal_frame]
+        # the manifold's Euclidean tangent basis at p, formed when first
+        # needed unless the reduction frame already carries it
+        self.tangent_basis = tangent_basis
         self._tangent_on = None
         self._normal_on = None
 
@@ -58,6 +68,7 @@ class SubmersionContext:
             rframe.sample.coords(),
             horizontal_frame=rframe.horizontal,
             vertical_frame=[list(v) for v in rframe.vertical.vectors],
+            tangent_basis=rframe.tangent,
         )
 
     @classmethod
@@ -93,7 +104,7 @@ class SubmersionContext:
             len(self.horizontal_frame),
             len(tangent_on),
             len(normal_on),
-            len(self.manifold.tangent_basis(self.p)),
+            len(self.tangent_basis),
         )
 
     # -- projections (jet-generic) --------------------------------------
@@ -133,7 +144,9 @@ class SubmersionContext:
     def _tangent_frames(self):
         if self._tangent_on is None:
             S = self.structure
-            rows = [list(r) for r in self.manifold.tangent_basis(self.p)]
+            if self.tangent_basis is None:
+                self.tangent_basis = self.manifold.tangent_basis(self.p)
+            rows = [list(r) for r in self.tangent_basis]
             self._tangent_on = [list(v) for v in
                                 gram_schmidt(S.metric, self.p, rows).vectors]
             sph_rows = [list(r) for r in S.sphere.tangent_basis(self.p)]
@@ -235,7 +248,7 @@ class SubmersionContext:
             vscale(zeta, value(g(self.p, x, y))),
         )
         diff = vsub(r, expected)
-        return np.sqrt(np.maximum(value(g(self.p, diff, diff)), 0.0))
+        return clamped_sqrt(g(self.p, diff, diff))
 
     def phi_horizontal(self, x):
         """(phi_P X) on representatives: horizontal part of nab^N_X xi."""
@@ -251,6 +264,6 @@ class SubmersionContext:
         num = self.quotient_curvature_4(x, px, px, x)
         den = (
             value(g(self.p, x, x)) * value(g(self.p, px, px))
-            - value(g(self.p, x, px)) ** 2
+            - lane_pow(value(g(self.p, x, px)), 2)
         )
         return num / den

@@ -464,6 +464,7 @@ class ReductionFrame:
     contact_d: Frame
     normal: Frame
     vertical_rows: np.ndarray       # algebra rows whose fields stay independent
+    tangent: np.ndarray             # Euclidean-orthonormal basis of the level set's T_p
     dims: dict
     checks: dict
 
@@ -501,7 +502,8 @@ def build_frame(setup, sample, strict=True):
         vrows = _independent_rows(rows, vert_vecs, k_eff)
 
     reeb = vvalue(S.reeb(p))
-    tangent = [list(r) for r in man.tangent_basis(p)]
+    basis = man.tangent_basis(p)
+    tangent = [list(r) for r in basis]
     contact_vecs = orthogonal_tail(
         S.metric, p, [list(v) for v in vertical.vectors] + [reeb], tangent)
     contact_d = Frame(tuple(p), tuple(tuple(v) for v in contact_vecs))
@@ -523,7 +525,7 @@ def build_frame(setup, sample, strict=True):
 
     checks = _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent)
     frame = ReductionFrame(sample, vertical, tuple(reeb), contact_d, normal,
-                           np.asarray(vrows, dtype=float), dims, checks)
+                           np.asarray(vrows, dtype=float), basis, dims, checks)
     if strict:
         bad = {k: v for k, v in checks.items() if v > tol}
         if len(contact_d) != dim_n - k_eff - 1:
@@ -621,7 +623,7 @@ def reduced_tensors_batch(setup, rframes):
         for i in range(m) for j in range(m) if i != j
     }
 
-    tangent = stack_frames([setup.manifold.tangent_basis(q) for q in points])
+    tangent = stack_frames([f.tangent for f in rframes])
     worst_basic = 0.0
     for vrow in rframes[0].vertical_rows:
         vfield_p = vvalue(setup.action.fundamental_field(vrow, p))

@@ -12,8 +12,6 @@ engine rather than hard-coded, so the defining identities stay testable
 on every structure.
 """
 
-import math
-
 import numpy as np
 
 from . import tolerances
@@ -21,7 +19,18 @@ from .errors import DegenerateContact
 from .geometry import Cone, Geometry, InducedMetric
 from .jets import along, value
 from .manifolds import Sphere
-from .vecops import as_list, cmult, vdot, vscale, vsub, vvalue
+from .vecops import (
+    as_list,
+    clamped_sqrt,
+    cmult,
+    lane_pow,
+    split_lanes,
+    stack_frames,
+    vdot,
+    vscale,
+    vsub,
+    vvalue,
+)
 
 
 def _eta0(q, v):
@@ -194,7 +203,7 @@ class SphereStructure:
         R = self.geometry.curvature(p, X, xi, Y)
         expected = vsub(vscale(X, self.eta(p, Y)), vscale(xi, self.metric.g(p, X, Y)))
         diff = vsub(R, expected)
-        return math.sqrt(max(value(self.metric.g(p, diff, diff)), 0.0))
+        return clamped_sqrt(self.metric.g(p, diff, diff))
 
 
 class RoundSphereStructure(SphereStructure):
@@ -264,10 +273,17 @@ class WeightedSphereStructure(SphereStructure):
 
 
 def contact_nondegeneracy(structure, p):
-    """|pf|-style determinant of d(eta) on an orthonormal contact frame."""
+    """|pf|-style determinant of d(eta) on an orthonormal contact frame.
+
+    At a lane point each sample gets its own contact frame; the frames
+    are stacked, d(eta) runs once over the lanes, and the determinants
+    of the (samples, m, m) stack come back as an array, one per sample.
+    """
     p = as_list(p)
-    frame = structure.contact_frame(p)
+    lanes = split_lanes(p)
+    frame = stack_frames([structure.contact_frame(q) for q in lanes or [p]])
     M = np.asarray(
         [[value(structure.d_eta(p, u, v)) for v in frame] for u in frame], dtype=float
     )
-    return abs(float(np.linalg.det(M))) ** (1.0 / max(len(frame), 1))
+    dets = np.linalg.det(M if lanes is None else np.moveaxis(M, -1, 0))
+    return lane_pow(np.abs(dets), 1.0 / max(len(frame), 1))

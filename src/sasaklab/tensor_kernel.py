@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from . import tolerances
 from .errors import EmptyFrame
-from .jets import value
-from .vecops import as_list, vscale, vsub
+from .vecops import as_list, clamped_sqrt, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def gram_schmidt(metric, p, vectors):
         # second pass for numerical orthogonality
         for u in kept:
             w = vsub(w, vscale(u, g(p, u, w)))
-        nrm = math.sqrt(max(value(g(p, w, w)), 0.0))
+        nrm = clamped_sqrt(g(p, w, w))
         if nrm < tolerances.GRAM_SCHMIDT_DROP:
             continue
         kept.append(vscale(w, 1.0 / nrm))

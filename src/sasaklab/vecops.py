@@ -9,7 +9,7 @@ stay per sample, at the float level.
 
 import numpy as np
 
-from .jets import value
+from .jets import jsqrt, value
 
 
 def vsub(u, v):
@@ -76,6 +76,30 @@ def split_lanes(u):
     if not widths:
         return None
     return [[float(lane(a, i)) for a in u] for i in range(widths.pop())]
+
+
+def clamped_sqrt(x):
+    """sqrt(max(x, 0.0)) of a float or of lanes, jets stripped: a square
+    norm that rounding left below zero reads 0, and NaN stays NaN."""
+    return jsqrt(nonnegative(x))
+
+
+def nonnegative(x):
+    """max(x, 0.0) of a float or of lanes, jets stripped; on lanes it
+    keeps what Python's max keeps (NaN and -0.0), lane by lane."""
+    x = value(x)
+    if isinstance(x, np.ndarray):
+        return np.where(x < 0.0, 0.0, x)
+    return max(x, 0.0)
+
+
+def lane_pow(x, k):
+    """x ** k of a float or of lanes.  numpy's power, and its x * x fast
+    path for k = 2, round differently from the libm pow that a float
+    uses, so lanes take Python's power one by one."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** k for v in x.tolist()])
+    return x ** k
 
 
 def solve_linear(A, b):

@@ -10,7 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sasaklab import tolerances
-from sasaklab.cli import COMMANDS, RUNNERS, _lane_batches, _parser, _resolve_config, main
+from sasaklab.cli import (
+    COMMANDS,
+    FLAG_READERS,
+    RUNNERS,
+    _lane_batches,
+    _parser,
+    _resolve_config,
+    main,
+)
 from sasaklab.config import (
     MAX_DIRECTIONS,
     MAX_FLOW_STEPS,
@@ -223,6 +231,36 @@ class TestCommands:
         assert "config error:" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["verify-structure", "--preset", "ex1", "--mu", "5,7"],
+        ["verify-structure", "--preset", "ex1", "--directions", "3"],
+        ["check-hypotheses", "--preset", "ex1", "--directions", "1"],
+        ["cone-check", "--preset", "ex2", "--directions", "1"],
+        ["reeb-flow", "--preset", "ex4", "--directions", "1"],
+        ["reduce", "--preset", "ex1", "--flow-steps", "99"],
+        ["curvature-scan", "--preset", "ex1", "--flow-steps", "256"],
+        ["verify-structure", "--preset", "ex1", "--flow-steps", "256"],
+        ["reeb-flow", "--preset", "ex4", "--samples", "9"],
+    ], ids=lambda a: f"{a[0]}{a[3]}")
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(args, out) == 2
+        err = capsys.readouterr().err
+        flag = args[3]
+        assert f"config error: {flag[2:].replace('-', '_')}: {args[0]} does not read {flag}" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    def test_unread_flags_are_reported_with_other_violations(self):
+        args = _parser().parse_args(["reeb-flow", "--preset", "ex4", "--samples", "0",
+                                     "--directions", "2"])
+        with pytest.raises(ValidationError) as exc:
+            _resolve_config(args)
+        assert exc.value.violations[1:] == [
+            "samples: reeb-flow does not read --samples",
+            "directions: reeb-flow does not read --directions"]
+        assert exc.value.violations[0].startswith("samples: ")
+
     def test_workers_flag_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -271,7 +309,7 @@ class TestCommands:
 
     def test_reeb_flow_two_circles(self, tmp_path):
         status = run_cli(
-            ["reeb-flow", "--preset", "ex4", "--lam", "1,1", "--samples", "1",
+            ["reeb-flow", "--preset", "ex4", "--lam", "1,1",
              "--seed", "3", "--flow-steps", "256"],
             tmp_path,
         )
@@ -371,8 +409,12 @@ def test_whole_runs_end_in_a_documented_exit(command, config, samples):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         out = os.path.join(tmp, "out")
-        status = main([command, "--config", path, "--samples", str(samples),
-                       "--directions", "1", "--flow-steps", "64", "--out", out])
+        flags = {"samples": str(samples), "directions": "1", "flow_steps": "64"}
+        argv = [command, "--config", path, "--out", out]
+        for name, val in flags.items():
+            if command in FLAG_READERS[name]:
+                argv += ["--" + name.replace("_", "-"), val]
+        status = main(argv)
         assert status in {0, 2, 3, 4, 5, 6}
         if status == 2:
             assert not os.path.exists(os.path.join(out, "report.json"))
@@ -435,13 +477,14 @@ class TestDeterminism:
 
 
 class TestLaneBatches:
-    """reduce runs samples that share their frame decisions as one lane
-    batch; a sample's row must not depend on the batch it ran in."""
+    """reduce, verify-structure and curvature-scan run samples that share
+    their frame decisions as one lane batch; a sample's row must not
+    depend on the batch it ran in."""
 
     @staticmethod
-    def rows(tmp_path, name, args):
+    def rows(tmp_path, name, args, command="reduce"):
         out = tmp_path / name
-        assert run_cli(["reduce", *args], out) == 0
+        assert run_cli([command, *args], out) == 0
         return (out / "samples.csv").read_text().splitlines()[1:]
 
     def test_rows_do_not_depend_on_batch_width(self, tmp_path):
@@ -465,6 +508,22 @@ class TestLaneBatches:
         assert one == three[:1]
         report = json.loads((tmp_path / "three" / "report.json").read_text())
         assert all(r["within_tolerance"] for r in report["residuals"])
+
+    @pytest.mark.parametrize("command, args", [
+        ("verify-structure", ["--preset", "ex1"]),
+        ("verify-structure", ["--preset", "weighted"]),
+        ("curvature-scan", ["--preset", "ex1"]),
+        ("curvature-scan", ["--preset", "weighted", "--directions", "1"]),
+    ], ids=["verify-structure-ex1", "verify-structure-weighted",
+            "curvature-scan-ex1", "curvature-scan-weighted"])
+    def test_other_lane_commands_do_not_depend_on_batch_width(self, tmp_path, command, args):
+        args = [*args, "--seed", "13"]
+        eight = self.rows(tmp_path, "eight", [*args, "--samples", "8"], command)
+        three = self.rows(tmp_path, "three", [*args, "--samples", "3"], command)
+        one = self.rows(tmp_path, "one", [*args, "--samples", "1"], command)
+        assert len(eight) == 8
+        assert three == eight[:3]
+        assert one == eight[:1]
 
 
 def test_console_entry_point(tmp_path):

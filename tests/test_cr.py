@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import submersion_context
 from sasaklab.actions import TorusAction
 from sasaklab.cr import (
+    CRDecomposition,
     cr_decomposition,
     final_identity,
     oneill_plane_residual,
@@ -14,6 +17,7 @@ from sasaklab.manifolds import EmbeddedManifold, LinearConstraint, SphereConstra
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure
+from sasaklab.vecops import lane, stack_lanes
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])
@@ -154,3 +158,32 @@ class TestFinalIdentity:
             x = frame_mix(crd.d_frame, k)
             k_p = ctx.phi_sectional_quotient(x)
             assert k_p >= 1.0 - 1e-6
+
+
+class TestStackedSplitting:
+    """The identities on stacked contexts and splittings hold each
+    sample's float evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("make", [pairs_context, zero_context], ids=["ray", "zero"])
+    def test_lanes_equal_each_sample_bitwise(self, make):
+        ctxs = [make(seed=30 + i)[2] for i in range(4)]
+        crds = [cr_decomposition(c) for c in ctxs]
+        xs = [frame_mix(d.d_frame, 40 + i) for i, d in enumerate(crds)]
+        ys = [frame_mix(d.d_frame, 50 + i) for i, d in enumerate(crds)]
+        ctx = SubmersionContext.stacked(ctxs)
+        crd = CRDecomposition.stacked(crds)
+        x, y = stack_lanes(xs), stack_lanes(ys)
+        fin = final_identity(ctx, x, crd)
+        rels = relation_residuals(ctx, crd, x, y)
+        onil = oneill_plane_residual(ctx, x)
+        for i, (c, d) in enumerate(zip(ctxs, crds)):
+            assert {k: lane(v, i) for k, v in fin.items()} == final_identity(c, xs[i], d)
+            assert ({k: lane(v, i) for k, v in rels.items()}
+                    == relation_residuals(c, d, xs[i], ys[i]))
+            assert lane(onil, i) == oneill_plane_residual(c, xs[i])
+
+    def test_splittings_of_different_dimensions_do_not_stack(self):
+        crd = cr_decomposition(pairs_context(seed=1)[2])
+        other = dataclasses.replace(crd, dims={**crd.dims, "nu": 1})
+        with pytest.raises(ValueError, match="different dimensions"):
+            CRDecomposition.stacked([crd, other])

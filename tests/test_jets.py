@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sasaklab import jets
 from sasaklab.jets import Dual, along, d_scalar, enter_level, exit_level, imag, jsqrt, value
+from sasaklab.vecops import clamped_sqrt, lane_pow, nonnegative
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = st.floats(min_value=0.1, max_value=10).map(lambda x: x)
@@ -140,6 +141,31 @@ class TestLanes:
         for i in range(5):
             scalar = mixed([float(c) for c in point[:, i]], [float(c) for c in direction[:, i]])
             assert lanes[i] == scalar
+
+
+    def test_clamped_sqrt_keeps_nan_and_clamps_negatives_like_floats(self):
+        x = np.array([4.0, -1e-17, math.nan, -0.0, 0.0, 2.0, -3.0])
+        lanes = clamped_sqrt(x)
+        floats = [math.sqrt(max(v, 0.0)) for v in x.tolist()]
+        assert [math.copysign(1.0, v) for v in lanes] == [math.copysign(1.0, v) for v in floats]
+        assert np.array_equal(lanes, floats, equal_nan=True)
+        assert lanes[1] == 0.0 and math.isnan(lanes[2])
+        assert math.isnan(clamped_sqrt(math.nan)) and clamped_sqrt(-2.0) == 0.0
+        lvl = enter_level()
+        try:
+            assert clamped_sqrt(Dual(lvl, 9.0, 1.0)) == 3.0
+            assert np.array_equal(nonnegative(Dual(lvl, x, x)), nonnegative(x), equal_nan=True)
+        finally:
+            exit_level()
+
+    def test_lane_pow_rounds_like_float_pow(self):
+        # numpy's power (and its x * x fast path) differ from libm's pow
+        # in the last bit for some inputs; every lane must keep pow's bits
+        x = np.random.default_rng(3).standard_normal(20000)
+        for k in (2, 1.0 / 3.0):
+            lanes = lane_pow(np.abs(x), k)
+            assert np.array_equal(lanes, [v ** k for v in np.abs(x).tolist()])
+        assert lane_pow(3.0, 2) == 9.0
 
 
 def test_backend_is_reported():

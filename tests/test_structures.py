@@ -14,7 +14,7 @@ from sasaklab.structures import (
     contact_nondegeneracy,
 )
 from sasaklab.jets import value
-from sasaklab.vecops import cmult, vdot, vscale, vsub, vvalue
+from sasaklab.vecops import cmult, stack_lanes, vdot, vscale, vsub, vvalue
 
 rng = np.random.default_rng(77)
 
@@ -259,6 +259,14 @@ class TestContactNondegeneracy:
         S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
         vals = [contact_nondegeneracy(S, rand_point(6)) for _ in range(100)]
         assert min(vals) > 1e-6
+
+    @pytest.mark.parametrize("structure", ["round", "weighted"])
+    def test_lane_point_equals_each_sample_bitwise(self, structure):
+        S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        points = [rand_point(6) for _ in range(7)]
+        lanes = contact_nondegeneracy(S, stack_lanes(points))
+        assert isinstance(lanes, np.ndarray) and lanes.shape == (7,)
+        assert lanes.tolist() == [contact_nondegeneracy(S, q) for q in points]
 
 
 class _FlippedRound(RoundSphereStructure):
