@@ -13,9 +13,10 @@ numerical non-convergence).  A run flag the command does not read
 
 reduce, verify-structure and curvature-scan do each sample's float-level
 work (draws, frames, splittings, directions) on its own.  Samples whose
-float-level decisions agree then form one lane batch (``_lane_batches``),
-and the batch's jet work runs once with numpy-array leaves, one entry per
-sample; a batch of one runs on floats.
+float-level decisions agree then form lane batches of at most
+``LANE_BATCH_WIDTH`` samples (``_lane_batches``), and each batch's jet work
+runs once with numpy-array leaves, one entry per sample; a batch of one
+runs on floats.
 """
 
 import argparse
@@ -225,11 +226,15 @@ def run_verify_structure(cfg):
         )
 
     draws = [draw(i) for i in range(cfg.samples)]
-    lanes = certify(draws)  # every sample has the same frame sizes: one lane batch
+    values = [None] * cfg.samples
+    for batch in _lane_batches([None] * cfg.samples):  # every sample has the same frame sizes
+        lanes = certify([draws[i] for i in batch])
+        for j, i in enumerate(batch):
+            values[i] = [float(lane(v, j)) for v in lanes]
     rows = []
     min_det = math.inf
     for i, (p, _, _) in enumerate(draws):
-        a, b, c, d, e, f, g_, det = (float(lane(v, i)) for v in lanes)
+        a, b, c, d, e, f, g_, det = values[i]
         led.add("phi_reeb", t_ident, a)
         led.add("phi_squared_identity", t_ident, b)
         led.add("phi_isometry_identity", t_ident, c)
@@ -299,12 +304,19 @@ def run_check_hypotheses(cfg):
     return report, header, rows, status
 
 
+# samples per lane batch: a batch holds all of its samples' jets at once,
+# so this bounds a run's memory; rows do not depend on it
+LANE_BATCH_WIDTH = 512
+
+
 def _lane_batches(keys):
-    """Sample indices grouped by equal key, in order of first appearance."""
+    """Sample indices grouped by equal key, in order of first appearance,
+    each group cut into chunks of at most ``LANE_BATCH_WIDTH``."""
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    return [group[k:k + LANE_BATCH_WIDTH] for group in groups.values()
+            for k in range(0, len(group), LANE_BATCH_WIDTH)]
 
 
 def run_reduce(cfg):

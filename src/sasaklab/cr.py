@@ -21,35 +21,23 @@ import numpy as np
 from .errors import AmbiguousSplit
 from .jets import jsqrt, value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import (
-    clamped_sqrt,
-    lane_pow,
-    nonnegative,
-    stack_frames,
-    stack_lanes,
-    vsub,
-    vvalue,
-)
+from .vecops import lane_pow, nonnegative, stack_frames, vsub, vvalue
 
 
 @dataclass
 class CRDecomposition:
     """Frames of the contact CR splitting at a point of N."""
 
-    point: tuple
     d_frame: list
     dperp_frame: list
-    xi: tuple
     phi_dperp_frame: list
     nu_frame: list
     dims: dict
-    residuals: dict
-    singular_values: list
 
     @classmethod
     def stacked(cls, decs):
-        """One splitting whose point and frames hold the given per-sample
-        splittings as lanes; they must agree in ``dims``."""
+        """One splitting whose frames hold the given per-sample splittings
+        as lanes; they must agree in ``dims``."""
         first = decs[0]
         if any(d.dims != first.dims for d in decs):
             raise ValueError("splittings of different dimensions cannot share lanes")
@@ -58,15 +46,11 @@ class CRDecomposition:
             return stack_frames([getattr(d, name) for d in decs])
 
         return cls(
-            tuple(stack_lanes([d.point for d in decs])),
             lanes("d_frame"),
             lanes("dperp_frame"),
-            tuple(stack_lanes([d.xi for d in decs])),
             lanes("phi_dperp_frame"),
             lanes("nu_frame"),
             first.dims,
-            dict(zip(first.residuals, stack_lanes([list(d.residuals.values()) for d in decs]))),
-            stack_lanes([d.singular_values for d in decs]),
         )
 
 
@@ -107,7 +91,6 @@ def cr_decomposition(ctx):
         phi_dperp = [list(v) for v in gram_schmidt(S.metric, p, phi_dperp).vectors]
     nu_frame = orthogonal_tail(S.metric, p, phi_dperp, normal_on)
 
-    residuals = _cr_residuals(ctx, d_block, dperp, phi_dperp, nu_frame, tangent_on)
     dims = {
         "D": len(d_block),
         "D_perp": len(dperp),
@@ -115,39 +98,7 @@ def cr_decomposition(ctx):
         "nu": len(nu_frame),
         "TN": len(tangent_on),
     }
-    return CRDecomposition(tuple(p), d_block, dperp, tuple(xi), phi_dperp,
-                           nu_frame, dims, residuals, [float(s) for s in sv_full])
-
-
-def _cr_residuals(ctx, d_block, dperp, phi_dperp, nu_frame, tangent_on):
-    S = ctx.structure
-    p = ctx.p
-    g = S.metric.g
-
-    def span_defect(w, frame):
-        out = list(w)
-        for u in frame:
-            c = value(g(p, u, out))
-            out = [a - c * b for a, b in zip(out, u)]
-        return clamped_sqrt(g(p, out, out))
-
-    phi_d_in_d = max(
-        (span_defect(vvalue(S.phi(p, e)), d_block) for e in d_block), default=0.0
-    )
-    phi_dperp_normal = 0.0
-    for w in dperp:
-        pw = vvalue(S.phi(p, w))
-        for t in tangent_on:
-            phi_dperp_normal = max(phi_dperp_normal, abs(value(g(p, pw, t))))
-    phi_nu_in_nu = max(
-        (span_defect(vvalue(S.phi(p, list(n))), nu_frame) for n in nu_frame),
-        default=0.0,
-    )
-    return {
-        "phi_d_in_d": phi_d_in_d,
-        "phi_dperp_normal": phi_dperp_normal,
-        "phi_nu_invariant": phi_nu_in_nu,
-    }
+    return CRDecomposition(d_block, dperp, phi_dperp, nu_frame, dims)
 
 
 def split_normal(ctx, crdec, w):
@@ -220,8 +171,9 @@ def oneill_plane_residual(ctx, x):
     g = S.metric.g
     phi_x = vvalue(S.phi(p, x))
     den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - lane_pow(value(g(p, x, phi_x)), 2)
-    k_n = ctx.gauss_curvature_n4(x, phi_x, phi_x, x) / den
-    k_p = ctx.quotient_curvature_4(x, phi_x, phi_x, x) / den
+    h_cache = {}  # both curvatures take the same second fundamental forms
+    k_n = ctx.gauss_curvature_n4(x, phi_x, phi_x, x, h_cache=h_cache) / den
+    k_p = ctx.quotient_curvature_4(x, phi_x, phi_x, x, h_cache=h_cache) / den
     a_val = vvalue(ctx.a_tensor(x, phi_x))
     return abs(k_n - k_p + 3.0 * _norm2(ctx, a_val) / den)
 

@@ -61,17 +61,18 @@ class Cone:
         M(x)(u, v) = (x^ . u)(x^ . v) + g(x^; P u, P v),
 
     with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S.  At a
-    float point, ``along`` with lanes over the m coordinate directions
-    gives dM, hence the Christoffel symbols Gamma.  One nested ``along``
-    whose direction entries are lanes over the m^2 ordered coordinate
-    pairs (a, b) gives d_b M and d_a d_b M, hence the Riemann tensor R^.
-    Both are exact, formed with numpy, and cached per point, keyed by its
-    bytes; a point that only meets connection queries never pays for the
-    second derivatives.  At a lane point each sample's tensors are formed
-    on their own and stacked, and every contraction is an ordered Python
-    sum, so a lane holds the bits of its sample's float evaluation.  Jet
-    points are refused: the tensors are formed at float and lane points
-    only.
+    float point one nested ``along``, whose direction entries are lanes
+    over the m^2 ordered coordinate pairs (a, b), gives d_b M and
+    d_a d_b M.  The Christoffel symbols Gamma and the Riemann tensor R^
+    follow from them by two LU solves against M; M^-1 is never formed,
+    since cond(M) grows like the square of the sphere's weight ratio.
+    Both tensors are exact, formed with numpy, and cached together per
+    point, keyed by its bytes: every command that asks for Gamma at a
+    point asks for R^ there too.  At a lane point each sample's tensors
+    are formed on their own and stacked, and every contraction is an
+    ordered Python sum, so a lane holds the bits of its sample's float
+    evaluation.  Jet points are refused: the tensors are formed at float
+    and lane points only.
     """
 
     CACHE_POINTS = 256
@@ -90,6 +91,7 @@ class Cone:
         return _contract(self._nested(p, 1), [x, y, z])
 
     def _nested(self, p, which):
+        """Gamma (which = 0) or R^ (which = 1) at p, as nested lists."""
         if any(isinstance(c, Dual) for c in p):
             raise TypeError("cone tensors are formed at float and lane points, not at jets")
         lanes = split_lanes(p)
@@ -99,17 +101,13 @@ class Cone:
             # make room, keeping this call's own points even when a lane
             # point holds more samples than the cache bound
             self._points = {k: self._points[k] for k in keys if k in self._points}
-        tensors = [self._at(key, q, which) for key, q in zip(keys, points)]
+        for key, q in zip(keys, points):
+            if key not in self._points:
+                self._points[key] = self._build([float(c) for c in q])
+        tensors = [self._points[key][which] for key in keys]
         if lanes is None:
             return tensors[0].tolist()
         return _lane_lists(np.stack(tensors, axis=-1))
-
-    def _at(self, key, p, which):
-        hit = self._points.setdefault(key, [None, None])
-        if hit[which] is None:
-            build = self._christoffel if which == 0 else self._riemann
-            hit[which] = build([float(c) for c in p])
-        return hit[which]
 
     def metric_field(self, x):
         """M(x) as nested lists; jet-generic."""
@@ -120,17 +118,9 @@ class Cone:
         G = self.gram(xh, tangential)
         return [[xh[i] * xh[j] + G[i][j] for j in range(m)] for i in range(m)]
 
-    def _christoffel(self, p):
-        """Gamma[k, j, i] = Gamma^k_ij at the float point p, in the index
-        order of ``_contract``."""
-        m = len(p)
-        dM = np.moveaxis(_lane_array(along(self.metric_field, p, list(np.eye(m))), m), 2, 0)
-        _, gamma = _gamma(np.asarray(self.metric_field(p), dtype=float), dM)
-        return np.ascontiguousarray(gamma.transpose(0, 2, 1))
-
-    def _riemann(self, p):
-        """R^[l, k, j, i] = R^l_ijk at the float point p, in the index
-        order of ``_contract``."""
+    def _build(self, p):
+        """(Gamma[k, j, i] = Gamma^k_ij, R^[l, k, j, i] = R^l_ijk) at the
+        float point p, in the index order of ``_contract``."""
         m = len(p)
         pairs = np.arange(m * m)  # lane a * m + b differentiates along e_a, then e_b
         outer = [(pairs // m == i).astype(float) for i in range(m)]
@@ -143,17 +133,22 @@ class Cone:
             return d
 
         second = _lane_array(along(d_inner, p, outer), m * m)
-        dM = np.moveaxis(_lane_array(first[0], m * m)[:, :, :m], 2, 0)
+        dM = np.moveaxis(_lane_array(first[0], m * m)[:, :, :m], 2, 0)  # dM[c, i, j]
         ddM = np.moveaxis(second.reshape(m, m, m, m), (2, 3), (0, 1))  # ddM[a, b, i, j]
-        Minv, gamma = _gamma(np.asarray(self.metric_field(p), dtype=float), dM)
+        M = np.asarray(self.metric_field(p), dtype=float)
+        # symbols of the first kind Gamma_lij = (d_i M_jl + d_j M_il - d_l M_ij) / 2
+        first_kind = 0.5 * (dM.transpose(2, 0, 1) + dM.transpose(2, 1, 0) - dM)
+        gamma = np.linalg.solve(M, first_kind.reshape(m, m * m)).reshape(m, m, m)
         d_first_kind = 0.5 * (ddM.transpose(0, 3, 1, 2) + ddM.transpose(0, 3, 2, 1) - ddM)
-        # d_c Gamma^k_ij = M^kl (d_c Gamma_lij - (d_c M)_lb Gamma^b_ij), stored [k, c, i, j]
-        d_gamma = np.einsum(
-            "kl,clij->kcij", Minv, d_first_kind - np.einsum("clb,bij->clij", dM, gamma))
+        # d_gamma[k, c, i, j] = d_c Gamma^k_ij solves
+        # M_kl d_c Gamma^l_ij = d_c Gamma_kij - (d_c M)_kb Gamma^b_ij
+        rhs = (d_first_kind - np.einsum("clb,bij->clij", dM, gamma)).transpose(1, 0, 2, 3)
+        d_gamma = np.linalg.solve(M, rhs.reshape(m, m ** 3)).reshape(m, m, m, m)
         quad = np.einsum("lim,mjk->lijk", gamma, gamma)
         # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
         riem = d_gamma - d_gamma.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(riem.transpose(0, 3, 2, 1))
+        return (np.ascontiguousarray(gamma.transpose(0, 2, 1)),
+                np.ascontiguousarray(riem.transpose(0, 3, 2, 1)))
 
 
 def _lane_array(rows, width):
@@ -161,14 +156,6 @@ def _lane_array(rows, width):
     stripped to their values, and a float entry (a derivative that does
     not depend on the lane, such as 0.0) fills every lane."""
     return np.asarray([[np.broadcast_to(value(e), (width,)) for e in row] for row in rows])
-
-
-def _gamma(M, dM):
-    """(M^-1, Gamma^k_ij) from M and dM[c, i, j] = d_c M_ij, through the
-    symbols of the first kind (d_i M_jl + d_j M_il - d_l M_ij) / 2."""
-    first_kind = 0.5 * (dM.transpose(2, 0, 1) + dM.transpose(2, 1, 0) - dM)
-    Minv = np.linalg.inv(M)
-    return Minv, np.einsum("kl,lij->kij", Minv, first_kind)
 
 
 class Geometry:

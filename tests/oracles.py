@@ -14,7 +14,8 @@ The geometric oracles reach the same quantities as the package by a
 second route on its own objects: the O'Neill tensor from a bracket, the
 shape operator through the Weingarten identity, the Hopf fibration as a
 submersion context with frames built from its Reeb circle, the group
-action itself, and the kernel-group momentum.
+action itself, and the kernel-group momentum.  ``cr_residuals`` checks
+a CR splitting against the phi-invariances that define it.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import as_list, solve_linear, vscale, vsub, vvalue
+from sasaklab.vecops import as_list, clamped_sqrt, solve_linear, vscale, vsub, vvalue
 
 
 def chart_basis(p):
@@ -340,6 +341,40 @@ def a_tensor_bracket(ctx, x, y):
     Yh = ctx.horizontal_extend(y)
     b = ctx.geometry.bracket(ctx.p, Xh, Yh)
     return vscale(ctx.vertical_project(ctx.p, b), 0.5)
+
+
+def cr_residuals(ctx, crd):
+    """How far the CR splitting ``crd`` of ctx misses its defining
+    invariances: phi D inside D, phi D_perp normal to N, phi nu inside nu."""
+    S = ctx.structure
+    p = ctx.p
+    g = S.metric.g
+    tangent_on, _ = ctx._tangent_frames()
+
+    def span_defect(w, frame):
+        out = list(w)
+        for u in frame:
+            c = value(g(p, u, out))
+            out = [a - c * b for a, b in zip(out, u)]
+        return clamped_sqrt(g(p, out, out))
+
+    phi_d_in_d = max(
+        (span_defect(vvalue(S.phi(p, e)), crd.d_frame) for e in crd.d_frame), default=0.0
+    )
+    phi_dperp_normal = 0.0
+    for w in crd.dperp_frame:
+        pw = vvalue(S.phi(p, w))
+        for t in tangent_on:
+            phi_dperp_normal = max(phi_dperp_normal, abs(value(g(p, pw, t))))
+    phi_nu_in_nu = max(
+        (span_defect(vvalue(S.phi(p, list(n))), crd.nu_frame) for n in crd.nu_frame),
+        default=0.0,
+    )
+    return {
+        "phi_d_in_d": phi_d_in_d,
+        "phi_dperp_normal": phi_dperp_normal,
+        "phi_nu_invariant": phi_nu_in_nu,
+    }
 
 
 def weingarten_residual(ctx, row, y, z):

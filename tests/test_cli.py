@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sasaklab import tolerances
+from sasaklab import cli, tolerances
 from sasaklab.cli import (
     COMMANDS,
     FLAG_READERS,
@@ -146,6 +146,19 @@ class TestCommands:
         assert all(r["within_tolerance"] for r in report["residuals"])
         assert report["config"]["preset"] == "ex1"
         assert sorted(report["config"]["tolerances"]) == sorted(tolerances.DEFAULTS)
+
+    def test_reduce_at_a_large_sphere_weight_is_sasakian(self, tmp_path):
+        # cond(M) of the cone metric is about 1e6 here: the cone tensors must
+        # not lose it twice over
+        path = tmp_path / "w1000.json"
+        path.write_text(json.dumps({
+            "n": 4, "action_weights": [[1, 1, 0, 0], [0, 0, 1, 1]], "mu": [1, 1],
+            "sphere_weights": [1, 1, 1, 1000]}))
+        status = run_cli(["reduce", "--config", str(path), "--samples", "4", "--seed", "0",
+                          "--directions", "1"], tmp_path / "out")
+        assert status == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(r["within_tolerance"] for r in report["residuals"])
 
     def test_reduce_writes_csv_with_documented_columns(self, tmp_path):
         run_cli(
@@ -498,6 +511,24 @@ class TestLaneBatches:
 
     def test_samples_group_by_key_in_first_appearance_order(self):
         assert _lane_batches(["a", "b", "a", "c", "b"]) == [[0, 2], [1, 4], [3]]
+
+    @pytest.mark.parametrize("command, args", [
+        ("reduce", ["--preset", "ex1"]),
+        ("verify-structure", ["--preset", "ex1"]),
+        ("verify-structure", ["--preset", "weighted"]),
+        ("curvature-scan", ["--preset", "ex1", "--directions", "1"]),
+    ], ids=["reduce-ex1", "verify-structure-ex1", "verify-structure-weighted",
+            "curvature-scan-ex1"])
+    def test_bytes_do_not_depend_on_the_batch_width_bound(self, tmp_path, monkeypatch,
+                                                          command, args):
+        args = [command, *args, "--samples", "5", "--seed", "13"]
+        assert run_cli(args, tmp_path / "whole") == 0
+        monkeypatch.setattr(cli, "LANE_BATCH_WIDTH", 2)
+        assert _lane_batches(["a"] * 5) == [[0, 1], [2, 3], [4]]
+        assert run_cli(args, tmp_path / "chunked") == 0
+        for name in ("report.json", "samples.csv"):
+            whole = (tmp_path / "whole" / name).read_bytes()
+            assert (tmp_path / "chunked" / name).read_bytes() == whole
 
     def test_weighted_lanes_match_float_path(self, tmp_path):
         # lanes through the cone tensors and the metric condition gate
