@@ -9,6 +9,7 @@ compactness).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,12 +101,12 @@ class MomentumCovector:
         e = math.frexp(max(abs(x) for x in self.mu))[1]
         return np.asarray([math.ldexp(x, -e) for x in self.mu]), e
 
-    @property
+    @cached_property
     def norm(self):
         m, e = self.scaled()
         return math.ldexp(float(np.linalg.norm(m)), e)
 
-    @property
+    @cached_property
     def unit(self):
         m, _ = self.scaled()
         nrm = float(np.linalg.norm(m))

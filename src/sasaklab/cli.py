@@ -225,25 +225,22 @@ def run_verify_structure(cfg):
             contact_nondegeneracy(S, p),
         )
 
-    draws = [draw(i) for i in range(cfg.samples)]
-    values = [None] * cfg.samples
-    for batch in _lane_batches([None] * cfg.samples):  # every sample has the same frame sizes
-        lanes = certify([draws[i] for i in batch])
-        for j, i in enumerate(batch):
-            values[i] = [float(lane(v, j)) for v in lanes]
     rows = []
     min_det = math.inf
-    for i, (p, _, _) in enumerate(draws):
-        a, b, c, d, e, f, g_, det = values[i]
-        led.add("phi_reeb", t_ident, a)
-        led.add("phi_squared_identity", t_ident, b)
-        led.add("phi_isometry_identity", t_ident, c)
-        led.add("eta_of_reeb", cfg.tol["eta_on_frame"], d)
-        led.add("d_eta_on_reeb", cfg.tol["eta_on_frame"], e)
-        led.add("killing", t_kill, f)
-        led.add("sasakian_curvature", t_sas, g_)
-        min_det = min(min_det, det)
-        rows.append([i, *p, 0.0, a, b, c, d, e, f, g_, det])
+    for batch in _lane_batches([None] * cfg.samples):  # every sample has the same frame sizes
+        draws = [draw(i) for i in batch]
+        lanes = certify(draws)
+        for j, (i, (p, _, _)) in enumerate(zip(batch, draws)):
+            a, b, c, d, e, f, g_, det = (float(lane(v, j)) for v in lanes)
+            led.add("phi_reeb", t_ident, a)
+            led.add("phi_squared_identity", t_ident, b)
+            led.add("phi_isometry_identity", t_ident, c)
+            led.add("eta_of_reeb", cfg.tol["eta_on_frame"], d)
+            led.add("d_eta_on_reeb", cfg.tol["eta_on_frame"], e)
+            led.add("killing", t_kill, f)
+            led.add("sasakian_curvature", t_sas, g_)
+            min_det = min(min_det, det)
+            rows.append([i, *p, 0.0, a, b, c, d, e, f, g_, det])
 
     nondeg_ok = min_det > cfg.tol["contact_nondegeneracy"]
     status = EXIT_OK if led.all_ok() and nondeg_ok else EXIT_RESIDUAL

@@ -13,15 +13,23 @@ stated system, which returns a Farkas certificate when it is empty; one
 Freund-Roundy-Todd LP that finds every identically-zero coordinate at
 once; and a max-min-margin LP for the interior point.  Each has one row
 per equality (the sum, the kernel rows, the ray), not one per coordinate.
+
+Samples walk the polytope by hit-and-run.  Sample i has its own stream,
+SeedSequence(seed).spawn(...)[i], and takes all of its draws up front;
+samples step together in chunks of ``WALK_CHUNK`` and every sum over
+coordinates runs in order, so sample i depends neither on the sample
+count nor on the chunking.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances
-from .actions import KernelAlgebra, MomentumCovector, kernel_algebra, local_freeness
+from .actions import (KernelAlgebra, MomentumCovector, kernel_algebra, local_freeness,
+                      slice_condition)
 from .errors import (
     DegenerateAction,
     EmptyFrame,
@@ -31,10 +39,11 @@ from .errors import (
     WrongRay,
 )
 from .geometry import Geometry
-from .manifolds import EmbeddedManifold, LinearConstraint, ModuliConstraint, SphereConstraint
+from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sphere,
+                        SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import as_list, lane, stack_frames, stack_lanes, vvalue
+from .vecops import as_list, lane, stack_frames, stack_lanes, vdot, vvalue
 
 
 @dataclass(frozen=True)
@@ -178,17 +187,11 @@ def analyze_moduli(n, rows, ray_coeff=None):
 
     ns = len(support)
     rows_s = rows[:, support] if rows.size else np.zeros((0, ns))
-    kept = []
-    rank = 0
+    kept = np.zeros((0, ns))
     for r in rows_s:
-        if np.linalg.norm(r) < 1e-12:
-            continue
-        cand = np.vstack(kept + [r]) if kept else r.reshape(1, -1)
-        new_rank = int(np.linalg.matrix_rank(cand, tol=1e-11))
-        if new_rank > rank:
-            kept.append(r)
-            rank = new_rank
-    kept = np.vstack(kept) if kept else np.zeros((0, ns))
+        cand = np.vstack([kept, r])
+        if np.linalg.norm(r) >= 1e-12 and np.linalg.matrix_rank(cand, tol=1e-11) > len(kept):
+            kept = cand
 
     # interior point: maximise the smallest margin delta over t = delta + s,
     # s >= 0 (and c . t >= delta), in variables (s, delta, ray surplus)
@@ -226,94 +229,103 @@ def analyze_moduli(n, rows, ray_coeff=None):
     )
 
 
-def _hit_and_run(poly, rng, steps=32):
-    """Interior-weighted walk on the support polytope (Beta(2,2) mix)
-    inside t_j >= 0 and, on a ray, c . t >= floor."""
-    x = poly.interior[poly.support].copy()
-    if poly.null_basis.shape[0] == 0:
+# samples walked together: a chunk holds all of its samples' draws at
+# once, so this bounds the walk's memory; samples do not depend on it
+WALK_CHUNK = 512
+_STEPS = 32
+
+
+def _draws(poly, seed, indices):
+    """Sample i's draws from its own stream, stacked over the samples:
+    32 x k normals, then 32 Beta(2, 2) steps, then n phases."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in indices]
+    return (np.array([g.standard_normal((_STEPS, poly.null_basis.shape[0])) for g in rngs]),
+            np.array([g.beta(2.0, 2.0, _STEPS) for g in rngs]),
+            np.array([g.uniform(0.0, 2.0 * math.pi, poly.n) for g in rngs]))
+
+
+def _rowdot(a, b):
+    """Row-wise a . b of (samples, m) arrays, b possibly one shared
+    m-vector, as an ordered sum over coordinate lanes (``vdot``)."""
+    return vdot(list(a.T), list(b.T))
+
+
+def _walk(poly, z, beta):
+    """Hit-and-run inside t_j >= 0 (and c . t >= floor on a ray), one
+    sample per row, all stepping at once along Gaussian directions of the
+    affine hull; a vanishing direction or an empty chord stays put."""
+    basis = poly.null_basis
+    x = np.tile(poly.interior[poly.support], (len(z), 1))
+    if not len(basis):
         return x
     ray = None if poly.ray_coeff is None else -poly.ray_coeff[poly.support]
-    for _ in range(steps):
-        d = poly.null_basis.T @ rng.standard_normal(poly.null_basis.shape[0])
-        nrm = np.linalg.norm(d)
-        if nrm < 1e-14:
-            continue
-        d /= nrm
-        # the chord x + lam d meets t_j = 0 at lam = x_j / -d_j
-        ahead, behind = d <= -1e-14, d >= 1e-14
-        hi = np.min(x[ahead] / -d[ahead], initial=np.inf)
-        lo = np.max(x[behind] / -d[behind], initial=-np.inf)
-        if ray is not None:
-            ad = float(ray @ d)
-            if abs(ad) >= 1e-14:
-                lam = float(-_S_FLOOR - ray @ x) / ad
-                hi, lo = (min(hi, lam), lo) if ad > 0 else (hi, max(lo, lam))
-        if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
-            continue
-        x = x + (lo + (hi - lo) * rng.beta(2.0, 2.0)) * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_STEPS):
+            d = z[:, step, :1] * basis[0]   # sum_j z_j basis_j, in order
+            for j in range(1, len(basis)):
+                d = d + z[:, step, j:j + 1] * basis[j]
+            nrm = np.sqrt(_rowdot(d, d))
+            d = d / nrm[:, None]
+            # the chord x + lam d meets t_j = 0 at lam = x_j / -d_j
+            lam = x / -d
+            hi = np.where(d <= -1e-14, lam, np.inf).min(axis=1)
+            lo = np.where(d >= 1e-14, lam, -np.inf).max(axis=1)
+            if ray is not None:
+                a = _rowdot(d, ray)
+                lam = (-_S_FLOOR - _rowdot(x, ray)) / a
+                hi = np.where(a >= 1e-14, np.minimum(hi, lam), hi)
+                lo = np.where(a <= -1e-14, np.maximum(lo, lam), lo)
+            move = (nrm >= 1e-14) & np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
+            x = np.where(move[:, None], x + (lo + (hi - lo) * beta[:, step])[:, None] * d, x)
     return x
 
 
-def sample_moduli(poly, count, seed):
-    """Deterministic batch of moduli vectors (full length n)."""
-    out = []
-    children = np.random.SeedSequence(seed).spawn(count)
-    for i in range(count):
-        rng = np.random.default_rng(children[i])
-        x_s = _hit_and_run(poly, rng)
-        t = np.zeros(poly.n)
-        t[poly.support] = np.maximum(x_s, 0.0)
-        t /= t.sum()
-        out.append((t, rng))
-    return out
-
-
-def _assemble_point(t, rng):
-    n = len(t)
-    coords = np.zeros(2 * n)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    for j in range(n):
-        r = math.sqrt(t[j])
-        coords[2 * j] = r * math.cos(theta[j])
-        coords[2 * j + 1] = r * math.sin(theta[j])
-    coords /= np.linalg.norm(coords)
-    return coords
-
-
 def _level_set_samples(action, mu, poly, count, seed):
-    """Points over ``sample_moduli(poly, ...)`` with random phases; with a
-    ray ``mu`` each is checked against it, in zero mode s = 0."""
+    """Points over the walk on ``poly`` with random phases; with a ray
+    ``mu`` each is checked against it, in zero mode s = 0."""
     samples = []
-    for t, rng in sample_moduli(poly, count, seed):
-        coords = _assemble_point(t, rng)
-        s = 0.0
+    for start in range(0, count, WALK_CHUNK):
+        z, beta, theta = _draws(poly, seed, range(start, min(count, start + WALK_CHUNK)))
+        t = np.zeros((len(z), poly.n))
+        t[:, poly.support] = np.maximum(_walk(poly, z, beta), 0.0)
+        r = np.sqrt(t / sum(t.T)[:, None])
+        coords = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(len(z), -1)
+        coords /= np.sqrt(_rowdot(coords, coords))[:, None]
+        s = np.zeros(len(z))
         if mu is not None:
-            j_val = np.asarray(action.momentum(list(coords)))
-            s = float(j_val @ np.asarray(mu.unit))
-            resid = float(np.linalg.norm(j_val - s * np.asarray(mu.unit)))
-            if resid > tolerances.LEVEL_SET_RESIDUAL or s <= tolerances.NEWTON_MIN_S:
+            j_val = action.momentum(list(coords.T))
+            s = vdot(j_val, mu.unit)
+            miss = [a - s * u for a, u in zip(j_val, mu.unit)]
+            resid = np.sqrt(vdot(miss, miss))
+            bad = (resid > tolerances.LEVEL_SET_RESIDUAL) | (s <= tolerances.NEWTON_MIN_S)
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise FrameInconsistent(
-                    f"sampled point misses the ray: residual {resid:.3e}, s {s:.3e}"
-                )
-        samples.append(LevelSetSample(AmbientPoint.of(coords), s))
+                    f"sampled point misses the ray: residual {resid[i]:.3e}, s {s[i]:.3e}")
+        samples.extend(LevelSetSample(AmbientPoint.of(c), float(si)) for c, si in zip(coords, s))
     return samples
 
 
+def _polytope(action, rows, mu=None):
+    """The moduli polytope where the momenta of the algebra rows vanish,
+    on the ray of ``mu`` when one is given."""
+    rows = rows @ action.matrix if len(rows) else np.zeros((0, action.n))
+    ray = None if mu is None else action.matrix.T @ np.asarray(mu.unit)
+    return analyze_moduli(action.n, rows, ray)
+
+
 def sample_level_set(action, mu, count, seed):
-    """Samples of J^{-1}(R_+ mu), deterministic in (action, mu, count, seed)."""
+    """Samples of J^{-1}(R_+ mu), deterministic in (action, mu, seed);
+    sample i does not depend on count."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
-    kern = kernel_algebra(mu)
-    rows = kern.matrix @ action.matrix if kern.k else np.zeros((0, action.n))
-    ray_coeff = action.matrix.T @ np.asarray(mu.unit)
-    poly = analyze_moduli(action.n, rows, ray_coeff)
+    poly = _polytope(action, kernel_algebra(mu).matrix, mu)
     return _level_set_samples(action, mu, poly, count, seed)
 
 
 def sample_zero_level(action, rows, count, seed):
     """Samples of the joint zero level of the momenta of the given
     subalgebra rows (used by zero reduction and the cone suite)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    poly = analyze_moduli(action.n, rows @ action.matrix, None)
+    poly = _polytope(action, np.atleast_2d(np.asarray(rows, dtype=float)))
     return [s.point for s in _level_set_samples(action, None, poly, count, seed)]
 
 
@@ -344,8 +356,6 @@ def transversality_check(action, mu, sample):
     """Rank test of [dJ(tangent frame) | mu_unit] at the sample."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     p = sample.coords() if isinstance(sample, LevelSetSample) else as_list(sample)
-    from .manifolds import Sphere
-
     frame = Sphere(len(p)).tangent_basis(p)
     dj = action.momentum_jacobian(p) @ frame.T
     M = np.hstack([dj, np.asarray(mu.unit).reshape(-1, 1)])
@@ -383,19 +393,11 @@ class ReductionSetup:
             rows = np.atleast_2d(np.asarray(zero_rows, dtype=float))
             self.kernel = KernelAlgebra(None, tuple(tuple(float(x) for x in r) for r in rows))
             self.acting_rows = rows
-        mom_rows = (
-            self.acting_rows @ action.matrix
-            if len(self.acting_rows)
-            else np.zeros((0, action.n))
-        )
-        ray_coeff = (
-            action.matrix.T @ np.asarray(self.mu.unit) if self.mode == "ray" else None
-        )
-        self.polytope = analyze_moduli(action.n, mom_rows, ray_coeff)
-        self.manifold = self._build_manifold(mom_rows)
+        self.polytope = _polytope(action, self.acting_rows, self.mu)
+        self.manifold = self._build_manifold()
         self.geometry = Geometry(self.manifold, structure.metric)
 
-    def _build_manifold(self, mom_rows):
+    def _build_manifold(self):
         cons = [SphereConstraint()]
         for j in self.polytope.fixed_zero:
             for off in (0, 1):
@@ -415,8 +417,15 @@ class ReductionSetup:
 
     # -- per-sample hypothesis data -------------------------------------
 
+    @cached_property
+    def slice_check(self):
+        """(ok, info) of the slice condition; it depends only on mu."""
+        if self.mode == "ray":
+            return slice_condition(self.mu)
+        return True, {"note": "zero reduction: ker 0 = g"}
+
     def hypothesis_report(self, sample):
-        ok_slice, slice_info = _slice(self)
+        ok_slice, slice_info = self.slice_check
         trans_ok, svals = (
             transversality_check(self.action, self.mu, sample)
             if self.mode == "ray"
@@ -433,14 +442,6 @@ class ReductionSetup:
             "freeness_degenerate": degenerate,
             "freeness_svals": fsvals,
         }
-
-
-def _slice(setup):
-    from .actions import slice_condition
-
-    if setup.mode == "ray":
-        return slice_condition(setup.mu)
-    return True, {"note": "zero reduction: ker 0 = g"}
 
 
 def quotient_dimension(dim_m, d, k):
@@ -478,7 +479,6 @@ def build_frame(setup, sample, strict=True):
     """Vertical / Reeb / contact-horizontal / normal splitting at a sample."""
     p = sample.coords()
     S = setup.structure
-    g = S.metric.g
     man = setup.manifold
     tol = tolerances.DEFAULTS["frame_orthogonality"]
 
@@ -580,11 +580,8 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
     checks["normal_vs_tangent"] = worst
 
     stack = blocks["vertical"] + blocks["reeb"] + blocks["contact_d"]
-    if stack:
-        rank = int(np.linalg.matrix_rank(np.asarray(stack), tol=1e-8))
-        checks["span_defect"] = float(len(stack) - rank)
-    else:
-        checks["span_defect"] = 0.0
+    rank = int(np.linalg.matrix_rank(np.asarray(stack), tol=1e-8))
+    checks["span_defect"] = float(len(stack) - rank)
     return checks
 
 

@@ -261,9 +261,12 @@ def moduli_lp_oracle(n, rows, ray, floor):
     return True, support, delta
 
 
-def hit_and_run_loop(poly, rng, floor, steps=32):
-    """Reference for ``reduction._hit_and_run``: the same walk with the
-    chord through x cut by one inequality a . t <= b at a time."""
+def hit_and_run_loop(poly, z, beta, floor):
+    """Reference for one sample of ``reduction._walk``: the same walk from
+    the same draws (step i moves along the normals ``z[i]`` by the
+    Beta(2, 2) fraction ``beta[i]`` of its chord), one step and one
+    inequality a . t <= b at a time.  Sums run in coordinate order, as
+    the walk's do, so the two agree bitwise."""
     ns = len(poly.support)
     x = poly.interior[poly.support].copy()
     if poly.null_basis.shape[0] == 0:
@@ -271,25 +274,25 @@ def hit_and_run_loop(poly, rng, floor, steps=32):
     ineqs = [(-np.eye(ns)[j], 0.0) for j in range(ns)]
     if poly.ray_coeff is not None:
         ineqs.append((-poly.ray_coeff[poly.support], -floor))
-    for _ in range(steps):
-        d = poly.null_basis.T @ rng.standard_normal(poly.null_basis.shape[0])
-        nrm = np.linalg.norm(d)
+    for zs, frac in zip(z, beta):
+        d = sum(zj * nj for zj, nj in zip(zs, poly.null_basis))
+        nrm = math.sqrt(sum(v * v for v in d))
         if nrm < 1e-14:
             continue
         d /= nrm
         lo, hi = -np.inf, np.inf
         for a, b in ineqs:
-            ad = float(a @ d)
+            ad = sum(ai * di for ai, di in zip(a, d))
             if abs(ad) < 1e-14:
                 continue
-            lam = float(b - a @ x) / ad
+            lam = (b - sum(ai * xi for ai, xi in zip(a, x))) / ad
             if ad > 0:
                 hi = min(hi, lam)
             else:
                 lo = max(lo, lam)
         if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
             continue
-        x = x + (lo + (hi - lo) * rng.beta(2.0, 2.0)) * d
+        x = x + (lo + (hi - lo) * frac) * d
     return x
 
 

@@ -545,8 +545,9 @@ class TestLaneBatches:
         ("verify-structure", ["--preset", "weighted"]),
         ("curvature-scan", ["--preset", "ex1"]),
         ("curvature-scan", ["--preset", "weighted", "--directions", "1"]),
+        ("check-hypotheses", ["--preset", "ex1"]),
     ], ids=["verify-structure-ex1", "verify-structure-weighted",
-            "curvature-scan-ex1", "curvature-scan-weighted"])
+            "curvature-scan-ex1", "curvature-scan-weighted", "check-hypotheses-ex1"])
     def test_other_lane_commands_do_not_depend_on_batch_width(self, tmp_path, command, args):
         args = [*args, "--seed", "13"]
         eight = self.rows(tmp_path, "eight", [*args, "--samples", "8"], command)

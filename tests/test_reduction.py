@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import hit_and_run_loop, moduli_lp_oracle
-from sasaklab import reduction
-from sasaklab.actions import TorusAction
+from sasaklab import reduction, tolerances
+from sasaklab.actions import MomentumCovector, TorusAction, kernel_algebra
 from sasaklab.errors import EmptyLevelSet, NoConvergence, WrongRay
 from sasaklab.jets import value
 from sasaklab.reduction import (
     _S_FLOOR,
-    _hit_and_run,
+    _draws,
+    _polytope,
     _simplex,
+    _walk,
     ReductionSetup,
     analyze_moduli,
     build_frame,
@@ -153,10 +155,53 @@ def test_simplex_stops_at_a_finite_upper_bound():
 def test_hit_and_run_matches_loop_reference_bitwise(action, mu):
     setup = (ReductionSetup(S7, action, mu=mu) if mu else
              ReductionSetup(S7, action, zero_rows=[[1.0, -1.0]]))
+    poly = setup.polytope
     for seed in range(5):
-        got = _hit_and_run(setup.polytope, np.random.default_rng(seed))
-        ref = hit_and_run_loop(setup.polytope, np.random.default_rng(seed), _S_FLOOR)
-        assert got.tobytes() == ref.tobytes()
+        z, beta, _ = _draws(poly, seed, range(4))
+        got = _walk(poly, z, beta)
+        for i in range(4):
+            ref = hit_and_run_loop(poly, z[i], beta[i], _S_FLOOR)
+            assert got[i].tobytes() == ref.tobytes()
+
+
+small_actions = st.integers(2, 5).flatmap(lambda n: st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=d, max_size=d),
+    st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=d, max_size=d)),
+    st.integers(0, 2**16),
+)))
+
+
+@given(data=small_actions)
+@settings(max_examples=60, deadline=None)
+def test_walk_stays_in_the_moduli_polytope(data):
+    # mu None: the zero level of the whole algebra; otherwise the ray of mu
+    weights, mu, seed = data
+    assume(mu is None or any(mu))
+    action = TorusAction.of(weights)
+    try:
+        poly = (_polytope(action, np.eye(action.d)) if mu is None else
+                _polytope(action, kernel_algebra(mu).matrix, MomentumCovector.of(mu)))
+    except EmptyLevelSet:
+        return
+    tol = tolerances.LP_FEASIBILITY
+    for x in _walk(poly, *_draws(poly, seed, range(6))[:2]):
+        assert np.all(x >= -tol)
+        assert abs(sum(x) - 1.0) <= tol
+        assert np.all(np.abs(poly.kept_rows @ x) <= tol)
+        if mu is not None:
+            assert poly.ray_coeff[poly.support] @ x >= _S_FLOOR - tol
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda count: [(s.coords(), s.s) for s in sample_level_set(PAIRS, [1.0, 1.0], count, 17)],
+    lambda count: [p.as_list() for p in sample_zero_level(FLIPPED, [[1.0, 0.0]], count, 17)],
+], ids=["level-set", "zero-level"])
+def test_samples_do_not_depend_on_count_or_chunk(monkeypatch, sampler):
+    eight = sampler(8)
+    assert sampler(3) == eight[:3]
+    monkeypatch.setattr(reduction, "WALK_CHUNK", 2)
+    assert sampler(8) == eight
+    assert sampler(3) == eight[:3]
 
 
 class TestNewtonProject:
