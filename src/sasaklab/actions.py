@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import ZeroMu
-from .vecops import as_list, vdot
+from .vecops import as_list, lane_stack, vdot
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,17 @@ def ray_membership(j_val, mu, tol=None):
 
 def local_freeness(action, kernel, p):
     """Rank of the kernel-algebra fundamental fields at p (SVD threshold
-    from the tolerance ledger); degenerate when below the algebra dim."""
+    from the tolerance ledger); degenerate when below the algebra dim.
+    At a lane point one stacked SVD serves every sample, and rank,
+    degeneracy and singular values come back per sample (arrays)."""
     rows = [action.fundamental_field(b, as_list(p)) for b in kernel.basis]
     k = len(rows)
     if k == 0:
         return 0, False, []
-    M = np.asarray(rows, dtype=float)
-    svals = np.linalg.svd(M, compute_uv=False)
-    tol = tolerances.RANK_SINGULAR_VALUE * max(1.0, float(svals[0]))
-    rank = int(np.sum(svals > tol))
-    return rank, rank < k, [float(s) for s in svals]
+    svals = np.linalg.svd(lane_stack(rows), compute_uv=False)
+    top = svals[..., 0]
+    tol = tolerances.RANK_SINGULAR_VALUE * np.where(top > 1.0, top, 1.0)
+    rank = np.sum(svals > tol[..., None], axis=-1)
+    if svals.ndim == 2:
+        return rank, rank < k, svals
+    return int(rank), bool(rank < k), [float(s) for s in svals]

@@ -11,12 +11,17 @@ infeasible level set, 4 hypothesis failure, 5 residual breach, 6
 numerical non-convergence).  A run flag the command does not read
 (``FLAG_READERS``) is a validation error.
 
-reduce, verify-structure and curvature-scan do each sample's float-level
-work (draws, frames, splittings, directions) on its own.  Samples whose
-float-level decisions agree then form lane batches of at most
-``LANE_BATCH_WIDTH`` samples (``_lane_batches``), and each batch's jet work
-runs once with numpy-array leaves, one entry per sample; a batch of one
-runs on floats.
+reduce and curvature-scan take the samples in chunks of at most
+``LANE_BATCH_WIDTH``, in index order.  A chunk's reduction frames, and
+the submersion context of N around them, are built once on lanes, one
+numpy-array entry per sample; where samples disagree in a float-level
+decision (a Gram-Schmidt drop, a rank) the chunk splits into parts that
+agree (``vecops.agreeing_parts``), and each part's jet work then runs once
+as lanes.  Directions, and curvature-scan's CR splitting, stay per
+sample.  verify-structure, whose samples all share their frame sizes,
+runs them in lane batches of at most ``LANE_BATCH_WIDTH`` in index
+order (``_lane_batches``).  A batch of one runs on floats, and no row
+depends on the batch it ran in.
 """
 
 import argparse
@@ -76,7 +81,7 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import clamped_sqrt, lane, stack_lanes, vvalue
+from .vecops import agreeing_parts, clamped_sqrt, lane, split_frame, stack_lanes, vvalue
 from .jets import value
 
 COMMANDS = (
@@ -168,13 +173,15 @@ def _frame_direction(rng, frame_vectors):
     return list(np.asarray(frame_vectors).T @ c)
 
 
-def _draw_directions(rng, frame_vectors, count):
-    """``count`` pairs of unit directions in the span of the frame; none
-    for an empty frame, where the run counts a hypothesis failure."""
+def _draw_directions(cfg, salt, index, frame_vectors):
+    """``cfg.directions`` pairs of unit directions in the span of the
+    frame, from sample ``index``'s own stream; none for an empty frame,
+    where the run counts a hypothesis failure."""
     if not frame_vectors:
         return []
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt, index]))
     return [(_frame_direction(rng, frame_vectors), _frame_direction(rng, frame_vectors))
-            for _ in range(count)]
+            for _ in range(cfg.directions)]
 
 
 def _empty_frame_notes(count):
@@ -276,7 +283,7 @@ def _action_notes(cfg):
 def run_check_hypotheses(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
-    reports = [setup.hypothesis_report(s) for s in samples]
+    reports = [r for _, chunk in _chunks(samples) for r in setup.hypothesis_report(chunk)]
     n_trans = sum(1 for r in reports if r["transversal"])
     n_free = sum(1 for r in reports if not r["freeness_degenerate"])
     slice_ok = reports[0]["slice_condition"]
@@ -316,63 +323,76 @@ def _lane_batches(keys):
             for k in range(0, len(group), LANE_BATCH_WIDTH)]
 
 
+def _chunks(samples):
+    """(index of the first, samples) in index order, at most
+    ``LANE_BATCH_WIDTH`` samples at a time."""
+    return [(k, samples[k:k + LANE_BATCH_WIDTH])
+            for k in range(0, len(samples), LANE_BATCH_WIDTH)]
+
+
+def _frame_parts(setup, chunk):
+    """[(positions in the chunk, (lane frame, lane context))]: the chunk's
+    reduction frames and submersion contexts, built once on lanes and
+    split where the samples disagree in a float-level decision."""
+    def build(idx):
+        frame = build_frame(setup, [chunk[i] for i in idx], strict=False)
+        ctx = SubmersionContext.from_reduction(setup, frame)
+        ctx._tangent_frames()  # N's frames decide per lane as well
+        return frame, ctx
+
+    return agreeing_parts(build, list(range(len(chunk))))
+
+
 def run_reduce(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
     t_frame = cfg.tol["frame_orthogonality"]
 
-    def prepare(arg):
-        # float-level work of one sample: hypotheses, frames, directions
-        i, samp = arg
-        hyp = setup.hypothesis_report(samp)
-        frame = build_frame(setup, samp, strict=False)
-        ctx = SubmersionContext.from_reduction(setup, frame)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202, i]))
-        dirs = _draw_directions(rng, [list(v) for v in frame.contact_d.vectors],
-                                cfg.directions)
-        key = (frame.vertical_rows.tobytes(), ctx.frame_sizes())
-        return hyp, frame, ctx, dirs, key
-
-    hyps, frames, ctxs, dirs, keys = zip(*[prepare(arg) for arg in enumerate(samples)])
-
-    def certify(batch):
-        # jet stage of samples sharing their float-level decisions, as lanes
-        reds = reduced_tensors_batch(setup, [frames[i] for i in batch])
-        ctx = SubmersionContext.stacked([ctxs[i] for i in batch])
+    def certify(start, idx, frame, ctx):
+        # one part of a chunk: reduced tensors and the quotient residual
+        # over its directions, as lanes; directions drawn per sample
+        reds = reduced_tensors_batch(setup, [frame])
+        contact = split_frame(frame.contact_d.vectors, len(idx))
+        dirs = [_draw_directions(cfg, 202, start + i, vs) for i, vs in zip(idx, contact)]
         worst_q = 0.0
-        for k in range(len(dirs[batch[0]])):  # a batch shares its frame sizes
-            x = stack_lanes([dirs[i][k][0] for i in batch])
-            y = stack_lanes([dirs[i][k][1] for i in batch])
+        for k in range(len(dirs[0])):  # a part shares its frame sizes
+            x = stack_lanes([d[k][0] for d in dirs])
+            y = stack_lanes([d[k][1] for d in dirs])
             worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
-        return [(red, lane(worst_q, j)) for j, red in enumerate(reds)]
+        for j, (red, d) in enumerate(zip(reds, dirs)):
+            checks = {name: float(lane(v, j)) for name, v in frame.checks.items()}
+            yield checks, frame.dims, red, (lane(worst_q, j) if d else None)
 
-    certified = [None] * len(samples)
-    for batch in _lane_batches(keys):
-        for i, res in zip(batch, certify(batch)):
-            certified[i] = res
     n_trans = n_free = n_empty = 0
     det_min = math.inf
     dims0 = None
     rows = []
-    for i, samp in enumerate(samples):
-        hyp, frame, (red, worst_q) = hyps[i], frames[i], certified[i]
-        n_trans += int(hyp["transversal"])
-        n_free += int(not hyp["freeness_degenerate"])
-        for name, val in frame.checks.items():
-            led.add(f"frame_{name}", t_frame, val)
-        led.add("reduced_eta_profile", cfg.tol["eta_on_frame"], red.checks["reduced_eta_profile"])
-        led.add("reduced_gram_identity", cfg.tol["eta_on_frame"], red.checks["reduced_gram_identity"])
-        led.add("basic_d_eta", cfg.tol["basic_d_eta"], red.checks["basic_d_eta"])
-        if dirs[i]:
-            led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], worst_q)
-        else:
-            n_empty += 1
-            worst_q = math.nan
-        det_min = min(det_min, red.d_eta_det)
-        dims0 = frame.dims
-        rows.append([i, *samp.coords(), samp.s, int(hyp["transversal"]),
-                     int(hyp["freeness_degenerate"]), red.d_eta_det, worst_q])
+    for start, chunk in _chunks(samples):
+        hyps = setup.hypothesis_report(chunk)
+        certified = [None] * len(chunk)
+        for idx, (frame, ctx) in _frame_parts(setup, chunk):
+            for i, res in zip(idx, certify(start, idx, frame, ctx)):
+                certified[i] = res
+        for i, (samp, hyp) in enumerate(zip(chunk, hyps), start):
+            checks, dims0, red, worst_q = certified[i - start]
+            n_trans += int(hyp["transversal"])
+            n_free += int(not hyp["freeness_degenerate"])
+            for name, val in checks.items():
+                led.add(f"frame_{name}", t_frame, val)
+            led.add("reduced_eta_profile", cfg.tol["eta_on_frame"],
+                    red.checks["reduced_eta_profile"])
+            led.add("reduced_gram_identity", cfg.tol["eta_on_frame"],
+                    red.checks["reduced_gram_identity"])
+            led.add("basic_d_eta", cfg.tol["basic_d_eta"], red.checks["basic_d_eta"])
+            if worst_q is not None:
+                led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], worst_q)
+            else:
+                n_empty += 1
+                worst_q = math.nan
+            det_min = min(det_min, red.d_eta_det)
+            rows.append([i, *samp.coords(), samp.s, int(hyp["transversal"]),
+                         int(hyp["freeness_degenerate"]), red.d_eta_det, worst_q])
 
     k = setup.kernel.k
     dims = {
@@ -412,27 +432,14 @@ def run_curvature_scan(cfg):
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
 
-    def prepare(arg):
-        # float-level work of one sample: frames, CR splitting, directions
-        i, samp = arg
-        frame = build_frame(setup, samp, strict=False)
-        ctx = SubmersionContext.from_reduction(setup, frame)
-        crd = cr_decomposition(ctx)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 303, i]))
-        dirs = _draw_directions(rng, crd.d_frame, cfg.directions)
-        key = (frame.vertical_rows.tobytes(), ctx.frame_sizes(), tuple(crd.dims.items()))
-        return ctx, crd, dirs, key
-
-    ctxs, crds, dirs, keys = zip(*[prepare(arg) for arg in enumerate(samples)])
-
-    def certify(batch):
-        # identities of samples sharing their float-level decisions, as lanes
-        ctx = SubmersionContext.stacked([ctxs[i] for i in batch])
-        crd = CRDecomposition.stacked([crds[i] for i in batch])
-        out = [[] for _ in batch]
-        for k in range(len(dirs[batch[0]])):  # a batch shares its splitting
-            x = stack_lanes([dirs[i][k][0] for i in batch])
-            y = stack_lanes([dirs[i][k][1] for i in batch])
+    def certify(ctxs, crds, dirs):
+        # identities of samples sharing their CR splitting, as lanes
+        ctx = SubmersionContext.stacked(ctxs)
+        crd = CRDecomposition.stacked(crds)
+        out = [[] for _ in ctxs]
+        for k in range(len(dirs[0])):  # a batch shares its splitting
+            x = stack_lanes([d[k][0] for d in dirs])
+            y = stack_lanes([d[k][1] for d in dirs])
             fin = final_identity(ctx, x, crd)
             rels = relation_residuals(ctx, crd, x, y)
             onil = oneill_plane_residual(ctx, x)
@@ -442,16 +449,25 @@ def run_curvature_scan(cfg):
                                 float(lane(onil, j))))
         return out
 
+    nu_dims = set()
     per_sample = [None] * len(samples)
-    for batch in _lane_batches(keys):
-        for i, res in zip(batch, certify(batch)):
-            per_sample[i] = res
+    for start, chunk in _chunks(samples):
+        for idx, (_, lanes_ctx) in _frame_parts(setup, chunk):
+            # the CR splitting is decided per sample, on floats
+            ctxs = lanes_ctx.per_sample()
+            crds = [cr_decomposition(c) for c in ctxs]
+            dirs = [_draw_directions(cfg, 303, start + i, crd.d_frame) for i, crd in zip(idx, crds)]
+            nu_dims.update(crd.dims["nu"] for crd in crds)
+            for batch in _lane_batches([tuple(crd.dims.items()) for crd in crds]):
+                res = certify([ctxs[b] for b in batch], [crds[b] for b in batch],
+                              [dirs[b] for b in batch])
+                for b, r in zip(batch, res):
+                    per_sample[start + idx[b]] = r
+
     k_min, k_max = math.inf, -math.inf
     rows = []
-    nu_dims = set()
     n_empty = 0
-    for i, (samp, crd, per_dir) in enumerate(zip(samples, crds, per_sample)):
-        nu_dims.add(crd.dims["nu"])
+    for i, (samp, per_dir) in enumerate(zip(samples, per_sample)):
         if not per_dir:
             n_empty += 1
             rows.append([i, *samp.coords(), samp.s, *[math.nan] * 4])

@@ -25,7 +25,7 @@ import numpy as np
 from . import tolerances
 from .errors import SingularMetric
 from .jets import Dual, along, jsqrt, value
-from .vecops import solve_linear, split_lanes, stack_frames, vdot, vscale, vsub, vvalue
+from .vecops import lane_array, solve_linear, split_lanes, vdot, vscale, vsub, vvalue
 
 
 class InducedMetric:
@@ -132,8 +132,8 @@ class Cone:
             first.append(d)
             return d
 
-        second = _lane_array(along(d_inner, p, outer), m * m)
-        dM = np.moveaxis(_lane_array(first[0], m * m)[:, :, :m], 2, 0)  # dM[c, i, j]
+        second = lane_array(along(d_inner, p, outer), m * m)
+        dM = np.moveaxis(lane_array(first[0], m * m)[:, :, :m], 2, 0)  # dM[c, i, j]
         ddM = np.moveaxis(second.reshape(m, m, m, m), (2, 3), (0, 1))  # ddM[a, b, i, j]
         M = np.asarray(self.metric_field(p), dtype=float)
         # symbols of the first kind Gamma_lij = (d_i M_jl + d_j M_il - d_l M_ij) / 2
@@ -149,13 +149,6 @@ class Cone:
         riem = d_gamma - d_gamma.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
         return (np.ascontiguousarray(gamma.transpose(0, 2, 1)),
                 np.ascontiguousarray(riem.transpose(0, 3, 2, 1)))
-
-
-def _lane_array(rows, width):
-    """Array of nested rows of derivative lanes, lanes last.  Jets are
-    stripped to their values, and a float entry (a derivative that does
-    not depend on the lane, such as 0.0) fills every lane."""
-    return np.asarray([[np.broadcast_to(value(e), (width,)) for e in row] for row in rows])
 
 
 class Geometry:
@@ -180,18 +173,14 @@ class Geometry:
     def tangent_frame(self, p):
         """Euclidean-orthonormal tangent basis at the float point under
         the jet value of p; deterministic and cached.  At a lane point
-        each sample gets its own basis, stacked into lane vectors."""
+        each sample gets its own basis, as lane vectors."""
         base = vvalue(p)
         key = np.asarray(base, dtype=float).tobytes()
         hit = self._frames.get(key)
         if hit is None:
             if len(self._frames) > 8192:
                 self._frames.clear()
-            points = split_lanes(base)
-            if points is None:
-                hit = self.manifold.tangent_basis(base)
-            else:
-                hit = stack_frames([self.manifold.tangent_basis(q) for q in points])
+            hit = self.manifold.tangent_basis(base)
             self._frames[key] = hit
         return hit
 

@@ -9,7 +9,7 @@ same formulas can be differentiated.
 import numpy as np
 
 from . import tolerances
-from .vecops import solve_linear, vdot, vscale, vsub, vvalue
+from .vecops import agreed, lane_stack, solve_linear, vdot, vscale, vsub, vvalue
 
 
 class Constraint:
@@ -99,14 +99,20 @@ class EmbeddedManifold:
 
     def tangent_basis(self, p):
         """Deterministic Euclidean-orthonormal basis of the tangent space
-        at a float point, via SVD of the constraint Jacobian."""
-        grads = np.asarray([vvalue(g) for g in self.constraint_grads(p)], dtype=float)
+        at a float point, via SVD of the constraint Jacobian: an array of
+        rows.  At a lane point one stacked SVD serves every sample, the
+        rank is decided per sample and must agree (``vecops.agreed``),
+        and the rows come back as lane vectors."""
+        grads = lane_stack(self.constraint_grads(p))
         if grads.size == 0:
             return np.eye(self.ambient_dim)
         _, s, vt = np.linalg.svd(grads)
-        tol = tolerances.RANK_SINGULAR_VALUE * max(1.0, s[0] if len(s) else 1.0)
-        rank = int(np.sum(s > tol))
-        return vt[rank:]
+        top = s[..., 0]
+        tol = tolerances.RANK_SINGULAR_VALUE * np.where(top > 1.0, top, 1.0)
+        rank = agreed(np.sum(s > tol[..., None], axis=-1))
+        if vt.ndim == 2:
+            return vt[rank:]
+        return [list(r) for r in np.ascontiguousarray(np.moveaxis(vt[:, rank:], 0, -1))]
 
     def residual(self, p):
         return max(abs(v) for v in vvalue(self.constraint_values(p)))

@@ -3,10 +3,12 @@
 A SubmersionContext holds, at one sample of a level set N: the ambient
 structure, the level-set manifold, vertical fields (jet-generic), and
 the vertical and horizontal frames.  The frames are those of the
-sample's reduction frame (``from_reduction``); ``stacked`` joins such
-contexts into one whose point and frames are lanes.  Quotient tensors
-are never written in quotient coordinates; they are evaluated on
-horizontal representatives upstairs.
+sample's reduction frame (``from_reduction``).  A context built from a
+lane frame holds a batch of samples as lanes, N's tangent and normal
+frames included; ``per_sample`` splits it into float contexts and
+``stacked`` joins such contexts again.  Quotient tensors are never
+written in quotient coordinates; they are evaluated on horizontal
+representatives upstairs.
 
 Sign conventions, fixed once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z -
 nab_[X,Y] Z, slots R(X,Y,Z,V) = g(R(X,Y)Z, V), sectional K(X,Y) =
@@ -21,13 +23,18 @@ is pinned by the Hopf gate test (S^3 -> S^2: upstairs 1, downstairs 4)
 before anything else trusts it.
 """
 
+import numpy as np
+
 from .geometry import Geometry
 from .jets import value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
 from .vecops import (
     clamped_sqrt,
     lane_pow,
+    lane_width,
     solve_linear,
+    split_frame,
+    split_lanes,
     stack_frames,
     stack_lanes,
     vscale,
@@ -57,6 +64,7 @@ class SubmersionContext:
 
     @classmethod
     def from_reduction(cls, setup, rframe):
+        """The context of a reduction frame, of one sample or of lanes."""
         fields = [
             (lambda q, r=tuple(row): setup.action.fundamental_field(r, q))
             for row in rframe.vertical_rows
@@ -65,7 +73,7 @@ class SubmersionContext:
             setup.structure,
             setup.manifold,
             fields,
-            rframe.sample.coords(),
+            rframe.p,
             horizontal_frame=rframe.horizontal,
             vertical_frame=[list(v) for v in rframe.vertical.vectors],
             tangent_basis=rframe.tangent,
@@ -77,9 +85,8 @@ class SubmersionContext:
         contexts as lanes, so each evaluation on it serves them all.
 
         The contexts must share structure, manifold and vertical fields
-        and have frames of equal sizes.  Their float-level frames
-        (including the tangent and normal frames of N) are computed per
-        sample first.
+        and have frames of equal sizes.  Their tangent and normal frames
+        of N are stacked as they are, and formed first where missing.
         """
         first = contexts[0]
         frames = [c._tangent_frames() for c in contexts]
@@ -95,17 +102,25 @@ class SubmersionContext:
         out._normal_on = stack_frames([nu for _, nu in frames])
         return out
 
-    def frame_sizes(self):
-        """Sizes of every frame the context evaluates with.  Contexts that
-        agree here and share their vertical fields can be stacked."""
+    def per_sample(self):
+        """The float context of each sample of a lane context, with its
+        tangent and normal frames of N (``stacked`` undone); a float
+        context is its own one sample."""
+        width = lane_width(self.p)
+        if width is None:
+            return [self]
         tangent_on, normal_on = self._tangent_frames()
-        return (
-            len(self.vertical_frame),
-            len(self.horizontal_frame),
-            len(tangent_on),
-            len(normal_on),
-            len(self.tangent_basis),
-        )
+        out = []
+        for p, horiz, vert, basis, t_on, n_on in zip(
+                split_lanes(self.p),
+                *(split_frame(f, width) for f in (
+                    self.horizontal_frame, self.vertical_frame, self.tangent_basis,
+                    tangent_on, normal_on))):
+            ctx = SubmersionContext(self.structure, self.manifold, self.vertical_fields, p,
+                                    horiz, vert, tangent_basis=np.asarray(basis))
+            ctx._tangent_on, ctx._normal_on = t_on, n_on
+            out.append(ctx)
+        return out
 
     # -- projections (jet-generic) --------------------------------------
 
@@ -142,6 +157,9 @@ class SubmersionContext:
     # -- second fundamental form of N in the ambient sphere --------------
 
     def _tangent_frames(self):
+        """Orthonormal frames of T_pN and of N's normal space in T_pS,
+        under the structure's metric; formed once, on lanes as well,
+        where their Gram-Schmidt drops decide per lane."""
         if self._tangent_on is None:
             S = self.structure
             if self.tangent_basis is None:

@@ -19,6 +19,13 @@ SeedSequence(seed).spawn(...)[i], and takes all of its draws up front;
 samples step together in chunks of ``WALK_CHUNK`` and every sum over
 coordinates runs in order, so sample i depends neither on the sample
 count nor on the chunking.
+
+The hypothesis checks and the reduction frames take a batch of samples
+at once, as lanes: one stacked SVD per rank test and tangent basis, one
+Gram-Schmidt per frame.  Decisions (a drop, a rank) are made per lane;
+lanes that decide differently raise ``LanesDisagree``, and the caller
+splits the batch by the decision (``vecops.agreeing_parts``).  A batch of
+one sample runs on floats.
 """
 
 import math
@@ -43,7 +50,8 @@ from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sp
                         SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import as_list, lane, stack_frames, stack_lanes, vdot, vvalue
+from .vecops import (agreed, as_list, lane, lane_stack, lane_width, split_frame,
+                     stack_frames, stack_lanes, vdot, vvalue)
 
 
 @dataclass(frozen=True)
@@ -353,15 +361,19 @@ def newton_project(action, mu, q):
 
 
 def transversality_check(action, mu, sample):
-    """Rank test of [dJ(tangent frame) | mu_unit] at the sample."""
+    """Rank test of [dJ(tangent frame) | mu_unit] at the sample.  At a
+    lane point one stacked SVD tests every sample, and the verdicts and
+    singular values come back per sample (arrays)."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     p = sample.coords() if isinstance(sample, LevelSetSample) else as_list(sample)
-    frame = Sphere(len(p)).tangent_basis(p)
-    dj = action.momentum_jacobian(p) @ frame.T
-    M = np.hstack([dj, np.asarray(mu.unit).reshape(-1, 1)])
-    svals = np.linalg.svd(M, compute_uv=False)
-    ok = bool(svals[-1] > tolerances.RANK_SINGULAR_VALUE)
-    return ok, [float(s) for s in svals]
+    frame = lane_stack(Sphere(len(p)).tangent_basis(p))
+    dj = lane_stack([list(r) for r in action.momentum_jacobian(p)]) @ np.swapaxes(frame, -1, -2)
+    unit = np.broadcast_to(np.reshape(mu.unit, (-1, 1)), dj.shape[:-1] + (1,))
+    svals = np.linalg.svd(np.concatenate([dj, unit], axis=-1), compute_uv=False)
+    ok = svals[..., -1] > tolerances.RANK_SINGULAR_VALUE
+    if svals.ndim == 2:
+        return ok, svals
+    return bool(ok), [float(s) for s in svals]
 
 
 # ----------------------------------------------------------------------
@@ -424,24 +436,29 @@ class ReductionSetup:
             return slice_condition(self.mu)
         return True, {"note": "zero reduction: ker 0 = g"}
 
-    def hypothesis_report(self, sample):
+    def hypothesis_report(self, samples):
+        """Hypothesis data of one sample, or the list of it for a list of
+        samples, whose rank tests then run as one stacked SVD each."""
+        if isinstance(samples, LevelSetSample):
+            return self.hypothesis_report([samples])[0]
         ok_slice, slice_info = self.slice_check
+        p = stack_lanes([s.coords() for s in samples])
         trans_ok, svals = (
-            transversality_check(self.action, self.mu, sample)
+            transversality_check(self.action, self.mu, p)
             if self.mode == "ray"
             else (True, [])
         )
-        rank, degenerate, fsvals = local_freeness(self.action, self.kernel, sample.coords())
-        return {
+        rank, degenerate, fsvals = local_freeness(self.action, self.kernel, p)
+        return [{
             "slice_condition": ok_slice,
             "slice_info": slice_info,
-            "transversal": trans_ok,
-            "transversality_svals": svals,
-            "freeness_rank": rank,
+            "transversal": bool(lane(trans_ok, j)),
+            "transversality_svals": [float(s) for s in lane(svals, j)],
+            "freeness_rank": int(lane(rank, j)),
             "freeness_expected": self.kernel.k,
-            "freeness_degenerate": degenerate,
-            "freeness_svals": fsvals,
-        }
+            "freeness_degenerate": bool(lane(degenerate, j)),
+            "freeness_svals": [float(s) for s in lane(fsvals, j)],
+        } for j in range(len(samples))]
 
 
 def quotient_dimension(dim_m, d, k):
@@ -457,17 +474,18 @@ def printed_remark_dimension(n, d, m, k):
 
 @dataclass
 class ReductionFrame:
-    """Concrete orthogonal splitting at a level-set sample."""
+    """Concrete orthogonal splitting at a level-set sample, or at a batch
+    of samples as lanes that agree in every float-level decision."""
 
-    sample: LevelSetSample
+    p: list                         # the sample's point, or lanes
     vertical: Frame
     reeb: tuple
     contact_d: Frame
     normal: Frame
     vertical_rows: np.ndarray       # algebra rows whose fields stay independent
-    tangent: np.ndarray             # Euclidean-orthonormal basis of the level set's T_p
+    tangent: object                 # Euclidean-orthonormal basis of the level set's T_p
     dims: dict
-    checks: dict
+    checks: dict                    # a float, or an array over the lanes, per check
 
     @property
     def horizontal(self):
@@ -476,8 +494,16 @@ class ReductionFrame:
 
 
 def build_frame(setup, sample, strict=True):
-    """Vertical / Reeb / contact-horizontal / normal splitting at a sample."""
-    p = sample.coords()
+    """Vertical / Reeb / contact-horizontal / normal splitting at a sample.
+
+    Given a list of samples, the frames of all of them are built at once
+    on lanes.  Every float-level decision (a Gram-Schmidt drop, hence the
+    vertical rank and each frame size; the rows kept at a vertical rank
+    loss; a tangent rank) is made per lane and must agree across the
+    lanes, else ``LanesDisagree`` (split with ``vecops.agreeing_parts``).
+    """
+    samples = [sample] if isinstance(sample, LevelSetSample) else sample
+    p = stack_lanes([s.coords() for s in samples])
     S = setup.structure
     man = setup.manifold
     tol = tolerances.DEFAULTS["frame_orthogonality"]
@@ -499,7 +525,9 @@ def build_frame(setup, sample, strict=True):
     elif k_eff == 0:
         vrows = np.zeros((0, setup.action.d))
     else:
-        vrows = _independent_rows(rows, vert_vecs, k_eff)
+        picks = [_independent_rows(vecs, k_eff)
+                 for vecs in split_frame(vert_vecs, len(samples))]
+        vrows = np.asarray(rows)[list(agreed(picks))]
 
     reeb = vvalue(S.reeb(p))
     basis = man.tangent_basis(p)
@@ -524,10 +552,10 @@ def build_frame(setup, sample, strict=True):
     }
 
     checks = _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent)
-    frame = ReductionFrame(sample, vertical, tuple(reeb), contact_d, normal,
+    frame = ReductionFrame(p, vertical, tuple(reeb), contact_d, normal,
                            np.asarray(vrows, dtype=float), basis, dims, checks)
     if strict:
-        bad = {k: v for k, v in checks.items() if v > tol}
+        bad = {k: v for k, v in checks.items() if np.any(v > tol)}
         if len(contact_d) != dim_n - k_eff - 1:
             raise FrameInconsistent(
                 f"contact block has dim {len(contact_d)}, expected {dim_n - k_eff - 1}"
@@ -537,7 +565,9 @@ def build_frame(setup, sample, strict=True):
     return frame
 
 
-def _independent_rows(rows, vecs, k_eff):
+def _independent_rows(vecs, k_eff):
+    """Positions of the first k_eff of one sample's float vectors that
+    are independent, in order."""
     picked, idx = [], []
     for i, v in enumerate(vecs):
         cand = picked + [v]
@@ -546,10 +576,12 @@ def _independent_rows(rows, vecs, k_eff):
             idx.append(i)
         if len(picked) == k_eff:
             break
-    return np.asarray(rows)[idx]
+    return tuple(idx)
 
 
 def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
+    """The frame invariants, each the worst over its pairs; on lanes an
+    array of one worst value per sample."""
     S = setup.structure
     g = S.metric.g
     checks = {}
@@ -564,24 +596,24 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
         for b in names[i + 1:]:
             for u in blocks[a]:
                 for v in blocks[b]:
-                    worst = max(worst, abs(value(g(p, u, v))))
+                    worst = np.maximum(worst, abs(value(g(p, u, v))))
     checks["block_orthogonality"] = worst
 
     worst = 0.0
     for u in blocks["vertical"] + blocks["contact_d"]:
-        worst = max(worst, abs(value(S.eta(p, u))))
+        worst = np.maximum(worst, abs(value(S.eta(p, u))))
     checks["eta_on_vertical_and_d"] = worst
     checks["eta_on_reeb"] = abs(value(S.eta(p, reeb)) - 1.0)
 
     worst = 0.0
     for nu in normal.vectors:
         for t in tangent:
-            worst = max(worst, abs(value(g(p, list(nu), t))))
+            worst = np.maximum(worst, abs(value(g(p, list(nu), t))))
     checks["normal_vs_tangent"] = worst
 
     stack = blocks["vertical"] + blocks["reeb"] + blocks["contact_d"]
-    rank = int(np.linalg.matrix_rank(np.asarray(stack), tol=1e-8))
-    checks["span_defect"] = float(len(stack) - rank)
+    rank = np.linalg.matrix_rank(lane_stack(stack), tol=1e-8)
+    checks["span_defect"] = np.subtract(len(stack), rank, dtype=float)
     return checks
 
 
@@ -589,7 +621,6 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
 class ReducedPointData:
     """Reduced tensors in the horizontal frame representation."""
 
-    frame: ReductionFrame
     reduced_eta: np.ndarray
     reduced_gram: np.ndarray
     d_eta_matrix: np.ndarray
@@ -604,21 +635,24 @@ def reduced_tensors(setup, rframe):
 
 
 def reduced_tensors_batch(setup, rframes):
-    """``reduced_tensors`` of several samples, with every d(eta) jet
-    evaluated once over the samples stacked as lanes.
+    """``reduced_tensors`` of every sample of the given frames, in order,
+    with each tensor evaluated once over the samples stacked as lanes.
 
-    The frames must agree in their float-level decisions: the same
-    vertical rows, and contact blocks and tangent bases of equal size.
+    The frames are float frames, one per sample, or a single lane frame;
+    they must agree in their float-level decisions: the same vertical
+    rows, and contact blocks and tangent bases of equal size.
     """
     S = setup.structure
-    points = [list(f.sample.coords()) for f in rframes]
-    p = stack_lanes(points)
+    p = stack_lanes([f.p for f in rframes])
     dvecs = stack_frames([f.contact_d.vectors for f in rframes])
+    horiz = stack_frames([f.horizontal for f in rframes])
     m = len(dvecs)
     deta_lanes = {
         (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
         for i in range(m) for j in range(m) if i != j
     }
+    eta_lanes = [value(S.eta(p, v)) for v in horiz]
+    gram_lanes = [[value(S.metric.g(p, u, v)) for v in horiz] for u in horiz]
 
     tangent = stack_frames([f.tangent for f in rframes])
     worst_basic = 0.0
@@ -628,12 +662,9 @@ def reduced_tensors_batch(setup, rframes):
             worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
 
     out = []
-    for k, (rframe, q) in enumerate(zip(rframes, points)):
-        horiz = rframe.horizontal
-        eta_vals = np.asarray([value(S.eta(q, v)) for v in horiz])
-        gram = np.asarray(
-            [[value(S.metric.g(q, u, v)) for v in horiz] for u in horiz], dtype=float
-        )
+    for k in range(lane_width(p) or 1):
+        eta_vals = np.asarray([lane(e, k) for e in eta_lanes], dtype=float)
+        gram = np.asarray([[lane(x, k) for x in row] for row in gram_lanes], dtype=float)
         deta = np.zeros((m, m))
         for (i, j), val in deta_lanes.items():
             deta[i, j] = lane(val, k)
@@ -647,5 +678,5 @@ def reduced_tensors_batch(setup, rframes):
             "d_eta_antisymmetry": antisym,
             "basic_d_eta": float(lane(worst_basic, k)),
         }
-        out.append(ReducedPointData(rframe, eta_vals, gram, deta, det, checks))
+        out.append(ReducedPointData(eta_vals, gram, deta, det, checks))
     return out

@@ -4,6 +4,13 @@ Points and vectors are plain sequences of ambient coordinates
 (x_1, y_1, ..., x_n, y_n) with z_j = x_j + i y_j.  ``AmbientPoint``
 carries the unit-norm invariant of a sampled point and ``Frame`` the
 output of Gram-Schmidt; the operations accept and return plain lists.
+
+Gram-Schmidt is generic over lanes: on a lane point and lane vectors it
+orthonormalises the frames of a whole batch of samples at once, every
+inner product an ordered ``vdot``-style sum, so each lane holds the bits
+of its sample's float evaluation.  A drop is decided per lane; lanes
+that decide differently raise ``LanesDisagree`` (``vecops.agreed``), and
+the caller splits the batch by the decision (``vecops.agreeing_parts``).
 """
 
 import math
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 
 from . import tolerances
 from .errors import EmptyFrame
-from .vecops import as_list, clamped_sqrt, vscale, vsub
+from .vecops import agreed, as_list, clamped_sqrt, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,8 @@ def gram_schmidt(metric, p, vectors):
 
     Vectors whose residual norm falls below the drop tolerance are
     discarded; raises EmptyFrame when nothing survives a non-empty
-    input.
+    input.  On lanes every lane must drop the same inputs, else
+    LanesDisagree.
     """
     g = metric.g
     p = as_list(p)
@@ -64,7 +72,7 @@ def gram_schmidt(metric, p, vectors):
         for u in kept:
             w = vsub(w, vscale(u, g(p, u, w)))
         nrm = clamped_sqrt(g(p, w, w))
-        if nrm < tolerances.GRAM_SCHMIDT_DROP:
+        if agreed(nrm < tolerances.GRAM_SCHMIDT_DROP):
             continue
         kept.append(vscale(w, 1.0 / nrm))
         inputs.append(i)

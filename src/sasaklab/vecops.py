@@ -3,8 +3,13 @@
 Ambient vectors are plain Python lists whose entries are floats, jet
 scalars, or lanes: 1-D numpy arrays holding one entry per sample of a
 batch.  ``stack_lanes`` builds lane vectors from per-sample float
-vectors and ``lane`` reads one sample back.  Rank decisions and frames
-stay per sample, at the float level.
+vectors and ``lane`` reads one sample back.
+
+A float-level decision (a Gram-Schmidt drop, a rank) is made per lane.
+``agreed`` lets a batch go on as one while every lane decides alike and
+raises ``LanesDisagree`` otherwise; ``agreeing_parts`` then runs each
+group of agreeing lanes again on its own, so every lane goes through
+exactly the operations of its float evaluation.
 """
 
 import numpy as np
@@ -64,6 +69,31 @@ def stack_frames(frames):
     return [stack_lanes(vs) for vs in zip(*frames)]
 
 
+def lane_width(u):
+    """The number of lanes of the vector u, None when u holds floats only."""
+    widths = {len(a) for a in u if isinstance(a, np.ndarray)}
+    return widths.pop() if widths else None
+
+
+def lane_array(rows, width):
+    """Array of nested rows of lane entries, lanes last.  Jets are
+    stripped to their values, and a float entry (one that does not
+    depend on the lane, such as 0.0) fills every lane."""
+    return np.asarray([[np.broadcast_to(value(e), (width,)) for e in row] for row in rows])
+
+
+def lane_stack(rows):
+    """A matrix given as rows of lane vectors, as one (samples, rows,
+    columns) stack; a matrix of floats, or an array, comes back as a
+    2-D array."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    width = lane_width([a for r in rows for a in r])
+    if width is None:
+        return np.asarray([vvalue(r) for r in rows], dtype=float)
+    return np.moveaxis(lane_array(rows, width), -1, 0)
+
+
 def lane(x, i):
     """Sample i of a lane scalar; a float, shared by every lane, passes through."""
     return x[i] if isinstance(x, np.ndarray) else x
@@ -72,10 +102,53 @@ def lane(x, i):
 def split_lanes(u):
     """The per-sample float vectors of a lane vector, or None when u
     holds no lanes."""
-    widths = {len(a) for a in u if isinstance(a, np.ndarray)}
-    if not widths:
+    width = lane_width(u)
+    if width is None:
         return None
-    return [[float(lane(a, i)) for a in u] for i in range(widths.pop())]
+    return [[float(lane(a, i)) for a in u] for i in range(width)]
+
+
+def split_frame(vectors, width):
+    """Sample by sample, the float vectors of a frame of lane vectors
+    (``stack_frames`` undone); a float vector is every sample's."""
+    cols = [split_lanes(v) or [list(v)] * width for v in vectors]
+    return [[c[i] for c in cols] for i in range(width)]
+
+
+class LanesDisagree(Exception):
+    """The lanes of a batch differ in a float-level decision; ``keys``
+    holds each lane's decision."""
+
+    def __init__(self, keys):
+        super().__init__(f"lanes disagree: {keys}")
+        self.keys = keys
+
+
+def agreed(decision):
+    """The float-level decision every lane makes: a float decision
+    passes through, lanes (an array, or a list of per-lane keys) must
+    all decide alike, else LanesDisagree."""
+    if isinstance(decision, np.ndarray):
+        decision = decision.tolist()
+    if not isinstance(decision, list):
+        return decision
+    if any(k != decision[0] for k in decision):
+        raise LanesDisagree(decision)
+    return decision[0]
+
+
+def agreeing_parts(fn, indices):
+    """[(indices, fn(indices))]: fn runs on the lanes ``indices`` of a
+    batch as one while they make the same float-level decisions.  Where
+    they disagree, the lanes are grouped by the decision, in order of
+    first appearance, and fn runs again on each group on its own."""
+    try:
+        return [(indices, fn(indices))]
+    except LanesDisagree as exc:
+        groups = {}
+        for i, key in zip(indices, exc.keys):
+            groups.setdefault(key, []).append(i)
+        return [part for group in groups.values() for part in agreeing_parts(fn, group)]
 
 
 def clamped_sqrt(x):

@@ -514,11 +514,12 @@ class TestLaneBatches:
 
     @pytest.mark.parametrize("command, args", [
         ("reduce", ["--preset", "ex1"]),
+        ("reduce", ["--preset", "ex1gen", "--n", "3"]),
         ("verify-structure", ["--preset", "ex1"]),
         ("verify-structure", ["--preset", "weighted"]),
         ("curvature-scan", ["--preset", "ex1", "--directions", "1"]),
-    ], ids=["reduce-ex1", "verify-structure-ex1", "verify-structure-weighted",
-            "curvature-scan-ex1"])
+    ], ids=["reduce-ex1", "reduce-ex1gen-n3", "verify-structure-ex1",
+            "verify-structure-weighted", "curvature-scan-ex1"])
     def test_bytes_do_not_depend_on_the_batch_width_bound(self, tmp_path, monkeypatch,
                                                           command, args):
         args = [command, *args, "--samples", "5", "--seed", "13"]

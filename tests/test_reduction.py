@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import hit_and_run_loop, moduli_lp_oracle
 from sasaklab import reduction, tolerances
-from sasaklab.actions import MomentumCovector, TorusAction, kernel_algebra
+from sasaklab.actions import MomentumCovector, TorusAction, kernel_algebra, local_freeness
 from sasaklab.errors import EmptyLevelSet, NoConvergence, WrongRay
 from sasaklab.jets import value
 from sasaklab.reduction import (
@@ -28,7 +28,9 @@ from sasaklab.reduction import (
 )
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.jets import along
-from sasaklab.vecops import solve_linear, vvalue
+from sasaklab.tensor_kernel import AmbientPoint
+from sasaklab.vecops import (LanesDisagree, agreeing_parts, lane, solve_linear, split_frame,
+                             stack_lanes, vvalue)
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])
@@ -280,6 +282,83 @@ class TestBuildFrame:
         assert frame.dims["vertical"] == 0
         assert frame.dims["level_set"] == 5
         assert frame.dims["quotient"] == 5
+
+
+def _point(coords):
+    c = np.asarray(coords, dtype=float)
+    return reduction.LevelSetSample(AmbientPoint.of(c / np.linalg.norm(c)), 0.0)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestLaneFrames:
+    """Frames built on lanes hold, lane by lane, the bits of each
+    sample's float frame, whichever samples share the batch."""
+
+    def test_mixed_batch_splits_into_the_single_sample_frames(self):
+        # zero reduction by the first two circles of T^4 on S^7: hand-built
+        # points where their fields have rank 2, 1 (either row kept) or 0,
+        # and one where the Reeb field lies in their span (contact size 4)
+        setup = ReductionSetup(S7, TorusAction.of(np.eye(4)),
+                               zero_rows=[[1, 0, 0, 0], [0, 1, 0, 0]])
+        points = [_point(c) for c in (
+            [0.3, 0.4, 0.5, 0.1, 0.2, 0.6, 0.7, 0.2],
+            [0.0, 0.0, 0.5, 0.1, 0.2, 0.6, 0.7, 0.2],
+            [0.3, 0.4, 0.0, 0.0, 0.2, 0.6, 0.7, 0.2],
+            [0.0, 0.0, 0.0, 0.0, 0.2, 0.6, 0.7, 0.2],
+            [0.3, 0.4, 0.5, 0.1, 0.0, 0.0, 0.0, 0.0],
+            [0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.2, 0.1],
+            [0.0, 0.0, -0.4, 0.3, 0.1, 0.2, 0.5, -0.6],
+        )] + setup.samples(2, seed=8)
+        singles = [build_frame(setup, s, strict=False) for s in points]
+        assert len({(f.dims["vertical"], f.dims["contact_d"], f.vertical_rows.tobytes())
+                    for f in singles}) == 5
+        with pytest.raises(LanesDisagree):
+            build_frame(setup, points, strict=False)
+
+        parts = agreeing_parts(
+            lambda idx: build_frame(setup, [points[i] for i in idx], strict=False),
+            list(range(len(points))))
+        assert sorted(i for idx, _ in parts for i in idx) == list(range(len(points)))
+        assert max(len(idx) for idx, _ in parts) > 1
+        for idx, frame in parts:
+            w = len(idx)
+            blocks = [split_frame(f.vectors, w) for f in (frame.vertical, frame.contact_d,
+                                                        frame.normal)]
+            tangent = split_frame(frame.tangent, w)
+            reeb = split_frame([frame.reeb], w)
+            for k, i in enumerate(idx):
+                ref = singles[i]
+                assert frame.dims == ref.dims
+                assert frame.vertical_rows.tobytes() == ref.vertical_rows.tobytes()
+                assert _same_bits(split_frame([frame.p], w)[k], ref.p)
+                for got, want in zip(blocks, (ref.vertical, ref.contact_d, ref.normal)):
+                    assert _same_bits(got[k], want.vectors)
+                assert frame.vertical.inputs == ref.vertical.inputs
+                assert frame.normal.inputs == ref.normal.inputs
+                assert _same_bits(reeb[k], [ref.reeb])
+                assert _same_bits(tangent[k], ref.tangent)
+                for name, val in ref.checks.items():
+                    assert _same_bits(lane(frame.checks[name], k), val), name
+
+    def test_stacked_rank_tests_match_each_sample_bitwise(self):
+        setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
+        samples = setup.samples(50, seed=17)
+        p = stack_lanes([s.coords() for s in samples])
+        for man in (setup.manifold, S7.sphere):
+            lanes = split_frame(man.tangent_basis(p), 50)
+            for got, s in zip(lanes, samples):
+                assert _same_bits(got, man.tangent_basis(s.coords()))
+        ok, svals = transversality_check(PAIRS, [1.0, 1.0], p)
+        rank, degenerate, fsvals = local_freeness(PAIRS, setup.kernel, p)
+        for k, s in enumerate(samples):
+            ref_ok, ref_svals = transversality_check(PAIRS, [1.0, 1.0], s)
+            assert ok[k] == ref_ok and _same_bits(svals[k], ref_svals)
+            ref = local_freeness(PAIRS, setup.kernel, s.coords())
+            assert (rank[k], degenerate[k]) == ref[:2] and _same_bits(fsvals[k], ref[2])
+        assert setup.hypothesis_report(samples) == [setup.hypothesis_report(s) for s in samples]
 
 
 class TestQuotientDimension:

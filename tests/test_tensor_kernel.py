@@ -10,7 +10,8 @@ from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import cmult, vdot, vscale, vsub, vvalue
+from sasaklab.vecops import (LanesDisagree, agreeing_parts, cmult, split_frame, stack_frames,
+                             stack_lanes, vdot, vscale, vsub, vvalue)
 
 rng = np.random.default_rng(1234)
 EUCLIDEAN = InducedMetric()
@@ -101,6 +102,35 @@ class TestGramSchmidt:
         a = gram_schmidt(EUCLIDEAN, p, [list(v) for v in vs])
         b = gram_schmidt(EUCLIDEAN, p, [list(v) for v in vs])
         assert a.vectors == b.vectors
+
+    @pytest.mark.parametrize("metric", [EUCLIDEAN,
+                                        WeightedSphereStructure(2, [1.0, 3.0]).metric],
+                             ids=["euclidean", "weighted"])
+    def test_lanes_that_disagree_on_a_drop_split_into_float_frames(self, metric):
+        # lane 1 gets a parallel second input and lane 3 a zero one: both
+        # drop it, the other lanes keep it
+        points, inputs = [], []
+        for k in range(5):
+            p = rand_point(4)
+            v, w, x = rand_tangent(p), rand_tangent(p), rand_tangent(p)
+            second = {1: vscale(v, -3.0), 3: [0.0] * 4}.get(k, w)
+            points.append(p)
+            inputs.append([v, second, x])
+        with pytest.raises(LanesDisagree):
+            gram_schmidt(metric, stack_lanes(points), stack_frames(inputs))
+
+        def frames(idx):
+            return gram_schmidt(metric, stack_lanes([points[i] for i in idx]),
+                                stack_frames([inputs[i] for i in idx]))
+
+        parts = agreeing_parts(frames, list(range(5)))
+        assert [idx for idx, _ in parts] == [[0, 2, 4], [1, 3]]
+        for idx, frame in parts:
+            for k, vectors in zip(idx, split_frame(frame.vectors, len(idx))):
+                ref = gram_schmidt(metric, points[k], inputs[k])
+                assert frame.inputs == ref.inputs
+                assert (np.asarray(vectors).tobytes()
+                        == np.asarray(ref.vectors, dtype=float).tobytes())
 
     def test_orthogonal_tail_skips_dropped_head_vectors(self):
         p = [0.0, 0.0, 0.0, 1.0]
