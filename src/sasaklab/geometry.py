@@ -60,22 +60,27 @@ class Cone:
 
         M(x)(u, v) = (x^ . u)(x^ . v) + g(x^; P u, P v),
 
-    with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S.  At a
-    float point one nested ``along``, whose direction entries are lanes
-    over the m^2 ordered coordinate pairs (a, b), gives d_b M and
-    d_a d_b M.  The Christoffel symbols Gamma and the Riemann tensor R^
-    follow from them by two LU solves against M; M^-1 is never formed,
-    since cond(M) grows like the square of the sphere's weight ratio.
-    Both tensors are exact, formed with numpy, and cached together per
-    point, keyed by its bytes: every command that asks for Gamma at a
-    point asks for R^ there too.  At a lane point each sample's tensors
-    are formed on their own and stacked, and every contraction is an
+    with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S.  One
+    nested ``along``, whose direction entries are lanes over the m^2
+    ordered coordinate pairs (a, b) of every point it builds, gives d_b M
+    and d_a d_b M.  The Christoffel symbols Gamma and the Riemann tensor
+    R^ of each point follow from them by two LU solves against M; M^-1
+    is never formed, since cond(M) grows like the square of the sphere's
+    weight ratio.  Both tensors are exact, formed with numpy, and cached
+    together per point, keyed by its bytes: every command that asks for
+    Gamma at a point asks for R^ there too.  The points of a call that
+    miss the cache are built together, each once, in passes of at most
+    ``BATCH_POINTS`` points, which bounds the pass's S * m^2 lanes; each
+    point's numpy algebra runs on its own slice of the lanes, so its
+    tensors hold the bits of a pass over that point alone.  At a lane
+    point the tensors come back stacked, and every contraction is an
     ordered Python sum, so a lane holds the bits of its sample's float
     evaluation.  Jet points are refused: the tensors are formed at float
     and lane points only.
     """
 
     CACHE_POINTS = 256
+    BATCH_POINTS = 32
 
     def __init__(self, gram):
         self.gram = gram  # gram(q, vectors): g(q; u, v) for every pair
@@ -97,13 +102,19 @@ class Cone:
         lanes = split_lanes(p)
         points = lanes or [p]
         keys = [np.asarray(q, dtype=float).tobytes() for q in points]
-        if len(self._points) + len(set(keys) - self._points.keys()) > self.CACHE_POINTS:
+        missing = {}  # the points this call builds, once each, in first-appearance order
+        for key, q in zip(keys, points):
+            if key not in self._points:
+                missing.setdefault(key, q)
+        if len(self._points) + len(missing) > self.CACHE_POINTS:
             # make room, keeping this call's own points even when a lane
             # point holds more samples than the cache bound
             self._points = {k: self._points[k] for k in keys if k in self._points}
-        for key, q in zip(keys, points):
-            if key not in self._points:
-                self._points[key] = self._build([float(c) for c in q])
+        todo = list(missing)
+        for k in range(0, len(todo), self.BATCH_POINTS):
+            part = todo[k:k + self.BATCH_POINTS]
+            built = self._build_batch(np.asarray([missing[key] for key in part], dtype=float))
+            self._points.update(zip(part, built))
         tensors = [self._points[key][which] for key in keys]
         if lanes is None:
             return tensors[0].tolist()
@@ -118,11 +129,15 @@ class Cone:
         G = self.gram(xh, tangential)
         return [[xh[i] * xh[j] + G[i][j] for j in range(m)] for i in range(m)]
 
-    def _build(self, p):
-        """(Gamma[k, j, i] = Gamma^k_ij, R^[l, k, j, i] = R^l_ijk) at the
-        float point p, in the index order of ``_contract``."""
-        m = len(p)
-        pairs = np.arange(m * m)  # lane a * m + b differentiates along e_a, then e_b
+    def _build_batch(self, points):
+        """[(Gamma[k, j, i] = Gamma^k_ij, R^[l, k, j, i] = R^l_ijk)] at the
+        S float points, the rows of ``points``, in the index order of
+        ``_contract``.  One nested ``along`` runs over S * m^2 lanes:
+        lane s * m^2 + a * m + b holds point s, differentiated along e_a,
+        then e_b."""
+        S, m = points.shape
+        width = S * m * m
+        pairs = np.tile(np.arange(m * m), S)
         outer = [(pairs // m == i).astype(float) for i in range(m)]
         inner = [(pairs % m == i).astype(float) for i in range(m)]
         first = []
@@ -132,23 +147,39 @@ class Cone:
             first.append(d)
             return d
 
-        second = lane_array(along(d_inner, p, outer), m * m)
-        dM = np.moveaxis(lane_array(first[0], m * m)[:, :, :m], 2, 0)  # dM[c, i, j]
-        ddM = np.moveaxis(second.reshape(m, m, m, m), (2, 3), (0, 1))  # ddM[a, b, i, j]
-        M = np.asarray(self.metric_field(p), dtype=float)
-        # symbols of the first kind Gamma_lij = (d_i M_jl + d_j M_il - d_l M_ij) / 2
-        first_kind = 0.5 * (dM.transpose(2, 0, 1) + dM.transpose(2, 1, 0) - dM)
-        gamma = np.linalg.solve(M, first_kind.reshape(m, m * m)).reshape(m, m, m)
-        d_first_kind = 0.5 * (ddM.transpose(0, 3, 1, 2) + ddM.transpose(0, 3, 2, 1) - ddM)
-        # d_gamma[k, c, i, j] = d_c Gamma^k_ij solves
-        # M_kl d_c Gamma^l_ij = d_c Gamma_kij - (d_c M)_kb Gamma^b_ij
-        rhs = (d_first_kind - np.einsum("clb,bij->clij", dM, gamma)).transpose(1, 0, 2, 3)
-        d_gamma = np.linalg.solve(M, rhs.reshape(m, m ** 3)).reshape(m, m, m, m)
-        quad = np.einsum("lim,mjk->lijk", gamma, gamma)
-        # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-        riem = d_gamma - d_gamma.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
-        return (np.ascontiguousarray(gamma.transpose(0, 2, 1)),
-                np.ascontiguousarray(riem.transpose(0, 3, 2, 1)))
+        lanes = [np.repeat(points[:, i], m * m) for i in range(m)]
+        ddM_lanes = lane_array(along(d_inner, lanes, outer), width)
+        dM_lanes = lane_array(first[0], width)
+        M_lanes = lane_array(self.metric_field([points[:, i] for i in range(m)]), S)
+        out = []
+        for s in range(S):
+            # each point's arrays are copied out with the strides of a
+            # one-point pass: einsum's summation order may follow them
+            cut = slice(s * m * m, (s + 1) * m * m)
+            dM = np.moveaxis(np.ascontiguousarray(dM_lanes[:, :, cut])[:, :, :m], 2, 0)
+            ddM = np.moveaxis(np.ascontiguousarray(ddM_lanes[:, :, cut]).reshape(m, m, m, m),
+                              (2, 3), (0, 1))
+            out.append(_cone_tensors(np.ascontiguousarray(M_lanes[:, :, s]), dM, ddM))
+        return out
+
+
+def _cone_tensors(M, dM, ddM):
+    """(Gamma, R^) from the cone metric M at one point and its first and
+    second derivatives dM[c, i, j] = d_c M_ij, ddM[a, b, i, j] = d_a d_b M_ij."""
+    m = len(M)
+    # symbols of the first kind Gamma_lij = (d_i M_jl + d_j M_il - d_l M_ij) / 2
+    first_kind = 0.5 * (dM.transpose(2, 0, 1) + dM.transpose(2, 1, 0) - dM)
+    gamma = np.linalg.solve(M, first_kind.reshape(m, m * m)).reshape(m, m, m)
+    d_first_kind = 0.5 * (ddM.transpose(0, 3, 1, 2) + ddM.transpose(0, 3, 2, 1) - ddM)
+    # d_gamma[k, c, i, j] = d_c Gamma^k_ij solves
+    # M_kl d_c Gamma^l_ij = d_c Gamma_kij - (d_c M)_kb Gamma^b_ij
+    rhs = (d_first_kind - np.einsum("clb,bij->clij", dM, gamma)).transpose(1, 0, 2, 3)
+    d_gamma = np.linalg.solve(M, rhs.reshape(m, m ** 3)).reshape(m, m, m, m)
+    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
+    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+    riem = d_gamma - d_gamma.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
+    return (np.ascontiguousarray(gamma.transpose(0, 2, 1)),
+            np.ascontiguousarray(riem.transpose(0, 3, 2, 1)))
 
 
 class Geometry:

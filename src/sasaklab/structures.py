@@ -24,8 +24,8 @@ from .vecops import (
     clamped_sqrt,
     cmult,
     lane_pow,
-    split_lanes,
-    stack_frames,
+    lane_stack,
+    stack_lanes,
     vdot,
     vscale,
     vsub,
@@ -83,41 +83,66 @@ class WeightedContactMetric:
 
     def d_eta(self, q, u, v):
         """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded."""
-        f = self.conformal_factor(q)
-        iu = cmult(u)
-        t_round = 2.0 * vdot(iu, v)
-        aw_q = []
-        for j, aj in enumerate(self.a):
-            aw_q.append(aj * q[2 * j])
-            aw_q.append(aj * q[2 * j + 1])
-        df_u = 2.0 * vdot(aw_q, u)
-        df_v = 2.0 * vdot(aw_q, v)
-        wedge = df_u * _eta0(q, v) - df_v * _eta0(q, u)
-        return t_round / f - wedge / (f * f)
+        at = self._point_terms(q)
+        return _expanded(at, vdot(cmult(u), v), _vector_terms(at, u), _vector_terms(at, v))
 
     def g(self, q, u, v):
-        eu = self.eta(q, u)
-        ev = self.eta(q, v)
-        xi = self.reeb(q)
-        uc = vsub(u, vscale(xi, eu))
-        vc = vsub(v, vscale(xi, ev))
-        return eu * ev + 0.5 * self.d_eta(q, uc, cmult(vc))
+        """g_A(u, v), formed as ``gram`` forms its entry for the pair (u, v)."""
+        at = self._point_terms(q)
+        (eu, ev), (uc, vc) = self._contact_parts(at, q, [u, v])
+        tu, tv = cmult(uc), cmult(vc)
+        return eu * ev + 0.5 * _expanded(
+            at, vdot(tu, tv), _vector_terms(at, uc), _vector_terms(at, tv))
 
     def gram(self, q, vectors):
         """g(q; u, v) for every pair of the vectors, as a symmetric nested
-        list: ``g`` itself on the pairs u <= v, with eta, xi and the
-        contact parts formed once per vector."""
-        xi = self.reeb(q)
-        eta = [self.eta(q, u) for u in vectors]
-        contact = [vsub(u, vscale(xi, e)) for u, e in zip(vectors, eta)]
+        list, with the entry of u <= v on both sides.  The terms of
+        d(eta_A) are formed once: f, f^2, i q, xi and a q per point; eta_A,
+        the contact part, its turn, and df and eta_0 of both per vector.
+        Each entry then takes one dot product, and holds the bits of
+        ``g`` on its pair."""
+        at = self._point_terms(q)
+        eta, contact = self._contact_parts(at, q, vectors)
         turned = [cmult(c) for c in contact]
+        rows = [_vector_terms(at, c) for c in contact]
+        cols = [_vector_terms(at, t) for t in turned]
         m = len(vectors)
         out = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
-                out[i][j] = out[j][i] = (
-                    eta[i] * eta[j] + 0.5 * self.d_eta(q, contact[i], turned[j]))
+                out[i][j] = out[j][i] = eta[i] * eta[j] + 0.5 * _expanded(
+                    at, vdot(turned[i], turned[j]), rows[i], cols[j])
         return out
+
+    def _point_terms(self, q):
+        """(f, f^2, i q, a q): the terms of d(eta_A) that depend on the
+        point only, with (a q)_j = a_j q_j on both coordinates of block j."""
+        f = self.conformal_factor(q)
+        aw_q = []
+        for j, aj in enumerate(self.a):
+            aw_q.append(aj * q[2 * j])
+            aw_q.append(aj * q[2 * j + 1])
+        return f, f * f, cmult(q), aw_q
+
+    def _contact_parts(self, at, q, vectors):
+        """eta_A of each vector and its contact part u - eta_A(u) xi."""
+        f, iq = at[0], at[2]
+        xi = self.reeb(q)
+        eta = [vdot(iq, u) / f for u in vectors]
+        return eta, [vsub(u, vscale(xi, e)) for u, e in zip(vectors, eta)]
+
+
+def _vector_terms(at, w):
+    """(df(w), eta_0(w)) at the point whose terms ``at`` holds."""
+    return 2.0 * vdot(at[3], w), vdot(at[2], w)
+
+
+def _expanded(at, iu_v, u_terms, v_terms):
+    """d(eta_A)(u, v) = 2 <i u, v> / f - (df(u) eta_0(v) - df(v) eta_0(u)) / f^2
+    from <i u, v> and the ``_vector_terms`` of u and v."""
+    f, ff = at[0], at[1]
+    (df_u, eta0_u), (df_v, eta0_v) = u_terms, v_terms
+    return 2.0 * iu_v / f - (df_u * eta0_v - df_v * eta0_u) / ff
 
 
 class SphereStructure:
@@ -163,11 +188,14 @@ class SphereStructure:
     def contact_frame(self, p):
         """Euclidean-orthonormal basis of Ker(eta) inside T_p S: the
         complement of span(p, i p), since every eta here is a multiple
-        of the round form."""
+        of the round form.  At a lane point one SVD runs over the stack
+        of every sample's rows (p, i p), and the basis comes back as lane
+        vectors, each sample's basis in its lanes."""
         p = as_list(p)
-        rows = np.vstack([np.asarray(p), np.asarray(vvalue(cmult(p)))])
-        _, _, vt = np.linalg.svd(rows)
-        return [list(r) for r in vt[2:]]
+        _, _, vt = np.linalg.svd(lane_stack([vvalue(p), vvalue(cmult(p))]))
+        if vt.ndim == 2:
+            return [list(r) for r in vt[2:]]
+        return [list(vt[:, k].T.copy()) for k in range(2, vt.shape[1])]
 
     def phi(self, p, X):
         """phi(X) = (nabla_X xi)(p) with the structure's own metric."""
@@ -251,39 +279,37 @@ class WeightedSphereStructure(SphereStructure):
         return self.metric.eta(p, v)
 
     def _probe_positivity(self):
+        """All probe points share lanes: one contact frame, d(eta) once
+        per pair of frame vectors, one stacked eigvalsh; the first probe
+        point whose smallest eigenvalue lies below the floor raises."""
         rng = np.random.default_rng(320032)
         floor = tolerances.WEIGHTED_POSITIVITY
+        points = []
         for _ in range(self.PROBE_POINTS):
             p = rng.standard_normal(self.ambient_dim)
-            p = list(p / np.linalg.norm(p))
-            frame = self.contact_frame(p)
-            H = np.asarray(
-                [
-                    [0.5 * value(self.metric.d_eta(p, u, cmult(v))) for v in frame]
-                    for u in frame
-                ],
-                dtype=float,
+            points.append(p / np.linalg.norm(p))
+        p = stack_lanes(points)
+        frame = self.contact_frame(p)
+        H = lane_stack(
+            [[0.5 * value(self.metric.d_eta(p, u, cmult(v))) for v in frame] for u in frame])
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        lows = np.linalg.eigvalsh(H)[:, 0]
+        failing = np.flatnonzero(lows < floor)
+        if failing.size:
+            raise DegenerateContact(
+                f"contact Gram eigenvalue {lows[failing[0]]:.3e} below {floor:.1e} "
+                "at probe point"
             )
-            H = 0.5 * (H + H.T)
-            lo = float(np.linalg.eigvalsh(H)[0])
-            if lo < floor:
-                raise DegenerateContact(
-                    f"contact Gram eigenvalue {lo:.3e} below {floor:.1e} at probe point"
-                )
 
 
 def contact_nondegeneracy(structure, p):
     """|pf|-style determinant of d(eta) on an orthonormal contact frame.
 
-    At a lane point each sample gets its own contact frame; the frames
-    are stacked, d(eta) runs once over the lanes, and the determinants
+    At a lane point each sample gets its own contact frame, from one
+    stacked SVD; d(eta) runs once over the lanes, and the determinants
     of the (samples, m, m) stack come back as an array, one per sample.
     """
     p = as_list(p)
-    lanes = split_lanes(p)
-    frame = stack_frames([structure.contact_frame(q) for q in lanes or [p]])
-    M = np.asarray(
-        [[value(structure.d_eta(p, u, v)) for v in frame] for u in frame], dtype=float
-    )
-    dets = np.linalg.det(M if lanes is None else np.moveaxis(M, -1, 0))
-    return lane_pow(np.abs(dets), 1.0 / max(len(frame), 1))
+    frame = structure.contact_frame(p)
+    M = lane_stack([[value(structure.d_eta(p, u, v)) for v in frame] for u in frame])
+    return lane_pow(np.abs(np.linalg.det(M)), 1.0 / max(len(frame), 1))

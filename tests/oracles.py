@@ -16,6 +16,11 @@ shape operator through the Weingarten identity, the Hopf fibration as a
 submersion context with frames built from its Reeb circle, the group
 action itself, and the kernel-group momentum.  ``cr_residuals`` checks
 a CR splitting against the phi-invariances that define it.
+
+The weighted metric's own evaluations have references that take the
+plain route: ``weighted_metric_pair`` composes g_A from eta, xi and the
+closed-form d(eta) one pair at a time, and ``positivity_probe_lows``
+runs the positivity probe one float point at a time.
 """
 
 import itertools
@@ -30,7 +35,7 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import as_list, clamped_sqrt, solve_linear, vscale, vsub, vvalue
+from sasaklab.vecops import as_list, clamped_sqrt, cmult, solve_linear, vscale, vsub, vvalue
 
 
 def chart_basis(p):
@@ -470,3 +475,38 @@ def kernel_momentum(action, mu, p):
     kern = kernel_algebra(mu)
     j = np.asarray([float(value(c)) for c in action.momentum(as_list(p))])
     return [float(np.dot(j, b)) for b in kern.matrix] if kern.k else []
+
+
+# ----------------------------------------------------------------------
+# the weighted metric, one pair and one probe point at a time
+# ----------------------------------------------------------------------
+
+
+def weighted_metric_pair(metric, q, u, v):
+    """g_A(u, v) = eta_A(u) eta_A(v) + (1/2) d(eta_A)(u_c, i v_c), composed
+    from the metric's eta, reeb and closed-form d_eta; jet-generic."""
+    eu, ev = metric.eta(q, u), metric.eta(q, v)
+    xi = metric.reeb(q)
+    uc = vsub(u, vscale(xi, eu))
+    vc = vsub(v, vscale(xi, ev))
+    return eu * ev + 0.5 * metric.d_eta(q, uc, cmult(vc))
+
+
+def positivity_probe_lows(structure):
+    """The smallest eigenvalue of the contact Gram (1/2) d(eta)(u, i v) at
+    each point of the weighted positivity probe, one float point at a
+    time, in probe order."""
+    rng = np.random.default_rng(320032)
+    lows = []
+    for _ in range(structure.PROBE_POINTS):
+        p = rng.standard_normal(structure.ambient_dim)
+        p = list(p / np.linalg.norm(p))
+        frame = structure.contact_frame(p)
+        H = np.asarray(
+            [[0.5 * value(structure.metric.d_eta(p, u, cmult(v))) for v in frame]
+             for u in frame],
+            dtype=float,
+        )
+        H = 0.5 * (H + H.T)
+        lows.append(float(np.linalg.eigvalsh(H)[0]))
+    return lows

@@ -28,6 +28,7 @@ from sasaklab.config import (
 )
 from sasaklab.errors import ParseError, ValidationError
 from sasaklab.gallery import preset_config
+from sasaklab.geometry import Cone
 from sasaklab.structures import RoundSphereStructure
 
 
@@ -524,12 +525,17 @@ class TestLaneBatches:
                                                           command, args):
         args = [command, *args, "--samples", "5", "--seed", "13"]
         assert run_cli(args, tmp_path / "whole") == 0
-        monkeypatch.setattr(cli, "LANE_BATCH_WIDTH", 2)
-        assert _lane_batches(["a"] * 5) == [[0, 1], [2, 3], [4]]
-        assert run_cli(args, tmp_path / "chunked") == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "LANE_BATCH_WIDTH", 2)
+            assert _lane_batches(["a"] * 5) == [[0, 1], [2, 3], [4]]
+            assert run_cli(args, tmp_path / "chunked") == 0
+        # one lane batch of 5 samples, its cone tensors built 2 points at a time
+        monkeypatch.setattr(Cone, "BATCH_POINTS", 2)
+        assert run_cli(args, tmp_path / "cone-chunked") == 0
         for name in ("report.json", "samples.csv"):
             whole = (tmp_path / "whole" / name).read_bytes()
             assert (tmp_path / "chunked" / name).read_bytes() == whole
+            assert (tmp_path / "cone-chunked" / name).read_bytes() == whole
 
     def test_weighted_lanes_match_float_path(self, tmp_path):
         # lanes through the cone tensors and the metric condition gate

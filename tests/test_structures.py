@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tensors_at
+from oracles import positivity_probe_lows, tensors_at, weighted_metric_pair
+from sasaklab import tolerances
 from sasaklab.errors import DegenerateContact
 from sasaklab.geometry import Geometry, InducedMetric
 from sasaklab.manifolds import Constraint, EmbeddedManifold
@@ -13,7 +14,7 @@ from sasaklab.structures import (
     WeightedSphereStructure,
     contact_nondegeneracy,
 )
-from sasaklab.jets import value
+from sasaklab.jets import Dual, along, value
 from sasaklab.vecops import cmult, stack_lanes, vdot, vscale, vsub, vvalue
 
 rng = np.random.default_rng(77)
@@ -121,6 +122,69 @@ class TestWeightedMetric:
 
         with pytest.raises(DegenerateContact):
             Broken()
+
+    @staticmethod
+    def bits(x):
+        """Every leaf of a scalar, with its jet level tags, as bytes."""
+        if isinstance(x, Dual):
+            return x.lvl, TestWeightedMetric.bits(x.re), TestWeightedMetric.bits(x.im)
+        return np.asarray(x, dtype=float).tobytes()
+
+    @staticmethod
+    def at_jets(fn, p, d1, d2):
+        """fn at the two-level jet point p + s d1 + t d2, every jet leaf kept."""
+        out = []
+        along(lambda q: along(lambda r: out.append(fn(r)) or 0.0, q, d2), p, d1)
+        return out[0]
+
+    @pytest.mark.parametrize("point", ["float", "lane", "jet"])
+    def test_gram_and_g_match_the_composition_bitwise(self, point):
+        W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        metric = W.metric
+        points = [rand_point(6) for _ in range(3)]
+        vectors = [[rand_tangent(q) for q in points] for _ in range(4)]
+        if point == "float":
+            p, vs = points[0], [v[0] for v in vectors]
+        else:
+            p, vs = stack_lanes(points), [stack_lanes(v) for v in vectors]
+
+        def entries(q):
+            # the vectors follow the point, as the cone's projections do
+            moved = [vsub(v, vscale(q, vdot(q, v))) for v in vs]
+            gram = metric.gram(q, moved)
+            got, want = [], []
+            for i, u in enumerate(moved):
+                for j, v in enumerate(moved):
+                    pair = weighted_metric_pair(metric, q, u, v)
+                    got.append(metric.g(q, u, v))
+                    want.append(pair)
+                    if i <= j:
+                        got.append(gram[i][j])
+                        want.append(pair)
+            return got, want
+
+        if point == "jet":  # two jet levels over the lanes
+            d1, d2 = (stack_lanes([rand_tangent(q) for q in points]) for _ in range(2))
+            got, want = self.at_jets(entries, p, d1, d2)
+        else:
+            got, want = entries(p)
+        assert [self.bits(x) for x in got] == [self.bits(x) for x in want]
+
+    @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 100.0])])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_lane_probe_matches_the_float_loop(self, monkeypatch, n, a, rank):
+        W = WeightedSphereStructure(n, a)
+        lows = positivity_probe_lows(W)
+        # rank 0: every probe point fails, so the first one is reported;
+        # rank 1: only the probe point of the smallest eigenvalue fails
+        floor = max(lows) + 1.0 if rank == 0 else sorted(lows)[1]
+        first = next(k for k, lo in enumerate(lows) if lo < floor)
+        assert first == (0 if rank == 0 else int(np.argmin(lows)))
+        monkeypatch.setattr(tolerances, "WEIGHTED_POSITIVITY", floor)
+        with pytest.raises(DegenerateContact) as exc:
+            W._probe_positivity()
+        assert str(exc.value) == (
+            f"contact Gram eigenvalue {lows[first]:.3e} below {floor:.1e} at probe point")
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import covariant_koszul, fd_curvature, koszul_curvature
 from sasaklab.errors import EmptyFrame, SingularMetric
-from sasaklab.geometry import Geometry, InducedMetric
+from sasaklab.geometry import Cone, Geometry, InducedMetric
 from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
@@ -401,6 +401,34 @@ class TestConeTensor:
                 want = np.asarray(vvalue(covariant_koszul(geo, p, Xf, Yf)))
                 worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-12
+
+    @staticmethod
+    def tensors(cone, p):
+        """(Gamma, R^) at p as arrays, lanes last at a lane point."""
+        return [np.asarray(cone._nested(p, which)) for which in (0, 1)]
+
+    @pytest.mark.parametrize("batch_points", [Cone.BATCH_POINTS, 2])
+    @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 100.0])])
+    def test_a_batch_equals_batches_of_one_bitwise(self, monkeypatch, n, a, batch_points):
+        monkeypatch.setattr(Cone, "BATCH_POINTS", batch_points)
+        metric = WeightedSphereStructure(n, a).metric
+        points = [cone_point(n, 760 + k)[0] for k in range(5)]
+        batched = self.tensors(Cone(metric.gram), stack_lanes(points))
+        for k, p in enumerate(points):
+            for lanes, one in zip(batched, self.tensors(Cone(metric.gram), p)):
+                assert np.ascontiguousarray(lanes[..., k]).tobytes() == one.tobytes()
+
+    def test_repeated_and_cached_points_are_built_once(self, monkeypatch):
+        monkeypatch.setattr(Cone, "BATCH_POINTS", 2)
+        cone = Cone(WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric.gram)
+        built = []
+        build = cone._build_batch
+        monkeypatch.setattr(cone, "_build_batch", lambda pts: built.append(pts.tolist()) or build(pts))
+        p, q, r, s = (cone_point(3, 780 + k)[0] for k in range(4))
+        cone._nested(p, 0)
+        cone._nested(stack_lanes([q, p, q, r, s, r]), 1)
+        cone._nested(stack_lanes([s, p]), 0)
+        assert built == [[p], [q, r], [s]]
 
     def test_curvature_off_the_metric_sphere_raises(self):
         from sasaklab.actions import TorusAction
