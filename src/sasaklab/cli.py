@@ -17,11 +17,14 @@ the submersion context of N around them, are built once on lanes, one
 numpy-array entry per sample; where samples disagree in a float-level
 decision (a Gram-Schmidt drop, a rank) the chunk splits into parts that
 agree (``vecops.agreeing_parts``), and each part's jet work then runs once
-as lanes.  Directions, and curvature-scan's CR splitting, stay per
-sample.  verify-structure, whose samples all share their frame sizes,
-runs them in lane batches of at most ``LANE_BATCH_WIDTH`` in index
-order (``_lane_batches``).  A batch of one runs on floats, and no row
-depends on the batch it ran in.
+as lanes.  Within a part, the O'Neill A and h pairs of one direction,
+and the reduced d(eta) pairs, run as further lanes of one pass per kind
+(``vecops.pair_lanes``), at most ``vecops.PAIR_PASS_LANES`` lanes
+(pairs x samples) to a pass.  Directions, and curvature-scan's CR
+splitting, stay per sample.  verify-structure, whose samples all share
+their frame sizes, runs them in lane batches of at most
+``LANE_BATCH_WIDTH`` in index order (``_lane_batches``).  A batch of one
+runs on floats, and no row depends on the batch it ran in.
 """
 
 import argparse

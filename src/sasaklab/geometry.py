@@ -24,8 +24,9 @@ import numpy as np
 
 from . import tolerances
 from .errors import SingularMetric
-from .jets import Dual, along, jsqrt, value
-from .vecops import lane_array, solve_linear, split_lanes, vdot, vscale, vsub, vvalue
+from .jets import Dual, along, jsqrt
+from .vecops import (lane_array, lane_stack, solve_linear, split_lanes, vdot, vscale, vsub,
+                     vvalue)
 
 
 class InducedMetric:
@@ -182,20 +183,37 @@ def _cone_tensors(M, dM, ddM):
             np.ascontiguousarray(riem.transpose(0, 3, 2, 1)))
 
 
+def _cached(cache, base, build):
+    """cache[base] keyed by the bytes of the float or lane point base,
+    built on a miss; the cache is emptied when it holds more than
+    ``Geometry.CACHE_POINTS`` points."""
+    key = np.asarray(base, dtype=float).tobytes()
+    hit = cache.get(key)
+    if hit is None:
+        if len(cache) > Geometry.CACHE_POINTS:
+            cache.clear()
+        hit = cache[key] = build()
+    return hit
+
+
 class Geometry:
     """Bundles a manifold and a metric evaluator.
 
-    Instances are immutable and safe to share; the per-point frame cache
-    is the only mutable state and is keyed by the raw coordinate bytes.
+    Instances are immutable and safe to share; the per-point caches of
+    frames and metric condition numbers are the only mutable state and
+    are keyed by the raw coordinate bytes.
     A metric that is not Euclidean lives on its unit sphere
     ``metric.sphere`` and carries the cone of that sphere as
     ``metric.cone``; the manifold is the sphere or a submanifold of it.
     """
 
+    CACHE_POINTS = 8192
+
     def __init__(self, manifold, metric):
         self.manifold = manifold
         self.metric = metric
         self._frames = {}
+        self._conditions = {}
 
     # ------------------------------------------------------------------
     # frames and metric health
@@ -206,28 +224,22 @@ class Geometry:
         the jet value of p; deterministic and cached.  At a lane point
         each sample gets its own basis, as lane vectors."""
         base = vvalue(p)
-        key = np.asarray(base, dtype=float).tobytes()
-        hit = self._frames.get(key)
-        if hit is None:
-            if len(self._frames) > 8192:
-                self._frames.clear()
-            hit = self.manifold.tangent_basis(base)
-            self._frames[key] = hit
-        return hit
+        return _cached(self._frames, base, lambda: self.manifold.tangent_basis(base))
 
     def check_metric(self, p):
         """Raise SingularMetric when the tangent Gram matrix at p (at
-        any sample of a lane point) is numerically singular."""
+        any sample of a lane point) is numerically singular.  The Gram
+        matrix comes from one ``metric.gram`` call, and its condition
+        number (the worst sample's on lanes) is cached per point as
+        ``tangent_frame`` caches frames."""
         if self.metric.euclidean:
             return 1.0
-        frame = self.tangent_frame(p)
-        rows = [list(r) for r in frame]
-        gram = np.asarray(
-            [[value(self.metric.g(p, u, v)) for v in rows] for u in rows], dtype=float
-        )
-        if gram.ndim == 3:  # lanes last: the worst sample decides
-            gram = np.moveaxis(gram, -1, 0)
-        cond = float(np.max(np.linalg.cond(gram)))
+
+        def condition():
+            rows = [list(r) for r in self.tangent_frame(p)]
+            return float(np.max(np.linalg.cond(lane_stack(self.metric.gram(p, rows)))))
+
+        cond = _cached(self._conditions, vvalue(p), condition)
         if not np.isfinite(cond) or cond > tolerances.METRIC_CONDITION:
             raise SingularMetric(f"tangent Gram condition number {cond:.3e}")
         return cond

@@ -10,6 +10,20 @@ frames included; ``per_sample`` splits it into float contexts and
 written in quotient coordinates; they are evaluated on horizontal
 representatives upstairs.
 
+A and h run in pair passes.  ``a_tensors`` and ``second_fundamentals``
+take a list of pairs (u, v) and evaluate them as extra lanes of one
+covariant pass (``vecops.pair_lanes``): a lane point is tiled once per
+pair (a float point serves every pair as it is), the pairs' vectors are
+joined along the lane axis, and the result is cut back into one vector
+per pair, Python floats on a float context.  A pass holds at most ``vecops.PAIR_PASS_LANES`` lanes
+(pairs x samples), which bounds its memory; no value depends on it.
+``quotient_curvature_vector`` fills its A and h caches with one pass per
+kind before its frame loop, and ``quotient_curvature_4`` passes over
+the pairs its caches miss.  The caches are keyed by the vectors'
+identities and hold A(b, a) as the exact negation of A(a, b) and h(b, a)
+as h(a, b), so each pair is evaluated in the orientation of its first
+request, as a lookup one pair at a time would evaluate it.
+
 Sign conventions, fixed once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z -
 nab_[X,Y] Z, slots R(X,Y,Z,V) = g(R(X,Y)Z, V), sectional K(X,Y) =
 R(X,Y,Y,X) on orthonormal pairs.  In these slots the horizontal
@@ -32,11 +46,13 @@ from .vecops import (
     clamped_sqrt,
     lane_pow,
     lane_width,
+    pair_lanes,
     solve_linear,
     split_frame,
     split_lanes,
     stack_frames,
     stack_lanes,
+    tile_lanes,
     vscale,
     vsub,
     vvalue,
@@ -149,10 +165,18 @@ class SubmersionContext:
 
     def a_tensor(self, x, y):
         """A(X,Y) = vertical part of nab^N_X Y~ for horizontal x, y."""
-        Xh = self.horizontal_extend(x)
-        Yh = self.horizontal_extend(y)
-        w = self.geometry.covariant(self.p, Xh, Yh)
-        return self.vertical_project(self.p, w)
+        return self.a_tensors([(x, y)])[0]
+
+    def a_tensors(self, pairs):
+        """A(X, Y) of every pair (x, y), the pairs run as lanes of one
+        covariant pass (``vecops.pair_lanes``)."""
+        def one_pass(q, reps, x, y):
+            Xh = self.horizontal_extend(x)
+            Yh = self.horizontal_extend(y)
+            w = self.geometry.covariant(q, Xh, Yh)
+            return self.vertical_project(q, w)
+
+        return pair_lanes(one_pass, self.p, pairs)
 
     # -- second fundamental form of N in the ambient sphere --------------
 
@@ -174,19 +198,29 @@ class SubmersionContext:
     def second_fundamental(self, x, y):
         """h(X,Y): normal (to N, inside TS) part of nab^S_X Y~ where Y~
         is the projection-extended field tangent to N."""
+        return self.second_fundamentals([(x, y)])[0]
+
+    def second_fundamentals(self, pairs):
+        """h(X, Y) of every pair (x, y), the pairs run as lanes of one
+        covariant pass (``vecops.pair_lanes``)."""
         man = self.manifold
-        yhat = vvalue(y)
-        xhat = vvalue(x)
-        Yf = lambda q: man.project(q, yhat)
-        Xf = lambda q: man.project(q, xhat)
-        w = self.ambient_geometry.covariant(self.p, Xf, Yf)
         tangent_on, _ = self._tangent_frames()
         g = self.structure.metric.g
-        out = list(w)
-        for u in tangent_on:
-            c = g(self.p, u, out)
-            out = [a - c * b for a, b in zip(out, u)]
-        return out
+
+        def one_pass(q, reps, x, y):
+            yhat = vvalue(y)
+            xhat = vvalue(x)
+            Yf = lambda r: man.project(r, yhat)
+            Xf = lambda r: man.project(r, xhat)
+            w = self.ambient_geometry.covariant(q, Xf, Yf)
+            out = list(w)
+            for u in tangent_on:
+                u = tile_lanes(u, reps)
+                c = g(q, u, out)
+                out = [a - c * b for a, b in zip(out, u)]
+            return out
+
+        return pair_lanes(one_pass, self.p, pairs)
 
     # -- curvature paths --------------------------------------------------
 
@@ -196,7 +230,7 @@ class SubmersionContext:
     def gauss_curvature_n4(self, x, y, z, v, h_cache=None):
         """R^N(X,Y,Z,V) from the ambient curvature by the Gauss equation."""
         g = self.structure.metric.g
-        h = self._h_cached(h_cache)
+        h = self._h_cached(h_cache, _h_pairs(x, y, z, v))
         rm = self.ambient_curvature_4(x, y, z, v)
         return (
             value(rm)
@@ -204,24 +238,17 @@ class SubmersionContext:
             - value(g(self.p, h(x, z), h(y, v)))
         )
 
-    def _h_cached(self, cache):
-        if cache is None:
-            cache = {}
-
-        def h(a, b):
-            key = (id(a), id(b))
-            if key not in cache:
-                val = self.second_fundamental(a, b)
-                cache[key] = val
-                cache[(id(b), id(a))] = val
-            return cache[key]
-
-        return h
+    def _h_cached(self, cache, pairs):
+        """Lookup h(a, b) in ``cache``, keyed by the vectors' identities,
+        after one pass over the pairs it misses; h(b, a) is h(a, b)."""
+        cache = {} if cache is None else cache
+        _fill(cache, pairs, self.second_fundamentals, lambda val: val)
+        return lambda a, b: cache[(id(a), id(b))]
 
     def quotient_curvature_4(self, x, y, z, v, a_cache=None, h_cache=None):
         """Horizontal 4-tensor of the quotient via O'Neill's formula."""
         g = self.structure.metric.g
-        A = self._a_cached(a_cache)
+        A = self._a_cached(a_cache, _a_pairs(x, y, z, v))
         rn = self.gauss_curvature_n4(x, y, z, v, h_cache=h_cache)
         gp = lambda u, w: value(g(self.p, u, w))
         return (
@@ -231,25 +258,23 @@ class SubmersionContext:
             - gp(A(x, z), A(y, v))
         )
 
-    def _a_cached(self, cache):
-        if cache is None:
-            cache = {}
-
-        def A(a, b):
-            key = (id(a), id(b))
-            if key not in cache:
-                val = vvalue(self.a_tensor(a, b))
-                cache[key] = val
-                cache[(id(b), id(a))] = [-c for c in val]
-            return cache[key]
-
-        return A
+    def _a_cached(self, cache, pairs):
+        """Lookup A(a, b) in ``cache``, keyed by the vectors' identities,
+        after one pass over the pairs it misses; A(b, a) is -A(a, b)."""
+        cache = {} if cache is None else cache
+        _fill(cache, pairs, lambda todo: [vvalue(a) for a in self.a_tensors(todo)],
+              lambda val: [-c for c in val])
+        return lambda a, b: cache[(id(a), id(b))]
 
     def quotient_curvature_vector(self, x, y, z):
-        """R^P(X,Y)Z as a horizontal vector, assembled on the frame."""
+        """R^P(X,Y)Z as a horizontal vector, assembled on the frame; the
+        A and h pairs of every frame vector take one pass per kind."""
         a_cache, h_cache = {}, {}
+        frame = self.horizontal_frame
+        self._a_cached(a_cache, [ab for f in frame for ab in _a_pairs(x, y, z, f)])
+        self._h_cached(h_cache, [ab for f in frame for ab in _h_pairs(x, y, z, f)])
         out = [0.0] * len(self.p)
-        for f in self.horizontal_frame:
+        for f in frame:
             comp = self.quotient_curvature_4(x, y, z, f, a_cache, h_cache)
             out = [o + comp * c for o, c in zip(out, f)]
         return out
@@ -285,3 +310,32 @@ class SubmersionContext:
             - lane_pow(value(g(self.p, x, px)), 2)
         )
         return num / den
+
+
+def _h_pairs(x, y, z, v):
+    """The h pairs of ``gauss_curvature_n4``, in the order it reads them."""
+    return [(x, v), (y, z), (x, z), (y, v)]
+
+
+def _a_pairs(x, y, z, v):
+    """The A pairs of ``quotient_curvature_4``, in the order it reads them."""
+    return [(x, y), (z, v), (y, z), (x, v), (x, z), (y, v)]
+
+
+def _fill(cache, pairs, evaluate, reverse):
+    """Store in ``cache`` the pairs it misses, keyed by the vectors'
+    identities, as a per-pair lookup would in the order of ``pairs``:
+    each pair is evaluated once, in the orientation of its first request,
+    by one ``evaluate`` call over all of them, and its reverse is stored
+    as ``reverse`` of its value (on a pair (a, a), the reverse replaces it)."""
+    todo, seen = [], set()
+    for a, b in pairs:
+        key = (id(a), id(b))
+        if key not in cache and key not in seen:
+            seen.update((key, (id(b), id(a))))
+            todo.append((a, b))
+    if not todo:
+        return
+    for (a, b), val in zip(todo, evaluate(todo)):
+        cache[(id(a), id(b))] = val
+        cache[(id(b), id(a))] = reverse(val)

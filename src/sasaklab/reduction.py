@@ -50,8 +50,8 @@ from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sp
                         SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import (agreed, as_list, lane, lane_stack, lane_width, split_frame,
-                     stack_frames, stack_lanes, vdot, vvalue)
+from .vecops import (agreed, as_list, lane, lane_stack, lane_width, pair_lanes,
+                     split_frame, stack_frames, stack_lanes, vdot, vvalue)
 
 
 @dataclass(frozen=True)
@@ -647,19 +647,22 @@ def reduced_tensors_batch(setup, rframes):
     dvecs = stack_frames([f.contact_d.vectors for f in rframes])
     horiz = stack_frames([f.horizontal for f in rframes])
     m = len(dvecs)
-    deta_lanes = {
-        (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
-        for i in range(m) for j in range(m) if i != j
-    }
+    tangent = stack_frames([f.tangent for f in rframes])
+    # d(eta) on the contact pairs i != j and on (vertical field, tangent
+    # vector), every pair in one pass as lanes
+    contact_pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    pairs = [(dvecs[i], dvecs[j]) for i, j in contact_pairs]
+    for vrow in rframes[0].vertical_rows:
+        vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
+        pairs.extend((vfield_p, t) for t in tangent)
+    deta_values = pair_lanes(lambda q, reps, u, v: value(S.d_eta(q, u, v)), p, pairs)
+    deta_lanes = dict(zip(contact_pairs, deta_values))
     eta_lanes = [value(S.eta(p, v)) for v in horiz]
     gram_lanes = [[value(S.metric.g(p, u, v)) for v in horiz] for u in horiz]
 
-    tangent = stack_frames([f.tangent for f in rframes])
     worst_basic = 0.0
-    for vrow in rframes[0].vertical_rows:
-        vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
-        for t in tangent:
-            worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
+    for val in deta_values[len(contact_pairs):]:
+        worst_basic = np.maximum(worst_basic, abs(val))
 
     out = []
     for k in range(lane_width(p) or 1):

@@ -3,7 +3,10 @@
 Ambient vectors are plain Python lists whose entries are floats, jet
 scalars, or lanes: 1-D numpy arrays holding one entry per sample of a
 batch.  ``stack_lanes`` builds lane vectors from per-sample float
-vectors and ``lane`` reads one sample back.
+vectors and ``lane`` reads one sample back.  ``pair_lanes`` runs a list
+of vector pairs as further lanes of one evaluation: the point tiled once
+per pair, the pairs' vectors joined along the lane axis, and the result
+cut back into one value per pair.
 
 A float-level decision (a Gram-Schmidt drop, a rank) is made per lane.
 ``agreed`` lets a batch go on as one while every lane decides alike and
@@ -113,6 +116,76 @@ def split_frame(vectors, width):
     (``stack_frames`` undone); a float vector is every sample's."""
     cols = [split_lanes(v) or [list(v)] * width for v in vectors]
     return [[c[i] for c in cols] for i in range(width)]
+
+
+# lanes of one pair pass (pairs x samples): a pass holds the jets of all
+# its lanes at once, and on a weighted metric a Christoffel tensor per
+# lane, so this bounds its memory, as Cone.BATCH_POINTS bounds the cone's;
+# no value depends on it
+PAIR_PASS_LANES = 1024
+
+
+def tile_lanes(u, reps):
+    """The vector u with its lanes repeated reps times: lane k * width + s
+    holds sample s.  A float entry, shared by every lane, stays a float."""
+    if reps == 1:
+        return u
+    return [np.concatenate([a] * reps) if isinstance(a, np.ndarray) else a for a in u]
+
+
+def join_lanes(vectors, width):
+    """One lane vector holding the given vectors of ``width`` lanes each
+    (None: float vectors) one after the other; jets are stripped, and a
+    float entry of a lane vector fills its lanes."""
+    if width is None:
+        return [np.array([value(e) for e in entries], dtype=float) for entries in zip(*vectors)]
+
+    def lanes(e):
+        e = value(e)
+        return e if isinstance(e, np.ndarray) else np.full(width, e, dtype=float)
+
+    return [np.concatenate([lanes(e) for e in entries]) for entries in zip(*vectors)]
+
+
+def cut_lanes(x, reps, width):
+    """``join_lanes`` undone on a scalar or nested lists of them: the reps
+    parts of ``width`` lanes each, Python floats at width None.  An entry
+    that holds no lanes is every part's."""
+    if isinstance(x, (list, tuple)):
+        return [list(part) for part in zip(*(cut_lanes(e, reps, width) for e in x))]
+    x = value(x)
+    if not isinstance(x, np.ndarray):
+        return [x] * reps
+    if width is None:
+        return x.tolist()
+    return [x[k * width:(k + 1) * width] for k in range(reps)]
+
+
+def pair_lanes(fn, p, pairs):
+    """[fn(p, 1, u, v) for (u, v) in pairs], with the pairs run as lanes.
+
+    ``fn(q, reps, u, v)`` evaluates one pair at the point q.  A pass of
+    reps > 1 pairs passes q = ``tile_lanes(p, reps)`` and the pairs'
+    vectors joined along the lane axis (``join_lanes``), so one
+    evaluation serves them all; fn tiles any other lane vector of p it
+    reads with ``tile_lanes(w, reps)``.  A pass holds at most
+    ``PAIR_PASS_LANES`` lanes, and one pair runs on p itself.  Every
+    lane runs the elementwise operations of its own pair's evaluation,
+    so each result holds the bits of fn on its pair alone.
+    """
+    width = lane_width(p)
+    per = max(1, PAIR_PASS_LANES // (width or 1))
+    out = []
+    for k in range(0, len(pairs), per):
+        part = pairs[k:k + per]
+        reps = len(part)
+        if reps == 1:
+            out.append(fn(p, 1, *part[0]))
+            continue
+        us = join_lanes([u for u, _ in part], width)
+        vs = join_lanes([v for _, v in part], width)
+        out.extend(cut_lanes(fn(tile_lanes(p, reps), reps, us, vs), reps, width))
+    return out
 
 
 class LanesDisagree(Exception):

@@ -17,6 +17,11 @@ submersion context with frames built from its Reeb circle, the group
 action itself, and the kernel-group momentum.  ``cr_residuals`` checks
 a CR splitting against the phi-invariances that define it.
 
+The pair passes have references that evaluate one pair at a time:
+``QuotientPerPair`` assembles O'Neill's formula with one covariant
+derivative per A and h pair, and ``reduced_d_eta_per_pair`` takes d(eta)
+pair by pair as ``reduced_tensors_batch`` once did.
+
 The weighted metric's own evaluations have references that take the
 plain route: ``weighted_metric_pair`` composes g_A from eta, xi and the
 closed-form d(eta) one pair at a time, and ``positivity_probe_lows``
@@ -35,7 +40,8 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import as_list, clamped_sqrt, cmult, solve_linear, vscale, vsub, vvalue
+from sasaklab.vecops import (as_list, clamped_sqrt, cmult, solve_linear, stack_frames, stack_lanes,
+                             vscale, vsub, vvalue)
 
 
 def chart_basis(p):
@@ -510,3 +516,116 @@ def positivity_probe_lows(structure):
         H = 0.5 * (H + H.T)
         lows.append(float(np.linalg.eigvalsh(H)[0]))
     return lows
+
+
+# ----------------------------------------------------------------------
+# O'Neill assembly and reduced d(eta), one pair at a time
+# ----------------------------------------------------------------------
+
+
+class QuotientPerPair:
+    """O'Neill's formula on a SubmersionContext with one covariant pass
+    per A and h pair, each evaluated when first requested; A(b, a) is
+    cached as the negation of A(a, b) and h(b, a) as h(a, b)."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def a_tensor(self, x, y):
+        ctx = self.ctx
+        w = ctx.geometry.covariant(ctx.p, ctx.horizontal_extend(x), ctx.horizontal_extend(y))
+        return ctx.vertical_project(ctx.p, w)
+
+    def second_fundamental(self, x, y):
+        ctx = self.ctx
+        man = ctx.manifold
+        yhat, xhat = vvalue(y), vvalue(x)
+        w = ctx.ambient_geometry.covariant(
+            ctx.p, lambda q: man.project(q, xhat), lambda q: man.project(q, yhat))
+        tangent_on, _ = ctx._tangent_frames()
+        g = ctx.structure.metric.g
+        out = list(w)
+        for u in tangent_on:
+            c = g(ctx.p, u, out)
+            out = [a - c * b for a, b in zip(out, u)]
+        return out
+
+    def gauss_curvature_n4(self, x, y, z, v, h_cache=None):
+        ctx = self.ctx
+        g = ctx.structure.metric.g
+        h = self._h_cached(h_cache)
+        rm = ctx.ambient_curvature_4(x, y, z, v)
+        return (
+            value(rm)
+            + value(g(ctx.p, h(x, v), h(y, z)))
+            - value(g(ctx.p, h(x, z), h(y, v)))
+        )
+
+    def _h_cached(self, cache):
+        if cache is None:
+            cache = {}
+
+        def h(a, b):
+            key = (id(a), id(b))
+            if key not in cache:
+                val = self.second_fundamental(a, b)
+                cache[key] = val
+                cache[(id(b), id(a))] = val
+            return cache[key]
+
+        return h
+
+    def quotient_curvature_4(self, x, y, z, v, a_cache=None, h_cache=None):
+        g = self.ctx.structure.metric.g
+        A = self._a_cached(a_cache)
+        rn = self.gauss_curvature_n4(x, y, z, v, h_cache=h_cache)
+        gp = lambda u, w: value(g(self.ctx.p, u, w))
+        return (
+            rn
+            - 2.0 * gp(A(x, y), A(z, v))
+            + gp(A(y, z), A(x, v))
+            - gp(A(x, z), A(y, v))
+        )
+
+    def _a_cached(self, cache):
+        if cache is None:
+            cache = {}
+
+        def A(a, b):
+            key = (id(a), id(b))
+            if key not in cache:
+                val = vvalue(self.a_tensor(a, b))
+                cache[key] = val
+                cache[(id(b), id(a))] = [-c for c in val]
+            return cache[key]
+
+        return A
+
+    def quotient_curvature_vector(self, x, y, z):
+        a_cache, h_cache = {}, {}
+        out = [0.0] * len(self.ctx.p)
+        for f in self.ctx.horizontal_frame:
+            comp = self.quotient_curvature_4(x, y, z, f, a_cache, h_cache)
+            out = [o + comp * c for o, c in zip(out, f)]
+        return out
+
+
+def reduced_d_eta_per_pair(setup, rframes):
+    """({(i, j): d(eta)(d_i, d_j)} over the contact pairs i != j, worst
+    |d(eta)(V, T)| over vertical fields V and tangent vectors T), one
+    d(eta) evaluation per pair, on the frames stacked as lanes."""
+    S = setup.structure
+    p = stack_lanes([f.p for f in rframes])
+    dvecs = stack_frames([f.contact_d.vectors for f in rframes])
+    m = len(dvecs)
+    deta = {
+        (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
+        for i in range(m) for j in range(m) if i != j
+    }
+    tangent = stack_frames([f.tangent for f in rframes])
+    worst_basic = 0.0
+    for vrow in rframes[0].vertical_rows:
+        vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
+        for t in tangent:
+            worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
+    return deta, worst_basic

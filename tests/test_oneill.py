@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import a_tensor_bracket, hopf_context, product_sphere_h_norm, weingarten_residual
+from oracles import (
+    QuotientPerPair,
+    a_tensor_bracket,
+    hopf_context,
+    product_sphere_h_norm,
+    weingarten_residual,
+)
+from sasaklab import jets, vecops
 from sasaklab.actions import TorusAction
 from sasaklab.geometry import Geometry, InducedMetric
 from sasaklab.jets import value
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
-from sasaklab.structures import RoundSphereStructure
-from sasaklab.vecops import stack_lanes, vdot, vscale, vsub, vvalue
+from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
+from sasaklab.vecops import lane_width, split_frame, stack_lanes, vdot, vscale, vsub, vvalue
 
 rng = np.random.default_rng(31)
 
@@ -270,3 +277,96 @@ class TestStackedContext:
         one = SubmersionContext.stacked([ctx])
         assert all(isinstance(c, float) for c in one.p)
         assert one.quotient_sasakian_residual(x, y) == ctx.quotient_sasakian_residual(x, y)
+
+
+def lane_context(structure, action, samples, seed):
+    """The context of one reduction frame over ``samples`` samples, and
+    two horizontal directions; at samples = 1 a float context."""
+    setup = ReductionSetup(structure, action, mu=[1.0, 1.0])
+    frame = build_frame(setup, setup.samples(samples, seed=seed))
+    ctx = SubmersionContext.from_reduction(setup, frame)
+    d = split_frame(frame.contact_d.vectors, samples)
+    x = stack_lanes([frame_mix(v, seed + i) for i, v in enumerate(d)])
+    y = stack_lanes([frame_mix(v, seed + 50 + i) for i, v in enumerate(d)])
+    return ctx, x, y
+
+
+CONTEXTS = {
+    "round-float": lambda: lane_context(S7, PAIRS, 1, 3),
+    "round-lanes": lambda: lane_context(S7, PAIRS, 4, 3),
+    "weighted-float": lambda: lane_context(
+        WeightedSphereStructure(3, [1.0, 2.0, 3.0]), TorusAction.of([[1, 1, 0], [0, 0, 1]]), 1, 5),
+    "weighted-lanes": lambda: lane_context(
+        WeightedSphereStructure(3, [1.0, 2.0, 3.0]), TorusAction.of([[1, 1, 0], [0, 0, 1]]), 3, 5),
+}
+
+
+def bits(x):
+    """The raw bytes of a scalar or a vector, floats or lanes."""
+    return np.asarray(vvalue(x) if isinstance(x, list) else value(x), dtype=float).tobytes()
+
+
+class TestPairLanes:
+    """A and h pairs run as lanes of one pass hold the bits of the
+    per-pair evaluation (``oracles.QuotientPerPair``)."""
+
+    @pytest.mark.parametrize("name", list(CONTEXTS))
+    def test_curvature_vector_matches_per_pair_bitwise(self, name):
+        ctx, x, y = CONTEXTS[name]()
+        ref = QuotientPerPair(ctx)
+        zeta = vvalue(ctx.structure.reeb(ctx.p))
+        # (x, y, x): h(y, x) is requested before h(x, y), and A(x, x) is
+        # stored as its own negation
+        for args in [(x, zeta, y), (x, y, x), (y, x, zeta)]:
+            got = ctx.quotient_curvature_vector(*args)
+            assert bits(got) == bits(ref.quotient_curvature_vector(*args))
+        if lane_width(ctx.p) is None:  # a pass over pairs splits into floats
+            for vec in ctx.a_tensors([(x, y), (y, zeta)]) + ctx.second_fundamentals(
+                    [(x, y), (y, zeta)]):
+                assert all(type(c) is float for c in vec)
+
+    @pytest.mark.parametrize("name", list(CONTEXTS))
+    def test_shared_caches_match_per_pair_bitwise(self, name):
+        ctx, x, y = CONTEXTS[name]()
+        ref = QuotientPerPair(ctx)
+        z, v = ctx.horizontal_frame[0], ctx.horizontal_frame[-1]
+        got_a, got_h, ref_a, ref_h = {}, {}, {}, {}
+        # the second call asks for every pair of the first one reversed
+        for args in [(x, y, z, v), (y, x, v, z), (v, y, x, v)]:
+            got = ctx.quotient_curvature_4(*args, a_cache=got_a, h_cache=got_h)
+            want = ref.quotient_curvature_4(*args, a_cache=ref_a, h_cache=ref_h)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert got_a.keys() == ref_a.keys() and got_h.keys() == ref_h.keys()
+        for key in ref_a:
+            assert bits(got_a[key]) == bits(ref_a[key])
+        for key in ref_h:
+            assert bits(got_h[key]) == bits(ref_h[key])
+
+    @pytest.mark.parametrize("name", ["round-float", "round-lanes", "weighted-lanes"])
+    @pytest.mark.parametrize("pairs_per_pass", [1, 2])
+    def test_pass_cap_does_not_change_bits(self, monkeypatch, name, pairs_per_pass):
+        ctx, x, y = CONTEXTS[name]()
+        whole = bits(ctx.quotient_sasakian_residual(x, y))
+        monkeypatch.setattr(vecops, "PAIR_PASS_LANES",
+                            pairs_per_pass * (lane_width(ctx.p) or 1))
+        ctx, x, y = CONTEXTS[name]()
+        assert bits(ctx.quotient_sasakian_residual(x, y)) == whole
+
+    def test_one_residual_opens_a_fixed_number_of_levels(self, monkeypatch):
+        opened = []
+        enter = jets.enter_level
+
+        def counting():
+            opened.append(1)
+            return enter()
+
+        monkeypatch.setattr(jets, "enter_level", counting)
+        counts = []
+        for samples in (2, 6):
+            ctx, x, y = lane_context(S7, PAIRS, samples, 3)
+            ctx._tangent_frames()
+            opened.clear()
+            ctx.quotient_sasakian_residual(x, y)
+            counts.append(len(opened))
+        # one along for the A pass and one for the h pass
+        assert counts == [2, 2]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import hit_and_run_loop, moduli_lp_oracle
-from sasaklab import reduction, tolerances
+from oracles import hit_and_run_loop, moduli_lp_oracle, reduced_d_eta_per_pair
+from sasaklab import reduction, tolerances, vecops
 from sasaklab.actions import MomentumCovector, TorusAction, kernel_algebra, local_freeness
 from sasaklab.errors import EmptyLevelSet, NoConvergence, WrongRay
 from sasaklab.jets import value
@@ -26,7 +26,7 @@ from sasaklab.reduction import (
     sample_zero_level,
     transversality_check,
 )
-from sasaklab.structures import RoundSphereStructure
+from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.jets import along
 from sasaklab.tensor_kernel import AmbientPoint
 from sasaklab.vecops import (LanesDisagree, agreeing_parts, lane, solve_linear, split_frame,
@@ -483,3 +483,24 @@ class TestLaneBatches:
             assert np.array_equal(got.reduced_gram, ref.reduced_gram)
             assert got.d_eta_det == ref.d_eta_det
             assert got.checks == ref.checks
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["round", "weighted"])
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("pairs_per_pass", [None, 1, 2])
+    def test_d_eta_pairs_match_per_pair_bitwise(self, monkeypatch, weighted, samples,
+                                                pairs_per_pass):
+        if weighted:
+            setup = ReductionSetup(WeightedSphereStructure(3, [1.0, 2.0, 3.0]),
+                                   TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0])
+        else:
+            setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
+        frame = build_frame(setup, setup.samples(samples, seed=4))
+        if pairs_per_pass is not None:
+            monkeypatch.setattr(vecops, "PAIR_PASS_LANES", pairs_per_pass * samples)
+        deta, worst_basic = reduced_d_eta_per_pair(setup, [frame])
+        assert deta and len(frame.vertical_rows)
+        bits = lambda x: np.float64(x).tobytes()
+        for k, red in enumerate(reduced_tensors_batch(setup, [frame])):
+            for (i, j), val in deta.items():
+                assert bits(red.d_eta_matrix[i, j]) == bits(lane(val, k))
+            assert bits(red.checks["basic_d_eta"]) == bits(lane(worst_basic, k))

@@ -227,6 +227,9 @@ class TestKoszul:
             def g(self, q, u, v):
                 return 0.0 * vdot(u, v)
 
+            def gram(self, q, vectors):
+                return [[self.g(q, u, v) for v in vectors] for u in vectors]
+
         with pytest.raises(SingularMetric):
             Geometry(Sphere(4), Degenerate()).curvature(
                 rand_point(4), [1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0])
