@@ -102,6 +102,15 @@ class MomentumCovector:
         return np.asarray([math.ldexp(x, -e) for x in self.mu]), e
 
     @cached_property
+    def ray_terms(self):
+        """(m, e, m . m, mu) with (m, e) = ``scaled()`` and mu as an array,
+        read-only and formed once: what ``ray_membership`` reads of mu."""
+        m, e = self.scaled()
+        line = np.asarray(self.mu, dtype=float)
+        m.flags.writeable = line.flags.writeable = False
+        return m, e, np.dot(m, m), line
+
+    @cached_property
     def norm(self):
         m, e = self.scaled()
         return math.ldexp(float(np.linalg.norm(m)), e)
@@ -175,9 +184,9 @@ def ray_membership(j_val, mu, tol=None):
     tol = tolerances.DEFAULTS["stratification"] if tol is None else tol
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     j = np.asarray(as_list(j_val), dtype=float)
-    m, e = mu.scaled()
-    s = math.ldexp(float(np.dot(j, m) / np.dot(m, m)), -e)
-    residual = float(np.linalg.norm(j - s * np.asarray(mu.mu, dtype=float)))
+    m, e, mm, line = mu.ray_terms
+    s = math.ldexp(float(np.dot(j, m) / mm), -e)
+    residual = float(np.linalg.norm(j - s * line))
     if residual >= tol:
         return RayClass("outside", s, residual)
     if abs(s) * mu.norm < tol:

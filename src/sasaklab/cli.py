@@ -23,8 +23,9 @@ and the reduced d(eta) pairs, run as further lanes of one pass per kind
 (pairs x samples) to a pass.  Directions, and curvature-scan's CR
 splitting, stay per sample.  verify-structure, whose samples all share
 their frame sizes, runs them in lane batches of at most
-``LANE_BATCH_WIDTH`` in index order (``_lane_batches``).  A batch of one
-runs on floats, and no row depends on the batch it ran in.
+``LANE_BATCH_WIDTH`` in index order (``_lane_batches``), as do
+cone-check's cone points.  A batch of one runs on floats, and no row
+depends on the batch it ran in.
 """
 
 import argparse
@@ -37,10 +38,9 @@ from . import tolerances
 from .actions import MomentumCovector, TorusAction, kernel_algebra
 from .cone import (
     ConePoint,
-    iota_transpose_residual,
+    momentum_identities,
     sample_phi_zero,
     stratify,
-    symplectic_momentum,
     symplectic_pairing_residual,
     zero_stratum_degeneracy,
 )
@@ -558,30 +558,43 @@ def run_reeb_flow(cfg):
 
 
 def run_cone_check(cfg):
+    """The cone suite: momentum identities at random cone points, then
+    the ray census of the strata.
+
+    The cone points are drawn one at a time, in the stream order of a
+    per-point loop, and run in lane batches of at most
+    ``LANE_BATCH_WIDTH`` (``_lane_batches``): J_s at r and at 1, J, and
+    eta(b_M) for each kernel row b run once per batch
+    (``cone.momentum_identities``); the pairing of J_s with the kernel
+    basis runs per point on its float row, and the pairing oracle per
+    point on the first 8.  The census runs J once over all the strata
+    samples (``cone.stratify``) and classifies each sample's row on its
+    own.  The level-set samplers and the zero-stratum rank check are
+    not on lanes.
+    """
     S = _structure(cfg)
     A = TorusAction.of(cfg.action_weights)
     mu = MomentumCovector.of(cfg.mu)
     led = ResidualLedger()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 505]))
 
-    for i in range(cfg.samples):
+    def draw(i):
+        # the stream order of a per-point loop: point, radius, and for the
+        # first 8 points the pairing oracle's algebra element
         p = rng.standard_normal(2 * cfg.n)
-        p = list(p / np.linalg.norm(p))
-        r = float(rng.uniform(0.5, 2.0))
-        cp = ConePoint.of(p, r)
-        led.add("iota_transpose", cfg.tol["iota_transpose"],
-                iota_transpose_residual(A, mu, cp))
-        js_r = symplectic_momentum(A, cp)
-        js_1 = symplectic_momentum(A, ConePoint.of(p, 1.0))
-        led.add("homogeneity", cfg.tol["iota_transpose"],
-                max(abs(a - r * r * b) for a, b in zip(js_r, js_1)))
-        led.add("restriction", tolerances.RESTRICTION,
-                max(abs(a - float(value(b))) for a, b in
-                    zip(js_1, A.momentum(p))))
-        if i < 8:
-            led.add("pairing_oracle", tolerances.PAIRING_ORACLE,
-                    symplectic_pairing_residual(A, cp, tuple(rng.standard_normal(A.d)),
-                                                seed=cfg.seed + i))
+        cp = ConePoint.of(p / np.linalg.norm(p), float(rng.uniform(0.5, 2.0)))
+        return cp, (tuple(rng.standard_normal(A.d)) if i < 8 else None)
+
+    for batch in _lane_batches([None] * cfg.samples):
+        draws = [draw(i) for i in batch]
+        ident = momentum_identities(A, mu, [cp for cp, _ in draws])
+        for i, (cp, rvec), iota, homog, restr in zip(batch, draws, *ident):
+            led.add("iota_transpose", cfg.tol["iota_transpose"], iota)
+            led.add("homogeneity", cfg.tol["iota_transpose"], homog)
+            led.add("restriction", tolerances.RESTRICTION, restr)
+            if rvec is not None:
+                led.add("pairing_oracle", tolerances.PAIRING_ORACLE,
+                        symplectic_pairing_residual(A, cp, rvec, seed=cfg.seed + i))
 
     census = {"positive_stratum": 0, "zero_stratum": 0, "negative_stratum": 0}
     rows = []

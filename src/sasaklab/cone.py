@@ -19,7 +19,7 @@ from .errors import StratificationLeak
 from .jets import value
 from .reduction import sample_zero_level
 from .tensor_kernel import AmbientPoint, orthogonal_tail
-from .vecops import as_list, vdot, vvalue
+from .vecops import as_list, lane, lane_max, split_lanes, stack_lanes, vdot, vvalue
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,20 @@ class ConePoint:
         return cls(base, float(r))
 
 
+def _coords(cp):
+    """(coordinates, r) of a cone point, or of a list of cone points as
+    lanes: entry k of the coordinates, and r, hold every point's value."""
+    if isinstance(cp, ConePoint):
+        return cp.base.as_list(), cp.r
+    (r,) = stack_lanes([[c.r] for c in cp])
+    return stack_lanes([c.base.as_list() for c in cp]), r
+
+
 def symplectic_momentum(action, cp):
-    """J_s(z, r) = r^2 J(z)."""
-    j = action.momentum(cp.base.as_list())
-    return [cp.r * cp.r * float(value(c)) for c in j]
+    """J_s(z, r) = r^2 J(z).  cp is a cone point, or a list of them that
+    runs as lanes: each entry of J_s then holds every point's value."""
+    p, r = _coords(cp)
+    return [r * r * value(c) for c in action.momentum(p)]
 
 
 def symplectic_pairing_residual(action, cp, rvec, seed=0):
@@ -104,22 +114,49 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0):
 
 def iota_transpose_residual(action, mu, cp):
     """Phi computed two ways: pairing J_s with the kernel basis versus
-    the momentum of the restricted action; returns the max difference."""
+    the momentum of the restricted action; returns the max difference.
+
+    For a list of cone points, which run as lanes, a list comes back,
+    one float per point.  J_s and eta(b_M) for each kernel row b run
+    once over the lanes; only the d-length pairing of J_s with the
+    kernel basis runs per point, on the point's float row, since
+    ``np.dot`` does not round as an elementwise sum does.
+    """
+    from .structures import _eta0
+
     kern = kernel_algebra(mu)
+    p, r = _coords(cp)
     js = symplectic_momentum(action, cp)
-    path_a = [float(np.dot(js, b)) for b in kern.matrix] if kern.k else []
+    # momentum of the one-parameter subgroup through b: eta(b_M)
+    path_b = [r * r * value(_eta0(p, action.fundamental_field(b, p))) for b in kern.matrix]
+    out = []
+    for i, row in enumerate(split_lanes(js) or [js]):
+        path_a = [float(np.dot(row, b)) for b in kern.matrix]
+        out.append(max((abs(a - float(lane(b, i))) for a, b in zip(path_a, path_b)),
+                       default=0.0))
+    return out[0] if isinstance(cp, ConePoint) else out
 
-    p = cp.base.as_list()
-    path_b = []
-    for b in kern.matrix:
-        # momentum of the one-parameter subgroup through b: eta(b_M)
-        from .structures import _eta0
 
-        xm = action.fundamental_field(b, p)
-        path_b.append(cp.r * cp.r * float(value(_eta0(p, xm))))
-    if not path_a:
-        return 0.0
-    return max(abs(a - b) for a, b in zip(path_a, path_b))
+def momentum_identities(action, mu, cps):
+    """Three residuals per cone point of the list cps, which runs as
+    lanes, each as a list of floats, one per point:
+
+    - iota_transpose: ``iota_transpose_residual``;
+    - homogeneity: max_k |J_s(z, r)_k - r^2 J_s(z, 1)_k|;
+    - restriction: max_k |J_s(z, 1)_k - J(z)_k|.
+    """
+    p, r = _coords(cps)
+    js_r = symplectic_momentum(action, cps)
+    js_1 = symplectic_momentum(action, [ConePoint(cp.base, 1.0) for cp in cps])
+    homogeneity = lane_max([abs(a - r * r * b) for a, b in zip(js_r, js_1)])
+    restriction = lane_max([abs(a - value(b)) for a, b in zip(js_1, action.momentum(p))])
+    return (iota_transpose_residual(action, mu, cps),
+            _per_point(homogeneity, len(cps)), _per_point(restriction, len(cps)))
+
+
+def _per_point(x, count):
+    """Python floats of a float or lane result, one per point."""
+    return np.broadcast_to(x, (count,)).tolist()
 
 
 def sample_phi_zero(action, mu, count, seed):
@@ -138,7 +175,9 @@ class StratumCensus:
 
 def stratify(action, mu, points, tol=None):
     """Classify momentum-zero samples of the kernel group by the ray of
-    J; a sample outside every stratum is a tolerance breach."""
+    J; a sample outside every stratum is a tolerance breach.  J runs
+    once over all the points as lanes; each point's float row is then
+    classified on its own, with mu's ray data formed once."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     tol = tolerances.DEFAULTS["stratification"] if tol is None else tol
     label_of = {
@@ -147,11 +186,13 @@ def stratify(action, mu, points, tol=None):
         "on_negative_ray": "negative_stratum",
     }
     counts = {"positive_stratum": 0, "zero_stratum": 0, "negative_stratum": 0}
+    ps = [pt.as_list() if hasattr(pt, "as_list") else as_list(pt) for pt in points]
+    if not ps:
+        return StratumCensus(counts, [])
+    j = [value(c) for c in action.momentum(stack_lanes(ps))]
     rows = []
-    for pt in points:
-        p = pt.as_list() if hasattr(pt, "as_list") else as_list(pt)
-        j = [float(value(c)) for c in action.momentum(p)]
-        cls = ray_membership(j, mu, tol=tol)
+    for p, j_p in zip(ps, split_lanes(j) or [j]):
+        cls = ray_membership(j_p, mu, tol=tol)
         if cls.kind == "outside":
             raise StratificationLeak(
                 f"momentum-zero sample classified outside (residual {cls.residual:.3e})"

@@ -4,15 +4,20 @@ Classical RK4 in ambient coordinates with a Gauss-Newton reprojection
 onto the constraint set after every step.  The Reeb field is tangent to
 every momentum level set, so the projection only removes integrator
 drift (one Newton step is usually exact to roundoff).
+
+The state is a list of Python floats: the jet-generic Reeb field takes
+it as it is, each RK4 stage is one elementwise pass, and the
+reprojection hands back the constraint residual it has already
+evaluated, so a step evaluates the constraints once.  The closed-form
+oracles are built as whole arrays over the times.
 """
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import NoConvergence
-from .vecops import vvalue
+from .vecops import as_list
 
 
 def reeb_flow(structure, manifold, z0, t_max, steps):
@@ -24,19 +29,21 @@ def reeb_flow(structure, manifold, z0, t_max, steps):
     if steps < 1:
         raise ValueError("need at least one step")
     h = float(t_max) / steps
-    field = lambda q: np.asarray(vvalue(structure.reeb_field(list(q))), dtype=float)
-    x = np.asarray(z0, dtype=float).copy()
+    half, sixth = 0.5 * h, h / 6.0
+    field = structure.reeb_field
+    x = [float(a) for a in as_list(z0)]
     times = np.linspace(0.0, float(t_max), steps + 1)
     out = np.empty((steps + 1, len(x)))
     out[0] = x
     for k in range(steps):
         k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = np.asarray(manifold.newton_refine(list(x)), dtype=float)
-        if manifold.residual(list(x)) > 1e-9:
+        k2 = field([a + half * b for a, b in zip(x, k1)])
+        k3 = field([a + half * b for a, b in zip(x, k2)])
+        k4 = field([a + h * b for a, b in zip(x, k3)])
+        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        x, residual = manifold.newton_refine(x)
+        if residual > 1e-9:
             raise NoConvergence(f"reprojection failed at step {k}")
         out[k + 1] = x
     return times, out
@@ -45,23 +52,36 @@ def reeb_flow(structure, manifold, z0, t_max, steps):
 def rotation_flow(z0, times, speeds):
     """Closed form of a diagonal Reeb flow: z_j(t) = e^{i speeds[j] t} z_j(0)."""
     z0 = np.asarray(z0, dtype=float)
+    times = np.asarray(times, dtype=float)
     out = np.empty((len(times), len(z0)))
-    for k, t in enumerate(times):
-        for j, w in enumerate(speeds):
-            c, s = math.cos(w * t), math.sin(w * t)
-            x, y = z0[2 * j], z0[2 * j + 1]
-            out[k, 2 * j] = c * x - s * y
-            out[k, 2 * j + 1] = s * x + c * y
+    for j, w in enumerate(speeds):
+        angle = w * times
+        c, s = np.cos(angle), np.sin(angle)
+        x, y = z0[2 * j], z0[2 * j + 1]
+        out[:, 2 * j] = c * x - s * y
+        out[:, 2 * j + 1] = s * x + c * y
     return out
 
 
-def _factor_coordinate(point, lam):
-    """z_0^{lam_1} z_1^{lam_0} of the first two complex coordinates."""
-    z0 = complex(point[0], point[1])
-    z1 = complex(point[2], point[3])
-    r = (abs(z0) ** lam[1]) * (abs(z1) ** lam[0])
-    ang = lam[1] * cmath.phase(z0) + lam[0] * cmath.phase(z1)
-    return r * cmath.exp(1j * ang)
+def _polar(r, ang):
+    """r e^{i ang} as (real, imaginary) arrays, rounded as Python rounds
+    ``r * cmath.exp(1j * ang)`` on floats: (r cos - 0 sin, r sin + 0 cos)."""
+    c, s = np.cos(ang), np.sin(ang)
+    return r * c - 0.0 * s, r * s + 0.0 * c
+
+
+def _factor_coordinates(points, lam):
+    """z_0^{lam_1} z_1^{lam_0} of the first two complex coordinates of
+    each row of points, as (real, imaginary) arrays.  numpy's power and
+    arctan2 may round differently from libm's (they have SIMD kernels on
+    some CPUs), so those run row by row on Python floats."""
+    x0, y0, x1, y1 = (points[:, k] for k in range(4))
+    l0, l1 = lam
+    r = np.fromiter((float(a) ** l1 * float(b) ** l0
+                     for a, b in zip(np.hypot(x0, y0), np.hypot(x1, y1))), float, len(points))
+    ang = np.fromiter((l1 * math.atan2(b, a) + l0 * math.atan2(d, c)
+                       for a, b, c, d in zip(x0, y0, x1, y1)), float, len(points))
+    return _polar(r, ang)
 
 
 def reduced_flow_comparison(times, trajectory, lam):
@@ -73,16 +93,16 @@ def reduced_flow_comparison(times, trajectory, lam):
     the remaining coordinates rotate as a block: (z_2, z_3)(t) =
     e^{it} (z_2, z_3)(0).
     """
-    start = trajectory[0]
-    f0 = _factor_coordinate(start, lam)
-    A, a = abs(f0), cmath.phase(f0)
+    trajectory = np.asarray(trajectory, dtype=float)
+    got_re, got_im = _factor_coordinates(trajectory, lam)
+    A = float(np.hypot(got_re[0], got_im[0]))
+    a = math.atan2(got_im[0], got_re[0])
     b = lam[0] + lam[1]
-    sup_factor = 0.0
-    for t, point in zip(times, trajectory):
-        expected = A * cmath.exp(1j * (a + b * t))
-        got = _factor_coordinate(point, lam)
-        sup_factor = max(sup_factor, abs(expected - got))
+    want_re, want_im = _polar(A, a + b * np.asarray(times, dtype=float))
+    # Python's max in time order, as a loop over the times takes it
+    sup_factor = max([0.0, *np.hypot(want_re - got_re, want_im - got_im).tolist()])
 
+    start = trajectory[0]
     rot = rotation_flow(list(start[4:]), times, [1.0] * (len(start[4:]) // 2))
     sup_rot = float(np.max(np.abs(rot - trajectory[:, 4:]))) if trajectory.shape[1] > 4 else 0.0
     return {

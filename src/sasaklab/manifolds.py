@@ -118,16 +118,23 @@ class EmbeddedManifold:
         return max(abs(v) for v in vvalue(self.constraint_values(p)))
 
     def newton_refine(self, p):
-        """Gauss-Newton pullback onto the constraint set (float level)."""
-        x = np.asarray(vvalue(p), dtype=float)
+        """Gauss-Newton pullback onto the constraint set at a float point.
+
+        Returns (point, residual), the residual being ``residual(point)``:
+        when the constraints fall under ``REFINE_TOL`` it is read off the
+        values that stopped the iteration, and only after
+        ``REFINE_MAX_ITER`` steps are they evaluated again.  The point is a
+        list of Python floats; only a step that iterates goes through
+        numpy, for ``lstsq``."""
+        x = [float(a) for a in vvalue(p)]
         for _ in range(tolerances.REFINE_MAX_ITER):
-            vals = np.asarray(vvalue(self.constraint_values(list(x))), dtype=float)
-            if np.max(np.abs(vals)) < tolerances.REFINE_TOL:
-                break
-            jac = np.asarray([vvalue(g) for g in self.constraint_grads(list(x))], dtype=float)
-            step, *_ = np.linalg.lstsq(jac, vals, rcond=None)
-            x = x - step
-        return [float(a) for a in x]
+            vals = self.constraint_values(x)
+            if all(abs(v) < tolerances.REFINE_TOL for v in vals):
+                return x, max(abs(v) for v in vals)
+            jac = np.asarray(self.constraint_grads(x), dtype=float)
+            step, *_ = np.linalg.lstsq(jac, np.asarray(vals, dtype=float), rcond=None)
+            x = [a - b for a, b in zip(x, step.tolist())]
+        return x, self.residual(x)
 
 
 class Sphere(EmbeddedManifold):

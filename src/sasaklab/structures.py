@@ -305,11 +305,14 @@ class WeightedSphereStructure(SphereStructure):
 def contact_nondegeneracy(structure, p):
     """|pf|-style determinant of d(eta) on an orthonormal contact frame.
 
+    d(eta) is the metric's closed form where the metric has one (the
+    weighted family), else the jet evaluation ``SphereStructure.d_eta``.
     At a lane point each sample gets its own contact frame, from one
     stacked SVD; d(eta) runs once over the lanes, and the determinants
     of the (samples, m, m) stack come back as an array, one per sample.
     """
     p = as_list(p)
     frame = structure.contact_frame(p)
-    M = lane_stack([[value(structure.d_eta(p, u, v)) for v in frame] for u in frame])
+    d_eta = getattr(structure.metric, "d_eta", structure.d_eta)
+    M = lane_stack([[value(d_eta(p, u, v)) for v in frame] for u in frame])
     return lane_pow(np.abs(np.linalg.det(M)), 1.0 / max(len(frame), 1))

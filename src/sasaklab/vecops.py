@@ -239,6 +239,18 @@ def nonnegative(x):
     return max(x, 0.0)
 
 
+def lane_max(xs):
+    """max(xs) of floats or lanes, lane by lane as Python's max: an entry
+    replaces the running maximum only when it is greater, so a NaN is
+    kept only where it comes first."""
+    if not any(isinstance(x, np.ndarray) for x in xs):
+        return max(xs)
+    out = xs[0]
+    for x in xs[1:]:
+        out = np.where(x > out, x, out)
+    return out
+
+
 def lane_pow(x, k):
     """x ** k of a float or of lanes.  numpy's power, and its x * x fast
     path for k = 2, round differently from the libm pow that a float

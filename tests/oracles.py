@@ -26,22 +26,34 @@ The weighted metric's own evaluations have references that take the
 plain route: ``weighted_metric_pair`` composes g_A from eta, xi and the
 closed-form d(eta) one pair at a time, and ``positivity_probe_lows``
 runs the positivity probe one float point at a time.
+
+The Reeb flow and cone-check loops have the references they replaced:
+``reeb_flow_ndarray`` integrates on an ndarray state with a
+reprojection (``newton_refine_ndarray``) and a residual gate that
+evaluate the constraints apart; ``rotation_flow_per_element`` and
+``reduced_flow_comparison_complex`` (with ``factor_coordinate``) form
+the closed forms one time at a time; ``cone_point_loop`` and
+``stratify_per_point`` run cone-check's identities and census one
+point at a time.
 """
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from sasaklab.actions import kernel_algebra
+from sasaklab import tolerances
+from sasaklab.actions import MomentumCovector, kernel_algebra
+from sasaklab.errors import NoConvergence, StratificationLeak
 from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
 from sasaklab.vecops import (as_list, clamped_sqrt, cmult, solve_linear, stack_frames, stack_lanes,
-                             vscale, vsub, vvalue)
+                             vdot, vscale, vsub, vvalue)
 
 
 def chart_basis(p):
@@ -629,3 +641,149 @@ def reduced_d_eta_per_pair(setup, rframes):
         for t in tangent:
             worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
     return deta, worst_basic
+
+
+# ----------------------------------------------------------------------
+# the Reeb flow on an ndarray state, and its closed forms time by time
+# ----------------------------------------------------------------------
+
+
+def newton_refine_ndarray(manifold, p):
+    """Gauss-Newton pullback onto the manifold's constraint set on an
+    ndarray state; returns the point only."""
+    x = np.asarray(vvalue(p), dtype=float)
+    for _ in range(tolerances.REFINE_MAX_ITER):
+        vals = np.asarray(vvalue(manifold.constraint_values(list(x))), dtype=float)
+        if np.max(np.abs(vals)) < tolerances.REFINE_TOL:
+            break
+        jac = np.asarray([vvalue(g) for g in manifold.constraint_grads(list(x))], dtype=float)
+        step, *_ = np.linalg.lstsq(jac, vals, rcond=None)
+        x = x - step
+    return [float(a) for a in x]
+
+
+def reeb_flow_ndarray(structure, manifold, z0, t_max, steps):
+    """RK4 on an ndarray state: every stage converts the state to a list
+    and the field back to an array, and the reprojection gate evaluates
+    the constraints again after ``newton_refine_ndarray``."""
+    h = float(t_max) / steps
+    field = lambda q: np.asarray(vvalue(structure.reeb_field(list(q))), dtype=float)
+    x = np.asarray(z0, dtype=float).copy()
+    times = np.linspace(0.0, float(t_max), steps + 1)
+    out = np.empty((steps + 1, len(x)))
+    out[0] = x
+    for k in range(steps):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = np.asarray(newton_refine_ndarray(manifold, list(x)), dtype=float)
+        if manifold.residual(list(x)) > 1e-9:
+            raise NoConvergence(f"reprojection failed at step {k}")
+        out[k + 1] = x
+    return times, out
+
+
+def rotation_flow_per_element(z0, times, speeds):
+    """z_j(t) = e^{i speeds[j] t} z_j(0), one time and one coordinate at a time."""
+    z0 = np.asarray(z0, dtype=float)
+    out = np.empty((len(times), len(z0)))
+    for k, t in enumerate(times):
+        for j, w in enumerate(speeds):
+            c, s = math.cos(w * t), math.sin(w * t)
+            x, y = z0[2 * j], z0[2 * j + 1]
+            out[k, 2 * j] = c * x - s * y
+            out[k, 2 * j + 1] = s * x + c * y
+    return out
+
+
+def factor_coordinate(point, lam):
+    """z_0^{lam_1} z_1^{lam_0} of the first two complex coordinates."""
+    z0 = complex(point[0], point[1])
+    z1 = complex(point[2], point[3])
+    r = (abs(z0) ** lam[1]) * (abs(z1) ** lam[0])
+    ang = lam[1] * cmath.phase(z0) + lam[0] * cmath.phase(z1)
+    return r * cmath.exp(1j * ang)
+
+
+def reduced_flow_comparison_complex(times, trajectory, lam):
+    """The reduced-flow comparison in Python complex arithmetic, one time
+    at a time."""
+    start = trajectory[0]
+    f0 = factor_coordinate(start, lam)
+    A, a = abs(f0), cmath.phase(f0)
+    b = lam[0] + lam[1]
+    sup_factor = 0.0
+    for t, point in zip(times, trajectory):
+        expected = A * cmath.exp(1j * (a + b * t))
+        sup_factor = max(sup_factor, abs(expected - factor_coordinate(point, lam)))
+    rot = rotation_flow_per_element(list(start[4:]), times, [1.0] * (len(start[4:]) // 2))
+    sup_rot = float(np.max(np.abs(rot - trajectory[:, 4:]))) if trajectory.shape[1] > 4 else 0.0
+    return {
+        "sup_factor_error": sup_factor,
+        "sup_rotation_error": sup_rot,
+        "sup_error": max(sup_factor, sup_rot),
+        "amplitude": A,
+        "angular_speed": b,
+    }
+
+
+# ----------------------------------------------------------------------
+# cone-check one point at a time
+# ----------------------------------------------------------------------
+
+
+def _iota_transpose_per_point(action, mu, p, r):
+    kern = kernel_algebra(mu)
+    js = [r * r * float(value(c)) for c in action.momentum(p)]
+    path_a = [float(np.dot(js, b)) for b in kern.matrix] if kern.k else []
+    path_b = []
+    for b in kern.matrix:
+        xm = action.fundamental_field(b, p)
+        path_b.append(r * r * float(value(vdot(cmult(p), xm))))
+    if not path_a:
+        return 0.0
+    return max(abs(a - b) for a, b in zip(path_a, path_b))
+
+
+def cone_point_loop(action, mu, cps):
+    """{name: [residual per point]} of cone-check's identities, one cone
+    point at a time: iota_transpose, homogeneity and restriction."""
+    out = {"iota_transpose": [], "homogeneity": [], "restriction": []}
+    for cp in cps:
+        p, r = cp.base.as_list(), cp.r
+        js_r = [r * r * float(value(c)) for c in action.momentum(p)]
+        js_1 = [1.0 * 1.0 * float(value(c)) for c in action.momentum(p)]
+        out["iota_transpose"].append(_iota_transpose_per_point(action, mu, p, r))
+        out["homogeneity"].append(max(abs(a - r * r * b) for a, b in zip(js_r, js_1)))
+        out["restriction"].append(max(abs(a - float(value(b)))
+                                      for a, b in zip(js_1, action.momentum(p))))
+    return out
+
+
+def stratify_per_point(action, mu, points, tol):
+    """[(point, label, s, residual)] of the ray census, one point at a
+    time, with the ray classified from mu directly; a point outside
+    every stratum raises StratificationLeak."""
+    mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
+    label_of = {"on_positive_ray": "positive_stratum", "on_zero": "zero_stratum",
+                "on_negative_ray": "negative_stratum"}
+    rows = []
+    for pt in points:
+        p = pt.as_list() if hasattr(pt, "as_list") else as_list(pt)
+        j = np.asarray([float(value(c)) for c in action.momentum(p)])
+        m, e = mu.scaled()
+        s = math.ldexp(float(np.dot(j, m) / np.dot(m, m)), -e)
+        residual = float(np.linalg.norm(j - s * np.asarray(mu.mu, dtype=float)))
+        if residual >= tol:
+            raise StratificationLeak(
+                f"momentum-zero sample classified outside (residual {residual:.3e})")
+        if abs(s) * mu.norm < tol:
+            kind, s = "on_zero", 0.0
+        elif s > 0:
+            kind = "on_positive_ray"
+        else:
+            kind, s = "on_negative_ray", -s
+        rows.append((p, label_of[kind], s, residual))
+    return rows

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import kernel_momentum
-from sasaklab.actions import TorusAction
+from oracles import cone_point_loop, kernel_momentum, stratify_per_point
+from sasaklab import cli, tolerances
+from sasaklab.actions import MomentumCovector, TorusAction
+from sasaklab.config import build_config
 from sasaklab.cone import (
     ConePoint,
     iota_transpose_residual,
+    momentum_identities,
     sample_phi_zero,
     stratify,
     symplectic_momentum,
@@ -15,6 +18,8 @@ from sasaklab.cone import (
     zero_stratum_degeneracy,
 )
 from sasaklab.errors import StratificationLeak
+from sasaklab.gallery import preset_config
+from sasaklab.reduction import sample_level_set
 from sasaklab.structures import RoundSphereStructure
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
@@ -137,3 +142,80 @@ class TestZeroStratum:
             base_phi = kernel_momentum(FLIPPED, [1.0, 0.0], pt.as_list())
             cone_phi = [r * r * x for x in base_phi]
             assert max(abs(x) for x in cone_phi) < 1e-12
+
+
+ONE_ROW = {"n": 3, "action_weights": [[1, 0, 1]], "mu": [2]}  # k = 0: no kernel group
+
+
+def _cone_config(name, samples):
+    raw = dict(ONE_ROW) if name == "one-row" else preset_config(name)
+    raw.update(samples=samples, seed=3)
+    return build_config(raw, command="cone-check")
+
+
+def _drawn_cone_points(cfg):
+    """cone-check's cone points, drawn one at a time in its stream order."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 505]))
+    cps = []
+    for i in range(cfg.samples):
+        p = rng.standard_normal(2 * cfg.n)
+        p = list(p / np.linalg.norm(p))
+        cps.append(ConePoint.of(p, float(rng.uniform(0.5, 2.0))))
+        if i < 8:
+            rng.standard_normal(len(cfg.action_weights))
+    return cps
+
+
+class TestConeCheckLanes:
+    @pytest.mark.parametrize("name", ["ex2", "ex1", "one-row"])
+    def test_run_matches_the_per_point_loop(self, name, monkeypatch):
+        # batches of 7, 7 and 1 points: lanes, and a batch of one on floats
+        monkeypatch.setattr(cli, "LANE_BATCH_WIDTH", 7)
+        cfg = _cone_config(name, 15)
+        report, _, rows, _ = cli.run_cone_check(cfg)
+        A, mu = TorusAction.of(cfg.action_weights), MomentumCovector.of(cfg.mu)
+        want = cone_point_loop(A, mu, _drawn_cone_points(cfg))
+        got = {e["name"]: e for e in report["residuals"]}
+        for key, values in want.items():
+            assert got[key]["max"] == max(values)
+            assert got[key]["mean"] == sum(values) / len(values)
+        assert rows and [tuple(row[-3:]) for row in rows] == [
+            (s, label, resid) for _, label, s, resid in
+            stratify_per_point(A, mu, [row[1:1 + 2 * cfg.n] for row in rows],
+                               cfg.tol["stratification"])]
+
+    def test_identities_of_a_list_equal_one_point_calls(self):
+        cps = _drawn_cone_points(_cone_config("ex2", 40))
+        lanes = momentum_identities(FLIPPED, [1.0, 0.0], cps)
+        alone = [momentum_identities(FLIPPED, [1.0, 0.0], [cp]) for cp in cps]
+        assert lanes == tuple([a[k][0] for a in alone] for k in range(3))
+        assert any(lanes[0])
+        assert lanes[0] == [iota_transpose_residual(FLIPPED, [1.0, 0.0], cp) for cp in cps]
+        assert lanes[0] == cone_point_loop(FLIPPED, MomentumCovector.of([1.0, 0.0]), cps)[
+            "iota_transpose"]
+        assert symplectic_momentum(FLIPPED, cps[:1]) == symplectic_momentum(FLIPPED, cps[0])
+
+    def test_stratify_labels_a_mixed_list_as_one_point_calls_do(self):
+        mu = [1.0, 0.0]
+        pts = [
+            [0, 0, 1, 0, 0, 0, 0, 0],
+            *[s.point for s in sample_level_set(FLIPPED, mu, 3, seed=2)],
+            np.asarray([1.0, 0, 0, 0, 0, 0, 0, 0]),
+            *sample_phi_zero(FLIPPED, mu, 4, seed=3),
+            [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0, 0, 0, 0, 0],
+        ]
+        census = stratify(FLIPPED, mu, pts)
+        one_by_one = [stratify(FLIPPED, mu, [pt]).samples[0] for pt in pts]
+        assert census.samples == one_by_one
+        assert census.samples == stratify_per_point(
+            FLIPPED, mu, pts, tolerances.DEFAULTS["stratification"])
+        assert set(row[1] for row in one_by_one) == {
+            "positive_stratum", "negative_stratum", "zero_stratum"}
+
+    def test_stratify_leak_in_a_list_raises_as_its_one_point_call(self):
+        bad = [0, 0, 0, 0, 0.6, 0.8, 0, 0]
+        with pytest.raises(StratificationLeak) as alone:
+            stratify(FLIPPED, [1.0, 0.0], [bad])
+        with pytest.raises(StratificationLeak) as listed:
+            stratify(FLIPPED, [1.0, 0.0], [[0, 0, 1, 0, 0, 0, 0, 0], bad, [1, 0, 0, 0, 0, 0, 0, 0]])
+        assert str(listed.value) == str(alone.value)

@@ -96,7 +96,7 @@ class TestDecomposition:
         for row in basis:
             cons.append(LinearConstraint(row))
         man = EmbeddedManifold(8, cons)
-        p = man.newton_refine(list(rng.standard_normal(8)))
+        p, _ = man.newton_refine(list(rng.standard_normal(8)))
         p = list(np.asarray(p) / np.linalg.norm(p))
         ctx = submersion_context(S7, man, [], p)
         with pytest.raises(AmbiguousSplit):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sasaklab import jets
 from sasaklab.jets import Dual, along, d_scalar, enter_level, exit_level, imag, jsqrt, value
-from sasaklab.vecops import clamped_sqrt, lane_pow, nonnegative
+from sasaklab.vecops import clamped_sqrt, lane_max, lane_pow, nonnegative
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 nonzero = st.floats(min_value=0.1, max_value=10).map(lambda x: x)
@@ -157,6 +157,17 @@ class TestLanes:
             assert np.array_equal(nonnegative(Dual(lvl, x, x)), nonnegative(x), equal_nan=True)
         finally:
             exit_level()
+
+    def test_lane_max_keeps_what_python_max_keeps(self):
+        # a NaN is kept only where it comes first; -0.0 and 0.0 tie
+        rows = [[1.0, math.nan, 2.0], [math.nan, 1.0, 0.5], [-0.0, 0.0, 3.0],
+                [0.0, -0.0, math.nan], [2.0, 1.0, -1.0]]
+        lanes = lane_max([np.array(col) for col in zip(*rows)])
+        floats = [max(row) for row in rows]
+        assert np.array_equal(lanes, floats, equal_nan=True)
+        assert [math.copysign(1.0, v) for v in lanes] == [math.copysign(1.0, v) for v in floats]
+        assert lane_max([math.nan, 1.0]) != lane_max([1.0, math.nan])
+        assert lane_max([0.5, np.array([math.nan, 1.0])]).tolist() == [0.5, 1.0]
 
     def test_lane_pow_rounds_like_float_pow(self):
         # numpy's power (and its x * x fast path) differ from libm's pow

@@ -333,6 +333,21 @@ class TestContactNondegeneracy:
         assert lanes.tolist() == [contact_nondegeneracy(S, q) for q in points]
 
 
+    def test_weighted_closed_form_matches_the_jet_oracle(self, monkeypatch):
+        # the weighted determinant takes the metric's closed-form d(eta),
+        # never the jet evaluation, which gives it to a few ulps
+        S = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        points = [rand_point(6) for _ in range(20)]
+        jets = []
+        for p in points:
+            frame = S.contact_frame(p)
+            M = np.array([[value(S.d_eta(p, u, v)) for v in frame] for u in frame])
+            jets.append(abs(np.linalg.det(M)) ** (1.0 / len(frame)))
+        monkeypatch.setattr(S, "d_eta", None)
+        for p, jet in zip(points, jets):
+            assert contact_nondegeneracy(S, p) == pytest.approx(jet, rel=1e-14, abs=0.0)
+
+
 class _FlippedRound(RoundSphereStructure):
     """Global orientation flip: xi = -i p, eta = -eta_0."""
 
