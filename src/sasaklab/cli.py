@@ -216,7 +216,7 @@ def run_verify_structure(cfg):
     def certify(batch):
         p, x, y = (stack_lanes(vs) for vs in zip(*batch))
         xi = vvalue(S.reeb(p))
-        g = S.metric.g
+        g = S.metric.at(p)
         eta_x, eta_y = value(S.eta(p, x)), value(S.eta(p, y))
 
         phi_xi = vvalue(S.phi(p, xi))
@@ -225,9 +225,9 @@ def run_verify_structure(cfg):
         res_sq = [a + b - eta_x * c for a, b, c in zip(phphx, x, xi)]
         phy = vvalue(S.phi(p, y))
         return (
-            clamped_sqrt(g(p, phi_xi, phi_xi)),
-            clamped_sqrt(g(p, res_sq, res_sq)),
-            abs(value(g(p, phx, phy)) - value(g(p, x, y)) + eta_x * eta_y),
+            clamped_sqrt(g(phi_xi, phi_xi)),
+            clamped_sqrt(g(res_sq, res_sq)),
+            abs(value(g(phx, phy)) - value(g(x, y)) + eta_x * eta_y),
             abs(value(S.eta(p, xi)) - 1.0),
             abs(value(S.d_eta(p, xi, x))),
             S.killing_residual(p, x, y),

@@ -58,15 +58,15 @@ def cr_decomposition(ctx):
     """Split TN and the normal bundle at ctx.p by phi-invariance."""
     S = ctx.structure
     p = ctx.p
-    g = S.metric.g
     tangent_on, normal_on = ctx._tangent_frames()
 
     xi = vvalue(S.reeb(p))
     contact = orthogonal_tail(S.metric, p, [xi], tangent_on)
 
     phis = [vvalue(S.phi(p, c)) for c in contact]
+    g = S.metric.at(p)
     M = np.asarray(
-        [[value(g(p, nu, ph)) for ph in phis] for nu in normal_on], dtype=float
+        [[value(g(nu, ph)) for ph in phis] for nu in normal_on], dtype=float
     ) if normal_on else np.zeros((0, len(contact)))
     if M.size:
         _, sv, vt = np.linalg.svd(M, full_matrices=True)
@@ -103,15 +103,14 @@ def cr_decomposition(ctx):
 
 def split_normal(ctx, crdec, w):
     """Components of a normal vector in phi(D_perp) and nu."""
-    g = ctx.structure.metric.g
-    p = ctx.p
+    g = ctx.structure.metric.at(ctx.p)
     bar = [0.0] * len(w)
     for u in crdec.phi_dperp_frame:
-        c = value(g(p, u, w))
+        c = value(g(u, w))
         bar = [a + c * b for a, b in zip(bar, u)]
     tilde = [0.0] * len(w)
     for u in crdec.nu_frame:
-        c = value(g(p, u, w))
+        c = value(g(u, w))
         tilde = [a + c * b for a, b in zip(tilde, u)]
     return bar, tilde
 
@@ -125,7 +124,7 @@ def relation_residuals(ctx, crdec, x, y):
     product identity and the two norm identities."""
     S = ctx.structure
     p = ctx.p
-    g = S.metric.g
+    g = S.metric.at(p)
     phi_y = vvalue(S.phi(p, y))
     phi_x = vvalue(S.phi(p, x))
 
@@ -144,7 +143,7 @@ def relation_residuals(ctx, crdec, x, y):
 
     # g(h(phi X, phi Y), h(X, Y)) = |bar h|^2 - |tilde h|^2
     norm1 = abs(
-        value(g(p, h_phix_phiy, h_xy)) - (_norm2(ctx, bar_xy) - _norm2(ctx, tilde_xy))
+        value(g(h_phix_phiy, h_xy)) - (_norm2(ctx, bar_xy) - _norm2(ctx, tilde_xy))
     )
 
     # |h(X, phi Y)|^2 = |A(X, Y)|^2 + |tilde h(X, Y)|^2
@@ -171,9 +170,9 @@ def oneill_plane_residual(ctx, x):
     to rounding whatever R^N, h and A are.  It checks the assembly only."""
     S = ctx.structure
     p = ctx.p
-    g = S.metric.g
+    g = S.metric.at(p)
     phi_x = vvalue(S.phi(p, x))
-    den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - lane_pow(value(g(p, x, phi_x)), 2)
+    den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
     h_cache = {}  # both curvatures take the same second fundamental forms
     k_n = ctx.gauss_curvature_n4(x, phi_x, phi_x, x, h_cache=h_cache) / den
     k_p = ctx.quotient_curvature_4(x, phi_x, phi_x, x, h_cache=h_cache) / den
@@ -189,11 +188,11 @@ def final_identity(ctx, x, crdec):
     """
     S = ctx.structure
     p = ctx.p
-    g = S.metric.g
+    g = S.metric.at(p)
 
     k_p = ctx.phi_sectional_quotient(x)
     phi_x = vvalue(S.phi(p, x))
-    den = value(g(p, x, x)) * value(g(p, phi_x, phi_x)) - lane_pow(value(g(p, x, phi_x)), 2)
+    den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
     k_m = S.ambient_curvature_4(p, x, phi_x, phi_x, x) / den
 
     h_xx = vvalue(ctx.second_fundamental(x, x))

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import tolerances
 from .errors import SingularMetric
-from .jets import Dual, along, jsqrt
-from .vecops import (lane_array, lane_stack, solve_linear, split_lanes, vdot, vscale, vsub,
-                     vvalue)
+from .jets import Dual, along, jsqrt, stack, value
+from .vecops import (grid_axes, lane_shape, lane_stack, lane_width, solve_linear, split_lanes,
+                     vdot, vscale, vsub, vvalue)
 
 
 class InducedMetric:
@@ -37,19 +37,20 @@ class InducedMetric:
     def g(self, q, u, v):
         return vdot(u, v)
 
+    def at(self, q):
+        return vdot
+
 
 def _contract(t, vectors):
-    """Ordered sums of the nested tensor t against the vectors, innermost
-    index first: ``_contract(t, [x, y])[k] = sum_j y_j sum_i x_i t[k][j][i]``.
-    The same operations run on floats and on lanes, as in ``vdot``."""
-    if len(vectors) == 1:
-        return [vdot(row, vectors[0]) for row in t]
-    return [vdot(_contract(s, vectors[:-1]), vectors[-1]) for s in t]
-
-
-def _lane_lists(a):
-    """Nested lists of the last-axis lanes of an array."""
-    return list(a) if a.ndim == 2 else [_lane_lists(b) for b in a]
+    """Ordered sums of the tensor t against float or lane vectors, innermost
+    index first: ``_contract(t, [x, y])[k] = sum_j y_j sum_i x_i t[k, j, i]``,
+    each a ``vdot`` of tensor slices.  A lane tensor holds its lanes on a
+    last axis; a float tensor broadcasts over the lanes of lane vectors."""
+    lanes = t.ndim > len(vectors) + 1 or any(lane_width(v) for v in vectors)
+    t = t if t.ndim > len(vectors) + 1 else t[..., None]
+    for v in vectors:
+        t = vdot(np.moveaxis(t, -2, 0), v)
+    return list(t) if lanes else t[:, 0].tolist()
 
 
 class Cone:
@@ -61,43 +62,45 @@ class Cone:
 
         M(x)(u, v) = (x^ . u)(x^ . v) + g(x^; P u, P v),
 
-    with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S.  One
-    nested ``along``, whose direction entries are lanes over the m^2
-    ordered coordinate pairs (a, b) of every point it builds, gives d_b M
-    and d_a d_b M.  The Christoffel symbols Gamma and the Riemann tensor
-    R^ of each point follow from them by two LU solves against M; M^-1
-    is never formed, since cond(M) grows like the square of the sphere's
-    weight ratio.  Both tensors are exact, formed with numpy, and cached
-    together per point, keyed by its bytes: every command that asks for
-    Gamma at a point asks for R^ there too.  The points of a call that
-    miss the cache are built together, each once, in passes of at most
-    ``BATCH_POINTS`` points, which bounds the pass's S * m^2 lanes; each
-    point's numpy algebra runs on its own slice of the lanes, so its
-    tensors hold the bits of a pass over that point alone.  At a lane
-    point the tensors come back stacked, and every contraction is an
-    ordered Python sum, so a lane holds the bits of its sample's float
-    evaluation.  Jet points are refused: the tensors are formed at float
-    and lane points only.
+    with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S, one
+    matrix-valued jet: the vectors P e_i are stacked and ``pairs`` forms
+    g on all of their pairs in one broadcast.  One nested ``along``, whose
+    direction entries are lanes over the m^2 ordered coordinate pairs
+    (a, b) of every point it builds, gives d_b M and d_a d_b M as arrays.
+    The Christoffel symbols Gamma and the Riemann tensor R^ of each point
+    follow by two LU solves against M; M^-1 is never formed, since cond(M)
+    grows like the square of the sphere's weight ratio.  Both tensors are
+    exact, formed with numpy, and cached together per point, keyed by its
+    bytes: every command that asks for Gamma at a point asks for R^ there
+    too.  The points of a call that miss the cache are built together,
+    each once, in passes of at most ``BATCH_POINTS`` points and at most
+    ``BATCH_ENTRIES`` entries S * m^4 of the grid of pairs over the pass's
+    S * m^2 lanes; each point's numpy algebra runs on its own slice of the
+    lanes, so its tensors hold the bits of a pass over that point alone.
+    At a lane point the tensors are stacked, lanes last, and each
+    contraction is an ordered sum of slices, so a lane holds the bits of
+    its sample's float evaluation.  Jet points are refused.
     """
 
     CACHE_POINTS = 256
     BATCH_POINTS = 32
+    BATCH_ENTRIES = 1 << 16
 
-    def __init__(self, gram):
-        self.gram = gram  # gram(q, vectors): g(q; u, v) for every pair
+    def __init__(self, pairs):
+        self.pairs = pairs  # pairs(q, U, lanes): g(q; U_i, U_j) of stacked vectors U
         self._points = {}
 
     def christoffel(self, p, x, y):
         """Gamma(X, Y)^k = Gamma^k_ij X^i Y^j at p."""
-        return _contract(self._nested(p, 0), [x, y])
+        return _contract(self._tensor(p, 0), [x, y])
 
     def riemann(self, p, x, y, z):
         """R^(X, Y)Z = R^l_ijk X^i Y^j Z^k at p, with R(X,Y)Z =
         nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-        return _contract(self._nested(p, 1), [x, y, z])
+        return _contract(self._tensor(p, 1), [x, y, z])
 
-    def _nested(self, p, which):
-        """Gamma (which = 0) or R^ (which = 1) at p, as nested lists."""
+    def _tensor(self, p, which):
+        """Gamma (which = 0) or R^ (which = 1) at p as an array, lanes last."""
         if any(isinstance(c, Dual) for c in p):
             raise TypeError("cone tensors are formed at float and lane points, not at jets")
         lanes = split_lanes(p)
@@ -112,23 +115,27 @@ class Cone:
             # point holds more samples than the cache bound
             self._points = {k: self._points[k] for k in keys if k in self._points}
         todo = list(missing)
-        for k in range(0, len(todo), self.BATCH_POINTS):
-            part = todo[k:k + self.BATCH_POINTS]
+        per = max(1, min(self.BATCH_POINTS, self.BATCH_ENTRIES // len(p) ** 4))
+        for k in range(0, len(todo), per):
+            part = todo[k:k + per]
             built = self._build_batch(np.asarray([missing[key] for key in part], dtype=float))
             self._points.update(zip(part, built))
         tensors = [self._points[key][which] for key in keys]
         if lanes is None:
-            return tensors[0].tolist()
-        return _lane_lists(np.stack(tensors, axis=-1))
+            return tensors[0]
+        return np.stack(tensors, axis=-1)
 
     def metric_field(self, x):
-        """M(x) as nested lists; jet-generic."""
+        """M(x), one jet with leaves (m, m) + the lane shape of x; jet-generic."""
         r = jsqrt(vdot(x, x))
         xh = [c / r for c in x]
-        m = len(x)
-        tangential = [[float(i == j) - xh[i] * xh[j] for j in range(m)] for i in range(m)]
-        G = self.gram(xh, tangential)
-        return [[xh[i] * xh[j] + G[i][j] for j in range(m)] for i in range(m)]
+        m, lanes = len(x), lane_shape([x])
+        stacked = stack(xh, lanes)
+        eye = np.eye(m).reshape((m, m) + (1,) * len(lanes))
+        rows, cols = grid_axes(stacked, lanes)
+        # entry k of the vectors P e_i, stacked along i
+        tangential = [eye[:, k] - stacked * c for k, c in enumerate(xh)]
+        return rows * cols + self.pairs(xh, tangential, lanes)
 
     def _build_batch(self, points):
         """[(Gamma[k, j, i] = Gamma^k_ij, R^[l, k, j, i] = R^l_ijk)] at the
@@ -149,9 +156,10 @@ class Cone:
             return d
 
         lanes = [np.repeat(points[:, i], m * m) for i in range(m)]
-        ddM_lanes = lane_array(along(d_inner, lanes, outer), width)
-        dM_lanes = lane_array(first[0], width)
-        M_lanes = lane_array(self.metric_field([points[:, i] for i in range(m)]), S)
+        # a leaf without lanes (a 0.0 derivative, say) stands for every lane
+        ddM_lanes = np.broadcast_to(value(along(d_inner, lanes, outer)), (m, m, width))
+        dM_lanes = np.broadcast_to(value(first[0]), (m, m, width))
+        M_lanes = np.broadcast_to(self.metric_field([points[:, i] for i in range(m)]), (m, m, S))
         out = []
         for s in range(S):
             # each point's arrays are copied out with the strides of a
@@ -336,7 +344,7 @@ class Geometry:
                 "curvature from the cone holds on the metric's own sphere, "
                 "not on a submanifold of it")
         x, y, z = (sphere.project(p, vvalue(v)) for v in (x, y, z))
-        g = self.metric.g
+        g = self.metric.at(p)
         cone = self.metric.cone.riemann(p, x, y, z)
-        gauss = vsub(vscale(x, g(p, y, z)), vscale(y, g(p, x, z)))
+        gauss = vsub(vscale(x, g(y, z)), vscale(y, g(x, z)))
         return sphere.project(p, [a + b for a, b in zip(cone, gauss)])

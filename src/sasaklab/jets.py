@@ -12,9 +12,11 @@ point), which is what lets curvature residuals reach 1e-7.
 
 The leaves under the nesting may be floats or 1-D numpy arrays, one
 entry per sample (lanes), so one evaluation serves a whole batch of
-samples (vector forward mode).  Every operation is element-wise, and
-numpy rounds each element exactly as Python rounds a float, so a lane
-holds the bits the float evaluation of its sample would give.
+samples (vector forward mode); ``stack`` gives them leading axes too,
+for stacked vectors and matrices.  Every operation is element-wise, and
+numpy rounds each element exactly as Python rounds a float, so exactness
+stays per element: a lane, or an entry of a stack, holds the bits of its
+own float evaluation.
 """
 
 import math
@@ -156,6 +158,28 @@ def _coeff(x, lvl):
         out = [_coeff(c, lvl) if isinstance(c, (list, tuple)) else imag(c, lvl) for c in x]
         return out if isinstance(x, list) else tuple(out)
     return imag(x, lvl)
+
+
+def leafwise(fn, x):
+    """x with fn applied to each of its leaves, the nesting kept."""
+    return Dual(x.lvl, leafwise(fn, x.re), leafwise(fn, x.im)) if isinstance(x, Dual) else fn(x)
+
+
+def stack(xs, lanes=()):
+    """The scalars xs as one, every leaf an array of shape (len(xs),) +
+    lanes, each entry's own leaf broadcast to the lane shape ``lanes``.
+    An entry without a level another entry has gets 0.0 there; no value
+    part is formed from an eps-coefficient, so each value keeps its bits."""
+    lvl = max((x.lvl for x in xs if isinstance(x, Dual)), default=0)
+    if not lvl and not lanes:
+        return np.array(xs, dtype=float)
+    if not lvl:
+        out = np.empty((len(xs),) + lanes)
+        for i, x in enumerate(xs):
+            out[i] = x
+        return out
+    tops = [x if isinstance(x, Dual) and x.lvl == lvl else Dual(lvl, x, 0.0) for x in xs]
+    return Dual(lvl, stack([t.re for t in tops], lanes), stack([t.im for t in tops], lanes))
 
 
 def along(fn, point, direction):

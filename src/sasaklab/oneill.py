@@ -144,9 +144,9 @@ class SubmersionContext:
         if not self.vertical_fields:
             return [0.0 * c for c in w]
         vals = [f(q) for f in self.vertical_fields]
-        g = self.structure.metric.g
-        gram = [[g(q, a, b) for b in vals] for a in vals]
-        rhs = [g(q, a, w) for a in vals]
+        g = self.structure.metric.at(q)
+        gram = [[g(a, b) for b in vals] for a in vals]
+        rhs = [g(a, w) for a in vals]
         coef = solve_linear(gram, rhs)
         out = [0.0] * len(w)
         for c, v in zip(coef, vals):
@@ -205,7 +205,7 @@ class SubmersionContext:
         covariant pass (``vecops.pair_lanes``)."""
         man = self.manifold
         tangent_on, _ = self._tangent_frames()
-        g = self.structure.metric.g
+        metric = self.structure.metric
 
         def one_pass(q, reps, x, y):
             yhat = vvalue(y)
@@ -214,9 +214,10 @@ class SubmersionContext:
             Xf = lambda r: man.project(r, xhat)
             w = self.ambient_geometry.covariant(q, Xf, Yf)
             out = list(w)
+            g = metric.at(q)
             for u in tangent_on:
                 u = tile_lanes(u, reps)
-                c = g(q, u, out)
+                c = g(u, out)
                 out = [a - c * b for a, b in zip(out, u)]
             return out
 
@@ -229,13 +230,13 @@ class SubmersionContext:
 
     def gauss_curvature_n4(self, x, y, z, v, h_cache=None):
         """R^N(X,Y,Z,V) from the ambient curvature by the Gauss equation."""
-        g = self.structure.metric.g
+        g = self.structure.metric.at(self.p)
         h = self._h_cached(h_cache, _h_pairs(x, y, z, v))
         rm = self.ambient_curvature_4(x, y, z, v)
         return (
             value(rm)
-            + value(g(self.p, h(x, v), h(y, z)))
-            - value(g(self.p, h(x, z), h(y, v)))
+            + value(g(h(x, v), h(y, z)))
+            - value(g(h(x, z), h(y, v)))
         )
 
     def _h_cached(self, cache, pairs):
@@ -247,10 +248,10 @@ class SubmersionContext:
 
     def quotient_curvature_4(self, x, y, z, v, a_cache=None, h_cache=None):
         """Horizontal 4-tensor of the quotient via O'Neill's formula."""
-        g = self.structure.metric.g
+        g = self.structure.metric.at(self.p)
         A = self._a_cached(a_cache, _a_pairs(x, y, z, v))
         rn = self.gauss_curvature_n4(x, y, z, v, h_cache=h_cache)
-        gp = lambda u, w: value(g(self.p, u, w))
+        gp = lambda u, w: value(g(u, w))
         return (
             rn
             - 2.0 * gp(A(x, y), A(z, v))
@@ -285,13 +286,13 @@ class SubmersionContext:
         S = self.structure
         zeta = vvalue(S.reeb(self.p))
         r = self.quotient_curvature_vector(x, zeta, y)
-        g = S.metric.g
+        g = S.metric.at(self.p)
         expected = vsub(
             vscale(x, value(S.eta(self.p, y))),
-            vscale(zeta, value(g(self.p, x, y))),
+            vscale(zeta, value(g(x, y))),
         )
         diff = vsub(r, expected)
-        return clamped_sqrt(g(self.p, diff, diff))
+        return clamped_sqrt(g(diff, diff))
 
     def phi_horizontal(self, x):
         """(phi_P X) on representatives: horizontal part of nab^N_X xi."""
@@ -302,12 +303,12 @@ class SubmersionContext:
 
     def phi_sectional_quotient(self, x):
         """K_P(X, phi_P X) via the O'Neill path, X horizontal unit."""
-        g = self.structure.metric.g
+        g = self.structure.metric.at(self.p)
         px = self.phi_horizontal(x)
         num = self.quotient_curvature_4(x, px, px, x)
         den = (
-            value(g(self.p, x, x)) * value(g(self.p, px, px))
-            - lane_pow(value(g(self.p, x, px)), 2)
+            value(g(x, x)) * value(g(px, px))
+            - lane_pow(value(g(x, px)), 2)
         )
         return num / den
 

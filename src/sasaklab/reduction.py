@@ -583,7 +583,7 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
     """The frame invariants, each the worst over its pairs; on lanes an
     array of one worst value per sample."""
     S = setup.structure
-    g = S.metric.g
+    g = S.metric.at(p)
     checks = {}
     blocks = {
         "vertical": [list(v) for v in vertical.vectors],
@@ -596,7 +596,7 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
         for b in names[i + 1:]:
             for u in blocks[a]:
                 for v in blocks[b]:
-                    worst = np.maximum(worst, abs(value(g(p, u, v))))
+                    worst = np.maximum(worst, abs(value(g(u, v))))
     checks["block_orthogonality"] = worst
 
     worst = 0.0
@@ -608,7 +608,7 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
     worst = 0.0
     for nu in normal.vectors:
         for t in tangent:
-            worst = np.maximum(worst, abs(value(g(p, list(nu), t))))
+            worst = np.maximum(worst, abs(value(g(list(nu), t))))
     checks["normal_vs_tangent"] = worst
 
     stack = blocks["vertical"] + blocks["reeb"] + blocks["contact_d"]
@@ -658,7 +658,8 @@ def reduced_tensors_batch(setup, rframes):
     deta_values = pair_lanes(lambda q, reps, u, v: value(S.d_eta(q, u, v)), p, pairs)
     deta_lanes = dict(zip(contact_pairs, deta_values))
     eta_lanes = [value(S.eta(p, v)) for v in horiz]
-    gram_lanes = [[value(S.metric.g(p, u, v)) for v in horiz] for u in horiz]
+    g = S.metric.at(p)
+    gram_lanes = [[value(g(u, v)) for v in horiz] for u in horiz]
 
     worst_basic = 0.0
     for val in deta_values[len(contact_pairs):]:

@@ -17,15 +17,19 @@ import numpy as np
 from . import tolerances
 from .errors import DegenerateContact
 from .geometry import Cone, Geometry, InducedMetric
-from .jets import along, value
+from .jets import along, leafwise, value
 from .manifolds import Sphere
 from .vecops import (
     as_list,
     clamped_sqrt,
     cmult,
+    grid_axes,
     lane_pow,
+    lane_shape,
     lane_stack,
+    pair_grid,
     stack_lanes,
+    stack_vectors,
     vdot,
     vscale,
     vsub,
@@ -60,7 +64,7 @@ class WeightedContactMetric:
     def __init__(self, a, sphere):
         self.a = [float(x) for x in a]
         self.sphere = sphere
-        self.cone = Cone(self.gram)
+        self.cone = Cone(self.pairs)
 
     # -- weighted contact data, all jet-generic -------------------------
 
@@ -82,37 +86,52 @@ class WeightedContactMetric:
         return out
 
     def d_eta(self, q, u, v):
-        """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded."""
+        """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded; on the
+        rows and columns of a grid (``grid_axes``), of every pair at once."""
         at = self._point_terms(q)
         return _expanded(at, vdot(cmult(u), v), _vector_terms(at, u), _vector_terms(at, v))
 
+    def at(self, q):
+        """g_A at q as a function of (u, v), the point's terms formed once."""
+        at, xi = self._point_terms(q), self.reeb(q)
+
+        def g(u, v):
+            eu, uc = _contact_part(at, xi, u)
+            ev, vc = _contact_part(at, xi, v)
+            tu, tv = cmult(uc), cmult(vc)
+            return eu * ev + 0.5 * _expanded(
+                at, vdot(tu, tv), _vector_terms(at, uc), _vector_terms(at, tv))
+
+        return g
+
     def g(self, q, u, v):
-        """g_A(u, v), formed as ``gram`` forms its entry for the pair (u, v)."""
-        at = self._point_terms(q)
-        (eu, ev), (uc, vc) = self._contact_parts(at, q, [u, v])
-        tu, tv = cmult(uc), cmult(vc)
-        return eu * ev + 0.5 * _expanded(
-            at, vdot(tu, tv), _vector_terms(at, uc), _vector_terms(at, tv))
+        """g_A(u, v), formed as ``pairs`` forms its entry for (u, v)."""
+        return self.at(q)(u, v)
 
     def gram(self, q, vectors):
         """g(q; u, v) for every pair of the vectors, as a symmetric nested
-        list, with the entry of u <= v on both sides.  The terms of
-        d(eta_A) are formed once: f, f^2, i q, xi and a q per point; eta_A,
-        the contact part, its turn, and df and eta_0 of both per vector.
-        Each entry then takes one dot product, and holds the bits of
-        ``g`` on its pair."""
+        list cut from one ``pairs`` evaluation on the stacked vectors."""
+        lanes = lane_shape([q, *vectors])
+        G = self.pairs(q, stack_vectors(vectors, lanes), lanes)
+        entry = lambda i, j: leafwise(lambda a: a[i, j] if a.ndim > 2 else float(a[i, j]), G)
+        return [[entry(i, j) for j in range(len(vectors))] for i in range(len(vectors))]
+
+    def pairs(self, q, U, lanes):
+        """g(q; U_i, U_j) for every pair of the m stacked vectors U
+        (``stack_vectors``), one jet with leaves (m, m) + lanes: eta_A, the
+        contact part, its turn, and df and eta_0 of both are formed once
+        for the stack, and every pair in one broadcast of rows against
+        columns.  The entry of i <= j, on both sides, has the bits of ``g``."""
         at = self._point_terms(q)
-        eta, contact = self._contact_parts(at, q, vectors)
-        turned = [cmult(c) for c in contact]
-        rows = [_vector_terms(at, c) for c in contact]
-        cols = [_vector_terms(at, t) for t in turned]
-        m = len(vectors)
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                out[i][j] = out[j][i] = eta[i] * eta[j] + 0.5 * _expanded(
-                    at, vdot(turned[i], turned[j]), rows[i], cols[j])
-        return out
+        eta, contact = _contact_part(at, self.reeb(q), U)
+        turned = cmult(contact)
+        rows, cols = grid_axes(
+            (eta, turned, _vector_terms(at, contact), _vector_terms(at, turned)), lanes)
+        G = rows[0] * cols[0] + 0.5 * _expanded(at, vdot(rows[1], cols[1]), rows[2], cols[3])
+        m = len(value(U[0]))
+        i, j = np.indices((m, m))
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        return leafwise(lambda a: np.broadcast_to(a, (m, m) + lanes)[lo, hi], G)
 
     def _point_terms(self, q):
         """(f, f^2, i q, a q): the terms of d(eta_A) that depend on the
@@ -124,12 +143,12 @@ class WeightedContactMetric:
             aw_q.append(aj * q[2 * j + 1])
         return f, f * f, cmult(q), aw_q
 
-    def _contact_parts(self, at, q, vectors):
-        """eta_A of each vector and its contact part u - eta_A(u) xi."""
-        f, iq = at[0], at[2]
-        xi = self.reeb(q)
-        eta = [vdot(iq, u) / f for u in vectors]
-        return eta, [vsub(u, vscale(xi, e)) for u, e in zip(vectors, eta)]
+
+def _contact_part(at, xi, u):
+    """eta_A(u) and the contact part u - eta_A(u) xi, at the point whose
+    terms ``at`` holds and whose Reeb field is xi."""
+    e = vdot(at[2], u) / at[0]
+    return e, vsub(u, vscale(xi, e))
 
 
 def _vector_terms(at, w):
@@ -207,8 +226,9 @@ class SphereStructure:
         """|g(nabla_X xi, Y) + g(nabla_Y xi, X)|."""
         p, X, Y = as_list(p), as_list(X), as_list(Y)
         geo = self.geometry
-        a = self.metric.g(p, geo.covariant(p, geo.extend(X), self.reeb_field), Y)
-        b = self.metric.g(p, geo.covariant(p, geo.extend(Y), self.reeb_field), X)
+        g = self.metric.at(p)
+        a = g(geo.covariant(p, geo.extend(X), self.reeb_field), Y)
+        b = g(geo.covariant(p, geo.extend(Y), self.reeb_field), X)
         return abs(value(a) + value(b))
 
     def ambient_curvature_4(self, p, x, y, z, v):
@@ -216,22 +236,21 @@ class SphereStructure:
         (constant curvature one), the cone's Riemann tensor through the
         Gauss equation otherwise (``Geometry.curvature``)."""
         p = as_list(p)
-        g = self.metric.g
+        g = self.metric.at(p)
         if self.metric.euclidean:
-            return value(g(p, y, z)) * value(g(p, x, v)) - value(g(p, x, z)) * value(
-                g(p, y, v)
-            )
+            return value(g(y, z)) * value(g(x, v)) - value(g(x, z)) * value(g(y, v))
         R = self.geometry.curvature(p, x, y, z)
-        return value(g(p, R, v))
+        return value(g(R, v))
 
     def sasakian_residual(self, p, X, Y):
         """|R(X, xi)Y - eta(Y) X + g(X, Y) xi| in the structure metric."""
         p, X, Y = as_list(p), as_list(X), as_list(Y)
         xi = self.reeb_field(p)
         R = self.geometry.curvature(p, X, xi, Y)
-        expected = vsub(vscale(X, self.eta(p, Y)), vscale(xi, self.metric.g(p, X, Y)))
+        g = self.metric.at(p)
+        expected = vsub(vscale(X, self.eta(p, Y)), vscale(xi, g(X, Y)))
         diff = vsub(R, expected)
-        return clamped_sqrt(self.metric.g(p, diff, diff))
+        return clamped_sqrt(g(diff, diff))
 
 
 class RoundSphereStructure(SphereStructure):
@@ -279,9 +298,9 @@ class WeightedSphereStructure(SphereStructure):
         return self.metric.eta(p, v)
 
     def _probe_positivity(self):
-        """All probe points share lanes: one contact frame, d(eta) once
-        per pair of frame vectors, one stacked eigvalsh; the first probe
-        point whose smallest eigenvalue lies below the floor raises."""
+        """All probe points share lanes: one contact frame, one d(eta)
+        grid, one stacked eigvalsh; the first probe point whose smallest
+        eigenvalue lies below the floor raises."""
         rng = np.random.default_rng(320032)
         floor = tolerances.WEIGHTED_POSITIVITY
         points = []
@@ -290,8 +309,7 @@ class WeightedSphereStructure(SphereStructure):
             points.append(p / np.linalg.norm(p))
         p = stack_lanes(points)
         frame = self.contact_frame(p)
-        H = lane_stack(
-            [[0.5 * value(self.metric.d_eta(p, u, cmult(v))) for v in frame] for u in frame])
+        H = 0.5 * pair_grid(self.metric.d_eta, p, frame, [cmult(v) for v in frame])
         H = 0.5 * (H + H.transpose(0, 2, 1))
         lows = np.linalg.eigvalsh(H)[:, 0]
         failing = np.flatnonzero(lows < floor)
@@ -306,13 +324,13 @@ def contact_nondegeneracy(structure, p):
     """|pf|-style determinant of d(eta) on an orthonormal contact frame.
 
     d(eta) is the metric's closed form where the metric has one (the
-    weighted family), else the jet evaluation ``SphereStructure.d_eta``.
-    At a lane point each sample gets its own contact frame, from one
-    stacked SVD; d(eta) runs once over the lanes, and the determinants
-    of the (samples, m, m) stack come back as an array, one per sample.
+    weighted family), else the jet evaluation ``SphereStructure.d_eta``,
+    once over the grid of frame pairs.  At a lane point each sample gets
+    its own contact frame, from one stacked SVD, and the determinants of
+    the (samples, m, m) stack come back as an array, one per sample.
     """
     p = as_list(p)
     frame = structure.contact_frame(p)
     d_eta = getattr(structure.metric, "d_eta", structure.d_eta)
-    M = lane_stack([[value(d_eta(p, u, v)) for v in frame] for u in frame])
+    M = pair_grid(d_eta, p, frame, frame)
     return lane_pow(np.abs(np.linalg.det(M)), 1.0 / max(len(frame), 1))

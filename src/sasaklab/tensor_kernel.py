@@ -54,24 +54,25 @@ class Frame:
 
 def gram_schmidt(metric, p, vectors):
     """Deterministic modified Gram-Schmidt in input order, orthonormal
-    under ``metric.g``.
+    under ``metric.g``, whose terms of the point p are formed once
+    (``metric.at``).
 
     Vectors whose residual norm falls below the drop tolerance are
     discarded; raises EmptyFrame when nothing survives a non-empty
     input.  On lanes every lane must drop the same inputs, else
     LanesDisagree.
     """
-    g = metric.g
     p = as_list(p)
+    g = metric.at(p)
     kept, inputs = [], []
     for i, v in enumerate(vectors):
         w = as_list(v)
         for u in kept:
-            w = vsub(w, vscale(u, g(p, u, w)))
+            w = vsub(w, vscale(u, g(u, w)))
         # second pass for numerical orthogonality
         for u in kept:
-            w = vsub(w, vscale(u, g(p, u, w)))
-        nrm = clamped_sqrt(g(p, w, w))
+            w = vsub(w, vscale(u, g(u, w)))
+        nrm = clamped_sqrt(g(w, w))
         if agreed(nrm < tolerances.GRAM_SCHMIDT_DROP):
             continue
         kept.append(vscale(w, 1.0 / nrm))

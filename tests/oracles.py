@@ -27,6 +27,15 @@ plain route: ``weighted_metric_pair`` composes g_A from eta, xi and the
 closed-form d(eta) one pair at a time, and ``positivity_probe_lows``
 runs the positivity probe one float point at a time.
 
+The weighted metric's Gram matrix and the cone tensors have the
+entry-by-entry references they replaced: ``gram_per_entry`` forms each
+entry of the upper triangle with its own dot product of jets,
+``metric_field_per_entry`` builds the cone metric from it as nested
+lists, and ``cone_tensors_per_entry`` reads M and its derivatives from
+those lists at one point.  ``contract_nested`` contracts nested lists
+with one ``vdot`` per row, and ``d_eta_grid_per_pair`` evaluates d(eta)
+one pair at a time.
+
 The Reeb flow and cone-check loops have the references they replaced:
 ``reeb_flow_ndarray`` integrates on an ndarray state with a
 reprojection (``newton_refine_ndarray``) and a residual gate that
@@ -52,8 +61,8 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import (as_list, clamped_sqrt, cmult, solve_linear, stack_frames, stack_lanes,
-                             vdot, vscale, vsub, vvalue)
+from sasaklab.vecops import (as_list, clamped_sqrt, cmult, lane_stack, solve_linear, stack_frames,
+                             stack_lanes, vdot, vscale, vsub, vvalue)
 
 
 def chart_basis(p):
@@ -528,6 +537,100 @@ def positivity_probe_lows(structure):
         H = 0.5 * (H + H.T)
         lows.append(float(np.linalg.eigvalsh(H)[0]))
     return lows
+
+
+# ----------------------------------------------------------------------
+# the weighted Gram matrix, the cone tensors and d(eta), entry by entry
+# ----------------------------------------------------------------------
+
+
+def gram_per_entry(metric, q, vectors):
+    """g(q; u, v) for every pair of the vectors as a symmetric nested
+    list: the terms of d(eta_A) formed once per point and once per
+    vector, then one dot product of jets per entry of the upper
+    triangle, which stands on both sides; jet-generic."""
+    f = metric.conformal_factor(q)
+    ff = f * f
+    iq = cmult(q)
+    aq = []
+    for j, aj in enumerate(metric.a):
+        aq.append(aj * q[2 * j])
+        aq.append(aj * q[2 * j + 1])
+    xi = metric.reeb(q)
+    eta = [vdot(iq, u) / f for u in vectors]
+    contact = [vsub(u, vscale(xi, e)) for u, e in zip(vectors, eta)]
+    turned = [cmult(c) for c in contact]
+    rows = [(2.0 * vdot(aq, c), vdot(iq, c)) for c in contact]
+    cols = [(2.0 * vdot(aq, t), vdot(iq, t)) for t in turned]
+    m = len(vectors)
+    out = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            (df_u, eta0_u), (df_v, eta0_v) = rows[i], cols[j]
+            d_eta = 2.0 * vdot(turned[i], turned[j]) / f - (df_u * eta0_v - df_v * eta0_u) / ff
+            out[i][j] = out[j][i] = eta[i] * eta[j] + 0.5 * d_eta
+    return out
+
+
+def metric_field_per_entry(metric, x):
+    """The cone metric M(x) = (x^ . u)(x^ . v) + g(x^; P u, P v) as
+    nested lists, through ``gram_per_entry``; jet-generic."""
+    r = jsqrt(vdot(x, x))
+    xh = [c / r for c in x]
+    m = len(x)
+    tangential = [[float(i == j) - xh[i] * xh[j] for j in range(m)] for i in range(m)]
+    G = gram_per_entry(metric, xh, tangential)
+    return [[xh[i] * xh[j] + G[i][j] for j in range(m)] for i in range(m)]
+
+
+def cone_tensors_per_entry(metric, p):
+    """(Gamma, R^) of the weighted cone at the float point p: one nested
+    jet pass over the m^2 coordinate pairs of p, whose nested lists of M
+    and its derivatives are read entry by entry into arrays, then the
+    package's own LU algebra (``geometry._cone_tensors``)."""
+    from sasaklab.geometry import _cone_tensors
+
+    m = len(p)
+    width = m * m
+    pairs = np.arange(width)
+    outer = [(pairs // m == i).astype(float) for i in range(m)]
+    inner = [(pairs % m == i).astype(float) for i in range(m)]
+    field = lambda q: metric_field_per_entry(metric, q)
+    first = []
+
+    def d_inner(q):
+        d = along(field, q, inner)
+        first.append(d)
+        return d
+
+    def lane_array(rows, width):
+        # nested rows of lane entries as one array, lanes last; a float fills every lane
+        return np.asarray([[np.broadcast_to(value(e), (width,)) for e in row] for row in rows])
+
+    ddM = lane_array(along(d_inner, [np.full(width, c) for c in p], outer), width)
+    dM = lane_array(first[0], width)
+    M = lane_array(field([np.array([c]) for c in p]), 1)[:, :, 0]
+    return _cone_tensors(np.ascontiguousarray(M), np.moveaxis(dM[:, :, :m], 2, 0),
+                         np.moveaxis(ddM.reshape(m, m, m, m), (2, 3), (0, 1)))
+
+
+def lane_lists(a):
+    """Nested lists of the last-axis lanes of an array."""
+    return list(a) if a.ndim == 2 else [lane_lists(b) for b in a]
+
+
+def contract_nested(t, vectors):
+    """Ordered sums of the nested tensor t against the vectors, innermost
+    index first, one ``vdot`` per row."""
+    if len(vectors) == 1:
+        return [vdot(row, vectors[0]) for row in t]
+    return [vdot(contract_nested(s, vectors[:-1]), vectors[-1]) for s in t]
+
+
+def d_eta_grid_per_pair(d_eta, p, rows, cols):
+    """[[d_eta(p, u, v) for v in cols] for u in rows], one evaluation per
+    pair, stacked by ``lane_stack``."""
+    return lane_stack([[value(d_eta(p, u, v)) for v in cols] for u in rows])
 
 
 # ----------------------------------------------------------------------

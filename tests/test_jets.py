@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasaklab import jets
-from sasaklab.jets import Dual, along, d_scalar, enter_level, exit_level, imag, jsqrt, value
+from sasaklab.jets import (Dual, along, d_scalar, enter_level, exit_level, imag, jsqrt, stack,
+                           value)
 from sasaklab.vecops import clamped_sqrt, lane_max, lane_pow, nonnegative
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -177,6 +178,29 @@ class TestLanes:
             lanes = lane_pow(np.abs(x), k)
             assert np.array_equal(lanes, [v ** k for v in np.abs(x).tolist()])
         assert lane_pow(3.0, 2) == 9.0
+
+
+class TestStack:
+    def test_entries_keep_their_levels_and_fill_the_lanes(self):
+        # a float entry, and an entry without the outer level, get 0.0 there
+        lanes = np.array([1.0, 2.0])
+        xs = [Dual(2, Dual(1, lanes, 3.0), 4.0), Dual(1, 5.0, lanes), 6.0]
+        got = stack(xs, (2,))
+        assert got.lvl == 2 and got.re.lvl == 1
+        assert got.re.re.tolist() == [[1.0, 2.0], [5.0, 5.0], [6.0, 6.0]]
+        assert got.re.im.tolist() == [[3.0, 3.0], [1.0, 2.0], [0.0, 0.0]]
+        assert got.im.tolist() == [[4.0, 4.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_stacked_arithmetic_keeps_each_entrys_bits(self):
+        # one evaluation over the stack, then each entry, against the
+        # entry's own evaluation
+        r = np.random.default_rng(5)
+        xs = [Dual(1, float(a), float(b)) for a, b in r.standard_normal((4, 2))]
+        f = lambda x: jsqrt(x * x + 2.0) / (x + 3.0) - x * x
+        got = f(stack(xs))
+        for k, x in enumerate(xs):
+            want = f(x)
+            assert (got.re[k], got.im[k]) == (want.re, want.im)
 
 
 def test_backend_is_reported():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import positivity_probe_lows, tensors_at, weighted_metric_pair
+from oracles import (d_eta_grid_per_pair, gram_per_entry, positivity_probe_lows, tensors_at,
+                     weighted_metric_pair)
 from sasaklab import tolerances
 from sasaklab.errors import DegenerateContact
 from sasaklab.geometry import Geometry, InducedMetric
@@ -14,8 +15,9 @@ from sasaklab.structures import (
     WeightedSphereStructure,
     contact_nondegeneracy,
 )
+from sasaklab import vecops
 from sasaklab.jets import Dual, along, value
-from sasaklab.vecops import cmult, stack_lanes, vdot, vscale, vsub, vvalue
+from sasaklab.vecops import cmult, lane_pow, pair_grid, stack_lanes, vdot, vscale, vsub, vvalue
 
 rng = np.random.default_rng(77)
 
@@ -169,6 +171,75 @@ class TestWeightedMetric:
         else:
             got, want = entries(p)
         assert [self.bits(x) for x in got] == [self.bits(x) for x in want]
+
+    @pytest.mark.parametrize("point", ["float", "lane", "float-lane", "jet"])
+    def test_gram_matches_the_per_entry_gram_bitwise(self, point):
+        # "float-lane": a float point with float frame vectors and one lane
+        # vector, as the g-orthogonal projection of a pair pass asks
+        metric = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric
+        points = [rand_point(6) for _ in range(3)]
+        vectors = [[rand_tangent(q) for q in points] for _ in range(4)]
+        if point == "float":
+            p, vs = points[0], [v[0] for v in vectors]
+        elif point == "float-lane":
+            p, vs = points[0], [v[0] for v in vectors[:3]] + [stack_lanes(vectors[3])]
+        else:
+            p, vs = stack_lanes(points), [stack_lanes(v) for v in vectors]
+
+        def both(q):
+            moved = [vsub(v, vscale(q, vdot(q, v))) for v in vs]
+            return metric.gram(q, moved), gram_per_entry(metric, q, moved)
+
+        if point == "jet":
+            d1, d2 = (stack_lanes([rand_tangent(q) for q in points]) for _ in range(2))
+            got, want = self.at_jets(both, p, d1, d2)
+        else:
+            got, want = both(p)
+        lanes = (3,) if point != "float" else ()
+        for row_got, row_want in zip(got, want):
+            for x, y in zip(row_got, row_want):
+                if point == "float-lane":  # an entry of two float vectors fills the lanes
+                    y = np.broadcast_to(y, lanes)
+                assert self.bits(x) == self.bits(y)
+
+    @pytest.mark.parametrize("structure", ["round", "weighted", "weighted-jet"])
+    @pytest.mark.parametrize("point", ["float", "lane"])
+    @pytest.mark.parametrize("turn", [False, True])
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_d_eta_grid_matches_the_pair_loop_bitwise(self, monkeypatch, structure, point, turn,
+                                                      block):
+        # turn: the columns i v of the positivity probe's contact Gram;
+        # block: blocks of at most 3 pairs x samples, so rows and columns split
+        S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        d_eta = S.metric.d_eta if structure == "weighted" else S.d_eta
+        if block is not None:
+            monkeypatch.setattr(vecops, "PAIR_PASS_LANES", block * (5 if point == "lane" else 1))
+        points = [rand_point(6) for _ in range(5)]
+        p = points[0] if point == "float" else stack_lanes(points)
+        frame = S.contact_frame(p)
+        cols = [cmult(v) for v in frame] if turn else frame
+        got = pair_grid(d_eta, p, frame, cols)
+        want = d_eta_grid_per_pair(d_eta, p, frame, cols)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_probe_grid_is_the_per_pair_grid(self, monkeypatch):
+        # the probe's d(eta) grid, at its own 32 points, reaches eigvalsh unchanged
+        W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: seen.append(H) or eigvalsh(H))
+        W._probe_positivity()
+        rng_probe = np.random.default_rng(320032)
+        points = []
+        for _ in range(W.PROBE_POINTS):
+            q = rng_probe.standard_normal(W.ambient_dim)
+            points.append(q / np.linalg.norm(q))
+        p = stack_lanes(points)
+        frame = W.contact_frame(p)
+        H = 0.5 * d_eta_grid_per_pair(W.metric.d_eta, p, frame, [cmult(v) for v in frame])
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        assert len(seen) == 1 and seen[0].tobytes() == H.tobytes()
 
     @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 100.0])])
     @pytest.mark.parametrize("rank", [0, 1])
@@ -332,6 +403,16 @@ class TestContactNondegeneracy:
         assert isinstance(lanes, np.ndarray) and lanes.shape == (7,)
         assert lanes.tolist() == [contact_nondegeneracy(S, q) for q in points]
 
+
+    @pytest.mark.parametrize("structure", ["round", "weighted"])
+    def test_matches_the_per_pair_determinant_bitwise(self, structure):
+        S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        d_eta = S.d_eta if structure == "round" else S.metric.d_eta
+        p = stack_lanes([rand_point(6) for _ in range(6)])
+        frame = S.contact_frame(p)
+        M = d_eta_grid_per_pair(d_eta, p, frame, frame)
+        want = lane_pow(np.abs(np.linalg.det(M)), 1.0 / len(frame))
+        assert contact_nondegeneracy(S, p).tobytes() == want.tobytes()
 
     def test_weighted_closed_form_matches_the_jet_oracle(self, monkeypatch):
         # the weighted determinant takes the metric's closed-form d(eta),

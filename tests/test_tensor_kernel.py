@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import covariant_koszul, fd_curvature, koszul_curvature
+from oracles import (cone_tensors_per_entry, contract_nested, covariant_koszul, fd_curvature,
+                     koszul_curvature, lane_lists, metric_field_per_entry)
 from sasaklab.errors import EmptyFrame, SingularMetric
-from sasaklab.geometry import Cone, Geometry, InducedMetric
+from sasaklab.geometry import Cone, Geometry, InducedMetric, _contract
 from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
@@ -90,6 +91,25 @@ class TestGramSchmidt:
         s = 1.0 / math.sqrt(2.0)
         assert np.allclose(frame.vectors[0], [s, s, 0.0, 0.0])
         assert np.allclose(frame.vectors[1], [-s, s, 0.0, 0.0])
+
+    def test_weighted_point_terms_formed_once_with_the_bits_of_g(self, monkeypatch):
+        metric = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric
+        p = rand_point(6)
+        vectors = [rand_tangent(p) for _ in range(4)]
+        # the same modified Gram-Schmidt through metric.g, pair by pair
+        kept = []
+        for v in vectors:
+            w = list(v)
+            for _ in range(2):
+                for u in kept:
+                    w = vsub(w, vscale(u, metric.g(p, u, w)))
+            kept.append(vscale(w, 1.0 / math.sqrt(metric.g(p, w, w))))
+        calls = []
+        terms = metric._point_terms
+        monkeypatch.setattr(metric, "_point_terms", lambda q: calls.append(1) or terms(q))
+        frame = gram_schmidt(metric, p, vectors)
+        assert len(calls) == 1
+        assert np.asarray(frame.vectors).tobytes() == np.asarray(kept).tobytes()
 
     def test_empty_frame_raises(self):
         p = rand_point(4)
@@ -408,7 +428,7 @@ class TestConeTensor:
     @staticmethod
     def tensors(cone, p):
         """(Gamma, R^) at p as arrays, lanes last at a lane point."""
-        return [np.asarray(cone._nested(p, which)) for which in (0, 1)]
+        return [np.asarray(cone._tensor(p, which)) for which in (0, 1)]
 
     @pytest.mark.parametrize("batch_points", [Cone.BATCH_POINTS, 2])
     @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 100.0])])
@@ -416,21 +436,93 @@ class TestConeTensor:
         monkeypatch.setattr(Cone, "BATCH_POINTS", batch_points)
         metric = WeightedSphereStructure(n, a).metric
         points = [cone_point(n, 760 + k)[0] for k in range(5)]
-        batched = self.tensors(Cone(metric.gram), stack_lanes(points))
+        batched = self.tensors(Cone(metric.pairs), stack_lanes(points))
         for k, p in enumerate(points):
-            for lanes, one in zip(batched, self.tensors(Cone(metric.gram), p)):
+            for lanes, one in zip(batched, self.tensors(Cone(metric.pairs), p)):
                 assert np.ascontiguousarray(lanes[..., k]).tobytes() == one.tobytes()
+
+    PER_ENTRY = {}  # (n, point) -> the per-entry oracle's tensors
+
+    @pytest.mark.parametrize("batch_points", [32, 2])
+    @pytest.mark.parametrize("samples", [1, 3, 33])
+    @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 100.0])])
+    def test_tensors_match_the_per_entry_build_bitwise(self, monkeypatch, n, a, samples,
+                                                        batch_points):
+        # 33 samples cross a batch of 32; at a = (1, 100) some jet leaves
+        # hold no lanes and must stand for all of them
+        monkeypatch.setattr(Cone, "BATCH_POINTS", batch_points)
+        metric = WeightedSphereStructure(n, a).metric
+        points = [cone_point(n, 800 + k)[0] for k in range(samples)]
+        got = self.tensors(Cone(metric.pairs), stack_lanes(points))
+        for k, p in enumerate(points):
+            key = (n, tuple(p))
+            if key not in self.PER_ENTRY:
+                self.PER_ENTRY[key] = cone_tensors_per_entry(metric, p)
+            for lanes, want in zip(got, self.PER_ENTRY[key]):
+                one = lanes if samples == 1 else np.ascontiguousarray(lanes[..., k])
+                assert one.tobytes() == want.tobytes()
+
+    def test_batches_bounded_by_grid_entries_keep_the_bits(self, monkeypatch):
+        # BATCH_ENTRIES of two points' grids (2 m^4) builds 5 points 2, 2 and 1 to a pass
+        metric = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric
+        points = [cone_point(3, 890 + k)[0] for k in range(5)]
+        monkeypatch.setattr(Cone, "BATCH_ENTRIES", 2 * 6 ** 4 + 1)
+        cone = Cone(metric.pairs)
+        sizes = []
+        build = cone._build_batch
+        monkeypatch.setattr(cone, "_build_batch", lambda pts: sizes.append(len(pts)) or build(pts))
+        got = self.tensors(cone, stack_lanes(points))
+        assert sizes == [2, 2, 1]
+        for k, p in enumerate(points):
+            for lanes, want in zip(got, cone_tensors_per_entry(metric, p)):
+                assert np.ascontiguousarray(lanes[..., k]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("point", ["float", "lane", "jet"])
+    def test_metric_field_matches_the_per_entry_field_bitwise(self, point):
+        metric = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric
+        points = [cone_point(3, 850 + k)[0] for k in range(4)]
+        p = points[0] if point == "float" else stack_lanes(points)
+        if point == "jet":  # the cone build's two jet levels, over the lanes
+            d1, d2 = (stack_lanes([rng.standard_normal(6) for _ in points]) for _ in range(2))
+            got = along(lambda q: along(Cone(metric.pairs).metric_field, q, d2), p, d1)
+            want = along(lambda q: along(lambda r: metric_field_per_entry(metric, r), q, d2),
+                         p, d1)
+            got = value(got)
+        else:
+            got = Cone(metric.pairs).metric_field(p)
+            want = metric_field_per_entry(metric, p)
+        want = np.asarray([[np.broadcast_to(value(e), np.shape(got)[2:]) for e in row]
+                           for row in want])
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["float-float", "lane-lane", "float-lane"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_contract_matches_the_nested_sums_bitwise(self, case, which):
+        # "float-lane" is a float tensor against lane vectors, as in a
+        # one-sample pair pass
+        cone = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric.cone
+        points = [cone_point(3, 870 + k)[0] for k in range(3)]
+        p = points[0] if case.startswith("float") else stack_lanes(points)
+        t = cone._tensor(p, which)
+        nested = t.tolist() if case.startswith("float") else lane_lists(t)
+        vectors = [[rng.standard_normal() for _ in range(6)] for _ in range(which + 2)]
+        if case.endswith("lane"):
+            vectors = [list(rng.standard_normal((6, 3))) for _ in range(which + 2)]
+        got = _contract(t, vectors)
+        want = contract_nested(nested, vectors)
+        assert type(got[0]) is type(want[0])
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_repeated_and_cached_points_are_built_once(self, monkeypatch):
         monkeypatch.setattr(Cone, "BATCH_POINTS", 2)
-        cone = Cone(WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric.gram)
+        cone = Cone(WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric.pairs)
         built = []
         build = cone._build_batch
         monkeypatch.setattr(cone, "_build_batch", lambda pts: built.append(pts.tolist()) or build(pts))
         p, q, r, s = (cone_point(3, 780 + k)[0] for k in range(4))
-        cone._nested(p, 0)
-        cone._nested(stack_lanes([q, p, q, r, s, r]), 1)
-        cone._nested(stack_lanes([s, p]), 0)
+        cone._tensor(p, 0)
+        cone._tensor(stack_lanes([q, p, q, r, s, r]), 1)
+        cone._tensor(stack_lanes([s, p]), 0)
         assert built == [[p], [q, r], [s]]
 
     def test_curvature_off_the_metric_sphere_raises(self):
