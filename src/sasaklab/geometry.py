@@ -24,8 +24,8 @@ import numpy as np
 
 from . import tolerances
 from .errors import SingularMetric
-from .jets import Dual, along, jsqrt, stack, value
-from .vecops import (grid_axes, lane_shape, lane_stack, lane_width, solve_linear, split_lanes,
+from .jets import Dual, along, jsqrt, leafwise, stack, value
+from .vecops import (lane_shape, lane_stack, lane_width, solve_linear, split_lanes,
                      vdot, vscale, vsub, vvalue)
 
 
@@ -63,28 +63,27 @@ class Cone:
         M(x)(u, v) = (x^ . u)(x^ . v) + g(x^; P u, P v),
 
     with x^ = x/|x| and P = 1 - x^ x^T the projection onto T_{x^}S, one
-    matrix-valued jet: the vectors P e_i are stacked and ``pairs`` forms
-    g on all of their pairs in one broadcast.  One nested ``along``, whose
-    direction entries are lanes over the m^2 ordered coordinate pairs
-    (a, b) of every point it builds, gives d_b M and d_a d_b M as arrays.
-    The Christoffel symbols Gamma and the Riemann tensor R^ of each point
-    follow by two LU solves against M; M^-1 is never formed, since cond(M)
-    grows like the square of the sphere's weight ratio.  Both tensors are
-    exact, formed with numpy, and cached together per point, keyed by its
-    bytes: every command that asks for Gamma at a point asks for R^ there
-    too.  The points of a call that miss the cache are built together,
-    each once, in passes of at most ``BATCH_POINTS`` points and at most
-    ``BATCH_ENTRIES`` entries S * m^4 of the grid of pairs over the pass's
-    S * m^2 lanes; each point's numpy algebra runs on its own slice of the
-    lanes, so its tensors hold the bits of a pass over that point alone.
-    At a lane point the tensors are stacked, lanes last, and each
-    contraction is an ordered sum of slices, so a lane holds the bits of
-    its sample's float evaluation.  Jet points are refused.
+    matrix-valued jet: ``pairs`` forms g on every pair of the stacked
+    vectors P e_i, a row of the upper triangle to a broadcast.  One nested
+    ``along``, whose direction entries are lanes over the m^2 ordered
+    coordinate pairs (a, b) of every point it builds, gives d_b M and
+    d_a d_b M as arrays.  The Christoffel symbols Gamma and the Riemann
+    tensor R^ of each point follow by two LU solves against M; M^-1 is
+    never formed, since cond(M) grows like the square of the sphere's
+    weight ratio.  Both tensors are exact, formed with numpy, and cached
+    together, read-only, per point, keyed by its bytes: every command
+    that asks for Gamma at a point asks for R^ there too.  The points of a
+    call that miss the cache are built together, each once, in passes of
+    at most ``BATCH_POINTS`` points, which bounds the pass's S * m^2
+    lanes; each point's numpy algebra runs on its own slice of the lanes,
+    so its tensors hold the bits of a pass over that point alone.  At a
+    lane point the tensors are stacked, lanes last, and each contraction
+    is an ordered sum of slices, so a lane holds the bits of its sample's
+    float evaluation.  Jet points are refused.
     """
 
     CACHE_POINTS = 256
     BATCH_POINTS = 32
-    BATCH_ENTRIES = 1 << 16
 
     def __init__(self, pairs):
         self.pairs = pairs  # pairs(q, U, lanes): g(q; U_i, U_j) of stacked vectors U
@@ -115,9 +114,8 @@ class Cone:
             # point holds more samples than the cache bound
             self._points = {k: self._points[k] for k in keys if k in self._points}
         todo = list(missing)
-        per = max(1, min(self.BATCH_POINTS, self.BATCH_ENTRIES // len(p) ** 4))
-        for k in range(0, len(todo), per):
-            part = todo[k:k + per]
+        for k in range(0, len(todo), self.BATCH_POINTS):
+            part = todo[k:k + self.BATCH_POINTS]
             built = self._build_batch(np.asarray([missing[key] for key in part], dtype=float))
             self._points.update(zip(part, built))
         tensors = [self._points[key][which] for key in keys]
@@ -132,7 +130,8 @@ class Cone:
         m, lanes = len(x), lane_shape([x])
         stacked = stack(xh, lanes)
         eye = np.eye(m).reshape((m, m) + (1,) * len(lanes))
-        rows, cols = grid_axes(stacked, lanes)
+        rows, cols = (leafwise(lambda a: a[s] if np.ndim(a) > len(lanes) else a, stacked)
+                      for s in (np.s_[:, None], np.s_[None]))
         # entry k of the vectors P e_i, stacked along i
         tangential = [eye[:, k] - stacked * c for k, c in enumerate(xh)]
         return rows * cols + self.pairs(xh, tangential, lanes)
@@ -168,7 +167,10 @@ class Cone:
             dM = np.moveaxis(np.ascontiguousarray(dM_lanes[:, :, cut])[:, :, :m], 2, 0)
             ddM = np.moveaxis(np.ascontiguousarray(ddM_lanes[:, :, cut]).reshape(m, m, m, m),
                               (2, 3), (0, 1))
-            out.append(_cone_tensors(np.ascontiguousarray(M_lanes[:, :, s]), dM, ddM))
+            tensors = _cone_tensors(np.ascontiguousarray(M_lanes[:, :, s]), dM, ddM)
+            for t in tensors:  # the cache hands these out at a float point
+                t.setflags(write=False)
+            out.append(tensors)
         return out
 
 

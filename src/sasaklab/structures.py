@@ -17,19 +17,17 @@ import numpy as np
 from . import tolerances
 from .errors import DegenerateContact
 from .geometry import Cone, Geometry, InducedMetric
-from .jets import along, leafwise, value
+from .jets import Dual, along, leafwise, stack, value
 from .manifolds import Sphere
 from .vecops import (
     as_list,
     clamped_sqrt,
     cmult,
-    grid_axes,
     lane_pow,
     lane_shape,
     lane_stack,
-    pair_grid,
+    pair_lanes,
     stack_lanes,
-    stack_vectors,
     vdot,
     vscale,
     vsub,
@@ -86,8 +84,7 @@ class WeightedContactMetric:
         return out
 
     def d_eta(self, q, u, v):
-        """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded; on the
-        rows and columns of a grid (``grid_axes``), of every pair at once."""
+        """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded."""
         at = self._point_terms(q)
         return _expanded(at, vdot(cmult(u), v), _vector_terms(at, u), _vector_terms(at, v))
 
@@ -112,26 +109,29 @@ class WeightedContactMetric:
         """g(q; u, v) for every pair of the vectors, as a symmetric nested
         list cut from one ``pairs`` evaluation on the stacked vectors."""
         lanes = lane_shape([q, *vectors])
-        G = self.pairs(q, stack_vectors(vectors, lanes), lanes)
+        G = self.pairs(q, [stack(entries, lanes) for entries in zip(*vectors)], lanes)
         entry = lambda i, j: leafwise(lambda a: a[i, j] if a.ndim > 2 else float(a[i, j]), G)
         return [[entry(i, j) for j in range(len(vectors))] for i in range(len(vectors))]
 
     def pairs(self, q, U, lanes):
-        """g(q; U_i, U_j) for every pair of the m stacked vectors U
-        (``stack_vectors``), one jet with leaves (m, m) + lanes: eta_A, the
-        contact part, its turn, and df and eta_0 of both are formed once
-        for the stack, and every pair in one broadcast of rows against
-        columns.  The entry of i <= j, on both sides, has the bits of ``g``."""
+        """g(q; U_i, U_j) for every pair of the m vectors stacked in U (its
+        entry k is ``jets.stack`` of theirs), one jet with leaves (m, m) +
+        lanes: eta_A, the contact part, its turn, and df and eta_0 of both
+        are formed once for the stack, then row i against the columns
+        j >= i in one broadcast, mirrored below the diagonal.  Each entry
+        has the bits of ``g`` on (U_i, U_j), i <= j."""
         at = self._point_terms(q)
         eta, contact = _contact_part(at, self.reeb(q), U)
         turned = cmult(contact)
-        rows, cols = grid_axes(
-            (eta, turned, _vector_terms(at, contact), _vector_terms(at, turned)), lanes)
-        G = rows[0] * cols[0] + 0.5 * _expanded(at, vdot(rows[1], cols[1]), rows[2], cols[3])
-        m = len(value(U[0]))
-        i, j = np.indices((m, m))
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        return leafwise(lambda a: np.broadcast_to(a, (m, m) + lanes)[lo, hi], G)
+        terms = [eta, *turned, *_vector_terms(at, contact), *_vector_terms(at, turned)]
+        d, m = len(U), len(value(U[0]))
+        rows = []
+        for i in range(m):
+            r, c = ([leafwise(lambda a: a[s] if np.ndim(a) > len(lanes) else a, x) for x in terms]
+                    for s in (i, np.s_[i:]))
+            rows.append(r[0] * c[0] + 0.5 * _expanded(
+                at, vdot(r[1:d + 1], c[1:d + 1]), r[d + 1:d + 3], c[d + 3:]))
+        return _mirrored(rows, (m, m) + lanes)
 
     def _point_terms(self, q):
         """(f, f^2, i q, a q): the terms of d(eta_A) that depend on the
@@ -149,6 +149,18 @@ def _contact_part(at, xi, u):
     terms ``at`` holds and whose Reeb field is xi."""
     e = vdot(at[2], u) / at[0]
     return e, vsub(u, vscale(xi, e))
+
+
+def _mirrored(rows, shape):
+    """The symmetric jet of leaves ``shape`` whose row i holds rows[i]
+    from the diagonal on, and whose column i holds it from there down."""
+    if isinstance(rows[0], Dual):
+        return Dual(rows[0].lvl, _mirrored([r.re for r in rows], shape),
+                    _mirrored([r.im for r in rows], shape))
+    out = np.empty(shape)
+    for i, r in enumerate(rows):
+        out[i, i:] = out[i:, i] = r
+    return out
 
 
 def _vector_terms(at, w):
@@ -309,7 +321,7 @@ class WeightedSphereStructure(SphereStructure):
             points.append(p / np.linalg.norm(p))
         p = stack_lanes(points)
         frame = self.contact_frame(p)
-        H = 0.5 * pair_grid(self.metric.d_eta, p, frame, [cmult(v) for v in frame])
+        H = 0.5 * _d_eta_grid(self.metric.d_eta, p, frame, [cmult(v) for v in frame])
         H = 0.5 * (H + H.transpose(0, 2, 1))
         lows = np.linalg.eigvalsh(H)[:, 0]
         failing = np.flatnonzero(lows < floor)
@@ -325,12 +337,22 @@ def contact_nondegeneracy(structure, p):
 
     d(eta) is the metric's closed form where the metric has one (the
     weighted family), else the jet evaluation ``SphereStructure.d_eta``,
-    once over the grid of frame pairs.  At a lane point each sample gets
+    with the frame's pairs run as lanes.  At a lane point each sample gets
     its own contact frame, from one stacked SVD, and the determinants of
     the (samples, m, m) stack come back as an array, one per sample.
     """
     p = as_list(p)
     frame = structure.contact_frame(p)
     d_eta = getattr(structure.metric, "d_eta", structure.d_eta)
-    M = pair_grid(d_eta, p, frame, frame)
+    M = _d_eta_grid(d_eta, p, frame, frame)
     return lane_pow(np.abs(np.linalg.det(M)), 1.0 / max(len(frame), 1))
+
+
+def _d_eta_grid(d_eta, p, rows, cols):
+    """[[d_eta(p, u, v) for v in cols] for u in rows] as an array, jets
+    stripped, a lane point giving the (samples, rows, columns) stack; the
+    pairs run as lanes (``pair_lanes``)."""
+    vals = pair_lanes(lambda q, reps, u, v: value(d_eta(q, u, v)), p,
+                      [(u, v) for u in rows for v in cols])
+    k = len(cols)
+    return lane_stack([vals[i:i + k] for i in range(0, len(vals), k)])

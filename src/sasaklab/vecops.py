@@ -6,8 +6,7 @@ batch.  ``stack_lanes`` builds lane vectors from per-sample float
 vectors and ``lane`` reads one sample back.  ``pair_lanes`` runs a list
 of vector pairs as further lanes of one evaluation: the point tiled once
 per pair, the pairs' vectors joined along the lane axis, and the result
-cut back into one value per pair.  ``pair_grid`` runs every pair of two
-lists of vectors as one evaluation, the vectors stacked on leading axes.
+cut back into one value per pair.
 
 A float-level decision (a Gram-Schmidt drop, a rank) is made per lane.
 ``agreed`` lets a batch go on as one while every lane decides alike and
@@ -18,7 +17,7 @@ exactly the operations of its float evaluation.
 
 import numpy as np
 
-from .jets import Dual, jsqrt, leafwise, stack, value
+from .jets import Dual, jsqrt, stack, value
 
 
 def vsub(u, v):
@@ -91,43 +90,6 @@ def lane_shape(vectors):
     return ()
 
 
-def stack_vectors(vectors, lanes):
-    """One vector whose entry k stacks every vector's entry k (``jets.stack``)."""
-    return [stack(entries, lanes) for entries in zip(*vectors)]
-
-
-def grid_axes(x, lanes):
-    """(rows, cols): the stacked scalars in x, nested in lists or tuples,
-    with the stack axis made the rows (m, 1) + lanes, and the columns
-    (1, m) + lanes, of a grid of pairs; a leaf without that axis (a term
-    of the point alone) broadcasts as it is."""
-    if isinstance(x, (list, tuple)):
-        halves = [grid_axes(c, lanes) for c in x]
-        return type(x)(r for r, _ in halves), type(x)(c for _, c in halves)
-    full = 1 + len(lanes)
-    return (leafwise(lambda a: a[:, None] if np.ndim(a) == full else a, x),
-            leafwise(lambda a: a[None] if np.ndim(a) == full else a, x))
-
-
-def pair_grid(fn, p, rows, cols):
-    """[[fn(p, u, v) for v in cols] for u in rows] as an array, jets
-    stripped, a lane point giving the (samples, rows, columns) stack.  fn
-    must be element-wise in u and v, as d(eta) and g are: it runs on
-    blocks of the grid of the stacked vectors, at most ``PAIR_PASS_LANES``
-    pairs x samples to a block where a column of them fits."""
-    lanes = lane_shape([p, *rows, *cols])
-    cut = max(1, PAIR_PASS_LANES // (lanes[0] if lanes else 1))
-    c = max(1, min(len(cols), cut))
-    r = max(1, cut // c)
-    grid = np.empty((len(rows), len(cols)) + lanes)
-    for i in range(0, len(rows), r):
-        for j in range(0, len(cols), c):
-            (u, _), (_, v) = (grid_axes(stack_vectors(w, lanes), lanes)
-                              for w in (rows[i:i + r], cols[j:j + c]))
-            grid[i:i + r, j:j + c] = value(fn(p, u, v))
-    return np.moveaxis(grid, -1, 0) if lanes else grid
-
-
 def lane_stack(rows):
     """A matrix given as rows of lane vectors, as one (samples, rows,
     columns) stack, jets stripped and a float entry filling every lane;
@@ -161,10 +123,10 @@ def split_frame(vectors, width):
     return [[c[i] for c in cols] for i in range(width)]
 
 
-# lanes of one pair pass (pairs x samples), and of a block of
-# ``pair_grid``: a pass holds the jets of all its lanes at once, and on a
-# weighted metric a Christoffel tensor per lane, so this bounds its
-# memory, as Cone.BATCH_POINTS bounds the cone's; no value depends on it
+# lanes of one pair pass (pairs x samples): a pass holds the jets of all
+# its lanes at once, and on a weighted metric a Christoffel tensor per
+# lane, so this bounds its memory, as Cone.BATCH_POINTS bounds the cone's;
+# no value depends on it
 PAIR_PASS_LANES = 1024
 
 

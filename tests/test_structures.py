@@ -13,11 +13,12 @@ from sasaklab.structures import (
     RoundSphereStructure,
     WeightedContactMetric,
     WeightedSphereStructure,
+    _d_eta_grid,
     contact_nondegeneracy,
 )
 from sasaklab import vecops
 from sasaklab.jets import Dual, along, value
-from sasaklab.vecops import cmult, lane_pow, pair_grid, stack_lanes, vdot, vscale, vsub, vvalue
+from sasaklab.vecops import cmult, lane_pow, stack_lanes, vdot, vscale, vsub, vvalue
 
 rng = np.random.default_rng(77)
 
@@ -209,7 +210,7 @@ class TestWeightedMetric:
     def test_d_eta_grid_matches_the_pair_loop_bitwise(self, monkeypatch, structure, point, turn,
                                                       block):
         # turn: the columns i v of the positivity probe's contact Gram;
-        # block: blocks of at most 3 pairs x samples, so rows and columns split
+        # block: passes of 3 pairs (``pair_lanes``), so rows split across passes
         S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
         d_eta = S.metric.d_eta if structure == "weighted" else S.d_eta
         if block is not None:
@@ -218,7 +219,7 @@ class TestWeightedMetric:
         p = points[0] if point == "float" else stack_lanes(points)
         frame = S.contact_frame(p)
         cols = [cmult(v) for v in frame] if turn else frame
-        got = pair_grid(d_eta, p, frame, cols)
+        got = _d_eta_grid(d_eta, p, frame, cols)
         want = d_eta_grid_per_pair(d_eta, p, frame, cols)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()

@@ -462,20 +462,16 @@ class TestConeTensor:
                 one = lanes if samples == 1 else np.ascontiguousarray(lanes[..., k])
                 assert one.tobytes() == want.tobytes()
 
-    def test_batches_bounded_by_grid_entries_keep_the_bits(self, monkeypatch):
-        # BATCH_ENTRIES of two points' grids (2 m^4) builds 5 points 2, 2 and 1 to a pass
+    def test_cached_tensors_are_read_only(self):
+        # at a float point the cache's own arrays are handed out
         metric = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric
-        points = [cone_point(3, 890 + k)[0] for k in range(5)]
-        monkeypatch.setattr(Cone, "BATCH_ENTRIES", 2 * 6 ** 4 + 1)
+        p = cone_point(3, 890)[0]
         cone = Cone(metric.pairs)
-        sizes = []
-        build = cone._build_batch
-        monkeypatch.setattr(cone, "_build_batch", lambda pts: sizes.append(len(pts)) or build(pts))
-        got = self.tensors(cone, stack_lanes(points))
-        assert sizes == [2, 2, 1]
-        for k, p in enumerate(points):
-            for lanes, want in zip(got, cone_tensors_per_entry(metric, p)):
-                assert np.ascontiguousarray(lanes[..., k]).tobytes() == want.tobytes()
+        for which in (0, 1):
+            t = cone._tensor(p, which)
+            with pytest.raises(ValueError):
+                t[(0,) * t.ndim] = 1.0
+        assert cone._tensor(p, 1).tobytes() == cone_tensors_per_entry(metric, p)[1].tobytes()
 
     @pytest.mark.parametrize("point", ["float", "lane", "jet"])
     def test_metric_field_matches_the_per_entry_field_bitwise(self, point):
