@@ -9,7 +9,9 @@ the output directory and exits 0 only when every hypothesis holds and
 every residual is within its declared tolerance (2 validation, 3
 infeasible level set, 4 hypothesis failure, 5 residual breach, 6
 numerical non-convergence).  A run flag the command does not read
-(``FLAG_READERS``) is a validation error.
+(``FLAG_READERS``) is a validation error.  ``main`` freezes the heap
+it is entered with (``gc.freeze``), once per process, so interpreter
+shutdown does not walk the objects of numpy and sasaklab again.
 
 reduce and curvature-scan take the samples in chunks of at most
 ``LANE_BATCH_WIDTH``, in index order.  A chunk's reduction frames, and
@@ -29,7 +31,9 @@ depends on the batch it ran in.
 """
 
 import argparse
+import gc
 import math
+import os
 import sys
 
 import numpy as np
@@ -659,6 +663,11 @@ RUNNERS = {
 
 
 def main(argv=None):
+    # the process keeps everything imported until it exits: freezing it
+    # spares interpreter shutdown its full GC passes over numpy and
+    # sasaklab; once per process, so in-process callers freeze no more
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = _parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
@@ -688,13 +697,19 @@ def main(argv=None):
         return EXIT_NUMERICAL
 
     write_outputs(args.out, report, header, rows)
-    for entry in report["residuals"]:
-        flag = "ok " if entry["within_tolerance"] else "FAIL"
-        print(f"[{flag}] {entry['name']}: max {entry['max']:.3e} "
-              f"(tol {entry['tolerance']:.1e}, n={entry['count']})")
-    for key, val in report.get("hypotheses", {}).items():
-        print(f"hypothesis {key}: {val}")
-    print(f"exit status {status}; outputs in {args.out}")
+    try:
+        for entry in report["residuals"]:
+            flag = "ok " if entry["within_tolerance"] else "FAIL"
+            print(f"[{flag}] {entry['name']}: max {entry['max']:.3e} "
+                  f"(tol {entry['tolerance']:.1e}, n={entry['count']})")
+        for key, val in report.get("hypotheses", {}).items():
+            print(f"hypothesis {key}: {val}")
+        # flushed here, so that a closed stdout raises here and not at exit
+        print(f"exit status {status}; outputs in {args.out}", flush=True)
+    except BrokenPipeError:
+        # the outputs are written: the run keeps its status, and what is
+        # left of stdout goes to devnull so the exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

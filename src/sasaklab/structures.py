@@ -89,16 +89,25 @@ class WeightedContactMetric:
         return _expanded(at, vdot(cmult(u), v), _vector_terms(at, u), _vector_terms(at, v))
 
     def at(self, q):
-        """g_A at q as a function of (u, v), the point's terms formed once."""
+        """g_A at q as a function of (u, v), the point's terms formed once;
+        its ``row(u)`` is v -> g(u, v) with u's terms formed once too."""
         at, xi = self._point_terms(q), self.reeb(q)
 
-        def g(u, v):
+        def row(u):
             eu, uc = _contact_part(at, xi, u)
-            ev, vc = _contact_part(at, xi, v)
-            tu, tv = cmult(uc), cmult(vc)
-            return eu * ev + 0.5 * _expanded(
-                at, vdot(tu, tv), _vector_terms(at, uc), _vector_terms(at, tv))
+            tu, u_terms = cmult(uc), _vector_terms(at, uc)
 
+            def g_u(v):
+                ev, vc = _contact_part(at, xi, v)
+                tv = cmult(vc)
+                return eu * ev + 0.5 * _expanded(at, vdot(tu, tv), u_terms, _vector_terms(at, tv))
+
+            return g_u
+
+        def g(u, v):
+            return row(u)(v)
+
+        g.row = row
         return g
 
     def g(self, q, u, v):

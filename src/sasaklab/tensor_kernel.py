@@ -15,6 +15,7 @@ the caller splits the batch by the decision (``vecops.agreeing_parts``).
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import tolerances
 from .errors import EmptyFrame
@@ -55,7 +56,8 @@ class Frame:
 def gram_schmidt(metric, p, vectors):
     """Deterministic modified Gram-Schmidt in input order, orthonormal
     under ``metric.g``, whose terms of the point p are formed once
-    (``metric.at``).
+    (``metric.at``), and each kept vector's once where the pairing at p
+    has a ``row``.
 
     Vectors whose residual norm falls below the drop tolerance are
     discarded; raises EmptyFrame when nothing survives a non-empty
@@ -64,18 +66,20 @@ def gram_schmidt(metric, p, vectors):
     """
     p = as_list(p)
     g = metric.at(p)
-    kept, inputs = [], []
+    row = getattr(g, "row", lambda u: partial(g, u))
+    kept, rows, inputs = [], [], []
     for i, v in enumerate(vectors):
         w = as_list(v)
-        for u in kept:
-            w = vsub(w, vscale(u, g(u, w)))
+        for u, g_u in zip(kept, rows):
+            w = vsub(w, vscale(u, g_u(w)))
         # second pass for numerical orthogonality
-        for u in kept:
-            w = vsub(w, vscale(u, g(u, w)))
+        for u, g_u in zip(kept, rows):
+            w = vsub(w, vscale(u, g_u(w)))
         nrm = clamped_sqrt(g(w, w))
         if agreed(nrm < tolerances.GRAM_SCHMIDT_DROP):
             continue
         kept.append(vscale(w, 1.0 / nrm))
+        rows.append(row(kept[-1]))
         inputs.append(i)
     if vectors and not kept:
         raise EmptyFrame("all input vectors dropped below tolerance")

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -566,14 +567,53 @@ class TestLaneBatches:
 
 
 def test_console_entry_point(tmp_path):
+    args = ["check-hypotheses", "--preset", "ex1", "--mu", "1,1", "--samples", "2",
+            "--seed", "0"]
+    sub, here = tmp_path / "sub", tmp_path / "here"
     proc = subprocess.run(
-        [sys.executable, "-m", "sasaklab.cli", "check-hypotheses", "--preset", "ex1",
-         "--mu", "1,1", "--samples", "2", "--seed", "0", "--out", str(tmp_path)],
+        [sys.executable, "-m", "sasaklab.cli", *args, "--out", str(sub)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert "exit status 0" in proc.stdout
+    # the exit with a frozen heap still flushes stdout
+    assert proc.stdout.splitlines()[-1] == f"exit status 0; outputs in {sub}"
+    assert main([*args, "--out", str(here)]) == 0
+    assert (sub / "report.json").read_bytes() == (here / "report.json").read_bytes()
+
+
+def test_main_freezes_the_heap_once_per_process(tmp_path):
+    argv = ["check-hypotheses", "--preset", "ex1", "--samples", "2", "--seed", "0",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert main(argv) == 0
+    assert gc.get_freeze_count() <= frozen
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "closed pipe, unbuffered", "no fd 1"])
+@pytest.mark.parametrize("args, status", [
+    (["verify-structure", "--preset", "ex1", "--samples", "4"], 0),
+    (["check-hypotheses", "--preset", "ex1", "--mu", "1,0", "--samples", "2"], 4),
+])
+def test_closed_stdout_keeps_the_exit_status(tmp_path, args, status, stdout):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if stdout.endswith("unbuffered"):
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sasaklab.cli", *args, "--seed", "3", "--out", str(tmp_path)],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=(lambda: os.close(1)) if stdout == "no fd 1" else None,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == status
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert (tmp_path / "report.json").is_file() and (tmp_path / "samples.csv").is_file()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (cone_tensors_per_entry, contract_nested, covariant_koszul, fd_curvature,
                      koszul_curvature, lane_lists, metric_field_per_entry)
+from sasaklab import structures
 from sasaklab.errors import EmptyFrame, SingularMetric
 from sasaklab.geometry import Cone, Geometry, InducedMetric, _contract
 from sasaklab.jets import along, jsqrt, value
@@ -110,6 +111,18 @@ class TestGramSchmidt:
         frame = gram_schmidt(metric, p, vectors)
         assert len(calls) == 1
         assert np.asarray(frame.vectors).tobytes() == np.asarray(kept).tobytes()
+
+    def test_weighted_kept_vectors_terms_formed_once(self, monkeypatch):
+        metric = WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric
+        p = rand_point(6)
+        vectors = [rand_tangent(p) for _ in range(4)]
+        calls = []
+        part = structures._contact_part
+        monkeypatch.setattr(structures, "_contact_part",
+                            lambda *a: calls.append(1) or part(*a))
+        k = len(gram_schmidt(metric, p, vectors))
+        # one per kept vector, one per pairing of two passes, two per norm
+        assert k == 4 and len(calls) == k + k * (k - 1) + 2 * len(vectors)
 
     def test_empty_frame_raises(self):
         p = rand_point(4)
