@@ -13,21 +13,21 @@ numerical non-convergence).  A run flag the command does not read
 it is entered with (``gc.freeze``), once per process, so interpreter
 shutdown does not walk the objects of numpy and sasaklab again.
 
-reduce and curvature-scan take the samples in chunks of at most
-``LANE_BATCH_WIDTH``, in index order.  A chunk's reduction frames, and
-the submersion context of N around them, are built once on lanes, one
-numpy-array entry per sample; where samples disagree in a float-level
-decision (a Gram-Schmidt drop, a rank) the chunk splits into parts that
-agree (``vecops.agreeing_parts``), and each part's jet work then runs once
-as lanes.  Within a part, the O'Neill A and h pairs of one direction,
-and the reduced d(eta) pairs, run as further lanes of one pass per kind
-(``vecops.pair_lanes``), at most ``vecops.PAIR_PASS_LANES`` lanes
-(pairs x samples) to a pass.  Directions, and curvature-scan's CR
-splitting, stay per sample.  verify-structure, whose samples all share
-their frame sizes, runs them in lane batches of at most
-``LANE_BATCH_WIDTH`` in index order (``_lane_batches``), as do
-cone-check's cone points.  A batch of one runs on floats, and no row
-depends on the batch it ran in.
+Every command that batches takes its samples in chunks of at most
+``LANE_BATCH_WIDTH``, in index order (``_chunks``).  In reduce and
+curvature-scan a chunk's reduction frames, the submersion context of N
+around them, and curvature-scan's CR splitting are built once on lanes,
+one numpy-array entry per sample; where samples disagree in a
+float-level decision (a Gram-Schmidt drop, a rank, a D_perp count) the
+chunk splits into parts that agree (``vecops.agreeing_parts``), and each
+part's jet work then runs once as lanes.  Within a part, the O'Neill A
+and h pairs of one direction, and the reduced d(eta) pairs, run as
+further lanes of one pass per kind (``vecops.pair_lanes``), at most
+``vecops.PAIR_PASS_LANES`` lanes (pairs x samples) to a pass.  Only the
+directions are drawn per sample.  verify-structure, whose samples all
+share their frame sizes, and cone-check's cone points run a chunk as
+one lane batch.  A batch of one runs on floats, and no row depends on
+the batch it ran in.
 """
 
 import argparse
@@ -50,7 +50,6 @@ from .cone import (
 )
 from .config import build_config, parse_numbers, read_config
 from .cr import (
-    CRDecomposition,
     cr_decomposition,
     final_identity,
     oneill_plane_residual,
@@ -241,7 +240,7 @@ def run_verify_structure(cfg):
 
     rows = []
     min_det = math.inf
-    for batch in _lane_batches([None] * cfg.samples):  # every sample has the same frame sizes
+    for _, batch in _chunks(range(cfg.samples)):  # every sample has the same frame sizes
         draws = [draw(i) for i in batch]
         lanes = certify(draws)
         for j, (i, (p, _, _)) in enumerate(zip(batch, draws)):
@@ -291,18 +290,15 @@ def run_check_hypotheses(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
     reports = [r for _, chunk in _chunks(samples) for r in setup.hypothesis_report(chunk)]
-    n_trans = sum(1 for r in reports if r["transversal"])
-    n_free = sum(1 for r in reports if not r["freeness_degenerate"])
+    tally = _hypothesis_tally(reports)
     slice_ok = reports[0]["slice_condition"]
     hyp = {
         "slice_condition": slice_ok,
         "slice_info": reports[0]["slice_info"],
-        "transversality": {"pass": n_trans, "fail": len(samples) - n_trans},
-        "freeness": {"free": n_free, "degenerate": len(samples) - n_free},
+        **tally,
         "kernel_dim": setup.kernel.k,
     }
-    ok = slice_ok and n_trans == len(samples) and n_free == len(samples)
-    status = EXIT_OK if ok else EXIT_HYPOTHESIS
+    status = EXIT_OK if slice_ok and _hypotheses_hold(tally) else EXIT_HYPOTHESIS
     rows = [
         [i, *s.coords(), s.s, int(r["transversal"]),
          r["freeness_rank"], int(r["freeness_degenerate"])]
@@ -320,16 +316,6 @@ def run_check_hypotheses(cfg):
 LANE_BATCH_WIDTH = 512
 
 
-def _lane_batches(keys):
-    """Sample indices grouped by equal key, in order of first appearance,
-    each group cut into chunks of at most ``LANE_BATCH_WIDTH``."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [group[k:k + LANE_BATCH_WIDTH] for group in groups.values()
-            for k in range(0, len(group), LANE_BATCH_WIDTH)]
-
-
 def _chunks(samples):
     """(index of the first, samples) in index order, at most
     ``LANE_BATCH_WIDTH`` samples at a time."""
@@ -337,15 +323,31 @@ def _chunks(samples):
             for k in range(0, len(samples), LANE_BATCH_WIDTH)]
 
 
-def _frame_parts(setup, chunk):
-    """[(positions in the chunk, (lane frame, lane context))]: the chunk's
-    reduction frames and submersion contexts, built once on lanes and
-    split where the samples disagree in a float-level decision."""
+def _hypothesis_tally(reports, tally=None):
+    """The transversality and freeness counts of hypothesis reports,
+    added to those of ``tally`` when given."""
+    tally = tally or {"transversality": {"pass": 0, "fail": 0},
+                      "freeness": {"free": 0, "degenerate": 0}}
+    for r in reports:
+        tally["transversality"]["pass" if r["transversal"] else "fail"] += 1
+        tally["freeness"]["degenerate" if r["freeness_degenerate"] else "free"] += 1
+    return tally
+
+
+def _hypotheses_hold(tally):
+    return not tally["transversality"]["fail"] and not tally["freeness"]["degenerate"]
+
+
+def _frame_parts(setup, chunk, decide=SubmersionContext._tangent_frames):
+    """[(positions in the chunk, (lane frame, lane context, decide(context)))]:
+    the chunk's reduction frames and submersion contexts, built once on
+    lanes and split where the samples disagree in a float-level decision;
+    ``decide`` makes the context's own decisions per lane as well, N's
+    frames or, in curvature-scan, the CR splitting."""
     def build(idx):
         frame = build_frame(setup, [chunk[i] for i in idx], strict=False)
         ctx = SubmersionContext.from_reduction(setup, frame)
-        ctx._tangent_frames()  # N's frames decide per lane as well
-        return frame, ctx
+        return frame, ctx, decide(ctx)
 
     return agreeing_parts(build, list(range(len(chunk))))
 
@@ -359,7 +361,7 @@ def run_reduce(cfg):
     def certify(start, idx, frame, ctx):
         # one part of a chunk: reduced tensors and the quotient residual
         # over its directions, as lanes; directions drawn per sample
-        reds = reduced_tensors_batch(setup, [frame])
+        reds = reduced_tensors_batch(setup, frame)
         contact = split_frame(frame.contact_d.vectors, len(idx))
         dirs = [_draw_directions(cfg, 202, start + i, vs) for i, vs in zip(idx, contact)]
         worst_q = 0.0
@@ -371,20 +373,20 @@ def run_reduce(cfg):
             checks = {name: float(lane(v, j)) for name, v in frame.checks.items()}
             yield checks, frame.dims, red, (lane(worst_q, j) if d else None)
 
-    n_trans = n_free = n_empty = 0
+    tally = None
+    n_empty = 0
     det_min = math.inf
     dims0 = None
     rows = []
     for start, chunk in _chunks(samples):
         hyps = setup.hypothesis_report(chunk)
+        tally = _hypothesis_tally(hyps, tally)
         certified = [None] * len(chunk)
-        for idx, (frame, ctx) in _frame_parts(setup, chunk):
+        for idx, (frame, ctx, _) in _frame_parts(setup, chunk):
             for i, res in zip(idx, certify(start, idx, frame, ctx)):
                 certified[i] = res
         for i, (samp, hyp) in enumerate(zip(chunk, hyps), start):
             checks, dims0, red, worst_q = certified[i - start]
-            n_trans += int(hyp["transversal"])
-            n_free += int(not hyp["freeness_degenerate"])
             for name, val in checks.items():
                 led.add(f"frame_{name}", t_frame, val)
             led.add("reduced_eta_profile", cfg.tol["eta_on_frame"],
@@ -412,11 +414,10 @@ def run_reduce(cfg):
         "printed_remark_matches": printed_remark_dimension(cfg.n, cfg.d, 0, k)
         == dims0["quotient"],
     }
-    hyp_ok = n_trans == len(samples) and n_free == len(samples) and not n_empty
+    hyp_ok = _hypotheses_hold(tally) and not n_empty
     det_ok = det_min > cfg.tol["reduced_deta_det"]
     hyp = {
-        "transversality": {"pass": n_trans, "fail": len(samples) - n_trans},
-        "freeness": {"free": n_free, "degenerate": len(samples) - n_free},
+        **tally,
         "reduced_d_eta_min_det": det_min,
         "reduced_d_eta_nondegenerate": det_ok,
     }
@@ -439,12 +440,13 @@ def run_curvature_scan(cfg):
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
 
-    def certify(ctxs, crds, dirs):
-        # identities of samples sharing their CR splitting, as lanes
-        ctx = SubmersionContext.stacked(ctxs)
-        crd = CRDecomposition.stacked(crds)
-        out = [[] for _ in ctxs]
-        for k in range(len(dirs[0])):  # a batch shares its splitting
+    def certify(start, idx, ctx, crd):
+        # one part of a chunk: its identities over the directions, as
+        # lanes; directions drawn per sample
+        d_frames = split_frame(crd.d_frame, len(idx))
+        dirs = [_draw_directions(cfg, 303, start + i, vs) for i, vs in zip(idx, d_frames)]
+        out = [[] for _ in idx]
+        for k in range(len(dirs[0])):  # a part shares its splitting
             x = stack_lanes([d[k][0] for d in dirs])
             y = stack_lanes([d[k][1] for d in dirs])
             fin = final_identity(ctx, x, crd)
@@ -456,25 +458,20 @@ def run_curvature_scan(cfg):
                                 float(lane(onil, j))))
         return out
 
+    tally = None
     nu_dims = set()
-    per_sample = [None] * len(samples)
+    certified = [None] * len(samples)
     for start, chunk in _chunks(samples):
-        for idx, (_, lanes_ctx) in _frame_parts(setup, chunk):
-            # the CR splitting is decided per sample, on floats
-            ctxs = lanes_ctx.per_sample()
-            crds = [cr_decomposition(c) for c in ctxs]
-            dirs = [_draw_directions(cfg, 303, start + i, crd.d_frame) for i, crd in zip(idx, crds)]
-            nu_dims.update(crd.dims["nu"] for crd in crds)
-            for batch in _lane_batches([tuple(crd.dims.items()) for crd in crds]):
-                res = certify([ctxs[b] for b in batch], [crds[b] for b in batch],
-                              [dirs[b] for b in batch])
-                for b, r in zip(batch, res):
-                    per_sample[start + idx[b]] = r
+        tally = _hypothesis_tally(setup.hypothesis_report(chunk), tally)
+        for idx, (_, ctx, crd) in _frame_parts(setup, chunk, cr_decomposition):
+            nu_dims.add(crd.dims["nu"])
+            for i, res in zip(idx, certify(start, idx, ctx, crd)):
+                certified[start + i] = res
 
     k_min, k_max = math.inf, -math.inf
     rows = []
     n_empty = 0
-    for i, (samp, per_dir) in enumerate(zip(samples, per_sample)):
+    for i, (samp, per_dir) in enumerate(zip(samples, certified)):
         if not per_dir:
             n_empty += 1
             rows.append([i, *samp.coords(), samp.s, *[math.nan] * 4])
@@ -491,7 +488,7 @@ def run_curvature_scan(cfg):
         rows.append([i, *samp.coords(), samp.s, fin0["k_quotient"],
                      fin0["h_bar_sq"], fin0["h_tilde_sq"], fin0["residual"]])
 
-    if n_empty:
+    if n_empty or not _hypotheses_hold(tally):
         status = EXIT_HYPOTHESIS
     else:
         status = EXIT_OK if led.all_ok() else EXIT_RESIDUAL
@@ -502,7 +499,7 @@ def run_curvature_scan(cfg):
     }
     header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",
               "k_quotient", "h_bar_sq", "h_tilde_sq", "final_identity_residual"]
-    report = build_report("curvature-scan", cfg, ledger=led, census=census,
+    report = build_report("curvature-scan", cfg, hypotheses=tally, ledger=led, census=census,
                           notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
                           exit_status=status)
     return report, header, rows, status
@@ -567,7 +564,7 @@ def run_cone_check(cfg):
 
     The cone points are drawn one at a time, in the stream order of a
     per-point loop, and run in lane batches of at most
-    ``LANE_BATCH_WIDTH`` (``_lane_batches``): J_s at r and at 1, J, and
+    ``LANE_BATCH_WIDTH`` (``_chunks``): J_s at r and at 1, J, and
     eta(b_M) for each kernel row b run once per batch
     (``cone.momentum_identities``); the pairing of J_s with the kernel
     basis runs per point on its float row, and the pairing oracle per
@@ -589,7 +586,7 @@ def run_cone_check(cfg):
         cp = ConePoint.of(p / np.linalg.norm(p), float(rng.uniform(0.5, 2.0)))
         return cp, (tuple(rng.standard_normal(A.d)) if i < 8 else None)
 
-    for batch in _lane_batches([None] * cfg.samples):
+    for _, batch in _chunks(range(cfg.samples)):
         draws = [draw(i) for i in batch]
         ident = momentum_identities(A, mu, [cp for cp, _ in draws])
         for i, (cp, rvec), iota, homog, restr in zip(batch, draws, *ident):

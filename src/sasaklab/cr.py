@@ -8,10 +8,15 @@ of TN.  On top of it sit the curvature identities tying the second
 fundamental form, the O'Neill tensor and the phi-sectional curvatures
 of N and of the submersion target.
 
-The splitting is decided per sample, at float points.  The identities
-that follow it are jet-generic: on a ``SubmersionContext.stacked``
-context with a ``CRDecomposition.stacked`` splitting, each returns one
-lane per sample, as the per-sample evaluation would round it.
+The splitting, and the identities that follow it, take the lane
+context of a batch of samples as they take a float one, and each lane
+holds the bits of its sample's float evaluation.  The matrices of the
+batch go through one stacked SVD; every lane is tested against the
+ambiguity band, and the D_perp count, like each Gram-Schmidt drop, is
+decided per lane: lanes that decide differently raise
+``LanesDisagree``, and the caller splits the batch by the decision
+(``vecops.agreeing_parts``).  The splitting follows Bejancu, *Geometry
+of CR-Submanifolds* (1986).
 """
 
 from dataclasses import dataclass
@@ -21,12 +26,14 @@ import numpy as np
 from .errors import AmbiguousSplit
 from .jets import jsqrt, value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import lane_pow, nonnegative, stack_frames, vsub, vvalue
+from .vecops import (agreed, lane_pow, lane_stack, lane_width, nonnegative, stack_lanes, vsub,
+                     vvalue)
 
 
 @dataclass
 class CRDecomposition:
-    """Frames of the contact CR splitting at a point of N."""
+    """Frames of the contact CR splitting at a point of N, or at the
+    samples of a lane context."""
 
     d_frame: list
     dperp_frame: list
@@ -34,57 +41,46 @@ class CRDecomposition:
     nu_frame: list
     dims: dict
 
-    @classmethod
-    def stacked(cls, decs):
-        """One splitting whose frames hold the given per-sample splittings
-        as lanes; they must agree in ``dims``."""
-        first = decs[0]
-        if any(d.dims != first.dims for d in decs):
-            raise ValueError("splittings of different dimensions cannot share lanes")
-
-        def lanes(name):
-            return stack_frames([getattr(d, name) for d in decs])
-
-        return cls(
-            lanes("d_frame"),
-            lanes("dperp_frame"),
-            lanes("phi_dperp_frame"),
-            lanes("nu_frame"),
-            first.dims,
-        )
-
 
 def cr_decomposition(ctx):
-    """Split TN and the normal bundle at ctx.p by phi-invariance."""
+    """Split TN and the normal bundle at ctx.p by phi-invariance.
+
+    On a lane context every lane is split as its float context would
+    split it: the band test runs on every lane first, and the D_perp
+    count must agree across the lanes (``vecops.agreed``)."""
     S = ctx.structure
     p = ctx.p
+    samples = lane_width(p) or 1
     tangent_on, normal_on = ctx._tangent_frames()
 
     xi = vvalue(S.reeb(p))
     contact = orthogonal_tail(S.metric, p, [xi], tangent_on)
+    c = len(contact)
 
-    phis = [vvalue(S.phi(p, c)) for c in contact]
+    # sample by sample, the "how normal is phi" matrix: one stacked SVD
+    phis = [vvalue(S.phi(p, v)) for v in contact]
     g = S.metric.at(p)
-    M = np.asarray(
-        [[value(g(nu, ph)) for ph in phis] for nu in normal_on], dtype=float
-    ) if normal_on else np.zeros((0, len(contact)))
+    M = lane_stack([[value(g(nu, ph)) for ph in phis] for nu in normal_on])
+    sv_full = np.zeros((samples, c))
     if M.size:
-        _, sv, vt = np.linalg.svd(M, full_matrices=True)
+        _, sv, vt = np.linalg.svd(M.reshape(samples, len(normal_on), c), full_matrices=True)
+        sv_full[:, : sv.shape[1]] = sv
     else:
-        sv, vt = np.zeros(0), np.eye(len(contact))
-    sv_full = np.zeros(len(contact))
-    sv_full[: len(sv)] = sv
+        vt = np.broadcast_to(np.eye(c), (samples, c, c))
 
     lo_band, hi_band = 1e-6, 1.0 - 1e-6
-    if np.any((sv_full > lo_band) & (sv_full < hi_band)):
-        raise AmbiguousSplit(
-            f"singular values {sv_full.tolist()} cluster inside ({lo_band}, {hi_band})"
-        )
-    dperp, d_block = [], []
-    C = np.asarray(contact, dtype=float)
-    for r in range(len(contact)):
-        w = list(vt[r] @ C)
-        (dperp if sv_full[r] >= hi_band else d_block).append(w)
+    ambiguous = np.any((sv_full > lo_band) & (sv_full < hi_band), axis=1)
+    if ambiguous.any():
+        raise AmbiguousSplit(f"singular values {sv_full[ambiguous.argmax()].tolist()} "
+                             f"cluster inside ({lo_band}, {hi_band})")
+    # the singular values fall: the rows of D_perp come first
+    n_perp = agreed(np.count_nonzero(sv_full >= hi_band, axis=1))
+    # each lane's rows from its own contact block, a contiguous copy, so
+    # that every product rounds as the float one does
+    C = lane_stack(contact).reshape(samples, c, len(p))
+    blocks = [np.ascontiguousarray(C[j]) for j in range(samples)]
+    rows = [stack_lanes([vt[j, r] @ blocks[j] for j in range(samples)]) for r in range(c)]
+    dperp, d_block = rows[:n_perp], rows[n_perp:]
 
     phi_dperp = [vvalue(S.phi(p, w)) for w in dperp]
     if phi_dperp:

@@ -5,8 +5,9 @@ structure, the level-set manifold, vertical fields (jet-generic), and
 the vertical and horizontal frames.  The frames are those of the
 sample's reduction frame (``from_reduction``).  A context built from a
 lane frame holds a batch of samples as lanes, N's tangent and normal
-frames included; ``per_sample`` splits it into float contexts and
-``stacked`` joins such contexts again.  Quotient tensors are never
+frames included, and every evaluation on it, the CR splitting of
+``cr`` too, serves the whole batch; it is never split into float
+contexts.  Quotient tensors are never
 written in quotient coordinates; they are evaluated on horizontal
 representatives upstairs.
 
@@ -37,30 +38,15 @@ is pinned by the Hopf gate test (S^3 -> S^2: upstairs 1, downstairs 4)
 before anything else trusts it.
 """
 
-import numpy as np
-
 from .geometry import Geometry
 from .jets import value
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import (
-    clamped_sqrt,
-    lane_pow,
-    lane_width,
-    pair_lanes,
-    solve_linear,
-    split_frame,
-    split_lanes,
-    stack_frames,
-    stack_lanes,
-    tile_lanes,
-    vscale,
-    vsub,
-    vvalue,
-)
+from .vecops import (clamped_sqrt, lane_pow, pair_lanes, solve_linear, tile_lanes, vscale, vsub,
+                     vvalue)
 
 
 class SubmersionContext:
-    """Per-sample bundle for O'Neill computations."""
+    """Bundle for O'Neill computations at a sample, or at the lanes of a batch."""
 
     def __init__(self, structure, manifold, vertical_fields, p,
                  horizontal_frame, vertical_frame, tangent_basis=None):
@@ -94,49 +80,6 @@ class SubmersionContext:
             vertical_frame=[list(v) for v in rframe.vertical.vectors],
             tangent_basis=rframe.tangent,
         )
-
-    @classmethod
-    def stacked(cls, contexts):
-        """One context whose point and frames hold the given per-sample
-        contexts as lanes, so each evaluation on it serves them all.
-
-        The contexts must share structure, manifold and vertical fields
-        and have frames of equal sizes.  Their tangent and normal frames
-        of N are stacked as they are, and formed first where missing.
-        """
-        first = contexts[0]
-        frames = [c._tangent_frames() for c in contexts]
-        out = cls(
-            first.structure,
-            first.manifold,
-            first.vertical_fields,
-            stack_lanes([c.p for c in contexts]),
-            horizontal_frame=stack_frames([c.horizontal_frame for c in contexts]),
-            vertical_frame=stack_frames([c.vertical_frame for c in contexts]),
-        )
-        out._tangent_on = stack_frames([t for t, _ in frames])
-        out._normal_on = stack_frames([nu for _, nu in frames])
-        return out
-
-    def per_sample(self):
-        """The float context of each sample of a lane context, with its
-        tangent and normal frames of N (``stacked`` undone); a float
-        context is its own one sample."""
-        width = lane_width(self.p)
-        if width is None:
-            return [self]
-        tangent_on, normal_on = self._tangent_frames()
-        out = []
-        for p, horiz, vert, basis, t_on, n_on in zip(
-                split_lanes(self.p),
-                *(split_frame(f, width) for f in (
-                    self.horizontal_frame, self.vertical_frame, self.tangent_basis,
-                    tangent_on, normal_on))):
-            ctx = SubmersionContext(self.structure, self.manifold, self.vertical_fields, p,
-                                    horiz, vert, tangent_basis=np.asarray(basis))
-            ctx._tangent_on, ctx._normal_on = t_on, n_on
-            out.append(ctx)
-        return out
 
     # -- projections (jet-generic) --------------------------------------
 
@@ -282,7 +225,7 @@ class SubmersionContext:
 
     def quotient_sasakian_residual(self, x, y):
         """|R^P(X, zeta)Y - (eta(Y) X - g(X,Y) zeta)| on representatives;
-        an array of one value per sample on a stacked context."""
+        an array of one value per sample on a lane context."""
         S = self.structure
         zeta = vvalue(S.reeb(self.p))
         r = self.quotient_curvature_vector(x, zeta, y)

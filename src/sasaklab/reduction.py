@@ -50,8 +50,8 @@ from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sp
                         SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import (agreed, as_list, lane, lane_stack, lane_width, pair_lanes,
-                     split_frame, stack_frames, stack_lanes, vdot, vvalue)
+from .vecops import (agreed, as_list, lane, lane_stack, lane_width, pair_lanes, split_frame,
+                     stack_lanes, vdot, vvalue)
 
 
 @dataclass(frozen=True)
@@ -631,28 +631,23 @@ class ReducedPointData:
 def reduced_tensors(setup, rframe):
     """eta, g and d(eta) on {contactD, reeb}: the reduced tensors under
     the Riemannian-submersion identification."""
-    return reduced_tensors_batch(setup, [rframe])[0]
+    return reduced_tensors_batch(setup, rframe)[0]
 
 
-def reduced_tensors_batch(setup, rframes):
-    """``reduced_tensors`` of every sample of the given frames, in order,
-    with each tensor evaluated once over the samples stacked as lanes.
-
-    The frames are float frames, one per sample, or a single lane frame;
-    they must agree in their float-level decisions: the same vertical
-    rows, and contact blocks and tangent bases of equal size.
-    """
+def reduced_tensors_batch(setup, rframe):
+    """``reduced_tensors`` of every sample of a float or lane frame, in
+    order, with each tensor evaluated once over the lanes."""
     S = setup.structure
-    p = stack_lanes([f.p for f in rframes])
-    dvecs = stack_frames([f.contact_d.vectors for f in rframes])
-    horiz = stack_frames([f.horizontal for f in rframes])
+    p = rframe.p
+    dvecs = [list(v) for v in rframe.contact_d.vectors]
+    horiz = rframe.horizontal
     m = len(dvecs)
-    tangent = stack_frames([f.tangent for f in rframes])
+    tangent = [list(t) for t in rframe.tangent]
     # d(eta) on the contact pairs i != j and on (vertical field, tangent
     # vector), every pair in one pass as lanes
     contact_pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
     pairs = [(dvecs[i], dvecs[j]) for i, j in contact_pairs]
-    for vrow in rframes[0].vertical_rows:
+    for vrow in rframe.vertical_rows:
         vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
         pairs.extend((vfield_p, t) for t in tangent)
     deta_values = pair_lanes(lambda q, reps, u, v: value(S.d_eta(q, u, v)), p, pairs)

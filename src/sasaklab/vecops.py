@@ -65,13 +65,6 @@ def stack_lanes(vectors):
     return list(np.array(vectors, dtype=float).T.copy())
 
 
-def stack_frames(frames):
-    """``stack_lanes`` vector by vector over per-sample frames of equal size."""
-    if len({len(f) for f in frames}) > 1:
-        raise ValueError("frames of different sizes cannot share lanes")
-    return [stack_lanes(vs) for vs in zip(*frames)]
-
-
 def lane_width(u):
     """The number of lanes of the vector u, None when u holds floats only."""
     widths = {len(a) for a in u if isinstance(a, np.ndarray)}
@@ -117,8 +110,8 @@ def split_lanes(u):
 
 
 def split_frame(vectors, width):
-    """Sample by sample, the float vectors of a frame of lane vectors
-    (``stack_frames`` undone); a float vector is every sample's."""
+    """Sample by sample, the float vectors of a frame of lane vectors;
+    a float vector is every sample's."""
     cols = [split_lanes(v) or [list(v)] * width for v in vectors]
     return [[c[i] for c in cols] for i in range(width)]
 

@@ -61,8 +61,8 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import (as_list, clamped_sqrt, cmult, lane_stack, solve_linear, stack_frames,
-                             stack_lanes, vdot, vscale, vsub, vvalue)
+from sasaklab.vecops import (as_list, clamped_sqrt, cmult, lane_stack, solve_linear, vdot, vscale,
+                             vsub, vvalue)
 
 
 def chart_basis(p):
@@ -725,21 +725,21 @@ class QuotientPerPair:
         return out
 
 
-def reduced_d_eta_per_pair(setup, rframes):
+def reduced_d_eta_per_pair(setup, rframe):
     """({(i, j): d(eta)(d_i, d_j)} over the contact pairs i != j, worst
     |d(eta)(V, T)| over vertical fields V and tangent vectors T), one
-    d(eta) evaluation per pair, on the frames stacked as lanes."""
+    d(eta) evaluation per pair, on a float or lane frame."""
     S = setup.structure
-    p = stack_lanes([f.p for f in rframes])
-    dvecs = stack_frames([f.contact_d.vectors for f in rframes])
+    p = rframe.p
+    dvecs = [list(v) for v in rframe.contact_d.vectors]
     m = len(dvecs)
     deta = {
         (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
         for i in range(m) for j in range(m) if i != j
     }
-    tangent = stack_frames([f.tangent for f in rframes])
+    tangent = [list(t) for t in rframe.tangent]
     worst_basic = 0.0
-    for vrow in rframes[0].vertical_rows:
+    for vrow in rframe.vertical_rows:
         vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
         for t in tangent:
             worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))

@@ -15,7 +15,7 @@ from sasaklab.cli import (
     COMMANDS,
     FLAG_READERS,
     RUNNERS,
-    _lane_batches,
+    _chunks,
     _parser,
     _resolve_config,
     main,
@@ -354,6 +354,23 @@ class TestCommands:
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["census"]["nu_dims_seen"] == [0]
+        assert report["hypotheses"] == {"transversality": {"pass": 2, "fail": 0},
+                                        "freeness": {"free": 2, "degenerate": 0}}
+
+    @pytest.mark.parametrize("args", [["--preset", "ex2"], ["--preset", "ex1", "--mu", "1,0"]],
+                             ids=["ex2", "ex1-mu-1-0"])
+    def test_curvature_scan_checks_the_reduction_hypotheses(self, tmp_path, args):
+        # the identities hold on these level sets, but the action is not
+        # free there: no quotient to certify, exit 4 as reduce
+        argv = [*args, "--samples", "3", "--seed", "3", "--directions", "1"]
+        assert run_cli(["curvature-scan", *argv], tmp_path / "scan") == 4
+        assert run_cli(["reduce", *argv], tmp_path / "reduce") == 4
+        scan, reduce = (json.loads((tmp_path / name / "report.json").read_text())
+                        for name in ("scan", "reduce"))
+        assert scan["hypotheses"]["freeness"]["degenerate"] == 3
+        for key in ("transversality", "freeness"):
+            assert scan["hypotheses"][key] == reduce["hypotheses"][key]
+        assert all(r["within_tolerance"] for r in scan["residuals"])
 
 
 class _RecordingTolerances(dict):
@@ -511,9 +528,6 @@ class TestLaneBatches:
         assert three == eight[:3]
         assert one == eight[:1]
 
-    def test_samples_group_by_key_in_first_appearance_order(self):
-        assert _lane_batches(["a", "b", "a", "c", "b"]) == [[0, 2], [1, 4], [3]]
-
     @pytest.mark.parametrize("command, args", [
         ("reduce", ["--preset", "ex1"]),
         ("reduce", ["--preset", "ex1gen", "--n", "3"]),
@@ -528,7 +542,7 @@ class TestLaneBatches:
         assert run_cli(args, tmp_path / "whole") == 0
         with monkeypatch.context() as patch:
             patch.setattr(cli, "LANE_BATCH_WIDTH", 2)
-            assert _lane_batches(["a"] * 5) == [[0, 1], [2, 3], [4]]
+            assert [list(c) for _, c in _chunks(range(5))] == [[0, 1], [2, 3], [4]]
             assert run_cli(args, tmp_path / "chunked") == 0
         # one lane batch of 5 samples, its cone tensors built 2 points at a time
         monkeypatch.setattr(Cone, "BATCH_POINTS", 2)

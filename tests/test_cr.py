@@ -1,12 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from oracles import cr_residuals, submersion_context
 from sasaklab.actions import TorusAction
 from sasaklab.cr import (
-    CRDecomposition,
     cr_decomposition,
     final_identity,
     oneill_plane_residual,
@@ -16,8 +13,8 @@ from sasaklab.errors import AmbiguousSplit
 from sasaklab.manifolds import EmbeddedManifold, LinearConstraint, SphereConstraint
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
-from sasaklab.structures import RoundSphereStructure
-from sasaklab.vecops import lane, stack_lanes
+from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
+from sasaklab.vecops import LanesDisagree, agreeing_parts, lane, split_frame, stack_lanes
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])
@@ -160,30 +157,108 @@ class TestFinalIdentity:
             assert k_p >= 1.0 - 1e-6
 
 
-class TestStackedSplitting:
-    """The identities on stacked contexts and splittings hold each
-    sample's float evaluation, bit for bit."""
+def lane_contexts(setup, count, seed):
+    """The lane context of ``count`` samples from one lane frame, and the
+    float context of each sample."""
+    samples = setup.samples(count, seed=seed)
+    ctx = SubmersionContext.from_reduction(setup, build_frame(setup, samples))
+    return ctx, [SubmersionContext.from_reduction(setup, build_frame(setup, s)) for s in samples]
 
-    @pytest.mark.parametrize("make", [pairs_context, zero_context], ids=["ray", "zero"])
-    def test_lanes_equal_each_sample_bitwise(self, make):
-        ctxs = [make(seed=30 + i)[2] for i in range(4)]
-        crds = [cr_decomposition(c) for c in ctxs]
+
+W5 = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+SETUPS = {
+    "ray": lambda: ReductionSetup(S7, PAIRS, mu=[1.0, 1.0]),
+    "zero": lambda: ReductionSetup(S7, FLIPPED, zero_rows=[[1.0, 0.0]]),
+    # z_0 = 0 on the level set: nu has rank 2
+    "ray-nu": lambda: ReductionSetup(S7, TorusAction.of([[1, 0, 0, 0], [0, 1, 1, 1]]),
+                                     mu=[0.0, 1.0]),
+    "weighted-ray": lambda: ReductionSetup(W5, TorusAction.of([[1, 1, 0], [0, 0, 1]]),
+                                           mu=[1.0, 1.0]),
+    "weighted-zero": lambda: ReductionSetup(W5, TorusAction.of([[-1, 1, 0], [0, 0, 1]]),
+                                            zero_rows=[[1.0, 0.0]]),
+}
+
+
+def bits(vectors):
+    return np.asarray(vectors, dtype=float).tobytes()
+
+
+class TestStackedSplitting:
+    """The splitting of a lane context, and the identities on it, hold
+    each sample's float evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_lanes_equal_each_sample_bitwise(self, name):
+        count = 3 if name.startswith("weighted") else 4
+        ctx, floats = lane_contexts(SETUPS[name](), count, seed=30)
+        crd = cr_decomposition(ctx)
+        crds = [cr_decomposition(c) for c in floats]
+        for field in ("d_frame", "dperp_frame", "phi_dperp_frame", "nu_frame"):
+            for lanes, ref in zip(split_frame(getattr(crd, field), count), crds):
+                assert bits(lanes) == bits(getattr(ref, field))
+        assert all(ref.dims == crd.dims for ref in crds)
+
         xs = [frame_mix(d.d_frame, 40 + i) for i, d in enumerate(crds)]
         ys = [frame_mix(d.d_frame, 50 + i) for i, d in enumerate(crds)]
-        ctx = SubmersionContext.stacked(ctxs)
-        crd = CRDecomposition.stacked(crds)
         x, y = stack_lanes(xs), stack_lanes(ys)
         fin = final_identity(ctx, x, crd)
         rels = relation_residuals(ctx, crd, x, y)
         onil = oneill_plane_residual(ctx, x)
-        for i, (c, d) in enumerate(zip(ctxs, crds)):
+        for i, (c, d) in enumerate(zip(floats, crds)):
             assert {k: lane(v, i) for k, v in fin.items()} == final_identity(c, xs[i], d)
             assert ({k: lane(v, i) for k, v in rels.items()}
                     == relation_residuals(c, d, xs[i], ys[i]))
             assert lane(onil, i) == oneill_plane_residual(c, xs[i])
 
-    def test_splittings_of_different_dimensions_do_not_stack(self):
-        crd = cr_decomposition(pairs_context(seed=1)[2])
-        other = dataclasses.replace(crd, dims={**crd.dims, "nu": 1})
-        with pytest.raises(ValueError, match="different dimensions"):
-            CRDecomposition.stacked([crd, other])
+    def test_lanes_that_disagree_on_the_dperp_count_split_into_float_splittings(self):
+        # two level sets in S^7 whose TN has rank 5 and normal space rank 2:
+        # D_perp has rank 2 on one, 0 on the other; their samples alternate
+        three = ReductionSetup(S7, TorusAction.of([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]),
+                               mu=[1.0, 1.0, 1.0])
+        _, twos = lane_contexts(three, 2, seed=60)
+        _, nones = lane_contexts(SETUPS["ray-nu"](), 2, seed=61)
+        floats = [twos[0], nones[0], twos[1], nones[1]]
+
+        def split(idx):
+            # the lane context of the samples idx, N's frames stacked as they are
+            ctx = SubmersionContext(S7, floats[0].manifold, [],
+                                    stack_lanes([floats[i].p for i in idx]),
+                                    horizontal_frame=[], vertical_frame=[])
+            frames = [floats[i]._tangent_frames() for i in idx]
+            ctx._tangent_on, ctx._normal_on = (
+                [stack_lanes(vs) for vs in zip(*(f[k] for f in frames))] for k in (0, 1))
+            return cr_decomposition(ctx)
+
+        with pytest.raises(LanesDisagree) as disagree:
+            split([0, 1, 2, 3])
+        assert disagree.value.keys == [2, 0, 2, 0]  # the D_perp count, lane by lane
+        parts = agreeing_parts(split, [0, 1, 2, 3])
+        assert [idx for idx, _ in parts] == [[0, 2], [1, 3]]
+        for idx, crd in parts:
+            for k, i in enumerate(idx):
+                ref = cr_decomposition(floats[i])
+                assert crd.dims == ref.dims
+                for field in ("d_frame", "dperp_frame", "phi_dperp_frame", "nu_frame"):
+                    assert (bits(split_frame(getattr(crd, field), len(idx))[k])
+                            == bits(getattr(ref, field)))
+
+    def test_ambiguous_lanes_raise_the_first_lanes_float_message(self):
+        # three points of the generic great S^3 of
+        # TestDecomposition.test_generic_submanifold_is_ambiguous
+        rng = np.random.default_rng(5)
+        cons = [SphereConstraint(), *(LinearConstraint(r) for r in rng.standard_normal((4, 8)))]
+        man = EmbeddedManifold(8, cons)
+        points = []
+        for _ in range(3):
+            p, _ = man.newton_refine(list(rng.standard_normal(8)))
+            points.append(list(np.asarray(p) / np.linalg.norm(p)))
+
+        def split(p):
+            cr_decomposition(SubmersionContext(S7, man, [], p, horizontal_frame=[],
+                                               vertical_frame=[]))
+
+        with pytest.raises(AmbiguousSplit) as first:
+            split(points[0])
+        with pytest.raises(AmbiguousSplit) as lanes:
+            split(stack_lanes(points))
+        assert str(lanes.value) == str(first.value)

@@ -258,25 +258,27 @@ class TestPhiSectional:
 
 
 class TestStackedContext:
-    def test_lanes_equal_each_sample_bitwise(self):
-        setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-        frames = [build_frame(setup, s) for s in setup.samples(5, seed=9)]
-        ctxs = [SubmersionContext.from_reduction(setup, f) for f in frames]
+    """A context built from one lane frame holds each sample's float
+    evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: ReductionSetup(S7, PAIRS, mu=[1.0, 1.0]), 5),
+        (lambda: ReductionSetup(S7, SPLIT, zero_rows=[[1.0, 0.0]]), 4),
+        (lambda: ReductionSetup(WeightedSphereStructure(3, [1.0, 2.0, 3.0]),
+                                TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0]), 3),
+    ], ids=["round-ray", "round-zero", "weighted-ray"])
+    def test_lanes_equal_each_sample_bitwise(self, make, count):
+        setup = make()
+        samples = setup.samples(count, seed=9)
+        ctx = SubmersionContext.from_reduction(setup, build_frame(setup, samples))
+        frames = [build_frame(setup, s) for s in samples]
         xs = [frame_mix(f.contact_d.vectors, 10 + i) for i, f in enumerate(frames)]
         ys = [frame_mix(f.contact_d.vectors, 20 + i) for i, f in enumerate(frames)]
-        lanes = SubmersionContext.stacked(ctxs).quotient_sasakian_residual(
-            stack_lanes(xs), stack_lanes(ys))
-        assert lanes.shape == (5,)
-        for i, ctx in enumerate(ctxs):
-            assert lanes[i] == ctx.quotient_sasakian_residual(xs[i], ys[i])
-
-    def test_stacking_one_context_keeps_floats(self):
-        _, frame, ctx = pairs_context(seed=4)
-        x = frame_mix(frame.contact_d.vectors, 1)
-        y = frame_mix(frame.contact_d.vectors, 2)
-        one = SubmersionContext.stacked([ctx])
-        assert all(isinstance(c, float) for c in one.p)
-        assert one.quotient_sasakian_residual(x, y) == ctx.quotient_sasakian_residual(x, y)
+        lanes = ctx.quotient_sasakian_residual(stack_lanes(xs), stack_lanes(ys))
+        assert lanes.shape == (count,)
+        for i, frame in enumerate(frames):
+            one = SubmersionContext.from_reduction(setup, frame)
+            assert lanes[i] == one.quotient_sasakian_residual(xs[i], ys[i])
 
 
 def lane_context(structure, action, samples, seed):

@@ -475,9 +475,11 @@ class TestSolveLinear:
 class TestLaneBatches:
     def test_batch_equals_batches_of_one_bitwise(self):
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-        frames = [build_frame(setup, s) for s in setup.samples(6, seed=3)]
-        for frame, got in zip(frames, reduced_tensors_batch(setup, frames)):
-            ref = reduced_tensors(setup, frame)
+        samples = setup.samples(6, seed=3)
+        lanes = reduced_tensors_batch(setup, build_frame(setup, samples))
+        assert len(lanes) == 6
+        for samp, got in zip(samples, lanes):
+            ref = reduced_tensors(setup, build_frame(setup, samp))
             assert np.array_equal(got.d_eta_matrix, ref.d_eta_matrix)
             assert np.array_equal(got.reduced_eta, ref.reduced_eta)
             assert np.array_equal(got.reduced_gram, ref.reduced_gram)
@@ -497,10 +499,10 @@ class TestLaneBatches:
         frame = build_frame(setup, setup.samples(samples, seed=4))
         if pairs_per_pass is not None:
             monkeypatch.setattr(vecops, "PAIR_PASS_LANES", pairs_per_pass * samples)
-        deta, worst_basic = reduced_d_eta_per_pair(setup, [frame])
+        deta, worst_basic = reduced_d_eta_per_pair(setup, frame)
         assert deta and len(frame.vertical_rows)
         bits = lambda x: np.float64(x).tobytes()
-        for k, red in enumerate(reduced_tensors_batch(setup, [frame])):
+        for k, red in enumerate(reduced_tensors_batch(setup, frame)):
             for (i, j), val in deta.items():
                 assert bits(red.d_eta_matrix[i, j]) == bits(lane(val, k))
             assert bits(red.checks["basic_d_eta"]) == bits(lane(worst_basic, k))

@@ -12,8 +12,8 @@ from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import (LanesDisagree, agreeing_parts, cmult, split_frame, stack_frames,
-                             stack_lanes, vdot, vscale, vsub, vvalue)
+from sasaklab.vecops import (LanesDisagree, agreeing_parts, cmult, split_frame, stack_lanes, vdot,
+                             vscale, vsub, vvalue)
 
 rng = np.random.default_rng(1234)
 EUCLIDEAN = InducedMetric()
@@ -150,11 +150,11 @@ class TestGramSchmidt:
             points.append(p)
             inputs.append([v, second, x])
         with pytest.raises(LanesDisagree):
-            gram_schmidt(metric, stack_lanes(points), stack_frames(inputs))
+            gram_schmidt(metric, stack_lanes(points), [stack_lanes(vs) for vs in zip(*inputs)])
 
         def frames(idx):
             return gram_schmidt(metric, stack_lanes([points[i] for i in idx]),
-                                stack_frames([inputs[i] for i in idx]))
+                                [stack_lanes(vs) for vs in zip(*(inputs[i] for i in idx))])
 
         parts = agreeing_parts(frames, list(range(5)))
         assert [idx for idx, _ in parts] == [[0, 2, 4], [1, 3]]
