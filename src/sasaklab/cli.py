@@ -14,20 +14,21 @@ it is entered with (``gc.freeze``), once per process, so interpreter
 shutdown does not walk the objects of numpy and sasaklab again.
 
 Every command that batches takes its samples in chunks of at most
-``LANE_BATCH_WIDTH``, in index order (``_chunks``).  In reduce and
-curvature-scan a chunk's reduction frames, the submersion context of N
-around them, and curvature-scan's CR splitting are built once on lanes,
-one numpy-array entry per sample; where samples disagree in a
-float-level decision (a Gram-Schmidt drop, a rank, a D_perp count) the
-chunk splits into parts that agree (``vecops.agreeing_parts``), and each
-part's jet work then runs once as lanes.  Within a part, the O'Neill A
-and h pairs of one direction, and the reduced d(eta) pairs, run as
-further lanes of one pass per kind (``vecops.pair_lanes``), at most
-``vecops.PAIR_PASS_LANES`` lanes (pairs x samples) to a pass.  Only the
+``vecops.LANE_BATCH_WIDTH``, in index order (``vecops.batches``).  In
+reduce and curvature-scan a chunk's reduction frames, the submersion
+context of N around them, and curvature-scan's CR splitting are built
+once on lanes, one numpy-array entry per sample; where samples disagree
+in a float-level decision (a Gram-Schmidt drop, a rank, a D_perp count)
+the chunk splits into parts that agree (``vecops.agreeing_parts``), and
+each part's jet work then runs once as lanes.  Within a part, the
+O'Neill A and h pairs of one direction, and the reduced d(eta) pairs,
+run as further lanes of one pass per kind (``vecops.pair_lanes``), at
+most ``vecops.PASS_LANES`` lanes (pairs x samples) to a pass, as a
+weighted cone build holds at most that many, m^2 to a point.  Only the
 directions are drawn per sample.  verify-structure, whose samples all
-share their frame sizes, and cone-check's cone points run a chunk as
-one lane batch.  A batch of one runs on floats, and no row depends on
-the batch it ran in.
+share their frame sizes, and cone-check's cone points run a chunk as one
+lane batch.  A batch of one runs on floats, and no row depends on the
+batch it ran in.
 """
 
 import argparse
@@ -87,7 +88,7 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import agreeing_parts, clamped_sqrt, lane, split_frame, stack_lanes, vvalue
+from .vecops import agreeing_parts, batches, clamped_sqrt, lane, split_frame, stack_lanes, vvalue
 from .jets import value
 
 COMMANDS = (
@@ -240,7 +241,7 @@ def run_verify_structure(cfg):
 
     rows = []
     min_det = math.inf
-    for _, batch in _chunks(range(cfg.samples)):  # every sample has the same frame sizes
+    for _, batch in batches(range(cfg.samples)):  # every sample has the same frame sizes
         draws = [draw(i) for i in batch]
         lanes = certify(draws)
         for j, (i, (p, _, _)) in enumerate(zip(batch, draws)):
@@ -289,12 +290,12 @@ def _action_notes(cfg):
 def run_check_hypotheses(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
-    reports = [r for _, chunk in _chunks(samples) for r in setup.hypothesis_report(chunk)]
+    reports = [r for _, chunk in batches(samples) for r in setup.hypothesis_report(chunk)]
     tally = _hypothesis_tally(reports)
-    slice_ok = reports[0]["slice_condition"]
+    slice_ok, slice_info = setup.slice_check
     hyp = {
         "slice_condition": slice_ok,
-        "slice_info": reports[0]["slice_info"],
+        "slice_info": slice_info,
         **tally,
         "kernel_dim": setup.kernel.k,
     }
@@ -309,18 +310,6 @@ def run_check_hypotheses(cfg):
     report = build_report("check-hypotheses", cfg, hypotheses=hyp,
                           notes=_action_notes(cfg), exit_status=status)
     return report, header, rows, status
-
-
-# samples per lane batch: a batch holds all of its samples' jets at once,
-# so this bounds a run's memory; rows do not depend on it
-LANE_BATCH_WIDTH = 512
-
-
-def _chunks(samples):
-    """(index of the first, samples) in index order, at most
-    ``LANE_BATCH_WIDTH`` samples at a time."""
-    return [(k, samples[k:k + LANE_BATCH_WIDTH])
-            for k in range(0, len(samples), LANE_BATCH_WIDTH)]
 
 
 def _hypothesis_tally(reports, tally=None):
@@ -378,7 +367,7 @@ def run_reduce(cfg):
     det_min = math.inf
     dims0 = None
     rows = []
-    for start, chunk in _chunks(samples):
+    for start, chunk in batches(samples):
         hyps = setup.hypothesis_report(chunk)
         tally = _hypothesis_tally(hyps, tally)
         certified = [None] * len(chunk)
@@ -461,7 +450,7 @@ def run_curvature_scan(cfg):
     tally = None
     nu_dims = set()
     certified = [None] * len(samples)
-    for start, chunk in _chunks(samples):
+    for start, chunk in batches(samples):
         tally = _hypothesis_tally(setup.hypothesis_report(chunk), tally)
         for idx, (_, ctx, crd) in _frame_parts(setup, chunk, cr_decomposition):
             nu_dims.add(crd.dims["nu"])
@@ -564,8 +553,8 @@ def run_cone_check(cfg):
 
     The cone points are drawn one at a time, in the stream order of a
     per-point loop, and run in lane batches of at most
-    ``LANE_BATCH_WIDTH`` (``_chunks``): J_s at r and at 1, J, and
-    eta(b_M) for each kernel row b run once per batch
+    ``vecops.LANE_BATCH_WIDTH`` (``vecops.batches``): J_s at r and at 1,
+    J, and eta(b_M) for each kernel row b run once per batch
     (``cone.momentum_identities``); the pairing of J_s with the kernel
     basis runs per point on its float row, and the pairing oracle per
     point on the first 8.  The census runs J once over all the strata
@@ -586,7 +575,7 @@ def run_cone_check(cfg):
         cp = ConePoint.of(p / np.linalg.norm(p), float(rng.uniform(0.5, 2.0)))
         return cp, (tuple(rng.standard_normal(A.d)) if i < 8 else None)
 
-    for _, batch in _chunks(range(cfg.samples)):
+    for _, batch in batches(range(cfg.samples)):
         draws = [draw(i) for i in batch]
         ident = momentum_identities(A, mu, [cp for cp, _ in draws])
         for i, (cp, rvec), iota, homog, restr in zip(batch, draws, *ident):

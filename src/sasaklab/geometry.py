@@ -25,7 +25,7 @@ import numpy as np
 from . import tolerances
 from .errors import SingularMetric
 from .jets import Dual, along, jsqrt, leafwise, stack, value
-from .vecops import (lane_shape, lane_stack, lane_width, solve_linear, split_lanes,
+from .vecops import (batches, lane_shape, lane_stack, lane_width, solve_linear, split_lanes,
                      vdot, vscale, vsub, vvalue)
 
 
@@ -74,16 +74,15 @@ class Cone:
     together, read-only, per point, keyed by its bytes: every command
     that asks for Gamma at a point asks for R^ there too.  The points of a
     call that miss the cache are built together, each once, in passes of
-    at most ``BATCH_POINTS`` points, which bounds the pass's S * m^2
-    lanes; each point's numpy algebra runs on its own slice of the lanes,
-    so its tensors hold the bits of a pass over that point alone.  At a
-    lane point the tensors are stacked, lanes last, and each contraction
-    is an ordered sum of slices, so a lane holds the bits of its sample's
-    float evaluation.  Jet points are refused.
+    at most ``vecops.PASS_LANES`` lanes, m^2 to a point (``batches``); a
+    call that misses keeps only its own points cached, since a point
+    does not recur across chunks.  Each point's numpy algebra runs on its
+    own slice of the lanes, so its tensors hold the bits of a pass over
+    that point alone.  At a lane point the tensors are stacked, lanes
+    last, and each contraction is an ordered sum of slices, so a lane
+    holds the bits of its sample's float evaluation.  Jet points are
+    refused.
     """
-
-    CACHE_POINTS = 256
-    BATCH_POINTS = 32
 
     def __init__(self, pairs):
         self.pairs = pairs  # pairs(q, U, lanes): g(q; U_i, U_j) of stacked vectors U
@@ -105,17 +104,11 @@ class Cone:
         lanes = split_lanes(p)
         points = lanes or [p]
         keys = [np.asarray(q, dtype=float).tobytes() for q in points]
-        missing = {}  # the points this call builds, once each, in first-appearance order
-        for key, q in zip(keys, points):
-            if key not in self._points:
-                missing.setdefault(key, q)
-        if len(self._points) + len(missing) > self.CACHE_POINTS:
-            # make room, keeping this call's own points even when a lane
-            # point holds more samples than the cache bound
+        # the points this call builds, once each, in first-appearance order
+        missing = {key: q for key, q in zip(keys, points) if key not in self._points}
+        if missing:
             self._points = {k: self._points[k] for k in keys if k in self._points}
-        todo = list(missing)
-        for k in range(0, len(todo), self.BATCH_POINTS):
-            part = todo[k:k + self.BATCH_POINTS]
+        for _, part in batches(list(missing), len(p) ** 2):
             built = self._build_batch(np.asarray([missing[key] for key in part], dtype=float))
             self._points.update(zip(part, built))
         tensors = [self._points[key][which] for key in keys]

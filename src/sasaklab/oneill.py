@@ -2,22 +2,22 @@
 
 A SubmersionContext holds, at one sample of a level set N: the ambient
 structure, the level-set manifold, vertical fields (jet-generic), and
-the vertical and horizontal frames.  The frames are those of the
-sample's reduction frame (``from_reduction``).  A context built from a
-lane frame holds a batch of samples as lanes, N's tangent and normal
-frames included, and every evaluation on it, the CR splitting of
-``cr`` too, serves the whole batch; it is never split into float
-contexts.  Quotient tensors are never
-written in quotient coordinates; they are evaluated on horizontal
-representatives upstairs.
+the horizontal frame, that of the sample's reduction frame
+(``from_reduction``); vertical parts are projections onto the fields.  A
+context built from a lane frame holds a batch of samples as lanes, N's
+tangent and normal frames included, and every evaluation on it, the CR
+splitting of ``cr`` too, serves the whole batch; it is never split into
+float contexts.  Quotient tensors are never written in quotient
+coordinates; they are evaluated on horizontal representatives upstairs.
 
 A and h run in pair passes.  ``a_tensors`` and ``second_fundamentals``
 take a list of pairs (u, v) and evaluate them as extra lanes of one
 covariant pass (``vecops.pair_lanes``): a lane point is tiled once per
 pair (a float point serves every pair as it is), the pairs' vectors are
 joined along the lane axis, and the result is cut back into one vector
-per pair, Python floats on a float context.  A pass holds at most ``vecops.PAIR_PASS_LANES`` lanes
-(pairs x samples), which bounds its memory; no value depends on it.
+per pair, Python floats on a float context.  A pass holds at most
+``vecops.PASS_LANES`` lanes (pairs x samples), which bounds its memory;
+no value depends on it.
 ``quotient_curvature_vector`` fills its A and h caches with one pass per
 kind before its frame loop, and ``quotient_curvature_4`` passes over
 the pairs its caches miss.  The caches are keyed by the vectors'
@@ -49,14 +49,13 @@ class SubmersionContext:
     """Bundle for O'Neill computations at a sample, or at the lanes of a batch."""
 
     def __init__(self, structure, manifold, vertical_fields, p,
-                 horizontal_frame, vertical_frame, tangent_basis=None):
+                 horizontal_frame, tangent_basis=None):
         self.structure = structure
         self.manifold = manifold
         self.vertical_fields = list(vertical_fields)
         self.p = list(p)
         self.geometry = Geometry(manifold, structure.metric)
         self.ambient_geometry = structure.geometry
-        self.vertical_frame = vertical_frame
         self.horizontal_frame = [list(v) for v in horizontal_frame]
         # the manifold's Euclidean tangent basis at p, formed when first
         # needed unless the reduction frame already carries it
@@ -77,7 +76,6 @@ class SubmersionContext:
             fields,
             rframe.p,
             horizontal_frame=rframe.horizontal,
-            vertical_frame=[list(v) for v in rframe.vertical.vectors],
             tangent_basis=rframe.tangent,
         )
 

@@ -16,9 +16,9 @@ per equality (the sum, the kernel rows, the ray), not one per coordinate.
 
 Samples walk the polytope by hit-and-run.  Sample i has its own stream,
 SeedSequence(seed).spawn(...)[i], and takes all of its draws up front;
-samples step together in chunks of ``WALK_CHUNK`` and every sum over
-coordinates runs in order, so sample i depends neither on the sample
-count nor on the chunking.
+samples step together in chunks of ``vecops.LANE_BATCH_WIDTH``
+(``vecops.batches``) and every sum over coordinates runs in order, so
+sample i depends neither on the sample count nor on the chunking.
 
 The hypothesis checks and the reduction frames take a batch of samples
 at once, as lanes: one stacked SVD per rank test and tangent basis, one
@@ -45,13 +45,12 @@ from .errors import (
     NoConvergence,
     WrongRay,
 )
-from .geometry import Geometry
 from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sphere,
                         SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import (agreed, as_list, lane, lane_stack, lane_width, pair_lanes, split_frame,
-                     stack_lanes, vdot, vvalue)
+from .vecops import (agreed, as_list, batches, lane, lane_stack, lane_width, pair_lanes,
+                     split_frame, stack_lanes, vdot, vvalue)
 
 
 @dataclass(frozen=True)
@@ -237,9 +236,6 @@ def analyze_moduli(n, rows, ray_coeff=None):
     )
 
 
-# samples walked together: a chunk holds all of its samples' draws at
-# once, so this bounds the walk's memory; samples do not depend on it
-WALK_CHUNK = 512
 _STEPS = 32
 
 
@@ -292,8 +288,8 @@ def _level_set_samples(action, mu, poly, count, seed):
     """Points over the walk on ``poly`` with random phases; with a ray
     ``mu`` each is checked against it, in zero mode s = 0."""
     samples = []
-    for start in range(0, count, WALK_CHUNK):
-        z, beta, theta = _draws(poly, seed, range(start, min(count, start + WALK_CHUNK)))
+    for _, indices in batches(range(count)):
+        z, beta, theta = _draws(poly, seed, indices)
         t = np.zeros((len(z), poly.n))
         t[:, poly.support] = np.maximum(_walk(poly, z, beta), 0.0)
         r = np.sqrt(t / sum(t.T)[:, None])
@@ -407,7 +403,6 @@ class ReductionSetup:
             self.acting_rows = rows
         self.polytope = _polytope(action, self.acting_rows, self.mu)
         self.manifold = self._build_manifold()
-        self.geometry = Geometry(self.manifold, structure.metric)
 
     def _build_manifold(self):
         cons = [SphereConstraint()]
@@ -438,26 +433,17 @@ class ReductionSetup:
 
     def hypothesis_report(self, samples):
         """Hypothesis data of one sample, or the list of it for a list of
-        samples, whose rank tests then run as one stacked SVD each."""
+        samples, whose rank tests then run as one stacked SVD each; the
+        slice condition, which depends on mu alone, is ``slice_check``."""
         if isinstance(samples, LevelSetSample):
             return self.hypothesis_report([samples])[0]
-        ok_slice, slice_info = self.slice_check
         p = stack_lanes([s.coords() for s in samples])
-        trans_ok, svals = (
-            transversality_check(self.action, self.mu, p)
-            if self.mode == "ray"
-            else (True, [])
-        )
-        rank, degenerate, fsvals = local_freeness(self.action, self.kernel, p)
+        trans_ok = transversality_check(self.action, self.mu, p)[0] if self.mode == "ray" else True
+        rank, degenerate, _ = local_freeness(self.action, self.kernel, p)
         return [{
-            "slice_condition": ok_slice,
-            "slice_info": slice_info,
             "transversal": bool(lane(trans_ok, j)),
-            "transversality_svals": [float(s) for s in lane(svals, j)],
             "freeness_rank": int(lane(rank, j)),
-            "freeness_expected": self.kernel.k,
             "freeness_degenerate": bool(lane(degenerate, j)),
-            "freeness_svals": [float(s) for s in lane(fsvals, j)],
         } for j in range(len(samples))]
 
 

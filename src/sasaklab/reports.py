@@ -82,10 +82,6 @@ class ResidualLedger:
     def as_list(self):
         return [self._stats[k].as_dict() for k in sorted(self._stats)]
 
-    def worst(self):
-        bad = [s for s in self._stats.values() if not s.ok]
-        return sorted(bad, key=lambda s: s.name)
-
 
 def build_report(command, config, *, hypotheses=None, dimensions=None,
                  ledger=None, census=None, notes=None, extra=None,

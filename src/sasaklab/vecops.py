@@ -8,6 +8,12 @@ of vector pairs as further lanes of one evaluation: the point tiled once
 per pair, the pairs' vectors joined along the lane axis, and the result
 cut back into one value per pair.
 
+Two constants size every batch, and ``batches`` cuts them all: a chunk
+of samples (the CLI's lane batches, the hit-and-run walk) holds at most
+``LANE_BATCH_WIDTH`` samples, and one jet pass (a pair pass, a cone
+build) at most ``PASS_LANES`` lanes.  Both bound memory only: no value
+depends on where a batch ends.
+
 A float-level decision (a Gram-Schmidt drop, a rank) is made per lane.
 ``agreed`` lets a batch go on as one while every lane decides alike and
 raises ``LanesDisagree`` otherwise; ``agreeing_parts`` then runs each
@@ -116,11 +122,22 @@ def split_frame(vectors, width):
     return [[c[i] for c in cols] for i in range(width)]
 
 
-# lanes of one pair pass (pairs x samples): a pass holds the jets of all
-# its lanes at once, and on a weighted metric a Christoffel tensor per
-# lane, so this bounds its memory, as Cone.BATCH_POINTS bounds the cone's;
-# no value depends on it
-PAIR_PASS_LANES = 1024
+# samples of one chunk: a chunk holds all of its samples' jets, or walk
+# draws, at once
+LANE_BATCH_WIDTH = 512
+# lanes of one jet pass: a pair pass holds pairs x samples lanes, each with
+# a Christoffel tensor on a weighted metric, and a cone build m^2 lanes a
+# point, each with (m, m) jet leaves
+PASS_LANES = 1024
+
+
+def batches(items, lanes=None):
+    """(index of the first, part) of the sequence items, in index order:
+    chunks of at most ``LANE_BATCH_WIDTH`` items, or with ``lanes`` lanes
+    an item, passes of at most ``PASS_LANES`` lanes; never fewer than one
+    item to a batch."""
+    per = LANE_BATCH_WIDTH if lanes is None else max(1, PASS_LANES // lanes)
+    return [(k, items[k:k + per]) for k in range(0, len(items), per)]
 
 
 def tile_lanes(u, reps):
@@ -167,15 +184,13 @@ def pair_lanes(fn, p, pairs):
     vectors joined along the lane axis (``join_lanes``), so one
     evaluation serves them all; fn tiles any other lane vector of p it
     reads with ``tile_lanes(w, reps)``.  A pass holds at most
-    ``PAIR_PASS_LANES`` lanes, and one pair runs on p itself.  Every
-    lane runs the elementwise operations of its own pair's evaluation,
-    so each result holds the bits of fn on its pair alone.
+    ``PASS_LANES`` lanes (``batches``), and one pair runs on p itself.
+    Every lane runs the elementwise operations of its own pair's
+    evaluation, so each result holds the bits of fn on its pair alone.
     """
     width = lane_width(p)
-    per = max(1, PAIR_PASS_LANES // (width or 1))
     out = []
-    for k in range(0, len(pairs), per):
-        part = pairs[k:k + per]
+    for _, part in batches(pairs, width or 1):
         reps = len(part)
         if reps == 1:
             out.append(fn(p, 1, *part[0]))

@@ -333,7 +333,7 @@ def hit_and_run_loop(poly, z, beta, floor):
 # ----------------------------------------------------------------------
 
 
-def default_horizontal(ctx):
+def default_horizontal(ctx, vertical):
     """The contact block of TN orthogonal to the vertical frame and the
     Reeb field, followed by the Reeb field unless it is vertical."""
     S = ctx.structure
@@ -345,7 +345,7 @@ def default_horizontal(ctx):
         else False
     )
     tangent = [list(r) for r in ctx.manifold.tangent_basis(ctx.p)]
-    head = ctx.vertical_frame if reeb_is_vertical else ctx.vertical_frame + [reeb]
+    head = vertical if reeb_is_vertical else vertical + [reeb]
     d_block = orthogonal_tail(S.metric, ctx.p, head, tangent)
     return d_block if reeb_is_vertical else d_block + [reeb]
 
@@ -357,9 +357,8 @@ def submersion_context(structure, manifold, vertical_fields, p):
     vecs = [vvalue(f(p)) for f in vertical_fields]
     vertical = [list(v) for v in
                 gram_schmidt(structure.metric, p, vecs).vectors] if vecs else []
-    ctx = SubmersionContext(structure, manifold, vertical_fields, p,
-                            horizontal_frame=[], vertical_frame=vertical)
-    ctx.horizontal_frame = default_horizontal(ctx)
+    ctx = SubmersionContext(structure, manifold, vertical_fields, p, horizontal_frame=[])
+    ctx.horizontal_frame = default_horizontal(ctx, vertical)
     return ctx
 
 

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sasaklab import cli, tolerances
+from sasaklab import cli, tolerances, vecops
 from sasaklab.cli import (
     COMMANDS,
     FLAG_READERS,
     RUNNERS,
-    _chunks,
     _parser,
     _resolve_config,
     main,
@@ -29,7 +28,6 @@ from sasaklab.config import (
 )
 from sasaklab.errors import ParseError, ValidationError
 from sasaklab.gallery import preset_config
-from sasaklab.geometry import Cone
 from sasaklab.structures import RoundSphereStructure
 
 
@@ -541,11 +539,12 @@ class TestLaneBatches:
         args = [command, *args, "--samples", "5", "--seed", "13"]
         assert run_cli(args, tmp_path / "whole") == 0
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "LANE_BATCH_WIDTH", 2)
-            assert [list(c) for _, c in _chunks(range(5))] == [[0, 1], [2, 3], [4]]
+            patch.setattr(vecops, "LANE_BATCH_WIDTH", 2)
+            assert [list(c) for _, c in vecops.batches(range(5))] == [[0, 1], [2, 3], [4]]
             assert run_cli(args, tmp_path / "chunked") == 0
-        # one lane batch of 5 samples, its cone tensors built 2 points at a time
-        monkeypatch.setattr(Cone, "BATCH_POINTS", 2)
+        # one lane batch of 5 samples, its weighted cone tensors (m = 6)
+        # built 2 points at a time
+        monkeypatch.setattr(vecops, "PASS_LANES", 72)
         assert run_cli(args, tmp_path / "cone-chunked") == 0
         for name in ("report.json", "samples.csv"):
             whole = (tmp_path / "whole" / name).read_bytes()

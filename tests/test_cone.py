@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import cone_point_loop, kernel_momentum, stratify_per_point
-from sasaklab import cli, tolerances
+from sasaklab import cli, tolerances, vecops
 from sasaklab.actions import MomentumCovector, TorusAction
 from sasaklab.config import build_config
 from sasaklab.cone import (
@@ -170,7 +170,7 @@ class TestConeCheckLanes:
     @pytest.mark.parametrize("name", ["ex2", "ex1", "one-row"])
     def test_run_matches_the_per_point_loop(self, name, monkeypatch):
         # batches of 7, 7 and 1 points: lanes, and a batch of one on floats
-        monkeypatch.setattr(cli, "LANE_BATCH_WIDTH", 7)
+        monkeypatch.setattr(vecops, "LANE_BATCH_WIDTH", 7)
         cfg = _cone_config(name, 15)
         report, _, rows, _ = cli.run_cone_check(cfg)
         A, mu = TorusAction.of(cfg.action_weights), MomentumCovector.of(cfg.mu)

@@ -223,7 +223,7 @@ class TestStackedSplitting:
             # the lane context of the samples idx, N's frames stacked as they are
             ctx = SubmersionContext(S7, floats[0].manifold, [],
                                     stack_lanes([floats[i].p for i in idx]),
-                                    horizontal_frame=[], vertical_frame=[])
+                                    horizontal_frame=[])
             frames = [floats[i]._tangent_frames() for i in idx]
             ctx._tangent_on, ctx._normal_on = (
                 [stack_lanes(vs) for vs in zip(*(f[k] for f in frames))] for k in (0, 1))
@@ -254,8 +254,7 @@ class TestStackedSplitting:
             points.append(list(np.asarray(p) / np.linalg.norm(p)))
 
         def split(p):
-            cr_decomposition(SubmersionContext(S7, man, [], p, horizontal_frame=[],
-                                               vertical_frame=[]))
+            cr_decomposition(SubmersionContext(S7, man, [], p, horizontal_frame=[]))
 
         with pytest.raises(AmbiguousSplit) as first:
             split(points[0])

@@ -349,8 +349,7 @@ class TestPairLanes:
     def test_pass_cap_does_not_change_bits(self, monkeypatch, name, pairs_per_pass):
         ctx, x, y = CONTEXTS[name]()
         whole = bits(ctx.quotient_sasakian_residual(x, y))
-        monkeypatch.setattr(vecops, "PAIR_PASS_LANES",
-                            pairs_per_pass * (lane_width(ctx.p) or 1))
+        monkeypatch.setattr(vecops, "PASS_LANES", pairs_per_pass * (lane_width(ctx.p) or 1))
         ctx, x, y = CONTEXTS[name]()
         assert bits(ctx.quotient_sasakian_residual(x, y)) == whole
 

@@ -7,6 +7,7 @@ from oracles import hit_and_run_loop, moduli_lp_oracle, reduced_d_eta_per_pair
 from sasaklab import reduction, tolerances, vecops
 from sasaklab.actions import MomentumCovector, TorusAction, kernel_algebra, local_freeness
 from sasaklab.errors import EmptyLevelSet, NoConvergence, WrongRay
+from sasaklab.geometry import Geometry
 from sasaklab.jets import value
 from sasaklab.reduction import (
     _S_FLOOR,
@@ -201,7 +202,7 @@ def test_walk_stays_in_the_moduli_polytope(data):
 def test_samples_do_not_depend_on_count_or_chunk(monkeypatch, sampler):
     eight = sampler(8)
     assert sampler(3) == eight[:3]
-    monkeypatch.setattr(reduction, "WALK_CHUNK", 2)
+    monkeypatch.setattr(vecops, "LANE_BATCH_WIDTH", 2)
     assert sampler(8) == eight
     assert sampler(3) == eight[:3]
 
@@ -408,11 +409,12 @@ class TestReducedTensors:
 class TestProjectability:
     def test_reeb_commutes_with_vertical_fields_on_samples(self):
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
+        geo = Geometry(setup.manifold, S7.metric)
         for samp in setup.samples(5, seed=21):
             p = samp.coords()
             for row in setup.acting_rows:
                 f = lambda q, r=tuple(row): PAIRS.fundamental_field(r, q)
-                br = setup.manifold.project(p, setup.geometry.bracket(p, f, S7.reeb_field))
+                br = setup.manifold.project(p, geo.bracket(p, f, S7.reeb_field))
                 assert np.max(np.abs(vvalue(br))) < 1e-8
 
     def test_frame_dimension_relations(self):
@@ -498,7 +500,7 @@ class TestLaneBatches:
             setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
         frame = build_frame(setup, setup.samples(samples, seed=4))
         if pairs_per_pass is not None:
-            monkeypatch.setattr(vecops, "PAIR_PASS_LANES", pairs_per_pass * samples)
+            monkeypatch.setattr(vecops, "PASS_LANES", pairs_per_pass * samples)
         deta, worst_basic = reduced_d_eta_per_pair(setup, frame)
         assert deta and len(frame.vertical_rows)
         bits = lambda x: np.float64(x).tobytes()

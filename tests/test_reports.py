@@ -25,4 +25,4 @@ def test_nan_residual_fails_the_ledger():
     led.add("b", 1e-5, float("nan"))
     led.add("b", 1e-5, 1e-9)
     assert not led.all_ok()
-    assert [s.name for s in led.worst()] == ["b"]
+    assert [s["name"] for s in led.as_list() if not s["within_tolerance"]] == ["b"]

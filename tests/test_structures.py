@@ -214,7 +214,7 @@ class TestWeightedMetric:
         S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
         d_eta = S.metric.d_eta if structure == "weighted" else S.d_eta
         if block is not None:
-            monkeypatch.setattr(vecops, "PAIR_PASS_LANES", block * (5 if point == "lane" else 1))
+            monkeypatch.setattr(vecops, "PASS_LANES", block * (5 if point == "lane" else 1))
         points = [rand_point(6) for _ in range(5)]
         p = points[0] if point == "float" else stack_lanes(points)
         frame = S.contact_frame(p)

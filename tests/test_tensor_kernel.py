@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (cone_tensors_per_entry, contract_nested, covariant_koszul, fd_curvature,
                      koszul_curvature, lane_lists, metric_field_per_entry)
-from sasaklab import structures
+from sasaklab import structures, vecops
 from sasaklab.errors import EmptyFrame, SingularMetric
 from sasaklab.geometry import Cone, Geometry, InducedMetric, _contract
 from sasaklab.jets import along, jsqrt, value
@@ -443,10 +443,17 @@ class TestConeTensor:
         """(Gamma, R^) at p as arrays, lanes last at a lane point."""
         return [np.asarray(cone._tensor(p, which)) for which in (0, 1)]
 
-    @pytest.mark.parametrize("batch_points", [Cone.BATCH_POINTS, 2])
+    @staticmethod
+    def points_per_pass(monkeypatch, n, points):
+        """Cone builds on S^{2n-1} of ``points`` points a pass, m^2 lanes
+        to a point; None keeps ``PASS_LANES``."""
+        if points is not None:
+            monkeypatch.setattr(vecops, "PASS_LANES", points * (2 * n) ** 2)
+
+    @pytest.mark.parametrize("batch_points", [None, 2])
     @pytest.mark.parametrize("n,a", [(3, [1.0, 2.0, 3.0]), (2, [1.0, 100.0])])
     def test_a_batch_equals_batches_of_one_bitwise(self, monkeypatch, n, a, batch_points):
-        monkeypatch.setattr(Cone, "BATCH_POINTS", batch_points)
+        self.points_per_pass(monkeypatch, n, batch_points)
         metric = WeightedSphereStructure(n, a).metric
         points = [cone_point(n, 760 + k)[0] for k in range(5)]
         batched = self.tensors(Cone(metric.pairs), stack_lanes(points))
@@ -463,7 +470,7 @@ class TestConeTensor:
                                                         batch_points):
         # 33 samples cross a batch of 32; at a = (1, 100) some jet leaves
         # hold no lanes and must stand for all of them
-        monkeypatch.setattr(Cone, "BATCH_POINTS", batch_points)
+        self.points_per_pass(monkeypatch, n, batch_points)
         metric = WeightedSphereStructure(n, a).metric
         points = [cone_point(n, 800 + k)[0] for k in range(samples)]
         got = self.tensors(Cone(metric.pairs), stack_lanes(points))
@@ -522,17 +529,40 @@ class TestConeTensor:
         assert type(got[0]) is type(want[0])
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_repeated_and_cached_points_are_built_once(self, monkeypatch):
-        monkeypatch.setattr(Cone, "BATCH_POINTS", 2)
-        cone = Cone(WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric.pairs)
+    @staticmethod
+    def recording(monkeypatch, cone):
+        """The list of the points of each of the cone's builds, in order."""
         built = []
         build = cone._build_batch
         monkeypatch.setattr(cone, "_build_batch", lambda pts: built.append(pts.tolist()) or build(pts))
+        return built
+
+    def test_repeated_and_cached_points_are_built_once(self, monkeypatch):
+        self.points_per_pass(monkeypatch, 3, 2)  # PASS_LANES = 72 at m = 6
+        cone = Cone(WeightedSphereStructure(3, [1.0, 2.0, 3.0]).metric.pairs)
+        built = self.recording(monkeypatch, cone)
         p, q, r, s = (cone_point(3, 780 + k)[0] for k in range(4))
         cone._tensor(p, 0)
         cone._tensor(stack_lanes([q, p, q, r, s, r]), 1)
         cone._tensor(stack_lanes([s, p]), 0)
         assert built == [[p], [q, r], [s]]
+
+    @pytest.mark.parametrize("n,count,pass_lanes,sizes", [
+        (3, 40, None, [28, 12]),
+        (10, 5, None, [2, 2, 1]),
+        (3, 3, 10, [1, 1, 1]),  # fewer lanes than one point holds: a point a pass
+    ])
+    def test_a_pass_holds_at_most_pass_lanes(self, monkeypatch, n, count, pass_lanes, sizes):
+        if pass_lanes is not None:
+            monkeypatch.setattr(vecops, "PASS_LANES", pass_lanes)
+        cone = Cone(WeightedSphereStructure(n, [float(k) for k in range(1, n + 1)]).metric.pairs)
+        built = self.recording(monkeypatch, cone)
+        points = [cone_point(n, 900 + k)[0] for k in range(count)]
+        cone._tensor(stack_lanes(points), 0)
+        assert [len(pts) for pts in built] == sizes
+        assert [q for pts in built for q in pts] == points
+        for pts in built:
+            assert len(pts) * (2 * n) ** 2 <= vecops.PASS_LANES or len(pts) == 1
 
     def test_curvature_off_the_metric_sphere_raises(self):
         from sasaklab.actions import TorusAction
@@ -543,7 +573,7 @@ class TestConeTensor:
         p = setup.samples(1, seed=750)[0].coords()
         t = [list(v) for v in setup.manifold.tangent_basis(p)]
         with pytest.raises(ValueError, match="metric's own sphere"):
-            setup.geometry.curvature(p, t[0], t[1], t[2])
+            Geometry(setup.manifold, W.metric).curvature(p, t[0], t[1], t[2])
 
     def test_covariant_at_a_jet_point_raises(self):
         W = WeightedSphereStructure(2, [1.0, 3.0])
