@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tolerances
 from .errors import ZeroMu
-from .vecops import as_list, lane_stack, vdot
+from .jets import expand, value, vector
+from .vecops import cmult, lane_stack, per_coordinate, vsum
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,11 @@ class TorusAction:
     def n(self):
         return len(self.weights[0])
 
-    @property
+    @cached_property
     def matrix(self):
-        return np.asarray(self.weights, dtype=float)
+        W = np.asarray(self.weights, dtype=float)
+        W.flags.writeable = False
+        return W
 
     @property
     def integral(self):
@@ -49,35 +52,29 @@ class TorusAction:
     def fundamental_field(self, r, q):
         """Generator of the one-parameter subgroup exp(t r) at q.
 
-        Component j rotates with angular speed sum_k r_k W_{kj}; the
-        evaluator is jet-generic.
+        Component j rotates with angular speed s_j = sum_k r_k W_{kj}: the
+        field is s_j (i q)_j, a signed permutation of q scaled per
+        coordinate; the evaluator is jet-generic.
         """
+        q = vector(q)
         speeds = [sum(rk * wk[j] for rk, wk in zip(r, self.weights)) for j in range(self.n)]
-        out = []
-        for j, s in enumerate(speeds):
-            out.append(-s * q[2 * j + 1])
-            out.append(s * q[2 * j])
-        return out
+        return per_coordinate(np.repeat(speeds, 2), q) * cmult(q)
 
     def momentum(self, q):
-        """Contact momentum J(q)_k = sum_j W_{kj} |z_j|^2 (jet-generic)."""
-        mods = []
-        for j in range(self.n):
-            x, y = q[2 * j], q[2 * j + 1]
-            mods.append(x * x + y * y)
-        return [vdot(list(wk), mods) for wk in self.weights]
+        """Contact momentum J(q)_k = sum_j W_{kj} |z_j|^2, the vector
+        (d,) + lanes, each an ordered sum over j (jet-generic)."""
+        q = vector(q)
+        sq = q * q
+        mods = sq[0::2] + sq[1::2]
+        nd = np.ndim(value(sq))
+        return vsum(np.reshape(self.matrix.T, (self.n, self.d) + (1,) * (nd - 1))
+                    * expand(mods, nd + 1))
 
     def momentum_jacobian(self, q):
-        """d x 2n float Jacobian of the momentum at a float point."""
-        q = as_list(q)
-        rows = []
-        for wk in self.weights:
-            row = []
-            for j in range(self.n):
-                row.append(2.0 * wk[j] * q[2 * j])
-                row.append(2.0 * wk[j] * q[2 * j + 1])
-            rows.append(row)
-        return np.asarray(rows, dtype=float)
+        """d x 2n float Jacobian of the momentum, (d, 2n) + lanes at lanes."""
+        q = np.asarray(q, dtype=float)
+        twice = 2.0 * np.repeat(self.matrix, 2, axis=1)
+        return np.reshape(twice, twice.shape + (1,) * (q.ndim - 1)) * q
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class MomentumCovector:
 
     @classmethod
     def of(cls, mu):
-        mu = tuple(float(x) for x in as_list(mu))
+        mu = tuple(float(x) for x in np.ravel(mu))
         if all(x == 0.0 for x in mu):
             raise ZeroMu("momentum covector must be nonzero")
         return cls(mu)
@@ -183,7 +180,7 @@ def ray_membership(j_val, mu, tol=None):
     of J against the line R mu."""
     tol = tolerances.DEFAULTS["stratification"] if tol is None else tol
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
-    j = np.asarray(as_list(j_val), dtype=float)
+    j = np.asarray(j_val, dtype=float)
     m, e, mm, line = mu.ray_terms
     s = math.ldexp(float(np.dot(j, m) / mm), -e)
     residual = float(np.linalg.norm(j - s * line))
@@ -201,7 +198,7 @@ def local_freeness(action, kernel, p):
     from the tolerance ledger); degenerate when below the algebra dim.
     At a lane point one stacked SVD serves every sample, and rank,
     degeneracy and singular values come back per sample (arrays)."""
-    rows = [action.fundamental_field(b, as_list(p)) for b in kernel.basis]
+    rows = [action.fundamental_field(b, p) for b in kernel.basis]
     k = len(rows)
     if k == 0:
         return 0, False, []

@@ -74,7 +74,7 @@ from .reduction import (
     build_frame,
     printed_remark_dimension,
     quotient_dimension,
-    reduced_tensors_batch,
+    reduced_tensors,
 )
 from .reports import (
     EXIT_HYPOTHESIS,
@@ -88,7 +88,7 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import agreeing_parts, batches, clamped_sqrt, lane, split_frame, stack_lanes, vvalue
+from .vecops import agreeing_parts, batches, clamped_sqrt, lane, split_frame, stack_lanes
 from .jets import value
 
 COMMANDS = (
@@ -174,21 +174,20 @@ def _unit_tangent(rng, p):
     return list(v / np.linalg.norm(v))
 
 
-def _frame_direction(rng, frame_vectors):
-    c = rng.standard_normal(len(frame_vectors))
-    c /= np.linalg.norm(c)
-    return list(np.asarray(frame_vectors).T @ c)
-
-
-def _draw_directions(cfg, salt, index, frame_vectors):
+def _draw_directions(cfg, salt, index, frame):
     """``cfg.directions`` pairs of unit directions in the span of the
-    frame, from sample ``index``'s own stream; none for an empty frame,
-    where the run counts a hypothesis failure."""
-    if not frame_vectors:
+    (k, m) frame, from sample ``index``'s own stream: one draw of
+    2 * directions rows of k normals, each row normalised and mapped by
+    the frame on its own; none for an empty frame, where the run counts
+    a hypothesis failure."""
+    if not len(frame):
         return []
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, salt, index]))
-    return [(_frame_direction(rng, frame_vectors), _frame_direction(rng, frame_vectors))
-            for _ in range(cfg.directions)]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, salt, index])))
+    frame_t = np.ascontiguousarray(frame).T
+    # np.linalg.norm of a float vector is sqrt(c . c)
+    out = [frame_t @ (c / math.sqrt(c.dot(c)))
+           for c in rng.standard_normal((2 * cfg.directions, len(frame)))]
+    return list(zip(out[0::2], out[1::2]))
 
 
 def _empty_frame_notes(count):
@@ -219,15 +218,15 @@ def run_verify_structure(cfg):
 
     def certify(batch):
         p, x, y = (stack_lanes(vs) for vs in zip(*batch))
-        xi = vvalue(S.reeb(p))
+        xi = value(S.reeb(p))
         g = S.metric.at(p)
         eta_x, eta_y = value(S.eta(p, x)), value(S.eta(p, y))
 
-        phi_xi = vvalue(S.phi(p, xi))
-        phx = vvalue(S.phi(p, x))
-        phphx = vvalue(S.phi(p, phx))
-        res_sq = [a + b - eta_x * c for a, b, c in zip(phphx, x, xi)]
-        phy = vvalue(S.phi(p, y))
+        phi_xi = value(S.phi(p, xi))
+        phx = value(S.phi(p, x))
+        phphx = value(S.phi(p, phx))
+        res_sq = phphx + x - eta_x * xi
+        phy = value(S.phi(p, y))
         return (
             clamped_sqrt(g(phi_xi, phi_xi)),
             clamped_sqrt(g(res_sq, res_sq)),
@@ -350,7 +349,7 @@ def run_reduce(cfg):
     def certify(start, idx, frame, ctx):
         # one part of a chunk: reduced tensors and the quotient residual
         # over its directions, as lanes; directions drawn per sample
-        reds = reduced_tensors_batch(setup, frame)
+        red = reduced_tensors(setup, frame)
         contact = split_frame(frame.contact_d.vectors, len(idx))
         dirs = [_draw_directions(cfg, 202, start + i, vs) for i, vs in zip(idx, contact)]
         worst_q = 0.0
@@ -358,9 +357,11 @@ def run_reduce(cfg):
             x = stack_lanes([d[k][0] for d in dirs])
             y = stack_lanes([d[k][1] for d in dirs])
             worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
-        for j, (red, d) in enumerate(zip(reds, dirs)):
+        for j, d in enumerate(dirs):
             checks = {name: float(lane(v, j)) for name, v in frame.checks.items()}
-            yield checks, frame.dims, red, (lane(worst_q, j) if d else None)
+            reduced = {name: float(lane(v, j)) for name, v in red.checks.items()}
+            yield (checks, frame.dims, reduced, float(lane(red.d_eta_det, j)),
+                   lane(worst_q, j) if d else None)
 
     tally = None
     n_empty = 0
@@ -375,22 +376,22 @@ def run_reduce(cfg):
             for i, res in zip(idx, certify(start, idx, frame, ctx)):
                 certified[i] = res
         for i, (samp, hyp) in enumerate(zip(chunk, hyps), start):
-            checks, dims0, red, worst_q = certified[i - start]
+            checks, dims0, reduced, det, worst_q = certified[i - start]
             for name, val in checks.items():
                 led.add(f"frame_{name}", t_frame, val)
             led.add("reduced_eta_profile", cfg.tol["eta_on_frame"],
-                    red.checks["reduced_eta_profile"])
+                    reduced["reduced_eta_profile"])
             led.add("reduced_gram_identity", cfg.tol["eta_on_frame"],
-                    red.checks["reduced_gram_identity"])
-            led.add("basic_d_eta", cfg.tol["basic_d_eta"], red.checks["basic_d_eta"])
+                    reduced["reduced_gram_identity"])
+            led.add("basic_d_eta", cfg.tol["basic_d_eta"], reduced["basic_d_eta"])
             if worst_q is not None:
                 led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], worst_q)
             else:
                 n_empty += 1
                 worst_q = math.nan
-            det_min = min(det_min, red.d_eta_det)
+            det_min = min(det_min, det)
             rows.append([i, *samp.coords(), samp.s, int(hyp["transversal"]),
-                         int(hyp["freeness_degenerate"]), red.d_eta_det, worst_q])
+                         int(hyp["freeness_degenerate"]), det, worst_q])
 
     k = setup.kernel.k
     dims = {

@@ -19,7 +19,7 @@ from .errors import StratificationLeak
 from .jets import value
 from .reduction import sample_zero_level
 from .tensor_kernel import AmbientPoint, orthogonal_tail
-from .vecops import as_list, lane, lane_max, split_lanes, stack_lanes, vdot, vvalue
+from .vecops import lane, lane_max, split_lanes, stack_lanes, vdot
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def _coords(cp):
     """(coordinates, r) of a cone point, or of a list of cone points as
     lanes: entry k of the coordinates, and r, hold every point's value."""
     if isinstance(cp, ConePoint):
-        return cp.base.as_list(), cp.r
+        return np.array(cp.base.coords), cp.r
     (r,) = stack_lanes([[c.r] for c in cp])
     return stack_lanes([c.base.as_list() for c in cp]), r
 
@@ -52,7 +52,7 @@ def symplectic_momentum(action, cp):
     """J_s(z, r) = r^2 J(z).  cp is a cone point, or a list of them that
     runs as lanes: each entry of J_s then holds every point's value."""
     p, r = _coords(cp)
-    return [r * r * value(c) for c in action.momentum(p)]
+    return r * r * value(action.momentum(p))
 
 
 def symplectic_pairing_residual(action, cp, rvec, seed=0):
@@ -69,13 +69,12 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0):
     from .manifolds import Sphere
     from .structures import _eta0
 
-    p = cp.base.as_list()
+    p = np.array(cp.base.coords)
     r = cp.r
     sphere = Sphere(len(p))
     rng = np.random.default_rng(seed)
     w_base = rng.standard_normal(len(p))
-    w_base -= np.dot(w_base, p) * np.asarray(p)
-    w_base = list(w_base)
+    w_base -= np.dot(w_base, p) * p
     w_r = float(rng.standard_normal())
 
     xm_field = lambda z: action.fundamental_field(rvec, z)
@@ -93,20 +92,21 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0):
     def hamiltonian(zr):
         z, rr = zr[:-1], zr[-1]
         j = action.momentum(z)
-        return rr * rr * vdot([float(x) for x in rvec], j)
+        return rr * rr * vdot(np.asarray(rvec, dtype=float), j)
 
-    xm_p = vvalue(xm_field(p))
+    xm_p = value(xm_field(p))
+    pr = np.append(p, r)
 
     # curve along the lifted X_M = (X_M, 0)
     t1, d_xm_w = along(lambda zr: (lam_on(w_field)(zr), w_field(zr[:-1])),
-                       p + [r], xm_p + [0.0])
+                       pr, np.append(xm_p, 0.0))
 
     # curve along the test vector (w_base projected, w_r)
     t2, d_w_xm, dH = along(
         lambda zr: (lam_on(xm_field)(zr), xm_field(zr[:-1]), hamiltonian(zr)),
-        p + [r], w_base + [w_r])
+        pr, np.append(w_base, w_r))
 
-    bracket = [a - b for a, b in zip(d_xm_w, d_w_xm)]
+    bracket = d_xm_w - d_w_xm
     lam_bracket = r * r * value(_eta0(p, bracket))
     dlam = value(t1) - value(t2) - lam_bracket
     return abs(dlam + value(dH))
@@ -130,7 +130,8 @@ def iota_transpose_residual(action, mu, cp):
     # momentum of the one-parameter subgroup through b: eta(b_M)
     path_b = [r * r * value(_eta0(p, action.fundamental_field(b, p))) for b in kern.matrix]
     out = []
-    for i, row in enumerate(split_lanes(js) or [js]):
+    rows = split_lanes(js)
+    for i, row in enumerate([js] if rows is None else rows):
         path_a = [float(np.dot(row, b)) for b in kern.matrix]
         out.append(max((abs(a - float(lane(b, i))) for a, b in zip(path_a, path_b)),
                        default=0.0))
@@ -148,8 +149,8 @@ def momentum_identities(action, mu, cps):
     p, r = _coords(cps)
     js_r = symplectic_momentum(action, cps)
     js_1 = symplectic_momentum(action, [ConePoint(cp.base, 1.0) for cp in cps])
-    homogeneity = lane_max([abs(a - r * r * b) for a, b in zip(js_r, js_1)])
-    restriction = lane_max([abs(a - value(b)) for a, b in zip(js_1, action.momentum(p))])
+    homogeneity = lane_max(list(abs(js_r - r * r * js_1)))
+    restriction = lane_max(list(abs(js_1 - value(action.momentum(p)))))
     return (iota_transpose_residual(action, mu, cps),
             _per_point(homogeneity, len(cps)), _per_point(restriction, len(cps)))
 
@@ -186,12 +187,12 @@ def stratify(action, mu, points, tol=None):
         "on_negative_ray": "negative_stratum",
     }
     counts = {"positive_stratum": 0, "zero_stratum": 0, "negative_stratum": 0}
-    ps = [pt.as_list() if hasattr(pt, "as_list") else as_list(pt) for pt in points]
+    ps = [pt.as_list() if hasattr(pt, "as_list") else list(pt) for pt in points]
     if not ps:
         return StratumCensus(counts, [])
-    j = [value(c) for c in action.momentum(stack_lanes(ps))]
+    j = value(action.momentum(stack_lanes(ps)))
     rows = []
-    for p, j_p in zip(ps, split_lanes(j) or [j]):
+    for p, j_p in zip(ps, [j] if len(ps) == 1 else split_lanes(j)):
         cls = ray_membership(j_p, mu, tol=tol)
         if cls.kind == "outside":
             raise StratificationLeak(
@@ -209,17 +210,17 @@ def zero_stratum_degeneracy(structure, action, mu, p):
     contact there."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     kern = kernel_algebra(mu)
-    p = as_list(p)
+    p = np.array(p, dtype=float)
     S = structure
 
-    G = np.vstack([2.0 * np.asarray(p, dtype=float), action.momentum_jacobian(p)])
+    G = np.vstack([2.0 * p, action.momentum_jacobian(p)])
     _, sv, vt = np.linalg.svd(G)
     rank = int(np.sum(sv > tolerances.RANK_SINGULAR_VALUE * max(1.0, sv[0])))
-    tangent = [list(r) for r in vt[rank:]]
+    tangent = vt[rank:]
 
-    vert = [vvalue(action.fundamental_field(b, p)) for b in kern.matrix]
+    vert = [value(action.fundamental_field(b, p)) for b in kern.matrix]
     vert = [v for v in vert if float(np.linalg.norm(v)) > 1e-10]
-    xi = vvalue(S.reeb(p))
+    xi = value(S.reeb(p))
     horiz = orthogonal_tail(S.metric, p, vert + [xi], tangent)
 
     m = len(horiz)

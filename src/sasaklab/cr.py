@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSplit
-from .jets import jsqrt, value
+from .jets import jsqrt, value, vector
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import (agreed, lane_pow, lane_stack, lane_width, nonnegative, stack_lanes, vsub,
-                     vvalue)
+from .vecops import agreed, lane_pow, lane_stack, lane_width, nonnegative, pairings, stack_lanes
 
 
 @dataclass
@@ -53,14 +52,13 @@ def cr_decomposition(ctx):
     samples = lane_width(p) or 1
     tangent_on, normal_on = ctx._tangent_frames()
 
-    xi = vvalue(S.reeb(p))
+    xi = value(S.reeb(p))
     contact = orthogonal_tail(S.metric, p, [xi], tangent_on)
     c = len(contact)
 
     # sample by sample, the "how normal is phi" matrix: one stacked SVD
-    phis = [vvalue(S.phi(p, v)) for v in contact]
-    g = S.metric.at(p)
-    M = lane_stack([[value(g(nu, ph)) for ph in phis] for nu in normal_on])
+    phis = [value(S.phi(p, v)) for v in contact]
+    M = lane_stack(pairings(S.metric.at(p), normal_on, phis))
     sv_full = np.zeros((samples, c))
     if M.size:
         _, sv, vt = np.linalg.svd(M.reshape(samples, len(normal_on), c), full_matrices=True)
@@ -82,9 +80,9 @@ def cr_decomposition(ctx):
     rows = [stack_lanes([vt[j, r] @ blocks[j] for j in range(samples)]) for r in range(c)]
     dperp, d_block = rows[:n_perp], rows[n_perp:]
 
-    phi_dperp = [vvalue(S.phi(p, w)) for w in dperp]
+    phi_dperp = [value(S.phi(p, w)) for w in dperp]
     if phi_dperp:
-        phi_dperp = [list(v) for v in gram_schmidt(S.metric, p, phi_dperp).vectors]
+        phi_dperp = list(gram_schmidt(S.metric, p, phi_dperp).vectors)
     nu_frame = orthogonal_tail(S.metric, p, phi_dperp, normal_on)
 
     dims = {
@@ -100,14 +98,11 @@ def cr_decomposition(ctx):
 def split_normal(ctx, crdec, w):
     """Components of a normal vector in phi(D_perp) and nu."""
     g = ctx.structure.metric.at(ctx.p)
-    bar = [0.0] * len(w)
+    bar = tilde = np.zeros(np.shape(w))
     for u in crdec.phi_dperp_frame:
-        c = value(g(u, w))
-        bar = [a + c * b for a, b in zip(bar, u)]
-    tilde = [0.0] * len(w)
+        bar = bar + value(g(u, w)) * u
     for u in crdec.nu_frame:
-        c = value(g(u, w))
-        tilde = [a + c * b for a, b in zip(tilde, u)]
+        tilde = tilde + value(g(u, w)) * u
     return bar, tilde
 
 
@@ -121,21 +116,22 @@ def relation_residuals(ctx, crdec, x, y):
     S = ctx.structure
     p = ctx.p
     g = S.metric.at(p)
-    phi_y = vvalue(S.phi(p, y))
-    phi_x = vvalue(S.phi(p, x))
+    x, y = vector(x), vector(y)
+    phi_y = value(S.phi(p, y))
+    phi_x = value(S.phi(p, x))
 
-    h_xy, h_x_phiy, h_phix_phiy = (vvalue(h) for h in ctx.second_fundamentals(
+    h_xy, h_x_phiy, h_phix_phiy = (value(h) for h in ctx.second_fundamentals(
         [(x, y), (x, phi_y), (phi_x, phi_y)]))
-    a_xy, a_x_phiy = (vvalue(a) for a in ctx.a_tensors([(x, y), (x, phi_y)]))
+    a_xy, a_x_phiy = (value(a) for a in ctx.a_tensors([(x, y), (x, phi_y)]))
     bar_xy, tilde_xy = split_normal(ctx, crdec, h_xy)
 
     # A(X, phi Y) = v phi h(X, Y)
-    v_phi_h = vvalue(ctx.vertical_project(p, vvalue(S.phi(p, h_xy))))
-    rel1a = jsqrt(_norm2(ctx, vsub(a_x_phiy, v_phi_h)))
+    v_phi_h = value(ctx.vertical_project(p, value(S.phi(p, h_xy))))
+    rel1a = jsqrt(_norm2(ctx, a_x_phiy - v_phi_h))
 
     # h(X, phi Y) = phi A(X, Y) + phi (nu component of h(X, Y))
-    rhs = [a + b for a, b in zip(vvalue(S.phi(p, a_xy)), vvalue(S.phi(p, tilde_xy)))]
-    rel1b = jsqrt(_norm2(ctx, vsub(h_x_phiy, rhs)))
+    rhs = value(S.phi(p, a_xy)) + value(S.phi(p, tilde_xy))
+    rel1b = jsqrt(_norm2(ctx, h_x_phiy - rhs))
 
     # g(h(phi X, phi Y), h(X, Y)) = |bar h|^2 - |tilde h|^2
     norm1 = abs(
@@ -167,12 +163,13 @@ def oneill_plane_residual(ctx, x):
     S = ctx.structure
     p = ctx.p
     g = S.metric.at(p)
-    phi_x = vvalue(S.phi(p, x))
+    x = vector(x)
+    phi_x = value(S.phi(p, x))
     den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
     h_cache = {}  # both curvatures take the same second fundamental forms
     k_n = ctx.gauss_curvature_n4(x, phi_x, phi_x, x, h_cache=h_cache) / den
     k_p = ctx.quotient_curvature_4(x, phi_x, phi_x, x, h_cache=h_cache) / den
-    a_val = vvalue(ctx.a_tensor(x, phi_x))
+    a_val = value(ctx.a_tensor(x, phi_x))
     return abs(k_n - k_p + 3.0 * _norm2(ctx, a_val) / den)
 
 
@@ -185,13 +182,14 @@ def final_identity(ctx, x, crdec):
     S = ctx.structure
     p = ctx.p
     g = S.metric.at(p)
+    x = vector(x)
 
     k_p = ctx.phi_sectional_quotient(x)
-    phi_x = vvalue(S.phi(p, x))
+    phi_x = value(S.phi(p, x))
     den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
     k_m = S.ambient_curvature_4(p, x, phi_x, phi_x, x) / den
 
-    h_xx = vvalue(ctx.second_fundamental(x, x))
+    h_xx = value(ctx.second_fundamental(x, x))
     bar, tilde = split_normal(ctx, crdec, h_xx)
     bar2, tilde2 = _norm2(ctx, bar), _norm2(ctx, tilde)
     residual = abs(k_p - k_m - 4.0 * bar2 + 2.0 * tilde2)

@@ -5,10 +5,10 @@ onto the constraint set after every step.  The Reeb field is tangent to
 every momentum level set, so the projection only removes integrator
 drift (one Newton step is usually exact to roundoff).
 
-The state is a list of Python floats: the jet-generic Reeb field takes
-it as it is, each RK4 stage is one elementwise pass, and the
-reprojection hands back the constraint residual it has already
-evaluated, so a step evaluates the constraints once.  The closed-form
+The state is one float vector: the jet-generic Reeb field takes it as
+it is, each RK4 stage is one elementwise pass, and the reprojection
+hands back the constraint residual it has already evaluated, so a step
+evaluates the constraints once.  The closed-form
 oracles are built as whole arrays over the times.
 """
 
@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .errors import NoConvergence
-from .vecops import as_list
 
 
 def reeb_flow(structure, manifold, z0, t_max, steps):
@@ -31,17 +30,16 @@ def reeb_flow(structure, manifold, z0, t_max, steps):
     h = float(t_max) / steps
     half, sixth = 0.5 * h, h / 6.0
     field = structure.reeb_field
-    x = [float(a) for a in as_list(z0)]
+    x = np.array(z0, dtype=float)
     times = np.linspace(0.0, float(t_max), steps + 1)
     out = np.empty((steps + 1, len(x)))
     out[0] = x
     for k in range(steps):
         k1 = field(x)
-        k2 = field([a + half * b for a, b in zip(x, k1)])
-        k3 = field([a + half * b for a, b in zip(x, k2)])
-        k4 = field([a + h * b for a, b in zip(x, k3)])
-        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + h * k3)
+        x = x + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
         x, residual = manifold.newton_refine(x)
         if residual > 1e-9:
             raise NoConvergence(f"reprojection failed at step {k}")

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import tolerances
 from .errors import SingularMetric
-from .jets import Dual, along, jsqrt, leafwise, stack, value
-from .vecops import (batches, lane_shape, lane_stack, lane_width, solve_linear, split_lanes,
-                     vdot, vscale, vsub, vvalue)
+from .jets import Dual, along, jsqrt, value, vector
+from .vecops import batches, lane_stack, lane_width, solve_linear, split_lanes, vdot
 
 
 class InducedMetric:
@@ -35,7 +34,7 @@ class InducedMetric:
     euclidean = True
 
     def g(self, q, u, v):
-        return vdot(u, v)
+        return vdot(vector(u), vector(v))
 
     def at(self, q):
         return vdot
@@ -44,13 +43,14 @@ class InducedMetric:
 def _contract(t, vectors):
     """Ordered sums of the tensor t against float or lane vectors, innermost
     index first: ``_contract(t, [x, y])[k] = sum_j y_j sum_i x_i t[k, j, i]``,
-    each a ``vdot`` of tensor slices.  A lane tensor holds its lanes on a
-    last axis; a float tensor broadcasts over the lanes of lane vectors."""
+    each a ``vdot`` over the tensor's slices.  A lane tensor holds its
+    lanes on a last axis; a float tensor broadcasts over the lanes of lane
+    vectors."""
     lanes = t.ndim > len(vectors) + 1 or any(lane_width(v) for v in vectors)
     t = t if t.ndim > len(vectors) + 1 else t[..., None]
     for v in vectors:
         t = vdot(np.moveaxis(t, -2, 0), v)
-    return list(t) if lanes else t[:, 0].tolist()
+    return t if lanes else t[:, 0]
 
 
 class Cone:
@@ -90,19 +90,19 @@ class Cone:
 
     def christoffel(self, p, x, y):
         """Gamma(X, Y)^k = Gamma^k_ij X^i Y^j at p."""
-        return _contract(self._tensor(p, 0), [x, y])
+        return _contract(self._tensor(vector(p), 0), [vector(x), vector(y)])
 
     def riemann(self, p, x, y, z):
         """R^(X, Y)Z = R^l_ijk X^i Y^j Z^k at p, with R(X,Y)Z =
         nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-        return _contract(self._tensor(p, 1), [x, y, z])
+        return _contract(self._tensor(vector(p), 1), [vector(x), vector(y), vector(z)])
 
     def _tensor(self, p, which):
         """Gamma (which = 0) or R^ (which = 1) at p as an array, lanes last."""
-        if any(isinstance(c, Dual) for c in p):
+        if isinstance(p, Dual):
             raise TypeError("cone tensors are formed at float and lane points, not at jets")
         lanes = split_lanes(p)
-        points = lanes or [p]
+        points = [p] if lanes is None else lanes
         keys = [np.asarray(q, dtype=float).tobytes() for q in points]
         # the points this call builds, once each, in first-appearance order
         missing = {key: q for key, q in zip(keys, points) if key not in self._points}
@@ -118,16 +118,14 @@ class Cone:
 
     def metric_field(self, x):
         """M(x), one jet with leaves (m, m) + the lane shape of x; jet-generic."""
+        x = vector(x)
         r = jsqrt(vdot(x, x))
-        xh = [c / r for c in x]
-        m, lanes = len(x), lane_shape([x])
-        stacked = stack(xh, lanes)
+        xh = x / r
+        m, *lanes = np.shape(value(x))
         eye = np.eye(m).reshape((m, m) + (1,) * len(lanes))
-        rows, cols = (leafwise(lambda a: a[s] if np.ndim(a) > len(lanes) else a, stacked)
-                      for s in (np.s_[:, None], np.s_[None]))
-        # entry k of the vectors P e_i, stacked along i
-        tangential = [eye[:, k] - stacked * c for k, c in enumerate(xh)]
-        return rows * cols + self.pairs(xh, tangential, lanes)
+        # the vectors P e_i, entry [k, i] their coordinate k
+        tangential = eye - xh[None] * xh[:, None]
+        return xh[:, None] * xh[None] + self.pairs(xh, tangential, tuple(lanes))
 
     def _build_batch(self, points):
         """[(Gamma[k, j, i] = Gamma^k_ij, R^[l, k, j, i] = R^l_ijk)] at the
@@ -138,8 +136,8 @@ class Cone:
         S, m = points.shape
         width = S * m * m
         pairs = np.tile(np.arange(m * m), S)
-        outer = [(pairs // m == i).astype(float) for i in range(m)]
-        inner = [(pairs % m == i).astype(float) for i in range(m)]
+        outer = (pairs // m == np.arange(m)[:, None]).astype(float)
+        inner = (pairs % m == np.arange(m)[:, None]).astype(float)
         first = []
 
         def d_inner(q):
@@ -147,11 +145,11 @@ class Cone:
             first.append(d)
             return d
 
-        lanes = [np.repeat(points[:, i], m * m) for i in range(m)]
+        lanes = np.repeat(points.T, m * m, axis=1)
         # a leaf without lanes (a 0.0 derivative, say) stands for every lane
         ddM_lanes = np.broadcast_to(value(along(d_inner, lanes, outer)), (m, m, width))
         dM_lanes = np.broadcast_to(value(first[0]), (m, m, width))
-        M_lanes = np.broadcast_to(self.metric_field([points[:, i] for i in range(m)]), (m, m, S))
+        M_lanes = np.broadcast_to(self.metric_field(points.T.copy()), (m, m, S))
         out = []
         for s in range(S):
             # each point's arrays are copied out with the strides of a
@@ -187,10 +185,11 @@ def _cone_tensors(M, dM, ddM):
 
 
 def _cached(cache, base, build):
-    """cache[base] keyed by the bytes of the float or lane point base,
-    built on a miss; the cache is emptied when it holds more than
+    """cache[base] keyed by the shape and bytes of the float or lane point
+    base, built on a miss; the cache is emptied when it holds more than
     ``Geometry.CACHE_POINTS`` points."""
-    key = np.asarray(base, dtype=float).tobytes()
+    base = np.asarray(base, dtype=float)
+    key = base.shape, base.tobytes()
     hit = cache.get(key)
     if hit is None:
         if len(cache) > Geometry.CACHE_POINTS:
@@ -226,7 +225,7 @@ class Geometry:
         """Euclidean-orthonormal tangent basis at the float point under
         the jet value of p; deterministic and cached.  At a lane point
         each sample gets its own basis, as lane vectors."""
-        base = vvalue(p)
+        base = value(vector(p))
         return _cached(self._frames, base, lambda: self.manifold.tangent_basis(base))
 
     def check_metric(self, p):
@@ -239,10 +238,10 @@ class Geometry:
             return 1.0
 
         def condition():
-            rows = [list(r) for r in self.tangent_frame(p)]
-            return float(np.max(np.linalg.cond(lane_stack(self.metric.gram(p, rows)))))
+            gram = self.metric.gram(p, list(self.tangent_frame(p)))
+            return float(np.max(np.linalg.cond(lane_stack(value(gram)))))
 
-        cond = _cached(self._conditions, vvalue(p), condition)
+        cond = _cached(self._conditions, value(p), condition)
         if not np.isfinite(cond) or cond > tolerances.METRIC_CONDITION:
             raise SingularMetric(f"tangent Gram condition number {cond:.3e}")
         return cond
@@ -254,16 +253,17 @@ class Geometry:
     def extend(self, vec):
         """Extension convention: freeze the ambient components, project
         pointwise."""
-        hat = vvalue(vec)
+        hat = value(vector(vec))
         man = self.manifold
         return lambda q: man.project(q, hat)
 
     def bracket(self, q, Xf, Yf):
         """[X, Y](q) = D_X Y - D_Y X for the extended fields."""
+        q = vector(q)
         Xq, Yq = Xf(q), Yf(q)
         dxy = along(Yf, q, Xq)
         dyx = along(Xf, q, Yq)
-        return vsub(dxy, dyx)
+        return dxy - dyx
 
     # ------------------------------------------------------------------
     # covariant derivative
@@ -282,13 +282,14 @@ class Geometry:
         submanifold of the sphere by the g-orthogonal projection onto its
         tangent space.  q must be a float or lane point.
         """
+        q = vector(q)
         if self.metric.euclidean:
             w = along(field, q, dir_field(q))
             return self.manifold.project(q, w)
         X = dir_field(q)
         gamma = self.metric.cone.christoffel(q, X, field(q))
         w = along(field, q, X)
-        w = self.metric.sphere.project(q, [a + b for a, b in zip(w, gamma)])
+        w = self.metric.sphere.project(q, w + gamma)
         if self.manifold is self.metric.sphere:
             return w
         return self._tangent_part(q, w)
@@ -296,12 +297,12 @@ class Geometry:
     def _tangent_part(self, q, w):
         """g-orthogonal projection of w in TS onto the tangent space of
         the manifold, through the Gram system of its tangent frame."""
-        frame = [list(r) for r in self.tangent_frame(q)]
+        frame = self.tangent_frame(q)
         gram = self.metric.gram(q, [*frame, w])
-        coef = solve_linear([row[:-1] for row in gram[:-1]], [row[-1] for row in gram[:-1]])
-        out = [0.0] * len(w)
+        coef = solve_linear([list(row[:-1]) for row in gram[:-1]], list(gram[:-1, -1]))
+        out = np.zeros(np.shape(w))
         for c, t in zip(coef, frame):
-            out = [a + c * b for a, b in zip(out, t)]
+            out = out + c * t
         return out
 
     # ------------------------------------------------------------------
@@ -320,6 +321,7 @@ class Geometry:
         cone's Riemann tensor R^.  That holds on the sphere only: any
         other manifold raises ValueError.
         """
+        p = vector(p)
         self.check_metric(p)
         if not self.metric.euclidean:
             return self._sphere_curvature(p, x, y, z)
@@ -330,7 +332,7 @@ class Geometry:
         term_b = self.covariant(p, Yf, Wxz)
         bxy = self.manifold.project(p, self.bracket(p, Xf, Yf))
         term_c = self.covariant(p, self.extend(bxy), Zf)
-        return vsub(vsub(term_a, term_b), term_c)
+        return term_a - term_b - term_c
 
     def _sphere_curvature(self, p, x, y, z):
         sphere = self.metric.sphere
@@ -338,8 +340,8 @@ class Geometry:
             raise ValueError(
                 "curvature from the cone holds on the metric's own sphere, "
                 "not on a submanifold of it")
-        x, y, z = (sphere.project(p, vvalue(v)) for v in (x, y, z))
+        x, y, z = (sphere.project(p, value(vector(v))) for v in (x, y, z))
         g = self.metric.at(p)
         cone = self.metric.cone.riemann(p, x, y, z)
-        gauss = vsub(vscale(x, g(y, z)), vscale(y, g(x, z)))
-        return sphere.project(p, [a + b for a, b in zip(cone, gauss)])
+        gauss = x * g(y, z) - y * g(x, z)
+        return sphere.project(p, cone + gauss)

@@ -10,13 +10,16 @@ the package is taken by :func:`along`: the eps-coefficient of
 Arithmetic is exact in the coefficients (no truncation beyond floating
 point), which is what lets curvature residuals reach 1e-7.
 
-The leaves under the nesting may be floats or 1-D numpy arrays, one
-entry per sample (lanes), so one evaluation serves a whole batch of
-samples (vector forward mode); ``stack`` gives them leading axes too,
-for stacked vectors and matrices.  Every operation is element-wise, and
-numpy rounds each element exactly as Python rounds a float, so exactness
-stays per element: a lane, or an entry of a stack, holds the bits of its
-own float evaluation.
+The leaves under the nesting may be floats or numpy arrays.  A vector
+is one jet whose leaves carry the coordinate axis first: (m,) at a
+float point, (m, lanes) on a batch of samples, one lane per sample
+(vector forward mode); ``vector`` stacks a sequence of floats, lanes or
+jets into that form once, and ``Dual[k]`` reads coordinates leafwise.
+Trailing axes broadcast, so a scalar of a batch has leaves (lanes,) and
+a leaf with fewer axes than the value stands for every coordinate.
+Every operation is element-wise, and numpy rounds each element exactly
+as Python rounds a float, so exactness stays per element: a lane, or an
+entry of a stack, holds the bits of its own float evaluation.
 """
 
 import math
@@ -117,6 +120,14 @@ class Dual:
             out = self * out
         return out
 
+    def __getitem__(self, k):
+        """Coordinates k of a vector jet: each leaf that carries the
+        value's axes is indexed, one with fewer broadcasts over them."""
+        nd = np.ndim(value(self))
+        if not nd:
+            raise TypeError("a scalar jet has no coordinates")
+        return leafwise(lambda a: a[k] if np.ndim(a) >= nd else a, self)
+
     def sqrt(self):
         r = jsqrt(self.re)
         # im / (2 sqrt(re))
@@ -146,10 +157,12 @@ def value(x):
 
 
 def imag(x, lvl):
-    """Coefficient of eps(lvl) in x (0.0 when x does not depend on it)."""
+    """Coefficient of eps(lvl) in x (zeros of its shape when x does not
+    depend on it)."""
     if isinstance(x, Dual) and x.lvl == lvl:
         return x.im
-    return 0.0
+    x = value(x)
+    return np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
 
 
 def _coeff(x, lvl):
@@ -163,6 +176,27 @@ def _coeff(x, lvl):
 def leafwise(fn, x):
     """x with fn applied to each of its leaves, the nesting kept."""
     return Dual(x.lvl, leafwise(fn, x.re), leafwise(fn, x.im)) if isinstance(x, Dual) else fn(x)
+
+
+def expand(u, nd):
+    """The vector u with axes inserted after its coordinate axis up to nd
+    axes, so that it broadcasts against a vector of nd axes (a float
+    vector against lanes, a vector against a stack of them)."""
+    full = np.ndim(value(u))
+    k = nd - full
+    if k <= 0:
+        return u
+    return leafwise(lambda a: a.reshape(a.shape[:1] + (1,) * k + a.shape[1:])
+                    if np.ndim(a) == full else a, u)
+
+
+def vector(u):
+    """u as one vector: an array or a jet passes through, and a sequence
+    of floats, lanes or jets is stacked, coordinates first."""
+    if isinstance(u, (Dual, np.ndarray)):
+        return u
+    u = list(u)
+    return stack(u, max((np.shape(value(x)) for x in u), default=()))
 
 
 def stack(xs, lanes=()):
@@ -185,16 +219,18 @@ def stack(xs, lanes=()):
 def along(fn, point, direction):
     """d/ds fn(point + s*direction) at s = 0.
 
-    ``fn`` may return a scalar or nested lists and tuples of scalars;
-    the result has the same shape.  ``point`` and ``direction`` entries
-    may already be jets from an enclosing ``along``; the level tags keep
-    the perturbations apart.
+    ``fn`` takes the point as one vector jet (``vector``) and may return
+    a scalar, a vector or nested lists and tuples of them; the result has
+    the same shape.  ``point`` and ``direction`` may already be jets from
+    an enclosing ``along``; the level tags keep the perturbations apart.
     """
     # enter_level is looked up as a module global on every call, so a
     # wrapper bound to sasaklab.jets.enter_level sees every level opened
+    point, direction = vector(point), vector(direction)
+    nd = max(np.ndim(value(point)), np.ndim(value(direction)))
     lvl = enter_level()
     try:
-        return _coeff(fn([Dual(lvl, p, v) for p, v in zip(point, direction)]), lvl)
+        return _coeff(fn(Dual(lvl, expand(point, nd), expand(direction, nd))), lvl)
     finally:
         exit_level()
 

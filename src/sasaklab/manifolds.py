@@ -9,7 +9,8 @@ same formulas can be differentiated.
 import numpy as np
 
 from . import tolerances
-from .vecops import agreed, lane_stack, solve_linear, vdot, vscale, vsub, vvalue
+from .jets import leafwise, value, vector
+from .vecops import agreed, lane_stack, per_coordinate, solve_linear, vdot
 
 
 class Constraint:
@@ -29,20 +30,20 @@ class SphereConstraint(Constraint):
         return vdot(q, q) - 1.0
 
     def grad(self, q):
-        return vscale(q, 2.0)
+        return q * 2.0
 
 
 class LinearConstraint(Constraint):
     """<a, q> = 0 for a fixed ambient covector a."""
 
     def __init__(self, a):
-        self.a = [float(x) for x in a]
+        self.a = np.array(a, dtype=float)
 
     def value(self, q):
         return vdot(self.a, q)
 
     def grad(self, q):
-        return list(self.a)
+        return per_coordinate(self.a, q)
 
 
 class ModuliConstraint(Constraint):
@@ -50,22 +51,27 @@ class ModuliConstraint(Constraint):
 
     def __init__(self, c):
         self.c = [float(x) for x in c]
+        twice = np.repeat([2.0 * cj for cj in self.c], 2)
+        self._twice, self._on = twice, twice != 0.0
 
     def value(self, q):
+        sq = q * q
+        mods = sq[0::2] + sq[1::2]  # x * x + y * y of each block
+        if type(mods) is np.ndarray and mods.ndim == 1:
+            mods = mods.tolist()  # a float point: Python floats round alike
         acc = 0.0
         for j, cj in enumerate(self.c):
             if cj != 0.0:
-                x, y = q[2 * j], q[2 * j + 1]
-                acc = acc + cj * (x * x + y * y)
+                acc = acc + cj * mods[j]
         return acc
 
     def grad(self, q):
-        g = [0.0] * len(q)
-        for j, cj in enumerate(self.c):
-            if cj != 0.0:
-                g[2 * j] = 2.0 * cj * q[2 * j]
-                g[2 * j + 1] = 2.0 * cj * q[2 * j + 1]
-        return g
+        """2 c_j q on the blocks with c_j != 0, exact zeros elsewhere."""
+        grad = per_coordinate(self._twice, q) * q
+        if self._on.all():
+            return grad
+        on = per_coordinate(self._on, q)
+        return leafwise(lambda a: np.where(on, a, 0.0), grad)
 
 
 class EmbeddedManifold:
@@ -85,25 +91,25 @@ class EmbeddedManifold:
     def project(self, q, v):
         """Euclidean-orthogonal projection of v onto ker of the constraint
         differentials at q.  Works on jet scalars."""
+        q, v = vector(q), vector(v)
         grads = self.constraint_grads(q)
-        k = len(grads)
-        if k == 0:
-            return list(v)
+        if not grads:
+            return v
         gram = [[vdot(gi, gj) for gj in grads] for gi in grads]
         rhs = [vdot(gi, v) for gi in grads]
         coef = solve_linear(gram, rhs)
-        out = list(v)
+        out = v
         for ci, gi in zip(coef, grads):
-            out = [a - ci * b for a, b in zip(out, gi)]
+            out = out - ci * gi
         return out
 
     def tangent_basis(self, p):
         """Deterministic Euclidean-orthonormal basis of the tangent space
         at a float point, via SVD of the constraint Jacobian: an array of
-        rows.  At a lane point one stacked SVD serves every sample, the
-        rank is decided per sample and must agree (``vecops.agreed``),
-        and the rows come back as lane vectors."""
-        grads = lane_stack(self.constraint_grads(p))
+        rows (r, m).  At a lane point one stacked SVD serves every sample,
+        the rank is decided per sample and must agree (``vecops.agreed``),
+        and the rows come back as lane vectors (r, m, lanes)."""
+        grads = lane_stack(self.constraint_grads(vector(p)))
         if grads.size == 0:
             return np.eye(self.ambient_dim)
         _, s, vt = np.linalg.svd(grads)
@@ -112,10 +118,10 @@ class EmbeddedManifold:
         rank = agreed(np.sum(s > tol[..., None], axis=-1))
         if vt.ndim == 2:
             return vt[rank:]
-        return [list(r) for r in np.ascontiguousarray(np.moveaxis(vt[:, rank:], 0, -1))]
+        return np.ascontiguousarray(np.moveaxis(vt[:, rank:], 0, -1))
 
     def residual(self, p):
-        return max(abs(v) for v in vvalue(self.constraint_values(p)))
+        return max(abs(value(v)) for v in self.constraint_values(p))
 
     def newton_refine(self, p):
         """Gauss-Newton pullback onto the constraint set at a float point.
@@ -124,16 +130,15 @@ class EmbeddedManifold:
         when the constraints fall under ``REFINE_TOL`` it is read off the
         values that stopped the iteration, and only after
         ``REFINE_MAX_ITER`` steps are they evaluated again.  The point is a
-        list of Python floats; only a step that iterates goes through
-        numpy, for ``lstsq``."""
-        x = [float(a) for a in vvalue(p)]
+        float vector."""
+        x = np.asarray(value(vector(p)), dtype=float)
         for _ in range(tolerances.REFINE_MAX_ITER):
             vals = self.constraint_values(x)
             if all(abs(v) < tolerances.REFINE_TOL for v in vals):
                 return x, max(abs(v) for v in vals)
             jac = np.asarray(self.constraint_grads(x), dtype=float)
             step, *_ = np.linalg.lstsq(jac, np.asarray(vals, dtype=float), rcond=None)
-            x = [a - b for a, b in zip(x, step.tolist())]
+            x = x - step
         return x, self.residual(x)
 
 
@@ -146,5 +151,6 @@ class Sphere(EmbeddedManifold):
     def project(self, q, v):
         # v - (<v,q>/<q,q>) q ; the <q,q> division keeps the formula
         # smooth off the sphere, where nested jet curves wander.
+        q, v = vector(q), vector(v)
         f = vdot(v, q) / vdot(q, q)
-        return vsub(v, vscale(q, f))
+        return v - q * f

@@ -23,7 +23,10 @@ kind before its frame loop, and ``quotient_curvature_4`` passes over
 the pairs its caches miss.  The caches are keyed by the vectors'
 identities and hold A(b, a) as the exact negation of A(a, b) and h(b, a)
 as h(a, b), so each pair is evaluated in the orientation of its first
-request, as a lookup one pair at a time would evaluate it.
+request, as a lookup one pair at a time would evaluate it.  The context
+keeps the Reeb vector zeta of ``quotient_sasakian_residual`` and the
+pairs of zeta with the frame, which no direction changes, for its whole
+life: every later call evaluates only the pairs with its directions.
 
 Sign conventions, fixed once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z -
 nab_[X,Y] Z, slots R(X,Y,Z,V) = g(R(X,Y)Z, V), sectional K(X,Y) =
@@ -38,11 +41,12 @@ is pinned by the Hopf gate test (S^3 -> S^2: upstairs 1, downstairs 4)
 before anything else trusts it.
 """
 
+import numpy as np
+
 from .geometry import Geometry
-from .jets import value
+from .jets import value, vector
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import (clamped_sqrt, lane_pow, pair_lanes, solve_linear, tile_lanes, vscale, vsub,
-                     vvalue)
+from .vecops import clamped_sqrt, lane_pow, pair_lanes, solve_linear, tile_lanes
 
 
 class SubmersionContext:
@@ -53,15 +57,18 @@ class SubmersionContext:
         self.structure = structure
         self.manifold = manifold
         self.vertical_fields = list(vertical_fields)
-        self.p = list(p)
+        self.p = vector(p)
         self.geometry = Geometry(manifold, structure.metric)
         self.ambient_geometry = structure.geometry
-        self.horizontal_frame = [list(v) for v in horizontal_frame]
+        # a list of vector objects: the pair caches key on their identities
+        self.horizontal_frame = [vector(v) for v in horizontal_frame]
         # the manifold's Euclidean tangent basis at p, formed when first
         # needed unless the reduction frame already carries it
         self.tangent_basis = tangent_basis
         self._tangent_on = None
         self._normal_on = None
+        self._zeta = None
+        self._zeta_pairs = ({}, {})  # A and h of zeta with the frame
 
     @classmethod
     def from_reduction(cls, setup, rframe):
@@ -83,23 +90,23 @@ class SubmersionContext:
 
     def vertical_project(self, q, w):
         if not self.vertical_fields:
-            return [0.0 * c for c in w]
+            return 0.0 * w
         vals = [f(q) for f in self.vertical_fields]
         g = self.structure.metric.at(q)
         gram = [[g(a, b) for b in vals] for a in vals]
         rhs = [g(a, w) for a in vals]
         coef = solve_linear(gram, rhs)
-        out = [0.0] * len(w)
+        out = 0.0
         for c, v in zip(coef, vals):
-            out = [o + c * b for o, b in zip(out, v)]
+            out = out + c * v
         return out
 
     def horizontal_project(self, q, w):
         t = self.manifold.project(q, w)
-        return vsub(t, self.vertical_project(q, t))
+        return t - self.vertical_project(q, t)
 
     def horizontal_extend(self, vec):
-        hat = vvalue(vec)
+        hat = value(vector(vec))
         return lambda q: self.horizontal_project(q, hat)
 
     # -- O'Neill A tensor ------------------------------------------------
@@ -129,11 +136,9 @@ class SubmersionContext:
             S = self.structure
             if self.tangent_basis is None:
                 self.tangent_basis = self.manifold.tangent_basis(self.p)
-            rows = [list(r) for r in self.tangent_basis]
-            self._tangent_on = [list(v) for v in
-                                gram_schmidt(S.metric, self.p, rows).vectors]
-            sph_rows = [list(r) for r in S.sphere.tangent_basis(self.p)]
-            self._normal_on = orthogonal_tail(S.metric, self.p, self._tangent_on, sph_rows)
+            self._tangent_on = gram_schmidt(S.metric, self.p, list(self.tangent_basis)).vectors
+            self._normal_on = orthogonal_tail(S.metric, self.p, self._tangent_on,
+                                              S.sphere.tangent_basis(self.p))
         return self._tangent_on, self._normal_on
 
     def second_fundamental(self, x, y):
@@ -149,17 +154,15 @@ class SubmersionContext:
         metric = self.structure.metric
 
         def one_pass(q, reps, x, y):
-            yhat = vvalue(y)
-            xhat = vvalue(x)
+            yhat = value(y)
+            xhat = value(x)
             Yf = lambda r: man.project(r, yhat)
             Xf = lambda r: man.project(r, xhat)
-            w = self.ambient_geometry.covariant(q, Xf, Yf)
-            out = list(w)
+            out = self.ambient_geometry.covariant(q, Xf, Yf)
             g = metric.at(q)
             for u in tangent_on:
                 u = tile_lanes(u, reps)
-                c = g(u, out)
-                out = [a - c * b for a, b in zip(out, u)]
+                out = out - g(u, out) * u
             return out
 
         return pair_lanes(one_pass, self.p, pairs)
@@ -204,35 +207,43 @@ class SubmersionContext:
         """Lookup A(a, b) in ``cache``, keyed by the vectors' identities,
         after one pass over the pairs it misses; A(b, a) is -A(a, b)."""
         cache = {} if cache is None else cache
-        _fill(cache, pairs, lambda todo: [vvalue(a) for a in self.a_tensors(todo)],
-              lambda val: [-c for c in val])
+        _fill(cache, pairs, lambda todo: [value(a) for a in self.a_tensors(todo)],
+              lambda val: -val)
         return lambda a, b: cache[(id(a), id(b))]
 
-    def quotient_curvature_vector(self, x, y, z):
+    def quotient_curvature_vector(self, x, y, z, a_cache=None, h_cache=None):
         """R^P(X,Y)Z as a horizontal vector, assembled on the frame; the
-        A and h pairs of every frame vector take one pass per kind."""
-        a_cache, h_cache = {}, {}
+        A and h pairs of every frame vector that the caches miss take one
+        pass per kind."""
+        a_cache = {} if a_cache is None else a_cache
+        h_cache = {} if h_cache is None else h_cache
+        x, y, z = vector(x), vector(y), vector(z)
         frame = self.horizontal_frame
         self._a_cached(a_cache, [ab for f in frame for ab in _a_pairs(x, y, z, f)])
         self._h_cached(h_cache, [ab for f in frame for ab in _h_pairs(x, y, z, f)])
-        out = [0.0] * len(self.p)
+        out = np.zeros(np.shape(self.p))
         for f in frame:
-            comp = self.quotient_curvature_4(x, y, z, f, a_cache, h_cache)
-            out = [o + comp * c for o, c in zip(out, f)]
+            out = out + self.quotient_curvature_4(x, y, z, f, a_cache, h_cache) * f
         return out
 
     def quotient_sasakian_residual(self, x, y):
         """|R^P(X, zeta)Y - (eta(Y) X - g(X,Y) zeta)| on representatives;
         an array of one value per sample on a lane context."""
         S = self.structure
-        zeta = vvalue(S.reeb(self.p))
-        r = self.quotient_curvature_vector(x, zeta, y)
+        x, y = vector(x), vector(y)
+        if self._zeta is None:
+            self._zeta = value(S.reeb(self.p))
+        zeta = self._zeta
+        # the pairs of zeta with the frame carry over from earlier calls;
+        # only they are kept, as x and y die with the call
+        caches = [dict(kept) for kept in self._zeta_pairs]
+        r = self.quotient_curvature_vector(x, zeta, y, *caches)
+        owned = {id(zeta), *map(id, self.horizontal_frame)}
+        for kept, cache in zip(self._zeta_pairs, caches):
+            kept.update((k, v) for k, v in cache.items() if owned.issuperset(k))
         g = S.metric.at(self.p)
-        expected = vsub(
-            vscale(x, value(S.eta(self.p, y))),
-            vscale(zeta, value(g(x, y))),
-        )
-        diff = vsub(r, expected)
+        expected = x * value(S.eta(self.p, y)) - zeta * value(g(x, y))
+        diff = r - expected
         return clamped_sqrt(g(diff, diff))
 
     def phi_horizontal(self, x):
@@ -240,11 +251,12 @@ class SubmersionContext:
         S = self.structure
         Xh = self.horizontal_extend(x)
         w = self.geometry.covariant(self.p, Xh, lambda q: S.reeb_field(q))
-        return self.horizontal_project(self.p, vvalue(w))
+        return self.horizontal_project(self.p, value(w))
 
     def phi_sectional_quotient(self, x):
         """K_P(X, phi_P X) via the O'Neill path, X horizontal unit."""
         g = self.structure.metric.at(self.p)
+        x = vector(x)
         px = self.phi_horizontal(x)
         num = self.quotient_curvature_4(x, px, px, x)
         den = (

@@ -47,10 +47,10 @@ from .errors import (
 )
 from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sphere,
                         SphereConstraint)
-from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
+from .tensor_kernel import AmbientPoint, Frame, frame_array, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import (agreed, as_list, batches, lane, lane_stack, lane_width, pair_lanes,
-                     split_frame, stack_lanes, vdot, vvalue)
+from .vecops import (agreed, batches, lane, lane_stack, pair_lanes, pairings, split_frame,
+                     stack_lanes, vdot)
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def _draws(poly, seed, indices):
 def _rowdot(a, b):
     """Row-wise a . b of (samples, m) arrays, b possibly one shared
     m-vector, as an ordered sum over coordinate lanes (``vdot``)."""
-    return vdot(list(a.T), list(b.T))
+    return vdot(a.T, b.T)
 
 
 def _walk(poly, z, beta):
@@ -297,9 +297,10 @@ def _level_set_samples(action, mu, poly, count, seed):
         coords /= np.sqrt(_rowdot(coords, coords))[:, None]
         s = np.zeros(len(z))
         if mu is not None:
-            j_val = action.momentum(list(coords.T))
-            s = vdot(j_val, mu.unit)
-            miss = [a - s * u for a, u in zip(j_val, mu.unit)]
+            j_val = action.momentum(coords.T)
+            unit = np.asarray(mu.unit)
+            s = vdot(j_val, unit)
+            miss = j_val - s * unit[:, None]
             resid = np.sqrt(vdot(miss, miss))
             bad = (resid > tolerances.LEVEL_SET_RESIDUAL) | (s <= tolerances.NEWTON_MIN_S)
             if bad.any():
@@ -337,10 +338,10 @@ def newton_project(action, mu, q):
     """Gauss-Newton projection onto {|z| = 1, J(z) = s mu_unit, s > 0}."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     unit = np.asarray(mu.unit)
-    z = np.asarray(as_list(q), dtype=float)
-    s = float(np.asarray(action.momentum(list(z))) @ unit)
+    z = np.array(q, dtype=float)
+    s = float(np.asarray(action.momentum(z)) @ unit)
     for _ in range(tolerances.NEWTON_MAX_ITER):
-        j_val = np.asarray(action.momentum(list(z)))
+        j_val = np.asarray(action.momentum(z))
         F = np.concatenate([[z @ z - 1.0], j_val - s * unit])
         if float(np.max(np.abs(F))) < tolerances.NEWTON_TOL:
             if s <= tolerances.NEWTON_MIN_S:
@@ -348,7 +349,7 @@ def newton_project(action, mu, q):
             return LevelSetSample(AmbientPoint.of(z), s)
         jac = np.zeros((1 + action.d, len(z) + 1))
         jac[0, :-1] = 2.0 * z
-        jac[1:, :-1] = action.momentum_jacobian(list(z))
+        jac[1:, :-1] = action.momentum_jacobian(z)
         jac[1:, -1] = -unit
         step, *_ = np.linalg.lstsq(jac, -F, rcond=None)
         z = z + step[:-1]
@@ -361,9 +362,9 @@ def transversality_check(action, mu, sample):
     lane point one stacked SVD tests every sample, and the verdicts and
     singular values come back per sample (arrays)."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
-    p = sample.coords() if isinstance(sample, LevelSetSample) else as_list(sample)
+    p = np.asarray(sample.coords() if isinstance(sample, LevelSetSample) else sample, dtype=float)
     frame = lane_stack(Sphere(len(p)).tangent_basis(p))
-    dj = lane_stack([list(r) for r in action.momentum_jacobian(p)]) @ np.swapaxes(frame, -1, -2)
+    dj = lane_stack(action.momentum_jacobian(p)) @ np.swapaxes(frame, -1, -2)
     unit = np.broadcast_to(np.reshape(mu.unit, (-1, 1)), dj.shape[:-1] + (1,))
     svals = np.linalg.svd(np.concatenate([dj, unit], axis=-1), compute_uv=False)
     ok = svals[..., -1] > tolerances.RANK_SINGULAR_VALUE
@@ -463,9 +464,9 @@ class ReductionFrame:
     """Concrete orthogonal splitting at a level-set sample, or at a batch
     of samples as lanes that agree in every float-level decision."""
 
-    p: list                         # the sample's point, or lanes
+    p: np.ndarray                   # the sample's point, or lanes
     vertical: Frame
-    reeb: tuple
+    reeb: np.ndarray
     contact_d: Frame
     normal: Frame
     vertical_rows: np.ndarray       # algebra rows whose fields stay independent
@@ -475,8 +476,8 @@ class ReductionFrame:
 
     @property
     def horizontal(self):
-        """contactD followed by the Reeb direction."""
-        return [list(v) for v in self.contact_d.vectors] + [list(self.reeb)]
+        """contactD followed by the Reeb direction, one array (k + 1, m) + lanes."""
+        return np.concatenate([self.contact_d.vectors, self.reeb[None]])
 
 
 def build_frame(setup, sample, strict=True):
@@ -495,11 +496,11 @@ def build_frame(setup, sample, strict=True):
     tol = tolerances.DEFAULTS["frame_orthogonality"]
 
     rows = setup.acting_rows
-    vert_vecs = [vvalue(setup.action.fundamental_field(r, p)) for r in rows]
+    vert_vecs = [value(setup.action.fundamental_field(r, p)) for r in rows]
     try:
         vertical = gram_schmidt(S.metric, p, vert_vecs)
     except EmptyFrame:
-        vertical = Frame(tuple(p), ())
+        vertical = Frame(p, frame_array([], p))
     k_eff = len(vertical)
     if 0 < k_eff < len(rows) and strict:
         raise DegenerateAction(
@@ -515,18 +516,15 @@ def build_frame(setup, sample, strict=True):
                  for vecs in split_frame(vert_vecs, len(samples))]
         vrows = np.asarray(rows)[list(agreed(picks))]
 
-    reeb = vvalue(S.reeb(p))
+    reeb = value(S.reeb(p))
     basis = man.tangent_basis(p)
-    tangent = [list(r) for r in basis]
-    contact_vecs = orthogonal_tail(
-        S.metric, p, [list(v) for v in vertical.vectors] + [reeb], tangent)
-    contact_d = Frame(tuple(p), tuple(tuple(v) for v in contact_vecs))
+    contact_d = Frame(p, orthogonal_tail(S.metric, p, [*vertical.vectors, reeb], basis))
 
-    normal_inputs = [vvalue(S.phi(p, list(v))) for v in vertical.vectors]
+    normal_inputs = [value(S.phi(p, v)) for v in vertical.vectors]
     if normal_inputs:
         normal = gram_schmidt(S.metric, p, normal_inputs)
     else:
-        normal = Frame(tuple(p), ())
+        normal = Frame(p, frame_array([], p))
 
     dim_n = man.dim
     dims = {
@@ -537,8 +535,8 @@ def build_frame(setup, sample, strict=True):
         "quotient": len(contact_d) + 1,
     }
 
-    checks = _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent)
-    frame = ReductionFrame(p, vertical, tuple(reeb), contact_d, normal,
+    checks = _frame_checks(setup, p, vertical, reeb, contact_d, normal, basis)
+    frame = ReductionFrame(p, vertical, reeb, contact_d, normal,
                            np.asarray(vrows, dtype=float), basis, dims, checks)
     if strict:
         bad = {k: v for k, v in checks.items() if np.any(v > tol)}
@@ -567,45 +565,36 @@ def _independent_rows(vecs, k_eff):
 
 def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
     """The frame invariants, each the worst over its pairs; on lanes an
-    array of one worst value per sample."""
+    array of one worst value per sample.  Each takes one evaluation of g
+    or eta on the stacked vectors, every entry with the bits of its pair's
+    own evaluation."""
     S = setup.structure
     g = S.metric.at(p)
-    checks = {}
-    blocks = {
-        "vertical": [list(v) for v in vertical.vectors],
-        "reeb": [list(reeb)],
-        "contact_d": [list(v) for v in contact_d.vectors],
-    }
-    worst = 0.0
-    names = list(blocks)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            for u in blocks[a]:
-                for v in blocks[b]:
-                    worst = np.maximum(worst, abs(value(g(u, v))))
-    checks["block_orthogonality"] = worst
-
-    worst = 0.0
-    for u in blocks["vertical"] + blocks["contact_d"]:
-        worst = np.maximum(worst, abs(value(S.eta(p, u))))
-    checks["eta_on_vertical_and_d"] = worst
+    blocks = [vertical.vectors, reeb[None], contact_d.vectors]
+    stack = np.concatenate(blocks)
+    label = np.repeat(np.arange(3), [len(b) for b in blocks])
+    checks = {"block_orthogonality": _worst(
+        pairings(g, stack, stack)[label[:, None] < label[None, :]])}
+    others = np.concatenate([vertical.vectors, contact_d.vectors])
+    checks["eta_on_vertical_and_d"] = _worst(value(S.eta(p, np.moveaxis(others, 0, 1))))
     checks["eta_on_reeb"] = abs(value(S.eta(p, reeb)) - 1.0)
-
-    worst = 0.0
-    for nu in normal.vectors:
-        for t in tangent:
-            worst = np.maximum(worst, abs(value(g(list(nu), t))))
-    checks["normal_vs_tangent"] = worst
-
-    stack = blocks["vertical"] + blocks["reeb"] + blocks["contact_d"]
+    checks["normal_vs_tangent"] = _worst(pairings(g, normal.vectors, tangent), 2)
     rank = np.linalg.matrix_rank(lane_stack(stack), tol=1e-8)
     checks["span_defect"] = np.subtract(len(stack), rank, dtype=float)
     return checks
 
 
+def _worst(x, lead=1):
+    """max |x| over the ``lead`` leading axes, 0.0 for none; NaN wins."""
+    return np.max(np.abs(x), axis=tuple(range(lead)), initial=0.0)
+
+
 @dataclass
 class ReducedPointData:
-    """Reduced tensors in the horizontal frame representation."""
+    """Reduced tensors in the horizontal frame representation, at one
+    sample; at the samples of a lane frame every field holds them all:
+    eta (h, samples), the Gram (h, h, samples), d(eta) as the stack
+    (samples, c, c), and the determinant and each check (samples,)."""
 
     reduced_eta: np.ndarray
     reduced_gram: np.ndarray
@@ -616,52 +605,38 @@ class ReducedPointData:
 
 def reduced_tensors(setup, rframe):
     """eta, g and d(eta) on {contactD, reeb}: the reduced tensors under
-    the Riemannian-submersion identification."""
-    return reduced_tensors_batch(setup, rframe)[0]
-
-
-def reduced_tensors_batch(setup, rframe):
-    """``reduced_tensors`` of every sample of a float or lane frame, in
-    order, with each tensor evaluated once over the lanes."""
+    the Riemannian-submersion identification, at every sample of a float
+    or lane frame at once.  eta and g take one evaluation each on the
+    stacked frame, and the d(eta) pairs one pass (``pair_lanes``); every
+    entry holds the bits of its own evaluation."""
     S = setup.structure
     p = rframe.p
-    dvecs = [list(v) for v in rframe.contact_d.vectors]
-    horiz = rframe.horizontal
-    m = len(dvecs)
-    tangent = [list(t) for t in rframe.tangent]
+    dvecs = rframe.contact_d.vectors
+    c = len(dvecs)
     # d(eta) on the contact pairs i != j and on (vertical field, tangent
     # vector), every pair in one pass as lanes
-    contact_pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    contact_pairs = [(i, j) for i in range(c) for j in range(c) if i != j]
     pairs = [(dvecs[i], dvecs[j]) for i, j in contact_pairs]
     for vrow in rframe.vertical_rows:
-        vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
-        pairs.extend((vfield_p, t) for t in tangent)
+        vfield_p = value(setup.action.fundamental_field(vrow, p))
+        pairs.extend((vfield_p, t) for t in rframe.tangent)
     deta_values = pair_lanes(lambda q, reps, u, v: value(S.d_eta(q, u, v)), p, pairs)
-    deta_lanes = dict(zip(contact_pairs, deta_values))
-    eta_lanes = [value(S.eta(p, v)) for v in horiz]
-    g = S.metric.at(p)
-    gram_lanes = [[value(g(u, v)) for v in horiz] for u in horiz]
+    basic = deta_values[len(contact_pairs):]
 
-    worst_basic = 0.0
-    for val in deta_values[len(contact_pairs):]:
-        worst_basic = np.maximum(worst_basic, abs(val))
-
-    out = []
-    for k in range(lane_width(p) or 1):
-        eta_vals = np.asarray([lane(e, k) for e in eta_lanes], dtype=float)
-        gram = np.asarray([[lane(x, k) for x in row] for row in gram_lanes], dtype=float)
-        deta = np.zeros((m, m))
-        for (i, j), val in deta_lanes.items():
-            deta[i, j] = lane(val, k)
-        antisym = float(np.max(np.abs(deta + deta.T))) if m else 0.0
-        det = abs(float(np.linalg.det(deta))) if m else 0.0
-        checks = {
-            "reduced_eta_profile": float(
-                np.max(np.abs(eta_vals - np.eye(len(horiz))[-1]))
-            ),
-            "reduced_gram_identity": float(np.max(np.abs(gram - np.eye(len(horiz))))),
-            "d_eta_antisymmetry": antisym,
-            "basic_d_eta": float(lane(worst_basic, k)),
-        }
-        out.append(ReducedPointData(eta_vals, gram, deta, det, checks))
-    return out
+    H = rframe.horizontal
+    eta = value(S.eta(p, np.moveaxis(H, 0, 1)))
+    gram = pairings(S.metric.at(p), H, H)
+    lanes = np.shape(p)[1:]
+    deta = np.zeros((c, c) + lanes)
+    for (i, j), val in zip(contact_pairs, deta_values):
+        deta[i, j] = val
+    h = len(eta)
+    checks = {
+        "reduced_eta_profile": _worst(eta - np.eye(h)[-1].reshape((h,) + (1,) * len(lanes))),
+        "reduced_gram_identity": _worst(gram - np.eye(h).reshape((h, h) + (1,) * len(lanes)), 2),
+        "d_eta_antisymmetry": _worst(deta + deta.swapaxes(0, 1), 2),
+        "basic_d_eta": _worst(np.array(np.broadcast_arrays(*basic))) if basic else 0.0,
+    }
+    stack = np.ascontiguousarray(np.moveaxis(deta, (0, 1), (-2, -1)))
+    det = np.abs(np.linalg.det(stack)) if c else np.zeros(lanes)
+    return ReducedPointData(eta, gram, stack, det, checks)

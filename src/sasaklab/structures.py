@@ -17,22 +17,10 @@ import numpy as np
 from . import tolerances
 from .errors import DegenerateContact
 from .geometry import Cone, Geometry, InducedMetric
-from .jets import Dual, along, leafwise, stack, value
+from .jets import Dual, along, expand, leafwise, stack, value, vector
 from .manifolds import Sphere
-from .vecops import (
-    as_list,
-    clamped_sqrt,
-    cmult,
-    lane_pow,
-    lane_shape,
-    lane_stack,
-    pair_lanes,
-    stack_lanes,
-    vdot,
-    vscale,
-    vsub,
-    vvalue,
-)
+from .vecops import (clamped_sqrt, cmult, lane_pow, lane_stack, pair_lanes, per_coordinate,
+                     stack_lanes, vdot, vsum)
 
 
 def _eta0(q, v):
@@ -61,30 +49,30 @@ class WeightedContactMetric:
 
     def __init__(self, a, sphere):
         self.a = [float(x) for x in a]
+        self._blocks = np.asarray(self.a)
+        self._coords = np.repeat(self.a, 2)  # a_j on both coordinates of block j
         self.sphere = sphere
         self.cone = Cone(self.pairs)
 
     # -- weighted contact data, all jet-generic -------------------------
 
     def conformal_factor(self, q):
-        acc = 0.0
-        for j, aj in enumerate(self.a):
-            x, y = q[2 * j], q[2 * j + 1]
-            acc = acc + aj * (x * x + y * y)
-        return acc
+        """sum_j a_j (x_j^2 + y_j^2), summed in order over j."""
+        sq = q * q
+        mods = sq[0::2] + sq[1::2]
+        return vsum(per_coordinate(self._blocks, mods) * mods)
 
     def eta(self, q, v):
-        return _eta0(q, v) / self.conformal_factor(q)
+        q = vector(q)
+        return _eta0(q, vector(v)) / self.conformal_factor(q)
 
     def reeb(self, q):
-        out = []
-        for j, aj in enumerate(self.a):
-            out.append(-aj * q[2 * j + 1])
-            out.append(aj * q[2 * j])
-        return out
+        """a_j (i q)_j: i q scaled per coordinate."""
+        return per_coordinate(self._coords, q) * cmult(q)
 
     def d_eta(self, q, u, v):
         """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded."""
+        q, u, v = vector(q), vector(u), vector(v)
         at = self._point_terms(q)
         return _expanded(at, vdot(cmult(u), v), _vector_terms(at, u), _vector_terms(at, v))
 
@@ -112,52 +100,47 @@ class WeightedContactMetric:
 
     def g(self, q, u, v):
         """g_A(u, v), formed as ``pairs`` forms its entry for (u, v)."""
-        return self.at(q)(u, v)
+        return self.at(vector(q))(vector(u), vector(v))
 
     def gram(self, q, vectors):
-        """g(q; u, v) for every pair of the vectors, as a symmetric nested
-        list cut from one ``pairs`` evaluation on the stacked vectors."""
-        lanes = lane_shape([q, *vectors])
-        G = self.pairs(q, [stack(entries, lanes) for entries in zip(*vectors)], lanes)
-        entry = lambda i, j: leafwise(lambda a: a[i, j] if a.ndim > 2 else float(a[i, j]), G)
-        return [[entry(i, j) for j in range(len(vectors))] for i in range(len(vectors))]
+        """g(q; u, v) for every pair of the vectors, one array (k, k) +
+        lanes cut from one ``pairs`` evaluation on the stacked vectors."""
+        vectors = [vector(v) for v in vectors]
+        lanes = max(np.shape(value(v))[1:] for v in [q, *vectors])
+        U = stack([expand(v, len(lanes) + 1) for v in vectors], (len(value(q)),) + lanes)
+        return self.pairs(q, leafwise(lambda a: np.moveaxis(a, 0, 1), U), lanes)
 
     def pairs(self, q, U, lanes):
-        """g(q; U_i, U_j) for every pair of the m vectors stacked in U (its
-        entry k is ``jets.stack`` of theirs), one jet with leaves (m, m) +
-        lanes: eta_A, the contact part, its turn, and df and eta_0 of both
-        are formed once for the stack, then row i against the columns
-        j >= i in one broadcast, mirrored below the diagonal.  Each entry
-        has the bits of ``g`` on (U_i, U_j), i <= j."""
+        """g(q; U_i, U_j) for every pair of the k vectors stacked in U, its
+        coordinates on axis 0 and the vectors on axis 1, one jet with
+        leaves (k, k) + lanes: eta_A, the contact part, its turn, and df
+        and eta_0 of both are formed once for the stack, then row i
+        against the columns j >= i in one broadcast, mirrored below the
+        diagonal.  Each entry has the bits of ``g`` on (U_i, U_j), i <= j."""
         at = self._point_terms(q)
         eta, contact = _contact_part(at, self.reeb(q), U)
         turned = cmult(contact)
-        terms = [eta, *turned, *_vector_terms(at, contact), *_vector_terms(at, turned)]
-        d, m = len(U), len(value(U[0]))
+        (df_c, e0_c), (df_t, e0_t) = _vector_terms(at, contact), _vector_terms(at, turned)
+        k = len(value(eta))
         rows = []
-        for i in range(m):
-            r, c = ([leafwise(lambda a: a[s] if np.ndim(a) > len(lanes) else a, x) for x in terms]
-                    for s in (i, np.s_[i:]))
-            rows.append(r[0] * c[0] + 0.5 * _expanded(
-                at, vdot(r[1:d + 1], c[1:d + 1]), r[d + 1:d + 3], c[d + 3:]))
-        return _mirrored(rows, (m, m) + lanes)
+        for i in range(k):
+            rows.append(eta[i] * eta[i:] + 0.5 * _expanded(
+                at, vdot(turned[:, i], turned[:, i:]), (df_c[i], e0_c[i]), (df_t[i:], e0_t[i:])))
+        return _mirrored(rows, (k, k) + lanes)
 
     def _point_terms(self, q):
         """(f, f^2, i q, a q): the terms of d(eta_A) that depend on the
         point only, with (a q)_j = a_j q_j on both coordinates of block j."""
         f = self.conformal_factor(q)
-        aw_q = []
-        for j, aj in enumerate(self.a):
-            aw_q.append(aj * q[2 * j])
-            aw_q.append(aj * q[2 * j + 1])
-        return f, f * f, cmult(q), aw_q
+        return f, f * f, cmult(q), per_coordinate(self._coords, q) * q
 
 
 def _contact_part(at, xi, u):
     """eta_A(u) and the contact part u - eta_A(u) xi, at the point whose
-    terms ``at`` holds and whose Reeb field is xi."""
+    terms ``at`` holds and whose Reeb field is xi; u may stack vectors
+    between its coordinates and lanes."""
     e = vdot(at[2], u) / at[0]
-    return e, vsub(u, vscale(xi, e))
+    return e, u - expand(xi, np.ndim(value(u))) * e
 
 
 def _mirrored(rows, shape):
@@ -205,11 +188,11 @@ class SphereStructure:
         raise NotImplementedError
 
     def reeb(self, p):
-        return self.reeb_field(as_list(p))
+        return self.reeb_field(vector(p))
 
     def d_eta(self, p, u, v):
         """d(eta)(U, V) through the jet engine, extension convention."""
-        p, u, v = as_list(p), as_list(u), as_list(v)
+        p, u, v = vector(p), vector(u), vector(v)
         proj = self.sphere.project
 
         def eta_on(w):
@@ -222,7 +205,7 @@ class SphereStructure:
 
         t1, dUV = along(eta_on(v), p, u)
         t2, dVU = along(eta_on(u), p, v)
-        t3 = self.eta(p, vsub(dUV, dVU))
+        t3 = self.eta(p, dUV - dVU)
         return t1 - t2 - t3
 
     def contact_frame(self, p):
@@ -230,22 +213,22 @@ class SphereStructure:
         complement of span(p, i p), since every eta here is a multiple
         of the round form.  At a lane point one SVD runs over the stack
         of every sample's rows (p, i p), and the basis comes back as lane
-        vectors, each sample's basis in its lanes."""
-        p = as_list(p)
-        _, _, vt = np.linalg.svd(lane_stack([vvalue(p), vvalue(cmult(p))]))
+        vectors (m - 2, m, lanes), each sample's basis in its lanes."""
+        p = value(vector(p))
+        _, _, vt = np.linalg.svd(lane_stack([p, cmult(p)]))
         if vt.ndim == 2:
-            return [list(r) for r in vt[2:]]
-        return [list(vt[:, k].T.copy()) for k in range(2, vt.shape[1])]
+            return vt[2:]
+        return np.ascontiguousarray(np.moveaxis(vt[:, 2:], 0, -1))
 
     def phi(self, p, X):
         """phi(X) = (nabla_X xi)(p) with the structure's own metric."""
-        p = as_list(p)
+        p = vector(p)
         geo = self.geometry
-        return geo.covariant(p, geo.extend(as_list(X)), self.reeb_field)
+        return geo.covariant(p, geo.extend(X), self.reeb_field)
 
     def killing_residual(self, p, X, Y):
         """|g(nabla_X xi, Y) + g(nabla_Y xi, X)|."""
-        p, X, Y = as_list(p), as_list(X), as_list(Y)
+        p, X, Y = vector(p), vector(X), vector(Y)
         geo = self.geometry
         g = self.metric.at(p)
         a = g(geo.covariant(p, geo.extend(X), self.reeb_field), Y)
@@ -256,7 +239,7 @@ class SphereStructure:
         """R(X,Y,Z,V) of the structure; closed form on the round metric
         (constant curvature one), the cone's Riemann tensor through the
         Gauss equation otherwise (``Geometry.curvature``)."""
-        p = as_list(p)
+        p, x, y, z, v = map(vector, (p, x, y, z, v))
         g = self.metric.at(p)
         if self.metric.euclidean:
             return value(g(y, z)) * value(g(x, v)) - value(g(x, z)) * value(g(y, v))
@@ -265,12 +248,12 @@ class SphereStructure:
 
     def sasakian_residual(self, p, X, Y):
         """|R(X, xi)Y - eta(Y) X + g(X, Y) xi| in the structure metric."""
-        p, X, Y = as_list(p), as_list(X), as_list(Y)
+        p, X, Y = vector(p), vector(X), vector(Y)
         xi = self.reeb_field(p)
         R = self.geometry.curvature(p, X, xi, Y)
         g = self.metric.at(p)
-        expected = vsub(vscale(X, self.eta(p, Y)), vscale(xi, g(X, Y)))
-        diff = vsub(R, expected)
+        expected = X * self.eta(p, Y) - xi * g(X, Y)
+        diff = R - expected
         return clamped_sqrt(g(diff, diff))
 
 
@@ -283,10 +266,10 @@ class RoundSphereStructure(SphereStructure):
         super().__init__(n, InducedMetric())
 
     def reeb_field(self, q):
-        return cmult(q)
+        return cmult(vector(q))
 
     def eta(self, p, v):
-        return _eta0(p, v)
+        return _eta0(vector(p), vector(v))
 
 
 class WeightedSphereStructure(SphereStructure):
@@ -313,7 +296,7 @@ class WeightedSphereStructure(SphereStructure):
         self._probe_positivity()
 
     def reeb_field(self, q):
-        return self.metric.reeb(q)
+        return self.metric.reeb(vector(q))
 
     def eta(self, p, v):
         return self.metric.eta(p, v)
@@ -350,7 +333,7 @@ def contact_nondegeneracy(structure, p):
     its own contact frame, from one stacked SVD, and the determinants of
     the (samples, m, m) stack come back as an array, one per sample.
     """
-    p = as_list(p)
+    p = vector(p)
     frame = structure.contact_frame(p)
     d_eta = getattr(structure.metric, "d_eta", structure.d_eta)
     M = _d_eta_grid(d_eta, p, frame, frame)
@@ -363,5 +346,5 @@ def _d_eta_grid(d_eta, p, rows, cols):
     pairs run as lanes (``pair_lanes``)."""
     vals = pair_lanes(lambda q, reps, u, v: value(d_eta(q, u, v)), p,
                       [(u, v) for u in rows for v in cols])
-    k = len(cols)
-    return lane_stack([vals[i:i + k] for i in range(0, len(vals), k)])
+    grid = np.array(np.broadcast_arrays(*vals))
+    return lane_stack(grid.reshape((len(rows), len(cols)) + grid.shape[1:]))

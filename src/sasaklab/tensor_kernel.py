@@ -1,14 +1,15 @@
 """Unit points, frames and metric Gram-Schmidt on embedded spheres.
 
-Points and vectors are plain sequences of ambient coordinates
-(x_1, y_1, ..., x_n, y_n) with z_j = x_j + i y_j.  ``AmbientPoint``
-carries the unit-norm invariant of a sampled point and ``Frame`` the
-output of Gram-Schmidt; the operations accept and return plain lists.
+Points and vectors hold ambient coordinates (x_1, y_1, ..., x_n, y_n)
+with z_j = x_j + i y_j, one vector to an array (``vecops``).
+``AmbientPoint`` carries the unit-norm invariant of a sampled point and
+``Frame`` the output of Gram-Schmidt, its vectors stacked in one array
+(k, m) or (k, m, lanes); the operations accept sequences as well.
 
 Gram-Schmidt is generic over lanes: on a lane point and lane vectors it
 orthonormalises the frames of a whole batch of samples at once, every
-inner product an ordered ``vdot``-style sum, so each lane holds the bits
-of its sample's float evaluation.  A drop is decided per lane; lanes
+inner product an ordered sum over the coordinates (``vecops.vdot``), so
+each lane holds the bits of its sample's float evaluation.  A drop is decided per lane; lanes
 that decide differently raise ``LanesDisagree`` (``vecops.agreed``), and
 the caller splits the batch by the decision (``vecops.agreeing_parts``).
 """
@@ -17,9 +18,12 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from . import tolerances
 from .errors import EmptyFrame
-from .vecops import agreed, as_list, clamped_sqrt, vscale, vsub
+from .jets import value, vector
+from .vecops import agreed, clamped_sqrt
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class AmbientPoint:
 
     @classmethod
     def of(cls, coords):
-        return cls(tuple(float(c) for c in as_list(coords)))
+        return cls(tuple(float(c) for c in coords))
 
     def as_list(self):
         return list(self.coords)
@@ -45,8 +49,8 @@ class AmbientPoint:
 class Frame:
     """Ordered, metric-orthonormal family of ambient vectors at a point."""
 
-    base: tuple
-    vectors: tuple
+    base: np.ndarray
+    vectors: np.ndarray
     inputs: tuple = ()  # gram_schmidt: input position of each kept vector
 
     def __len__(self):
@@ -64,30 +68,37 @@ def gram_schmidt(metric, p, vectors):
     input.  On lanes every lane must drop the same inputs, else
     LanesDisagree.
     """
-    p = as_list(p)
+    p = vector(p)
     g = metric.at(p)
     row = getattr(g, "row", lambda u: partial(g, u))
     kept, rows, inputs = [], [], []
     for i, v in enumerate(vectors):
-        w = as_list(v)
+        w = vector(v)
         for u, g_u in zip(kept, rows):
-            w = vsub(w, vscale(u, g_u(w)))
+            w = w - u * g_u(w)
         # second pass for numerical orthogonality
         for u, g_u in zip(kept, rows):
-            w = vsub(w, vscale(u, g_u(w)))
+            w = w - u * g_u(w)
         nrm = clamped_sqrt(g(w, w))
         if agreed(nrm < tolerances.GRAM_SCHMIDT_DROP):
             continue
-        kept.append(vscale(w, 1.0 / nrm))
+        kept.append(w * (1.0 / nrm))
         rows.append(row(kept[-1]))
         inputs.append(i)
-    if vectors and not kept:
+    if len(vectors) and not kept:
         raise EmptyFrame("all input vectors dropped below tolerance")
-    return Frame(tuple(p), tuple(tuple(w) for w in kept), tuple(inputs))
+    return Frame(p, frame_array(kept, p), tuple(inputs))
+
+
+def frame_array(vectors, p):
+    """The vectors at the point p stacked in one array (k, m) + lanes."""
+    if not len(vectors):
+        return np.empty((0,) + np.shape(value(p)))
+    return np.array(np.broadcast_arrays(*vectors))
 
 
 def orthogonal_tail(metric, p, head, tail):
     """The vectors of ``tail`` that survive Gram-Schmidt on head + tail,
     in order: an orthonormal frame of span(head + tail) orthogonal to head."""
     frame = gram_schmidt(metric, p, [*head, *tail])
-    return [list(v) for v, i in zip(frame.vectors, frame.inputs) if i >= len(head)]
+    return frame.vectors[[k for k, i in enumerate(frame.inputs) if i >= len(head)]]

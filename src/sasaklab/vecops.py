@@ -1,12 +1,25 @@
-"""Small-vector helpers generic over jet scalars.
+"""Vectors and batches, generic over jet scalars.
 
-Ambient vectors are plain Python lists whose entries are floats, jet
-scalars, or lanes: 1-D numpy arrays holding one entry per sample of a
-batch.  ``stack_lanes`` builds lane vectors from per-sample float
-vectors and ``lane`` reads one sample back.  ``pair_lanes`` runs a list
-of vector pairs as further lanes of one evaluation: the point tiled once
-per pair, the pairs' vectors joined along the lane axis, and the result
-cut back into one value per pair.
+An ambient vector is one array whose axis 0 holds its m coordinates:
+(m,) at a float point, (m, lanes) on a batch of samples, one lane per
+sample, or one ``Dual`` whose leaves carry that leading axis
+(``jets.vector`` stacks a sequence into this form, once, at a public
+entry point).  Trailing axes broadcast: a scalar of a batch is an array
+(lanes,), a float vector that meets lanes takes the shape (m, 1)
+(``jets.expand``, ``per_coordinate``), and axes between the coordinates
+and the lanes stack several vectors into one.  ``stack_lanes`` builds
+lane vectors from per-sample float vectors, and ``split_frame`` reads
+each sample's back.  ``pair_lanes`` runs a list of vector pairs as
+further lanes of one evaluation: the point tiled once per pair, the
+pairs' vectors joined along the lane axis, and the result cut back into
+one value per pair, all three reshapes of the lane axis.
+
+Every sum over coordinates is ordered, ((u_0 v_0 + u_1 v_1) + u_2 v_2)
++ ..., as the float formula sums it (``vsum``, ``vdot``).  numpy's
+``add.reduce`` over axis 0 of a C-contiguous array adds row after row
+in that order when a row holds at least 2 elements; on a 1-D array, or
+rows of one element (one lane), it sums pairwise instead, so those take
+an explicit ordered sum.
 
 Two constants size every batch, and ``batches`` cuts them all: a chunk
 of samples (the CLI's lane batches, the hit-and-run walk) holds at most
@@ -21,105 +34,131 @@ group of agreeing lanes again on its own, so every lane goes through
 exactly the operations of its float evaluation.
 """
 
+from functools import cache, partial, reduce
+from operator import add
+
 import numpy as np
 
-from .jets import Dual, jsqrt, stack, value
+from .jets import expand, jsqrt, leafwise, value, vector
 
 
-def vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
+def vsum(u):
+    """sum_k u[k] over the coordinate axis, in coordinate order."""
+    if type(u) is np.ndarray:
+        return _ordered_sum(u.shape, u)
+    return leafwise(partial(_ordered_sum, np.shape(value(u))), u)
 
 
-def vscale(u, c):
-    return [a * c for a in u]
+def _ordered_sum(shape, a):
+    if type(a) is not np.ndarray or a.ndim < len(shape):
+        # a leaf standing for every coordinate
+        a = np.broadcast_to(a, shape[:len(shape) - np.ndim(a)] + np.shape(a))
+    if a.ndim > 1 and a.size != a.shape[0]:
+        return np.add.reduce(a if a.flags.c_contiguous else np.ascontiguousarray(a), axis=0)
+    # a float vector, or one element a row: add.reduce would sum pairwise
+    acc = reduce(add, a.reshape(a.shape[0], -1)[:, 0].tolist() if a.ndim > 1 else a.tolist())
+    return acc if a.ndim == 1 else np.full(a.shape[1:], acc)
 
 
 def vdot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    """Ordered inner product over the coordinates; a vector with fewer
+    axes gains them after its coordinate axis (``jets.expand``)."""
+    if type(u) is np.ndarray and type(v) is np.ndarray and u.ndim == v.ndim:
+        w = u * v
+        return _ordered_sum(w.shape, w)
+    nu, nv = np.ndim(value(u)), np.ndim(value(v))
+    if nu != nv:
+        u, v = expand(u, nv), expand(v, nu)
+    return vsum(u * v)
 
 
 def cmult(v):
-    """Multiplication by i on pairwise coordinates (x, y) -> (-y, x)."""
-    out = []
-    for j in range(0, len(v), 2):
-        out.append(-v[j + 1])
-        out.append(v[j])
-    return out
+    """Multiplication by i on pairwise coordinates (x, y) -> (-y, x): a
+    signed permutation of the coordinate rows (a product with -1.0 is an
+    exact negation)."""
+    if type(v) is np.ndarray:
+        return _turn(v)
+    shape = np.shape(value(v))
+    return leafwise(lambda a: _turn(np.broadcast_to(a, shape) if np.ndim(a) < len(shape) else a),
+                    v)
 
 
-def vvalue(u):
-    """Strip jets: the float value part of each component."""
-    return [value(a) for a in u]
+def _turn(a):
+    perm, sign = _signed_swap(a.shape[0], a.ndim)
+    return a[perm] * sign
 
 
-def as_list(u):
-    """Accept numpy arrays or sequences, return a plain list."""
-    if isinstance(u, np.ndarray):
-        return [float(a) for a in u]
-    return list(u)
+@cache
+def _signed_swap(m, nd):
+    """The row permutation 0 <-> 1, 2 <-> 3, ... of cmult and its signs."""
+    rows = np.arange(m)
+    sign = np.where(rows % 2 == 0, -1.0, 1.0).reshape((m,) + (1,) * (nd - 1))
+    return rows ^ 1, sign
+
+
+def per_coordinate(c, x):
+    """The float coefficients c (one per coordinate) shaped to multiply
+    the vector x coordinate by coordinate."""
+    nd = np.ndim(value(x))
+    return c if nd == 1 else np.reshape(c, np.shape(c) + (1,) * (nd - 1))
 
 
 def stack_lanes(vectors):
-    """One lane vector from equal-length float vectors, one per sample:
-    entry k holds every sample's entry k.  A single vector comes back as
-    a plain list, so a batch of one runs on floats."""
+    """One lane vector (m, samples) from equal-length float vectors, one
+    per sample.  A single vector comes back as a float vector, so a batch
+    of one runs on floats."""
     if len(vectors) == 1:
-        return list(vectors[0])
-    return list(np.array(vectors, dtype=float).T.copy())
+        return np.array(vectors[0], dtype=float)
+    return np.array(vectors, dtype=float).T.copy()
 
 
 def lane_width(u):
     """The number of lanes of the vector u, None when u holds floats only."""
-    widths = {len(a) for a in u if isinstance(a, np.ndarray)}
-    return widths.pop() if widths else None
-
-
-def lane_shape(vectors):
-    """(width,) when a leaf of an entry of the vectors holds lanes, else ()."""
-    todo = [c for v in vectors for c in v]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Dual):
-            todo += (x.re, x.im)
-        elif isinstance(x, np.ndarray):
-            return x.shape[-1:]
-    return ()
+    x = value(u)
+    return x.shape[-1] if np.ndim(x) > 1 else None
 
 
 def lane_stack(rows):
-    """A matrix given as rows of lane vectors, as one (samples, rows,
-    columns) stack, jets stripped and a float entry filling every lane;
-    a matrix of floats, or an array, comes back as a 2-D array."""
-    if isinstance(rows, np.ndarray):
-        return rows
-    rows = [vvalue(r) for r in rows]
-    lanes = lane_shape(rows)
-    out = np.array([stack(r, lanes) for r in rows])
-    return np.moveaxis(out, -1, 0) if lanes else out
+    """A matrix, given as its row vectors or as one array (rows, columns)
+    + lanes, as one (samples, rows, columns) stack, jets stripped and a
+    float row filling every lane; a matrix of floats comes back 2-D."""
+    if not isinstance(rows, np.ndarray):
+        rows = [value(r) for r in rows]
+        nd = max((r.ndim for r in rows), default=1)
+        rows = np.array(np.broadcast_arrays(*(expand(r, nd) for r in rows)))
+    return np.moveaxis(rows, -1, 0) if rows.ndim > 2 else rows
+
+
+def pairings(g, A, B):
+    """g(a, b) for every vector a of A and b of B, one array (len(A),
+    len(B)) + lanes, jets stripped: one evaluation of g on the two stacks,
+    every entry with the bits of g(a, b) alone."""
+    if not (len(A) and len(B)):
+        return np.zeros((len(A), len(B)))
+    A, B = (np.moveaxis(np.asarray(X, dtype=float), 0, 1) for X in (A, B))
+    return value(g(A[:, :, None], B[:, None]))
 
 
 def lane(x, i):
     """Sample i of a lane scalar; a float, shared by every lane, passes through."""
-    return x[i] if isinstance(x, np.ndarray) else x
+    return x[..., i] if isinstance(x, np.ndarray) and x.ndim else x
 
 
 def split_lanes(u):
-    """The per-sample float vectors of a lane vector, or None when u
-    holds no lanes."""
-    width = lane_width(u)
-    if width is None:
+    """The per-sample float vectors of a lane vector, as the contiguous
+    rows of one (samples, m) array, or None when u holds no lanes."""
+    if lane_width(u) is None:
         return None
-    return [[float(lane(a, i)) for a in u] for i in range(width)]
+    return np.ascontiguousarray(np.moveaxis(value(u), -1, 0))
 
 
 def split_frame(vectors, width):
-    """Sample by sample, the float vectors of a frame of lane vectors;
-    a float vector is every sample's."""
-    cols = [split_lanes(v) or [list(v)] * width for v in vectors]
-    return [[c[i] for c in cols] for i in range(width)]
+    """Sample by sample, the (k, m) float frame of a frame of lane
+    vectors (k, m, width); a float frame is every sample's."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim < 3:
+        return [vectors] * width
+    return [vectors[..., i] for i in range(width)]
 
 
 # samples of one chunk: a chunk holds all of its samples' jets, or walk
@@ -142,38 +181,37 @@ def batches(items, lanes=None):
 
 def tile_lanes(u, reps):
     """The vector u with its lanes repeated reps times: lane k * width + s
-    holds sample s.  A float entry, shared by every lane, stays a float."""
+    holds sample s.  A float vector, shared by every lane, becomes a
+    column (m, 1)."""
     if reps == 1:
         return u
-    return [np.concatenate([a] * reps) if isinstance(a, np.ndarray) else a for a in u]
+    if np.ndim(u) == 1:
+        return u[:, None]
+    return np.concatenate([u] * reps, axis=-1)
 
 
 def join_lanes(vectors, width):
     """One lane vector holding the given vectors of ``width`` lanes each
     (None: float vectors) one after the other; jets are stripped, and a
-    float entry of a lane vector fills its lanes."""
+    float vector of a lane pass fills its lanes."""
+    vectors = [value(vector(v)) for v in vectors]
     if width is None:
-        return [np.array([value(e) for e in entries], dtype=float) for entries in zip(*vectors)]
-
-    def lanes(e):
-        e = value(e)
-        return e if isinstance(e, np.ndarray) else np.full(width, e, dtype=float)
-
-    return [np.concatenate([lanes(e) for e in entries]) for entries in zip(*vectors)]
+        return np.stack(vectors, axis=-1)
+    return np.concatenate([np.broadcast_to(v if v.ndim > 1 else v[:, None], v.shape[:1] + (width,))
+                           for v in vectors], axis=-1)
 
 
 def cut_lanes(x, reps, width):
-    """``join_lanes`` undone on a scalar or nested lists of them: the reps
-    parts of ``width`` lanes each, Python floats at width None.  An entry
-    that holds no lanes is every part's."""
-    if isinstance(x, (list, tuple)):
-        return [list(part) for part in zip(*(cut_lanes(e, reps, width) for e in x))]
+    """``join_lanes`` undone on a scalar or a vector: the reps parts of
+    ``width`` lanes each, a float scalar a Python float at width None.  A
+    value that holds no lanes is every part's."""
     x = value(x)
-    if not isinstance(x, np.ndarray):
+    w = width or 1
+    if np.ndim(x) == 0 or x.shape[-1] != reps * w:
         return [x] * reps
     if width is None:
-        return x.tolist()
-    return [x[k * width:(k + 1) * width] for k in range(reps)]
+        return x.tolist() if x.ndim == 1 else [x[..., k] for k in range(reps)]
+    return [x[..., k * w:(k + 1) * w] for k in range(reps)]
 
 
 def pair_lanes(fn, p, pairs):
@@ -188,6 +226,7 @@ def pair_lanes(fn, p, pairs):
     Every lane runs the elementwise operations of its own pair's
     evaluation, so each result holds the bits of fn on its pair alone.
     """
+    p = vector(p)
     width = lane_width(p)
     out = []
     for _, part in batches(pairs, width or 1):

@@ -56,13 +56,12 @@ import numpy as np
 from sasaklab import tolerances
 from sasaklab.actions import MomentumCovector, kernel_algebra
 from sasaklab.errors import NoConvergence, StratificationLeak
-from sasaklab.jets import along, jsqrt, value
+from sasaklab.jets import Dual, along, enter_level, exit_level, expand, jsqrt, value, vector
 from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import (as_list, clamped_sqrt, cmult, lane_stack, solve_linear, vdot, vscale,
-                             vsub, vvalue)
+from sasaklab.vecops import clamped_sqrt, cmult, solve_linear, vdot
 
 
 def chart_basis(p):
@@ -165,9 +164,9 @@ def _koszul_rhs(geo, q, Xf, Yf):
     man, met = geo.manifold, geo.metric
     Xq, Yf_q = Xf(q), Yf(q)
     if met.euclidean:
-        hats = [list(r) for r in np.eye(man.ambient_dim)]
+        hats = list(np.eye(man.ambient_dim))
     else:
-        hats = [list(r) for r in geo.tangent_frame(q)]
+        hats = list(geo.tangent_frame(q))
     E_fields = [lambda r, h=h: man.project(r, h) for h in hats]
     Eq = [Ef(q) for Ef in E_fields]
 
@@ -183,7 +182,7 @@ def _koszul_rhs(geo, q, Xf, Yf):
     # shared curves along X and along the value of Y
     t1, dXY, dXE = along(against_tests(Yf), q, Xq)
     t2, dYX, dYE = along(against_tests(Xf), q, Yf_q)
-    bXY = vsub(dXY, dYX)
+    bXY = dXY - dYX
 
     # curve along E_a: t3 and the E_a-derivatives of X and Y
     def g_xy(rs):
@@ -193,8 +192,8 @@ def _koszul_rhs(geo, q, Xf, Yf):
     kap2 = []
     for a, Ea in enumerate(Eq):
         t3, dEX, dEY = along(g_xy, q, Ea)
-        bXE = vsub(dXE[a], dEX)
-        bYE = vsub(dYE[a], dEY)
+        bXE = dXE[a] - dEX
+        bYE = dYE[a] - dEY
         kap2.append(
             t1[a] + t2[a] - t3
             + met.g(q, bXY, Ea)
@@ -211,12 +210,12 @@ def covariant_koszul(geo, q, dir_field, field):
     if geo.metric.euclidean:
         # test fields are the projected coordinate vectors e_a, so
         # sum_a kappa_a e_a reassembles the ambient representative.
-        return geo.manifold.project(q, [k * 0.5 for k in kap2])
+        return geo.manifold.project(q, vector([k * 0.5 for k in kap2]))
     gram = [[geo.metric.g(q, u, v) for v in tests] for u in tests]
     coef = solve_linear(gram, [k * 0.5 for k in kap2])
-    out = [0.0] * geo.manifold.ambient_dim
+    out = 0.0
     for c, t in zip(coef, tests):
-        out = [a + c * b for a, b in zip(out, t)]
+        out = out + c * t
     return out
 
 
@@ -229,7 +228,7 @@ def koszul_curvature(geo, p, x, y, z):
     term_b = nabla(p, Yf, lambda r: nabla(r, Xf, Zf))
     bxy = geo.manifold.project(p, geo.bracket(p, Xf, Yf))
     term_c = nabla(p, geo.extend(bxy), Zf)
-    return vsub(vsub(term_a, term_b), term_c)
+    return term_a - term_b - term_c
 
 
 def product_sphere_h_norm(p, x, block):
@@ -337,26 +336,25 @@ def default_horizontal(ctx, vertical):
     """The contact block of TN orthogonal to the vertical frame and the
     Reeb field, followed by the Reeb field unless it is vertical."""
     S = ctx.structure
-    reeb = vvalue(S.reeb(ctx.p))
-    v_reeb = vvalue(ctx.vertical_project(ctx.p, reeb))
+    reeb = value(S.reeb(ctx.p))
+    v_reeb = value(ctx.vertical_project(ctx.p, reeb))
     reeb_is_vertical = (
-        max(abs(a - b) for a, b in zip(reeb, v_reeb)) < 1e-8
+        np.max(np.abs(reeb - v_reeb)) < 1e-8
         if ctx.vertical_fields
         else False
     )
-    tangent = [list(r) for r in ctx.manifold.tangent_basis(ctx.p)]
+    tangent = ctx.manifold.tangent_basis(ctx.p)
     head = vertical if reeb_is_vertical else vertical + [reeb]
-    d_block = orthogonal_tail(S.metric, ctx.p, head, tangent)
+    d_block = list(orthogonal_tail(S.metric, ctx.p, head, tangent))
     return d_block if reeb_is_vertical else d_block + [reeb]
 
 
 def submersion_context(structure, manifold, vertical_fields, p):
     """A SubmersionContext whose vertical frame is Gram-Schmidt on the
     field values at p and whose horizontal frame is ``default_horizontal``."""
-    p = list(p)
-    vecs = [vvalue(f(p)) for f in vertical_fields]
-    vertical = [list(v) for v in
-                gram_schmidt(structure.metric, p, vecs).vectors] if vecs else []
+    p = vector(p)
+    vecs = [value(f(p)) for f in vertical_fields]
+    vertical = list(gram_schmidt(structure.metric, p, vecs).vectors) if vecs else []
     ctx = SubmersionContext(structure, manifold, vertical_fields, p, horizontal_frame=[])
     ctx.horizontal_frame = default_horizontal(ctx, vertical)
     return ctx
@@ -374,7 +372,7 @@ def a_tensor_bracket(ctx, x, y):
     Xh = ctx.horizontal_extend(x)
     Yh = ctx.horizontal_extend(y)
     b = ctx.geometry.bracket(ctx.p, Xh, Yh)
-    return vscale(ctx.vertical_project(ctx.p, b), 0.5)
+    return ctx.vertical_project(ctx.p, b) * 0.5
 
 
 def cr_residuals(ctx, crd):
@@ -386,22 +384,21 @@ def cr_residuals(ctx, crd):
     tangent_on, _ = ctx._tangent_frames()
 
     def span_defect(w, frame):
-        out = list(w)
+        out = w
         for u in frame:
-            c = value(g(p, u, out))
-            out = [a - c * b for a, b in zip(out, u)]
+            out = out - value(g(p, u, out)) * u
         return clamped_sqrt(g(p, out, out))
 
     phi_d_in_d = max(
-        (span_defect(vvalue(S.phi(p, e)), crd.d_frame) for e in crd.d_frame), default=0.0
+        (span_defect(value(S.phi(p, e)), crd.d_frame) for e in crd.d_frame), default=0.0
     )
     phi_dperp_normal = 0.0
     for w in crd.dperp_frame:
-        pw = vvalue(S.phi(p, w))
+        pw = value(S.phi(p, w))
         for t in tangent_on:
             phi_dperp_normal = max(phi_dperp_normal, abs(value(g(p, pw, t))))
     phi_nu_in_nu = max(
-        (span_defect(vvalue(S.phi(p, list(n))), crd.nu_frame) for n in crd.nu_frame),
+        (span_defect(value(S.phi(p, n)), crd.nu_frame) for n in crd.nu_frame),
         default=0.0,
     )
     return {
@@ -420,26 +417,25 @@ def weingarten_residual(ctx, row, y, z):
     act_field = ctx.vertical_fields[row]
     geo_s = ctx.ambient_geometry
 
-    xm_p = vvalue(act_field(p))
+    y, z = vector(y), vector(z)
+    xm_p = value(act_field(p))
     nrm = math.sqrt(value(g(p, xm_p, xm_p)))
 
     def nu_field(q):
         xm = act_field(q)
         w = geo_s.covariant(q, act_field, S.reeb_field)
-        scale = 1.0 / jsqrt(g(q, xm, xm))
-        return [scale * c for c in w]
+        return 1.0 / jsqrt(g(q, xm, xm)) * w
 
-    Yf = lambda q: ctx.manifold.project(q, vvalue(y))
+    Yf = lambda q: ctx.manifold.project(q, value(y))
     dn = geo_s.covariant(p, Yf, nu_field)
     tangent_on, _ = ctx._tangent_frames()
-    a_nu_y = [0.0] * len(p)
+    a_nu_y = np.zeros(np.shape(p))
     for u in tangent_on:
-        c = value(g(p, u, dn))
-        a_nu_y = [a + (-c) * b for a, b in zip(a_nu_y, u)]
+        a_nu_y = a_nu_y + (-value(g(p, u, dn))) * u
     lhs = value(g(p, a_nu_y, z))
 
     grad = geo_s.covariant(p, Yf, act_field)
-    phi_grad = geo_s.covariant(p, geo_s.extend(vvalue(grad)), S.reeb_field)
+    phi_grad = geo_s.covariant(p, geo_s.extend(value(grad)), S.reeb_field)
     rhs = (
         value(g(p, xm_p, y)) * value(S.eta(p, z))
         - value(g(p, phi_grad, z))
@@ -466,11 +462,11 @@ class StructureTensors:
 def tensors_at(structure, p, vectors=None):
     """StructureTensors on a deterministic orthonormal tangent frame."""
     S = structure
-    p = as_list(p)
+    p = vector(p)
     if vectors is None:
-        vectors = [list(r) for r in S.sphere.tangent_basis(p)]
+        vectors = S.sphere.tangent_basis(p)
     frame = gram_schmidt(S.metric, p, vectors)
-    rows = [list(v) for v in frame.vectors]
+    rows = frame.vectors
     gram = np.asarray(
         [[value(S.metric.g(p, u, v)) for v in rows] for u in rows], dtype=float
     )
@@ -485,7 +481,7 @@ def tensors_at(structure, p, vectors=None):
 
 def act(action, t, q):
     """Apply the group element exp(i W^T t) coordinatewise."""
-    q = as_list(q)
+    q = list(q)
     out = list(q)
     for j in range(action.n):
         ang = sum(tk * wk[j] for tk, wk in zip(t, action.weights))
@@ -499,7 +495,7 @@ def act(action, t, q):
 def kernel_momentum(action, mu, p):
     """Phi(p) = iota^t(J(p)): the momentum of the kernel-group action."""
     kern = kernel_algebra(mu)
-    j = np.asarray([float(value(c)) for c in action.momentum(as_list(p))])
+    j = np.asarray(value(action.momentum(p)), dtype=float)
     return [float(np.dot(j, b)) for b in kern.matrix] if kern.k else []
 
 
@@ -511,10 +507,11 @@ def kernel_momentum(action, mu, p):
 def weighted_metric_pair(metric, q, u, v):
     """g_A(u, v) = eta_A(u) eta_A(v) + (1/2) d(eta_A)(u_c, i v_c), composed
     from the metric's eta, reeb and closed-form d_eta; jet-generic."""
+    q, u, v = vector(q), vector(u), vector(v)
     eu, ev = metric.eta(q, u), metric.eta(q, v)
     xi = metric.reeb(q)
-    uc = vsub(u, vscale(xi, eu))
-    vc = vsub(v, vscale(xi, ev))
+    uc = u - xi * eu
+    vc = v - xi * ev
     return eu * ev + 0.5 * metric.d_eta(q, uc, cmult(vc))
 
 
@@ -526,7 +523,7 @@ def positivity_probe_lows(structure):
     lows = []
     for _ in range(structure.PROBE_POINTS):
         p = rng.standard_normal(structure.ambient_dim)
-        p = list(p / np.linalg.norm(p))
+        p = p / np.linalg.norm(p)
         frame = structure.contact_frame(p)
         H = np.asarray(
             [[0.5 * value(structure.metric.d_eta(p, u, cmult(v))) for v in frame]
@@ -548,6 +545,7 @@ def gram_per_entry(metric, q, vectors):
     list: the terms of d(eta_A) formed once per point and once per
     vector, then one dot product of jets per entry of the upper
     triangle, which stands on both sides; jet-generic."""
+    q, vectors = vector(q), [vector(u) for u in vectors]
     f = metric.conformal_factor(q)
     ff = f * f
     iq = cmult(q)
@@ -555,9 +553,10 @@ def gram_per_entry(metric, q, vectors):
     for j, aj in enumerate(metric.a):
         aq.append(aj * q[2 * j])
         aq.append(aj * q[2 * j + 1])
+    aq = vector(aq)
     xi = metric.reeb(q)
     eta = [vdot(iq, u) / f for u in vectors]
-    contact = [vsub(u, vscale(xi, e)) for u, e in zip(vectors, eta)]
+    contact = [u - expand(xi, np.ndim(value(u))) * e for u, e in zip(vectors, eta)]
     turned = [cmult(c) for c in contact]
     rows = [(2.0 * vdot(aq, c), vdot(iq, c)) for c in contact]
     cols = [(2.0 * vdot(aq, t), vdot(iq, t)) for t in turned]
@@ -574,9 +573,10 @@ def gram_per_entry(metric, q, vectors):
 def metric_field_per_entry(metric, x):
     """The cone metric M(x) = (x^ . u)(x^ . v) + g(x^; P u, P v) as
     nested lists, through ``gram_per_entry``; jet-generic."""
+    x = vector(x)
     r = jsqrt(vdot(x, x))
     xh = [c / r for c in x]
-    m = len(x)
+    m = len(xh)
     tangential = [[float(i == j) - xh[i] * xh[j] for j in range(m)] for i in range(m)]
     G = gram_per_entry(metric, xh, tangential)
     return [[xh[i] * xh[j] + G[i][j] for j in range(m)] for i in range(m)]
@@ -622,14 +622,17 @@ def contract_nested(t, vectors):
     """Ordered sums of the nested tensor t against the vectors, innermost
     index first, one ``vdot`` per row."""
     if len(vectors) == 1:
-        return [vdot(row, vectors[0]) for row in t]
-    return [vdot(contract_nested(s, vectors[:-1]), vectors[-1]) for s in t]
+        return [vdot(vector(row), vector(vectors[0])) for row in t]
+    return [vdot(vector(contract_nested(s, vectors[:-1])), vector(vectors[-1])) for s in t]
 
 
 def d_eta_grid_per_pair(d_eta, p, rows, cols):
     """[[d_eta(p, u, v) for v in cols] for u in rows], one evaluation per
-    pair, stacked by ``lane_stack``."""
-    return lane_stack([[value(d_eta(p, u, v)) for v in cols] for u in rows])
+    pair, stacked as (samples, rows, columns) at a lane point."""
+    lanes = np.shape(p)[1:]
+    grid = np.array([[np.broadcast_to(value(d_eta(p, u, v)), lanes) for v in cols]
+                     for u in rows])
+    return np.moveaxis(grid, -1, 0) if lanes else grid
 
 
 # ----------------------------------------------------------------------
@@ -653,15 +656,14 @@ class QuotientPerPair:
     def second_fundamental(self, x, y):
         ctx = self.ctx
         man = ctx.manifold
-        yhat, xhat = vvalue(y), vvalue(x)
+        yhat, xhat = value(vector(y)), value(vector(x))
         w = ctx.ambient_geometry.covariant(
             ctx.p, lambda q: man.project(q, xhat), lambda q: man.project(q, yhat))
         tangent_on, _ = ctx._tangent_frames()
         g = ctx.structure.metric.g
-        out = list(w)
+        out = w
         for u in tangent_on:
-            c = g(ctx.p, u, out)
-            out = [a - c * b for a, b in zip(out, u)]
+            out = out - g(ctx.p, u, out) * u
         return out
 
     def gauss_curvature_n4(self, x, y, z, v, h_cache=None):
@@ -708,19 +710,18 @@ class QuotientPerPair:
         def A(a, b):
             key = (id(a), id(b))
             if key not in cache:
-                val = vvalue(self.a_tensor(a, b))
+                val = value(self.a_tensor(a, b))
                 cache[key] = val
-                cache[(id(b), id(a))] = [-c for c in val]
+                cache[(id(b), id(a))] = -val
             return cache[key]
 
         return A
 
     def quotient_curvature_vector(self, x, y, z):
         a_cache, h_cache = {}, {}
-        out = [0.0] * len(self.ctx.p)
+        out = np.zeros(np.shape(self.ctx.p))
         for f in self.ctx.horizontal_frame:
-            comp = self.quotient_curvature_4(x, y, z, f, a_cache, h_cache)
-            out = [o + comp * c for o, c in zip(out, f)]
+            out = out + self.quotient_curvature_4(x, y, z, f, a_cache, h_cache) * f
         return out
 
 
@@ -730,16 +731,16 @@ def reduced_d_eta_per_pair(setup, rframe):
     d(eta) evaluation per pair, on a float or lane frame."""
     S = setup.structure
     p = rframe.p
-    dvecs = [list(v) for v in rframe.contact_d.vectors]
+    dvecs = list(rframe.contact_d.vectors)
     m = len(dvecs)
     deta = {
         (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
         for i in range(m) for j in range(m) if i != j
     }
-    tangent = [list(t) for t in rframe.tangent]
+    tangent = list(rframe.tangent)
     worst_basic = 0.0
     for vrow in rframe.vertical_rows:
-        vfield_p = vvalue(setup.action.fundamental_field(vrow, p))
+        vfield_p = value(setup.action.fundamental_field(vrow, p))
         for t in tangent:
             worst_basic = np.maximum(worst_basic, abs(value(S.d_eta(p, vfield_p, t))))
     return deta, worst_basic
@@ -753,12 +754,12 @@ def reduced_d_eta_per_pair(setup, rframe):
 def newton_refine_ndarray(manifold, p):
     """Gauss-Newton pullback onto the manifold's constraint set on an
     ndarray state; returns the point only."""
-    x = np.asarray(vvalue(p), dtype=float)
+    x = np.asarray(value(vector(p)), dtype=float)
     for _ in range(tolerances.REFINE_MAX_ITER):
-        vals = np.asarray(vvalue(manifold.constraint_values(list(x))), dtype=float)
+        vals = np.asarray([value(v) for v in manifold.constraint_values(x)], dtype=float)
         if np.max(np.abs(vals)) < tolerances.REFINE_TOL:
             break
-        jac = np.asarray([vvalue(g) for g in manifold.constraint_grads(list(x))], dtype=float)
+        jac = np.asarray([value(g) for g in manifold.constraint_grads(x)], dtype=float)
         step, *_ = np.linalg.lstsq(jac, vals, rcond=None)
         x = x - step
     return [float(a) for a in x]
@@ -769,7 +770,7 @@ def reeb_flow_ndarray(structure, manifold, z0, t_max, steps):
     and the field back to an array, and the reprojection gate evaluates
     the constraints again after ``newton_refine_ndarray``."""
     h = float(t_max) / steps
-    field = lambda q: np.asarray(vvalue(structure.reeb_field(list(q))), dtype=float)
+    field = lambda q: np.asarray(value(structure.reeb_field(np.asarray(q))), dtype=float)
     x = np.asarray(z0, dtype=float).copy()
     times = np.linspace(0.0, float(t_max), steps + 1)
     out = np.empty((steps + 1, len(x)))
@@ -781,7 +782,7 @@ def reeb_flow_ndarray(structure, manifold, z0, t_max, steps):
         k4 = field(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = np.asarray(newton_refine_ndarray(manifold, list(x)), dtype=float)
-        if manifold.residual(list(x)) > 1e-9:
+        if manifold.residual(x) > 1e-9:
             raise NoConvergence(f"reprojection failed at step {k}")
         out[k + 1] = x
     return times, out
@@ -838,6 +839,7 @@ def reduced_flow_comparison_complex(times, trajectory, lam):
 
 def _iota_transpose_per_point(action, mu, p, r):
     kern = kernel_algebra(mu)
+    p = np.asarray(p, dtype=float)
     js = [r * r * float(value(c)) for c in action.momentum(p)]
     path_a = [float(np.dot(js, b)) for b in kern.matrix] if kern.k else []
     path_b = []
@@ -873,7 +875,7 @@ def stratify_per_point(action, mu, points, tol):
                 "on_negative_ray": "negative_stratum"}
     rows = []
     for pt in points:
-        p = pt.as_list() if hasattr(pt, "as_list") else as_list(pt)
+        p = pt.as_list() if hasattr(pt, "as_list") else list(pt)
         j = np.asarray([float(value(c)) for c in action.momentum(p)])
         m, e = mu.scaled()
         s = math.ldexp(float(np.dot(j, m) / np.dot(m, m)), -e)
@@ -889,3 +891,249 @@ def stratify_per_point(action, mu, points, tol):
             kind, s = "on_negative_ray", -s
         rows.append((p, label_of[kind], s, residual))
     return rows
+
+
+# ----------------------------------------------------------------------
+# the list code: vectors as Python lists of floats, lanes or jets
+# ----------------------------------------------------------------------
+#
+# Before vectors became one array each, every vector was a list of m
+# scalars and each operation below looped over them.  These are those
+# implementations, kept as they were, as bitwise references for the
+# array versions: ``vdot``, ``cmult``, ``EmbeddedManifold.project``,
+# ``Sphere.project``, ``gram_schmidt`` (on the round metric) and the A
+# and h pair passes of ``SubmersionContext`` on the round metric, with
+# the list ``along`` and list lane helpers they ran on.
+
+
+def list_vsub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def list_vscale(u, c):
+    return [a * c for a in u]
+
+
+def list_vdot(u, v):
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def list_cmult(v):
+    """Multiplication by i on pairwise coordinates (x, y) -> (-y, x)."""
+    out = []
+    for j in range(0, len(v), 2):
+        out.append(-v[j + 1])
+        out.append(v[j])
+    return out
+
+
+def list_vvalue(u):
+    return [value(a) for a in u]
+
+
+def _list_imag(x, lvl):
+    if isinstance(x, Dual) and x.lvl == lvl:
+        return x.im
+    return 0.0
+
+
+def _list_coeff(x, lvl):
+    if isinstance(x, (list, tuple)):
+        out = [_list_coeff(c, lvl) if isinstance(c, (list, tuple)) else _list_imag(c, lvl)
+               for c in x]
+        return out if isinstance(x, list) else tuple(out)
+    return _list_imag(x, lvl)
+
+
+def list_along(fn, point, direction):
+    """d/ds fn(point + s direction) at s = 0, fn taking a list of jets."""
+    lvl = enter_level()
+    try:
+        return _list_coeff(fn([Dual(lvl, p, v) for p, v in zip(point, direction)]), lvl)
+    finally:
+        exit_level()
+
+
+def list_constraint_grads(manifold, q):
+    """The constraint gradients of ``manifold`` at the list point q."""
+    from sasaklab.manifolds import LinearConstraint, ModuliConstraint, SphereConstraint
+
+    grads = []
+    for c in manifold.constraints:
+        if isinstance(c, SphereConstraint):
+            grads.append(list_vscale(q, 2.0))
+        elif isinstance(c, LinearConstraint):
+            grads.append([float(x) for x in c.a])
+        elif isinstance(c, ModuliConstraint):
+            g = [0.0] * len(q)
+            for j, cj in enumerate(c.c):
+                if cj != 0.0:
+                    g[2 * j] = 2.0 * cj * q[2 * j]
+                    g[2 * j + 1] = 2.0 * cj * q[2 * j + 1]
+            grads.append(g)
+        else:
+            raise TypeError(f"no list gradient for {type(c).__name__}")
+    return grads
+
+
+def list_project(manifold, q, v):
+    """EmbeddedManifold.project on lists."""
+    grads = list_constraint_grads(manifold, q)
+    k = len(grads)
+    if k == 0:
+        return list(v)
+    gram = [[list_vdot(gi, gj) for gj in grads] for gi in grads]
+    rhs = [list_vdot(gi, v) for gi in grads]
+    coef = solve_linear(gram, rhs)
+    out = list(v)
+    for ci, gi in zip(coef, grads):
+        out = [a - ci * b for a, b in zip(out, gi)]
+    return out
+
+
+def list_sphere_project(q, v):
+    """Sphere.project on lists."""
+    f = list_vdot(v, q) / list_vdot(q, q)
+    return list_vsub(v, list_vscale(q, f))
+
+
+def list_gram_schmidt(p, vectors):
+    """gram_schmidt on the round metric, on lists: (kept vectors, inputs)."""
+    from sasaklab.vecops import agreed
+
+    kept, inputs = [], []
+    for i, v in enumerate(vectors):
+        w = list(v)
+        for u in kept:
+            w = list_vsub(w, list_vscale(u, list_vdot(u, w)))
+        # second pass for numerical orthogonality
+        for u in kept:
+            w = list_vsub(w, list_vscale(u, list_vdot(u, w)))
+        nrm = clamped_sqrt(list_vdot(w, w))
+        if agreed(nrm < tolerances.GRAM_SCHMIDT_DROP):
+            continue
+        kept.append(list_vscale(w, 1.0 / nrm))
+        inputs.append(i)
+    return kept, inputs
+
+
+def _list_lane_width(u):
+    widths = {len(a) for a in u if isinstance(a, np.ndarray)}
+    return widths.pop() if widths else None
+
+
+def _list_tile_lanes(u, reps):
+    if reps == 1:
+        return u
+    return [np.concatenate([a] * reps) if isinstance(a, np.ndarray) else a for a in u]
+
+
+def _list_join_lanes(vectors, width):
+    if width is None:
+        return [np.array([value(e) for e in entries], dtype=float) for entries in zip(*vectors)]
+
+    def lanes(e):
+        e = value(e)
+        return e if isinstance(e, np.ndarray) else np.full(width, e, dtype=float)
+
+    return [np.concatenate([lanes(e) for e in entries]) for entries in zip(*vectors)]
+
+
+def _list_cut_lanes(x, reps, width):
+    if isinstance(x, (list, tuple)):
+        return [list(part) for part in zip(*(_list_cut_lanes(e, reps, width) for e in x))]
+    x = value(x)
+    if not isinstance(x, np.ndarray):
+        return [x] * reps
+    if width is None:
+        return x.tolist()
+    return [x[k * width:(k + 1) * width] for k in range(reps)]
+
+
+def list_pair_lanes(fn, p, pairs, per_pass):
+    """pair_lanes on lists, ``per_pass`` pairs to a pass."""
+    width = _list_lane_width(p)
+    out = []
+    for k in range(0, len(pairs), per_pass):
+        part = pairs[k:k + per_pass]
+        reps = len(part)
+        if reps == 1:
+            out.append(fn(p, 1, *part[0]))
+            continue
+        us = _list_join_lanes([u for u, _ in part], width)
+        vs = _list_join_lanes([v for _, v in part], width)
+        out.extend(_list_cut_lanes(fn(_list_tile_lanes(p, reps), reps, us, vs), reps, width))
+    return out
+
+
+class ListPairPasses:
+    """The A and h pair passes of a round-metric SubmersionContext built
+    from (setup, rframe), on lists: covariant derivatives by the list
+    ``along`` and projections, the vertical fields from the action rows."""
+
+    def __init__(self, setup, rframe, ctx):
+        self.manifold = setup.manifold
+        self.sphere = setup.structure.sphere
+        self.weights = setup.action.weights
+        self.rows = [tuple(r) for r in rframe.vertical_rows]
+        self.p = _as_lists(ctx.p)
+        self.tangent_on = [_as_lists(u) for u in ctx._tangent_frames()[0]]
+
+    def field(self, r, q):
+        speeds = [sum(rk * wk[j] for rk, wk in zip(r, self.weights))
+                  for j in range(len(self.weights[0]))]
+        out = []
+        for j, s in enumerate(speeds):
+            out.append(-s * q[2 * j + 1])
+            out.append(s * q[2 * j])
+        return out
+
+    def vertical_project(self, q, w):
+        if not self.rows:
+            return [0.0 * c for c in w]
+        vals = [self.field(r, q) for r in self.rows]
+        gram = [[list_vdot(a, b) for b in vals] for a in vals]
+        rhs = [list_vdot(a, w) for a in vals]
+        coef = solve_linear(gram, rhs)
+        out = [0.0] * len(w)
+        for c, v in zip(coef, vals):
+            out = [o + c * b for o, b in zip(out, v)]
+        return out
+
+    def horizontal_project(self, q, w):
+        t = list_project(self.manifold, q, w)
+        return list_vsub(t, self.vertical_project(q, t))
+
+    def a_tensors(self, pairs, per_pass):
+        def one_pass(q, reps, x, y):
+            xhat, yhat = list_vvalue(x), list_vvalue(y)
+            Yh = lambda r: self.horizontal_project(r, yhat)
+            w = list_project(self.manifold, q, list_along(Yh, q, self.horizontal_project(q, xhat)))
+            return self.vertical_project(q, w)
+
+        return list_pair_lanes(one_pass, self.p, [tuple(map(_as_lists, uv)) for uv in pairs],
+                               per_pass)
+
+    def second_fundamentals(self, pairs, per_pass):
+        def one_pass(q, reps, x, y):
+            xhat, yhat = list_vvalue(x), list_vvalue(y)
+            Yf = lambda r: list_project(self.manifold, r, yhat)
+            w = list_sphere_project(q, list_along(Yf, q, list_project(self.manifold, q, xhat)))
+            out = list(w)
+            for u in self.tangent_on:
+                u = _list_tile_lanes(u, reps)
+                c = list_vdot(u, out)
+                out = [a - c * b for a, b in zip(out, u)]
+            return out
+
+        return list_pair_lanes(one_pass, self.p, [tuple(map(_as_lists, uv)) for uv in pairs],
+                               per_pass)
+
+
+def _as_lists(u):
+    """An array vector as the list vector of its coordinates: floats, or lanes."""
+    u = np.asarray(u, dtype=float)
+    return u.tolist() if u.ndim == 1 else [np.array(row) for row in u]

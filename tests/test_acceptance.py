@@ -22,7 +22,7 @@ from sasaklab.structures import (
     WeightedSphereStructure,
 )
 from sasaklab.jets import value
-from sasaklab.vecops import vvalue
+
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])
@@ -59,12 +59,12 @@ def test_criterion_01_round_sphere_axioms():
         p = _rand_point(rng, 8)
         x, y = _rand_tangent(rng, p), _rand_tangent(rng, p)
         worst_curv = max(worst_curv, S7.sasakian_residual(p, x, y))
-        xi = vvalue(S7.reeb(p))
-        phx, phy = vvalue(S7.phi(p, x)), vvalue(S7.phi(p, y))
-        phxi = vvalue(S7.phi(p, xi))
+        xi = value(S7.reeb(p))
+        phx, phy = value(S7.phi(p, x)), value(S7.phi(p, y))
+        phxi = value(S7.phi(p, xi))
         worst_ident = max(worst_ident, float(np.linalg.norm(phxi)))
-        phphx = vvalue(S7.phi(p, phx))
-        r = [a + b - value(S7.eta(p, x)) * c for a, b, c in zip(phphx, x, xi)]
+        phphx = value(S7.phi(p, phx))
+        r = phphx + x - value(S7.eta(p, x)) * xi
         worst_ident = max(worst_ident, float(np.linalg.norm(r)))
         r2 = abs(value(S7.metric.g(p, phx, phy)) - value(S7.metric.g(p, x, y))
                  + value(S7.eta(p, x)) * value(S7.eta(p, y)))
@@ -90,8 +90,8 @@ def test_criterion_02_weighted_structures():
     for _ in range(5):
         p = _rand_point(rng, 6)
         x, y = _rand_tangent(rng, p), _rand_tangent(rng, p)
-        xi = vvalue(W.reeb(p))
-        jet = np.asarray(vvalue(W.geometry.curvature(p, x, xi, y)))
+        xi = value(W.reeb(p))
+        jet = np.asarray(value(W.geometry.curvature(p, x, xi, y)))
         fd = fd_curvature(W.metric.g, p, x, xi, y, step=1e-4)
         worst_fd = max(worst_fd, float(np.max(np.abs(jet - fd))))
     ok = worst_kill < 1e-5 and worst_sas < 1e-4 and worst_fd < 1e-3 and worst_deta < 1e-12

@@ -43,7 +43,8 @@ class TestConeMetric:
 class TestSymplecticMomentum:
     def test_restriction_is_contact_momentum(self):
         p = rand_point()
-        assert symplectic_momentum(PAIRS, ConePoint.of(p, 1.0)) == PAIRS.momentum(p)
+        assert (symplectic_momentum(PAIRS, ConePoint.of(p, 1.0)).tolist()
+                == PAIRS.momentum(p).tolist())
 
     def test_homogeneity(self):
         p = rand_point()
@@ -53,7 +54,7 @@ class TestSymplecticMomentum:
 
     def test_pole_value(self):
         cp = ConePoint.of([1, 0, 0, 0, 0, 0, 0, 0], 2.0)
-        assert symplectic_momentum(PAIRS, cp) == [4.0, 0.0]
+        assert symplectic_momentum(PAIRS, cp).tolist() == [4.0, 0.0]
 
     def test_pairing_oracle(self):
         worst = 0.0
@@ -193,7 +194,8 @@ class TestConeCheckLanes:
         assert lanes[0] == [iota_transpose_residual(FLIPPED, [1.0, 0.0], cp) for cp in cps]
         assert lanes[0] == cone_point_loop(FLIPPED, MomentumCovector.of([1.0, 0.0]), cps)[
             "iota_transpose"]
-        assert symplectic_momentum(FLIPPED, cps[:1]) == symplectic_momentum(FLIPPED, cps[0])
+        assert (symplectic_momentum(FLIPPED, cps[:1]).tobytes()
+                == symplectic_momentum(FLIPPED, cps[0]).tobytes())
 
     def test_stratify_labels_a_mixed_list_as_one_point_calls_do(self):
         mu = [1.0, 0.0]

@@ -7,7 +7,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sasaklab"
 
 # perfbench/ imports or patches these two, and src/ has no caller for them
-KEPT_FOR_PERFBENCH = {"reduction.newton_project", "reduction.reduced_tensors"}
+KEPT_FOR_PERFBENCH = {"reduction.newton_project"}
 
 
 def unreferenced_definitions():

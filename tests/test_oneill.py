@@ -15,7 +15,7 @@ from sasaklab.jets import value
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
-from sasaklab.vecops import lane_width, split_frame, stack_lanes, vdot, vscale, vsub, vvalue
+from sasaklab.vecops import lane_width, split_frame, stack_lanes, vdot
 
 rng = np.random.default_rng(31)
 
@@ -56,7 +56,7 @@ class TestHopfGate:
     def test_a_tensor_magnitude(self):
         ctx = hopf_context()
         x, y = ctx.horizontal_frame
-        a = vvalue(ctx.a_tensor(x, y))
+        a = value(ctx.a_tensor(x, y))
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -64,13 +64,13 @@ class TestATensor:
     def test_vanishes_on_diagonal(self):
         _, frame, ctx = pairs_context(seed=1)
         x = frame_mix([list(v) for v in frame.contact_d.vectors], 7)
-        assert np.max(np.abs(vvalue(ctx.a_tensor(x, x)))) < 1e-8
+        assert np.max(np.abs(value(ctx.a_tensor(x, x)))) < 1e-8
 
     def test_antisymmetry(self):
         _, frame, ctx = pairs_context(seed=1)
         d = [list(v) for v in frame.contact_d.vectors]
-        a_xy = np.asarray(vvalue(ctx.a_tensor(d[0], d[1])))
-        a_yx = np.asarray(vvalue(ctx.a_tensor(d[1], d[0])))
+        a_xy = np.asarray(value(ctx.a_tensor(d[0], d[1])))
+        a_yx = np.asarray(value(ctx.a_tensor(d[1], d[0])))
         assert np.max(np.abs(a_xy + a_yx)) < 1e-8
 
     def test_bracket_oracle_sweep(self):
@@ -79,8 +79,8 @@ class TestATensor:
         worst = 0.0
         for k in range(50):
             x, y = frame_mix(d, 2 * k), frame_mix(d, 2 * k + 1)
-            a = np.asarray(vvalue(ctx.a_tensor(x, y)))
-            b = np.asarray(vvalue(a_tensor_bracket(ctx, x, y)))
+            a = np.asarray(value(ctx.a_tensor(x, y)))
+            b = np.asarray(value(a_tensor_bracket(ctx, x, y)))
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst < 1e-6
 
@@ -88,15 +88,15 @@ class TestATensor:
         _, frame, ctx = pairs_context(seed=3)
         x = list(frame.contact_d.vectors[0])
         zeta = list(frame.reeb)
-        assert np.max(np.abs(vvalue(ctx.a_tensor(x, zeta)))) < 1e-9
+        assert np.max(np.abs(value(ctx.a_tensor(x, zeta)))) < 1e-9
 
 
 class TestSecondFundamentalForm:
     def test_symmetry(self):
         _, frame, ctx = pairs_context(seed=4)
         d = [list(v) for v in frame.contact_d.vectors]
-        h_xy = np.asarray(vvalue(ctx.second_fundamental(d[0], d[1])))
-        h_yx = np.asarray(vvalue(ctx.second_fundamental(d[1], d[0])))
+        h_xy = np.asarray(value(ctx.second_fundamental(d[0], d[1])))
+        h_yx = np.asarray(value(ctx.second_fundamental(d[1], d[0])))
         assert np.max(np.abs(h_xy - h_yx)) < 1e-8
 
     def test_great_sphere_totally_geodesic(self):
@@ -109,7 +109,7 @@ class TestSecondFundamentalForm:
         d = [list(v) for v in frame.contact_d.vectors]
         for k in range(4):
             x, y = frame_mix(d, k), frame_mix(d, k + 11)
-            assert np.max(np.abs(vvalue(ctx.second_fundamental(x, y)))) < 1e-8
+            assert np.max(np.abs(value(ctx.second_fundamental(x, y)))) < 1e-8
 
     def test_product_of_spheres_oracle(self):
         # diagonal-ray level set of the pairs action is S^3 x S^3 with
@@ -120,7 +120,7 @@ class TestSecondFundamentalForm:
         e[0], e[1] = -p[1], p[0]  # tangent to the first factor
         block = e - (e @ p) * p
         x = list(block / np.linalg.norm(block))
-        h = np.asarray(vvalue(ctx.second_fundamental(x, x)))
+        h = np.asarray(value(ctx.second_fundamental(x, x)))
         assert np.linalg.norm(h) == pytest.approx(
             product_sphere_h_norm(p, x, 0), abs=1e-8
         )
@@ -152,7 +152,7 @@ class TestGaussConsistency:
         for k in range(10):
             x, y = frame_mix(d, 4 * k), frame_mix(d, 4 * k + 1)
             z, v = frame_mix(d, 4 * k + 2), frame_mix(d, 4 * k + 3)
-            direct = vdot(vvalue(geo_n.curvature(ctx.p, x, y, z)), v)
+            direct = vdot(value(geo_n.curvature(ctx.p, x, y, z)), v)
             gauss = ctx.gauss_curvature_n4(x, y, z, v)
             worst = max(worst, abs(direct - gauss))
         assert worst < 1e-5
@@ -218,13 +218,9 @@ class TestQuotientSasakian:
         _, frame, ctx = pairs_context(seed=15)
         S = ctx.structure
         g = S.metric.g
-        d = [list(v) for v in frame.contact_d.vectors]
-        x, y, fake = d[0], d[1], d[2]
+        x, y, fake = frame.contact_d.vectors[:3]
         r = ctx.quotient_curvature_vector(x, fake, y)
-        expected = vsub(
-            vscale(x, value(g(ctx.p, fake, y))),
-            vscale(fake, value(g(ctx.p, x, y))),
-        )
+        expected = x * value(g(ctx.p, fake, y)) - fake * value(g(ctx.p, x, y))
         diff = np.asarray(r) - np.asarray(expected)
         assert np.linalg.norm(diff) > 0.1
 
@@ -235,12 +231,12 @@ class TestPhiSectional:
         for _ in range(10):
             p = rng.standard_normal(8)
             p = list(p / np.linalg.norm(p))
-            xi = vvalue(S.reeb(p))
+            xi = value(S.reeb(p))
             x = rng.standard_normal(8)
             x -= (x @ np.asarray(p)) * np.asarray(p)
             x -= (x @ np.asarray(xi)) * np.asarray(xi)
             x = list(x / np.linalg.norm(x))
-            phx = vvalue(S.phi(p, x))
+            phx = value(S.phi(p, x))
             k = S.ambient_curvature_4(p, x, phx, phx, x) / (
                 value(S.metric.g(p, x, x)) * value(S.metric.g(p, phx, phx))
             )
@@ -305,7 +301,7 @@ CONTEXTS = {
 
 def bits(x):
     """The raw bytes of a scalar or a vector, floats or lanes."""
-    return np.asarray(vvalue(x) if isinstance(x, list) else value(x), dtype=float).tobytes()
+    return np.asarray(value(x), dtype=float).tobytes()
 
 
 class TestPairLanes:
@@ -316,16 +312,16 @@ class TestPairLanes:
     def test_curvature_vector_matches_per_pair_bitwise(self, name):
         ctx, x, y = CONTEXTS[name]()
         ref = QuotientPerPair(ctx)
-        zeta = vvalue(ctx.structure.reeb(ctx.p))
+        zeta = value(ctx.structure.reeb(ctx.p))
         # (x, y, x): h(y, x) is requested before h(x, y), and A(x, x) is
         # stored as its own negation
         for args in [(x, zeta, y), (x, y, x), (y, x, zeta)]:
             got = ctx.quotient_curvature_vector(*args)
             assert bits(got) == bits(ref.quotient_curvature_vector(*args))
-        if lane_width(ctx.p) is None:  # a pass over pairs splits into floats
+        if lane_width(ctx.p) is None:  # a pass over pairs splits into float vectors
             for vec in ctx.a_tensors([(x, y), (y, zeta)]) + ctx.second_fundamentals(
                     [(x, y), (y, zeta)]):
-                assert all(type(c) is float for c in vec)
+                assert vec.shape == np.shape(ctx.p)
 
     @pytest.mark.parametrize("name", list(CONTEXTS))
     def test_shared_caches_match_per_pair_bitwise(self, name):
@@ -371,3 +367,23 @@ class TestPairLanes:
             counts.append(len(opened))
         # one along for the A pass and one for the h pass
         assert counts == [2, 2]
+
+    @pytest.mark.parametrize("name", list(CONTEXTS))
+    def test_later_directions_reuse_the_zeta_pairs(self, monkeypatch, name):
+        # A(zeta, f) and h(zeta, f) of the frame vectors f carry over from
+        # one direction to the next; the pairs with x or y do not
+        ctx, x, y = CONTEXTS[name]()
+        fresh, *_ = CONTEXTS[name]()
+        seen = {"a": [], "h": []}
+        for kind, name_ in (("a", "a_tensors"), ("h", "second_fundamentals")):
+            run = getattr(ctx, name_)
+            monkeypatch.setattr(ctx, name_, lambda todo, run=run, kind=kind:
+                                seen[kind].append(len(todo)) or run(todo))
+        first = ctx.quotient_sasakian_residual(x, y)
+        second = ctx.quotient_sasakian_residual(y, x)
+        frame = len(ctx.horizontal_frame)
+        assert seen["a"][1] == seen["a"][0] - frame
+        assert seen["h"][1] == seen["h"][0] - frame
+        assert bits(first) == bits(fresh.quotient_sasakian_residual(x, y))
+        fresh, *_ = CONTEXTS[name]()
+        assert bits(second) == bits(fresh.quotient_sasakian_residual(y, x))

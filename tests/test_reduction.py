@@ -22,7 +22,6 @@ from sasaklab.reduction import (
     printed_remark_dimension,
     quotient_dimension,
     reduced_tensors,
-    reduced_tensors_batch,
     sample_level_set,
     sample_zero_level,
     transversality_check,
@@ -31,7 +30,7 @@ from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.jets import along
 from sasaklab.tensor_kernel import AmbientPoint
 from sasaklab.vecops import (LanesDisagree, agreeing_parts, lane, solve_linear, split_frame,
-                             stack_lanes, vvalue)
+                             stack_lanes)
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])
@@ -415,7 +414,7 @@ class TestProjectability:
             for row in setup.acting_rows:
                 f = lambda q, r=tuple(row): PAIRS.fundamental_field(r, q)
                 br = setup.manifold.project(p, geo.bracket(p, f, S7.reeb_field))
-                assert np.max(np.abs(vvalue(br))) < 1e-8
+                assert np.max(np.abs(value(br))) < 1e-8
 
     def test_frame_dimension_relations(self):
         # k = d - 1 and dim D = dim M - 2d + 1 on a free sample
@@ -478,15 +477,17 @@ class TestLaneBatches:
     def test_batch_equals_batches_of_one_bitwise(self):
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
         samples = setup.samples(6, seed=3)
-        lanes = reduced_tensors_batch(setup, build_frame(setup, samples))
-        assert len(lanes) == 6
-        for samp, got in zip(samples, lanes):
+        lanes = reduced_tensors(setup, build_frame(setup, samples))
+        assert lanes.d_eta_det.shape == (6,)
+        bits = lambda x: np.ascontiguousarray(x, dtype=float).tobytes()
+        for k, samp in enumerate(samples):
             ref = reduced_tensors(setup, build_frame(setup, samp))
-            assert np.array_equal(got.d_eta_matrix, ref.d_eta_matrix)
-            assert np.array_equal(got.reduced_eta, ref.reduced_eta)
-            assert np.array_equal(got.reduced_gram, ref.reduced_gram)
-            assert got.d_eta_det == ref.d_eta_det
-            assert got.checks == ref.checks
+            assert bits(lanes.d_eta_matrix[k]) == bits(ref.d_eta_matrix)
+            assert bits(lanes.reduced_eta[..., k]) == bits(ref.reduced_eta)
+            assert bits(lanes.reduced_gram[..., k]) == bits(ref.reduced_gram)
+            assert bits(lanes.d_eta_det[k]) == bits(ref.d_eta_det)
+            assert {n: bits(lane(v, k)) for n, v in lanes.checks.items()} == {
+                n: bits(v) for n, v in ref.checks.items()}
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["round", "weighted"])
     @pytest.mark.parametrize("samples", [1, 3])
@@ -504,7 +505,9 @@ class TestLaneBatches:
         deta, worst_basic = reduced_d_eta_per_pair(setup, frame)
         assert deta and len(frame.vertical_rows)
         bits = lambda x: np.float64(x).tobytes()
-        for k, red in enumerate(reduced_tensors_batch(setup, frame)):
+        red = reduced_tensors(setup, frame)
+        stack = red.d_eta_matrix.reshape((-1,) + red.d_eta_matrix.shape[-2:])
+        for k in range(samples):
             for (i, j), val in deta.items():
-                assert bits(red.d_eta_matrix[i, j]) == bits(lane(val, k))
-            assert bits(red.checks["basic_d_eta"]) == bits(lane(worst_basic, k))
+                assert bits(stack[k, i, j]) == bits(lane(val, k))
+            assert bits(lane(red.checks["basic_d_eta"], k)) == bits(lane(worst_basic, k))

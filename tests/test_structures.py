@@ -17,8 +17,8 @@ from sasaklab.structures import (
     contact_nondegeneracy,
 )
 from sasaklab import vecops
-from sasaklab.jets import Dual, along, value
-from sasaklab.vecops import cmult, lane_pow, stack_lanes, vdot, vscale, vsub, vvalue
+from sasaklab.jets import Dual, along, expand, value, vector
+from sasaklab.vecops import cmult, lane_pow, stack_lanes, vdot
 
 rng = np.random.default_rng(77)
 
@@ -43,9 +43,9 @@ class TestEta:
     def test_round_eta_vanishes_orthogonal_to_reeb(self):
         S = RoundSphereStructure(3)
         p = rand_point(6)
-        xi = vvalue(S.reeb(p))
-        v = rand_tangent(p)
-        v = vsub(v, vscale(xi, vdot(v, xi)))
+        xi = value(S.reeb(p))
+        v = np.asarray(rand_tangent(p))
+        v = v - xi * vdot(v, xi)
         assert abs(value(S.eta(p, v))) < 1e-14
 
     def test_weighted_eta_equals_round_at_unit_modulus_point(self):
@@ -60,17 +60,17 @@ class TestEta:
 class TestReeb:
     def test_round_reeb_is_i_p(self):
         S = RoundSphereStructure(2)
-        assert vvalue(S.reeb([1.0, 0.0, 0.0, 0.0])) == [0.0, 1.0, 0.0, 0.0]
+        assert value(S.reeb([1.0, 0.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_weighted_reeb_first_block(self):
         S = WeightedSphereStructure(2, [1.0, 2.0])
-        assert vvalue(S.reeb([1.0, 0.0, 0.0, 0.0])) == [0.0, 1.0, 0.0, 0.0]
+        assert value(S.reeb([1.0, 0.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_weighted_reeb_second_block_and_normalization(self):
         S = WeightedSphereStructure(2, [1.0, 2.0])
         p = [0.0, 0.0, 1.0, 0.0]
-        xi = vvalue(S.reeb(p))
-        assert xi == [0.0, 0.0, 0.0, 2.0]
+        xi = value(S.reeb(p))
+        assert xi.tolist() == [0.0, 0.0, 0.0, 2.0]
         assert value(S.eta(p, xi)) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -153,7 +153,8 @@ class TestWeightedMetric:
 
         def entries(q):
             # the vectors follow the point, as the cone's projections do
-            moved = [vsub(v, vscale(q, vdot(q, v))) for v in vs]
+            q = vector(q)
+            moved = [v - q * vdot(q, v) for v in map(np.asarray, vs)]
             gram = metric.gram(q, moved)
             got, want = [], []
             for i, u in enumerate(moved):
@@ -188,7 +189,8 @@ class TestWeightedMetric:
             p, vs = stack_lanes(points), [stack_lanes(v) for v in vectors]
 
         def both(q):
-            moved = [vsub(v, vscale(q, vdot(q, v))) for v in vs]
+            q = vector(q)
+            moved = [v - expand(q, v.ndim) * vdot(q, v) for v in map(np.asarray, vs)]
             return metric.gram(q, moved), gram_per_entry(metric, q, moved)
 
         if point == "jet":
@@ -270,19 +272,20 @@ class TestPhi:
     def test_phi_kills_reeb(self, structure):
         S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
         p = rand_point(6)
-        xi = vvalue(S.reeb(p))
-        out = vvalue(S.phi(p, xi))
+        xi = value(S.reeb(p))
+        out = value(S.phi(p, xi))
         assert np.max(np.abs(out)) < 1e-9
 
     def test_round_phi_is_tangential_complex_multiplication(self):
         S = RoundSphereStructure(4)
         p = rand_point(8)
-        xi = vvalue(S.reeb(p))
-        x = rand_tangent(p)
-        x = vsub(x, vscale(xi, vdot(x, xi)))
-        got = np.asarray(vvalue(S.phi(p, x)))
+        xi = value(S.reeb(p))
+        x = np.asarray(rand_tangent(p))
+        x = x - xi * vdot(x, xi)
+        got = np.asarray(value(S.phi(p, x)))
         ix = cmult(x)
-        want = np.asarray(vsub(ix, vscale(p, vdot(ix, p))))
+        p = np.asarray(p)
+        want = ix - p * vdot(ix, p)
         assert np.max(np.abs(got - want)) < 1e-9
 
     @pytest.mark.parametrize("structure,tol", [("round", 1e-8), ("weighted", 1e-5)])
@@ -293,10 +296,10 @@ class TestPhi:
         for _ in range(100):
             p = rand_point(6)
             x, y = rand_tangent(p), rand_tangent(p)
-            xi = vvalue(S.reeb(p))
-            phx = vvalue(S.phi(p, x))
-            phy = vvalue(S.phi(p, y))
-            phphx = vvalue(S.phi(p, phx))
+            xi = value(S.reeb(p))
+            phx = value(S.phi(p, x))
+            phy = value(S.phi(p, y))
+            phphx = value(S.phi(p, phx))
             r1 = [a + b - value(S.eta(p, x)) * c for a, b, c in zip(phphx, x, xi)]
             worst = max(worst, math.sqrt(max(value(g(p, r1, r1)), 0.0)))
             r2 = abs(value(g(p, phx, phy)) - value(g(p, x, y))
@@ -308,7 +311,7 @@ class TestPhi:
         for S in (RoundSphereStructure(3), WeightedSphereStructure(3, [1.0, 2.0, 3.0])):
             for _ in range(10):
                 p = rand_point(6)
-                xi = vvalue(S.reeb(p))
+                xi = value(S.reeb(p))
                 assert value(S.eta(p, xi)) == pytest.approx(1.0, abs=1e-12)
                 x = rand_tangent(p)
                 assert abs(value(S.d_eta(p, xi, x))) < 1e-9
@@ -359,7 +362,7 @@ class _BandConstraint(Constraint):
         g = [0.0] * 6
         g[0] = 2.0 * q[0]
         g[1] = 2.0 * q[1]
-        return g
+        return vector(g)
 
 
 class TestSasakianResidual:
@@ -383,7 +386,7 @@ class TestSasakianResidual:
         S.geometry = Geometry(man, InducedMetric())  # curvature of the band, not the sphere
         theta = 0.3
         p = [0.8 * math.cos(theta), 0.8 * math.sin(theta), 0.4, 0.2, -0.1, 0.3]
-        x = vvalue(man.project(p, list(rng.standard_normal(6))))
+        x = value(man.project(p, list(rng.standard_normal(6))))
         x = list(np.asarray(x) / np.linalg.norm(x))
         resid = S.sasakian_residual(p, x, x)
         assert resid > 0.1  # flat metric: curvature term is absent
@@ -434,10 +437,10 @@ class _FlippedRound(RoundSphereStructure):
     """Global orientation flip: xi = -i p, eta = -eta_0."""
 
     def reeb_field(self, q):
-        return [-c for c in cmult(q)]
+        return -cmult(vector(q))
 
     def eta(self, p, v):
-        return -vdot(cmult(p), v)
+        return -vdot(cmult(vector(p)), vector(v))
 
 
 class TestOrientationFlip:

@@ -12,8 +12,7 @@ from sasaklab.jets import along, jsqrt, value
 from sasaklab.manifolds import Sphere
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import (LanesDisagree, agreeing_parts, cmult, split_frame, stack_lanes, vdot,
-                             vscale, vsub, vvalue)
+from sasaklab.vecops import LanesDisagree, agreeing_parts, cmult, split_frame, stack_lanes, vdot
 
 rng = np.random.default_rng(1234)
 EUCLIDEAN = InducedMetric()
@@ -31,7 +30,7 @@ def bracket(X_field, Y_field, p):
 
 def along_sphere(field, p, direction):
     """First derivative of t -> field(normalize(p + t direction)) at 0."""
-    return along(lambda q: field(vscale(q, 1.0 / jsqrt(vdot(q, q)))), p, direction)
+    return along(lambda q: field(q * (1.0 / jsqrt(vdot(q, q)))), p, direction)
 
 
 def rand_point(m):
@@ -47,14 +46,14 @@ def rand_tangent(p):
 
 class TestComplexMult:
     def test_i_on_c1(self):
-        assert cmult([1.0, 0.0]) == [0.0, 1.0]
+        assert cmult(np.array([1.0, 0.0])).tolist() == [0.0, 1.0]
 
     def test_twice_is_minus_identity(self):
-        v = list(rng.standard_normal(8))
-        assert np.allclose(cmult(cmult(v)), [-x for x in v])
+        v = rng.standard_normal(8)
+        assert np.allclose(cmult(cmult(v)), -v)
 
     def test_componentwise_rule_n2(self):
-        assert cmult([0.0, 1.0, 1.0, 0.0]) == [-1.0, 0.0, 0.0, 1.0]
+        assert cmult(np.array([0.0, 1.0, 1.0, 0.0])).tolist() == [-1.0, 0.0, 0.0, 1.0]
 
 
 class TestTangentialProject:
@@ -69,7 +68,7 @@ class TestTangentialProject:
 
     def test_direct_arithmetic(self):
         out = project([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
-        assert out == [0.0, 1.0, 0.0, 0.0]
+        assert out.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 class TestGramSchmidt:
@@ -83,7 +82,7 @@ class TestGramSchmidt:
     def test_dependent_vector_dropped(self):
         p = rand_point(8)
         v, w = rand_tangent(p), rand_tangent(p)
-        frame = gram_schmidt(EUCLIDEAN, p, [v, vscale(v, 2.0), w])
+        frame = gram_schmidt(EUCLIDEAN, p, [v, np.asarray(v) * 2.0, w])
         assert len(frame) == 2
 
     def test_textbook_example(self):
@@ -100,11 +99,11 @@ class TestGramSchmidt:
         # the same modified Gram-Schmidt through metric.g, pair by pair
         kept = []
         for v in vectors:
-            w = list(v)
+            w = np.asarray(v)
             for _ in range(2):
                 for u in kept:
-                    w = vsub(w, vscale(u, metric.g(p, u, w)))
-            kept.append(vscale(w, 1.0 / math.sqrt(metric.g(p, w, w))))
+                    w = w - u * metric.g(p, u, w)
+            kept.append(w * (1.0 / math.sqrt(metric.g(p, w, w))))
         calls = []
         terms = metric._point_terms
         monkeypatch.setattr(metric, "_point_terms", lambda q: calls.append(1) or terms(q))
@@ -134,7 +133,7 @@ class TestGramSchmidt:
         vs = [list(rng.standard_normal(8)) for _ in range(5)]
         a = gram_schmidt(EUCLIDEAN, p, [list(v) for v in vs])
         b = gram_schmidt(EUCLIDEAN, p, [list(v) for v in vs])
-        assert a.vectors == b.vectors
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
     @pytest.mark.parametrize("metric", [EUCLIDEAN,
                                         WeightedSphereStructure(2, [1.0, 3.0]).metric],
@@ -146,7 +145,7 @@ class TestGramSchmidt:
         for k in range(5):
             p = rand_point(4)
             v, w, x = rand_tangent(p), rand_tangent(p), rand_tangent(p)
-            second = {1: vscale(v, -3.0), 3: [0.0] * 4}.get(k, w)
+            second = {1: np.asarray(v) * -3.0, 3: [0.0] * 4}.get(k, w)
             points.append(p)
             inputs.append([v, second, x])
         with pytest.raises(LanesDisagree):
@@ -168,8 +167,9 @@ class TestGramSchmidt:
     def test_orthogonal_tail_skips_dropped_head_vectors(self):
         p = [0.0, 0.0, 0.0, 1.0]
         e1, e2, e3 = ([float(i == k) for i in range(4)] for k in range(3))
-        tail = orthogonal_tail(EUCLIDEAN, p, [e1, vscale(e1, 2.0)], [vscale(e1, 3.0), e2, e3])
-        assert tail == [e2, e3]
+        tail = orthogonal_tail(EUCLIDEAN, p, [e1, np.asarray(e1) * 2.0],
+                               [np.asarray(e1) * 3.0, e2, e3])
+        assert tail.tolist() == [e2, e3]
 
 
 class TestDirectionalDerivative:
@@ -189,7 +189,7 @@ class TestDirectionalDerivative:
         p = rand_point(6)
         v = rand_tangent(p)
         d = along_sphere(lambda q: cmult(q), p, v)
-        assert np.allclose(d, cmult(v), atol=1e-12)
+        assert np.allclose(d, cmult(np.asarray(v)), atol=1e-12)
 
     def test_order_two_on_normalized_curve(self):
         # t -> normalize(p + t v) has |q(t)| = 1, so f = <q, q> is constant
@@ -215,10 +215,10 @@ class TestKoszul:
         S = RoundSphereStructure(4)
         p = rand_point(8)
         x = rand_tangent(p)
-        got = vvalue(covariant_koszul(S.geometry, p, S.geometry.extend(x), S.reeb_field))
+        got = value(covariant_koszul(S.geometry, p, S.geometry.extend(x), S.reeb_field))
         # Gauss-formula oracle: tangential projection of the ambient
         # derivative of q -> i q along the curve through p
-        oracle = project(p, cmult(x))
+        oracle = project(p, cmult(np.asarray(x)))
         assert np.max(np.abs(np.asarray(got) - oracle)) < 1e-9
 
     def test_metric_compatibility(self):
@@ -239,9 +239,9 @@ class TestKoszul:
         p = rand_point(4)
         x, y = rand_tangent(p), rand_tangent(p)
         Xf, Yf = geo.extend(x), geo.extend(y)
-        nxy = vvalue(covariant_koszul(geo, p, Xf, Yf))
-        nyx = vvalue(covariant_koszul(geo, p, Yf, Xf))
-        br = vvalue(geo.bracket(p, Xf, Yf))
+        nxy = value(covariant_koszul(geo, p, Xf, Yf))
+        nyx = value(covariant_koszul(geo, p, Yf, Xf))
+        br = value(geo.bracket(p, Xf, Yf))
         resid = np.asarray(nxy) - np.asarray(nyx) - np.asarray(br)
         assert np.max(np.abs(resid)) < 1e-8
 
@@ -249,8 +249,8 @@ class TestKoszul:
         geo = Geometry(Sphere(8), InducedMetric())
         p = rand_point(8)
         x, y = rand_tangent(p), rand_tangent(p)
-        a = vvalue(geo.covariant(p, geo.extend(x), geo.extend(y)))
-        b = vvalue(covariant_koszul(geo, p, geo.extend(x), geo.extend(y)))
+        a = value(geo.covariant(p, geo.extend(x), geo.extend(y)))
+        b = value(covariant_koszul(geo, p, geo.extend(x), geo.extend(y)))
         assert np.max(np.abs(np.asarray(a) - b)) < 1e-12
 
     def test_singular_metric_raises(self):
@@ -261,7 +261,7 @@ class TestKoszul:
                 return 0.0 * vdot(u, v)
 
             def gram(self, q, vectors):
-                return [[self.g(q, u, v) for v in vectors] for u in vectors]
+                return np.array([[self.g(q, u, v) for v in vectors] for u in vectors])
 
         with pytest.raises(SingularMetric):
             Geometry(Sphere(4), Degenerate()).curvature(
@@ -272,14 +272,15 @@ class TestCurvature:
     def test_round_constant_curvature(self):
         p = rand_point(8)
         x, y, z = rand_tangent(p), rand_tangent(p), rand_tangent(p)
-        got = vvalue(Geometry(Sphere(8), EUCLIDEAN).curvature(p, x, y, z))
-        want = vsub(vscale(x, vdot(y, z)), vscale(y, vdot(x, z)))
+        got = value(Geometry(Sphere(8), EUCLIDEAN).curvature(p, x, y, z))
+        x, y, z = map(np.asarray, (x, y, z))
+        want = x * vdot(y, z) - y * vdot(x, z)
         assert np.max(np.abs(np.asarray(got) - want)) < 1e-7
 
     def test_antisymmetry(self):
         p = rand_point(6)
         x, z = rand_tangent(p), rand_tangent(p)
-        got = vvalue(Geometry(Sphere(6), EUCLIDEAN).curvature(p, x, x, z))
+        got = value(Geometry(Sphere(6), EUCLIDEAN).curvature(p, x, x, z))
         assert np.max(np.abs(got)) < 1e-10
 
     def test_weighted_curvature_vs_fd_oracle(self):
@@ -287,7 +288,7 @@ class TestCurvature:
         S = WeightedSphereStructure(2, a)
         p = rand_point(4)
         x, y, z = rand_tangent(p), rand_tangent(p), rand_tangent(p)
-        jet = np.asarray(vvalue(S.geometry.curvature(p, x, y, z)))
+        jet = np.asarray(value(S.geometry.curvature(p, x, y, z)))
         fd = fd_curvature(S.metric.g, p, x, y, z, step=1e-4)
         assert np.max(np.abs(jet - fd)) < 1e-4
 
@@ -296,7 +297,7 @@ class TestLieBracket:
     def test_self_bracket_vanishes(self):
         p = rand_point(6)
         f = lambda q: cmult(q)
-        assert np.max(np.abs(vvalue(bracket(f, f, p)))) < 1e-14
+        assert np.max(np.abs(value(bracket(f, f, p)))) < 1e-14
 
     def test_torus_fields_commute(self):
         from sasaklab.actions import TorusAction
@@ -305,7 +306,7 @@ class TestLieBracket:
         p = rand_point(8)
         f1 = lambda q: A.fundamental_field((1.0, 0.0), q)
         f2 = lambda q: A.fundamental_field((0.0, 1.0), q)
-        assert np.max(np.abs(vvalue(bracket(f1, f2, p)))) < 1e-9
+        assert np.max(np.abs(value(bracket(f1, f2, p)))) < 1e-9
 
     def test_fundamental_fields_commute_with_reeb(self):
         from sasaklab.actions import TorusAction
@@ -314,7 +315,7 @@ class TestLieBracket:
         S = RoundSphereStructure(4)
         p = rand_point(8)
         f = lambda q: A.fundamental_field((0.3, -0.8), q)
-        assert np.max(np.abs(vvalue(bracket(f, S.reeb_field, p)))) < 1e-8
+        assert np.max(np.abs(value(bracket(f, S.reeb_field, p)))) < 1e-8
 
 
 class TestEngineInvariants:
@@ -327,12 +328,12 @@ class TestEngineInvariants:
             x, y, z = rand_tangent(p), rand_tangent(p), rand_tangent(p)
             Xf, Yf, Zf = geo.extend(x), geo.extend(y), geo.extend(z)
             dg = float(along(lambda q: S.metric.g(q, Yf(q), Zf(q)), p, x))
-            ny = vvalue(geo.covariant(p, Xf, Yf))
-            nz = vvalue(geo.covariant(p, Xf, Zf))
+            ny = value(geo.covariant(p, Xf, Yf))
+            nz = value(geo.covariant(p, Xf, Zf))
             comp = abs(dg - vdot(ny, z) - vdot(y, nz))
-            nxy = np.asarray(vvalue(geo.covariant(p, Xf, Yf)))
-            nyx = np.asarray(vvalue(geo.covariant(p, Yf, Xf)))
-            br = np.asarray(vvalue(geo.bracket(p, Xf, Yf)))
+            nxy = np.asarray(value(geo.covariant(p, Xf, Yf)))
+            nyx = np.asarray(value(geo.covariant(p, Yf, Xf)))
+            br = np.asarray(value(geo.bracket(p, Xf, Yf)))
             tors = float(np.max(np.abs(nxy - nyx - br)))
             worst_comp = max(worst_comp, comp)
             worst_tors = max(worst_tors, tors)
@@ -344,8 +345,9 @@ class TestEngineInvariants:
         for _ in range(p_count):
             p = rand_point(8)
             x, y, z = rand_tangent(p), rand_tangent(p), rand_tangent(p)
-            got = np.asarray(vvalue(Geometry(Sphere(8), EUCLIDEAN).curvature(p, x, y, z)))
-            want = np.asarray(vsub(vscale(x, vdot(y, z)), vscale(y, vdot(x, z))))
+            got = np.asarray(value(Geometry(Sphere(8), EUCLIDEAN).curvature(p, x, y, z)))
+            x, y, z = map(np.asarray, (x, y, z))
+            want = x * vdot(y, z) - y * vdot(x, z)
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-7
 
@@ -368,9 +370,9 @@ class TestConeTensor:
         worst = 0.0
         for k in range(5):
             p, r = cone_point(n, 700 + k)
-            x, y, z = (vvalue(project(p, list(r.standard_normal(2 * n)))) for _ in range(3))
-            got = np.asarray(vvalue(W.geometry.curvature(p, x, y, z)))
-            want = np.asarray(vvalue(koszul_curvature(W.geometry, p, x, y, z)))
+            x, y, z = (value(project(p, list(r.standard_normal(2 * n)))) for _ in range(3))
+            got = np.asarray(value(W.geometry.curvature(p, x, y, z)))
+            want = np.asarray(value(koszul_curvature(W.geometry, p, x, y, z)))
             worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
         return worst
 
@@ -433,8 +435,8 @@ class TestConeTensor:
         worst = 0.0
         for Xf in fields[:-1]:
             for Yf in fields:
-                got = np.asarray(vvalue(geo.covariant(p, Xf, Yf)))
-                want = np.asarray(vvalue(covariant_koszul(geo, p, Xf, Yf)))
+                got = np.asarray(value(geo.covariant(p, Xf, Yf)))
+                want = np.asarray(value(covariant_koszul(geo, p, Xf, Yf)))
                 worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-12
 
@@ -521,12 +523,12 @@ class TestConeTensor:
         p = points[0] if case.startswith("float") else stack_lanes(points)
         t = cone._tensor(p, which)
         nested = t.tolist() if case.startswith("float") else lane_lists(t)
-        vectors = [[rng.standard_normal() for _ in range(6)] for _ in range(which + 2)]
+        vectors = [rng.standard_normal(6) for _ in range(which + 2)]
         if case.endswith("lane"):
-            vectors = [list(rng.standard_normal((6, 3))) for _ in range(which + 2)]
+            vectors = [rng.standard_normal((6, 3)) for _ in range(which + 2)]
         got = _contract(t, vectors)
         want = contract_nested(nested, vectors)
-        assert type(got[0]) is type(want[0])
+        assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @staticmethod
