@@ -17,18 +17,14 @@ Every command that batches takes its samples in chunks of at most
 ``vecops.LANE_BATCH_WIDTH``, in index order (``vecops.batches``).  In
 reduce and curvature-scan a chunk's reduction frames, the submersion
 context of N around them, and curvature-scan's CR splitting are built
-once on lanes, one numpy-array entry per sample; where samples disagree
-in a float-level decision (a Gram-Schmidt drop, a rank, a D_perp count)
-the chunk splits into parts that agree (``vecops.agreeing_parts``), and
-each part's jet work then runs once as lanes.  Within a part, the
-O'Neill A and h pairs of one direction, and the reduced d(eta) pairs,
-run as further lanes of one pass per kind (``vecops.pair_lanes``), at
-most ``vecops.PASS_LANES`` lanes (pairs x samples) to a pass, as a
-weighted cone build holds at most that many, m^2 to a point.  Only the
-directions are drawn per sample.  verify-structure, whose samples all
-share their frame sizes, and cone-check's cone points run a chunk as one
-lane batch.  A batch of one runs on floats, and no row depends on the
-batch it ran in.
+once on lanes, one lane per sample; where samples disagree in a
+float-level decision (a Gram-Schmidt drop, a rank, a D_perp count) the
+chunk splits into parts that agree (``vecops.agreeing_parts``).  Within
+a part, the O'Neill A and h pairs of one direction, and the reduced
+d(eta) pairs, run as further lanes of one pass per kind
+(``vecops.pair_lanes``).  Only the directions are drawn per sample.
+verify-structure and cone-check run a chunk as one lane batch.  A batch
+of one runs on floats, and no row depends on the batch it ran in.
 """
 
 import argparse

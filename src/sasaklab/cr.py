@@ -134,9 +134,7 @@ def relation_residuals(ctx, crdec, x, y):
     rel1b = jsqrt(_norm2(ctx, h_x_phiy - rhs))
 
     # g(h(phi X, phi Y), h(X, Y)) = |bar h|^2 - |tilde h|^2
-    norm1 = abs(
-        value(g(h_phix_phiy, h_xy)) - (_norm2(ctx, bar_xy) - _norm2(ctx, tilde_xy))
-    )
+    norm1 = abs(value(g(h_phix_phiy, h_xy)) - (_norm2(ctx, bar_xy) - _norm2(ctx, tilde_xy)))
 
     # |h(X, phi Y)|^2 = |A(X, Y)|^2 + |tilde h(X, Y)|^2
     norm2a = abs(_norm2(ctx, h_x_phiy) - _norm2(ctx, a_xy) - _norm2(ctx, tilde_xy))

@@ -188,8 +188,7 @@ def _cached(cache, base, build):
     """cache[base] keyed by the shape and bytes of the float or lane point
     base, built on a miss; the cache is emptied when it holds more than
     ``Geometry.CACHE_POINTS`` points."""
-    base = np.asarray(base, dtype=float)
-    key = base.shape, base.tobytes()
+    key = np.shape(base), np.asarray(base, dtype=float).tobytes()
     hit = cache.get(key)
     if hit is None:
         if len(cache) > Geometry.CACHE_POINTS:

@@ -11,15 +11,16 @@ Arithmetic is exact in the coefficients (no truncation beyond floating
 point), which is what lets curvature residuals reach 1e-7.
 
 The leaves under the nesting may be floats or numpy arrays.  A vector
-is one jet whose leaves carry the coordinate axis first: (m,) at a
-float point, (m, lanes) on a batch of samples, one lane per sample
-(vector forward mode); ``vector`` stacks a sequence of floats, lanes or
-jets into that form once, and ``Dual[k]`` reads coordinates leafwise.
-Trailing axes broadcast, so a scalar of a batch has leaves (lanes,) and
-a leaf with fewer axes than the value stands for every coordinate.
-Every operation is element-wise, and numpy rounds each element exactly
-as Python rounds a float, so exactness stays per element: a lane, or an
-entry of a stack, holds the bits of its own float evaluation.
+is one jet whose leaves carry the coordinate axis first: (m,) at a float
+point, (m, lanes) on a batch of samples (vector forward mode); ``vector``
+stacks a sequence into that form, and ``Dual[k]`` reads coordinates.
+Trailing axes broadcast: a scalar of a batch has leaves (lanes,), and a
+leaf with fewer axes than the value stands for every coordinate.  Every
+operation is element-wise, and numpy rounds each element as Python
+rounds a float, so a lane, or an entry of a stack, holds the bits of its
+own float evaluation.  Sums over the coordinates are ordered
+(``vecops.vsum``): numpy's pairwise sum of a float vector or of one lane
+is never used.
 """
 
 import math

@@ -67,11 +67,8 @@ class ModuliConstraint(Constraint):
 
     def grad(self, q):
         """2 c_j q on the blocks with c_j != 0, exact zeros elsewhere."""
-        grad = per_coordinate(self._twice, q) * q
-        if self._on.all():
-            return grad
         on = per_coordinate(self._on, q)
-        return leafwise(lambda a: np.where(on, a, 0.0), grad)
+        return leafwise(lambda a: np.where(on, a, 0.0), per_coordinate(self._twice, q) * q)
 
 
 class EmbeddedManifold:

@@ -12,21 +12,16 @@ coordinates; they are evaluated on horizontal representatives upstairs.
 
 A and h run in pair passes.  ``a_tensors`` and ``second_fundamentals``
 take a list of pairs (u, v) and evaluate them as extra lanes of one
-covariant pass (``vecops.pair_lanes``): a lane point is tiled once per
-pair (a float point serves every pair as it is), the pairs' vectors are
-joined along the lane axis, and the result is cut back into one vector
-per pair, Python floats on a float context.  A pass holds at most
-``vecops.PASS_LANES`` lanes (pairs x samples), which bounds its memory;
-no value depends on it.
+covariant pass (``vecops.pair_lanes``), at most ``vecops.PASS_LANES``
+lanes (pairs x samples) to a pass; no value depends on the pass.
 ``quotient_curvature_vector`` fills its A and h caches with one pass per
 kind before its frame loop, and ``quotient_curvature_4`` passes over
 the pairs its caches miss.  The caches are keyed by the vectors'
 identities and hold A(b, a) as the exact negation of A(a, b) and h(b, a)
 as h(a, b), so each pair is evaluated in the orientation of its first
-request, as a lookup one pair at a time would evaluate it.  The context
-keeps the Reeb vector zeta of ``quotient_sasakian_residual`` and the
-pairs of zeta with the frame, which no direction changes, for its whole
-life: every later call evaluates only the pairs with its directions.
+request.  The Reeb vector zeta of ``quotient_sasakian_residual`` and its
+pairs with the frame, which no direction changes, are kept for the
+context's life: a later call evaluates only the pairs with its directions.
 
 Sign conventions, fixed once: R(X,Y)Z = nab_X nab_Y Z - nab_Y nab_X Z -
 nab_[X,Y] Z, slots R(X,Y,Z,V) = g(R(X,Y)Z, V), sectional K(X,Y) =
@@ -67,7 +62,7 @@ class SubmersionContext:
         self.tangent_basis = tangent_basis
         self._tangent_on = None
         self._normal_on = None
-        self._zeta = None
+        self._zeta = value(structure.reeb(self.p))
         self._zeta_pairs = ({}, {})  # A and h of zeta with the frame
 
     @classmethod
@@ -231,8 +226,6 @@ class SubmersionContext:
         an array of one value per sample on a lane context."""
         S = self.structure
         x, y = vector(x), vector(y)
-        if self._zeta is None:
-            self._zeta = value(S.reeb(self.p))
         zeta = self._zeta
         # the pairs of zeta with the frame carry over from earlier calls;
         # only they are kept, as x and y die with the call
@@ -259,10 +252,7 @@ class SubmersionContext:
         x = vector(x)
         px = self.phi_horizontal(x)
         num = self.quotient_curvature_4(x, px, px, x)
-        den = (
-            value(g(x, x)) * value(g(px, px))
-            - lane_pow(value(g(x, px)), 2)
-        )
+        den = value(g(x, x)) * value(g(px, px)) - lane_pow(value(g(x, px)), 2)
         return num / den
 
 

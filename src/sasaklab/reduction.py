@@ -47,7 +47,7 @@ from .errors import (
 )
 from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sphere,
                         SphereConstraint)
-from .tensor_kernel import AmbientPoint, Frame, frame_array, gram_schmidt, orthogonal_tail
+from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
 from .vecops import (agreed, batches, lane, lane_stack, pair_lanes, pairings, split_frame,
                      stack_lanes, vdot)
@@ -500,12 +500,10 @@ def build_frame(setup, sample, strict=True):
     try:
         vertical = gram_schmidt(S.metric, p, vert_vecs)
     except EmptyFrame:
-        vertical = Frame(p, frame_array([], p))
+        vertical = gram_schmidt(S.metric, p, [])
     k_eff = len(vertical)
     if 0 < k_eff < len(rows) and strict:
-        raise DegenerateAction(
-            f"fundamental fields have rank {k_eff} < {len(rows)} at the sample"
-        )
+        raise DegenerateAction(f"fundamental fields have rank {k_eff} < {len(rows)} at the sample")
     # rows whose fields survive, for vertical projection as fields
     if k_eff == len(rows):
         vrows = rows
@@ -518,13 +516,9 @@ def build_frame(setup, sample, strict=True):
 
     reeb = value(S.reeb(p))
     basis = man.tangent_basis(p)
-    contact_d = Frame(p, orthogonal_tail(S.metric, p, [*vertical.vectors, reeb], basis))
+    contact_d = Frame(orthogonal_tail(S.metric, p, [*vertical.vectors, reeb], basis))
 
-    normal_inputs = [value(S.phi(p, v)) for v in vertical.vectors]
-    if normal_inputs:
-        normal = gram_schmidt(S.metric, p, normal_inputs)
-    else:
-        normal = Frame(p, frame_array([], p))
+    normal = gram_schmidt(S.metric, p, [value(S.phi(p, v)) for v in vertical.vectors])
 
     dim_n = man.dim
     dims = {
@@ -542,8 +536,7 @@ def build_frame(setup, sample, strict=True):
         bad = {k: v for k, v in checks.items() if np.any(v > tol)}
         if len(contact_d) != dim_n - k_eff - 1:
             raise FrameInconsistent(
-                f"contact block has dim {len(contact_d)}, expected {dim_n - k_eff - 1}"
-            )
+                f"contact block has dim {len(contact_d)}, expected {dim_n - k_eff - 1}")
         if bad:
             raise FrameInconsistent(f"frame invariants violated: {bad}")
     return frame

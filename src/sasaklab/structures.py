@@ -48,8 +48,7 @@ class WeightedContactMetric:
     euclidean = False
 
     def __init__(self, a, sphere):
-        self.a = [float(x) for x in a]
-        self._blocks = np.asarray(self.a)
+        self.a = np.array(a, dtype=float)
         self._coords = np.repeat(self.a, 2)  # a_j on both coordinates of block j
         self.sphere = sphere
         self.cone = Cone(self.pairs)
@@ -60,7 +59,7 @@ class WeightedContactMetric:
         """sum_j a_j (x_j^2 + y_j^2), summed in order over j."""
         sq = q * q
         mods = sq[0::2] + sq[1::2]
-        return vsum(per_coordinate(self._blocks, mods) * mods)
+        return vsum(per_coordinate(self.a, mods) * mods)
 
     def eta(self, q, v):
         q = vector(q)
@@ -92,9 +91,7 @@ class WeightedContactMetric:
 
             return g_u
 
-        def g(u, v):
-            return row(u)(v)
-
+        g = lambda u, v: row(u)(v)
         g.row = row
         return g
 
@@ -122,10 +119,9 @@ class WeightedContactMetric:
         turned = cmult(contact)
         (df_c, e0_c), (df_t, e0_t) = _vector_terms(at, contact), _vector_terms(at, turned)
         k = len(value(eta))
-        rows = []
-        for i in range(k):
-            rows.append(eta[i] * eta[i:] + 0.5 * _expanded(
-                at, vdot(turned[:, i], turned[:, i:]), (df_c[i], e0_c[i]), (df_t[i:], e0_t[i:])))
+        rows = [eta[i] * eta[i:] + 0.5 * _expanded(
+                at, vdot(turned[:, i], turned[:, i:]), (df_c[i], e0_c[i]), (df_t[i:], e0_t[i:]))
+                for i in range(k)]
         return _mirrored(rows, (k, k) + lanes)
 
     def _point_terms(self, q):
@@ -307,11 +303,8 @@ class WeightedSphereStructure(SphereStructure):
         eigenvalue lies below the floor raises."""
         rng = np.random.default_rng(320032)
         floor = tolerances.WEIGHTED_POSITIVITY
-        points = []
-        for _ in range(self.PROBE_POINTS):
-            p = rng.standard_normal(self.ambient_dim)
-            points.append(p / np.linalg.norm(p))
-        p = stack_lanes(points)
+        p = stack_lanes([p / np.linalg.norm(p)
+                         for p in rng.standard_normal((self.PROBE_POINTS, self.ambient_dim))])
         frame = self.contact_frame(p)
         H = 0.5 * _d_eta_grid(self.metric.d_eta, p, frame, [cmult(v) for v in frame])
         H = 0.5 * (H + H.transpose(0, 2, 1))

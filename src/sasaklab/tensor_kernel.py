@@ -1,17 +1,17 @@
 """Unit points, frames and metric Gram-Schmidt on embedded spheres.
 
 Points and vectors hold ambient coordinates (x_1, y_1, ..., x_n, y_n)
-with z_j = x_j + i y_j, one vector to an array (``vecops``).
-``AmbientPoint`` carries the unit-norm invariant of a sampled point and
-``Frame`` the output of Gram-Schmidt, its vectors stacked in one array
-(k, m) or (k, m, lanes); the operations accept sequences as well.
+with z_j = x_j + i y_j, one vector to an array (``vecops``); sequences
+are accepted too.  ``AmbientPoint`` carries the unit-norm invariant of a
+sampled point and ``Frame`` the output of Gram-Schmidt, its vectors one
+array (k, m) or (k, m, lanes).
 
 Gram-Schmidt is generic over lanes: on a lane point and lane vectors it
 orthonormalises the frames of a whole batch of samples at once, every
-inner product an ordered sum over the coordinates (``vecops.vdot``), so
-each lane holds the bits of its sample's float evaluation.  A drop is decided per lane; lanes
-that decide differently raise ``LanesDisagree`` (``vecops.agreed``), and
-the caller splits the batch by the decision (``vecops.agreeing_parts``).
+inner product an ordered sum (``vecops.vdot``), so each lane holds the
+bits of its sample's float evaluation.  A drop is decided per lane;
+lanes that decide differently raise ``LanesDisagree`` and the caller
+splits the batch by the decision (``vecops.agreeing_parts``).
 """
 
 import math
@@ -49,7 +49,6 @@ class AmbientPoint:
 class Frame:
     """Ordered, metric-orthonormal family of ambient vectors at a point."""
 
-    base: np.ndarray
     vectors: np.ndarray
     inputs: tuple = ()  # gram_schmidt: input position of each kept vector
 
@@ -87,14 +86,8 @@ def gram_schmidt(metric, p, vectors):
         inputs.append(i)
     if len(vectors) and not kept:
         raise EmptyFrame("all input vectors dropped below tolerance")
-    return Frame(p, frame_array(kept, p), tuple(inputs))
-
-
-def frame_array(vectors, p):
-    """The vectors at the point p stacked in one array (k, m) + lanes."""
-    if not len(vectors):
-        return np.empty((0,) + np.shape(value(p)))
-    return np.array(np.broadcast_arrays(*vectors))
+    stacked = np.array(np.broadcast_arrays(*kept)) if kept else np.empty((0,) + np.shape(value(p)))
+    return Frame(stacked, tuple(inputs))
 
 
 def orthogonal_tail(metric, p, head, tail):

@@ -1,25 +1,17 @@
 """Vectors and batches, generic over jet scalars.
 
-An ambient vector is one array whose axis 0 holds its m coordinates:
-(m,) at a float point, (m, lanes) on a batch of samples, one lane per
-sample, or one ``Dual`` whose leaves carry that leading axis
-(``jets.vector`` stacks a sequence into this form, once, at a public
-entry point).  Trailing axes broadcast: a scalar of a batch is an array
-(lanes,), a float vector that meets lanes takes the shape (m, 1)
-(``jets.expand``, ``per_coordinate``), and axes between the coordinates
-and the lanes stack several vectors into one.  ``stack_lanes`` builds
-lane vectors from per-sample float vectors, and ``split_frame`` reads
-each sample's back.  ``pair_lanes`` runs a list of vector pairs as
-further lanes of one evaluation: the point tiled once per pair, the
-pairs' vectors joined along the lane axis, and the result cut back into
-one value per pair, all three reshapes of the lane axis.
+An ambient vector is one array whose axis 0 holds its m coordinates,
+(m,) at a float point and (m, lanes) on a batch of samples, or one jet
+with such leaves (``jets``).  A float vector meeting lanes takes the
+shape (m, 1) (``jets.expand``), and axes between coordinates and lanes
+stack vectors.  ``stack_lanes`` builds lane vectors from per-sample
+float vectors, and ``split_frame`` reads each sample's back.
 
-Every sum over coordinates is ordered, ((u_0 v_0 + u_1 v_1) + u_2 v_2)
-+ ..., as the float formula sums it (``vsum``, ``vdot``).  numpy's
-``add.reduce`` over axis 0 of a C-contiguous array adds row after row
-in that order when a row holds at least 2 elements; on a 1-D array, or
-rows of one element (one lane), it sums pairwise instead, so those take
-an explicit ordered sum.
+Every sum over coordinates is ordered, (u_0 v_0 + u_1 v_1) + ..., as
+the float formula sums it (``vsum``, ``vdot``).  numpy's ``add.reduce``
+over axis 0 of a C-contiguous array adds row after row in that order
+when a row holds at least 2 elements; a 1-D array, or rows of one
+element (one lane), it sums pairwise, so those take an explicit sum.
 
 Two constants size every batch, and ``batches`` cuts them all: a chunk
 of samples (the CLI's lane batches, the hit-and-run walk) holds at most
@@ -97,8 +89,7 @@ def _signed_swap(m, nd):
 
 
 def per_coordinate(c, x):
-    """The float coefficients c (one per coordinate) shaped to multiply
-    the vector x coordinate by coordinate."""
+    """The coefficients c, one per coordinate, shaped to scale the vector x."""
     nd = np.ndim(value(x))
     return c if nd == 1 else np.reshape(c, np.shape(c) + (1,) * (nd - 1))
 
@@ -114,8 +105,7 @@ def stack_lanes(vectors):
 
 def lane_width(u):
     """The number of lanes of the vector u, None when u holds floats only."""
-    x = value(u)
-    return x.shape[-1] if np.ndim(x) > 1 else None
+    return np.shape(value(u))[-1] if np.ndim(value(u)) > 1 else None
 
 
 def lane_stack(rows):
@@ -180,38 +170,30 @@ def batches(items, lanes=None):
 
 
 def tile_lanes(u, reps):
-    """The vector u with its lanes repeated reps times: lane k * width + s
-    holds sample s.  A float vector, shared by every lane, becomes a
-    column (m, 1)."""
+    """The vector u with its lanes repeated reps times (lane k * width + s
+    holds sample s); a float vector, every lane's, becomes a column."""
     if reps == 1:
         return u
-    if np.ndim(u) == 1:
-        return u[:, None]
-    return np.concatenate([u] * reps, axis=-1)
+    return u[:, None] if np.ndim(u) == 1 else np.tile(u, reps)
 
 
 def join_lanes(vectors, width):
-    """One lane vector holding the given vectors of ``width`` lanes each
-    (None: float vectors) one after the other; jets are stripped, and a
-    float vector of a lane pass fills its lanes."""
-    vectors = [value(vector(v)) for v in vectors]
-    if width is None:
-        return np.stack(vectors, axis=-1)
-    return np.concatenate([np.broadcast_to(v if v.ndim > 1 else v[:, None], v.shape[:1] + (width,))
-                           for v in vectors], axis=-1)
+    """The vectors of ``width`` lanes each (None: floats), jets stripped,
+    as one lane vector holding them one after the other; a float vector
+    of a lane pass fills its lanes."""
+    V = np.array(np.broadcast_arrays(*(expand(value(vector(v)), 2) for v in vectors)))
+    return np.moveaxis(V, 0, 1).reshape(V.shape[1], -1)
 
 
 def cut_lanes(x, reps, width):
     """``join_lanes`` undone on a scalar or a vector: the reps parts of
-    ``width`` lanes each, a float scalar a Python float at width None.  A
-    value that holds no lanes is every part's."""
+    ``width`` lanes each (None: floats).  A value that holds no lanes is
+    every part's."""
     x = value(x)
     w = width or 1
     if np.ndim(x) == 0 or x.shape[-1] != reps * w:
         return [x] * reps
-    if width is None:
-        return x.tolist() if x.ndim == 1 else [x[..., k] for k in range(reps)]
-    return [x[..., k * w:(k + 1) * w] for k in range(reps)]
+    return [x[..., k * w:(k + 1) * w] if width else x[..., k] for k in range(reps)]
 
 
 def pair_lanes(fn, p, pairs):
@@ -226,7 +208,6 @@ def pair_lanes(fn, p, pairs):
     Every lane runs the elementwise operations of its own pair's
     evaluation, so each result holds the bits of fn on its pair alone.
     """
-    p = vector(p)
     width = lane_width(p)
     out = []
     for _, part in batches(pairs, width or 1):

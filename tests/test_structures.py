@@ -218,7 +218,7 @@ class TestWeightedMetric:
         if block is not None:
             monkeypatch.setattr(vecops, "PASS_LANES", block * (5 if point == "lane" else 1))
         points = [rand_point(6) for _ in range(5)]
-        p = points[0] if point == "float" else stack_lanes(points)
+        p = np.asarray(points[0]) if point == "float" else stack_lanes(points)
         frame = S.contact_frame(p)
         cols = [cmult(v) for v in frame] if turn else frame
         got = _d_eta_grid(d_eta, p, frame, cols)
