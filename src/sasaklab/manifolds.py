@@ -128,7 +128,7 @@ class EmbeddedManifold:
         values that stopped the iteration, and only after
         ``REFINE_MAX_ITER`` steps are they evaluated again.  The point is a
         float vector."""
-        x = np.asarray(value(vector(p)), dtype=float)
+        x = p if type(p) is np.ndarray else np.asarray(value(vector(p)), dtype=float)
         for _ in range(tolerances.REFINE_MAX_ITER):
             vals = self.constraint_values(x)
             if all(abs(v) < tolerances.REFINE_TOL for v in vals):

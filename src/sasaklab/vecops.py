@@ -68,16 +68,12 @@ def cmult(v):
     """Multiplication by i on pairwise coordinates (x, y) -> (-y, x): a
     signed permutation of the coordinate rows (a product with -1.0 is an
     exact negation)."""
-    if type(v) is np.ndarray:
-        return _turn(v)
-    shape = np.shape(value(v))
-    return leafwise(lambda a: _turn(np.broadcast_to(a, shape) if np.ndim(a) < len(shape) else a),
-                    v)
-
-
-def _turn(a):
-    perm, sign = _signed_swap(a.shape[0], a.ndim)
-    return a[perm] * sign
+    if type(v) is not np.ndarray:
+        shape = np.shape(value(v))
+        return leafwise(lambda a: cmult(np.broadcast_to(a, shape) if np.ndim(a) < len(shape) else a),
+                        v)
+    perm, sign = _signed_swap(v.shape[0], v.ndim)
+    return v[perm] * sign
 
 
 @cache
