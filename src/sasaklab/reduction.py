@@ -558,16 +558,14 @@ def _independent_rows(vecs, k_eff):
 
 def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
     """The frame invariants, each the worst over its pairs; on lanes an
-    array of one worst value per sample.  Each takes one evaluation of g
-    or eta on the stacked vectors, every entry with the bits of its pair's
-    own evaluation."""
+    array of one worst value per sample.  g and eta act on stacks of
+    vectors, every entry with the bits of its pair's own evaluation."""
     S = setup.structure
     g = S.metric.at(p)
-    blocks = [vertical.vectors, reeb[None], contact_d.vectors]
-    stack = np.concatenate(blocks)
-    label = np.repeat(np.arange(3), [len(b) for b in blocks])
-    checks = {"block_orthogonality": _worst(
-        pairings(g, stack, stack)[label[:, None] < label[None, :]])}
+    stack = np.concatenate([vertical.vectors, reeb[None], contact_d.vectors])
+    checks = {"block_orthogonality": np.maximum(
+        _worst(pairings(g, vertical.vectors, stack[len(vertical):]), 2),
+        _worst(pairings(g, reeb[None], contact_d.vectors), 2))}
     others = np.concatenate([vertical.vectors, contact_d.vectors])
     checks["eta_on_vertical_and_d"] = _worst(value(S.eta(p, np.moveaxis(others, 0, 1))))
     checks["eta_on_reeb"] = abs(value(S.eta(p, reeb)) - 1.0)

@@ -117,12 +117,14 @@ def lane_stack(rows):
 
 def pairings(g, A, B):
     """g(a, b) for every vector a of A and b of B, one array (len(A),
-    len(B)) + lanes, jets stripped: one evaluation of g on the two stacks,
-    every entry with the bits of g(a, b) alone."""
+    len(B)) + lanes, jets stripped: a row of g (``g.row(a)`` where the
+    pairing has one) on the stack of B for each a, every entry with the
+    bits of g(a, b) alone."""
     if not (len(A) and len(B)):
         return np.zeros((len(A), len(B)))
-    A, B = (np.moveaxis(np.asarray(X, dtype=float), 0, 1) for X in (A, B))
-    return value(g(A[:, :, None], B[:, None]))
+    row = getattr(g, "row", lambda u: partial(g, u))
+    B = np.moveaxis(np.asarray(B, dtype=float), 0, 1)
+    return np.array([value(row(np.asarray(a, dtype=float))(B)) for a in A])
 
 
 def lane(x, i):
