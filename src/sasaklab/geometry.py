@@ -43,16 +43,13 @@ class InducedMetric:
 def _contract(t, vectors):
     """Ordered sums of the tensor t against float or lane vectors, innermost
     index first: ``_contract(t, [x, y])[k] = sum_j y_j sum_i x_i t[k, j, i]``,
-    one tensor slice at a time, so no product of the whole tensor is held.
-    A lane tensor holds its lanes on a last axis; a float tensor
-    broadcasts over the lanes of lane vectors."""
+    each a ``vdot`` one tensor slice at a time.  A lane tensor holds its
+    lanes on a last axis; a float tensor broadcasts over the lanes of lane
+    vectors."""
     lanes = t.ndim > len(vectors) + 1 or any(lane_width(v) for v in vectors)
     t = t if t.ndim > len(vectors) + 1 else t[..., None]
     for v in vectors:
-        slices, v = np.moveaxis(t, -2, 0), value(v)
-        t = slices[0] * v[0]
-        for i in range(1, len(slices)):
-            t = t + slices[i] * v[i]
+        t = vdot(np.moveaxis(t, -2, 0), v)
     return t if lanes else t[:, 0]
 
 

@@ -54,14 +54,18 @@ def _ordered_sum(shape, a):
 
 def vdot(u, v):
     """Ordered inner product over the coordinates; a vector with fewer
-    axes gains them after its coordinate axis (``jets.expand``)."""
-    if type(u) is np.ndarray and type(v) is np.ndarray and u.ndim == v.ndim:
-        w = u * v
-        return _ordered_sum(w.shape, w)
+    axes gains them after its coordinate axis (``jets.expand``).  A stack
+    of vectors (three axes or more) is summed one coordinate row at a
+    time, so no product of the whole stack is held."""
     nu, nv = np.ndim(value(u)), np.ndim(value(v))
     if nu != nv:
         u, v = expand(u, nv), expand(v, nu)
-    return vsum(u * v)
+    if max(nu, nv) < 3:
+        return vsum(u * v)
+    acc = u[0] * v[0]
+    for i in range(1, len(value(u))):
+        acc = acc + u[i] * v[i]
+    return acc
 
 
 def cmult(v):
