@@ -58,7 +58,7 @@ def cr_decomposition(ctx):
 
     # sample by sample, the "how normal is phi" matrix: one stacked SVD
     phis = [value(S.phi(p, v)) for v in contact]
-    M = lane_stack(pairings(S.metric.at(p), normal_on, phis))
+    M = lane_stack(pairings(ctx.g, normal_on, phis))
     sv_full = np.zeros((samples, c))
     if M.size:
         _, sv, vt = np.linalg.svd(M.reshape(samples, len(normal_on), c), full_matrices=True)
@@ -97,7 +97,7 @@ def cr_decomposition(ctx):
 
 def split_normal(ctx, crdec, w):
     """Components of a normal vector in phi(D_perp) and nu."""
-    g = ctx.structure.metric.at(ctx.p)
+    g = ctx.g
     bar = tilde = np.zeros(np.shape(w))
     for u in crdec.phi_dperp_frame:
         bar = bar + value(g(u, w)) * u
@@ -107,7 +107,7 @@ def split_normal(ctx, crdec, w):
 
 
 def _norm2(ctx, w):
-    return nonnegative(ctx.structure.metric.g(ctx.p, w, w))
+    return nonnegative(ctx.g(w, w))
 
 
 def relation_residuals(ctx, crdec, x, y):
@@ -115,7 +115,7 @@ def relation_residuals(ctx, crdec, x, y):
     product identity and the two norm identities."""
     S = ctx.structure
     p = ctx.p
-    g = S.metric.at(p)
+    g = ctx.g
     x, y = vector(x), vector(y)
     phi_y = value(S.phi(p, y))
     phi_x = value(S.phi(p, x))
@@ -160,7 +160,7 @@ def oneill_plane_residual(ctx, x):
     to rounding whatever R^N, h and A are.  It checks the assembly only."""
     S = ctx.structure
     p = ctx.p
-    g = S.metric.at(p)
+    g = ctx.g
     x = vector(x)
     phi_x = value(S.phi(p, x))
     den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
@@ -179,7 +179,7 @@ def final_identity(ctx, x, crdec):
     """
     S = ctx.structure
     p = ctx.p
-    g = S.metric.at(p)
+    g = ctx.g
     x = vector(x)
 
     k_p = ctx.phi_sectional_quotient(x)

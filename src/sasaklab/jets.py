@@ -183,7 +183,7 @@ def expand(u, nd):
     """The vector u with axes inserted after its coordinate axis up to nd
     axes, so that it broadcasts against a vector of nd axes (a float
     vector against lanes, a vector against a stack of them)."""
-    full = np.ndim(value(u))
+    full = value(u).ndim
     k = nd - full
     if k <= 0:
         return u

@@ -53,6 +53,7 @@ class SubmersionContext:
         self.manifold = manifold
         self.vertical_fields = list(vertical_fields)
         self.p = vector(p)
+        self.g = structure.metric.at(self.p)  # the metric at p, its terms formed once
         self.geometry = Geometry(manifold, structure.metric)
         self.ambient_geometry = structure.geometry
         # a list of vector objects: the pair caches key on their identities
@@ -169,13 +170,12 @@ class SubmersionContext:
 
     def gauss_curvature_n4(self, x, y, z, v, h_cache=None):
         """R^N(X,Y,Z,V) from the ambient curvature by the Gauss equation."""
-        g = self.structure.metric.at(self.p)
         h = self._h_cached(h_cache, _h_pairs(x, y, z, v))
         rm = self.ambient_curvature_4(x, y, z, v)
         return (
             value(rm)
-            + value(g(h(x, v), h(y, z)))
-            - value(g(h(x, z), h(y, v)))
+            + value(self.g(h(x, v), h(y, z)))
+            - value(self.g(h(x, z), h(y, v)))
         )
 
     def _h_cached(self, cache, pairs):
@@ -187,10 +187,9 @@ class SubmersionContext:
 
     def quotient_curvature_4(self, x, y, z, v, a_cache=None, h_cache=None):
         """Horizontal 4-tensor of the quotient via O'Neill's formula."""
-        g = self.structure.metric.at(self.p)
         A = self._a_cached(a_cache, _a_pairs(x, y, z, v))
         rn = self.gauss_curvature_n4(x, y, z, v, h_cache=h_cache)
-        gp = lambda u, w: value(g(u, w))
+        gp = lambda u, w: value(self.g(u, w))
         return (
             rn
             - 2.0 * gp(A(x, y), A(z, v))
@@ -234,7 +233,7 @@ class SubmersionContext:
         owned = {id(zeta), *map(id, self.horizontal_frame)}
         for kept, cache in zip(self._zeta_pairs, caches):
             kept.update((k, v) for k, v in cache.items() if owned.issuperset(k))
-        g = S.metric.at(self.p)
+        g = self.g
         expected = x * value(S.eta(self.p, y)) - zeta * value(g(x, y))
         diff = r - expected
         return clamped_sqrt(g(diff, diff))
@@ -248,7 +247,7 @@ class SubmersionContext:
 
     def phi_sectional_quotient(self, x):
         """K_P(X, phi_P X) via the O'Neill path, X horizontal unit."""
-        g = self.structure.metric.at(self.p)
+        g = self.g
         x = vector(x)
         px = self.phi_horizontal(x)
         num = self.quotient_curvature_4(x, px, px, x)

@@ -136,7 +136,7 @@ def _contact_part(at, xi, u):
     terms ``at`` holds and whose Reeb field is xi; u may stack vectors
     between its coordinates and lanes."""
     e = vdot(at[2], u) / at[0]
-    return e, u - expand(xi, np.ndim(value(u))) * e
+    return e, u - expand(xi, value(u).ndim) * e
 
 
 def _mirrored(rows, shape):

@@ -54,16 +54,16 @@ def _ordered_sum(shape, a):
 
 def vdot(u, v):
     """Ordered inner product over the coordinates; a vector with fewer
-    axes gains them after its coordinate axis (``jets.expand``).  A stack
-    of vectors (three axes or more) is summed one coordinate row at a
-    time, so no product of the whole stack is held."""
-    nu, nv = np.ndim(value(u)), np.ndim(value(v))
-    if nu != nv:
-        u, v = expand(u, nv), expand(v, nu)
-    if max(nu, nv) < 3:
+    axes gains them after its coordinate axis (``jets.expand``).  A
+    product of more than ``PASS_LANES`` elements a coordinate row is summed
+    one row at a time, so no more than a row of it is held at once."""
+    x, y = value(u), value(v)
+    if x.ndim != y.ndim:
+        u, v = expand(u, y.ndim), expand(v, x.ndim)
+    if max(x.size, y.size) <= PASS_LANES * len(x):
         return vsum(u * v)
     acc = u[0] * v[0]
-    for i in range(1, len(value(u))):
+    for i in range(1, len(x)):
         acc = acc + u[i] * v[i]
     return acc
 
@@ -90,7 +90,7 @@ def _signed_swap(m, nd):
 
 def per_coordinate(c, x):
     """The coefficients c, one per coordinate, shaped to scale the vector x."""
-    nd = np.ndim(value(x))
+    nd = value(x).ndim
     return c if nd == 1 else np.reshape(c, np.shape(c) + (1,) * (nd - 1))
 
 

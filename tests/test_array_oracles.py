@@ -32,6 +32,13 @@ def jet_vector(rng, m, lanes, level):
     return Dual(level, jet_vector(rng, m, lanes, level - 1), jet_vector(rng, m, lanes, level - 1))
 
 
+def _jet_stack(rng, m, lanes, level):
+    """Three random vectors (m, lanes) stacked on axis 1, a jet of ``level``."""
+    if level == 0:
+        return rng.standard_normal((m, 3, lanes))
+    return Dual(level, _jet_stack(rng, m, lanes, level - 1), _jet_stack(rng, m, lanes, level - 1))
+
+
 def as_list(x):
     """The list vector of an array vector: its coordinates, floats at a
     float point."""
@@ -75,6 +82,16 @@ class TestPrimitives:
         rng = np.random.default_rng([1, m, lanes or 0, level])
         u, v = (jet_vector(rng, m, lanes, level) for _ in range(2))
         assert bits(vecops.vdot(u, v)) == bits(list_vdot(as_list(u), as_list(v)))
+
+    def test_vdot_against_a_stack(self, lanes, m, level):
+        # a stack (m, k) + lanes is summed a coordinate row at a time
+        rng = np.random.default_rng([6, m, lanes or 0, level])
+        u = jet_vector(rng, m, lanes, level)
+        stack = _jet_stack(rng, m, lanes or 1, level)
+        got = vecops.vdot(u, stack)
+        for j in range(3):
+            want = list_vdot(as_list(u), as_list(stack[:, j]))
+            assert bits(got[j]) == bits(want)
 
     def test_cmult(self, lanes, m, level):
         rng = np.random.default_rng([2, m, lanes or 0, level])

@@ -152,7 +152,7 @@ class TestGaussConsistency:
         for k in range(10):
             x, y = frame_mix(d, 4 * k), frame_mix(d, 4 * k + 1)
             z, v = frame_mix(d, 4 * k + 2), frame_mix(d, 4 * k + 3)
-            direct = vdot(value(geo_n.curvature(ctx.p, x, y, z)), v)
+            direct = vdot(value(geo_n.curvature(ctx.p, x, y, z)), np.asarray(v))
             gauss = ctx.gauss_curvature_n4(x, y, z, v)
             worst = max(worst, abs(direct - gauss))
         assert worst < 1e-5

@@ -330,7 +330,7 @@ class TestEngineInvariants:
             dg = float(along(lambda q: S.metric.g(q, Yf(q), Zf(q)), p, x))
             ny = value(geo.covariant(p, Xf, Yf))
             nz = value(geo.covariant(p, Xf, Zf))
-            comp = abs(dg - vdot(ny, z) - vdot(y, nz))
+            comp = abs(dg - vdot(ny, np.asarray(z)) - vdot(np.asarray(y), nz))
             nxy = np.asarray(value(geo.covariant(p, Xf, Yf)))
             nyx = np.asarray(value(geo.covariant(p, Yf, Xf)))
             br = np.asarray(value(geo.bracket(p, Xf, Yf)))
