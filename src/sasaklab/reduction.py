@@ -242,7 +242,8 @@ _STEPS = 32
 def _draws(poly, seed, indices):
     """Sample i's draws from its own stream, stacked over the samples:
     32 x k normals, then 32 Beta(2, 2) steps, then n phases."""
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in indices]
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+            for i in indices]
     return (np.array([g.standard_normal((_STEPS, poly.null_basis.shape[0])) for g in rngs]),
             np.array([g.beta(2.0, 2.0, _STEPS) for g in rngs]),
             np.array([g.uniform(0.0, 2.0 * math.pi, poly.n) for g in rngs]))
