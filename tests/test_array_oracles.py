@@ -12,7 +12,7 @@ from oracles import (ListPairPasses, list_cmult, list_gram_schmidt, list_project
 from sasaklab import vecops
 from sasaklab.actions import TorusAction
 from sasaklab.geometry import InducedMetric
-from sasaklab.jets import Dual
+from sasaklab.jets import Dual, value
 from sasaklab.manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sphere,
                                 SphereConstraint)
 from sasaklab.oneill import SubmersionContext
@@ -44,13 +44,7 @@ def as_list(x):
     float point."""
     if isinstance(x, np.ndarray) and x.ndim == 1:
         return x.tolist()
-    return [x[k] for k in range(len(np.asarray(_value(x))))]
-
-
-def _value(x):
-    while isinstance(x, Dual):
-        x = x.re
-    return x
+    return [x[k] for k in range(len(value(x)))]
 
 
 def bits(x):
@@ -83,8 +77,12 @@ class TestPrimitives:
         u, v = (jet_vector(rng, m, lanes, level) for _ in range(2))
         assert bits(vecops.vdot(u, v)) == bits(list_vdot(as_list(u), as_list(v)))
 
-    def test_vdot_against_a_stack(self, lanes, m, level):
-        # a stack (m, k) + lanes is summed a coordinate row at a time
+    @pytest.mark.parametrize("pass_lanes", [None, 1])
+    def test_vdot_against_a_stack(self, monkeypatch, lanes, m, level, pass_lanes):
+        # a stack (m, k) + lanes; with PASS_LANES = 1 it is summed one
+        # coordinate row at a time
+        if pass_lanes:
+            monkeypatch.setattr(vecops, "PASS_LANES", pass_lanes)
         rng = np.random.default_rng([6, m, lanes or 0, level])
         u = jet_vector(rng, m, lanes, level)
         stack = _jet_stack(rng, m, lanes or 1, level)
