@@ -43,13 +43,17 @@ class InducedMetric:
 def _contract(t, vectors):
     """Ordered sums of the tensor t against float or lane vectors, innermost
     index first: ``_contract(t, [x, y])[k] = sum_j y_j sum_i x_i t[k, j, i]``,
-    each a ``vdot`` one tensor slice at a time.  A lane tensor holds its
-    lanes on a last axis; a float tensor broadcasts over the lanes of lane
-    vectors."""
+    summed one tensor slice at a time, so that no more than a slice of
+    products is held at once (a lane R^ holds m^4 floats a lane).  A lane
+    tensor holds its lanes on a last axis; a float tensor broadcasts over
+    the lanes of lane vectors."""
     lanes = t.ndim > len(vectors) + 1 or any(lane_width(v) for v in vectors)
     t = t if t.ndim > len(vectors) + 1 else t[..., None]
     for v in vectors:
-        t = vdot(np.moveaxis(t, -2, 0), v)
+        slices = np.moveaxis(t, -2, 0)
+        t = slices[0] * v[0]
+        for i in range(1, len(slices)):
+            t = t + slices[i] * v[i]
     return t if lanes else t[:, 0]
 
 

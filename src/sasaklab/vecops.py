@@ -54,18 +54,11 @@ def _ordered_sum(shape, a):
 
 def vdot(u, v):
     """Ordered inner product over the coordinates; a vector with fewer
-    axes gains them after its coordinate axis (``jets.expand``).  A
-    product of more than ``PASS_LANES`` elements a coordinate row is summed
-    one row at a time, so no more than a row of it is held at once."""
+    axes gains them after its coordinate axis (``jets.expand``)."""
     x, y = value(u), value(v)
     if x.ndim != y.ndim:
         u, v = expand(u, y.ndim), expand(v, x.ndim)
-    if max(x.size, y.size) <= PASS_LANES * len(x):
-        return vsum(u * v)
-    acc = u[0] * v[0]
-    for i in range(1, len(x)):
-        acc = acc + u[i] * v[i]
-    return acc
+    return vsum(u * v)
 
 
 def cmult(v):

@@ -1,14 +1,15 @@
 """Vectors as one array each, against the list code they replaced, bit
 for bit: ``vdot``, ``cmult``, the two tangent projections, Gram-Schmidt
-and the A and h pair passes (``oracles`` list code).  Each runs at
-floats and at 1, 2 and 80 lanes, at m = 8 and m = 64, and the jet-generic
-ones at Dual levels 0, 1 and 2."""
+and the A and h pair passes (``oracles`` list code), the last two on the
+round and on the weighted metric.  Each runs at floats and at 1, 2 and
+80 lanes, the primitives and Gram-Schmidt at m = 8 and m = 64, and the
+jet-generic ones at Dual levels 0, 1 and 2."""
 
 import numpy as np
 import pytest
 
-from oracles import (ListPairPasses, list_cmult, list_gram_schmidt, list_project,
-                     list_sphere_project, list_vdot)
+from oracles import (ListPairPasses, ListWeightedMetric, list_cmult, list_gram_schmidt,
+                     list_project, list_sphere_project, list_vdot)
 from sasaklab import vecops
 from sasaklab.actions import TorusAction
 from sasaklab.geometry import InducedMetric
@@ -17,7 +18,7 @@ from sasaklab.manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstr
                                 SphereConstraint)
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
-from sasaklab.structures import RoundSphereStructure
+from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt
 
 LANES = [None, 1, 2, 80]
@@ -77,12 +78,8 @@ class TestPrimitives:
         u, v = (jet_vector(rng, m, lanes, level) for _ in range(2))
         assert bits(vecops.vdot(u, v)) == bits(list_vdot(as_list(u), as_list(v)))
 
-    @pytest.mark.parametrize("pass_lanes", [None, 1])
-    def test_vdot_against_a_stack(self, monkeypatch, lanes, m, level, pass_lanes):
-        # a stack (m, k) + lanes; with PASS_LANES = 1 it is summed one
-        # coordinate row at a time
-        if pass_lanes:
-            monkeypatch.setattr(vecops, "PASS_LANES", pass_lanes)
+    def test_vdot_against_a_stack(self, lanes, m, level):
+        # a stack (m, k) + lanes
         rng = np.random.default_rng([6, m, lanes or 0, level])
         u = jet_vector(rng, m, lanes, level)
         stack = _jet_stack(rng, m, lanes or 1, level)
@@ -110,16 +107,25 @@ class TestPrimitives:
                 == coordinate_bits(list_sphere_project(as_list(q), as_list(v))))
 
 
+@pytest.mark.parametrize("metric", ["round", "weighted"])
 @pytest.mark.parametrize("m", DIMS)
 @pytest.mark.parametrize("lanes", LANES)
-def test_gram_schmidt(lanes, m):
+def test_gram_schmidt(lanes, m, metric):
     # floats and lanes only: a drop is a float-level decision
     rng = np.random.default_rng([5, m, lanes or 0])
     p = jet_vector(rng, m, lanes, 0)
     vectors = [jet_vector(rng, m, lanes, 0) for _ in range(4)]
     vectors.append(2.0 * vectors[1])  # dropped on every lane
-    frame = gram_schmidt(InducedMetric(), p, vectors)
-    kept, inputs = list_gram_schmidt(as_list(p), [as_list(v) for v in vectors])
+    if metric == "round":
+        g, list_g = InducedMetric(), list_vdot
+    else:
+        # tangent vectors at a unit point, where the weighted metric is positive
+        p = p / np.sqrt(vecops.vdot(p, p))
+        vectors = [v - p * vecops.vdot(p, v) for v in vectors]
+        a = np.linspace(1.0, 3.0, m // 2)
+        g, list_g = WeightedSphereStructure(m // 2, a).metric, ListWeightedMetric(a).at(as_list(p))
+    frame = gram_schmidt(g, p, vectors)
+    kept, inputs = list_gram_schmidt(as_list(p), [as_list(v) for v in vectors], list_g)
     assert list(frame.inputs) == inputs == [0, 1, 2, 3]
     assert [coordinate_bits(v) for v in frame.vectors] == [coordinate_bits(v) for v in kept]
 
@@ -140,10 +146,15 @@ def test_one_lane_takes_the_ordered_sum():
 
 
 def _context(n, samples):
-    """A round reduction context: ex1 (n = 4, m = 8) or ex1gen at n,
-    over the given number of samples (floats for one)."""
-    S = RoundSphereStructure(n)
-    A = TorusAction.of([[1, 1] + [0] * (n - 2), [0, 0] + [1] * (n - 2)])
+    """A reduction context over the given number of samples (floats for
+    one): round ex1 (n = 4, m = 8) or ex1gen at n, or at n = 3 the
+    weighted preset (weights 1, 2, 3, action blocks [1, 1, 0], [0, 0, 1])."""
+    if n == 3:
+        S = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
+        A = TorusAction.of([[1, 1, 0], [0, 0, 1]])
+    else:
+        S = RoundSphereStructure(n)
+        A = TorusAction.of([[1, 1] + [0] * (n - 2), [0, 0] + [1] * (n - 2)])
     setup = ReductionSetup(S, A, mu=[1.0, 1.0])
     frame = build_frame(setup, setup.samples(samples, seed=11))
     return setup, frame, SubmersionContext.from_reduction(setup, frame)
@@ -158,7 +169,8 @@ def _one_lane_context(n):
     return setup, frame, col
 
 
-@pytest.mark.parametrize("n,lanes", [(4, None), (4, 1), (4, 2), (4, 80), (32, None), (32, 2)])
+@pytest.mark.parametrize("n,lanes", [(4, None), (4, 1), (4, 2), (4, 80), (32, None), (32, 2),
+                                     (3, None), (3, 1), (3, 2), (3, 80)])
 def test_pair_passes_match_the_list_code(monkeypatch, n, lanes):
     if lanes == 1:
         setup, frame, ctx = _one_lane_context(n)
@@ -167,7 +179,7 @@ def test_pair_passes_match_the_list_code(monkeypatch, n, lanes):
     ref = ListPairPasses(setup, frame, ctx)
     d = ctx.horizontal_frame
     zeta = ctx.structure.reeb(ctx.p)
-    pairs = [(d[0], d[1]), (d[1], zeta), (d[2], d[2]), (zeta, d[0]), (d[3], d[1])]
+    pairs = [(d[0], d[1]), (d[1], zeta), (d[2], d[2]), (zeta, d[0]), (d[-1], d[1])]
     for per_pass in (len(pairs), 2):
         monkeypatch.setattr(vecops, "PASS_LANES", per_pass * (lanes or 1))
         for got, want in zip(ctx.a_tensors(pairs), ref.a_tensors(pairs, per_pass)):
