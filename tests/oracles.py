@@ -901,9 +901,10 @@ def stratify_per_point(action, mu, points, tol):
 # scalars and each operation below looped over them.  These are those
 # implementations, kept as they were, as bitwise references for the
 # array versions: ``vdot``, ``cmult``, ``EmbeddedManifold.project``,
-# ``Sphere.project``, ``gram_schmidt`` (on the round metric) and the A
-# and h pair passes of ``SubmersionContext`` on the round metric, with
-# the list ``along`` and list lane helpers they ran on.
+# ``Sphere.project``, ``gram_schmidt`` and the A and h pair passes of
+# ``SubmersionContext``, on the round and on the weighted metric
+# (``ListWeightedMetric``), with the list ``along`` and list lane helpers
+# they ran on.
 
 
 def list_vsub(u, v):
@@ -1000,24 +1001,73 @@ def list_sphere_project(q, v):
     return list_vsub(v, list_vscale(q, f))
 
 
-def list_gram_schmidt(p, vectors):
-    """gram_schmidt on the round metric, on lists: (kept vectors, inputs)."""
+def list_gram_schmidt(p, vectors, g=list_vdot):
+    """gram_schmidt on lists under the pairing g at p (the round metric's
+    by default): (kept vectors, inputs)."""
     from sasaklab.vecops import agreed
 
     kept, inputs = [], []
     for i, v in enumerate(vectors):
         w = list(v)
         for u in kept:
-            w = list_vsub(w, list_vscale(u, list_vdot(u, w)))
+            w = list_vsub(w, list_vscale(u, g(u, w)))
         # second pass for numerical orthogonality
         for u in kept:
-            w = list_vsub(w, list_vscale(u, list_vdot(u, w)))
-        nrm = clamped_sqrt(list_vdot(w, w))
+            w = list_vsub(w, list_vscale(u, g(u, w)))
+        nrm = clamped_sqrt(g(w, w))
         if agreed(nrm < tolerances.GRAM_SCHMIDT_DROP):
             continue
         kept.append(list_vscale(w, 1.0 / nrm))
         inputs.append(i)
     return kept, inputs
+
+
+class ListWeightedMetric:
+    """The weighted metric g_A = eta_A eta_A + (1/2) d(eta_A)(., i .) on
+    lists, with the terms of the point formed once (``at``)."""
+
+    def __init__(self, a):
+        self.a = [float(x) for x in a]
+
+    def conformal_factor(self, q):
+        acc = 0.0
+        for j, aj in enumerate(self.a):
+            x, y = q[2 * j], q[2 * j + 1]
+            acc = acc + aj * (x * x + y * y)
+        return acc
+
+    def reeb(self, q):
+        out = []
+        for j, aj in enumerate(self.a):
+            out.append(-aj * q[2 * j + 1])
+            out.append(aj * q[2 * j])
+        return out
+
+    def at(self, q):
+        """g_A at q as a function of (u, v)."""
+        f = self.conformal_factor(q)
+        aw_q = []
+        for j, aj in enumerate(self.a):
+            aw_q.append(aj * q[2 * j])
+            aw_q.append(aj * q[2 * j + 1])
+        at, xi = (f, f * f, list_cmult(q), aw_q), self.reeb(q)
+
+        def contact_part(u):
+            e = list_vdot(at[2], u) / at[0]
+            return e, list_vsub(u, list_vscale(xi, e))
+
+        def vector_terms(w):
+            return 2.0 * list_vdot(at[3], w), list_vdot(at[2], w)
+
+        def g(u, v):
+            eu, uc = contact_part(u)
+            ev, vc = contact_part(v)
+            tu, tv = list_cmult(uc), list_cmult(vc)
+            (df_u, eta0_u), (df_v, eta0_v) = vector_terms(uc), vector_terms(tv)
+            d_eta = 2.0 * list_vdot(tu, tv) / at[0] - (df_u * eta0_v - df_v * eta0_u) / at[1]
+            return eu * ev + 0.5 * d_eta
+
+        return g
 
 
 def _list_lane_width(u):
@@ -1070,17 +1120,50 @@ def list_pair_lanes(fn, p, pairs, per_pass):
 
 
 class ListPairPasses:
-    """The A and h pair passes of a round-metric SubmersionContext built
-    from (setup, rframe), on lists: covariant derivatives by the list
-    ``along`` and projections, the vertical fields from the action rows."""
+    """The A and h pair passes of the SubmersionContext built from
+    (setup, rframe), on lists: covariant derivatives by the list
+    ``along`` and projections, the vertical fields from the action rows.
+    On the weighted metric the pairing is ``ListWeightedMetric``'s and
+    the connection the cone's, with the Christoffel tensor and the
+    tangent bases read from the package (``Cone._tensor`` and
+    ``tangent_basis``, checked on their own elsewhere)."""
 
     def __init__(self, setup, rframe, ctx):
         self.manifold = setup.manifold
         self.sphere = setup.structure.sphere
+        self.metric = setup.structure.metric
+        self.g_at = ((lambda q: list_vdot) if self.metric.euclidean
+                     else ListWeightedMetric(self.metric.a).at)
         self.weights = setup.action.weights
         self.rows = [tuple(r) for r in rframe.vertical_rows]
         self.p = _as_lists(ctx.p)
         self.tangent_on = [_as_lists(u) for u in ctx._tangent_frames()[0]]
+
+    def covariant(self, q, dir_field, field, on_sphere):
+        """nabla_X Y at q, on N or (on_sphere) on the sphere, as
+        ``Geometry.covariant`` formed it on lists."""
+        if self.metric.euclidean:
+            w = list_along(field, q, dir_field(q))
+            return list_sphere_project(q, w) if on_sphere else list_project(self.manifold, q, w)
+        X, Y = dir_field(q), field(q)
+        t = self.metric.cone._tensor(np.asarray(q, dtype=float), 0)
+        lanes = t.ndim > 3 or any(_list_lane_width(v) for v in (X, Y))
+        t = t if t.ndim > 3 else t[..., None]
+        for v in (X, Y):
+            t = list_vdot(np.moveaxis(t, -2, 0), v)
+        gamma = list(t) if lanes else t[:, 0].tolist()
+        w = list_sphere_project(q, [a + b for a, b in zip(list_along(field, q, X), gamma)])
+        if on_sphere:
+            return w
+        frame = [_as_lists(r) for r in self.manifold.tangent_basis(np.asarray(q, dtype=float))]
+        g, vectors = self.g_at(q), [*frame, w]
+        gram = [[g(vectors[min(i, j)], vectors[max(i, j)]) for j in range(len(vectors))]
+                for i in range(len(vectors))]
+        coef = solve_linear([row[:-1] for row in gram[:-1]], [row[-1] for row in gram[:-1]])
+        out = [0.0] * len(w)
+        for c, r in zip(coef, frame):
+            out = [a + c * b for a, b in zip(out, r)]
+        return out
 
     def field(self, r, q):
         speeds = [sum(rk * wk[j] for rk, wk in zip(r, self.weights))
@@ -1095,8 +1178,9 @@ class ListPairPasses:
         if not self.rows:
             return [0.0 * c for c in w]
         vals = [self.field(r, q) for r in self.rows]
-        gram = [[list_vdot(a, b) for b in vals] for a in vals]
-        rhs = [list_vdot(a, w) for a in vals]
+        g = self.g_at(q)
+        gram = [[g(a, b) for b in vals] for a in vals]
+        rhs = [g(a, w) for a in vals]
         coef = solve_linear(gram, rhs)
         out = [0.0] * len(w)
         for c, v in zip(coef, vals):
@@ -1110,9 +1194,9 @@ class ListPairPasses:
     def a_tensors(self, pairs, per_pass):
         def one_pass(q, reps, x, y):
             xhat, yhat = list_vvalue(x), list_vvalue(y)
+            Xh = lambda r: self.horizontal_project(r, xhat)
             Yh = lambda r: self.horizontal_project(r, yhat)
-            w = list_project(self.manifold, q, list_along(Yh, q, self.horizontal_project(q, xhat)))
-            return self.vertical_project(q, w)
+            return self.vertical_project(q, self.covariant(q, Xh, Yh, on_sphere=False))
 
         return list_pair_lanes(one_pass, self.p, [tuple(map(_as_lists, uv)) for uv in pairs],
                                per_pass)
@@ -1120,12 +1204,13 @@ class ListPairPasses:
     def second_fundamentals(self, pairs, per_pass):
         def one_pass(q, reps, x, y):
             xhat, yhat = list_vvalue(x), list_vvalue(y)
+            Xf = lambda r: list_project(self.manifold, r, xhat)
             Yf = lambda r: list_project(self.manifold, r, yhat)
-            w = list_sphere_project(q, list_along(Yf, q, list_project(self.manifold, q, xhat)))
-            out = list(w)
+            out = self.covariant(q, Xf, Yf, on_sphere=True)
+            g = self.g_at(q)
             for u in self.tangent_on:
                 u = _list_tile_lanes(u, reps)
-                c = list_vdot(u, out)
+                c = g(u, out)
                 out = [a - c * b for a, b in zip(out, u)]
             return out
 
