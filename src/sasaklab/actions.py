@@ -16,7 +16,7 @@ import numpy as np
 from . import tolerances
 from .errors import ZeroMu
 from .jets import expand, value, vector
-from .vecops import cmult, lane_stack, per_coordinate, vsum
+from .vecops import cmult, lane_stack, per_coordinate, svd_rank, vsum
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,7 @@ def local_freeness(action, kernel, p):
     if k == 0:
         return 0, False, []
     svals = np.linalg.svd(lane_stack(rows), compute_uv=False)
-    top = svals[..., 0]
-    tol = tolerances.RANK_SINGULAR_VALUE * np.where(top > 1.0, top, 1.0)
-    rank = np.sum(svals > tol[..., None], axis=-1)
+    rank = svd_rank(svals)
     if svals.ndim == 2:
         return rank, rank < k, svals
     return int(rank), bool(rank < k), [float(s) for s in svals]

@@ -23,8 +23,11 @@ chunk splits into parts that agree (``vecops.agreeing_parts``).  Within
 a part, the O'Neill A and h pairs of one direction, and the reduced
 d(eta) pairs, run as further lanes of one pass per kind
 (``vecops.pair_lanes``).  Only the directions are drawn per sample.
-verify-structure and cone-check run a chunk as one lane batch.  A batch
-of one runs on floats, and no row depends on the batch it ran in.
+verify-structure, check-hypotheses and cone-check run a chunk as one
+lane batch.  A batch of one runs on floats, and no row depends on the
+batch it ran in.  Results stay arrays, one entry per sample: each part
+writes its chunk's columns (``_Columns``), and the ledger, the census
+and the CSV rows read whole columns.
 """
 
 import argparse
@@ -71,6 +74,8 @@ from .reduction import (
     printed_remark_dimension,
     quotient_dimension,
     reduced_tensors,
+    sample_level_set,
+    sample_zero_level,
 )
 from .reports import (
     EXIT_HYPOTHESIS,
@@ -84,7 +89,7 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import agreeing_parts, batches, clamped_sqrt, lane, split_frame, stack_lanes
+from .vecops import agreeing_parts, batches, clamped_sqrt, split_frame, stack_lanes
 from .jets import value
 
 COMMANDS = (
@@ -170,27 +175,58 @@ def _unit_tangent(rng, p):
     return list(v / np.linalg.norm(v))
 
 
-def _draw_directions(cfg, salt, index, frame):
-    """``cfg.directions`` pairs of unit directions in the span of the
-    (k, m) frame, from sample ``index``'s own stream: one draw of
-    2 * directions rows of k normals, each row normalised and mapped by
-    the frame on its own; none for an empty frame, where the run counts
-    a hypothesis failure."""
+def _direction_lanes(cfg, salt, start, idx, frame):
+    """[(x, y)]: ``cfg.directions`` pairs of unit directions, one lane per
+    position i of idx in the chunk that begins at sample ``start``.
+    Sample start + i draws from its own stream: one draw of 2 * directions
+    rows of k normals, each row normalised and mapped on its own by the
+    sample's (k, m) frame (``vecops.split_frame``).  No pairs for an
+    empty frame, where the run counts a hypothesis failure."""
     if not len(frame):
         return []
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, salt, index])))
-    frame_t = np.ascontiguousarray(frame).T
-    # np.linalg.norm of a float vector is sqrt(c . c)
-    out = [frame_t @ (c / math.sqrt(c.dot(c)))
-           for c in rng.standard_normal((2 * cfg.directions, len(frame)))]
-    return list(zip(out[0::2], out[1::2]))
+    drawn = []
+    for i, vs in zip(idx, split_frame(frame, len(idx))):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, salt, start + i])))
+        frame_t = np.ascontiguousarray(vs).T
+        # np.linalg.norm of a float vector is sqrt(c . c)
+        drawn.append([frame_t @ (c / math.sqrt(c.dot(c)))
+                      for c in rng.standard_normal((2 * cfg.directions, len(vs)))])
+    lanes = [stack_lanes(vs) for vs in zip(*drawn)]
+    return list(zip(lanes[0::2], lanes[1::2]))
+
+
+class _Columns(dict):
+    """A chunk's results by name, one array each of the given shape,
+    samples first, in index order; NaN where no part of the chunk writes."""
+
+    def __init__(self, *shape):
+        super().__init__()
+        self.shape = shape
+
+    def __missing__(self, name):
+        col = self[name] = np.full(self.shape, math.nan)
+        return col
+
+    def scatter(self, where, values):
+        """Write a part's values at its positions; a float fills them all."""
+        for name, v in values.items():
+            self[name][where] = v
+
+
+def _header(cfg, *tail):
+    return ["index", *[f"c{k}" for k in range(2 * cfg.n)], *tail]
+
+
+def _rows(start, samples, *columns):
+    """The CSV rows of level-set samples numbered from ``start``: index,
+    coordinates, s, then the sample's entry of each column."""
+    return [[i, *samp.coords(), samp.s, *vals]
+            for i, (samp, *vals) in enumerate(zip(samples, *(c.tolist() for c in columns)), start)]
 
 
 def _empty_frame_notes(count):
-    if not count:
-        return []
     return [f"{count} sample(s) have an empty contact frame D: no directions "
-            "drawn, so no direction residual is evaluated for them"]
+            "drawn, so no direction residual is evaluated for them"] if count else []
 
 
 # ----------------------------------------------------------------------
@@ -234,22 +270,20 @@ def run_verify_structure(cfg):
             contact_nondegeneracy(S, p),
         )
 
+    gates = (("phi_reeb", t_ident), ("phi_squared_identity", t_ident),
+             ("phi_isometry_identity", t_ident), ("eta_of_reeb", cfg.tol["eta_on_frame"]),
+             ("d_eta_on_reeb", cfg.tol["eta_on_frame"]), ("killing", t_kill),
+             ("sasakian_curvature", t_sas))
     rows = []
     min_det = math.inf
     for _, batch in batches(range(cfg.samples)):  # every sample has the same frame sizes
         draws = [draw(i) for i in batch]
-        lanes = certify(draws)
-        for j, (i, (p, _, _)) in enumerate(zip(batch, draws)):
-            a, b, c, d, e, f, g_, det = (float(lane(v, j)) for v in lanes)
-            led.add("phi_reeb", t_ident, a)
-            led.add("phi_squared_identity", t_ident, b)
-            led.add("phi_isometry_identity", t_ident, c)
-            led.add("eta_of_reeb", cfg.tol["eta_on_frame"], d)
-            led.add("d_eta_on_reeb", cfg.tol["eta_on_frame"], e)
-            led.add("killing", t_kill, f)
-            led.add("sasakian_curvature", t_sas, g_)
-            min_det = min(min_det, det)
-            rows.append([i, *p, 0.0, a, b, c, d, e, f, g_, det])
+        cols = [np.broadcast_to(v, (len(batch),)) for v in certify(draws)]
+        for (name, tol), col in zip(gates, cols):
+            led.add(name, tol, col)
+        min_det = min([min_det, *cols[-1].tolist()])
+        rows += [[i, *p, 0.0, *vals]
+                 for i, (p, _, _), *vals in zip(batch, draws, *(c.tolist() for c in cols))]
 
     nondeg_ok = min_det > cfg.tol["contact_nondegeneracy"]
     status = EXIT_OK if led.all_ok() and nondeg_ok else EXIT_RESIDUAL
@@ -259,10 +293,7 @@ def run_verify_structure(cfg):
                 "contact_nondegenerate": nondeg_ok},
         exit_status=status,
     )
-    header = ["index", *[f"c{k}" for k in range(2 * cfg.n)], "s",
-              "phi_reeb", "phi_squared_identity", "phi_isometry_identity",
-              "eta_of_reeb", "d_eta_on_reeb", "killing", "sasakian_curvature",
-              "contact_determinant"]
+    header = _header(cfg, "s", *(name for name, _ in gates), "contact_determinant")
     return report, header, rows, status
 
 
@@ -285,8 +316,13 @@ def _action_notes(cfg):
 def run_check_hypotheses(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
-    reports = [r for _, chunk in batches(samples) for r in setup.hypothesis_report(chunk)]
-    tally = _hypothesis_tally(reports)
+    tally = None
+    rows = []
+    for start, chunk in batches(samples):
+        hyp = setup.hypothesis_report(chunk)
+        tally = _hypothesis_tally(hyp, tally)
+        rows += _rows(start, chunk, hyp["transversal"].astype(int), hyp["freeness_rank"],
+                      hyp["freeness_degenerate"].astype(int))
     slice_ok, slice_info = setup.slice_check
     hyp = {
         "slice_condition": slice_ok,
@@ -295,26 +331,22 @@ def run_check_hypotheses(cfg):
         "kernel_dim": setup.kernel.k,
     }
     status = EXIT_OK if slice_ok and _hypotheses_hold(tally) else EXIT_HYPOTHESIS
-    rows = [
-        [i, *s.coords(), s.s, int(r["transversal"]),
-         r["freeness_rank"], int(r["freeness_degenerate"])]
-        for i, (s, r) in enumerate(zip(samples, reports))
-    ]
-    header = ["index", *[f"c{k}" for k in range(2 * cfg.n)], "s",
-              "transversal", "freeness_rank", "freeness_degenerate"]
+    header = _header(cfg, "s", "transversal", "freeness_rank", "freeness_degenerate")
     report = build_report("check-hypotheses", cfg, hypotheses=hyp,
                           notes=_action_notes(cfg), exit_status=status)
     return report, header, rows, status
 
 
-def _hypothesis_tally(reports, tally=None):
-    """The transversality and freeness counts of hypothesis reports,
-    added to those of ``tally`` when given."""
+def _hypothesis_tally(hyp, tally=None):
+    """The transversality and freeness counts of a chunk's hypothesis
+    report, added to those of ``tally`` when given."""
     tally = tally or {"transversality": {"pass": 0, "fail": 0},
                       "freeness": {"free": 0, "degenerate": 0}}
-    for r in reports:
-        tally["transversality"]["pass" if r["transversal"] else "fail"] += 1
-        tally["freeness"]["degenerate" if r["freeness_degenerate"] else "free"] += 1
+    for key, hits, yes, no in (("transversality", hyp["transversal"], "pass", "fail"),
+                               ("freeness", hyp["freeness_degenerate"], "degenerate", "free")):
+        count = int(np.count_nonzero(hits))
+        tally[key][yes] += count
+        tally[key][no] += len(hits) - count
     return tally
 
 
@@ -341,53 +373,39 @@ def run_reduce(cfg):
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
     t_frame = cfg.tol["frame_orthogonality"]
-
-    def certify(start, idx, frame, ctx):
-        # one part of a chunk: reduced tensors and the quotient residual
-        # over its directions, as lanes; directions drawn per sample
-        red = reduced_tensors(setup, frame)
-        contact = split_frame(frame.contact_d.vectors, len(idx))
-        dirs = [_draw_directions(cfg, 202, start + i, vs) for i, vs in zip(idx, contact)]
-        worst_q = 0.0
-        for k in range(len(dirs[0])):  # a part shares its frame sizes
-            x = stack_lanes([d[k][0] for d in dirs])
-            y = stack_lanes([d[k][1] for d in dirs])
-            worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
-        for j, d in enumerate(dirs):
-            checks = {name: float(lane(v, j)) for name, v in frame.checks.items()}
-            reduced = {name: float(lane(v, j)) for name, v in red.checks.items()}
-            yield (checks, frame.dims, reduced, float(lane(red.d_eta_det, j)),
-                   lane(worst_q, j) if d else None)
-
     tally = None
     n_empty = 0
     det_min = math.inf
-    dims0 = None
     rows = []
     for start, chunk in batches(samples):
-        hyps = setup.hypothesis_report(chunk)
-        tally = _hypothesis_tally(hyps, tally)
-        certified = [None] * len(chunk)
+        hyp = setup.hypothesis_report(chunk)
+        tally = _hypothesis_tally(hyp, tally)
+        checks, cols = _Columns(len(chunk)), _Columns(len(chunk))
+        empty = np.zeros(len(chunk), dtype=bool)
         for idx, (frame, ctx, _) in _frame_parts(setup, chunk):
-            for i, res in zip(idx, certify(start, idx, frame, ctx)):
-                certified[i] = res
-        for i, (samp, hyp) in enumerate(zip(chunk, hyps), start):
-            checks, dims0, reduced, det, worst_q = certified[i - start]
-            for name, val in checks.items():
-                led.add(f"frame_{name}", t_frame, val)
-            led.add("reduced_eta_profile", cfg.tol["eta_on_frame"],
-                    reduced["reduced_eta_profile"])
-            led.add("reduced_gram_identity", cfg.tol["eta_on_frame"],
-                    reduced["reduced_gram_identity"])
-            led.add("basic_d_eta", cfg.tol["basic_d_eta"], reduced["basic_d_eta"])
-            if worst_q is not None:
-                led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], worst_q)
-            else:
-                n_empty += 1
-                worst_q = math.nan
-            det_min = min(det_min, det)
-            rows.append([i, *samp.coords(), samp.s, int(hyp["transversal"]),
-                         int(hyp["freeness_degenerate"]), det, worst_q])
+            # one part of a chunk: reduced tensors and the quotient residual
+            # over its directions, as lanes
+            red = reduced_tensors(setup, frame)
+            dirs = _direction_lanes(cfg, 202, start, idx, frame.contact_d.vectors)
+            worst_q = 0.0 if dirs else math.nan
+            for x, y in dirs:
+                worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
+            empty[idx] = not dirs
+            checks.scatter(idx, frame.checks)
+            cols.scatter(idx, {**red.checks, "d_eta_det": red.d_eta_det, "quotient_sasakian": worst_q})
+            if idx[-1] == len(chunk) - 1:
+                dims0 = frame.dims  # the run reports the last sample's
+        for name, col in checks.items():
+            led.add(f"frame_{name}", t_frame, col)
+        led.add("reduced_eta_profile", cfg.tol["eta_on_frame"], cols["reduced_eta_profile"])
+        led.add("reduced_gram_identity", cfg.tol["eta_on_frame"], cols["reduced_gram_identity"])
+        led.add("basic_d_eta", cfg.tol["basic_d_eta"], cols["basic_d_eta"])
+        led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], cols["quotient_sasakian"][~empty])
+        n_empty += int(np.count_nonzero(empty))
+        det_min = min([det_min, *cols["d_eta_det"].tolist()])
+        rows += _rows(start, chunk, hyp["transversal"].astype(int),
+                      hyp["freeness_degenerate"].astype(int), cols["d_eta_det"],
+                      cols["quotient_sasakian"])
 
     k = setup.kernel.k
     dims = {
@@ -413,8 +431,8 @@ def run_reduce(cfg):
         status = EXIT_RESIDUAL
     else:
         status = EXIT_OK
-    header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",
-              "transversal", "freeness_degenerate", "d_eta_det", "quotient_sasakian"]
+    header = _header(cfg, "s", "transversal", "freeness_degenerate", "d_eta_det",
+                     "quotient_sasakian")
     report = build_report("reduce", cfg, hypotheses=hyp, dimensions=dims, ledger=led,
                           notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
                           exit_status=status)
@@ -425,54 +443,37 @@ def run_curvature_scan(cfg):
     setup = _setup(cfg)
     samples = setup.samples(cfg.samples, cfg.seed)
     led = ResidualLedger()
-
-    def certify(start, idx, ctx, crd):
-        # one part of a chunk: its identities over the directions, as
-        # lanes; directions drawn per sample
-        d_frames = split_frame(crd.d_frame, len(idx))
-        dirs = [_draw_directions(cfg, 303, start + i, vs) for i, vs in zip(idx, d_frames)]
-        out = [[] for _ in idx]
-        for k in range(len(dirs[0])):  # a part shares its splitting
-            x = stack_lanes([d[k][0] for d in dirs])
-            y = stack_lanes([d[k][1] for d in dirs])
-            fin = final_identity(ctx, x, crd)
-            rels = relation_residuals(ctx, crd, x, y)
-            onil = oneill_plane_residual(ctx, x)
-            for j, per_dir in enumerate(out):
-                per_dir.append(({n: float(lane(v, j)) for n, v in fin.items()},
-                                {n: float(lane(v, j)) for n, v in rels.items()},
-                                float(lane(onil, j))))
-        return out
-
+    gates = {"final_identity": ("residual", cfg.tol["final_identity"]),
+             "h_tilde_on_toric": ("h_tilde_sq", tolerances.H_TILDE_ON_TORIC),
+             "oneill_plane": ("oneill_plane", cfg.tol["oneill_two_path"])}
     tally = None
     nu_dims = set()
-    certified = [None] * len(samples)
-    for start, chunk in batches(samples):
-        tally = _hypothesis_tally(setup.hypothesis_report(chunk), tally)
-        for idx, (_, ctx, crd) in _frame_parts(setup, chunk, cr_decomposition):
-            nu_dims.add(crd.dims["nu"])
-            for i, res in zip(idx, certify(start, idx, ctx, crd)):
-                certified[start + i] = res
-
+    n_empty = 0
     k_min, k_max = math.inf, -math.inf
     rows = []
-    n_empty = 0
-    for i, (samp, per_dir) in enumerate(zip(samples, certified)):
-        if not per_dir:
-            n_empty += 1
-            rows.append([i, *samp.coords(), samp.s, *[math.nan] * 4])
-            continue
-        for fin, rels, onil in per_dir:
-            led.add("final_identity", cfg.tol["final_identity"], fin["residual"])
-            led.add("h_tilde_on_toric", tolerances.H_TILDE_ON_TORIC, fin["h_tilde_sq"])
-            for name, val in rels.items():
-                led.add(name, cfg.tol["cr_identities"], val)
-            led.add("oneill_plane", cfg.tol["oneill_two_path"], onil)
-            k_min = min(k_min, fin["k_quotient"])
-            k_max = max(k_max, fin["k_quotient"])
-        fin0 = per_dir[0][0]
-        rows.append([i, *samp.coords(), samp.s, fin0["k_quotient"],
-                     fin0["h_bar_sq"], fin0["h_tilde_sq"], fin0["residual"]])
+    for start, chunk in batches(samples):
+        tally = _hypothesis_tally(setup.hypothesis_report(chunk), tally)
+        # (sample, direction) entries; a sample without directions keeps NaN
+        fin, rels = _Columns(len(chunk), cfg.directions), _Columns(len(chunk), cfg.directions)
+        empty = np.zeros(len(chunk), dtype=bool)
+        for idx, (_, ctx, crd) in _frame_parts(setup, chunk, cr_decomposition):
+            # one part of a chunk: its identities over the directions, as lanes
+            nu_dims.add(crd.dims["nu"])
+            dirs = _direction_lanes(cfg, 303, start, idx, crd.d_frame)
+            empty[idx] = not dirs
+            for k, (x, y) in enumerate(dirs):
+                fin.scatter((idx, k), final_identity(ctx, x, crd))
+                rels.scatter((idx, k), relation_residuals(ctx, crd, x, y))
+                fin.scatter((idx, k), {"oneill_plane": oneill_plane_residual(ctx, x)})
+        n_empty += int(np.count_nonzero(empty))
+        for name, (col, tol) in gates.items():
+            led.add(name, tol, fin[col][~empty])
+        for name, col in rels.items():
+            led.add(name, cfg.tol["cr_identities"], col[~empty])
+        ks = fin["k_quotient"][~empty].ravel().tolist()  # sample by sample
+        k_min, k_max = min([k_min, *ks]), max([k_max, *ks])
+        rows += _rows(start, chunk, *(fin[name][:, 0] for name in
+                                      ("k_quotient", "h_bar_sq", "h_tilde_sq", "residual")))
 
     if n_empty or not _hypotheses_hold(tally):
         status = EXIT_HYPOTHESIS
@@ -483,8 +484,7 @@ def run_curvature_scan(cfg):
         "phi_sectional_max": k_max,
         "nu_dims_seen": sorted(nu_dims),
     }
-    header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",
-              "k_quotient", "h_bar_sq", "h_tilde_sq", "final_identity_residual"]
+    header = _header(cfg, "s", "k_quotient", "h_bar_sq", "h_tilde_sq", "final_identity_residual")
     report = build_report("curvature-scan", cfg, hypotheses=tally, ledger=led, census=census,
                           notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
                           exit_status=status)
@@ -538,7 +538,7 @@ def run_reeb_flow(cfg):
     status = EXIT_OK if led.all_ok() else EXIT_RESIDUAL
     stride = max(1, cfg.flow_steps // 64)
     rows = [[k, *traj[k], times[k]] for k in range(0, len(times), stride)]
-    header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "t"]
+    header = _header(cfg, "t")
     report = build_report("reeb-flow", cfg, ledger=led, extra=extra,
                           notes=_action_notes(cfg), exit_status=status)
     return report, header, rows, status
@@ -552,9 +552,10 @@ def run_cone_check(cfg):
     per-point loop, and run in lane batches of at most
     ``vecops.LANE_BATCH_WIDTH`` (``vecops.batches``): J_s at r and at 1,
     J, and eta(b_M) for each kernel row b run once per batch
-    (``cone.momentum_identities``); the pairing of J_s with the kernel
-    basis runs per point on its float row, and the pairing oracle per
-    point on the first 8.  The census runs J once over all the strata
+    (``cone.momentum_identities``), and each identity reaches the ledger
+    as one array a batch; the pairing of J_s with the kernel basis runs
+    per point on its float row, and the pairing oracle per point on the
+    first 8.  The census runs J once over all the strata
     samples (``cone.stratify``) and classifies each sample's row on its
     own.  The level-set samplers and the zero-stratum rank check are
     not on lanes.
@@ -574,11 +575,11 @@ def run_cone_check(cfg):
 
     for _, batch in batches(range(cfg.samples)):
         draws = [draw(i) for i in batch]
-        ident = momentum_identities(A, mu, [cp for cp, _ in draws])
-        for i, (cp, rvec), iota, homog, restr in zip(batch, draws, *ident):
-            led.add("iota_transpose", cfg.tol["iota_transpose"], iota)
-            led.add("homogeneity", cfg.tol["iota_transpose"], homog)
-            led.add("restriction", tolerances.RESTRICTION, restr)
+        iota, homog, restr = momentum_identities(A, mu, [cp for cp, _ in draws])
+        led.add("iota_transpose", cfg.tol["iota_transpose"], iota)
+        led.add("homogeneity", cfg.tol["iota_transpose"], homog)
+        led.add("restriction", tolerances.RESTRICTION, restr)
+        for i, (cp, rvec) in zip(batch, draws):
             if rvec is not None:
                 led.add("pairing_oracle", tolerances.PAIRING_ORACLE,
                         symplectic_pairing_residual(A, cp, rvec, seed=cfg.seed + i))
@@ -587,8 +588,6 @@ def run_cone_check(cfg):
     rows = []
     notes = []
     strata_sources = []
-    from .reduction import sample_level_set, sample_zero_level
-
     try:
         pos = sample_level_set(A, mu, max(cfg.samples // 4, 1), cfg.seed + 1)
         strata_sources.extend(pt.point for pt in pos)
@@ -628,8 +627,7 @@ def run_cone_check(cfg):
                 deg["antisymmetry"])
 
     status = EXIT_RESIDUAL if (leak or not led.all_ok()) else EXIT_OK
-    header = ["index", *[f"c{k2}" for k2 in range(2 * cfg.n)], "s",
-              "stratum", "ray_residual"]
+    header = _header(cfg, "s", "stratum", "ray_residual")
     report = build_report("cone-check", cfg, ledger=led, census=census,
                           notes=_action_notes(cfg) + notes, exit_status=status)
     return report, header, rows, status

@@ -19,7 +19,7 @@ from .errors import StratificationLeak
 from .jets import value
 from .reduction import sample_zero_level
 from .tensor_kernel import AmbientPoint, orthogonal_tail
-from .vecops import lane, lane_max, split_lanes, stack_lanes, vdot
+from .vecops import lane_max, split_lanes, stack_lanes, svd_rank, vdot
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def iota_transpose_residual(action, mu, cp):
     """Phi computed two ways: pairing J_s with the kernel basis versus
     the momentum of the restricted action; returns the max difference.
 
-    For a list of cone points, which run as lanes, a list comes back,
-    one float per point.  J_s and eta(b_M) for each kernel row b run
+    For a list of cone points, which run as lanes, an array comes back,
+    one value per point.  J_s and eta(b_M) for each kernel row b run
     once over the lanes; only the d-length pairing of J_s with the
     kernel basis runs per point, on the point's float row, since
     ``np.dot`` does not round as an elementwise sum does.
@@ -129,18 +129,18 @@ def iota_transpose_residual(action, mu, cp):
     js = symplectic_momentum(action, cp)
     # momentum of the one-parameter subgroup through b: eta(b_M)
     path_b = [r * r * value(_eta0(p, action.fundamental_field(b, p))) for b in kern.matrix]
-    out = []
     rows = split_lanes(js)
-    for i, row in enumerate([js] if rows is None else rows):
-        path_a = [float(np.dot(row, b)) for b in kern.matrix]
-        out.append(max((abs(a - float(lane(b, i))) for a, b in zip(path_a, path_b)),
-                       default=0.0))
-    return out[0] if isinstance(cp, ConePoint) else out
+    rows = [js] if rows is None else rows
+    worst = np.zeros(len(rows))
+    if path_b:
+        path_a = np.array([[np.dot(row, b) for row in rows] for b in kern.matrix])
+        worst = lane_max([abs(a - b) for a, b in zip(path_a, path_b)])
+    return float(worst[0]) if isinstance(cp, ConePoint) else worst
 
 
 def momentum_identities(action, mu, cps):
     """Three residuals per cone point of the list cps, which runs as
-    lanes, each as a list of floats, one per point:
+    lanes, each as an array, one value per point:
 
     - iota_transpose: ``iota_transpose_residual``;
     - homogeneity: max_k |J_s(z, r)_k - r^2 J_s(z, 1)_k|;
@@ -152,12 +152,7 @@ def momentum_identities(action, mu, cps):
     homogeneity = lane_max(list(abs(js_r - r * r * js_1)))
     restriction = lane_max(list(abs(js_1 - value(action.momentum(p)))))
     return (iota_transpose_residual(action, mu, cps),
-            _per_point(homogeneity, len(cps)), _per_point(restriction, len(cps)))
-
-
-def _per_point(x, count):
-    """Python floats of a float or lane result, one per point."""
-    return np.broadcast_to(x, (count,)).tolist()
+            *(np.broadcast_to(x, (len(cps),)) for x in (homogeneity, restriction)))
 
 
 def sample_phi_zero(action, mu, count, seed):
@@ -215,11 +210,10 @@ def zero_stratum_degeneracy(structure, action, mu, p):
 
     G = np.vstack([2.0 * p, action.momentum_jacobian(p)])
     _, sv, vt = np.linalg.svd(G)
-    rank = int(np.sum(sv > tolerances.RANK_SINGULAR_VALUE * max(1.0, sv[0])))
-    tangent = vt[rank:]
+    tangent = vt[svd_rank(sv):]
 
     vert = [value(action.fundamental_field(b, p)) for b in kern.matrix]
-    vert = [v for v in vert if float(np.linalg.norm(v)) > 1e-10]
+    vert = [v for v in vert if float(np.linalg.norm(v)) > tolerances.VERTICAL_FIELD_NORM]
     xi = value(S.reeb(p))
     horiz = orthogonal_tail(S.metric, p, vert + [xi], tangent)
 
@@ -230,11 +224,7 @@ def zero_stratum_degeneracy(structure, action, mu, p):
             if i != j:
                 D[i, j] = value(S.d_eta(p, horiz[i], horiz[j]))
     antisym = float(np.max(np.abs(D + D.T))) if m else 0.0
-    if m:
-        sv = np.linalg.svd(D, compute_uv=False)
-        rk = int(np.sum(sv > tolerances.RANK_SINGULAR_VALUE * max(1.0, sv[0])))
-    else:
-        rk = 0
+    rk = int(svd_rank(np.linalg.svd(D, compute_uv=False))) if m else 0
     return {
         "horizontal_dim": m,
         "rank": rk,

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import AmbiguousSplit
 from .jets import jsqrt, value, vector
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import agreed, lane_pow, lane_stack, lane_width, nonnegative, pairings, stack_lanes
+from .vecops import (agreed, lane_stack, lane_width, nonnegative, pairings, plane_area,
+                     stack_lanes)
 
 
 @dataclass
@@ -66,7 +68,7 @@ def cr_decomposition(ctx):
     else:
         vt = np.broadcast_to(np.eye(c), (samples, c, c))
 
-    lo_band, hi_band = 1e-6, 1.0 - 1e-6
+    lo_band, hi_band = tolerances.CR_BAND, 1.0 - tolerances.CR_BAND
     ambiguous = np.any((sv_full > lo_band) & (sv_full < hi_band), axis=1)
     if ambiguous.any():
         raise AmbiguousSplit(f"singular values {sv_full[ambiguous.argmax()].tolist()} "
@@ -160,10 +162,9 @@ def oneill_plane_residual(ctx, x):
     to rounding whatever R^N, h and A are.  It checks the assembly only."""
     S = ctx.structure
     p = ctx.p
-    g = ctx.g
     x = vector(x)
     phi_x = value(S.phi(p, x))
-    den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
+    den = plane_area(ctx.g, x, phi_x)
     h_cache = {}  # both curvatures take the same second fundamental forms
     k_n = ctx.gauss_curvature_n4(x, phi_x, phi_x, x, h_cache=h_cache) / den
     k_p = ctx.quotient_curvature_4(x, phi_x, phi_x, x, h_cache=h_cache) / den
@@ -184,8 +185,7 @@ def final_identity(ctx, x, crdec):
 
     k_p = ctx.phi_sectional_quotient(x)
     phi_x = value(S.phi(p, x))
-    den = value(g(x, x)) * value(g(phi_x, phi_x)) - lane_pow(value(g(x, phi_x)), 2)
-    k_m = S.ambient_curvature_4(p, x, phi_x, phi_x, x) / den
+    k_m = S.ambient_curvature_4(p, x, phi_x, phi_x, x) / plane_area(g, x, phi_x)
 
     h_xx = value(ctx.second_fundamental(x, x))
     bar, tilde = split_normal(ctx, crdec, h_xx)

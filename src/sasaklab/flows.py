@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from . import tolerances
 from .errors import NoConvergence
 
 
@@ -41,7 +42,7 @@ def reeb_flow(structure, manifold, z0, t_max, steps):
         k4 = field(x + h * k3)
         x = x + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
         x, residual = manifold.newton_refine(x)
-        if residual > 1e-9:
+        if residual > tolerances.REPROJECTION:
             raise NoConvergence(f"reprojection failed at step {k}")
         out[k + 1] = x
     return times, out

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tolerances
 from .jets import leafwise, value, vector
-from .vecops import agreed, lane_stack, per_coordinate, solve_linear, vdot
+from .vecops import agreed, lane_stack, per_coordinate, solve_linear, svd_rank, vdot
 
 
 class Constraint:
@@ -110,9 +110,7 @@ class EmbeddedManifold:
         if grads.size == 0:
             return np.eye(self.ambient_dim)
         _, s, vt = np.linalg.svd(grads)
-        top = s[..., 0]
-        tol = tolerances.RANK_SINGULAR_VALUE * np.where(top > 1.0, top, 1.0)
-        rank = agreed(np.sum(s > tol[..., None], axis=-1))
+        rank = agreed(svd_rank(s))
         if vt.ndim == 2:
             return vt[rank:]
         return np.ascontiguousarray(np.moveaxis(vt[:, rank:], 0, -1))

@@ -41,7 +41,7 @@ import numpy as np
 from .geometry import Geometry
 from .jets import value, vector
 from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import clamped_sqrt, lane_pow, pair_lanes, solve_linear, tile_lanes
+from .vecops import clamped_sqrt, pair_lanes, plane_area, solve_linear, tile_lanes
 
 
 class SubmersionContext:
@@ -247,12 +247,9 @@ class SubmersionContext:
 
     def phi_sectional_quotient(self, x):
         """K_P(X, phi_P X) via the O'Neill path, X horizontal unit."""
-        g = self.g
         x = vector(x)
         px = self.phi_horizontal(x)
-        num = self.quotient_curvature_4(x, px, px, x)
-        den = value(g(x, x)) * value(g(px, px)) - lane_pow(value(g(x, px)), 2)
-        return num / den
+        return self.quotient_curvature_4(x, px, px, x) / plane_area(self.g, x, px)
 
 
 def _h_pairs(x, y, z, v):

@@ -49,8 +49,8 @@ from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sp
                         SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import (agreed, batches, lane, lane_stack, pair_lanes, pairings, split_frame,
-                     stack_lanes, vdot)
+from .vecops import (agreed, batches, lane_stack, pair_lanes, pairings, split_frame,
+                     stack_lanes, svd_rank, vdot)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,8 @@ def analyze_moduli(n, rows, ray_coeff=None):
     kept = np.zeros((0, ns))
     for r in rows_s:
         cand = np.vstack([kept, r])
-        if np.linalg.norm(r) >= 1e-12 and np.linalg.matrix_rank(cand, tol=1e-11) > len(kept):
+        if (np.linalg.norm(r) >= tolerances.MODULI_ROW_NORM
+                and np.linalg.matrix_rank(cand, tol=tolerances.MODULI_RANK) > len(kept)):
             kept = cand
 
     # interior point: maximise the smallest margin delta over t = delta + s,
@@ -219,8 +220,7 @@ def analyze_moduli(n, rows, ray_coeff=None):
 
     eqs = np.vstack([np.ones((1, ns)), kept])
     _, sv, vt = np.linalg.svd(eqs)
-    r = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
-    null = vt[r:]
+    null = vt[svd_rank(sv, tolerances.MODULI_RANK):]
 
     interior = np.zeros(n)
     interior[support] = x_s
@@ -434,19 +434,18 @@ class ReductionSetup:
         return True, {"note": "zero reduction: ker 0 = g"}
 
     def hypothesis_report(self, samples):
-        """Hypothesis data of one sample, or the list of it for a list of
-        samples, whose rank tests then run as one stacked SVD each; the
-        slice condition, which depends on mu alone, is ``slice_check``."""
-        if isinstance(samples, LevelSetSample):
-            return self.hypothesis_report([samples])[0]
+        """Hypothesis data of a list of samples, or of one: each entry an
+        array over the samples, in order.  The rank tests run as one
+        stacked SVD each; the slice condition, which depends on mu alone,
+        is ``slice_check``."""
+        samples = [samples] if isinstance(samples, LevelSetSample) else samples
         p = stack_lanes([s.coords() for s in samples])
         trans_ok = transversality_check(self.action, self.mu, p)[0] if self.mode == "ray" else True
         rank, degenerate, _ = local_freeness(self.action, self.kernel, p)
-        return [{
-            "transversal": bool(lane(trans_ok, j)),
-            "freeness_rank": int(lane(rank, j)),
-            "freeness_degenerate": bool(lane(degenerate, j)),
-        } for j in range(len(samples))]
+        # a float run, or a trivial kernel, gives one value for every sample
+        return {name: np.broadcast_to(v, (len(samples),)) for name, v in
+                (("transversal", trans_ok), ("freeness_rank", rank),
+                 ("freeness_degenerate", degenerate))}
 
 
 def quotient_dimension(dim_m, d, k):
@@ -549,7 +548,7 @@ def _independent_rows(vecs, k_eff):
     picked, idx = [], []
     for i, v in enumerate(vecs):
         cand = picked + [v]
-        if np.linalg.matrix_rank(np.asarray(cand), tol=1e-10) > len(picked):
+        if np.linalg.matrix_rank(np.asarray(cand), tol=tolerances.VERTICAL_ROW_RANK) > len(picked):
             picked.append(v)
             idx.append(i)
         if len(picked) == k_eff:
@@ -571,7 +570,7 @@ def _frame_checks(setup, p, vertical, reeb, contact_d, normal, tangent):
     checks["eta_on_vertical_and_d"] = _worst(value(S.eta(p, np.moveaxis(others, 0, 1))))
     checks["eta_on_reeb"] = abs(value(S.eta(p, reeb)) - 1.0)
     checks["normal_vs_tangent"] = _worst(pairings(g, normal.vectors, tangent), 2)
-    rank = np.linalg.matrix_rank(lane_stack(stack), tol=1e-8)
+    rank = np.linalg.matrix_rank(lane_stack(stack), tol=tolerances.SPAN_RANK)
     checks["span_defect"] = np.subtract(len(stack), rank, dtype=float)
     return checks
 

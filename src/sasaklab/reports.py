@@ -13,6 +13,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -36,12 +38,14 @@ class ResidualStat:
     max: float = 0.0
     total: float = 0.0
 
-    def add(self, value):
-        value = abs(float(value))
-        self.count += 1
-        if value > self.max or math.isnan(value):  # NaN sticks: never within tolerance
-            self.max = value
-        self.total += value
+    def add(self, values):
+        """Add a float, or a non-empty array of them in sample order."""
+        a = np.abs(np.ravel(values).astype(float))
+        self.count += a.size
+        top = float(a.max())
+        if top > self.max or math.isnan(top):  # NaN sticks: never within tolerance
+            self.max = top
+        self.total = reduce(add, a.tolist(), self.total)  # in sample order, one value at a time
 
     @property
     def mean(self):
@@ -73,8 +77,10 @@ class ResidualLedger:
             self._stats[name] = ResidualStat(name, tol)
         return self._stats[name]
 
-    def add(self, name, tol, value):
-        self.stat(name, tol).add(value)
+    def add(self, name, tol, values):
+        """Add a float, or an array of them; an empty array makes no entry."""
+        if np.size(values):
+            self.stat(name, tol).add(values)
 
     def all_ok(self):
         return all(s.ok for s in self._stats.values())

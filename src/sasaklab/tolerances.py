@@ -6,14 +6,9 @@ DEFAULTS lists the gates a run configuration may override; every run
 reads them through its config, and report.json echoes them.  Everything
 else in this module is fixed.
 
-The solver thresholds below cover Gram-Schmidt drops, the shared rank
-rule, Newton projection and the LP.  Some rank and band decisions still
-carry inline cut-offs at their call sites:
-``reduction.analyze_moduli`` (1e-11, 1e-12),
-``reduction._independent_rows`` (1e-10), ``reduction._frame_checks``
-(1e-8), the 1e-6 singular-value bands of ``cr.cr_decomposition``,
-``cone.zero_stratum_degeneracy`` (1e-10) and the reprojection check of
-``flows.reeb_flow`` (1e-9).
+The solver thresholds below cover Gram-Schmidt drops, the rank and band
+decisions of the frame builders, Newton projection and the LP.  Every
+relative rank decision takes the one rule of ``vecops.svd_rank``.
 """
 
 DEFAULTS = {
@@ -52,6 +47,11 @@ ZERO_STRATUM_ANTISYMMETRY = 1e-10
 # a run is judged against.
 GRAM_SCHMIDT_DROP = 1e-10     # residual norm below which a vector is discarded
 RANK_SINGULAR_VALUE = 1e-8    # relative SVD threshold for rank decisions
+VERTICAL_ROW_RANK = 1e-10     # reduction._independent_rows: matrix_rank tolerance
+SPAN_RANK = 1e-8              # reduction._frame_checks: span defect matrix_rank tolerance
+CR_BAND = 1e-6                # cr.cr_decomposition: ambiguous in (CR_BAND, 1 - CR_BAND)
+VERTICAL_FIELD_NORM = 1e-10   # cone.zero_stratum_degeneracy drops shorter fields
+REPROJECTION = 1e-9           # flows.reeb_flow: largest constraint residual after a step
 METRIC_CONDITION = 1e12       # cond(Gram) beyond which SingularMetric is raised
 TANGENCY = 1e-10
 ON_SPHERE = 1e-12
@@ -69,3 +69,5 @@ LP_PIVOT = 1e-9        # smallest |entry| of an entering column taken as a pivot
 LP_FEASIBILITY = 1e-9  # phase-1 infeasibility above which the system is empty;
                        # below the 1e-8 floor on the ray parameter s
 LP_SUPPORT = 1e-9      # support-LP value above which t_j is not identically 0
+MODULI_RANK = 1e-11     # analyze_moduli: rank rule of its equality and kept rows
+MODULI_ROW_NORM = 1e-12  # analyze_moduli drops a shorter constraint row

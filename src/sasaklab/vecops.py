@@ -31,6 +31,7 @@ from operator import add
 
 import numpy as np
 
+from . import tolerances
 from .jets import expand, jsqrt, leafwise, value, vector
 
 
@@ -122,11 +123,6 @@ def pairings(g, A, B):
     row = getattr(g, "row", lambda u: partial(g, u))
     B = np.moveaxis(np.asarray(B, dtype=float), 0, 1)
     return np.array([value(row(np.asarray(a, dtype=float))(B)) for a in A])
-
-
-def lane(x, i):
-    """Sample i of a lane scalar; a float, shared by every lane, passes through."""
-    return x[..., i] if isinstance(x, np.ndarray) and x.ndim else x
 
 
 def split_lanes(u):
@@ -252,6 +248,13 @@ def agreeing_parts(fn, indices):
         return [part for group in groups.values() for part in agreeing_parts(fn, group)]
 
 
+def svd_rank(svals, rel=tolerances.RANK_SINGULAR_VALUE):
+    """The rank rule: how many singular values exceed rel * max(1, s_0),
+    s_0 the largest; on a stack (..., k) of them, one count per matrix."""
+    top = svals[..., :1]
+    return np.sum(svals > rel * np.where(top > 1.0, top, 1.0), axis=-1)
+
+
 def clamped_sqrt(x):
     """sqrt(max(x, 0.0)) of a float or of lanes, jets stripped: a square
     norm that rounding left below zero reads 0, and NaN stays NaN."""
@@ -286,6 +289,12 @@ def lane_pow(x, k):
     if isinstance(x, np.ndarray):
         return np.array([v ** k for v in x.tolist()])
     return x ** k
+
+
+def plane_area(g, x, y):
+    """g(x, x) g(y, y) - g(x, y)^2 of the pairing g, jets stripped: the
+    squared area of the plane {x, y}, a sectional curvature's denominator."""
+    return value(g(x, x)) * value(g(y, y)) - lane_pow(value(g(x, y)), 2)
 
 
 def solve_linear(A, b):

@@ -44,6 +44,9 @@ evaluate the constraints apart; ``rotation_flow_per_element`` and
 the closed forms one time at a time; ``cone_point_loop`` and
 ``stratify_per_point`` run cone-check's identities and census one
 point at a time.
+
+``lane`` reads one sample's entry of a lane result, for tests that
+compare a batch with its samples one by one.
 """
 
 import cmath
@@ -62,6 +65,11 @@ from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
 from sasaklab.vecops import clamped_sqrt, cmult, solve_linear, vdot
+
+
+def lane(x, i):
+    """Sample i of a lane scalar; a float, shared by every lane, passes through."""
+    return x[..., i] if isinstance(x, np.ndarray) and x.ndim else x
 
 
 def chart_basis(p):

@@ -463,6 +463,13 @@ class TestFuzzedFamilies:
         assert run_cli([command, "--config", str(path), "--samples", "2"], tmp_path) == 4
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["notes"][-1].startswith("2 sample(s) have an empty contact frame D")
+        # no direction, so no direction residual: reduce keeps its frame and
+        # reduced-tensor entries, curvature-scan has none
+        names = [r["name"] for r in report["residuals"]]
+        assert names == ([] if command == "curvature-scan" else [
+            "basic_d_eta", "frame_block_orthogonality", "frame_eta_on_reeb",
+            "frame_eta_on_vertical_and_d", "frame_normal_vs_tangent", "frame_span_defect",
+            "reduced_eta_profile", "reduced_gram_identity"])
 
     def test_cone_check_on_one_row_skips_the_mixed_zero_level(self, tmp_path):
         path = tmp_path / "run.json"
@@ -531,9 +538,13 @@ class TestLaneBatches:
         ("reduce", ["--preset", "ex1gen", "--n", "3"]),
         ("verify-structure", ["--preset", "ex1"]),
         ("verify-structure", ["--preset", "weighted"]),
+        ("reduce", ["--preset", "weighted", "--directions", "1"]),
         ("curvature-scan", ["--preset", "ex1", "--directions", "1"]),
+        ("check-hypotheses", ["--preset", "ex1"]),
+        ("cone-check", ["--preset", "ex2"]),
     ], ids=["reduce-ex1", "reduce-ex1gen-n3", "verify-structure-ex1",
-            "verify-structure-weighted", "curvature-scan-ex1"])
+            "verify-structure-weighted", "reduce-weighted", "curvature-scan-ex1",
+            "check-hypotheses-ex1", "cone-check-ex2"])
     def test_bytes_do_not_depend_on_the_batch_width_bound(self, tmp_path, monkeypatch,
                                                           command, args):
         args = [command, *args, "--samples", "5", "--seed", "13"]
@@ -542,14 +553,21 @@ class TestLaneBatches:
             patch.setattr(vecops, "LANE_BATCH_WIDTH", 2)
             assert [list(c) for _, c in vecops.batches(range(5))] == [[0, 1], [2, 3], [4]]
             assert run_cli(args, tmp_path / "chunked") == 0
+        # samples that disagree in a float-level decision run as parts of
+        # their chunk, each part's results written at its samples'
+        # positions; parts by index parity stand in for a disagreement
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "agreeing_parts", lambda fn, indices: [
+                (part, fn(part)) for part in (indices[1::2], indices[0::2]) if part])
+            assert run_cli(args, tmp_path / "split") == 0
         # one lane batch of 5 samples, its weighted cone tensors (m = 6)
         # built 2 points at a time
         monkeypatch.setattr(vecops, "PASS_LANES", 72)
         assert run_cli(args, tmp_path / "cone-chunked") == 0
         for name in ("report.json", "samples.csv"):
             whole = (tmp_path / "whole" / name).read_bytes()
-            assert (tmp_path / "chunked" / name).read_bytes() == whole
-            assert (tmp_path / "cone-chunked" / name).read_bytes() == whole
+            for run in ("chunked", "split", "cone-chunked"):
+                assert (tmp_path / run / name).read_bytes() == whole, run
 
     def test_weighted_lanes_match_float_path(self, tmp_path):
         # lanes through the cone tensors and the metric condition gate

@@ -187,7 +187,8 @@ class TestConeCheckLanes:
 
     def test_identities_of_a_list_equal_one_point_calls(self):
         cps = _drawn_cone_points(_cone_config("ex2", 40))
-        lanes = momentum_identities(FLIPPED, [1.0, 0.0], cps)
+        # each identity as one value per point, read off the arrays
+        lanes = tuple(v.tolist() for v in momentum_identities(FLIPPED, [1.0, 0.0], cps))
         alone = [momentum_identities(FLIPPED, [1.0, 0.0], [cp]) for cp in cps]
         assert lanes == tuple([a[k][0] for a in alone] for k in range(3))
         assert any(lanes[0])

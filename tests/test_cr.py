@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cr_residuals, submersion_context
+from oracles import cr_residuals, lane, submersion_context
 from sasaklab.actions import TorusAction
 from sasaklab.cr import (
     cr_decomposition,
@@ -14,7 +14,7 @@ from sasaklab.manifolds import EmbeddedManifold, LinearConstraint, SphereConstra
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
-from sasaklab.vecops import LanesDisagree, agreeing_parts, lane, split_frame, stack_lanes
+from sasaklab.vecops import LanesDisagree, agreeing_parts, split_frame, stack_lanes
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
 FLIPPED = TorusAction.of([[-1, 1, 0, 0], [0, 0, 1, 1]])

@@ -6,7 +6,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sasaklab"
 
-# perfbench/ imports or patches these two, and src/ has no caller for them
+# perfbench/ imports or patches this one, and src/ has no caller for it
 KEPT_FOR_PERFBENCH = {"reduction.newton_project"}
 
 
