@@ -20,9 +20,10 @@ context of N around them, and curvature-scan's CR splitting are built
 once on lanes, one lane per sample; where samples disagree in a
 float-level decision (a Gram-Schmidt drop, a rank, a D_perp count) the
 chunk splits into parts that agree (``vecops.agreeing_parts``).  Within
-a part, the O'Neill A and h pairs of one direction, and the reduced
-d(eta) pairs, run as further lanes of one pass per kind
-(``vecops.pair_lanes``).  Only the directions are drawn per sample.
+a part, the O'Neill A and h pairs of one direction run as further lanes
+of one pass per kind (``vecops.pair_lanes``), and each reduced d(eta)
+grid is one closed-form evaluation on the stacked frame
+(``vecops.pairings``).  Only the directions are drawn per sample.
 verify-structure, check-hypotheses and cone-check run a chunk as one
 lane batch.  A batch of one runs on floats, and no row depends on the
 batch it ran in.  Results stay arrays, one entry per sample: each part
@@ -264,7 +265,7 @@ def run_verify_structure(cfg):
             clamped_sqrt(g(res_sq, res_sq)),
             abs(value(g(phx, phy)) - value(g(x, y)) + eta_x * eta_y),
             abs(value(S.eta(p, xi)) - 1.0),
-            abs(value(S.d_eta(p, xi, x))),
+            abs(value(S.d_eta_jet(p, xi, x))),
             S.killing_residual(p, x, y),
             S.sasakian_residual(p, x, y),
             contact_nondegeneracy(S, p),

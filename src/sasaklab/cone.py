@@ -202,7 +202,10 @@ def stratify(action, mu, points, tol=None):
 def zero_stratum_degeneracy(structure, action, mu, p):
     """Kernel dimension of d(eta) on the horizontal contact directions of
     the J = 0 stratum; positive kernel means the projected form is not
-    contact there."""
+    contact there.  d(eta) is the jet evaluation ``d_eta_jet``, built from
+    eta alone and not from the closed form that ``reduce`` reads, so its
+    antisymmetry row checks the jet and the rank does not rest on the
+    closed form."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     kern = kernel_algebra(mu)
     p = np.array(p, dtype=float)
@@ -222,7 +225,7 @@ def zero_stratum_degeneracy(structure, action, mu, p):
     for i in range(m):
         for j in range(m):
             if i != j:
-                D[i, j] = value(S.d_eta(p, horiz[i], horiz[j]))
+                D[i, j] = value(S.d_eta_jet(p, horiz[i], horiz[j]))
     antisym = float(np.max(np.abs(D + D.T))) if m else 0.0
     rk = int(svd_rank(np.linalg.svd(D, compute_uv=False))) if m else 0
     return {

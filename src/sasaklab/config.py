@@ -18,7 +18,10 @@ MAX_DIRECTIONS = 100
 
 
 def _float(x):
-    """float(x), with an integer beyond the float range as an infinity."""
+    """float(x) of a number, with an integer beyond the float range as an
+    infinity; a string or a bool is no number (TypeError)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise TypeError(f"not a number: {x!r}")
     try:
         return float(x)
     except OverflowError:

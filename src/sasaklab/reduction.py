@@ -30,7 +30,7 @@ one sample runs on floats.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -49,8 +49,8 @@ from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sp
                         SphereConstraint)
 from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
 from .jets import value
-from .vecops import (agreed, batches, lane_stack, pair_lanes, pairings, split_frame,
-                     stack_lanes, svd_rank, vdot)
+from .vecops import (agreed, batches, lane_stack, pairings, split_frame, stack_lanes, svd_rank,
+                     vdot)
 
 
 @dataclass(frozen=True)
@@ -597,37 +597,27 @@ class ReducedPointData:
 def reduced_tensors(setup, rframe):
     """eta, g and d(eta) on {contactD, reeb}: the reduced tensors under
     the Riemannian-submersion identification, at every sample of a float
-    or lane frame at once.  eta and g take one evaluation each on the
-    stacked frame, and the d(eta) pairs one pass (``pair_lanes``); every
-    entry holds the bits of its own evaluation."""
+    or lane frame at once.  eta takes one evaluation on the stacked frame;
+    g, d(eta) on the contact pairs and d(eta) on (vertical field, tangent
+    vector) one ``pairings`` grid each, d(eta) in closed form; every entry
+    holds the bits of its own evaluation."""
     S = setup.structure
     p = rframe.p
-    dvecs = rframe.contact_d.vectors
-    c = len(dvecs)
-    # d(eta) on the contact pairs i != j and on (vertical field, tangent
-    # vector), every pair in one pass as lanes
-    contact_pairs = [(i, j) for i in range(c) for j in range(c) if i != j]
-    pairs = [(dvecs[i], dvecs[j]) for i, j in contact_pairs]
-    for vrow in rframe.vertical_rows:
-        vfield_p = value(setup.action.fundamental_field(vrow, p))
-        pairs.extend((vfield_p, t) for t in rframe.tangent)
-    deta_values = pair_lanes(lambda q, reps, u, v: value(S.d_eta(q, u, v)), p, pairs)
-    basic = deta_values[len(contact_pairs):]
-
+    lanes = np.shape(p)[1:]
     H = rframe.horizontal
     eta = value(S.eta(p, np.moveaxis(H, 0, 1)))
     gram = pairings(S.metric.at(p), H, H)
-    lanes = np.shape(p)[1:]
-    deta = np.zeros((c, c) + lanes)
-    for (i, j), val in zip(contact_pairs, deta_values):
-        deta[i, j] = val
+    d_eta = partial(S.d_eta, p)
+    dvecs = rframe.contact_d.vectors
+    # an empty contact frame's (0, 0) grid still holds one matrix a lane
+    deta = np.reshape(pairings(d_eta, dvecs, dvecs), (len(dvecs),) * 2 + lanes)
+    vfields = [value(setup.action.fundamental_field(vrow, p)) for vrow in rframe.vertical_rows]
     h = len(eta)
     checks = {
         "reduced_eta_profile": _worst(eta - np.eye(h)[-1].reshape((h,) + (1,) * len(lanes))),
         "reduced_gram_identity": _worst(gram - np.eye(h).reshape((h, h) + (1,) * len(lanes)), 2),
-        "d_eta_antisymmetry": _worst(deta + deta.swapaxes(0, 1), 2),
-        "basic_d_eta": _worst(np.array(np.broadcast_arrays(*basic))) if basic else 0.0,
+        "basic_d_eta": _worst(pairings(d_eta, vfields, rframe.tangent), 2),
     }
     stack = np.ascontiguousarray(np.moveaxis(deta, (0, 1), (-2, -1)))
-    det = np.abs(np.linalg.det(stack)) if c else np.zeros(lanes)
+    det = np.abs(np.linalg.det(stack)) if len(dvecs) else np.zeros(lanes)
     return ReducedPointData(eta, gram, stack, det, checks)

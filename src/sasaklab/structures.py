@@ -12,6 +12,8 @@ engine rather than hard-coded, so the defining identities stay testable
 on every structure.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import tolerances
@@ -19,7 +21,7 @@ from .errors import DegenerateContact
 from .geometry import Cone, Geometry, InducedMetric
 from .jets import Dual, along, expand, leafwise, stack, value, vector
 from .manifolds import Sphere
-from .vecops import (clamped_sqrt, cmult, lane_pow, lane_stack, pair_lanes, per_coordinate,
+from .vecops import (clamped_sqrt, cmult, lane_pow, lane_stack, pairings, per_coordinate,
                      stack_lanes, vdot, vsum)
 
 
@@ -37,8 +39,8 @@ class WeightedContactMetric:
     Reeb field as +i p; with the opposite orientation the slots swap.
     Under either choice a = (1,...,1) reproduces the round metric
     exactly, which is the anchoring test.  The exterior derivative is
-    the closed-form expansion of d(eta_A); the jet evaluation
-    ``SphereStructure.d_eta`` is kept as its oracle.
+    the closed-form expansion of d(eta_A), the structure's ``d_eta``; the
+    jet evaluation ``SphereStructure.d_eta_jet`` is kept as its check.
 
     The metric lives on ``sphere``; ``cone`` holds the Christoffel
     symbols and Riemann tensor of its cone per point, shared by every
@@ -70,7 +72,8 @@ class WeightedContactMetric:
         return per_coordinate(self._coords, q) * cmult(q)
 
     def d_eta(self, q, u, v):
-        """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded."""
+        """d(eta_A) = (1/f) d(eta_0) - (1/f^2) df ^ eta_0, expanded; v may
+        stack vectors between its coordinates and lanes."""
         q, u, v = vector(q), vector(u), vector(v)
         at = self._point_terms(q)
         return _expanded(at, vdot(cmult(u), v), _vector_terms(at, u), _vector_terms(at, v))
@@ -187,7 +190,18 @@ class SphereStructure:
         return self.reeb_field(vector(p))
 
     def d_eta(self, p, u, v):
-        """d(eta)(U, V) through the jet engine, extension convention."""
+        """d(eta)(U, V) in closed form: 2 <i U, V> on the round structure,
+        the metric's expansion on a weighted one.  V may stack vectors
+        between its coordinates and lanes, so ``vecops.pairings`` on
+        ``partial(d_eta, p)`` gives a whole grid, each entry with the bits
+        of its own pair."""
+        if self.metric.euclidean:
+            return 2.0 * _eta0(vector(u), vector(v))
+        return self.metric.d_eta(p, u, v)
+
+    def d_eta_jet(self, p, u, v):
+        """d(eta)(U, V) through the jet engine, extension convention: the
+        check of the closed form, built from eta alone."""
         p, u, v = vector(p), vector(u), vector(v)
         proj = self.sphere.project
 
@@ -299,14 +313,14 @@ class WeightedSphereStructure(SphereStructure):
 
     def _probe_positivity(self):
         """All probe points share lanes: one contact frame, one d(eta)
-        grid, one stacked eigvalsh; the first probe point whose smallest
-        eigenvalue lies below the floor raises."""
+        grid (``vecops.pairings``), one stacked eigvalsh; the first probe
+        point whose smallest eigenvalue lies below the floor raises."""
         rng = np.random.default_rng(320032)
         floor = tolerances.WEIGHTED_POSITIVITY
         p = stack_lanes([p / np.linalg.norm(p)
                          for p in rng.standard_normal((self.PROBE_POINTS, self.ambient_dim))])
         frame = self.contact_frame(p)
-        H = 0.5 * _d_eta_grid(self.metric.d_eta, p, frame, [cmult(v) for v in frame])
+        H = 0.5 * lane_stack(pairings(partial(self.d_eta, p), frame, [cmult(v) for v in frame]))
         H = 0.5 * (H + H.transpose(0, 2, 1))
         lows = np.linalg.eigvalsh(H)[:, 0]
         failing = np.flatnonzero(lows < floor)
@@ -320,24 +334,12 @@ class WeightedSphereStructure(SphereStructure):
 def contact_nondegeneracy(structure, p):
     """|pf|-style determinant of d(eta) on an orthonormal contact frame.
 
-    d(eta) is the metric's closed form where the metric has one (the
-    weighted family), else the jet evaluation ``SphereStructure.d_eta``,
-    with the frame's pairs run as lanes.  At a lane point each sample gets
-    its own contact frame, from one stacked SVD, and the determinants of
-    the (samples, m, m) stack come back as an array, one per sample.
+    d(eta) is the structure's closed form, its grid on the frame one
+    ``vecops.pairings`` evaluation.  At a lane point each sample gets its
+    own contact frame, from one stacked SVD, and the determinants of the
+    (samples, m, m) stack come back as an array, one per sample.
     """
     p = vector(p)
     frame = structure.contact_frame(p)
-    d_eta = getattr(structure.metric, "d_eta", structure.d_eta)
-    M = _d_eta_grid(d_eta, p, frame, frame)
+    M = lane_stack(pairings(partial(structure.d_eta, p), frame, frame))
     return lane_pow(np.abs(np.linalg.det(M)), 1.0 / max(len(frame), 1))
-
-
-def _d_eta_grid(d_eta, p, rows, cols):
-    """[[d_eta(p, u, v) for v in cols] for u in rows] as an array, jets
-    stripped, a lane point giving the (samples, rows, columns) stack; the
-    pairs run as lanes (``pair_lanes``)."""
-    vals = pair_lanes(lambda q, reps, u, v: value(d_eta(q, u, v)), p,
-                      [(u, v) for u in rows for v in cols])
-    grid = np.array(np.broadcast_arrays(*vals))
-    return lane_stack(grid.reshape((len(rows), len(cols)) + grid.shape[1:]))

@@ -19,8 +19,8 @@ a CR splitting against the phi-invariances that define it.
 
 The pair passes have references that evaluate one pair at a time:
 ``QuotientPerPair`` assembles O'Neill's formula with one covariant
-derivative per A and h pair, and ``reduced_d_eta_per_pair`` takes d(eta)
-pair by pair as ``reduced_tensors_batch`` once did.
+derivative per A and h pair, and ``reduced_d_eta_per_pair`` takes the
+closed-form d(eta) pair by pair where ``reduced_tensors`` takes a grid.
 
 The weighted metric's own evaluations have references that take the
 plain route: ``weighted_metric_pair`` composes g_A from eta, xi and the
@@ -734,17 +734,15 @@ class QuotientPerPair:
 
 
 def reduced_d_eta_per_pair(setup, rframe):
-    """({(i, j): d(eta)(d_i, d_j)} over the contact pairs i != j, worst
-    |d(eta)(V, T)| over vertical fields V and tangent vectors T), one
-    d(eta) evaluation per pair, on a float or lane frame."""
+    """({(i, j): d(eta)(d_i, d_j)} over every contact pair, diagonal
+    included, worst |d(eta)(V, T)| over vertical fields V and tangent
+    vectors T), one closed-form d(eta) evaluation per pair, on a float or
+    lane frame."""
     S = setup.structure
     p = rframe.p
     dvecs = list(rframe.contact_d.vectors)
     m = len(dvecs)
-    deta = {
-        (i, j): value(S.d_eta(p, dvecs[i], dvecs[j]))
-        for i in range(m) for j in range(m) if i != j
-    }
+    deta = {(i, j): value(S.d_eta(p, dvecs[i], dvecs[j])) for i in range(m) for j in range(m)}
     tangent = list(rframe.tangent)
     worst_basic = 0.0
     for vrow in rframe.vertical_rows:

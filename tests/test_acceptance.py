@@ -85,7 +85,8 @@ def test_criterion_02_weighted_structures():
         worst_kill = max(worst_kill, W.killing_residual(p, x, y))
         worst_sas = max(worst_sas, W.sasakian_residual(p, x, y))
         # jet d(eta) oracle against the closed form the metric uses
-        worst_deta = max(worst_deta, abs(value(W.d_eta(p, x, y)) - value(W.metric.d_eta(p, x, y))))
+        worst_deta = max(worst_deta,
+                         abs(value(W.d_eta_jet(p, x, y)) - value(W.metric.d_eta(p, x, y))))
     worst_fd = 0.0
     for _ in range(5):
         p = _rand_point(rng, 6)

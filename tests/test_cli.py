@@ -221,6 +221,12 @@ class TestCommands:
         (_ex1_json(preset="ex2"), []),
         (_ex1_json(preset="ex2"), ["--preset", "ex3"]),
         (_ex1_json(), ["--flow-steps", str(10**15)]),
+        ('{"n": 4, "action_weights": ["1100", "0011"], "mu": "11", "sphere_weights": "1111"}',
+         []),
+        (_ex1_json(action_weights=[[True, True, False, False], [False, False, True, True]]), []),
+        (_ex1_json(mu=[True, True]), []),
+        (_ex1_json(mu=[1, "1"]), []),
+        (_ex1_json(sphere_weights=[True] * 4), []),
         *[(_ex1_json(tolerances={name: 0.5}), []) for name in FIXED_TOLERANCES],
     ], ids=["missing", "invalid-json", "array", "not-utf8", "tolerance-text",
             "tolerance-negative", "mu-nan", "mu-infinity", "mu-flag-text", "mu-flag-nan",
@@ -229,7 +235,8 @@ class TestCommands:
             "mu-norm-underflow", "mu-norm-overflow",
             "integer-too-long", "workers-field", "lam-field", "lam-flag-no-preset",
             "preset-field", "preset-field-and-flag", "flow-steps-too-large",
-            *[f"tolerance-{name}" for name in FIXED_TOLERANCES]])
+            "numbers-as-digit-strings", "action-weights-bools", "mu-bools", "mu-digit-string",
+            "sphere-weights-bools", *[f"tolerance-{name}" for name in FIXED_TOLERANCES]])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, content, flags):
         """A config file or flag the run cannot use: exit 2, no report."""
         path = tmp_path / "run.json"

@@ -390,7 +390,8 @@ class TestReducedTensors:
         red = reduced_tensors(setup, frame)
         assert red.checks["reduced_eta_profile"] < 1e-9
         assert red.checks["reduced_gram_identity"] < 1e-9
-        assert red.checks["d_eta_antisymmetry"] < 1e-10
+        M = red.d_eta_matrix
+        assert np.max(np.abs(M + M.T)) < 1e-10
         assert red.d_eta_det > 1e-6
 
     def test_basicness(self):
@@ -491,6 +492,21 @@ class TestLaneBatches:
             assert bits(lanes.d_eta_det[k]) == bits(ref.d_eta_det)
             assert {n: bits(lane(v, k)) for n, v in lanes.checks.items()} == {
                 n: bits(v) for n, v in ref.checks.items()}
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_empty_contact_frame_keeps_its_lanes(self, samples):
+        # n = 2 with a two-row action: every sample's contact frame is empty,
+        # and the (0, 0) d(eta) grid still carries one matrix per sample
+        setup = ReductionSetup(RoundSphereStructure(2), TorusAction.of([[1, 0], [0, 1]]),
+                               mu=[1.0, 1.0])
+        found = setup.samples(samples, seed=2)
+        frame = build_frame(setup, found if samples > 1 else found[0], strict=False)
+        red = reduced_tensors(setup, frame)
+        assert len(frame.contact_d) == 0
+        lanes = (samples,) if samples > 1 else ()
+        assert red.d_eta_matrix.shape == lanes + (0, 0)
+        assert np.shape(red.d_eta_det) == lanes and not np.any(red.d_eta_det)
+        assert all(np.shape(v) == lanes for v in red.checks.values())
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["round", "weighted"])
     @pytest.mark.parametrize("samples", [1, 3])

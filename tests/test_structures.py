@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from sasaklab.structures import (
     RoundSphereStructure,
     WeightedContactMetric,
     WeightedSphereStructure,
-    _d_eta_grid,
     contact_nondegeneracy,
 )
-from sasaklab import vecops
 from sasaklab.jets import Dual, along, expand, value, vector
-from sasaklab.vecops import cmult, lane_pow, stack_lanes, vdot
+from sasaklab.vecops import cmult, lane_pow, lane_stack, pairings, stack_lanes, vdot
 
 rng = np.random.default_rng(77)
+# the closed-form d(eta) against its references: round, weighted, and a
+# weighted sphere whose conformal factor spans three orders of magnitude
+STRUCTURES = {"round": lambda: RoundSphereStructure(3),
+              "weighted": lambda: WeightedSphereStructure(3, [1.0, 2.0, 3.0]),
+              "weighted-1000": lambda: WeightedSphereStructure(4, [1.0, 1.0, 1.0, 1000.0])}
 
 
 def rand_point(m):
@@ -101,9 +105,10 @@ class TestWeightedMetric:
         for _ in range(10):
             p = rand_point(6)
             u, v = rand_tangent(p), rand_tangent(p)
-            dj = value(W.d_eta(p, u, v))
+            dj = value(W.d_eta_jet(p, u, v))
             dc = value(W.metric.d_eta(p, u, v))
             assert dj == pytest.approx(dc, abs=1e-12)
+            assert value(W.d_eta(p, u, v)) == dc
 
     def test_positivity_gate_trips_on_sign_flipped_form(self):
         class Backwards(WeightedContactMetric):
@@ -205,24 +210,18 @@ class TestWeightedMetric:
                     y = np.broadcast_to(y, lanes)
                 assert self.bits(x) == self.bits(y)
 
-    @pytest.mark.parametrize("structure", ["round", "weighted", "weighted-jet"])
+    @pytest.mark.parametrize("structure", ["round", "weighted", "weighted-1000"])
     @pytest.mark.parametrize("point", ["float", "lane"])
     @pytest.mark.parametrize("turn", [False, True])
-    @pytest.mark.parametrize("block", [None, 3])
-    def test_d_eta_grid_matches_the_pair_loop_bitwise(self, monkeypatch, structure, point, turn,
-                                                      block):
-        # turn: the columns i v of the positivity probe's contact Gram;
-        # block: passes of 3 pairs (``pair_lanes``), so rows split across passes
-        S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
-        d_eta = S.metric.d_eta if structure == "weighted" else S.d_eta
-        if block is not None:
-            monkeypatch.setattr(vecops, "PASS_LANES", block * (5 if point == "lane" else 1))
-        points = [rand_point(6) for _ in range(5)]
+    def test_d_eta_grid_matches_the_pair_loop_bitwise(self, structure, point, turn):
+        # turn: the columns i v of the positivity probe's contact Gram
+        S = STRUCTURES[structure]()
+        points = [rand_point(S.ambient_dim) for _ in range(5)]
         p = np.asarray(points[0]) if point == "float" else stack_lanes(points)
         frame = S.contact_frame(p)
         cols = [cmult(v) for v in frame] if turn else frame
-        got = _d_eta_grid(d_eta, p, frame, cols)
-        want = d_eta_grid_per_pair(d_eta, p, frame, cols)
+        got = lane_stack(pairings(partial(S.d_eta, p), frame, cols))
+        want = d_eta_grid_per_pair(S.d_eta, p, frame, cols)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -315,6 +314,7 @@ class TestPhi:
                 assert value(S.eta(p, xi)) == pytest.approx(1.0, abs=1e-12)
                 x = rand_tangent(p)
                 assert abs(value(S.d_eta(p, xi, x))) < 1e-9
+                assert abs(value(S.d_eta_jet(p, xi, x))) < 1e-9
 
 
 class TestKillingResidual:
@@ -411,26 +411,34 @@ class TestContactNondegeneracy:
     @pytest.mark.parametrize("structure", ["round", "weighted"])
     def test_matches_the_per_pair_determinant_bitwise(self, structure):
         S = RoundSphereStructure(3) if structure == "round" else WeightedSphereStructure(3, [1.0, 2.0, 3.0])
-        d_eta = S.d_eta if structure == "round" else S.metric.d_eta
         p = stack_lanes([rand_point(6) for _ in range(6)])
         frame = S.contact_frame(p)
-        M = d_eta_grid_per_pair(d_eta, p, frame, frame)
+        M = d_eta_grid_per_pair(S.d_eta, p, frame, frame)
         want = lane_pow(np.abs(np.linalg.det(M)), 1.0 / len(frame))
         assert contact_nondegeneracy(S, p).tobytes() == want.tobytes()
 
-    def test_weighted_closed_form_matches_the_jet_oracle(self, monkeypatch):
-        # the weighted determinant takes the metric's closed-form d(eta),
-        # never the jet evaluation, which gives it to a few ulps
-        S = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
-        points = [rand_point(6) for _ in range(20)]
+    @pytest.mark.parametrize("structure", ["round", "weighted", "weighted-1000"])
+    @pytest.mark.parametrize("point", ["float", "lane"])
+    def test_closed_form_matches_the_jet_oracle(self, monkeypatch, structure, point):
+        # the determinant and each d(eta) entry take the closed form, never
+        # the jet evaluation, which gives them to a few ulps of the matrix;
+        # an even-sized determinant cannot see a sign flip, an entry can
+        S = STRUCTURES[structure]()
+        points = [rand_point(S.ambient_dim) for _ in range(20)]
+        ps = ([np.asarray(q) for q in points] if point == "float"
+              else [stack_lanes(points[:10]), stack_lanes(points[10:])])
         jets = []
-        for p in points:
+        for p in ps:
             frame = S.contact_frame(p)
-            M = np.array([[value(S.d_eta(p, u, v)) for v in frame] for u in frame])
-            jets.append(abs(np.linalg.det(M)) ** (1.0 / len(frame)))
-        monkeypatch.setattr(S, "d_eta", None)
-        for p, jet in zip(points, jets):
-            assert contact_nondegeneracy(S, p) == pytest.approx(jet, rel=1e-14, abs=0.0)
+            M = d_eta_grid_per_pair(S.d_eta_jet, p, frame, frame)
+            jets.append((M, lane_pow(np.abs(np.linalg.det(M)), 1.0 / len(frame))))
+        monkeypatch.setattr(S, "d_eta_jet", None)
+        for p, (jet, jet_det) in zip(ps, jets):
+            M = lane_stack(pairings(partial(S.d_eta, p), S.contact_frame(p), S.contact_frame(p)))
+            scale = np.max(np.abs(jet), axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(M - jet) <= 1e-14 * scale)
+            assert np.asarray(contact_nondegeneracy(S, p)) == pytest.approx(jet_det, rel=1e-14,
+                                                                             abs=0.0)
 
 
 class _FlippedRound(RoundSphereStructure):
