@@ -14,7 +14,9 @@ it is entered with (``gc.freeze``), once per process, so interpreter
 shutdown does not walk the objects of numpy and sasaklab again.
 
 Every command that batches takes its samples in chunks of at most
-``vecops.LANE_BATCH_WIDTH``, in index order (``vecops.batches``).  In
+``vecops.LANE_BATCH_WIDTH``, in index order (``vecops.batches``): its
+points, one (count, m) array, and its directions are each one draw from
+a stream of (seed, salt) at the chunk's offset (``vecops.uniforms``).  In
 reduce and curvature-scan a chunk's reduction frames, the submersion
 context of N around them, and curvature-scan's CR splitting are built
 once on lanes, one lane per sample; where samples disagree in a
@@ -23,12 +25,12 @@ chunk splits into parts that agree (``vecops.agreeing_parts``).  Within
 a part, the O'Neill A and h pairs of one direction run as further lanes
 of one pass per kind (``vecops.pair_lanes``), and each reduced d(eta)
 grid is one closed-form evaluation on the stacked frame
-(``vecops.pairings``).  Only the directions are drawn per sample.
+(``vecops.pairings``).
 verify-structure, check-hypotheses and cone-check run a chunk as one
 lane batch.  A batch of one runs on floats, and no row depends on the
 batch it ran in.  Results stay arrays, one entry per sample: each part
 writes its chunk's columns (``_Columns``), and the ledger, the census
-and the CSV rows read whole columns.
+and the CSV rows read whole columns, one ``writerows`` a chunk.
 """
 
 import argparse
@@ -87,10 +89,12 @@ from .reports import (
     EXIT_VALIDATION,
     ResidualLedger,
     build_report,
+    samples_writer,
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import agreeing_parts, batches, clamped_sqrt, split_frame, stack_lanes
+from .vecops import (agreeing_parts, batches, clamped_sqrt, normals, rowdot, stack_lanes,
+                     uniforms, unit_rows, vdot)
 from .jets import value
 
 COMMANDS = (
@@ -169,31 +173,28 @@ def _structure(cfg):
     return WeightedSphereStructure(cfg.n, cfg.sphere_weights)
 
 
-def _unit_tangent(rng, p):
-    v = rng.standard_normal(len(p))
-    p = np.asarray(p)
-    v = v - (v @ p) * p
-    return list(v / np.linalg.norm(v))
+def _direction_normals(cfg, salt, start, count):
+    """(count, 2 * directions, m) normals of the stream of (seed, salt);
+    a sample's block does not depend on the size of its frame."""
+    return normals(uniforms(cfg.seed, salt, start, count, 2 * cfg.directions, 2 * cfg.n))
 
 
-def _direction_lanes(cfg, salt, start, idx, frame):
-    """[(x, y)]: ``cfg.directions`` pairs of unit directions, one lane per
-    position i of idx in the chunk that begins at sample ``start``.
-    Sample start + i draws from its own stream: one draw of 2 * directions
-    rows of k normals, each row normalised and mapped on its own by the
-    sample's (k, m) frame (``vecops.split_frame``).  No pairs for an
-    empty frame, where the run counts a hypothesis failure."""
-    if not len(frame):
+def _direction_lanes(z, frame):
+    """[(x, y)]: pairs of unit directions, one lane a sample of a part,
+    from its normals z: row r's first k, normalised, weigh the vectors of
+    the frame (k, m) + lanes in one ordered sum.  No pairs for an empty
+    frame, where the run counts a hypothesis failure."""
+    k = len(frame)
+    if not k:
         return []
-    drawn = []
-    for i, vs in zip(idx, split_frame(frame, len(idx))):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, salt, start + i])))
-        frame_t = np.ascontiguousarray(vs).T
-        # np.linalg.norm of a float vector is sqrt(c . c)
-        drawn.append([frame_t @ (c / math.sqrt(c.dot(c)))
-                      for c in rng.standard_normal((2 * cfg.directions, len(vs)))])
-    lanes = [stack_lanes(vs) for vs in zip(*drawn)]
-    return list(zip(lanes[0::2], lanes[1::2]))
+    c = np.moveaxis(z[..., :k], -1, 0)  # (k, samples, rows)
+    c = c / np.sqrt(vdot(c, c))
+    # weights (k, rows, 1) + lanes; a float frame is one sample's
+    w = np.moveaxis(c if np.ndim(frame) == 3 else c[:, 0], -1, 1)[:, :, None]
+    dirs = w[0] * frame[0]
+    for j in range(1, k):
+        dirs = dirs + w[j] * frame[j]
+    return list(zip(dirs[0::2], dirs[1::2]))
 
 
 class _Columns(dict):
@@ -218,11 +219,17 @@ def _header(cfg, *tail):
     return ["index", *[f"c{k}" for k in range(2 * cfg.n)], *tail]
 
 
-def _rows(start, samples, *columns):
-    """The CSV rows of level-set samples numbered from ``start``: index,
-    coordinates, s, then the sample's entry of each column."""
-    return [[i, *samp.coords(), samp.s, *vals]
-            for i, (samp, *vals) in enumerate(zip(samples, *(c.tolist() for c in columns)), start)]
+def _rows(start, coords, s, *columns):
+    """The CSV rows of a chunk of samples numbered from ``start``, from
+    whole columns: index, the coordinates, s, then each column's entry."""
+    return zip(range(start, start + len(coords)), *coords.T.tolist(), s.tolist(),
+               *(c.tolist() for c in columns))
+
+
+def _chunks(setup, cfg):
+    """(start, coords, s) of each chunk of the run's samples, in order."""
+    for start, idx in batches(range(cfg.samples)):
+        yield (start, *setup.samples(len(idx), cfg.seed, start))
 
 
 def _empty_frame_notes(count):
@@ -235,7 +242,15 @@ def _empty_frame_notes(count):
 # ----------------------------------------------------------------------
 
 
-def run_verify_structure(cfg):
+def _structure_points(cfg, start, count):
+    """verify-structure's unit points p and unit tangents x, y at them,
+    (count, m) each, of samples start, ..., start + count - 1."""
+    z = normals(uniforms(cfg.seed, 101, start, count, 3, 2 * cfg.n))
+    p = unit_rows(z[:, 0])
+    return p, *(unit_rows(v - rowdot(v, p)[:, None] * p) for v in (z[:, 1], z[:, 2]))
+
+
+def run_verify_structure(cfg, rows):
     S = _structure(cfg)
     round_ = cfg.is_round
     led = ResidualLedger()
@@ -243,14 +258,7 @@ def run_verify_structure(cfg):
     t_kill = cfg.tol["round_identity" if round_ else "weighted_killing"]
     t_sas = cfg.tol["round_curvature" if round_ else "weighted_sasakian"]
 
-    def draw(i):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101, i]))
-        p = rng.standard_normal(2 * cfg.n)
-        p = list(p / np.linalg.norm(p))
-        return p, _unit_tangent(rng, p), _unit_tangent(rng, p)
-
-    def certify(batch):
-        p, x, y = (stack_lanes(vs) for vs in zip(*batch))
+    def certify(p, x, y):
         xi = value(S.reeb(p))
         g = S.metric.at(p)
         eta_x, eta_y = value(S.eta(p, x)), value(S.eta(p, y))
@@ -275,16 +283,15 @@ def run_verify_structure(cfg):
              ("phi_isometry_identity", t_ident), ("eta_of_reeb", cfg.tol["eta_on_frame"]),
              ("d_eta_on_reeb", cfg.tol["eta_on_frame"]), ("killing", t_kill),
              ("sasakian_curvature", t_sas))
-    rows = []
+    rows.writerow(_header(cfg, "s", *(name for name, _ in gates), "contact_determinant"))
     min_det = math.inf
-    for _, batch in batches(range(cfg.samples)):  # every sample has the same frame sizes
-        draws = [draw(i) for i in batch]
-        cols = [np.broadcast_to(v, (len(batch),)) for v in certify(draws)]
+    for start, batch in batches(range(cfg.samples)):  # every sample has the same frame sizes
+        points = _structure_points(cfg, start, len(batch))
+        cols = [np.broadcast_to(v, (len(batch),)) for v in certify(*map(stack_lanes, points))]
         for (name, tol), col in zip(gates, cols):
             led.add(name, tol, col)
         min_det = min([min_det, *cols[-1].tolist()])
-        rows += [[i, *p, 0.0, *vals]
-                 for i, (p, _, _), *vals in zip(batch, draws, *(c.tolist() for c in cols))]
+        rows.writerows(_rows(start, points[0], np.zeros(len(batch)), *cols))
 
     nondeg_ok = min_det > cfg.tol["contact_nondegeneracy"]
     status = EXIT_OK if led.all_ok() and nondeg_ok else EXIT_RESIDUAL
@@ -294,8 +301,7 @@ def run_verify_structure(cfg):
                 "contact_nondegenerate": nondeg_ok},
         exit_status=status,
     )
-    header = _header(cfg, "s", *(name for name, _ in gates), "contact_determinant")
-    return report, header, rows, status
+    return report, status
 
 
 def _setup(cfg):
@@ -314,16 +320,15 @@ def _action_notes(cfg):
     return []
 
 
-def run_check_hypotheses(cfg):
+def run_check_hypotheses(cfg, rows):
     setup = _setup(cfg)
-    samples = setup.samples(cfg.samples, cfg.seed)
+    rows.writerow(_header(cfg, "s", "transversal", "freeness_rank", "freeness_degenerate"))
     tally = None
-    rows = []
-    for start, chunk in batches(samples):
-        hyp = setup.hypothesis_report(chunk)
+    for start, coords, s in _chunks(setup, cfg):
+        hyp = setup.hypothesis_report(coords)
         tally = _hypothesis_tally(hyp, tally)
-        rows += _rows(start, chunk, hyp["transversal"].astype(int), hyp["freeness_rank"],
-                      hyp["freeness_degenerate"].astype(int))
+        rows.writerows(_rows(start, coords, s, hyp["transversal"].astype(int),
+                             hyp["freeness_rank"], hyp["freeness_degenerate"].astype(int)))
     slice_ok, slice_info = setup.slice_check
     hyp = {
         "slice_condition": slice_ok,
@@ -332,10 +337,9 @@ def run_check_hypotheses(cfg):
         "kernel_dim": setup.kernel.k,
     }
     status = EXIT_OK if slice_ok and _hypotheses_hold(tally) else EXIT_HYPOTHESIS
-    header = _header(cfg, "s", "transversal", "freeness_rank", "freeness_degenerate")
     report = build_report("check-hypotheses", cfg, hypotheses=hyp,
                           notes=_action_notes(cfg), exit_status=status)
-    return report, header, rows, status
+    return report, status
 
 
 def _hypothesis_tally(hyp, tally=None):
@@ -355,46 +359,48 @@ def _hypotheses_hold(tally):
     return not tally["transversality"]["fail"] and not tally["freeness"]["degenerate"]
 
 
-def _frame_parts(setup, chunk, decide=SubmersionContext._tangent_frames):
+def _frame_parts(setup, coords, decide=SubmersionContext._tangent_frames):
     """[(positions in the chunk, (lane frame, lane context, decide(context)))]:
-    the chunk's reduction frames and submersion contexts, built once on
-    lanes and split where the samples disagree in a float-level decision;
-    ``decide`` makes the context's own decisions per lane as well, N's
-    frames or, in curvature-scan, the CR splitting."""
+    the reduction frames and submersion contexts of the chunk's points
+    ``coords``, built once on lanes and split where the samples disagree
+    in a float-level decision; ``decide`` makes the context's own
+    decisions per lane as well, N's frames or, in curvature-scan, the CR
+    splitting."""
     def build(idx):
-        frame = build_frame(setup, [chunk[i] for i in idx], strict=False)
+        frame = build_frame(setup, coords[idx], strict=False)
         ctx = SubmersionContext.from_reduction(setup, frame)
         return frame, ctx, decide(ctx)
 
-    return agreeing_parts(build, list(range(len(chunk))))
+    return agreeing_parts(build, list(range(len(coords))))
 
 
-def run_reduce(cfg):
+def run_reduce(cfg, rows):
     setup = _setup(cfg)
-    samples = setup.samples(cfg.samples, cfg.seed)
+    rows.writerow(_header(cfg, "s", "transversal", "freeness_degenerate", "d_eta_det",
+                          "quotient_sasakian"))
     led = ResidualLedger()
     t_frame = cfg.tol["frame_orthogonality"]
     tally = None
     n_empty = 0
     det_min = math.inf
-    rows = []
-    for start, chunk in batches(samples):
-        hyp = setup.hypothesis_report(chunk)
+    for start, coords, s in _chunks(setup, cfg):
+        hyp = setup.hypothesis_report(coords)
         tally = _hypothesis_tally(hyp, tally)
-        checks, cols = _Columns(len(chunk)), _Columns(len(chunk))
-        empty = np.zeros(len(chunk), dtype=bool)
-        for idx, (frame, ctx, _) in _frame_parts(setup, chunk):
+        checks, cols = _Columns(len(coords)), _Columns(len(coords))
+        empty = np.zeros(len(coords), dtype=bool)
+        z = _direction_normals(cfg, 202, start, len(coords))
+        for idx, (frame, ctx, _) in _frame_parts(setup, coords):
             # one part of a chunk: reduced tensors and the quotient residual
             # over its directions, as lanes
             red = reduced_tensors(setup, frame)
-            dirs = _direction_lanes(cfg, 202, start, idx, frame.contact_d.vectors)
+            dirs = _direction_lanes(z[idx], frame.contact_d.vectors)
             worst_q = 0.0 if dirs else math.nan
             for x, y in dirs:
                 worst_q = np.maximum(worst_q, ctx.quotient_sasakian_residual(x, y))
             empty[idx] = not dirs
             checks.scatter(idx, frame.checks)
             cols.scatter(idx, {**red.checks, "d_eta_det": red.d_eta_det, "quotient_sasakian": worst_q})
-            if idx[-1] == len(chunk) - 1:
+            if idx[-1] == len(coords) - 1:
                 dims0 = frame.dims  # the run reports the last sample's
         for name, col in checks.items():
             led.add(f"frame_{name}", t_frame, col)
@@ -404,9 +410,9 @@ def run_reduce(cfg):
         led.add("quotient_sasakian", cfg.tol["quotient_sasakian"], cols["quotient_sasakian"][~empty])
         n_empty += int(np.count_nonzero(empty))
         det_min = min([det_min, *cols["d_eta_det"].tolist()])
-        rows += _rows(start, chunk, hyp["transversal"].astype(int),
-                      hyp["freeness_degenerate"].astype(int), cols["d_eta_det"],
-                      cols["quotient_sasakian"])
+        rows.writerows(_rows(start, coords, s, hyp["transversal"].astype(int),
+                             hyp["freeness_degenerate"].astype(int), cols["d_eta_det"],
+                             cols["quotient_sasakian"]))
 
     k = setup.kernel.k
     dims = {
@@ -432,17 +438,16 @@ def run_reduce(cfg):
         status = EXIT_RESIDUAL
     else:
         status = EXIT_OK
-    header = _header(cfg, "s", "transversal", "freeness_degenerate", "d_eta_det",
-                     "quotient_sasakian")
     report = build_report("reduce", cfg, hypotheses=hyp, dimensions=dims, ledger=led,
                           notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
                           exit_status=status)
-    return report, header, rows, status
+    return report, status
 
 
-def run_curvature_scan(cfg):
+def run_curvature_scan(cfg, rows):
     setup = _setup(cfg)
-    samples = setup.samples(cfg.samples, cfg.seed)
+    rows.writerow(_header(cfg, "s", "k_quotient", "h_bar_sq", "h_tilde_sq",
+                          "final_identity_residual"))
     led = ResidualLedger()
     gates = {"final_identity": ("residual", cfg.tol["final_identity"]),
              "h_tilde_on_toric": ("h_tilde_sq", tolerances.H_TILDE_ON_TORIC),
@@ -451,16 +456,16 @@ def run_curvature_scan(cfg):
     nu_dims = set()
     n_empty = 0
     k_min, k_max = math.inf, -math.inf
-    rows = []
-    for start, chunk in batches(samples):
-        tally = _hypothesis_tally(setup.hypothesis_report(chunk), tally)
+    for start, coords, s in _chunks(setup, cfg):
+        tally = _hypothesis_tally(setup.hypothesis_report(coords), tally)
         # (sample, direction) entries; a sample without directions keeps NaN
-        fin, rels = _Columns(len(chunk), cfg.directions), _Columns(len(chunk), cfg.directions)
-        empty = np.zeros(len(chunk), dtype=bool)
-        for idx, (_, ctx, crd) in _frame_parts(setup, chunk, cr_decomposition):
+        fin, rels = _Columns(len(coords), cfg.directions), _Columns(len(coords), cfg.directions)
+        empty = np.zeros(len(coords), dtype=bool)
+        z = _direction_normals(cfg, 303, start, len(coords))
+        for idx, (_, ctx, crd) in _frame_parts(setup, coords, cr_decomposition):
             # one part of a chunk: its identities over the directions, as lanes
             nu_dims.add(crd.dims["nu"])
-            dirs = _direction_lanes(cfg, 303, start, idx, crd.d_frame)
+            dirs = _direction_lanes(z[idx], crd.d_frame)
             empty[idx] = not dirs
             for k, (x, y) in enumerate(dirs):
                 fin.scatter((idx, k), final_identity(ctx, x, crd))
@@ -473,8 +478,9 @@ def run_curvature_scan(cfg):
             led.add(name, cfg.tol["cr_identities"], col[~empty])
         ks = fin["k_quotient"][~empty].ravel().tolist()  # sample by sample
         k_min, k_max = min([k_min, *ks]), max([k_max, *ks])
-        rows += _rows(start, chunk, *(fin[name][:, 0] for name in
-                                      ("k_quotient", "h_bar_sq", "h_tilde_sq", "residual")))
+        rows.writerows(_rows(start, coords, s, *(fin[name][:, 0] for name in
+                                                 ("k_quotient", "h_bar_sq", "h_tilde_sq",
+                                                  "residual"))))
 
     if n_empty or not _hypotheses_hold(tally):
         status = EXIT_HYPOTHESIS
@@ -485,38 +491,27 @@ def run_curvature_scan(cfg):
         "phi_sectional_max": k_max,
         "nu_dims_seen": sorted(nu_dims),
     }
-    header = _header(cfg, "s", "k_quotient", "h_bar_sq", "h_tilde_sq", "final_identity_residual")
     report = build_report("curvature-scan", cfg, hypotheses=tally, ledger=led, census=census,
                           notes=_action_notes(cfg) + _empty_frame_notes(n_empty),
                           exit_status=status)
-    return report, header, rows, status
+    return report, status
 
 
 def _is_two_circle_action(cfg):
-    W = np.asarray(cfg.action_weights, dtype=float)
-    if W.shape[0] != 2 or cfg.n < 2:
-        return False
-    support0 = np.nonzero(W[0])[0]
-    support1 = np.nonzero(W[1])[0]
-    return (
-        len(support0) == 1 and len(support1) == 1
-        and support0[0] == 0 and support1[0] == 1
-    )
+    """Two rows, the first turning z_0 alone and the second z_1 alone."""
+    return [np.flatnonzero(row).tolist() for row in cfg.action_weights] == [[0], [1]]
 
 
-def run_reeb_flow(cfg):
+def run_reeb_flow(cfg, rows):
     S = _structure(cfg)
     led = ResidualLedger()
     t_max = 2.0 * math.pi
     if cfg.mu is not None:
         setup = _setup(cfg)
-        samp = setup.samples(1, cfg.seed)[0]
-        z0 = np.asarray(samp.coords())
+        z0 = setup.samples(1, cfg.seed)[0][0]
         manifold = setup.manifold
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 404]))
-        z0 = rng.standard_normal(2 * cfg.n)
-        z0 /= np.linalg.norm(z0)
+        z0 = unit_rows(normals(uniforms(cfg.seed, 404, 0, 1, 2 * cfg.n)))[0]
         manifold = S.sphere
     times, traj = reeb_flow(S, manifold, z0, t_max, cfg.flow_steps)
 
@@ -538,89 +533,83 @@ def run_reeb_flow(cfg):
         }
     status = EXIT_OK if led.all_ok() else EXIT_RESIDUAL
     stride = max(1, cfg.flow_steps // 64)
-    rows = [[k, *traj[k], times[k]] for k in range(0, len(times), stride)]
-    header = _header(cfg, "t")
+    rows.writerow(_header(cfg, "t"))
+    rows.writerows(zip(range(0, len(times), stride), *traj[::stride].T.tolist(),
+                       times[::stride].tolist()))
     report = build_report("reeb-flow", cfg, ledger=led, extra=extra,
                           notes=_action_notes(cfg), exit_status=status)
-    return report, header, rows, status
+    return report, status
 
 
-def run_cone_check(cfg):
+def _cone_points(cfg, start, count):
+    """cone-check's points start, ..., start + count - 1 as one batch:
+    a base from 2n normals and a radius 0.5 + 1.5 u."""
+    m = 2 * cfg.n
+    u = uniforms(cfg.seed, 505, start, count, m + 1)
+    return ConePoint.of(unit_rows(normals(u[:, :m])), 0.5 + 1.5 * u[:, m])
+
+
+def run_cone_check(cfg, rows):
     """The cone suite: momentum identities at random cone points, then
     the ray census of the strata.
 
-    The cone points are drawn one at a time, in the stream order of a
-    per-point loop, and run in lane batches of at most
-    ``vecops.LANE_BATCH_WIDTH`` (``vecops.batches``): J_s at r and at 1,
-    J, and eta(b_M) for each kernel row b run once per batch
-    (``cone.momentum_identities``), and each identity reaches the ledger
-    as one array a batch; the pairing of J_s with the kernel basis runs
-    per point on its float row, and the pairing oracle per point on the
-    first 8.  The census runs J once over all the strata
-    samples (``cone.stratify``) and classifies each sample's row on its
-    own.  The level-set samplers and the zero-stratum rank check are
-    not on lanes.
+    The cone points come a chunk at a time, one batch (``vecops.batches``):
+    J_s at r and at 1, J, and eta(b_M) for each kernel row b run once per
+    batch (``cone.momentum_identities``), the pairing of J_s with the
+    kernel basis per point on its float row.  The pairing oracle runs per
+    point on the first 8, with draws of its own.  The census runs J once
+    over all the strata samples (``cone.stratify``) and classifies each
+    sample's row on its own.  The zero-stratum rank check is not on lanes.
     """
     S = _structure(cfg)
     A = TorusAction.of(cfg.action_weights)
     mu = MomentumCovector.of(cfg.mu)
     led = ResidualLedger()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 505]))
 
-    def draw(i):
-        # the stream order of a per-point loop: point, radius, and for the
-        # first 8 points the pairing oracle's algebra element
-        p = rng.standard_normal(2 * cfg.n)
-        cp = ConePoint.of(p / np.linalg.norm(p), float(rng.uniform(0.5, 2.0)))
-        return cp, (tuple(rng.standard_normal(A.d)) if i < 8 else None)
-
-    for _, batch in batches(range(cfg.samples)):
-        draws = [draw(i) for i in batch]
-        iota, homog, restr = momentum_identities(A, mu, [cp for cp, _ in draws])
+    for start, batch in batches(range(cfg.samples)):
+        iota, homog, restr = momentum_identities(A, mu, _cone_points(cfg, start, len(batch)))
         led.add("iota_transpose", cfg.tol["iota_transpose"], iota)
         led.add("homogeneity", cfg.tol["iota_transpose"], homog)
         led.add("restriction", tolerances.RESTRICTION, restr)
-        for i, (cp, rvec) in zip(batch, draws):
-            if rvec is not None:
-                led.add("pairing_oracle", tolerances.PAIRING_ORACLE,
-                        symplectic_pairing_residual(A, cp, rvec, seed=cfg.seed + i))
+    oracles = min(cfg.samples, 8)
+    cps = _cone_points(cfg, 0, oracles)
+    width = A.d + 2 * cfg.n + 1  # the algebra element, then the test vector
+    w = normals(uniforms(cfg.seed, 506, 0, oracles, width + width % 2))
+    for i in range(oracles):
+        led.add("pairing_oracle", tolerances.PAIRING_ORACLE, symplectic_pairing_residual(
+            A, ConePoint(cps.base[i], float(cps.r[i])), w[i, :A.d], tangent=w[i, A.d:width]))
 
     census = {"positive_stratum": 0, "zero_stratum": 0, "negative_stratum": 0}
-    rows = []
     notes = []
-    strata_sources = []
-    try:
-        pos = sample_level_set(A, mu, max(cfg.samples // 4, 1), cfg.seed + 1)
-        strata_sources.extend(pt.point for pt in pos)
-    except EmptyLevelSet:
-        notes.append("positive ray infeasible")
-    try:
-        neg_mu = MomentumCovector.of([-x for x in mu.mu])
-        neg = sample_level_set(A, neg_mu, max(cfg.samples // 4, 1), cfg.seed + 2)
-        strata_sources.extend(pt.point for pt in neg)
-    except EmptyLevelSet:
-        notes.append("negative ray infeasible")
-    try:
-        zero = sample_zero_level(A, np.eye(A.d), max(cfg.samples // 4, 1), cfg.seed + 3)
-        strata_sources.extend(zero)
-    except EmptyLevelSet:
-        notes.append("full zero level infeasible")
+    strata = [np.zeros((0, 2 * cfg.n))]
+    quarter, neg_mu = max(cfg.samples // 4, 1), MomentumCovector.of([-x for x in mu.mu])
+    for name, draw in (
+            ("positive ray", lambda: sample_level_set(A, mu, quarter, cfg.seed + 1)[0]),
+            ("negative ray", lambda: sample_level_set(A, neg_mu, quarter, cfg.seed + 2)[0]),
+            ("full zero level", lambda: sample_zero_level(A, np.eye(A.d), quarter, cfg.seed + 3))):
+        try:
+            strata.append(draw())
+        except EmptyLevelSet:
+            notes.append(f"{name} infeasible")
     if kernel_algebra(mu).k == 0:
         notes.append("mixed zero level skipped: the kernel group of mu is trivial")
     else:
-        strata_sources.extend(sample_phi_zero(A, mu, cfg.samples, cfg.seed + 4))
+        strata.append(sample_phi_zero(A, mu, cfg.samples, cfg.seed + 4))
 
+    census_rows = []
     try:
-        cens = stratify(A, mu, strata_sources, tol=cfg.tol["stratification"])
+        cens = stratify(A, mu, np.concatenate(strata), tol=cfg.tol["stratification"])
         census.update(cens.counts)
-        for idx, (p, label, s, resid) in enumerate(cens.samples):
-            rows.append([idx, *p, s, label, resid])
+        census_rows = [[idx, *p, s, label, resid]
+                       for idx, (p, label, s, resid) in enumerate(cens.samples)]
         leak = False
     except StratificationLeak as exc:
         notes.append(str(exc))
         leak = True
+    rows.writerow(_header(cfg, "s", "stratum", "ray_residual"))
+    rows.writerows(census_rows)
 
-    zero_pts = [row for row in rows if row[-2] == "zero_stratum"]
+    zero_pts = [row for row in census_rows if row[-2] == "zero_stratum"]
     if zero_pts:
         deg = zero_stratum_degeneracy(S, A, mu, zero_pts[0][1:2 * cfg.n + 1])
         census["zero_stratum_kernel_dim"] = deg["kernel_dim"]
@@ -628,10 +617,9 @@ def run_cone_check(cfg):
                 deg["antisymmetry"])
 
     status = EXIT_RESIDUAL if (leak or not led.all_ok()) else EXIT_OK
-    header = _header(cfg, "s", "stratum", "ray_residual")
     report = build_report("cone-check", cfg, ledger=led, census=census,
                           notes=_action_notes(cfg) + notes, exit_status=status)
-    return report, header, rows, status
+    return report, status
 
 
 RUNNERS = {
@@ -653,13 +641,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        report, header, rows, status = RUNNERS[args.command](cfg)
+        with samples_writer(args.out) as rows:
+            report, status = RUNNERS[args.command](cfg, rows)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
@@ -678,7 +661,7 @@ def main(argv=None):
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    write_outputs(args.out, report, header, rows)
+    write_outputs(args.out, report)
     try:
         for entry in report["residuals"]:
             flag = "ok " if entry["within_tolerance"] else "FAIL"

@@ -6,7 +6,7 @@ the lifted torus action is the degree-2 homogeneous extension
 J_s(z, r) = r^2 J(z): it restricts to the contact momentum at r = 1 and
 is the unique extension equivariant under cone dilations.  The pairing
 oracle iota_{X_M} d(r^2 eta) = d<J_s, X> fixes the convention before
-any stratification claim is tested.
+any stratification claim is tested.  A batch of cone points runs as lanes.
 """
 
 from dataclasses import dataclass
@@ -18,44 +18,43 @@ from .actions import MomentumCovector, kernel_algebra, ray_membership
 from .errors import StratificationLeak
 from .jets import value
 from .reduction import sample_zero_level
-from .tensor_kernel import AmbientPoint, orthogonal_tail
+from .tensor_kernel import orthogonal_tail, unit_points
 from .vecops import lane_max, split_lanes, stack_lanes, svd_rank, vdot
 
 
 @dataclass(frozen=True)
 class ConePoint:
-    """A point (base, r) of the cone M x R_+; the apex is excluded."""
+    """A point (base, r) of the cone M x R_+, the apex excluded, base a
+    unit vector; or a batch, base (count, m) and r (count,)."""
 
-    base: AmbientPoint
-    r: float
+    base: np.ndarray
+    r: object
 
     def __post_init__(self):
-        if not self.r > 1e-12:
+        if not np.all(np.asarray(self.r) > 1e-12):
             raise ValueError(f"cone radius must be positive, got {self.r!r}")
 
     @classmethod
     def of(cls, base, r):
-        base = base if isinstance(base, AmbientPoint) else AmbientPoint.of(base)
-        return cls(base, float(r))
+        r = float(r) if np.ndim(r) == 0 else np.array(r, dtype=float)
+        return cls(unit_points(np.array(base, dtype=float)), r)
 
 
 def _coords(cp):
-    """(coordinates, r) of a cone point, or of a list of cone points as
-    lanes: entry k of the coordinates, and r, hold every point's value."""
-    if isinstance(cp, ConePoint):
-        return np.array(cp.base.coords), cp.r
-    (r,) = stack_lanes([[c.r] for c in cp])
-    return stack_lanes([c.base.as_list() for c in cp]), r
+    """(coordinates, r) of a cone point, or of a batch as lanes: entry k
+    of the coordinates, and r, hold every point's value."""
+    (r,) = stack_lanes(np.reshape(cp.r, (-1, 1)))
+    return stack_lanes(np.atleast_2d(cp.base)), r
 
 
 def symplectic_momentum(action, cp):
-    """J_s(z, r) = r^2 J(z).  cp is a cone point, or a list of them that
-    runs as lanes: each entry of J_s then holds every point's value."""
+    """J_s(z, r) = r^2 J(z).  cp is a cone point, or a batch that runs
+    as lanes: each entry of J_s then holds every point's value."""
     p, r = _coords(cp)
     return r * r * value(action.momentum(p))
 
 
-def symplectic_pairing_residual(action, cp, rvec, seed=0):
+def symplectic_pairing_residual(action, cp, rvec, seed=0, tangent=None):
     """Oracle fixing the momentum convention on the cone.
 
     With the potential lambda = r^2 eta and the exterior-derivative
@@ -63,19 +62,19 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0):
     lambda under the lifted action gives iota_{X_M} d(lambda) =
     - d<J_s, X>.  The residual of that identity is returned for a
     random cone tangent vector; it vanishing for J_s = r^2 J is what
-    certifies the homogeneous extension.
+    certifies the homogeneous extension.  The test vector (w, w_r), w
+    projected to T S, is ``tangent`` or else from ``default_rng(seed)``.
     """
     from .jets import along
     from .manifolds import Sphere
     from .structures import _eta0
 
-    p = np.array(cp.base.coords)
-    r = cp.r
+    p, r = np.array(cp.base), cp.r
     sphere = Sphere(len(p))
-    rng = np.random.default_rng(seed)
-    w_base = rng.standard_normal(len(p))
-    w_base -= np.dot(w_base, p) * p
-    w_r = float(rng.standard_normal())
+    if tangent is None:
+        tangent = np.random.default_rng(seed).standard_normal(len(p) + 1)
+    w_base = tangent[:-1] - np.dot(tangent[:-1], p) * p
+    w_r = float(tangent[-1])
 
     xm_field = lambda z: action.fundamental_field(rvec, z)
     w_field = lambda z: sphere.project(z, w_base)
@@ -116,7 +115,7 @@ def iota_transpose_residual(action, mu, cp):
     """Phi computed two ways: pairing J_s with the kernel basis versus
     the momentum of the restricted action; returns the max difference.
 
-    For a list of cone points, which run as lanes, an array comes back,
+    For a batch of cone points, which run as lanes, an array comes back,
     one value per point.  J_s and eta(b_M) for each kernel row b run
     once over the lanes; only the d-length pairing of J_s with the
     kernel basis runs per point, on the point's float row, since
@@ -135,11 +134,11 @@ def iota_transpose_residual(action, mu, cp):
     if path_b:
         path_a = np.array([[np.dot(row, b) for row in rows] for b in kern.matrix])
         worst = lane_max([abs(a - b) for a, b in zip(path_a, path_b)])
-    return float(worst[0]) if isinstance(cp, ConePoint) else worst
+    return float(worst[0]) if np.ndim(cp.base) == 1 else worst
 
 
 def momentum_identities(action, mu, cps):
-    """Three residuals per cone point of the list cps, which runs as
+    """Three residuals per cone point of the batch cps, which runs as
     lanes, each as an array, one value per point:
 
     - iota_transpose: ``iota_transpose_residual``;
@@ -148,11 +147,11 @@ def momentum_identities(action, mu, cps):
     """
     p, r = _coords(cps)
     js_r = symplectic_momentum(action, cps)
-    js_1 = symplectic_momentum(action, [ConePoint(cp.base, 1.0) for cp in cps])
+    js_1 = symplectic_momentum(action, ConePoint(cps.base, np.ones(len(cps.base))))
     homogeneity = lane_max(list(abs(js_r - r * r * js_1)))
     restriction = lane_max(list(abs(js_1 - value(action.momentum(p)))))
     return (iota_transpose_residual(action, mu, cps),
-            *(np.broadcast_to(x, (len(cps),)) for x in (homogeneity, restriction)))
+            *(np.broadcast_to(x, (len(cps.base),)) for x in (homogeneity, restriction)))
 
 
 def sample_phi_zero(action, mu, count, seed):
@@ -170,24 +169,22 @@ class StratumCensus:
 
 
 def stratify(action, mu, points, tol=None):
-    """Classify momentum-zero samples of the kernel group by the ray of
-    J; a sample outside every stratum is a tolerance breach.  J runs
-    once over all the points as lanes; each point's float row is then
-    classified on its own, with mu's ray data formed once."""
+    """Classify momentum-zero samples of the kernel group, the rows of a
+    (count, m) array (or a list of points), by the ray of J; a sample
+    outside every stratum is a tolerance breach.  J runs once over all
+    the points as lanes; each point's float row is then classified on its
+    own, with mu's ray data formed once."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     tol = tolerances.DEFAULTS["stratification"] if tol is None else tol
-    label_of = {
-        "on_positive_ray": "positive_stratum",
-        "on_zero": "zero_stratum",
-        "on_negative_ray": "negative_stratum",
-    }
-    counts = {"positive_stratum": 0, "zero_stratum": 0, "negative_stratum": 0}
-    ps = [pt.as_list() if hasattr(pt, "as_list") else list(pt) for pt in points]
-    if not ps:
+    label_of = {"on_positive_ray": "positive_stratum", "on_zero": "zero_stratum",
+                "on_negative_ray": "negative_stratum"}
+    counts = dict.fromkeys(label_of.values(), 0)
+    ps = np.asarray(points, dtype=float)
+    if not len(ps):
         return StratumCensus(counts, [])
     j = value(action.momentum(stack_lanes(ps)))
     rows = []
-    for p, j_p in zip(ps, [j] if len(ps) == 1 else split_lanes(j)):
+    for p, j_p in zip(ps.tolist(), [j] if len(ps) == 1 else split_lanes(j)):
         cls = ray_membership(j_p, mu, tol=tol)
         if cls.kind == "outside":
             raise StratificationLeak(

@@ -92,20 +92,22 @@ def parse_numbers(name, text):
 
 def build_config(raw, command=None, preset=None):
     """Validate a raw dict; every violation is reported, not just the first.
-    ``preset`` names the gallery preset ``raw`` came from, for the echo."""
+    A check that reads an input already rejected is skipped, so a bad
+    field gives no follow-on errors.  ``preset`` names the gallery preset
+    ``raw`` came from, for the echo."""
     errors = []
 
     def get_int(name, default, minimum, maximum=None):
         v = raw.get(name, default)
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             errors.append(f"{name}: expected integer, got {v!r}")
-            return default
+            return None
         if v < minimum:
             errors.append(f"{name}: must be >= {minimum}, got {v}")
-            return default
+            return None
         if maximum is not None and v > maximum:
             errors.append(f"{name}: must be <= {maximum}, got {v}")
-            return default
+            return None
         return int(v)
 
     def get_floats(name, v):
@@ -126,29 +128,29 @@ def build_config(raw, command=None, preset=None):
     flow_steps = get_int("flow_steps", 512, 64, MAX_FLOW_STEPS)
     directions = get_int("directions", 2, 1, MAX_DIRECTIONS)
 
-    sw = get_floats("sphere_weights", raw.get("sphere_weights", [1.0] * n))
-    if sw is None:
-        sw = [1.0] * n
-    if len(sw) != n:
-        errors.append(f"sphere_weights: expected {n} entries, got {len(sw)}")
-    if any(x <= 0 for x in sw):
-        errors.append("sphere_weights: entries must be strictly positive")
-    if any(a > b for a, b in zip(sw, sw[1:])):
-        errors.append("sphere_weights: entries must be nondecreasing")
+    sw = (get_floats("sphere_weights", raw["sphere_weights"]) if "sphere_weights" in raw
+          else [1.0] * (n or 0))
+    if sw is not None:
+        if n is not None and len(sw) != n:
+            errors.append(f"sphere_weights: expected {n} entries, got {len(sw)}")
+        if any(x <= 0 for x in sw):
+            errors.append("sphere_weights: entries must be strictly positive")
+        if any(a > b for a, b in zip(sw, sw[1:])):
+            errors.append("sphere_weights: entries must be nondecreasing")
 
     aw = raw.get("action_weights")
     if aw is None:
         errors.append("action_weights: required")
-        aw = [[0.0] * n]
     else:
         try:
             aw = [[_float(x) for x in row] for row in aw]
         except (TypeError, ValueError):
             errors.append(f"action_weights: expected a matrix, got {aw!r}")
-            aw = [[0.0] * n]
+            aw = None
+    if aw is not None:
         if len(aw) < 1:
             errors.append("action_weights: need at least one row (d >= 1)")
-        if any(len(row) != n for row in aw):
+        if n is not None and any(len(row) != n for row in aw):
             errors.append(f"action_weights: every row must have n = {n} entries")
         if not all(math.isfinite(x) for row in aw for x in row):
             errors.append("action_weights: entries must be finite")
@@ -167,7 +169,7 @@ def build_config(raw, command=None, preset=None):
             norm = float(np.linalg.norm(mu))
         if not (math.isfinite(norm) and norm > 0.0):
             errors.append(f"mu: its norm {norm!r} is not a positive finite float")
-    if mu is not None and len(aw) and len(mu) != len(aw):
+    if mu is not None and aw and len(mu) != len(aw):
         errors.append(f"mu: expected {len(aw)} entries to match d, got {len(mu)}")
 
     tol = dict(tolerances.DEFAULTS)

@@ -14,11 +14,10 @@ Freund-Roundy-Todd LP that finds every identically-zero coordinate at
 once; and a max-min-margin LP for the interior point.  Each has one row
 per equality (the sum, the kernel rows, the ray), not one per coordinate.
 
-Samples walk the polytope by hit-and-run.  Sample i has its own stream,
-SeedSequence(seed).spawn(...)[i], and takes all of its draws up front;
-samples step together in chunks of ``vecops.LANE_BATCH_WIDTH``
-(``vecops.batches``) and every sum over coordinates runs in order, so
-sample i depends neither on the sample count nor on the chunking.
+Samples walk the polytope by hit-and-run, one vectorised draw a chunk
+(``vecops.uniforms``, ``vecops.batches``); every sum over coordinates
+runs in order, so sample i depends neither on the count nor on the
+chunking.  A chunk is one (count, m) array of points and one of s.
 
 The hypothesis checks and the reduction frames take a batch of samples
 at once, as lanes: one stacked SVD per rank test and tangent basis, one
@@ -47,21 +46,10 @@ from .errors import (
 )
 from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sphere,
                         SphereConstraint)
-from .tensor_kernel import AmbientPoint, Frame, gram_schmidt, orthogonal_tail
+from .tensor_kernel import Frame, gram_schmidt, orthogonal_tail, unit_points
 from .jets import value
-from .vecops import (agreed, batches, lane_stack, pairings, split_frame, stack_lanes, svd_rank,
-                     vdot)
-
-
-@dataclass(frozen=True)
-class LevelSetSample:
-    """A point of the level set with its ray parameter."""
-
-    point: AmbientPoint
-    s: float
-
-    def coords(self):
-        return self.point.as_list()
+from .vecops import (agreed, batches, lane_stack, normals, pairings, rowdot, split_frame,
+                     stack_lanes, svd_rank, uniforms, unit_rows, vdot)
 
 
 @dataclass
@@ -239,20 +227,15 @@ def analyze_moduli(n, rows, ray_coeff=None):
 _STEPS = 32
 
 
-def _draws(poly, seed, indices):
-    """Sample i's draws from its own stream, stacked over the samples:
-    32 x k normals, then 32 Beta(2, 2) steps, then n phases."""
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-            for i in indices]
-    return (np.array([g.standard_normal((_STEPS, poly.null_basis.shape[0])) for g in rngs]),
-            np.array([g.beta(2.0, 2.0, _STEPS) for g in rngs]),
-            np.array([g.uniform(0.0, 2.0 * math.pi, poly.n) for g in rngs]))
-
-
-def _rowdot(a, b):
-    """Row-wise a . b of (samples, m) arrays, b possibly one shared
-    m-vector, as an ordered sum over coordinate lanes (``vdot``)."""
-    return vdot(a.T, b.T)
+def _draws(poly, seed, start, count):
+    """The walk's draws of samples start, ..., start + count - 1: 32 x k
+    normals, 32 Beta(2, 2) step fractions (the median of three uniforms),
+    then n phases 2 pi u, from each sample's block of salt 0."""
+    k = poly.null_basis.shape[0]
+    u = uniforms(seed, 0, start, count, _STEPS * (k + 3) + poly.n)
+    z = normals(u[:, :_STEPS * k]).reshape(count, _STEPS, k)
+    beta = np.sort(u[:, _STEPS * k:_STEPS * (k + 3)].reshape(count, _STEPS, 3), axis=-1)[..., 1]
+    return z, beta, 2.0 * math.pi * u[:, _STEPS * (k + 3):]
 
 
 def _walk(poly, z, beta):
@@ -269,15 +252,15 @@ def _walk(poly, z, beta):
             d = z[:, step, :1] * basis[0]   # sum_j z_j basis_j, in order
             for j in range(1, len(basis)):
                 d = d + z[:, step, j:j + 1] * basis[j]
-            nrm = np.sqrt(_rowdot(d, d))
+            nrm = np.sqrt(rowdot(d, d))
             d = d / nrm[:, None]
             # the chord x + lam d meets t_j = 0 at lam = x_j / -d_j
             lam = x / -d
             hi = np.where(d <= -1e-14, lam, np.inf).min(axis=1)
             lo = np.where(d >= 1e-14, lam, -np.inf).max(axis=1)
             if ray is not None:
-                a = _rowdot(d, ray)
-                lam = (-_S_FLOOR - _rowdot(x, ray)) / a
+                a = rowdot(d, ray)
+                lam = (-_S_FLOOR - rowdot(x, ray)) / a
                 hi = np.where(a >= 1e-14, np.minimum(hi, lam), hi)
                 lo = np.where(a <= -1e-14, np.maximum(lo, lam), lo)
             move = (nrm >= 1e-14) & np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
@@ -285,31 +268,32 @@ def _walk(poly, z, beta):
     return x
 
 
-def _level_set_samples(action, mu, poly, count, seed):
-    """Points over the walk on ``poly`` with random phases; with a ray
-    ``mu`` each is checked against it, in zero mode s = 0."""
-    samples = []
-    for _, indices in batches(range(count)):
-        z, beta, theta = _draws(poly, seed, indices)
+def _level_set_samples(action, mu, poly, count, seed, start=0):
+    """(coords, s) of samples start, ..., start + count - 1: points over
+    the walk on ``poly`` with random phases, one (count, m) array; with a
+    ray ``mu`` each is checked against it, in zero mode s = 0."""
+    coords, s = np.empty((count, 2 * poly.n)), np.zeros(count)
+    for k, indices in batches(range(start, start + count)):
+        z, beta, theta = _draws(poly, seed, indices.start, len(indices))
         t = np.zeros((len(z), poly.n))
         t[:, poly.support] = np.maximum(_walk(poly, z, beta), 0.0)
         r = np.sqrt(t / sum(t.T)[:, None])
-        coords = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(len(z), -1)
-        coords /= np.sqrt(_rowdot(coords, coords))[:, None]
-        s = np.zeros(len(z))
+        chunk = unit_points(unit_rows(
+            np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(len(z), -1)))
+        coords[k:k + len(z)] = chunk
         if mu is not None:
-            j_val = action.momentum(coords.T)
+            j_val = action.momentum(chunk.T)
             unit = np.asarray(mu.unit)
-            s = vdot(j_val, unit)
-            miss = j_val - s * unit[:, None]
+            si = vdot(j_val, unit)
+            miss = j_val - si * unit[:, None]
             resid = np.sqrt(vdot(miss, miss))
-            bad = (resid > tolerances.LEVEL_SET_RESIDUAL) | (s <= tolerances.NEWTON_MIN_S)
+            bad = (resid > tolerances.LEVEL_SET_RESIDUAL) | (si <= tolerances.NEWTON_MIN_S)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise FrameInconsistent(
-                    f"sampled point misses the ray: residual {resid[i]:.3e}, s {s[i]:.3e}")
-        samples.extend(LevelSetSample(AmbientPoint.of(c), float(si)) for c, si in zip(coords, s))
-    return samples
+                    f"sampled point misses the ray: residual {resid[i]:.3e}, s {si[i]:.3e}")
+            s[k:k + len(z)] = si
+    return coords, s
 
 
 def _polytope(action, rows, mu=None):
@@ -321,22 +305,22 @@ def _polytope(action, rows, mu=None):
 
 
 def sample_level_set(action, mu, count, seed):
-    """Samples of J^{-1}(R_+ mu), deterministic in (action, mu, seed);
-    sample i does not depend on count."""
+    """(coords, s) of samples of J^{-1}(R_+ mu), deterministic in
+    (action, mu, seed); sample i does not depend on count."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     poly = _polytope(action, kernel_algebra(mu).matrix, mu)
     return _level_set_samples(action, mu, poly, count, seed)
 
 
 def sample_zero_level(action, rows, count, seed):
-    """Samples of the joint zero level of the momenta of the given
-    subalgebra rows (used by zero reduction and the cone suite)."""
+    """Samples, one (count, m) array, of the joint zero level of the
+    momenta of the given subalgebra rows (zero reduction, the cone suite)."""
     poly = _polytope(action, np.atleast_2d(np.asarray(rows, dtype=float)))
-    return [s.point for s in _level_set_samples(action, None, poly, count, seed)]
+    return _level_set_samples(action, None, poly, count, seed)[0]
 
 
 def newton_project(action, mu, q):
-    """Gauss-Newton projection onto {|z| = 1, J(z) = s mu_unit, s > 0}."""
+    """(z, s): Gauss-Newton projection onto {|z| = 1, J(z) = s mu_unit, s > 0}."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
     unit = np.asarray(mu.unit)
     z = np.array(q, dtype=float)
@@ -347,7 +331,7 @@ def newton_project(action, mu, q):
         if float(np.max(np.abs(F))) < tolerances.NEWTON_TOL:
             if s <= tolerances.NEWTON_MIN_S:
                 raise WrongRay(f"converged with ray parameter s = {s:.3e}")
-            return LevelSetSample(AmbientPoint.of(z), s)
+            return unit_points(z), s
         jac = np.zeros((1 + action.d, len(z) + 1))
         jac[0, :-1] = 2.0 * z
         jac[1:, :-1] = action.momentum_jacobian(z)
@@ -358,20 +342,17 @@ def newton_project(action, mu, q):
     raise NoConvergence(f"no convergence after {tolerances.NEWTON_MAX_ITER} iterations")
 
 
-def transversality_check(action, mu, sample):
-    """Rank test of [dJ(tangent frame) | mu_unit] at the sample.  At a
+def transversality_check(action, mu, p):
+    """Rank test of [dJ(tangent frame) | mu_unit] at the point p.  At a
     lane point one stacked SVD tests every sample, and the verdicts and
     singular values come back per sample (arrays)."""
     mu = mu if isinstance(mu, MomentumCovector) else MomentumCovector.of(mu)
-    p = np.asarray(sample.coords() if isinstance(sample, LevelSetSample) else sample, dtype=float)
+    p = np.asarray(p, dtype=float)
     frame = lane_stack(Sphere(len(p)).tangent_basis(p))
     dj = lane_stack(action.momentum_jacobian(p)) @ np.swapaxes(frame, -1, -2)
     unit = np.broadcast_to(np.reshape(mu.unit, (-1, 1)), dj.shape[:-1] + (1,))
     svals = np.linalg.svd(np.concatenate([dj, unit], axis=-1), compute_uv=False)
-    ok = svals[..., -1] > tolerances.RANK_SINGULAR_VALUE
-    if svals.ndim == 2:
-        return ok, svals
-    return bool(ok), [float(s) for s in svals]
+    return svals[..., -1] > tolerances.RANK_SINGULAR_VALUE, svals
 
 
 # ----------------------------------------------------------------------
@@ -421,8 +402,9 @@ class ReductionSetup:
 
     # -- sampling ------------------------------------------------------
 
-    def samples(self, count, seed):
-        return _level_set_samples(self.action, self.mu, self.polytope, count, seed)
+    def samples(self, count, seed, start=0):
+        """(coords, s) of samples start, ..., start + count - 1."""
+        return _level_set_samples(self.action, self.mu, self.polytope, count, seed, start)
 
     # -- per-sample hypothesis data -------------------------------------
 
@@ -434,12 +416,11 @@ class ReductionSetup:
         return True, {"note": "zero reduction: ker 0 = g"}
 
     def hypothesis_report(self, samples):
-        """Hypothesis data of a list of samples, or of one: each entry an
-        array over the samples, in order.  The rank tests run as one
-        stacked SVD each; the slice condition, which depends on mu alone,
-        is ``slice_check``."""
-        samples = [samples] if isinstance(samples, LevelSetSample) else samples
-        p = stack_lanes([s.coords() for s in samples])
+        """Hypothesis data of the sample points, the rows of a (count, m)
+        array: each entry an array over the samples, in order.  The rank
+        tests run as one stacked SVD each; the slice condition, which
+        depends on mu alone, is ``slice_check``."""
+        p = stack_lanes(samples)
         trans_ok = transversality_check(self.action, self.mu, p)[0] if self.mode == "ray" else True
         rank, degenerate, _ = local_freeness(self.action, self.kernel, p)
         # a float run, or a trivial kernel, gives one value for every sample
@@ -480,17 +461,17 @@ class ReductionFrame:
         return np.concatenate([self.contact_d.vectors, self.reeb[None]])
 
 
-def build_frame(setup, sample, strict=True):
-    """Vertical / Reeb / contact-horizontal / normal splitting at a sample.
+def build_frame(setup, samples, strict=True):
+    """Vertical / Reeb / contact-horizontal / normal splitting at the
+    sample points, the rows of a (count, m) array (or a list of points).
 
-    Given a list of samples, the frames of all of them are built at once
-    on lanes.  Every float-level decision (a Gram-Schmidt drop, hence the
+    The frames of all of them are built at once on lanes, one sample on
+    floats.  Every float-level decision (a Gram-Schmidt drop, hence the
     vertical rank and each frame size; the rows kept at a vertical rank
     loss; a tangent rank) is made per lane and must agree across the
     lanes, else ``LanesDisagree`` (split with ``vecops.agreeing_parts``).
     """
-    samples = [sample] if isinstance(sample, LevelSetSample) else sample
-    p = stack_lanes([s.coords() for s in samples])
+    p = stack_lanes(samples)
     S = setup.structure
     man = setup.manifold
     tol = tolerances.DEFAULTS["frame_orthogonality"]

@@ -5,13 +5,15 @@ floats are serialized by repr (shortest round-trip; numpy floats as the
 plain number), and CSV rows are written in sample order.  report.json is
 strict JSON: a non-finite float is written as the string "NaN",
 "Infinity" or "-Infinity".
+samples.csv is written as the run goes (``samples_writer``), its cells
+Python numbers (written by repr) and strings.
 """
 
 import csv
-import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -126,19 +128,28 @@ def report_bytes(report):
             + "\n").encode()
 
 
-def csv_bytes(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
-                         for x in row])
-    return buf.getvalue().encode()
+_PARTIAL = "samples.csv.part"
 
 
-def write_outputs(outdir, report, header, rows):
+@contextmanager
+def samples_writer(outdir):
+    """A csv writer onto a partial samples.csv in outdir; a run that
+    raises leaves neither it nor the output directory, if this made it."""
+    made = not os.path.isdir(outdir)
     os.makedirs(outdir, exist_ok=True)
+    part = os.path.join(outdir, _PARTIAL)
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            yield csv.writer(fh, lineterminator="\n")
+    except BaseException:
+        os.remove(part)
+        if made:
+            os.rmdir(outdir)
+        raise
+
+
+def write_outputs(outdir, report):
+    """report.json, and the finished samples.csv moved into place."""
     with open(os.path.join(outdir, "report.json"), "wb") as fh:
         fh.write(report_bytes(report))
-    with open(os.path.join(outdir, "samples.csv"), "wb") as fh:
-        fh.write(csv_bytes(header, rows))
+    os.replace(os.path.join(outdir, _PARTIAL), os.path.join(outdir, "samples.csv"))

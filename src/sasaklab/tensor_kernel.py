@@ -2,9 +2,9 @@
 
 Points and vectors hold ambient coordinates (x_1, y_1, ..., x_n, y_n)
 with z_j = x_j + i y_j, one vector to an array (``vecops``); sequences
-are accepted too.  ``AmbientPoint`` carries the unit-norm invariant of a
-sampled point and ``Frame`` the output of Gram-Schmidt, its vectors one
-array (k, m) or (k, m, lanes).
+are accepted too.  ``unit_points`` checks the unit-norm invariant of
+sampled points, a chunk at a time, and ``Frame`` holds the output of
+Gram-Schmidt, its vectors one array (k, m) or (k, m, lanes).
 
 Gram-Schmidt is generic over lanes: on a lane point and lane vectors it
 orthonormalises the frames of a whole batch of samples at once, every
@@ -14,7 +14,6 @@ lanes that decide differently raise ``LanesDisagree`` and the caller
 splits the batch by the decision (``vecops.agreeing_parts``).
 """
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,23 +25,14 @@ from .jets import value, vector
 from .vecops import agreed, clamped_sqrt
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
-    """Unit vector in R^{2n} understood as a point of S^{2n-1}."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        r = math.sqrt(sum(c * c for c in self.coords))
-        if abs(r - 1.0) > tolerances.ON_SPHERE:
-            raise ValueError(f"point has |coords| = {r!r}, not 1")
-
-    @classmethod
-    def of(cls, coords):
-        return cls(tuple(float(c) for c in coords))
-
-    def as_list(self):
-        return list(self.coords)
+def unit_points(coords):
+    """coords, a point (m,) or the rows of a (samples, m) array, checked
+    at once to be unit vectors; ValueError names the first that is not."""
+    r = np.atleast_1d(np.sqrt(np.sum(np.square(coords), axis=-1)))
+    bad = np.abs(r - 1.0) > tolerances.ON_SPHERE
+    if bad.any():
+        raise ValueError(f"point has |coords| = {float(r[bad][0])!r}, not 1")
+    return coords
 
 
 @dataclass(frozen=True)

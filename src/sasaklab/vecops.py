@@ -5,7 +5,8 @@ An ambient vector is one array whose axis 0 holds its m coordinates,
 with such leaves (``jets``).  A float vector meeting lanes takes the
 shape (m, 1) (``jets.expand``), and axes between coordinates and lanes
 stack vectors.  ``stack_lanes`` builds lane vectors from per-sample
-float vectors, and ``split_frame`` reads each sample's back.
+float vectors, and ``split_frame`` reads each sample's back; a chunk of
+points is one (samples, m) array (``rowdot``).
 
 Every sum over coordinates is ordered, (u_0 v_0 + u_1 v_1) + ..., as
 the float formula sums it (``vsum``, ``vdot``).  numpy's ``add.reduce``
@@ -24,8 +25,13 @@ A float-level decision (a Gram-Schmidt drop, a rank) is made per lane.
 raises ``LanesDisagree`` otherwise; ``agreeing_parts`` then runs each
 group of agreeing lanes again on its own, so every lane goes through
 exactly the operations of its float evaluation.
+
+Every random number comes from one stream per run and purpose, cut
+into a fixed block of uniforms a sample (``uniforms``), so sample i's
+draws depend neither on the count nor on the chunk.
 """
 
+import math
 from functools import cache, partial, reduce
 from operator import add
 
@@ -60,6 +66,35 @@ def vdot(u, v):
     if x.ndim != y.ndim:
         u, v = expand(u, y.ndim), expand(v, x.ndim)
     return vsum(u * v)
+
+
+def rowdot(a, b):
+    """Row-wise a . b of (samples, m) arrays, b possibly one shared
+    m-vector, as an ordered sum over coordinate lanes (``vdot``)."""
+    return vdot(a.T, b.T)
+
+
+def unit_rows(z):
+    """Each row of the (samples, m) array z divided by its length."""
+    return z / np.sqrt(rowdot(z, z))[:, None]
+
+
+def uniforms(seed, salt, start, count, *shape):
+    """The blocks of samples start, ..., start + count - 1, (count,
+    *shape) doubles in [0, 1), of PCG64(SeedSequence([seed, salt])): one
+    64-bit output a double, so the draw ``advance``s to its first."""
+    bits = np.random.PCG64(np.random.SeedSequence([seed, salt]))
+    bits.advance(start * math.prod(shape))
+    return np.random.Generator(bits).random((count, *shape))
+
+
+def normals(u):
+    """Standard normals by Box-Muller, one for each uniform of u, whose
+    last axis is even: the pair (a, b) gives r cos t and r sin t, with
+    r = sqrt(-2 log(1 - a)) (1 - a > 0) and t = 2 pi b."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    t = 2.0 * math.pi * u[..., 1::2]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(u.shape)
 
 
 def cmult(v):

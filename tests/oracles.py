@@ -862,7 +862,7 @@ def cone_point_loop(action, mu, cps):
     point at a time: iota_transpose, homogeneity and restriction."""
     out = {"iota_transpose": [], "homogeneity": [], "restriction": []}
     for cp in cps:
-        p, r = cp.base.as_list(), cp.r
+        p, r = cp.base.tolist(), cp.r
         js_r = [r * r * float(value(c)) for c in action.momentum(p)]
         js_1 = [1.0 * 1.0 * float(value(c)) for c in action.momentum(p)]
         out["iota_transpose"].append(_iota_transpose_per_point(action, mu, p, r))
@@ -881,7 +881,7 @@ def stratify_per_point(action, mu, points, tol):
                 "on_negative_ray": "negative_stratum"}
     rows = []
     for pt in points:
-        p = pt.as_list() if hasattr(pt, "as_list") else list(pt)
+        p = list(pt)
         j = np.asarray([float(value(c)) for c in action.momentum(p)])
         m, e = mu.scaled()
         s = math.ldexp(float(np.dot(j, m) / np.dot(m, m)), -e)

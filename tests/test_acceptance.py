@@ -104,11 +104,11 @@ def test_criterion_02_weighted_structures():
 def test_criterion_03_pairs_diagonal_reduction():
     rng = np.random.default_rng(103)
     setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-    samples = setup.samples(100, seed=103)
+    samples = setup.samples(100, seed=103)[0][:, None]  # one-sample chunks
     worst_mod, worst_q, min_det = 0.0, 0.0, math.inf
     dims = None
     for samp in samples:
-        c = np.asarray(samp.coords())
+        c = samp[0]
         t = c[0::2] ** 2 + c[1::2] ** 2
         worst_mod = max(worst_mod, abs(t[0] + t[1] - 0.5))
         frame = build_frame(setup, samp)
@@ -130,7 +130,7 @@ def test_criterion_04_curvature_two_path():
     worst = 0.0
     for action, mu in ((PAIRS, [1.0, 1.0]), (SPLIT, [0.0, 1.0])):
         setup = ReductionSetup(S7, action, mu=mu)
-        for samp in setup.samples(50, seed=104):
+        for samp in setup.samples(50, seed=104)[0][:, None]:
             frame = build_frame(setup, samp)
             ctx = SubmersionContext.from_reduction(setup, frame)
             zeta = list(frame.reeb)
@@ -150,7 +150,7 @@ def test_criterion_05_identity_ledger():
     rng = np.random.default_rng(105)
     setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
     worst_rel, worst_fin, worst_tilde = 0.0, 0.0, 0.0
-    for samp in setup.samples(25, seed=105):
+    for samp in setup.samples(25, seed=105)[0][:, None]:
         frame = build_frame(setup, samp)
         ctx = SubmersionContext.from_reduction(setup, frame)
         crd = cr_decomposition(ctx)
@@ -172,7 +172,7 @@ def test_criterion_06_positivity_of_zero_level_quotient():
     setup = ReductionSetup(S7, FLIPPED, zero_rows=[[1.0, 0.0]])
     k_min = math.inf
     count = 0
-    for samp in setup.samples(20, seed=106):
+    for samp in setup.samples(20, seed=106)[0][:, None]:
         frame = build_frame(setup, samp)
         ctx = SubmersionContext.from_reduction(setup, frame)
         d = [list(v) for v in frame.contact_d.vectors]
@@ -188,7 +188,7 @@ def test_criterion_07_weighted_circle_flow():
     setup = ReductionSetup(S7, TorusAction.of([[1, 0, 0, 0], [0, 1, 0, 0]]),
                            mu=[1.0, 1.0])
     samp = setup.samples(1, seed=107)[0]
-    times, traj = reeb_flow(S7, setup.manifold, np.asarray(samp.coords()),
+    times, traj = reeb_flow(S7, setup.manifold, samp[0],
                             2.0 * math.pi, 512)
     cmp = reduced_flow_comparison(times, traj, (1.0, 1.0))
     ok = cmp["sup_error"] < 1e-6

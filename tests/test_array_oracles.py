@@ -156,7 +156,7 @@ def _context(n, samples):
         S = RoundSphereStructure(n)
         A = TorusAction.of([[1, 1] + [0] * (n - 2), [0, 0] + [1] * (n - 2)])
     setup = ReductionSetup(S, A, mu=[1.0, 1.0])
-    frame = build_frame(setup, setup.samples(samples, seed=11))
+    frame = build_frame(setup, setup.samples(samples, seed=11)[0])
     return setup, frame, SubmersionContext.from_reduction(setup, frame)
 
 

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import math
 import os
@@ -26,7 +28,7 @@ from sasaklab.config import (
     build_config,
     read_config,
 )
-from sasaklab.errors import ParseError, ValidationError
+from sasaklab.errors import NoConvergence, ParseError, ValidationError
 from sasaklab.gallery import preset_config
 from sasaklab.structures import RoundSphereStructure
 
@@ -251,6 +253,23 @@ class TestCommands:
         assert "config error:" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("raw, lines", [
+        ({"n": 4, "action_weights": [[True, True, False, False], [False, False, True, True]],
+          "mu": [1, 1]},
+         ["config error: action_weights: expected a matrix, got "
+          "[[True, True, False, False], [False, False, True, True]]"]),
+        ({"n": "4", "sphere_weights": [1] * 6,
+          "action_weights": [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]], "mu": [1, 1]},
+         ["config error: n: expected integer, got '4'"]),
+    ], ids=["action-weights-bools", "n-text"])
+    def test_a_rejected_field_gives_no_follow_on_errors(self, tmp_path, capsys, raw, lines):
+        # no check reads a field that was already rejected: not d from a
+        # fallback weight row, nor the lengths of n from its default
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli(["reduce", "--config", str(path)], tmp_path / "out") == 2
+        assert capsys.readouterr().err.splitlines() == lines
+
     @pytest.mark.parametrize("args", [
         ["verify-structure", "--preset", "ex1", "--mu", "5,7"],
         ["verify-structure", "--preset", "ex1", "--directions", "3"],
@@ -404,7 +423,7 @@ def test_every_settable_tolerance_is_read():
     ):
         cfg = _resolve_config(_parser().parse_args(argv))
         cfg.tol = _RecordingTolerances(cfg.tol, read)
-        *_, status = RUNNERS[argv[0]](cfg)
+        _, status = RUNNERS[argv[0]](cfg, csv.writer(io.StringIO()))
         assert status == 0, argv
     assert read == set(tolerances.DEFAULTS)
 
@@ -602,6 +621,32 @@ class TestLaneBatches:
         assert len(eight) == 8
         assert three == eight[:3]
         assert one == eight[:1]
+
+
+def test_a_run_that_fails_after_a_chunk_leaves_no_samples_csv(tmp_path, monkeypatch):
+    # samples.csv is written chunk by chunk; a run that raises in its
+    # second chunk leaves no rows behind, and no output directory it made
+    monkeypatch.setattr(vecops, "LANE_BATCH_WIDTH", 2)
+    real, calls = cli.reduced_tensors, []
+
+    def failing(setup, frame):
+        calls.append(frame)
+        if len(calls) > 1:
+            raise NoConvergence("stopped in the second chunk")
+        return real(setup, frame)
+
+    monkeypatch.setattr(cli, "reduced_tensors", failing)
+    args = ["reduce", "--preset", "ex1", "--samples", "4", "--seed", "1"]
+    out = tmp_path / "out"
+    assert run_cli(args, out) == 6
+    assert len(calls) == 2 and not out.exists()
+    # a directory that was there keeps what it held
+    out.mkdir()
+    (out / "samples.csv").write_text("earlier run\n")
+    calls.clear()
+    assert run_cli(args, out) == 6
+    assert [p.name for p in out.iterdir()] == ["samples.csv"]
+    assert (out / "samples.csv").read_text() == "earlier run\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -83,14 +83,14 @@ class TestIotaTranspose:
     def test_pole_value(self):
         # J = (1, 0) paired with the kernel direction (-1, 1)/sqrt(2)
         cp = ConePoint.of([1, 0, 0, 0, 0, 0, 0, 0], 1.0)
-        phi = kernel_momentum(PAIRS, [1.0, 1.0], cp.base.as_list())
+        phi = kernel_momentum(PAIRS, [1.0, 1.0], cp.base)
         assert abs(abs(phi[0]) - 1.0 / math.sqrt(2.0)) < 1e-14
 
     def test_level_set_samples_have_zero_phi(self):
         from sasaklab.reduction import sample_level_set
 
-        for samp in sample_level_set(PAIRS, [1.0, 1.0], 10, seed=6):
-            phi = kernel_momentum(PAIRS, [1.0, 1.0], samp.coords())
+        for p in sample_level_set(PAIRS, [1.0, 1.0], 10, seed=6)[0]:
+            phi = kernel_momentum(PAIRS, [1.0, 1.0], p)
             assert max(abs(x) for x in phi) < 1e-12
 
 
@@ -140,7 +140,7 @@ class TestZeroStratum:
         # a cone sample has zero kernel momentum iff its base does
         pts = sample_phi_zero(FLIPPED, [1.0, 0.0], 20, seed=9)
         for pt, r in zip(pts, np.linspace(0.5, 2.0, 20)):
-            base_phi = kernel_momentum(FLIPPED, [1.0, 0.0], pt.as_list())
+            base_phi = kernel_momentum(FLIPPED, [1.0, 0.0], pt)
             cone_phi = [r * r * x for x in base_phi]
             assert max(abs(x) for x in cone_phi) < 1e-12
 
@@ -155,16 +155,23 @@ def _cone_config(name, samples):
 
 
 def _drawn_cone_points(cfg):
-    """cone-check's cone points, drawn one at a time in its stream order."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 505]))
-    cps = []
-    for i in range(cfg.samples):
-        p = rng.standard_normal(2 * cfg.n)
-        p = list(p / np.linalg.norm(p))
-        cps.append(ConePoint.of(p, float(rng.uniform(0.5, 2.0))))
-        if i < 8:
-            rng.standard_normal(len(cfg.action_weights))
-    return cps
+    """cone-check's cone points, each drawn on its own at its offset."""
+    ones = [cli._cone_points(cfg, i, 1) for i in range(cfg.samples)]
+    return [ConePoint(cp.base[0], float(cp.r[0])) for cp in ones]
+
+
+def _batch(cps):
+    """The cone points cps as one batch."""
+    return ConePoint.of([cp.base for cp in cps], [cp.r for cp in cps])
+
+
+class _Rows(list):
+    """A csv writer's two calls, keeping the rows."""
+
+    writerow = list.append
+
+    def writerows(self, rows):
+        self.extend(list(row) for row in rows)
 
 
 class TestConeCheckLanes:
@@ -173,7 +180,9 @@ class TestConeCheckLanes:
         # batches of 7, 7 and 1 points: lanes, and a batch of one on floats
         monkeypatch.setattr(vecops, "LANE_BATCH_WIDTH", 7)
         cfg = _cone_config(name, 15)
-        report, _, rows, _ = cli.run_cone_check(cfg)
+        rows = _Rows()
+        report, _ = cli.run_cone_check(cfg, rows)
+        rows = rows[1:]  # the header
         A, mu = TorusAction.of(cfg.action_weights), MomentumCovector.of(cfg.mu)
         want = cone_point_loop(A, mu, _drawn_cone_points(cfg))
         got = {e["name"]: e for e in report["residuals"]}
@@ -188,21 +197,21 @@ class TestConeCheckLanes:
     def test_identities_of_a_list_equal_one_point_calls(self):
         cps = _drawn_cone_points(_cone_config("ex2", 40))
         # each identity as one value per point, read off the arrays
-        lanes = tuple(v.tolist() for v in momentum_identities(FLIPPED, [1.0, 0.0], cps))
-        alone = [momentum_identities(FLIPPED, [1.0, 0.0], [cp]) for cp in cps]
+        lanes = tuple(v.tolist() for v in momentum_identities(FLIPPED, [1.0, 0.0], _batch(cps)))
+        alone = [momentum_identities(FLIPPED, [1.0, 0.0], _batch([cp])) for cp in cps]
         assert lanes == tuple([a[k][0] for a in alone] for k in range(3))
         assert any(lanes[0])
         assert lanes[0] == [iota_transpose_residual(FLIPPED, [1.0, 0.0], cp) for cp in cps]
         assert lanes[0] == cone_point_loop(FLIPPED, MomentumCovector.of([1.0, 0.0]), cps)[
             "iota_transpose"]
-        assert (symplectic_momentum(FLIPPED, cps[:1]).tobytes()
+        assert (symplectic_momentum(FLIPPED, _batch(cps[:1])).tobytes()
                 == symplectic_momentum(FLIPPED, cps[0]).tobytes())
 
     def test_stratify_labels_a_mixed_list_as_one_point_calls_do(self):
         mu = [1.0, 0.0]
         pts = [
             [0, 0, 1, 0, 0, 0, 0, 0],
-            *[s.point for s in sample_level_set(FLIPPED, mu, 3, seed=2)],
+            *sample_level_set(FLIPPED, mu, 3, seed=2)[0],
             np.asarray([1.0, 0, 0, 0, 0, 0, 0, 0]),
             *sample_phi_zero(FLIPPED, mu, 4, seed=3),
             [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0, 0, 0, 0, 0],

@@ -160,9 +160,10 @@ class TestFinalIdentity:
 def lane_contexts(setup, count, seed):
     """The lane context of ``count`` samples from one lane frame, and the
     float context of each sample."""
-    samples = setup.samples(count, seed=seed)
+    samples = setup.samples(count, seed=seed)[0]
     ctx = SubmersionContext.from_reduction(setup, build_frame(setup, samples))
-    return ctx, [SubmersionContext.from_reduction(setup, build_frame(setup, s)) for s in samples]
+    return ctx, [SubmersionContext.from_reduction(setup, build_frame(setup, s))
+                 for s in samples[:, None]]
 
 
 W5 = WeightedSphereStructure(3, [1.0, 2.0, 3.0])

@@ -30,7 +30,7 @@ def _level_set_start(preset, lam=None, seed=3):
     """(structure, manifold, z0) of reeb-flow's start on the level set of
     a preset's mu, as ``cli.run_reeb_flow`` draws it."""
     setup = cli._setup(build_config(preset_config(preset, lam=lam), command="reeb-flow"))
-    return setup.structure, setup.manifold, setup.samples(1, seed)[0].coords()
+    return setup.structure, setup.manifold, setup.samples(1, seed)[0][0]
 
 
 @pytest.mark.parametrize("preset, lam", [

@@ -265,9 +265,9 @@ class TestStackedContext:
     ], ids=["round-ray", "round-zero", "weighted-ray"])
     def test_lanes_equal_each_sample_bitwise(self, make, count):
         setup = make()
-        samples = setup.samples(count, seed=9)
+        samples = setup.samples(count, seed=9)[0]
         ctx = SubmersionContext.from_reduction(setup, build_frame(setup, samples))
-        frames = [build_frame(setup, s) for s in samples]
+        frames = [build_frame(setup, s) for s in samples[:, None]]
         xs = [frame_mix(f.contact_d.vectors, 10 + i) for i, f in enumerate(frames)]
         ys = [frame_mix(f.contact_d.vectors, 20 + i) for i, f in enumerate(frames)]
         lanes = ctx.quotient_sasakian_residual(stack_lanes(xs), stack_lanes(ys))
@@ -281,7 +281,7 @@ def lane_context(structure, action, samples, seed):
     """The context of one reduction frame over ``samples`` samples, and
     two horizontal directions; at samples = 1 a float context."""
     setup = ReductionSetup(structure, action, mu=[1.0, 1.0])
-    frame = build_frame(setup, setup.samples(samples, seed=seed))
+    frame = build_frame(setup, setup.samples(samples, seed=seed)[0])
     ctx = SubmersionContext.from_reduction(setup, frame)
     d = split_frame(frame.contact_d.vectors, samples)
     x = stack_lanes([frame_mix(v, seed + i) for i, v in enumerate(d)])

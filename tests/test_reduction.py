@@ -28,7 +28,6 @@ from sasaklab.reduction import (
 )
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 from sasaklab.jets import along
-from sasaklab.tensor_kernel import AmbientPoint
 from sasaklab.vecops import LanesDisagree, agreeing_parts, solve_linear, split_frame, stack_lanes
 
 PAIRS = TorusAction.of([[1, 1, 0, 0], [0, 0, 1, 1]])
@@ -44,32 +43,30 @@ def moduli(point):
 
 class TestSampling:
     def test_pairs_diagonal_ray_moduli(self):
-        samples = sample_level_set(PAIRS, [1.0, 1.0], 25, seed=5)
-        for s in samples:
-            t = moduli(s.coords())
+        coords, s = sample_level_set(PAIRS, [1.0, 1.0], 25, seed=5)
+        for c, s_c in zip(coords, s):
+            t = moduli(c)
             assert abs(t[0] + t[1] - 0.5) < 1e-10
             assert abs(t[2] + t[3] - 0.5) < 1e-10
-            assert s.s == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+            assert s_c == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_split_action_circle_level_set(self):
         # ray through (1, 0): every sample sits on the circle |z_0| = 1
-        samples = sample_level_set(SPLIT, [1.0, 0.0], 10, seed=2)
-        for s in samples:
-            t = moduli(s.coords())
+        for c in sample_level_set(SPLIT, [1.0, 0.0], 10, seed=2)[0]:
+            t = moduli(c)
             assert t[0] == pytest.approx(1.0, abs=1e-12)
             assert np.max(t[1:]) < 1e-12
 
     def test_flipped_action_open_hemisphere(self):
-        samples = sample_level_set(FLIPPED, [1.0, 0.0], 20, seed=8)
-        for s in samples:
-            t = moduli(s.coords())
+        for c in sample_level_set(FLIPPED, [1.0, 0.0], 20, seed=8)[0]:
+            t = moduli(c)
             assert t[2] < 1e-12 and t[3] < 1e-12
             assert t[1] > t[0]
 
     def test_deterministic_bitwise(self):
         a = sample_level_set(PAIRS, [1.0, 1.0], 8, seed=3)
         b = sample_level_set(PAIRS, [1.0, 1.0], 8, seed=3)
-        assert all(x.coords() == y.coords() and x.s == y.s for x, y in zip(a, b))
+        assert [x.tobytes() for x in a] == [y.tobytes() for y in b]
 
     def test_infeasible_ray_raises_with_certificate(self):
         with pytest.raises(EmptyLevelSet) as exc:
@@ -94,12 +91,12 @@ class TestSampling:
         got = setup.samples(4, seed=3)
         monkeypatch.undo()
         ref = sample_level_set(PAIRS, [1.0, 1.0], 4, seed=3)
-        assert [(x.coords(), x.s) for x in got] == [(y.coords(), y.s) for y in ref]
+        assert [x.tobytes() for x in got] == [y.tobytes() for y in ref]
 
     def test_zero_level_sampler(self):
         pts = sample_zero_level(FLIPPED, [[1.0, 0.0]], 10, seed=4)
         for p in pts:
-            t = moduli(p.as_list())
+            t = moduli(p)
             assert abs(t[1] - t[0]) < 1e-12
 
 
@@ -158,7 +155,7 @@ def test_hit_and_run_matches_loop_reference_bitwise(action, mu):
              ReductionSetup(S7, action, zero_rows=[[1.0, -1.0]]))
     poly = setup.polytope
     for seed in range(5):
-        z, beta, _ = _draws(poly, seed, range(4))
+        z, beta, _ = _draws(poly, seed, 0, 4)
         got = _walk(poly, z, beta)
         for i in range(4):
             ref = hit_and_run_loop(poly, z[i], beta[i], _S_FLOOR)
@@ -185,7 +182,7 @@ def test_walk_stays_in_the_moduli_polytope(data):
     except EmptyLevelSet:
         return
     tol = tolerances.LP_FEASIBILITY
-    for x in _walk(poly, *_draws(poly, seed, range(6))[:2]):
+    for x in _walk(poly, *_draws(poly, seed, 0, 6)[:2]):
         assert np.all(x >= -tol)
         assert abs(sum(x) - 1.0) <= tol
         assert np.all(np.abs(poly.kept_rows @ x) <= tol)
@@ -194,8 +191,8 @@ def test_walk_stays_in_the_moduli_polytope(data):
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda count: [(s.coords(), s.s) for s in sample_level_set(PAIRS, [1.0, 1.0], count, 17)],
-    lambda count: [p.as_list() for p in sample_zero_level(FLIPPED, [[1.0, 0.0]], count, 17)],
+    lambda count: [(c.tolist(), s) for c, s in zip(*sample_level_set(PAIRS, [1.0, 1.0], count, 17))],
+    lambda count: sample_zero_level(FLIPPED, [[1.0, 0.0]], count, 17).tolist(),
 ], ids=["level-set", "zero-level"])
 def test_samples_do_not_depend_on_count_or_chunk(monkeypatch, sampler):
     eight = sampler(8)
@@ -207,24 +204,24 @@ def test_samples_do_not_depend_on_count_or_chunk(monkeypatch, sampler):
 
 class TestNewtonProject:
     def test_fixed_point(self):
-        samp = sample_level_set(PAIRS, [1.0, 1.0], 1, seed=1)[0]
-        out = newton_project(PAIRS, [1.0, 1.0], samp.coords())
-        assert np.max(np.abs(np.asarray(out.coords()) - samp.coords())) < 1e-10
+        samp = sample_level_set(PAIRS, [1.0, 1.0], 1, seed=1)[0][0]
+        out, _ = newton_project(PAIRS, [1.0, 1.0], samp)
+        assert np.max(np.abs(out - samp)) < 1e-10
 
     def test_converges_to_diagonal_ray(self):
         q = 0.9 * np.eye(8)[0] + 0.45 * np.eye(8)[4]
         q /= np.linalg.norm(q)
-        out = newton_project(PAIRS, [1.0, 1.0], q)
-        t = moduli(out.coords())
+        out, _ = newton_project(PAIRS, [1.0, 1.0], q)
+        t = moduli(out)
         assert abs(t[0] + t[1] - 0.5) < 1e-10
 
     def test_pole_start_declared_outcomes_only(self):
         # from the pole the iteration either lands on the ray or reports
         # the wrong-ray/no-convergence outcome; never a silent s <= 0
         try:
-            out = newton_project(PAIRS, [1.0, 1.0], list(np.eye(8)[0]))
-            assert out.s > 1e-10
-            t = moduli(out.coords())
+            out, s = newton_project(PAIRS, [1.0, 1.0], list(np.eye(8)[0]))
+            assert s > 1e-10
+            t = moduli(out)
             assert abs(t[0] + t[1] - 0.5) < 1e-8
         except (WrongRay, NoConvergence):
             pass
@@ -232,21 +229,21 @@ class TestNewtonProject:
 
 class TestTransversality:
     def test_generic_diagonal_sample(self):
-        samp = sample_level_set(PAIRS, [1.0, 1.0], 1, seed=7)[0]
+        samp = sample_level_set(PAIRS, [1.0, 1.0], 1, seed=7)[0][0]
         ok, svals = transversality_check(PAIRS, [1.0, 1.0], samp)
         assert ok and len(svals) == 2
 
     def test_collapsed_slice_reported(self):
         # on {z_2 = z_3 = 0} the second momentum row has zero gradient:
         # the appended-mu matrix drops rank and the check reports it
-        samp = sample_level_set(PAIRS, [1.0, 0.0], 1, seed=7)[0]
+        samp = sample_level_set(PAIRS, [1.0, 0.0], 1, seed=7)[0][0]
         ok, svals = transversality_check(PAIRS, [1.0, 0.0], samp)
         assert not ok
         assert svals[-1] < 1e-10
 
     def test_rank_one_torus(self):
         A = TorusAction.of([[1, 1, 1, 1]])
-        samp = sample_level_set(A, [1.0], 1, seed=7)[0]
+        samp = sample_level_set(A, [1.0], 1, seed=7)[0][0]
         ok, _ = transversality_check(A, [1.0], samp)
         assert ok
 
@@ -285,7 +282,7 @@ class TestBuildFrame:
 
 def _point(coords):
     c = np.asarray(coords, dtype=float)
-    return reduction.LevelSetSample(AmbientPoint.of(c / np.linalg.norm(c)), 0.0)
+    return c / np.linalg.norm(c)
 
 
 def _same_bits(a, b):
@@ -310,8 +307,8 @@ class TestLaneFrames:
             [0.3, 0.4, 0.5, 0.1, 0.0, 0.0, 0.0, 0.0],
             [0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.2, 0.1],
             [0.0, 0.0, -0.4, 0.3, 0.1, 0.2, 0.5, -0.6],
-        )] + setup.samples(2, seed=8)
-        singles = [build_frame(setup, s, strict=False) for s in points]
+        )] + list(setup.samples(2, seed=8)[0])
+        singles = [build_frame(setup, [s], strict=False) for s in points]
         assert len({(f.dims["vertical"], f.dims["contact_d"], f.vertical_rows.tobytes())
                     for f in singles}) == 5
         with pytest.raises(LanesDisagree):
@@ -344,22 +341,22 @@ class TestLaneFrames:
 
     def test_stacked_rank_tests_match_each_sample_bitwise(self):
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-        samples = setup.samples(50, seed=17)
-        p = stack_lanes([s.coords() for s in samples])
+        samples = setup.samples(50, seed=17)[0]
+        p = stack_lanes(samples)
         for man in (setup.manifold, S7.sphere):
             lanes = split_frame(man.tangent_basis(p), 50)
             for got, s in zip(lanes, samples):
-                assert _same_bits(got, man.tangent_basis(s.coords()))
+                assert _same_bits(got, man.tangent_basis(s))
         ok, svals = transversality_check(PAIRS, [1.0, 1.0], p)
         rank, degenerate, fsvals = local_freeness(PAIRS, setup.kernel, p)
         for k, s in enumerate(samples):
             ref_ok, ref_svals = transversality_check(PAIRS, [1.0, 1.0], s)
             assert ok[k] == ref_ok and _same_bits(svals[k], ref_svals)
-            ref = local_freeness(PAIRS, setup.kernel, s.coords())
+            ref = local_freeness(PAIRS, setup.kernel, s)
             assert (rank[k], degenerate[k]) == ref[:2] and _same_bits(fsvals[k], ref[2])
         report = setup.hypothesis_report(samples)
-        for k, s in enumerate(samples):
-            alone = setup.hypothesis_report(s)
+        for k in range(len(samples)):
+            alone = setup.hypothesis_report(samples[k:k + 1])
             assert {name: v[k] for name, v in report.items()} == {
                 name: v[0] for name, v in alone.items()}
 
@@ -404,8 +401,8 @@ class TestReducedTensors:
         from sasaklab.actions import ray_membership
 
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-        for samp in setup.samples(10, seed=13):
-            j = [value(c) for c in PAIRS.momentum(samp.coords())]
+        for samp in setup.samples(10, seed=13)[0]:
+            j = [value(c) for c in PAIRS.momentum(samp)]
             assert ray_membership(j, [1.0, 1.0]).kind == "on_positive_ray"
 
 
@@ -413,8 +410,7 @@ class TestProjectability:
     def test_reeb_commutes_with_vertical_fields_on_samples(self):
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
         geo = Geometry(setup.manifold, S7.metric)
-        for samp in setup.samples(5, seed=21):
-            p = samp.coords()
+        for p in setup.samples(5, seed=21)[0]:
             for row in setup.acting_rows:
                 f = lambda q, r=tuple(row): PAIRS.fundamental_field(r, q)
                 br = setup.manifold.project(p, geo.bracket(p, f, S7.reeb_field))
@@ -480,11 +476,11 @@ class TestSolveLinear:
 class TestLaneBatches:
     def test_batch_equals_batches_of_one_bitwise(self):
         setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-        samples = setup.samples(6, seed=3)
+        samples = setup.samples(6, seed=3)[0]
         lanes = reduced_tensors(setup, build_frame(setup, samples))
         assert lanes.d_eta_det.shape == (6,)
         bits = lambda x: np.ascontiguousarray(x, dtype=float).tobytes()
-        for k, samp in enumerate(samples):
+        for k, samp in enumerate(samples[:, None]):
             ref = reduced_tensors(setup, build_frame(setup, samp))
             assert bits(lanes.d_eta_matrix[k]) == bits(ref.d_eta_matrix)
             assert bits(lanes.reduced_eta[..., k]) == bits(ref.reduced_eta)
@@ -499,8 +495,7 @@ class TestLaneBatches:
         # and the (0, 0) d(eta) grid still carries one matrix per sample
         setup = ReductionSetup(RoundSphereStructure(2), TorusAction.of([[1, 0], [0, 1]]),
                                mu=[1.0, 1.0])
-        found = setup.samples(samples, seed=2)
-        frame = build_frame(setup, found if samples > 1 else found[0], strict=False)
+        frame = build_frame(setup, setup.samples(samples, seed=2)[0], strict=False)
         red = reduced_tensors(setup, frame)
         assert len(frame.contact_d) == 0
         lanes = (samples,) if samples > 1 else ()
@@ -518,7 +513,7 @@ class TestLaneBatches:
                                    TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0])
         else:
             setup = ReductionSetup(S7, PAIRS, mu=[1.0, 1.0])
-        frame = build_frame(setup, setup.samples(samples, seed=4))
+        frame = build_frame(setup, setup.samples(samples, seed=4)[0])
         if pairs_per_pass is not None:
             monkeypatch.setattr(vecops, "PASS_LANES", pairs_per_pass * samples)
         deta, worst_basic = reduced_d_eta_per_pair(setup, frame)

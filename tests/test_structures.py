@@ -482,9 +482,12 @@ class TestStructureTensors:
 
 
 class TestWrapperTypes:
-    def test_ambient_point_validates_norm(self):
-        from sasaklab.tensor_kernel import AmbientPoint
+    def test_unit_points_validates_norm(self):
+        from sasaklab.tensor_kernel import unit_points
 
         with pytest.raises(ValueError):
-            AmbientPoint.of([1.0, 1.0, 0.0, 0.0])
-        AmbientPoint.of([1.0, 0.0, 0.0, 0.0])
+            unit_points(np.array([1.0, 1.0, 0.0, 0.0]))
+        # a chunk is checked at once; the first bad row is named
+        with pytest.raises(ValueError, match="2.0, not 1"):
+            unit_points(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]))
+        unit_points(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]]))

@@ -572,7 +572,7 @@ class TestConeTensor:
 
         W = WeightedSphereStructure(3, [1.0, 2.0, 3.0])
         setup = ReductionSetup(W, TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0])
-        p = setup.samples(1, seed=750)[0].coords()
+        p = setup.samples(1, seed=750)[0][0]
         t = [list(v) for v in setup.manifold.tangent_basis(p)]
         with pytest.raises(ValueError, match="metric's own sphere"):
             Geometry(setup.manifold, W.metric).curvature(p, t[0], t[1], t[2])
