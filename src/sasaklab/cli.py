@@ -359,17 +359,17 @@ def _hypotheses_hold(tally):
     return not tally["transversality"]["fail"] and not tally["freeness"]["degenerate"]
 
 
-def _frame_parts(setup, coords, decide=SubmersionContext._tangent_frames):
+def _frame_parts(setup, coords, decide=None):
     """[(positions in the chunk, (lane frame, lane context, decide(context)))]:
     the reduction frames and submersion contexts of the chunk's points
     ``coords``, built once on lanes and split where the samples disagree
-    in a float-level decision; ``decide`` makes the context's own
-    decisions per lane as well, N's frames or, in curvature-scan, the CR
-    splitting."""
+    in a float-level decision, the drops of N's normal frame included;
+    ``decide``, curvature-scan's CR splitting, makes its decisions per
+    lane as well."""
     def build(idx):
         frame = build_frame(setup, coords[idx], strict=False)
         ctx = SubmersionContext.from_reduction(setup, frame)
-        return frame, ctx, decide(ctx)
+        return frame, ctx, decide and decide(ctx)
 
     return agreeing_parts(build, list(range(len(coords))))
 

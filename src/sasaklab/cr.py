@@ -44,7 +44,10 @@ class CRDecomposition:
 
 
 def cr_decomposition(ctx):
-    """Split TN and the normal bundle at ctx.p by phi-invariance.
+    """Split TN and the normal bundle at ctx.p by phi-invariance, on the
+    context's frames of N (``tangent_frame``, ``normal_frame``); the
+    contact part of TN is the tangent frame orthogonalised against the
+    Reeb field (``orthogonal_tail``).
 
     On a lane context every lane is split as its float context would
     split it: the band test runs on every lane first, and the D_perp
@@ -52,18 +55,17 @@ def cr_decomposition(ctx):
     S = ctx.structure
     p = ctx.p
     samples = lane_width(p) or 1
-    tangent_on, normal_on = ctx._tangent_frames()
 
     xi = value(S.reeb(p))
-    contact = orthogonal_tail(S.metric, p, [xi], tangent_on)
+    contact = orthogonal_tail(S.metric, p, [xi], ctx.tangent_frame)
     c = len(contact)
 
     # sample by sample, the "how normal is phi" matrix: one stacked SVD
     phis = [value(S.phi(p, v)) for v in contact]
-    M = lane_stack(pairings(ctx.g, normal_on, phis))
+    M = lane_stack(pairings(ctx.g, ctx.normal_frame, phis))
     sv_full = np.zeros((samples, c))
     if M.size:
-        _, sv, vt = np.linalg.svd(M.reshape(samples, len(normal_on), c), full_matrices=True)
+        _, sv, vt = np.linalg.svd(M.reshape(samples, -1, c), full_matrices=True)
         sv_full[:, : sv.shape[1]] = sv
     else:
         vt = np.broadcast_to(np.eye(c), (samples, c, c))
@@ -85,14 +87,14 @@ def cr_decomposition(ctx):
     phi_dperp = [value(S.phi(p, w)) for w in dperp]
     if phi_dperp:
         phi_dperp = list(gram_schmidt(S.metric, p, phi_dperp).vectors)
-    nu_frame = orthogonal_tail(S.metric, p, phi_dperp, normal_on)
+    nu_frame = orthogonal_tail(S.metric, p, phi_dperp, ctx.normal_frame)
 
     dims = {
         "D": len(d_block),
         "D_perp": len(dperp),
         "phi_D_perp": len(phi_dperp),
         "nu": len(nu_frame),
-        "TN": len(tangent_on),
+        "TN": len(ctx.tangent_frame),
     }
     return CRDecomposition(d_block, dperp, phi_dperp, nu_frame, dims)
 

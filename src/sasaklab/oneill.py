@@ -2,13 +2,16 @@
 
 A SubmersionContext holds, at one sample of a level set N: the ambient
 structure, the level-set manifold, vertical fields (jet-generic), and
-the horizontal frame, that of the sample's reduction frame
-(``from_reduction``); vertical parts are projections onto the fields.  A
-context built from a lane frame holds a batch of samples as lanes, N's
-tangent and normal frames included, and every evaluation on it, the CR
-splitting of ``cr`` too, serves the whole batch; it is never split into
-float contexts.  Quotient tensors are never written in quotient
-coordinates; they are evaluated on horizontal representatives upstairs.
+the horizontal frame and N's g-orthonormal tangent frame, those of the
+sample's reduction frame (``from_reduction``: its vertical, contact D
+and Reeb blocks); vertical parts are projections onto the fields.  N's
+normal frame in T_pS is formed once, from the gradients of N's
+constraints other than the sphere's, and h projects onto it.  A context
+built from a lane frame holds a batch of samples as lanes, N's frames
+included, and every evaluation on it, the CR splitting of ``cr`` too,
+serves the whole batch; it is never split into float contexts.
+Quotient tensors are never written in quotient coordinates; they are
+evaluated on horizontal representatives upstairs.
 
 A and h run in pair passes.  ``a_tensors`` and ``second_fundamentals``
 take a list of pairs (u, v) and evaluate them as extra lanes of one
@@ -40,15 +43,15 @@ import numpy as np
 
 from .geometry import Geometry
 from .jets import value, vector
-from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import clamped_sqrt, pair_lanes, plane_area, solve_linear, tile_lanes
+from .manifolds import SphereConstraint
+from .tensor_kernel import gram_schmidt
+from .vecops import clamped_sqrt, pair_lanes, pairings, plane_area, solve_linear, tile_lanes
 
 
 class SubmersionContext:
     """Bundle for O'Neill computations at a sample, or at the lanes of a batch."""
 
-    def __init__(self, structure, manifold, vertical_fields, p,
-                 horizontal_frame, tangent_basis=None):
+    def __init__(self, structure, manifold, vertical_fields, p, horizontal_frame, tangent_frame):
         self.structure = structure
         self.manifold = manifold
         self.vertical_fields = list(vertical_fields)
@@ -58,29 +61,33 @@ class SubmersionContext:
         self.ambient_geometry = structure.geometry
         # a list of vector objects: the pair caches key on their identities
         self.horizontal_frame = [vector(v) for v in horizontal_frame]
-        # the manifold's Euclidean tangent basis at p, formed when first
-        # needed unless the reduction frame already carries it
-        self.tangent_basis = tangent_basis
-        self._tangent_on = None
-        self._normal_on = None
+        self.tangent_frame = tangent_frame  # N's, g-orthonormal, as given
+        self.normal_frame = self._normal_frame()
         self._zeta = value(structure.reeb(self.p))
         self._zeta_pairs = ({}, {})  # A and h of zeta with the frame
 
     @classmethod
     def from_reduction(cls, setup, rframe):
-        """The context of a reduction frame, of one sample or of lanes."""
-        fields = [
-            (lambda q, r=tuple(row): setup.action.fundamental_field(r, q))
-            for row in rframe.vertical_rows
-        ]
-        return cls(
-            setup.structure,
-            setup.manifold,
-            fields,
-            rframe.p,
-            horizontal_frame=rframe.horizontal,
-            tangent_basis=rframe.tangent,
-        )
+        """The context of a reduction frame, of one sample or of lanes; N's
+        tangent frame is the frame's own blocks: vertical, contact D, Reeb."""
+        fields = [(lambda q, r=tuple(row): setup.action.fundamental_field(r, q))
+                  for row in rframe.vertical_rows]
+        return cls(setup.structure, setup.manifold, fields, rframe.p, rframe.horizontal,
+                   np.concatenate([rframe.vertical.vectors, rframe.horizontal]))
+
+    def _normal_frame(self):
+        """N's g-orthonormal normal frame in T_pS: the gradients of its
+        constraints other than the sphere's, projected to T_pS, less their
+        parts along the tangent frame in two passes (twice is enough against
+        an orthonormal frame), then one Gram-Schmidt, its drops per lane."""
+        S, p = self.structure, value(self.p)
+        W = np.array([S.sphere.project(p, c.grad(p)) for c in self.manifold.constraints
+                      if not isinstance(c, SphereConstraint)])
+        for _ in range(2 if len(W) else 0):
+            coef = pairings(self.g, W, self.tangent_frame)
+            for k, t in enumerate(self.tangent_frame):
+                W = W - coef[:, k, None] * t
+        return gram_schmidt(S.metric, self.p, list(W)).vectors
 
     # -- projections (jet-generic) --------------------------------------
 
@@ -124,42 +131,29 @@ class SubmersionContext:
 
     # -- second fundamental form of N in the ambient sphere --------------
 
-    def _tangent_frames(self):
-        """Orthonormal frames of T_pN and of N's normal space in T_pS,
-        under the structure's metric; formed once, on lanes as well,
-        where their Gram-Schmidt drops decide per lane."""
-        if self._tangent_on is None:
-            S = self.structure
-            if self.tangent_basis is None:
-                self.tangent_basis = self.manifold.tangent_basis(self.p)
-            self._tangent_on = gram_schmidt(S.metric, self.p, list(self.tangent_basis)).vectors
-            self._normal_on = orthogonal_tail(S.metric, self.p, self._tangent_on,
-                                              S.sphere.tangent_basis(self.p))
-        return self._tangent_on, self._normal_on
-
     def second_fundamental(self, x, y):
         """h(X,Y): normal (to N, inside TS) part of nab^S_X Y~ where Y~
         is the projection-extended field tangent to N."""
         return self.second_fundamentals([(x, y)])[0]
 
     def second_fundamentals(self, pairs):
-        """h(X, Y) of every pair (x, y), the pairs run as lanes of one
-        covariant pass (``vecops.pair_lanes``)."""
+        """h(X, Y) of every pair (x, y), the g-projection of nab^S_X Y~ onto
+        N's normal frame, the pairs run as lanes of one covariant pass
+        (``vecops.pair_lanes``)."""
         man = self.manifold
-        tangent_on, _ = self._tangent_frames()
         metric = self.structure.metric
 
         def one_pass(q, reps, x, y):
-            yhat = value(y)
-            xhat = value(x)
+            xhat, yhat = value(x), value(y)
             Yf = lambda r: man.project(r, yhat)
             Xf = lambda r: man.project(r, xhat)
             out = self.ambient_geometry.covariant(q, Xf, Yf)
             g = metric.at(q)
-            for u in tangent_on:
+            h = np.zeros(np.shape(out))
+            for u in self.normal_frame:
                 u = tile_lanes(u, reps)
-                out = out - g(u, out) * u
-            return out
+                h = h + g(u, out) * u
+            return h
 
         return pair_lanes(one_pass, self.p, pairs)
 

@@ -20,6 +20,7 @@ from operator import add
 
 import numpy as np
 
+from .errors import ConfigError
 from .jets import BACKEND
 
 EXIT_OK = 0
@@ -134,9 +135,13 @@ _PARTIAL = "samples.csv.part"
 @contextmanager
 def samples_writer(outdir):
     """A csv writer onto a partial samples.csv in outdir; a run that
-    raises leaves neither it nor the output directory, if this made it."""
+    raises leaves neither it nor the output directory, if this made it.
+    An outdir that is a file, or lies below one, is a ConfigError."""
     made = not os.path.isdir(outdir)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make the directory {outdir}: {exc.strerror}") from None
     part = os.path.join(outdir, _PARTIAL)
     try:
         with open(part, "w", encoding="utf-8", newline="") as fh:

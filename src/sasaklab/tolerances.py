@@ -53,7 +53,6 @@ CR_BAND = 1e-6                # cr.cr_decomposition: ambiguous in (CR_BAND, 1 - 
 VERTICAL_FIELD_NORM = 1e-10   # cone.zero_stratum_degeneracy drops shorter fields
 REPROJECTION = 1e-9           # flows.reeb_flow: largest constraint residual after a step
 METRIC_CONDITION = 1e12       # cond(Gram) beyond which SingularMetric is raised
-TANGENCY = 1e-10
 ON_SPHERE = 1e-12
 LEVEL_SET_RESIDUAL = 1e-10
 NEWTON_TOL = 1e-12

@@ -357,13 +357,22 @@ def default_horizontal(ctx, vertical):
     return d_block if reeb_is_vertical else d_block + [reeb]
 
 
+def tangent_frame(structure, manifold, p):
+    """N's g-orthonormal tangent frame at p, float or lanes, by Gram-Schmidt
+    on the manifold's Euclidean tangent basis: the frame of a context built
+    without a reduction frame."""
+    return gram_schmidt(structure.metric, p, list(manifold.tangent_basis(p))).vectors
+
+
 def submersion_context(structure, manifold, vertical_fields, p):
     """A SubmersionContext whose vertical frame is Gram-Schmidt on the
-    field values at p and whose horizontal frame is ``default_horizontal``."""
+    field values at p, whose horizontal frame is ``default_horizontal``
+    and whose tangent frame is ``tangent_frame``."""
     p = vector(p)
     vecs = [value(f(p)) for f in vertical_fields]
     vertical = list(gram_schmidt(structure.metric, p, vecs).vectors) if vecs else []
-    ctx = SubmersionContext(structure, manifold, vertical_fields, p, horizontal_frame=[])
+    ctx = SubmersionContext(structure, manifold, vertical_fields, p, horizontal_frame=[],
+                            tangent_frame=tangent_frame(structure, manifold, p))
     ctx.horizontal_frame = default_horizontal(ctx, vertical)
     return ctx
 
@@ -389,7 +398,6 @@ def cr_residuals(ctx, crd):
     S = ctx.structure
     p = ctx.p
     g = S.metric.g
-    tangent_on, _ = ctx._tangent_frames()
 
     def span_defect(w, frame):
         out = w
@@ -403,7 +411,7 @@ def cr_residuals(ctx, crd):
     phi_dperp_normal = 0.0
     for w in crd.dperp_frame:
         pw = value(S.phi(p, w))
-        for t in tangent_on:
+        for t in ctx.tangent_frame:
             phi_dperp_normal = max(phi_dperp_normal, abs(value(g(p, pw, t))))
     phi_nu_in_nu = max(
         (span_defect(value(S.phi(p, n)), crd.nu_frame) for n in crd.nu_frame),
@@ -436,9 +444,8 @@ def weingarten_residual(ctx, row, y, z):
 
     Yf = lambda q: ctx.manifold.project(q, value(y))
     dn = geo_s.covariant(p, Yf, nu_field)
-    tangent_on, _ = ctx._tangent_frames()
     a_nu_y = np.zeros(np.shape(p))
-    for u in tangent_on:
+    for u in ctx.tangent_frame:
         a_nu_y = a_nu_y + (-value(g(p, u, dn))) * u
     lhs = value(g(p, a_nu_y, z))
 
@@ -648,10 +655,25 @@ def d_eta_grid_per_pair(d_eta, p, rows, cols):
 # ----------------------------------------------------------------------
 
 
+def second_fundamental_by_tangent_projection(ctx, x, y):
+    """h(X, Y) as nab^S_X Y~ less its parts along N's tangent frame, one
+    tangent vector at a time: the reference of the projection onto N's
+    normal frame that ``SubmersionContext.second_fundamentals`` takes."""
+    man = ctx.manifold
+    yhat, xhat = value(vector(y)), value(vector(x))
+    out = ctx.ambient_geometry.covariant(
+        ctx.p, lambda q: man.project(q, xhat), lambda q: man.project(q, yhat))
+    g = ctx.structure.metric.g
+    for t in ctx.tangent_frame:
+        out = out - g(ctx.p, t, out) * t
+    return out
+
+
 class QuotientPerPair:
     """O'Neill's formula on a SubmersionContext with one covariant pass
-    per A and h pair, each evaluated when first requested; A(b, a) is
-    cached as the negation of A(a, b) and h(b, a) as h(a, b)."""
+    per A and h pair, each evaluated when first requested, h projected
+    onto N's normal frame; A(b, a) is cached as the negation of A(a, b)
+    and h(b, a) as h(a, b)."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -667,11 +689,10 @@ class QuotientPerPair:
         yhat, xhat = value(vector(y)), value(vector(x))
         w = ctx.ambient_geometry.covariant(
             ctx.p, lambda q: man.project(q, xhat), lambda q: man.project(q, yhat))
-        tangent_on, _ = ctx._tangent_frames()
         g = ctx.structure.metric.g
-        out = w
-        for u in tangent_on:
-            out = out - g(ctx.p, u, out) * u
+        out = np.zeros(np.shape(w))
+        for u in ctx.normal_frame:
+            out = out + g(ctx.p, u, w) * u
         return out
 
     def gauss_curvature_n4(self, x, y, z, v, h_cache=None):
@@ -1130,9 +1151,10 @@ class ListPairPasses:
     (setup, rframe), on lists: covariant derivatives by the list
     ``along`` and projections, the vertical fields from the action rows.
     On the weighted metric the pairing is ``ListWeightedMetric``'s and
-    the connection the cone's, with the Christoffel tensor and the
-    tangent bases read from the package (``Cone._tensor`` and
-    ``tangent_basis``, checked on their own elsewhere)."""
+    the connection the cone's, with the Christoffel tensor, the tangent
+    bases and N's normal frame read from the package (``Cone._tensor``,
+    ``tangent_basis`` and ``ctx.normal_frame``, checked on their own
+    elsewhere)."""
 
     def __init__(self, setup, rframe, ctx):
         self.manifold = setup.manifold
@@ -1143,7 +1165,7 @@ class ListPairPasses:
         self.weights = setup.action.weights
         self.rows = [tuple(r) for r in rframe.vertical_rows]
         self.p = _as_lists(ctx.p)
-        self.tangent_on = [_as_lists(u) for u in ctx._tangent_frames()[0]]
+        self.normal_on = [_as_lists(u) for u in ctx.normal_frame]
 
     def covariant(self, q, dir_field, field, on_sphere):
         """nabla_X Y at q, on N or (on_sphere) on the sphere, as
@@ -1214,11 +1236,12 @@ class ListPairPasses:
             Yf = lambda r: list_project(self.manifold, r, yhat)
             out = self.covariant(q, Xf, Yf, on_sphere=True)
             g = self.g_at(q)
-            for u in self.tangent_on:
+            h = [0.0] * len(out)
+            for u in self.normal_on:
                 u = _list_tile_lanes(u, reps)
                 c = g(u, out)
-                out = [a - c * b for a, b in zip(out, u)]
-            return out
+                h = [a + c * b for a, b in zip(h, u)]
+            return h
 
         return list_pair_lanes(one_pass, self.p, [tuple(map(_as_lists, uv)) for uv in pairs],
                                per_pass)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (ListPairPasses, ListWeightedMetric, list_cmult, list_gram_schmidt,
-                     list_project, list_sphere_project, list_vdot)
+                     list_project, list_sphere_project, list_vdot, tangent_frame)
 from sasaklab import vecops
 from sasaklab.actions import TorusAction
 from sasaklab.geometry import InducedMetric
@@ -163,9 +163,10 @@ def _context(n, samples):
 def _one_lane_context(n):
     """A float sample's context with its point and frames as one lane."""
     setup, frame, ctx = _context(n, 1)
-    col = SubmersionContext(ctx.structure, ctx.manifold, ctx.vertical_fields, ctx.p[:, None],
+    p = ctx.p[:, None]
+    col = SubmersionContext(ctx.structure, ctx.manifold, ctx.vertical_fields, p,
                             [v[:, None] for v in ctx.horizontal_frame],
-                            tangent_basis=frame.tangent[..., None])
+                            tangent_frame=tangent_frame(ctx.structure, ctx.manifold, p))
     return setup, frame, col
 
 

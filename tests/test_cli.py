@@ -649,6 +649,21 @@ def test_a_run_that_fails_after_a_chunk_leaves_no_samples_csv(tmp_path, monkeypa
     assert (out / "samples.csv").read_text() == "earlier run\n"
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_an_out_that_is_no_directory_exits_2_before_the_run(tmp_path, monkeypatch, capsys, below):
+    # one config error line, no run and no traceback, and the path as it was
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    monkeypatch.setitem(RUNNERS, "verify-structure",
+                        lambda cfg, rows: pytest.fail("the run started"))
+    args = ["verify-structure", "--preset", "ex1", "--samples", "2"]
+    assert run_cli(args, taken / "sub" if below else taken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "a file\n"
+
+
 def test_console_entry_point(tmp_path):
     args = ["check-hypotheses", "--preset", "ex1", "--mu", "1,1", "--samples", "2",
             "--seed", "0"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cr_residuals, lane, submersion_context
+from oracles import cr_residuals, lane, submersion_context, tangent_frame
 from sasaklab.actions import TorusAction
 from sasaklab.cr import (
     cr_decomposition,
@@ -10,7 +10,7 @@ from sasaklab.cr import (
     relation_residuals,
 )
 from sasaklab.errors import AmbiguousSplit
-from sasaklab.manifolds import EmbeddedManifold, LinearConstraint, SphereConstraint
+from sasaklab.manifolds import EmbeddedManifold, LinearConstraint, Sphere, SphereConstraint
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
@@ -221,13 +221,13 @@ class TestStackedSplitting:
         floats = [twos[0], nones[0], twos[1], nones[1]]
 
         def split(idx):
-            # the lane context of the samples idx, N's frames stacked as they are
-            ctx = SubmersionContext(S7, floats[0].manifold, [],
-                                    stack_lanes([floats[i].p for i in idx]),
-                                    horizontal_frame=[])
-            frames = [floats[i]._tangent_frames() for i in idx]
-            ctx._tangent_on, ctx._normal_on = (
-                [stack_lanes(vs) for vs in zip(*(f[k] for f in frames))] for k in (0, 1))
+            # the lane context of the samples idx, N's frames stacked as they
+            # are; the sphere's own normal frame in T_pS is empty
+            stacked = [[stack_lanes(vs) for vs in zip(*(getattr(floats[i], name) for i in idx))]
+                       for name in ("tangent_frame", "normal_frame")]
+            ctx = SubmersionContext(S7, Sphere(8), [], stack_lanes([floats[i].p for i in idx]),
+                                    horizontal_frame=[], tangent_frame=stacked[0])
+            ctx.normal_frame = stacked[1]
             return cr_decomposition(ctx)
 
         with pytest.raises(LanesDisagree) as disagree:
@@ -255,7 +255,8 @@ class TestStackedSplitting:
             points.append(list(np.asarray(p) / np.linalg.norm(p)))
 
         def split(p):
-            cr_decomposition(SubmersionContext(S7, man, [], p, horizontal_frame=[]))
+            cr_decomposition(SubmersionContext(S7, man, [], p, horizontal_frame=[],
+                                               tangent_frame=tangent_frame(S7, man, p)))
 
         with pytest.raises(AmbiguousSplit) as first:
             split(points[0])

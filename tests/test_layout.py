@@ -1,5 +1,6 @@
 """src/sasaklab holds the code the CLI runs: every function and class
-defined there is referenced somewhere in src/ besides its definition."""
+defined there is referenced somewhere in src/ besides its definition,
+and every constant of the tolerance ledger is read outside it."""
 
 import ast
 import pathlib
@@ -35,3 +36,26 @@ def unreferenced_definitions():
 
 def test_every_definition_in_src_has_a_caller_in_src():
     assert unreferenced_definitions() == KEPT_FOR_PERFBENCH
+
+
+def unread_tolerances():
+    """Module-level constants of tolerances.py that no other module of
+    src/ reads, as ``tolerances.NAME`` or by a ``from .tolerances`` import."""
+    tree = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    names = {t.id for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "tolerances":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "tolerances"):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "tolerances":
+                read.update(alias.name for alias in node.names)
+    return names - read
+
+
+def test_every_tolerance_is_read_in_src():
+    assert unread_tolerances() == set()

@@ -6,16 +6,18 @@ from oracles import (
     a_tensor_bracket,
     hopf_context,
     product_sphere_h_norm,
+    second_fundamental_by_tangent_projection,
     weingarten_residual,
 )
-from sasaklab import jets, vecops
+from sasaklab import jets, oneill, vecops
 from sasaklab.actions import TorusAction
 from sasaklab.geometry import Geometry, InducedMetric
 from sasaklab.jets import value
+from sasaklab.manifolds import SphereConstraint
 from sasaklab.oneill import SubmersionContext
 from sasaklab.reduction import ReductionSetup, build_frame
 from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
-from sasaklab.vecops import lane_width, split_frame, stack_lanes, vdot
+from sasaklab.vecops import lane_width, pairings, split_frame, stack_lanes, vdot
 
 rng = np.random.default_rng(31)
 
@@ -277,10 +279,10 @@ class TestStackedContext:
             assert lanes[i] == one.quotient_sasakian_residual(xs[i], ys[i])
 
 
-def lane_context(structure, action, samples, seed):
+def lane_context(structure, action, samples, seed, mu=(1.0, 1.0)):
     """The context of one reduction frame over ``samples`` samples, and
     two horizontal directions; at samples = 1 a float context."""
-    setup = ReductionSetup(structure, action, mu=[1.0, 1.0])
+    setup = ReductionSetup(structure, action, mu=list(mu))
     frame = build_frame(setup, setup.samples(samples, seed=seed)[0])
     ctx = SubmersionContext.from_reduction(setup, frame)
     d = split_frame(frame.contact_d.vectors, samples)
@@ -361,7 +363,6 @@ class TestPairLanes:
         counts = []
         for samples in (2, 6):
             ctx, x, y = lane_context(S7, PAIRS, samples, 3)
-            ctx._tangent_frames()
             opened.clear()
             ctx.quotient_sasakian_residual(x, y)
             counts.append(len(opened))
@@ -387,3 +388,60 @@ class TestPairLanes:
         assert bits(first) == bits(fresh.quotient_sasakian_residual(x, y))
         fresh, *_ = CONTEXTS[name]()
         assert bits(second) == bits(fresh.quotient_sasakian_residual(y, x))
+
+
+NORMAL_CONTEXTS = {
+    **CONTEXTS,
+    # z_0 = 0 on the level set, where the vertical field vanishes: N's
+    # normal frame holds the two z_0 directions, which phi(V) does not span
+    "ray-nu-float": lambda: lane_context(S7, SPLIT, 1, 7, mu=(0.0, 1.0)),
+    "ray-nu-lanes": lambda: lane_context(S7, SPLIT, 3, 7, mu=(0.0, 1.0)),
+}
+
+
+class TestNormalFrame:
+    """N's tangent frame is the reduction frame's blocks, its normal frame
+    comes from N's constraints, and h is the projection onto the latter."""
+
+    @pytest.mark.parametrize("name", list(NORMAL_CONTEXTS))
+    def test_h_matches_the_tangent_projection(self, name):
+        ctx, x, y = NORMAL_CONTEXTS[name]()
+        zeta = value(ctx.structure.reeb(ctx.p))
+        pairs = [(x, y), (x, x), (y, zeta), (zeta, zeta), (ctx.horizontal_frame[0], y)]
+        for (u, v), got in zip(pairs, ctx.second_fundamentals(pairs)):
+            want = np.asarray(value(second_fundamental_by_tangent_projection(ctx, u, v)))
+            scale = np.maximum(1.0, np.max(np.abs(want), axis=0))
+            assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", list(NORMAL_CONTEXTS))
+    def test_frames_are_orthonormal_and_complementary(self, name):
+        ctx, _, _ = NORMAL_CONTEXTS[name]()
+        T, N = ctx.tangent_frame, ctx.normal_frame
+        for a, b, want in ((T, T, np.eye(len(T))), (N, N, np.eye(len(N))), (T, N, 0.0)):
+            gram = np.moveaxis(pairings(ctx.g, a, b), (0, 1), (-2, -1))
+            assert np.max(np.abs(gram - want), initial=0.0) < 1e-12
+        assert len(T) + len(N) == len(ctx.p) - 1
+        if name.startswith("ray-nu"):
+            assert len(N) == 2
+
+    @pytest.mark.parametrize("make, samples", [
+        (lambda: ReductionSetup(S7, PAIRS, mu=[1.0, 1.0]), 1),
+        (lambda: ReductionSetup(S7, PAIRS, mu=[1.0, 1.0]), 3),
+        (lambda: ReductionSetup(S7, SPLIT, mu=[0.0, 1.0]), 2),
+        (lambda: ReductionSetup(WeightedSphereStructure(3, [1.0, 2.0, 3.0]),
+                                TorusAction.of([[1, 1, 0], [0, 0, 1]]), mu=[1.0, 1.0]), 2),
+        (lambda: ReductionSetup(RoundSphereStructure(64), TorusAction.of(
+            [[1, 1] + [0] * 62, [0, 0] + [1] * 62]), mu=[1.0, 1.0]), 1),
+    ], ids=["round-float", "round-lanes", "ray-nu-lanes", "weighted-lanes", "n64-float"])
+    def test_a_context_offers_gram_schmidt_only_the_constraint_gradients(
+            self, monkeypatch, make, samples):
+        setup = make()
+        frame = build_frame(setup, setup.samples(samples, seed=2)[0])
+        offered = []
+        run = oneill.gram_schmidt
+        monkeypatch.setattr(oneill, "gram_schmidt", lambda metric, p, vectors:
+                            offered.append(len(vectors)) or run(metric, p, vectors))
+        ctx = SubmersionContext.from_reduction(setup, frame)
+        gradients = [c for c in setup.manifold.constraints if not isinstance(c, SphereConstraint)]
+        assert sum(offered) <= len(gradients)
+        assert len(ctx.normal_frame) == len(gradients)
