@@ -19,7 +19,7 @@ from .errors import StratificationLeak
 from .jets import value
 from .reduction import sample_zero_level
 from .tensor_kernel import orthogonal_tail, unit_points
-from .vecops import lane_max, split_lanes, stack_lanes, svd_rank, vdot
+from .vecops import lane_max, normals, split_lanes, stack_lanes, svd_rank, uniforms, vdot
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,9 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0, tangent=None):
     - d<J_s, X>.  The residual of that identity is returned for a
     random cone tangent vector; it vanishing for J_s = r^2 J is what
     certifies the homogeneous extension.  The test vector (w, w_r), w
-    projected to T S, is ``tangent`` or else from ``default_rng(seed)``.
+    projected to T S, is ``tangent``, its 2n + 1 entries taken before
+    the projection; without one, the first 2n + 1 of 2n + 2 normals from
+    sample 0 of the stream (seed, 506) (``vecops.uniforms``).
     """
     from .jets import along
     from .manifolds import Sphere
@@ -72,7 +74,7 @@ def symplectic_pairing_residual(action, cp, rvec, seed=0, tangent=None):
     p, r = np.array(cp.base), cp.r
     sphere = Sphere(len(p))
     if tangent is None:
-        tangent = np.random.default_rng(seed).standard_normal(len(p) + 1)
+        tangent = normals(uniforms(seed, 506, 0, 1, len(p) + 2))[0, :-1]
     w_base = tangent[:-1] - np.dot(tangent[:-1], p) * p
     w_r = float(tangent[-1])
 

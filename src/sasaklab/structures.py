@@ -21,8 +21,8 @@ from .errors import DegenerateContact
 from .geometry import Cone, Geometry, InducedMetric
 from .jets import Dual, along, expand, leafwise, stack, value, vector
 from .manifolds import Sphere
-from .vecops import (clamped_sqrt, cmult, lane_pow, lane_stack, pairings, per_coordinate,
-                     stack_lanes, vdot, vsum)
+from .vecops import (clamped_sqrt, cmult, lane_pow, lane_stack, normals, pairings,
+                     per_coordinate, stack_lanes, uniforms, vdot, vsum)
 
 
 def _eta0(q, v):
@@ -291,6 +291,9 @@ class WeightedSphereStructure(SphereStructure):
     """
 
     PROBE_POINTS = 32
+    # the salt of the probe's stream; the sample streams take 0, 101, 202,
+    # 303, 404, 505 and 506
+    PROBE_SALT = 707
 
     def __init__(self, n, a):
         if n < 2:
@@ -314,11 +317,12 @@ class WeightedSphereStructure(SphereStructure):
     def _probe_positivity(self):
         """All probe points share lanes: one contact frame, one d(eta)
         grid (``vecops.pairings``), one stacked eigvalsh; the first probe
-        point whose smallest eigenvalue lies below the floor raises."""
-        rng = np.random.default_rng(320032)
+        point whose smallest eigenvalue lies below the floor raises.  The
+        points are fixed: the unit rows of normals from the stream
+        (320032, ``PROBE_SALT``) (``vecops.uniforms``)."""
         floor = tolerances.WEIGHTED_POSITIVITY
-        p = stack_lanes([p / np.linalg.norm(p)
-                         for p in rng.standard_normal((self.PROBE_POINTS, self.ambient_dim))])
+        z = normals(uniforms(320032, self.PROBE_SALT, 0, self.PROBE_POINTS, self.ambient_dim))
+        p = stack_lanes([q / np.linalg.norm(q) for q in z])
         frame = self.contact_frame(p)
         H = 0.5 * lane_stack(pairings(partial(self.d_eta, p), frame, [cmult(v) for v in frame]))
         H = 0.5 * (H + H.transpose(0, 2, 1))

@@ -28,7 +28,10 @@ exactly the operations of its float evaluation.
 
 Every random number comes from one stream per run and purpose, cut
 into a fixed block of uniforms a sample (``uniforms``), so sample i's
-draws depend neither on the count nor on the chunk.
+draws depend neither on the count nor on the chunk.  A stream is
+counter-based: each uniform is a hash (``mix64``) of its index and the
+stream's key, so a block is computed at its offset, with no generator
+state to advance.
 """
 
 import math
@@ -79,13 +82,65 @@ def unit_rows(z):
     return z / np.sqrt(rowdot(z, z))[:, None]
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the Weyl increment of
+# its counter and the two multipliers of its finaliser
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_WORD = 0xFFFFFFFFFFFFFFFF
+# uniforms hashed at a time: two uint64 scratch blocks stay in cache
+_HASH_BLOCK = 1 << 15
+
+
+def mix64(z, tmp):
+    """SplitMix64's finaliser, a bijection of 64-bit words, in place on
+    the uint64 array z; tmp is a scratch array of its shape."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
+
+
+@cache
+def stream_key(seed, salt):
+    """The key of the stream (seed, salt), an int below 2^64: every
+    64-bit word of the integer seed >= 0, lowest first, and then salt,
+    each xored into the key and passed through ``mix64``."""
+    words = [seed & _WORD]
+    while (seed := seed >> 64) > 0:
+        words.append(seed & _WORD)
+    key = np.zeros(1, dtype=np.uint64)
+    for w in words + [salt]:
+        key ^= np.uint64(w)
+        mix64(key, np.empty_like(key))
+    return int(key[0])
+
+
 def uniforms(seed, salt, start, count, *shape):
     """The blocks of samples start, ..., start + count - 1, (count,
-    *shape) doubles in [0, 1), of PCG64(SeedSequence([seed, salt])): one
-    64-bit output a double, so the draw ``advance``s to its first."""
-    bits = np.random.PCG64(np.random.SeedSequence([seed, salt]))
-    bits.advance(start * math.prod(shape))
-    return np.random.Generator(bits).random((count, *shape))
+    *shape) doubles in [0, 1), of the stream (seed, salt).
+
+    The stream is SplitMix64 run as a counter-based generator (Salmon et
+    al., SC '11): uniform j is (mix64(key + (j + 1) gamma) >> 11) 2^-53
+    (all mod 2^64), the key from ``stream_key``, so sample i's block
+    starts at j = i prod(shape) and is computed without the ones before
+    it.  The hash runs in place, ``_HASH_BLOCK`` uniforms at a time."""
+    per = math.prod(shape)
+    key, first = stream_key(seed, salt), start * per + 1
+    out = np.empty(count * per)
+    steps = np.arange(min(_HASH_BLOCK, out.size), dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)  # k gamma
+    z, tmp = np.empty_like(steps), np.empty_like(steps)
+    for a in range(0, out.size, _HASH_BLOCK):
+        m = min(_HASH_BLOCK, out.size - a)
+        np.add(steps[:m], np.uint64((key + (first + a) * _GAMMA) & _WORD), out=z[:m])
+        mix64(z[:m], tmp[:m])
+        z[:m] >>= np.uint64(11)
+        np.multiply(z[:m], 2.0 ** -53, out=out[a:a + m])
+    return out.reshape(count, *shape)
 
 
 def normals(u):

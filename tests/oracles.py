@@ -25,7 +25,8 @@ closed-form d(eta) pair by pair where ``reduced_tensors`` takes a grid.
 The weighted metric's own evaluations have references that take the
 plain route: ``weighted_metric_pair`` composes g_A from eta, xi and the
 closed-form d(eta) one pair at a time, and ``positivity_probe_lows``
-runs the positivity probe one float point at a time.
+runs the positivity probe one float point at a time, at the points of
+``probe_points``.
 
 The weighted metric's Gram matrix and the cone tensors have the
 entry-by-entry references they replaced: ``gram_per_entry`` forms each
@@ -44,6 +45,9 @@ evaluate the constraints apart; ``rotation_flow_per_element`` and
 the closed forms one time at a time; ``cone_point_loop`` and
 ``stratify_per_point`` run cone-check's identities and census one
 point at a time.
+
+``splitmix_uniforms`` computes the sample streams in Python integers,
+one uniform at a time, as a bitwise reference for ``vecops.uniforms``.
 
 ``lane`` reads one sample's entry of a lane result, for tests that
 compare a batch with its samples one by one.
@@ -64,7 +68,7 @@ from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import clamped_sqrt, cmult, solve_linear, vdot
+from sasaklab.vecops import clamped_sqrt, cmult, normals, solve_linear, uniforms, vdot
 
 
 def lane(x, i):
@@ -530,15 +534,20 @@ def weighted_metric_pair(metric, q, u, v):
     return eu * ev + 0.5 * metric.d_eta(q, uc, cmult(vc))
 
 
+def probe_points(structure):
+    """The weighted positivity probe's points, one float vector each."""
+    z = normals(uniforms(320032, structure.PROBE_SALT, 0, structure.PROBE_POINTS,
+                         structure.ambient_dim))
+    return [q / np.linalg.norm(q) for q in z]
+
+
 def positivity_probe_lows(structure):
     """The smallest eigenvalue of the contact Gram (1/2) d(eta)(u, i v) at
     each point of the weighted positivity probe, one float point at a
-    time, in probe order."""
-    rng = np.random.default_rng(320032)
+    time, in probe order, at the probe's points: the unit rows of
+    normals from the stream (320032, ``PROBE_SALT``)."""
     lows = []
-    for _ in range(structure.PROBE_POINTS):
-        p = rng.standard_normal(structure.ambient_dim)
-        p = p / np.linalg.norm(p)
+    for p in probe_points(structure):
         frame = structure.contact_frame(p)
         H = np.asarray(
             [[0.5 * value(structure.metric.d_eta(p, u, cmult(v))) for v in frame]
@@ -548,6 +557,38 @@ def positivity_probe_lows(structure):
         H = 0.5 * (H + H.T)
         lows.append(float(np.linalg.eigvalsh(H)[0]))
     return lows
+
+
+# ----------------------------------------------------------------------
+# the sample streams in Python integers
+# ----------------------------------------------------------------------
+
+WORD = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix_finaliser(z):
+    """SplitMix64's finaliser of one 64-bit word, in Python integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & WORD
+    return z ^ (z >> 31)
+
+
+def splitmix_uniforms(seed, salt, start, count, *shape):
+    """``vecops.uniforms`` one uniform at a time: the key folds the
+    64-bit words of seed, lowest first, then salt, and uniform j is
+    (finaliser(key + (j + 1) gamma) >> 11) / 2^53."""
+    words = [seed & WORD]
+    while seed >> 64:
+        seed >>= 64
+        words.append(seed & WORD)
+    key = 0
+    for w in words + [salt]:
+        key = splitmix_finaliser(key ^ w)
+    per = math.prod(shape)
+    out = [(splitmix_finaliser((key + (j + 1) * GAMMA) & WORD) >> 11) / 2.0 ** 53
+           for j in range(start * per, (start + count) * per)]
+    return np.array(out, dtype=float).reshape(count, *shape)
 
 
 # ----------------------------------------------------------------------

@@ -721,3 +721,31 @@ def test_cli_import_does_not_load_scipy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# each sampling command, and a weighted structure's positivity probe
+SAMPLING_RUNS = [
+    ["reduce", "--preset", "ex1", "--samples", "3"],
+    ["reduce", "--preset", "weighted", "--samples", "1", "--directions", "2"],
+    ["verify-structure", "--preset", "ex1", "--samples", "3"],
+    ["verify-structure", "--preset", "weighted", "--samples", "2"],
+    ["check-hypotheses", "--preset", "ex1", "--samples", "3"],
+    ["curvature-scan", "--preset", "ex1", "--samples", "2", "--directions", "1"],
+    ["cone-check", "--preset", "ex2", "--samples", "4"],
+    ["reeb-flow", "--preset", "ex4", "--flow-steps", "256"],
+]
+
+
+def test_sampling_commands_do_not_load_numpy_random(tmp_path):
+    # every stream is drawn by vecops.uniforms; one process runs each command
+    # in turn and checks sys.modules after each
+    script = (
+        "import json, sys\n"
+        "from sasaklab.cli import main\n"
+        "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert main([*argv, '--seed', '3', '--out', f'{sys.argv[2]}/{k}']) == 0, argv\n"
+        "    assert 'numpy.random' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(SAMPLING_RUNS), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -58,11 +58,17 @@ class TestSymplecticMomentum:
 
     def test_pairing_oracle(self):
         worst = 0.0
-        for k in range(10):
+        for _ in range(10):
             cp = ConePoint.of(rand_point(), float(rng.uniform(0.5, 2.0)))
             worst = max(worst, symplectic_pairing_residual(
-                PAIRS, cp, tuple(rng.standard_normal(2)), seed=k))
+                PAIRS, cp, tuple(rng.standard_normal(2)), tangent=rng.standard_normal(9)))
         assert worst < 1e-10
+
+    def test_pairing_oracle_without_a_tangent_draws_from_its_stream(self):
+        cp = ConePoint.of(rand_point(), 1.5)
+        drawn = vecops.normals(vecops.uniforms(5, 506, 0, 1, 10))[0, :9]
+        assert (symplectic_pairing_residual(PAIRS, cp, (0.3, -0.8), seed=5)
+                == symplectic_pairing_residual(PAIRS, cp, (0.3, -0.8), tangent=drawn))
 
     def test_invariance_along_fields(self):
         # <J_s, e_k> is constant along every fundamental field

@@ -1,6 +1,7 @@
 """src/sasaklab holds the code the CLI runs: every function and class
 defined there is referenced somewhere in src/ besides its definition,
-and every constant of the tolerance ledger is read outside it."""
+every constant of the tolerance ledger is read outside it, and no file
+names numpy's random module (``vecops.uniforms`` draws every stream)."""
 
 import ast
 import pathlib
@@ -59,3 +60,10 @@ def unread_tolerances():
 
 def test_every_tolerance_is_read_in_src():
     assert unread_tolerances() == set()
+
+
+def test_no_file_in_src_names_numpy_random():
+    named = [str(path.relative_to(SRC.parent)) for path in sorted(SRC.parent.rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts
+             and any(w in path.read_bytes() for w in (b"np.random", b"numpy.random"))]
+    assert named == []

@@ -1,22 +1,27 @@
-"""The sample streams: one PCG64 per (seed, salt), each sample's block of
-uniforms at its own offset (``vecops.uniforms``).
+"""The sample streams: one counter-based SplitMix64 stream per (seed,
+salt), each sample's block of uniforms at its own offset
+(``vecops.uniforms``).
 
-Sample i's draws must equal a one-sample draw at start = i, whatever
-chunk it is drawn in; and each marginal must follow the law it stands
-for, checked by a two-sample Kolmogorov-Smirnov test against numpy's own
-generators (numpy only: no scipy)."""
+The stream matches a Python-integer reference bit for bit
+(``oracles.splitmix_uniforms``), its finaliser the published SplitMix64
+outputs, and no two streams in use share a key.  Sample i's draws must
+equal a one-sample draw at start = i, whatever chunk it is drawn in; and
+each marginal must follow the law it stands for, checked by a two-sample
+Kolmogorov-Smirnov test against numpy's own generators (numpy only: no
+scipy)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import GAMMA, WORD, splitmix_finaliser, splitmix_uniforms
 from sasaklab import cli, vecops
 from sasaklab.actions import TorusAction
 from sasaklab.config import build_config
 from sasaklab.gallery import preset_config
 from sasaklab.reduction import ReductionSetup, _draws
-from sasaklab.structures import RoundSphereStructure
+from sasaklab.structures import RoundSphereStructure, WeightedSphereStructure
 
 S7 = RoundSphereStructure(4)
 SETUPS = {
@@ -37,6 +42,47 @@ def _config(command, preset="ex1", **extra):
 
 def _bits(arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+# every salt a stream is drawn with: the walk, verify-structure's points,
+# the directions of reduce and curvature-scan, reeb-flow's start, the cone
+# points, the pairing oracle and the weighted positivity probe
+SALTS = [0, 101, 202, 303, 404, 505, 506, WeightedSphereStructure.PROBE_SALT]
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed, salt, start, count, shape", [
+        (0, 0, 0, 3, (4,)),
+        (9, 7, 2, 5, (3, 2)),
+        (5, 202, 4, 2, (4, 8)),
+        (2 ** 64, 101, 0, 2, (6,)),
+        (2 ** 64 + 5, 0, 3, 1, (164,)),
+        (3 ** 90, 506, 1, 3, (10,)),
+        (WORD, 505, 7, 0, (9,)),
+    ])
+    def test_matches_the_integer_reference(self, seed, salt, start, count, shape):
+        got = vecops.uniforms(seed, salt, start, count, *shape)
+        want = splitmix_uniforms(seed, salt, start, count, *shape)
+        assert got.shape == want.shape == (count, *shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_hash_blocks_do_not_show(self, monkeypatch):
+        whole = vecops.uniforms(11, 0, 2, 9, 5)
+        monkeypatch.setattr(vecops, "_HASH_BLOCK", 7)
+        assert vecops.uniforms(11, 0, 2, 9, 5).tobytes() == whole.tobytes()
+        assert whole.tobytes() == splitmix_uniforms(11, 0, 2, 9, 5).tobytes()
+
+    def test_finaliser_gives_the_splitmix64_reference_outputs(self):
+        # SplitMix64 from state 1234567: state += gamma, output the finaliser's
+        want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+        states = [(1234567 + k * GAMMA) & WORD for k in (1, 2, 3)]
+        assert [splitmix_finaliser(z) for z in states] == want
+        z = np.array(states, dtype=np.uint64)
+        assert vecops.mix64(z, np.empty_like(z)).tolist() == want
+
+    def test_keys_are_distinct(self):
+        keys = {vecops.stream_key(seed, salt) for seed in range(1000) for salt in SALTS}
+        assert len(keys) == 1000 * len(SALTS)
 
 
 class TestOffsets:

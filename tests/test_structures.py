@@ -4,8 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import (d_eta_grid_per_pair, gram_per_entry, positivity_probe_lows, tensors_at,
-                     weighted_metric_pair)
+from oracles import (d_eta_grid_per_pair, gram_per_entry, positivity_probe_lows, probe_points,
+                     tensors_at, weighted_metric_pair)
 from sasaklab import tolerances
 from sasaklab.errors import DegenerateContact
 from sasaklab.geometry import Geometry, InducedMetric
@@ -232,12 +232,7 @@ class TestWeightedMetric:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: seen.append(H) or eigvalsh(H))
         W._probe_positivity()
-        rng_probe = np.random.default_rng(320032)
-        points = []
-        for _ in range(W.PROBE_POINTS):
-            q = rng_probe.standard_normal(W.ambient_dim)
-            points.append(q / np.linalg.norm(q))
-        p = stack_lanes(points)
+        p = stack_lanes(probe_points(W))
         frame = W.contact_frame(p)
         H = 0.5 * d_eta_grid_per_pair(W.metric.d_eta, p, frame, [cmult(v) for v in frame])
         H = 0.5 * (H + H.transpose(0, 2, 1))
