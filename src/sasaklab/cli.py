@@ -93,8 +93,8 @@ from .reports import (
     write_outputs,
 )
 from .structures import RoundSphereStructure, WeightedSphereStructure, contact_nondegeneracy
-from .vecops import (agreeing_parts, batches, clamped_sqrt, normals, rowdot, stack_lanes,
-                     uniforms, unit_rows, vdot)
+from .vecops import (agreeing_parts, batches, clamped_sqrt, combine, normals, rowdot,
+                     stack_lanes, uniforms, unit_rows, vdot)
 from .jets import value
 
 COMMANDS = (
@@ -182,18 +182,16 @@ def _direction_normals(cfg, salt, start, count):
 def _direction_lanes(z, frame):
     """[(x, y)]: pairs of unit directions, one lane a sample of a part,
     from its normals z: row r's first k, normalised, weigh the vectors of
-    the frame (k, m) + lanes in one ordered sum.  No pairs for an empty
+    the frame (k, m) + lanes (``vecops.combine``).  No pairs for an empty
     frame, where the run counts a hypothesis failure."""
     k = len(frame)
     if not k:
         return []
     c = np.moveaxis(z[..., :k], -1, 0)  # (k, samples, rows)
     c = c / np.sqrt(vdot(c, c))
-    # weights (k, rows, 1) + lanes; a float frame is one sample's
-    w = np.moveaxis(c if np.ndim(frame) == 3 else c[:, 0], -1, 1)[:, :, None]
-    dirs = w[0] * frame[0]
-    for j in range(1, k):
-        dirs = dirs + w[j] * frame[j]
+    # weights (rows, k) + lanes; a float frame is one sample's
+    w = np.transpose(c, (2, 0, 1)) if np.ndim(frame) == 3 else c[:, 0].T
+    dirs = combine(w, frame)
     return list(zip(dirs[0::2], dirs[1::2]))
 
 

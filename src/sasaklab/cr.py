@@ -4,9 +4,13 @@ For an isometric submanifold N of a Sasakian sphere the tangent bundle
 splits as D + D_perp + <xi> with phi D = D and phi D_perp normal; the
 normal bundle splits as phi D_perp + nu.  The splitting is computed by
 singular values of the "how normal is phi(.)" map on the contact part
-of TN.  On top of it sit the curvature identities tying the second
-fundamental form, the O'Neill tensor and the phi-sectional curvatures
-of N and of the submersion target.
+of TN, which is read off N's tangent frame (the frame ends in the Reeb
+field, ``oneill.SubmersionContext``): D and D_perp are combinations of
+it, phi(D_perp) the same combinations of its phi, and one Gram-Schmidt
+on phi(D_perp) and N's normal frame gives phi(D_perp) and nu.  On top
+of it sit the curvature identities tying the second fundamental form,
+the O'Neill tensor and the phi-sectional curvatures of N and of the
+submersion target.
 
 The splitting, and the identities that follow it, take the lane
 context of a batch of samples as they take a float one, and each lane
@@ -26,28 +30,30 @@ import numpy as np
 from . import tolerances
 from .errors import AmbiguousSplit
 from .jets import jsqrt, value, vector
-from .tensor_kernel import gram_schmidt, orthogonal_tail
-from .vecops import (agreed, lane_stack, lane_width, nonnegative, pairings, plane_area,
-                     stack_lanes)
+from .tensor_kernel import gram_schmidt
+from .vecops import agreed, combine, lane_stack, lane_width, nonnegative, pairings, plane_area
 
 
 @dataclass
 class CRDecomposition:
     """Frames of the contact CR splitting at a point of N, or at the
-    samples of a lane context."""
+    samples of a lane context, each one array (k, m) + lanes."""
 
-    d_frame: list
-    dperp_frame: list
-    phi_dperp_frame: list
-    nu_frame: list
+    d_frame: np.ndarray
+    dperp_frame: np.ndarray
+    phi_dperp_frame: np.ndarray
+    nu_frame: np.ndarray
     dims: dict
 
 
 def cr_decomposition(ctx):
     """Split TN and the normal bundle at ctx.p by phi-invariance, on the
-    context's frames of N (``tangent_frame``, ``normal_frame``); the
-    contact part of TN is the tangent frame orthogonalised against the
-    Reeb field (``orthogonal_tail``).
+    context's frames of N.  ``tangent_frame`` is g-orthonormal and ends in
+    the Reeb field, so TN's contact part is the frame before it; D and
+    D_perp are combinations of that part (``vecops.combine``), and
+    phi(D_perp), phi being a tensor, the same combinations of its phi.
+    One Gram-Schmidt on phi(D_perp) followed by ``normal_frame`` gives the
+    frames of phi(D_perp) and of nu.
 
     On a lane context every lane is split as its float context would
     split it: the band test runs on every lane first, and the D_perp
@@ -56,12 +62,11 @@ def cr_decomposition(ctx):
     p = ctx.p
     samples = lane_width(p) or 1
 
-    xi = value(S.reeb(p))
-    contact = orthogonal_tail(S.metric, p, [xi], ctx.tangent_frame)
+    contact = ctx.tangent_frame[:-1]
     c = len(contact)
 
     # sample by sample, the "how normal is phi" matrix: one stacked SVD
-    phis = [value(S.phi(p, v)) for v in contact]
+    phis = np.array([value(S.phi(p, v)) for v in contact])
     M = lane_stack(pairings(ctx.g, ctx.normal_frame, phis))
     sv_full = np.zeros((samples, c))
     if M.size:
@@ -77,17 +82,14 @@ def cr_decomposition(ctx):
                              f"cluster inside ({lo_band}, {hi_band})")
     # the singular values fall: the rows of D_perp come first
     n_perp = agreed(np.count_nonzero(sv_full >= hi_band, axis=1))
-    # each lane's rows from its own contact block, a contiguous copy, so
-    # that every product rounds as the float one does
-    C = lane_stack(contact).reshape(samples, c, len(p))
-    blocks = [np.ascontiguousarray(C[j]) for j in range(samples)]
-    rows = [stack_lanes([vt[j, r] @ blocks[j] for j in range(samples)]) for r in range(c)]
+    # row r of lane j weighs the contact vectors by vt[j, r]
+    w = np.moveaxis(vt, 0, -1) if lane_width(p) else vt[0]
+    rows = combine(w, contact)
     dperp, d_block = rows[:n_perp], rows[n_perp:]
 
-    phi_dperp = [value(S.phi(p, w)) for w in dperp]
-    if phi_dperp:
-        phi_dperp = list(gram_schmidt(S.metric, p, phi_dperp).vectors)
-    nu_frame = orthogonal_tail(S.metric, p, phi_dperp, ctx.normal_frame)
+    normal = gram_schmidt(S.metric, p, [*combine(w[:n_perp], phis), *ctx.normal_frame])
+    n_phi = sum(i < n_perp for i in normal.inputs)
+    phi_dperp, nu_frame = normal.vectors[:n_phi], normal.vectors[n_phi:]
 
     dims = {
         "D": len(d_block),

@@ -49,7 +49,11 @@ from .vecops import clamped_sqrt, pair_lanes, pairings, plane_area, solve_linear
 
 
 class SubmersionContext:
-    """Bundle for O'Neill computations at a sample, or at the lanes of a batch."""
+    """Bundle for O'Neill computations at a sample, or at the lanes of a batch.
+
+    ``tangent_frame`` is N's g-orthonormal tangent frame, taken as given;
+    it ends in the Reeb field, so the vectors before it span TN's contact
+    part (``cr.cr_decomposition`` reads them so)."""
 
     def __init__(self, structure, manifold, vertical_fields, p, horizontal_frame, tangent_frame):
         self.structure = structure
@@ -61,7 +65,7 @@ class SubmersionContext:
         self.ambient_geometry = structure.geometry
         # a list of vector objects: the pair caches key on their identities
         self.horizontal_frame = [vector(v) for v in horizontal_frame]
-        self.tangent_frame = tangent_frame  # N's, g-orthonormal, as given
+        self.tangent_frame = tangent_frame  # N's, g-orthonormal, Reeb field last
         self.normal_frame = self._normal_frame()
         self._zeta = value(structure.reeb(self.p))
         self._zeta_pairs = ({}, {})  # A and h of zeta with the frame

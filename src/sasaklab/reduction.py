@@ -48,8 +48,8 @@ from .manifolds import (EmbeddedManifold, LinearConstraint, ModuliConstraint, Sp
                         SphereConstraint)
 from .tensor_kernel import Frame, gram_schmidt, orthogonal_tail, unit_points
 from .jets import value
-from .vecops import (agreed, batches, lane_stack, normals, pairings, rowdot, split_frame,
-                     stack_lanes, svd_rank, uniforms, unit_rows, vdot)
+from .vecops import (agreed, batches, combine, lane_stack, normals, pairings, rowdot,
+                     split_frame, stack_lanes, svd_rank, uniforms, unit_rows, vdot)
 
 
 @dataclass
@@ -249,9 +249,7 @@ def _walk(poly, z, beta):
     ray = None if poly.ray_coeff is None else -poly.ray_coeff[poly.support]
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(_STEPS):
-            d = z[:, step, :1] * basis[0]   # sum_j z_j basis_j, in order
-            for j in range(1, len(basis)):
-                d = d + z[:, step, j:j + 1] * basis[j]
+            d = combine(z[:, step], basis)   # sum_j z_j basis_j, in order
             nrm = np.sqrt(rowdot(d, d))
             d = d / nrm[:, None]
             # the chord x + lam d meets t_j = 0 at lam = x_j / -d_j

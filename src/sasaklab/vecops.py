@@ -13,6 +13,9 @@ the float formula sums it (``vsum``, ``vdot``).  numpy's ``add.reduce``
 over axis 0 of a C-contiguous array adds row after row in that order
 when a row holds at least 2 elements; a 1-D array, or rows of one
 element (one lane), it sums pairwise, so those take an explicit sum.
+A linear combination of vectors is ordered too (``combine``): the
+walk's directions, the CLI's directions and the CR splitting's rows
+each sum their weighted vectors in order, with no matrix product.
 
 Two constants size every batch, and ``batches`` cuts them all: a chunk
 of samples (the CLI's lane batches, the hit-and-run walk) holds at most
@@ -170,6 +173,20 @@ def _signed_swap(m, nd):
     rows = np.arange(m)
     sign = np.where(rows % 2 == 0, -1.0, 1.0).reshape((m,) + (1,) * (nd - 1))
     return rows ^ 1, sign
+
+
+def combine(w, vectors):
+    """sum_i w[:, i] vectors[i], one array (rows, m) + lanes: row r
+    weighs the k vectors (k, m) + lanes by w[r], (rows, k) + lanes,
+    summed in order i, each product and sum elementwise, so each lane
+    holds the bits of its sample's float combination.  No vectors (k = 0)
+    combine to zeros."""
+    if not len(vectors):
+        return np.zeros((len(w),) + np.shape(vectors)[1:])
+    out = w[:, 0, None] * vectors[0]
+    for i in range(1, len(vectors)):
+        out = out + w[:, i, None] * vectors[i]
+    return out
 
 
 def per_coordinate(c, x):

@@ -49,26 +49,37 @@ point at a time.
 ``splitmix_uniforms`` computes the sample streams in Python integers,
 one uniform at a time, as a bitwise reference for ``vecops.uniforms``.
 
+The ordered combination ``vecops.combine`` has a Python-sum reference,
+``combine_per_lane``, and the code it replaced stays as bitwise
+references: ``walk_loop`` and ``direction_lanes_loop`` sum their
+weighted vectors by hand.  ``cr_decomposition_reference`` splits TN by
+the longer route that rebuilt the contact part of the tangent frame,
+evaluated phi on D_perp again and ran two Gram-Schmidts.
+
 ``lane`` reads one sample's entry of a lane result, for tests that
 compare a batch with its samples one by one.
 """
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from sasaklab import tolerances
 from sasaklab.actions import MomentumCovector, kernel_algebra
-from sasaklab.errors import NoConvergence, StratificationLeak
+from sasaklab.cr import CRDecomposition
+from sasaklab.errors import AmbiguousSplit, NoConvergence, StratificationLeak
 from sasaklab.jets import Dual, along, enter_level, exit_level, expand, jsqrt, value, vector
 from sasaklab.manifolds import Sphere
 from sasaklab.oneill import SubmersionContext
 from sasaklab.structures import RoundSphereStructure
 from sasaklab.tensor_kernel import gram_schmidt, orthogonal_tail
-from sasaklab.vecops import clamped_sqrt, cmult, normals, solve_linear, uniforms, vdot
+from sasaklab.vecops import (agreed, clamped_sqrt, cmult, lane_stack, lane_width, normals,
+                             pairings, rowdot, solve_linear, stack_lanes, uniforms, vdot)
 
 
 def lane(x, i):
@@ -304,6 +315,35 @@ def moduli_lp_oracle(n, rows, ray, floor):
     return True, support, delta
 
 
+def walk_loop(poly, z, beta, floor):
+    """``reduction._walk`` with its direction summed by hand, basis
+    vector after basis vector, as it was before ``vecops.combine``: a
+    bitwise reference for the walk on every row at once."""
+    basis = poly.null_basis
+    x = np.tile(poly.interior[poly.support], (len(z), 1))
+    if not len(basis):
+        return x
+    ray = None if poly.ray_coeff is None else -poly.ray_coeff[poly.support]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(z.shape[1]):
+            d = z[:, step, :1] * basis[0]
+            for j in range(1, len(basis)):
+                d = d + z[:, step, j:j + 1] * basis[j]
+            nrm = np.sqrt(rowdot(d, d))
+            d = d / nrm[:, None]
+            lam = x / -d
+            hi = np.where(d <= -1e-14, lam, np.inf).min(axis=1)
+            lo = np.where(d >= 1e-14, lam, -np.inf).max(axis=1)
+            if ray is not None:
+                a = rowdot(d, ray)
+                lam = (-floor - rowdot(x, ray)) / a
+                hi = np.where(a >= 1e-14, np.minimum(hi, lam), hi)
+                lo = np.where(a <= -1e-14, np.maximum(lo, lam), lo)
+            move = (nrm >= 1e-14) & np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
+            x = np.where(move[:, None], x + (lo + (hi - lo) * beta[:, step])[:, None] * d, x)
+    return x
+
+
 def hit_and_run_loop(poly, z, beta, floor):
     """Reference for one sample of ``reduction._walk``: the same walk from
     the same draws (step i moves along the normals ``z[i]`` by the
@@ -362,10 +402,17 @@ def default_horizontal(ctx, vertical):
 
 
 def tangent_frame(structure, manifold, p):
-    """N's g-orthonormal tangent frame at p, float or lanes, by Gram-Schmidt
-    on the manifold's Euclidean tangent basis: the frame of a context built
-    without a reduction frame."""
-    return gram_schmidt(structure.metric, p, list(manifold.tangent_basis(p))).vectors
+    """N's g-orthonormal tangent frame at p, float or lanes, for a context
+    built without a reduction frame, laid out as ``from_reduction`` lays
+    it out: where the Reeb field is tangent to N, the contact part
+    (Gram-Schmidt on the manifold's Euclidean tangent basis after the
+    Reeb field) followed by the Reeb field; where it is not, N is no
+    contact CR submanifold and the frame is Gram-Schmidt on that basis."""
+    basis = list(manifold.tangent_basis(p))
+    xi = value(structure.reeb(p))
+    if np.max(np.abs(xi - value(manifold.project(p, xi)))) > 1e-10:
+        return gram_schmidt(structure.metric, p, basis).vectors
+    return np.concatenate([orthogonal_tail(structure.metric, p, [xi], basis), xi[None]])
 
 
 def submersion_context(structure, manifold, vertical_fields, p):
@@ -1292,3 +1339,86 @@ def _as_lists(u):
     """An array vector as the list vector of its coordinates: floats, or lanes."""
     u = np.asarray(u, dtype=float)
     return u.tolist() if u.ndim == 1 else [np.array(row) for row in u]
+
+
+# ----------------------------------------------------------------------
+# ordered combinations, and the code that summed them by hand
+# ----------------------------------------------------------------------
+
+
+def combine_per_lane(w, vectors):
+    """Reference for ``vecops.combine``: each entry of each row a Python
+    sum of float products in order i, one lane at a time."""
+    w, V = np.asarray(w, dtype=float), np.asarray(vectors, dtype=float)
+    if V.ndim == 3:
+        return np.stack([combine_per_lane(w[..., j], V[..., j]) for j in range(V.shape[-1])],
+                        axis=-1)
+    def entry(r, a):
+        terms = [float(w[r, i]) * float(V[i, a]) for i in range(len(V))]
+        return functools.reduce(operator.add, terms) if terms else 0.0
+
+    return np.array([[entry(r, a) for a in range(V.shape[1])] for r in range(len(w))])
+
+
+def direction_lanes_loop(z, frame):
+    """``cli._direction_lanes`` with its weighted sum written out, frame
+    vector after frame vector: a bitwise reference."""
+    k = len(frame)
+    if not k:
+        return []
+    c = np.moveaxis(z[..., :k], -1, 0)  # (k, samples, rows)
+    c = c / np.sqrt(vdot(c, c))
+    w = np.moveaxis(c if np.ndim(frame) == 3 else c[:, 0], -1, 1)[:, :, None]
+    dirs = w[0] * frame[0]
+    for j in range(1, k):
+        dirs = dirs + w[j] * frame[j]
+    return list(zip(dirs[0::2], dirs[1::2]))
+
+
+def cr_decomposition_reference(ctx):
+    """The CR splitting by the longer route ``cr.cr_decomposition`` once
+    took: TN's contact part by Gram-Schmidt on [Reeb field, tangent
+    frame...], so the frame may come in any order; D and D_perp by one
+    matrix product a lane; phi evaluated again on D_perp; and phi(D_perp)
+    and nu each by a Gram-Schmidt of their own."""
+    S = ctx.structure
+    p = ctx.p
+    samples = lane_width(p) or 1
+
+    xi = value(S.reeb(p))
+    contact = orthogonal_tail(S.metric, p, [xi], ctx.tangent_frame)
+    c = len(contact)
+
+    phis = [value(S.phi(p, v)) for v in contact]
+    M = lane_stack(pairings(ctx.g, ctx.normal_frame, phis))
+    sv_full = np.zeros((samples, c))
+    if M.size:
+        _, sv, vt = np.linalg.svd(M.reshape(samples, -1, c), full_matrices=True)
+        sv_full[:, : sv.shape[1]] = sv
+    else:
+        vt = np.broadcast_to(np.eye(c), (samples, c, c))
+
+    lo_band, hi_band = tolerances.CR_BAND, 1.0 - tolerances.CR_BAND
+    ambiguous = np.any((sv_full > lo_band) & (sv_full < hi_band), axis=1)
+    if ambiguous.any():
+        raise AmbiguousSplit(f"singular values {sv_full[ambiguous.argmax()].tolist()} "
+                             f"cluster inside ({lo_band}, {hi_band})")
+    n_perp = agreed(np.count_nonzero(sv_full >= hi_band, axis=1))
+    C = lane_stack(contact).reshape(samples, c, len(p))
+    blocks = [np.ascontiguousarray(C[j]) for j in range(samples)]
+    rows = [stack_lanes([vt[j, r] @ blocks[j] for j in range(samples)]) for r in range(c)]
+    dperp, d_block = rows[:n_perp], rows[n_perp:]
+
+    phi_dperp = [value(S.phi(p, w)) for w in dperp]
+    if phi_dperp:
+        phi_dperp = list(gram_schmidt(S.metric, p, phi_dperp).vectors)
+    nu_frame = orthogonal_tail(S.metric, p, phi_dperp, ctx.normal_frame)
+
+    dims = {
+        "D": len(d_block),
+        "D_perp": len(dperp),
+        "phi_D_perp": len(phi_dperp),
+        "nu": len(nu_frame),
+        "TN": len(ctx.tangent_frame),
+    }
+    return CRDecomposition(d_block, dperp, phi_dperp, nu_frame, dims)

@@ -1,15 +1,17 @@
 """Vectors as one array each, against the list code they replaced, bit
-for bit: ``vdot``, ``cmult``, the two tangent projections, Gram-Schmidt
-and the A and h pair passes (``oracles`` list code), the last two on the
-round and on the weighted metric.  Each runs at floats and at 1, 2 and
-80 lanes, the primitives and Gram-Schmidt at m = 8 and m = 64, and the
-jet-generic ones at Dual levels 0, 1 and 2."""
+for bit: ``vdot``, ``cmult``, the two tangent projections, Gram-Schmidt,
+the ordered combination ``combine`` and the A and h pair passes
+(``oracles`` list code), Gram-Schmidt and the pair passes on the round
+and on the weighted metric.  Each runs at floats and at 1, 2 and 80
+lanes, the primitives, Gram-Schmidt and ``combine`` at m = 8 and
+m = 64, and the jet-generic ones at Dual levels 0, 1 and 2."""
 
 import numpy as np
 import pytest
 
-from oracles import (ListPairPasses, ListWeightedMetric, list_cmult, list_gram_schmidt,
-                     list_project, list_sphere_project, list_vdot, tangent_frame)
+from oracles import (ListPairPasses, ListWeightedMetric, combine_per_lane, list_cmult,
+                     list_gram_schmidt, list_project, list_sphere_project, list_vdot,
+                     tangent_frame)
 from sasaklab import vecops
 from sasaklab.actions import TorusAction
 from sasaklab.geometry import InducedMetric
@@ -128,6 +130,18 @@ def test_gram_schmidt(lanes, m, metric):
     kept, inputs = list_gram_schmidt(as_list(p), [as_list(v) for v in vectors], list_g)
     assert list(frame.inputs) == inputs == [0, 1, 2, 3]
     assert [coordinate_bits(v) for v in frame.vectors] == [coordinate_bits(v) for v in kept]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("m", DIMS)
+@pytest.mark.parametrize("lanes", LANES)
+def test_combine(lanes, m, k):
+    rng = np.random.default_rng([7, m, lanes or 0, k])
+    w = rng.standard_normal((3, k) if lanes is None else (3, k, lanes))
+    vectors = rng.standard_normal((k, m) if lanes is None else (k, m, lanes))
+    got = vecops.combine(w, vectors)
+    assert got.shape == (3,) + vectors.shape[1:]
+    assert bits(got) == bits(combine_per_lane(w, vectors))
 
 
 def test_one_lane_takes_the_ordered_sum():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import cr_residuals, lane, submersion_context, tangent_frame
+from oracles import (cr_decomposition_reference, cr_residuals, lane, submersion_context,
+                     tangent_frame)
+from sasaklab import cr, tensor_kernel
 from sasaklab.actions import TorusAction
 from sasaklab.cr import (
     cr_decomposition,
@@ -78,6 +80,8 @@ class TestDecomposition:
         p = np.concatenate([rng.standard_normal(6), [0.0, 0.0]])
         p = list(p / np.linalg.norm(p))
         ctx = submersion_context(S7, man, [], p)
+        # the Reeb field is tangent: the hand-made frame ends in it
+        assert bits(ctx.tangent_frame[-1]) == bits(S7.reeb(ctx.p))
         crd = cr_decomposition(ctx)
         assert crd.dims["D_perp"] == 0
         assert crd.dims["nu"] == 2
@@ -263,3 +267,74 @@ class TestStackedSplitting:
         with pytest.raises(AmbiguousSplit) as lanes:
             split(stack_lanes(points))
         assert str(lanes.value) == str(first.value)
+
+
+def projector(frame):
+    """The Euclidean orthogonal projector onto the span of a float frame (k, m)."""
+    frame = np.asarray(frame, dtype=float)
+    if not len(frame):
+        return 0.0
+    q = np.linalg.qr(frame.T)[0]
+    return q @ q.T
+
+
+FIELDS = ("d_frame", "dperp_frame", "phi_dperp_frame", "nu_frame")
+
+
+class TestAgainstTheReference:
+    """The splitting read from the frames the reduction formed spans the
+    subspaces of the splitting that rebuilt them
+    (``oracles.cr_decomposition_reference``)."""
+
+    @pytest.mark.parametrize("lanes", [False, True])
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_same_subspaces_and_dims(self, name, lanes):
+        count = 3
+        ctx, floats = lane_contexts(SETUPS[name](), count, seed=70)
+        for c in [ctx] if lanes else floats:
+            got, ref = cr_decomposition(c), cr_decomposition_reference(c)
+            assert got.dims == ref.dims
+            width = count if lanes else 1
+            for field in FIELDS:
+                for a, b in zip(split_frame(getattr(got, field), width),
+                                split_frame(getattr(ref, field), width)):
+                    assert np.max(np.abs(projector(a) - projector(b)), initial=0.0) <= 1e-12
+
+
+def ex1gen_context(n):
+    setup = ReductionSetup(RoundSphereStructure(n),
+                           TorusAction.of([[1, 1] + [0] * (n - 2), [0, 0] + [1] * (n - 2)]),
+                           mu=[1.0, 1.0])
+    return SubmersionContext.from_reduction(setup, build_frame(setup, setup.samples(1, 12)[0]))
+
+
+WORK_CONTEXTS = {
+    "round": lambda: pairs_context(seed=13)[2],
+    "weighted": lambda: lane_contexts(SETUPS["weighted-ray"](), 1, seed=14)[1][0],
+    "ex1gen-64": lambda: ex1gen_context(64),
+}
+
+
+@pytest.mark.parametrize("name", list(WORK_CONTEXTS))
+def test_one_gram_schmidt_and_one_phi_pass(monkeypatch, name):
+    # TN's contact part is read from the tangent frame, phi(D_perp) is
+    # combined from phi(contact), and one Gram-Schmidt takes
+    # [phi(D_perp)..., normal frame...]
+    ctx = WORK_CONTEXTS[name]()
+    offered, phis = [], []
+    real_gs, real_phi = tensor_kernel.gram_schmidt, ctx.structure.phi
+
+    def counting_gs(metric, p, vectors):
+        offered.append(len(vectors))
+        return real_gs(metric, p, vectors)
+
+    def counting_phi(*args):
+        phis.append(1)
+        return real_phi(*args)
+
+    for module in (cr, tensor_kernel):
+        monkeypatch.setattr(module, "gram_schmidt", counting_gs)
+    monkeypatch.setattr(ctx.structure, "phi", counting_phi)
+    crd = cr_decomposition(ctx)
+    assert offered == [crd.dims["D_perp"] + len(ctx.normal_frame)]
+    assert len(phis) == len(ctx.tangent_frame) - 1

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import hit_and_run_loop, lane, moduli_lp_oracle, reduced_d_eta_per_pair
+from oracles import (hit_and_run_loop, lane, moduli_lp_oracle, reduced_d_eta_per_pair,
+                     walk_loop)
 from sasaklab import reduction, tolerances, vecops
 from sasaklab.actions import MomentumCovector, TorusAction, kernel_algebra, local_freeness
 from sasaklab.errors import EmptyLevelSet, NoConvergence, WrongRay
@@ -157,6 +158,8 @@ def test_hit_and_run_matches_loop_reference_bitwise(action, mu):
     for seed in range(5):
         z, beta, _ = _draws(poly, seed, 0, 4)
         got = _walk(poly, z, beta)
+        # the same walk with each direction summed by hand
+        assert got.tobytes() == walk_loop(poly, z, beta, _S_FLOOR).tobytes()
         for i in range(4):
             ref = hit_and_run_loop(poly, z[i], beta[i], _S_FLOOR)
             assert got[i].tobytes() == ref.tobytes()

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import GAMMA, WORD, splitmix_finaliser, splitmix_uniforms
+from oracles import GAMMA, WORD, direction_lanes_loop, splitmix_finaliser, splitmix_uniforms
 from sasaklab import cli, vecops
 from sasaklab.actions import TorusAction
 from sasaklab.config import build_config
@@ -133,6 +133,20 @@ class TestOffsets:
         small = cli._direction_lanes(z[:1], frame[:2])
         c = z[0, 0, :2] / math.sqrt(z[0, 0, :2] @ z[0, 0, :2])
         assert np.allclose(small[0][0], c[0] * frame[0] + c[1] * frame[1], atol=1e-15)
+
+    def test_direction_lanes_equal_their_summed_loop(self):
+        # the directions are an ordered combination (vecops.combine), with
+        # the bits of the sum written out frame vector after frame vector
+        cfg = _config("reduce", directions=2)
+        z = cli._direction_normals(cfg, 202, 0, 3)
+        frame = np.linalg.qr(np.random.default_rng(2).standard_normal((8, 5)))[0].T
+        frames = np.stack([frame, frame[::-1], -frame], axis=-1)  # (k, m, 3 lanes)
+        for zs, fr in ((z, frames), (z[:1], frame), (z[:1], frame[:1]), (z, frames[:1]),
+                       (z[:1], frame[:0])):
+            got, want = cli._direction_lanes(zs, fr), direction_lanes_loop(zs, fr)
+            assert len(got) == len(want)
+            for (x, y), (x1, y1) in zip(got, want):
+                assert x.tobytes() == x1.tobytes() and y.tobytes() == y1.tobytes()
 
     @pytest.mark.parametrize("preset", ["ex1", "weighted"])
     def test_verify_structure_points_and_tangents(self, preset):
